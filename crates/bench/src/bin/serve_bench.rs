@@ -250,7 +250,12 @@ fn main() {
                     }
                     mine.push((i, ticket));
                 }
-                let mut routed_mine: Vec<(usize, mib_serve::Ticket)> = Vec::new();
+                // Routed requests go one at a time per client: the router
+                // explores from finished solves, and a client with more
+                // requests than there are portfolios then sends some
+                // portfolio a request after an earlier one has finished,
+                // so both backends serve whatever the timing.
+                let mut routed_done = Vec::new();
                 for (i, (p, request)) in routed_trace.iter().enumerate() {
                     if i % CLIENTS != client {
                         continue;
@@ -265,17 +270,13 @@ fn main() {
                             Err(e) => panic!("routed submission failed: {e}"),
                         }
                     };
-                    routed_mine.push((i, ticket));
+                    routed_done.push((i, ticket.wait()));
                 }
                 let mut done = Vec::with_capacity(mine.len());
                 for (i, ticket) in mine {
                     done.push((i, ticket.wait()));
                 }
                 responses.lock().expect("responses lock").extend(done);
-                let mut routed_done = Vec::with_capacity(routed_mine.len());
-                for (i, ticket) in routed_mine {
-                    routed_done.push((i, ticket.wait()));
-                }
                 routed_responses
                     .lock()
                     .expect("routed responses lock")

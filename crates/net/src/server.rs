@@ -1,18 +1,29 @@
 //! The network front-end: a TCP listener multiplexing client
 //! connections onto a [`QpServer`].
 //!
-//! Threading model (std threads + blocking-with-timeout sockets, no
-//! async runtime):
+//! Threading model (std threads + blocking sockets, no async runtime).
+//! Every thread blocks on the event it is waiting for; none sleeps on a
+//! timer or polls a flag:
 //!
-//! * one **acceptor** thread polls a non-blocking listener;
-//! * each connection gets a **reader** thread (blocking reads with a
-//!   short timeout so shutdown is observed promptly) and a **writer**
-//!   thread draining an mpsc channel of outbound frames — solver
-//!   workers never block on a slow client socket;
+//! * one **acceptor** thread blocks in `accept` — the workspace's one
+//!   listener loop, [`mib_obs::Listener`], which the admin plane runs on
+//!   too. Shutdown wakes it with a connection to its own address;
+//! * each connection gets a **reader** thread blocking in `read` (only
+//!   the wait for the Hello is bounded, by `HELLO_PATIENCE`) and a
+//!   **writer** thread draining an mpsc channel of outbound frames —
+//!   solver workers never block on a slow client socket. Shutdown closes
+//!   the read half of the socket, which ends the blocked `read`; the
+//!   write half stays open for what the connection still owes its peer;
 //! * responses are demultiplexed by *client-assigned* request id: the
 //!   reader registers a [`Ticket::on_ready`] callback that forwards the
 //!   finished [`Response`] to the writer channel, so no thread ever
-//!   parks on an individual ticket.
+//!   parks on an individual ticket;
+//! * a stream ends with one **farewell** frame — the `Goodbye`
+//!   confirmation, or the `Error` saying why the server hangs up —
+//!   ordered after every answer still in flight. The reader does not
+//!   wait for those answers: if any are outstanding it leaves the
+//!   farewell with the in-flight table, and the `on_ready` callback that
+//!   retires the last request sends it.
 //!
 //! Admission control runs **in front of** the shard queues. Every
 //! submit passes the tenant's token bucket and (under congestion) the
@@ -26,11 +37,12 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use mib_qp::Status;
@@ -43,7 +55,11 @@ use crate::frame::{
     self, encode_to_vec, error_code, EndpointInfo, Frame, FrameReader, ReplyCode, ShedReason,
     WireReply, DEFAULT_MAX_FRAME_BYTES, MIN_VERSION, VERSION,
 };
-use mib_obs::AdminServer;
+use mib_obs::{set_read_deadline, AdminServer, Listener};
+
+/// How long a new connection may take to deliver its Hello before the
+/// server gives up on it: the only bounded wait on a connection.
+const HELLO_PATIENCE: Duration = Duration::from_secs(5);
 
 /// What a catalog endpoint submits to.
 #[derive(Debug, Clone, Copy)]
@@ -87,9 +103,6 @@ pub struct NetConfig {
     pub max_frame_bytes: usize,
     /// Admission-control window/slack (see [`AdmissionConfig`]).
     pub admission: AdmissionConfig,
-    /// Socket read timeout of reader threads: the granularity at which
-    /// a parked reader observes shutdown.
-    pub read_timeout: Duration,
     /// Highest wire version this server negotiates. Defaults to
     /// [`VERSION`]; capping it below lets deployments hold a fleet at
     /// an older protocol while clients that offer newer versions fall
@@ -107,7 +120,6 @@ impl Default for NetConfig {
         NetConfig {
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             admission: AdmissionConfig::default(),
-            read_timeout: Duration::from_millis(25),
             max_version: VERSION,
             admin_addr: None,
         }
@@ -118,10 +130,22 @@ impl Default for NetConfig {
 enum WriterMsg {
     /// A finished serve response for the given request id.
     Reply(u64, Response),
-    /// Any pre-built frame (HelloAck, Shed, Error, Goodbye).
+    /// Any pre-built frame (Shed, Error, Goodbye).
     Frame(Frame),
-    /// Flush and exit.
-    Shutdown,
+}
+
+/// What one connection still owes its client.
+#[derive(Default)]
+struct InFlight {
+    /// Accepted requests not yet answered: id -> cancel handle. An entry
+    /// is removed by the request's `on_ready` callback *after* its reply
+    /// is queued, so "empty" implies every answer is in the writer
+    /// channel.
+    requests: HashMap<u64, CancelHandle>,
+    /// The frame that ends the stream, left here by a reader that
+    /// stopped taking requests while answers were outstanding; sent by
+    /// the callback that retires the last one.
+    farewell: Option<Frame>,
 }
 
 struct Shared {
@@ -132,7 +156,6 @@ struct Shared {
     catalog: Vec<EndpointInfo>,
     auth: HashMap<Vec<u8>, (TenantSlot, String)>,
     cfg: NetConfig,
-    stop: AtomicBool,
 }
 
 /// The TCP front-end. Dropping it shuts the listener and every
@@ -140,9 +163,7 @@ struct Shared {
 /// before the writer threads exit.
 pub struct NetServer {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    listener: Listener,
     admin: Option<AdminServer>,
 }
 
@@ -177,10 +198,6 @@ impl NetServer {
             (MIN_VERSION..=VERSION).contains(&cfg.max_version),
             "max_version must be a wire version this build can speak"
         );
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-
         let metrics = qp.metrics();
         let admission = AdmissionController::new(cfg.admission, Arc::clone(&metrics));
         let now = Instant::now();
@@ -210,38 +227,29 @@ impl NetServer {
             catalog,
             auth: tokens,
             cfg,
-            stop: AtomicBool::new(false),
         });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
-        // Bind the admin plane before the acceptor thread exists so a
-        // failed admin bind cannot leak a running acceptor.
         let admin = match &shared.cfg.admin_addr {
             Some(addr) => Some(AdminServer::bind(addr.as_str(), Arc::clone(&shared.qp))?),
             None => None,
         };
-
-        let acceptor = {
+        let listener = {
             let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            thread::Builder::new()
-                .name("mib-net-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, &conns))
-                .expect("spawn acceptor thread")
+            Listener::bind(addr, "mib-net", move |stream, stop| {
+                serve_connection(stream, &shared, stop);
+            })?
         };
 
         Ok(NetServer {
             shared,
-            local_addr,
-            acceptor: Some(acceptor),
-            conns,
+            listener,
             admin,
         })
     }
 
     /// The bound address (use with port 0 to discover the OS pick).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// The bound address of the admin plane, when one was configured.
@@ -254,20 +262,11 @@ impl NetServer {
         &self.shared.qp
     }
 
-    /// Stops accepting, tears every connection down (in-flight solves
-    /// still get answered), and joins all threads. Idempotent.
+    /// Stops accepting, ends every connection — each gets the answers
+    /// to what it has in flight, then `Error { SHUTTING_DOWN }` — and
+    /// joins all threads. Idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        let handles: Vec<_> = {
-            let mut conns = self.conns.lock().expect("connection registry lock");
-            conns.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
+        self.listener.shutdown();
         if let Some(admin) = self.admin.as_mut() {
             admin.shutdown();
         }
@@ -280,37 +279,14 @@ impl Drop for NetServer {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                let handle = thread::Builder::new()
-                    .name("mib-net-conn".into())
-                    .spawn(move || serve_connection(stream, &shared))
-                    .expect("spawn connection thread");
-                conns.lock().expect("connection registry lock").push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(2)),
-        }
-    }
-}
-
-/// Reads bytes until the next frame or a fatal condition. `Ok(None)`
-/// means "no full frame yet, stop flag not raised" — the caller decides
-/// whether to keep waiting.
+/// One blocking read's worth of progress towards the next frame.
 enum ReadStep {
     Frame(Frame, usize),
-    /// Peer closed its write half.
+    /// End of stream: the peer closed its write half, or shutdown closed
+    /// our read half.
     Eof,
-    /// Timeout tick — no bytes; check stop/drain conditions.
+    /// No full frame yet: some of its bytes arrived, or (while a read
+    /// timeout is set, i.e. before the Hello) none did in time.
     Idle,
     /// Decode failure: the stream is unrecoverable.
     Corrupt(frame::FrameError),
@@ -345,14 +321,17 @@ fn read_step(stream: &mut TcpStream, reader: &mut FrameReader, buf: &mut [u8]) -
     }
 }
 
-fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>, stop: &AtomicBool) {
     let metrics = &shared.metrics;
     metrics.inc(&metrics.counters.net_connections_opened);
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
 
-    if let Some((slot, label, version)) = handshake(&mut stream, shared) {
-        connection_loop(&mut stream, shared, slot, &label, version);
+    if let Some((slot, version)) = handshake(&mut stream, shared, stop) {
+        // Authenticated: from here the reader waits for its client for
+        // as long as the connection lives.
+        if stream.set_read_timeout(None).is_ok() {
+            connection_loop(&mut stream, shared, stop, slot, version);
+        }
     }
     let _ = stream.shutdown(Shutdown::Both);
     metrics.inc(&metrics.counters.net_connections_closed);
@@ -362,13 +341,17 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
 /// refused (an Error frame was already sent best-effort). On success
 /// the returned version is the one the Hello offered — the whole
 /// connection speaks exactly that version from here on.
-fn handshake(stream: &mut TcpStream, shared: &Arc<Shared>) -> Option<(TenantSlot, String, u16)> {
+fn handshake(
+    stream: &mut TcpStream,
+    shared: &Arc<Shared>,
+    stop: &AtomicBool,
+) -> Option<(TenantSlot, u16)> {
     let metrics = &shared.metrics;
     let mut reader = FrameReader::new(shared.cfg.max_frame_bytes);
     let mut buf = vec![0u8; 64 * 1024];
-    let patience = Instant::now() + Duration::from_secs(5);
+    let patience = Instant::now() + HELLO_PATIENCE;
     loop {
-        if shared.stop.load(Ordering::SeqCst) || Instant::now() > patience {
+        if stop.load(Ordering::SeqCst) || !set_read_deadline(stream, patience) {
             send_direct(
                 stream,
                 &Frame::Error {
@@ -438,7 +421,7 @@ fn handshake(stream: &mut TcpStream, shared: &Arc<Shared>) -> Option<(TenantSlot
                             },
                             metrics,
                         );
-                        return Some((*slot, label.clone(), version));
+                        return Some((*slot, version));
                     }
                     None => {
                         metrics.inc(&metrics.counters.net_auth_failures);
@@ -474,8 +457,8 @@ fn handshake(stream: &mut TcpStream, shared: &Arc<Shared>) -> Option<(TenantSlot
 fn connection_loop(
     stream: &mut TcpStream,
     shared: &Arc<Shared>,
+    stop: &AtomicBool,
     slot: TenantSlot,
-    _label: &str,
     version: u16,
 ) {
     let metrics = Arc::clone(&shared.metrics);
@@ -488,46 +471,31 @@ fn connection_loop(
             .spawn(move || writer_loop(out, &rx, &metrics))
             .expect("spawn writer thread")
     };
-
-    // In-flight requests of this connection: id -> cancel handle. An
-    // entry is removed by the on_ready callback *after* the reply is
-    // queued, so "pending is empty" implies every answer is at least
-    // in the writer channel (Goodbye ordering relies on this).
-    let pending: Arc<Mutex<HashMap<u64, CancelHandle>>> = Arc::new(Mutex::new(HashMap::new()));
+    let in_flight = Arc::new(Mutex::new(InFlight::default()));
 
     let mut reader = FrameReader::new(shared.cfg.max_frame_bytes);
     reader.set_version(version);
     let mut buf = vec![0u8; 256 * 1024];
-    let mut goodbye = false;
 
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            let _ = tx.send(WriterMsg::Frame(Frame::Error {
+    // Take requests until something ends the stream; `farewell` is the
+    // frame that tells the client what (nothing, when it is gone).
+    let farewell = loop {
+        let step = read_step(stream, &mut reader, &mut buf);
+        if stop.load(Ordering::SeqCst) {
+            break Some(Frame::Error {
                 code: error_code::SHUTTING_DOWN,
                 message: "server shutting down".into(),
-            }));
-            break;
+            });
         }
-        if goodbye {
-            // No more requests are coming; once every in-flight answer
-            // is queued behind us, confirm and part ways.
-            if pending.lock().expect("pending map lock").is_empty() {
-                let _ = tx.send(WriterMsg::Frame(Frame::Goodbye));
-                break;
-            }
-            thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-        match read_step(stream, &mut reader, &mut buf) {
+        match step {
             ReadStep::Idle => {}
-            ReadStep::Eof | ReadStep::Io => break,
+            ReadStep::Eof | ReadStep::Io => break None,
             ReadStep::Corrupt(e) => {
                 metrics.inc(&metrics.counters.net_frame_decode_errors);
-                let _ = tx.send(WriterMsg::Frame(Frame::Error {
+                break Some(Frame::Error {
                     code: error_code::PROTOCOL,
                     message: e.to_string(),
-                }));
-                break;
+                });
             }
             ReadStep::Frame(f, bytes) => {
                 metrics.inc(&metrics.counters.net_frames_received);
@@ -542,11 +510,11 @@ fn connection_loop(
                         bounds,
                         warm_start,
                     } => {
-                        if !handle_submit(
+                        if let ControlFlow::Break(fatal) = handle_submit(
                             shared,
                             slot,
                             &tx,
-                            &pending,
+                            &in_flight,
                             request_id,
                             endpoint,
                             deadline_us,
@@ -555,43 +523,57 @@ fn connection_loop(
                             bounds,
                             warm_start,
                         ) {
-                            break;
+                            break Some(fatal);
                         }
                     }
                     Frame::Cancel { request_id } => {
-                        if let Some(h) = pending.lock().expect("pending map lock").get(&request_id)
+                        if let Some(h) = in_flight
+                            .lock()
+                            .expect("in-flight table lock")
+                            .requests
+                            .get(&request_id)
                         {
                             h.cancel();
                         }
                     }
-                    Frame::Goodbye => goodbye = true,
+                    // No more requests are coming: confirm once every
+                    // answer is ordered ahead of the confirmation.
+                    Frame::Goodbye => break Some(Frame::Goodbye),
                     _ => {
                         metrics.inc(&metrics.counters.net_frame_decode_errors);
-                        let _ = tx.send(WriterMsg::Frame(Frame::Error {
+                        break Some(Frame::Error {
                             code: error_code::PROTOCOL,
                             message: "unexpected frame kind from a client".into(),
-                        }));
-                        break;
+                        });
                     }
                 }
             }
         }
-    }
+    };
 
-    let _ = tx.send(WriterMsg::Shutdown);
+    if let Some(farewell) = farewell {
+        let mut in_flight = in_flight.lock().expect("in-flight table lock");
+        if in_flight.requests.is_empty() {
+            let _ = tx.send(WriterMsg::Frame(farewell));
+        } else {
+            in_flight.farewell = Some(farewell);
+        }
+    }
+    // The writer runs until the last sender is gone: this one, and the
+    // one each in-flight request's callback holds until it has run.
     drop(tx);
     let _ = writer.join();
 }
 
-/// Admits and submits one request. `false` tears the connection down
-/// (fatal submit error); shed and per-request failures answer in-band
-/// and return `true`.
+/// Admits and submits one request. `Break` is a fatal submit error: the
+/// `Error` frame to end the connection with. Shed and per-request
+/// failures answer in-band.
 #[allow(clippy::too_many_arguments)]
 fn handle_submit(
     shared: &Arc<Shared>,
     slot: TenantSlot,
     tx: &Sender<WriterMsg>,
-    pending: &Arc<Mutex<HashMap<u64, CancelHandle>>>,
+    in_flight: &Arc<Mutex<InFlight>>,
     request_id: u64,
     endpoint: u32,
     deadline_us: u64,
@@ -599,13 +581,12 @@ fn handle_submit(
     q: Option<Vec<f64>>,
     bounds: Option<(Vec<f64>, Vec<f64>)>,
     warm_start: Option<(Vec<f64>, Vec<f64>)>,
-) -> bool {
+) -> ControlFlow<Frame> {
     let Some(spec) = shared.endpoints.get(endpoint as usize) else {
-        let _ = tx.send(WriterMsg::Frame(Frame::Error {
+        return ControlFlow::Break(Frame::Error {
             code: error_code::UNKNOWN_ENDPOINT,
             message: format!("endpoint {endpoint} is not in the advertised catalog"),
-        }));
-        return false;
+        });
     };
 
     match shared.admission.admit(slot, Instant::now()) {
@@ -619,7 +600,7 @@ fn handle_submit(
                 capacity: 0,
                 retry_after_us: duration_us(retry_after),
             }));
-            return true;
+            return ControlFlow::Continue(());
         }
         mib_serve::Verdict::OverShare { retry_after } => {
             shed_trace(shared, trace_id, "over_share");
@@ -630,7 +611,7 @@ fn handle_submit(
                 capacity: 0,
                 retry_after_us: duration_us(retry_after),
             }));
-            return true;
+            return ControlFlow::Continue(());
         }
     }
 
@@ -647,23 +628,27 @@ fn handle_submit(
     };
     match submitted {
         Ok(ticket) => {
-            pending
+            in_flight
                 .lock()
-                .expect("pending map lock")
+                .expect("in-flight table lock")
+                .requests
                 .insert(request_id, ticket.cancel_handle());
             let tx = tx.clone();
-            let pending = Arc::clone(pending);
+            let in_flight = Arc::clone(in_flight);
             ticket.on_ready(move |response| {
-                // Queue the answer BEFORE retiring the id: the Goodbye
-                // path treats an empty pending map as "all answers are
-                // ordered ahead of the Goodbye frame".
+                // Queue the answer BEFORE retiring the id: whoever finds
+                // the table empty sends the farewell, and every answer
+                // must be ordered ahead of it.
                 let _ = tx.send(WriterMsg::Reply(request_id, response));
-                pending
-                    .lock()
-                    .expect("pending map lock")
-                    .remove(&request_id);
+                let mut in_flight = in_flight.lock().expect("in-flight table lock");
+                in_flight.requests.remove(&request_id);
+                if in_flight.requests.is_empty() {
+                    if let Some(farewell) = in_flight.farewell.take() {
+                        let _ = tx.send(WriterMsg::Frame(farewell));
+                    }
+                }
             });
-            true
+            ControlFlow::Continue(())
         }
         Err(SubmitError::QueueFull { depth, capacity }) => {
             let now = Instant::now();
@@ -681,28 +666,31 @@ fn handle_submit(
                 capacity: u32::try_from(capacity).unwrap_or(u32::MAX),
                 retry_after_us: duration_us(retry),
             }));
-            true
+            ControlFlow::Continue(())
         }
-        Err(e) => {
-            let _ = tx.send(WriterMsg::Frame(Frame::Error {
-                code: error_code::SHUTTING_DOWN,
-                message: e.to_string(),
-            }));
-            false
-        }
+        // Deregistered while still in the catalog: to the client, the
+        // same as an id outside it.
+        Err(e @ SubmitError::UnknownTenant) => ControlFlow::Break(Frame::Error {
+            code: error_code::UNKNOWN_ENDPOINT,
+            message: e.to_string(),
+        }),
+        Err(e @ SubmitError::ShuttingDown) => ControlFlow::Break(Frame::Error {
+            code: error_code::SHUTTING_DOWN,
+            message: e.to_string(),
+        }),
     }
 }
 
 fn writer_loop(mut out: TcpStream, rx: &Receiver<WriterMsg>, metrics: &Metrics) {
     let mut scratch = Vec::new();
-    loop {
-        let frame = match rx.recv() {
-            Ok(WriterMsg::Reply(request_id, response)) => Frame::Response {
+    // Until every sender is gone (see `connection_loop`).
+    while let Ok(msg) = rx.recv() {
+        let frame = match msg {
+            WriterMsg::Reply(request_id, response) => Frame::Response {
                 request_id,
                 reply: wire_reply(&response),
             },
-            Ok(WriterMsg::Frame(f)) => f,
-            Ok(WriterMsg::Shutdown) | Err(_) => break,
+            WriterMsg::Frame(f) => f,
         };
         scratch.clear();
         frame::encode(&frame, &mut scratch);

@@ -15,7 +15,7 @@ use mib_net::{
 };
 use mib_problems::{instance, Domain};
 use mib_qp::{Algorithm, Settings, Solver};
-use mib_serve::{QpServer, Request, ServeConfig, TenantPolicy};
+use mib_serve::{QpServer, Request, ServeConfig, TenantId, TenantPolicy};
 
 const TOKEN_A: &[u8] = b"tenant-a-token";
 const TOKEN_B: &[u8] = b"tenant-b-token";
@@ -387,8 +387,9 @@ fn submits_before_hello_are_refused() {
 }
 
 /// As [`start_server`] with an explicit [`NetConfig`] and serve config,
-/// for the negotiation/observability matrix below.
-fn start_server_cfg(serve: ServeConfig, cfg: NetConfig) -> NetServer {
+/// for the negotiation/observability matrix below; also hands back the
+/// one tenant behind the catalog.
+fn start_server_cfg(serve: ServeConfig, cfg: NetConfig) -> (NetServer, TenantId) {
     let qp = Arc::new(QpServer::new(serve));
     let spec = instance(Domain::Portfolio, 0);
     let tenant = qp
@@ -405,7 +406,8 @@ fn start_server_cfg(serve: ServeConfig, cfg: NetConfig) -> NetServer {
         label: "tenant-a".into(),
         policy: TenantPolicy::default(),
     }];
-    NetServer::bind("127.0.0.1:0", qp, endpoints, auth, cfg).unwrap()
+    let server = NetServer::bind("127.0.0.1:0", qp, endpoints, auth, cfg).unwrap();
+    (server, tenant)
 }
 
 fn wait_for_reply(client: &mut NetClient, request_id: u64) -> ReplyCode {
@@ -429,7 +431,7 @@ fn old_server_downgrades_new_clients_without_breaking_them() {
     // A server pinned to wire v1 refuses the client's v2 offer; the
     // client transparently reconnects at v1 and everything — including
     // a *traced* submit, whose id silently stays client-side — works.
-    let server = start_server_cfg(
+    let (server, _) = start_server_cfg(
         ServeConfig::default(),
         NetConfig {
             max_version: 1,
@@ -448,7 +450,7 @@ fn old_server_downgrades_new_clients_without_breaking_them() {
 fn matched_versions_negotiate_the_newest_and_carry_trace_ids() {
     // v2 client against a v2 server: one handshake, and the Submit's
     // trace id crosses the wire into the serving runtime's request.
-    let server = start_server_cfg(
+    let (server, _) = start_server_cfg(
         ServeConfig {
             obs: mib_serve::ObsConfig {
                 enabled: true,
@@ -484,7 +486,7 @@ fn matched_versions_negotiate_the_newest_and_carry_trace_ids() {
 
 #[test]
 fn admin_listener_rides_along_when_configured() {
-    let server = start_server_cfg(
+    let (server, _) = start_server_cfg(
         ServeConfig {
             obs: mib_serve::ObsConfig {
                 enabled: true,
@@ -521,6 +523,51 @@ fn admin_listener_rides_along_when_configured() {
     );
     let (status, body) = mib_obs::http_get(admin, "/healthz").unwrap();
     assert_eq!(status, 200, "healthy: {body}");
+}
+
+#[test]
+fn a_deregistered_tenant_is_an_unknown_endpoint() {
+    let (server, tenant) = start_server_cfg(ServeConfig::default(), NetConfig::default());
+    // Still in the advertised catalog, gone from the runtime.
+    assert!(server.qp().deregister(tenant));
+    let mut client = NetClient::connect(server.local_addr(), TOKEN_A).unwrap();
+    client.submit(0, 0, None, None, None, None).unwrap();
+    match client.recv_timeout(Duration::from_secs(30)) {
+        Some(ClientEvent::Error { code, .. }) => assert_eq!(code, error_code::UNKNOWN_ENDPOINT),
+        other => panic!("expected an UNKNOWN_ENDPOINT error, got {other:?}"),
+    }
+}
+
+#[test]
+fn shutdown_does_not_wait_for_a_silent_client() {
+    let (mut server, _template) = start_server(TenantPolicy::default());
+    let started = std::time::Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_millis(250),
+        "no client ever connected, yet shutdown took {:?}",
+        started.elapsed()
+    );
+
+    // A connected, authenticated client that sends nothing: its reader
+    // sits in `read` with no timeout.
+    let (mut server, _template) = start_server(TenantPolicy::default());
+    let client = NetClient::connect(server.local_addr(), TOKEN_A).unwrap();
+    let started = std::time::Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_millis(250),
+        "shutdown waited {:?} on a reader blocked in read",
+        started.elapsed()
+    );
+    match client.recv_timeout(Duration::from_secs(10)) {
+        Some(ClientEvent::Error { code, .. }) => assert_eq!(code, error_code::SHUTTING_DOWN),
+        other => panic!("expected a SHUTTING_DOWN error, got {other:?}"),
+    }
+    assert!(matches!(
+        client.recv_timeout(Duration::from_secs(10)),
+        Some(ClientEvent::Disconnected)
+    ));
 }
 
 #[test]

@@ -20,18 +20,26 @@
 //! connection keeps the parser ~40 lines and removes every keep-alive
 //! state machine.
 //!
+//! The crate also owns the workspace's one TCP accept loop,
+//! [`Listener`]: a blocking `accept`, a thread per connection, a
+//! shutdown that wakes the threads it started, and a registry that
+//! forgets finished handlers. The admin plane and the `mib-net` wire
+//! server both run on it.
+//!
 //! [`Metrics::render`]: mib_serve::Metrics::render
 //! [`ObsPlane::render_slo`]: mib_serve::ObsPlane::render_slo
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod listener;
+
+pub use listener::{set_read_deadline, Listener};
+
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mib_serve::QpServer;
@@ -48,15 +56,7 @@ const REQUEST_PATIENCE: Duration = Duration::from_secs(2);
 /// The admin-plane HTTP listener. Dropping it stops the acceptor and
 /// joins every in-flight handler thread.
 pub struct AdminServer {
-    shared: Arc<AdminShared>,
-    local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-struct AdminShared {
-    qp: Arc<QpServer>,
-    stop: AtomicBool,
+    listener: Listener,
 }
 
 impl AdminServer {
@@ -67,88 +67,27 @@ impl AdminServer {
     ///
     /// Propagates listener bind/configuration failures.
     pub fn bind<A: ToSocketAddrs>(addr: A, qp: Arc<QpServer>) -> io::Result<AdminServer> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let shared = Arc::new(AdminShared {
-            qp,
-            stop: AtomicBool::new(false),
-        });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            thread::Builder::new()
-                .name("mib-obs-admin".into())
-                .spawn(move || accept_loop(&listener, &shared, &conns))
-                .expect("spawn admin acceptor thread")
-        };
-        Ok(AdminServer {
-            shared,
-            local_addr,
-            acceptor: Some(acceptor),
-            conns,
-        })
+        let listener = Listener::bind(addr, "mib-obs", move |stream, _stop| {
+            serve_connection(stream, &qp);
+        })?;
+        Ok(AdminServer { listener })
     }
 
     /// The bound address of the admin listener.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Stops accepting and joins all handler threads. Idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        let handles: Vec<_> = {
-            let mut conns = self.conns.lock().expect("admin connection registry lock");
-            conns.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
+        self.listener.shutdown();
     }
 }
 
-impl Drop for AdminServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<AdminShared>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                let handle = thread::Builder::new()
-                    .name("mib-obs-conn".into())
-                    .spawn(move || serve_connection(stream, &shared))
-                    .expect("spawn admin connection thread");
-                conns
-                    .lock()
-                    .expect("admin connection registry lock")
-                    .push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(2)),
-        }
-    }
-}
-
-fn serve_connection(mut stream: TcpStream, shared: &Arc<AdminShared>) {
+fn serve_connection(mut stream: TcpStream, qp: &QpServer) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-    if let Some((method, path)) = read_request(&mut stream, &shared.stop) {
-        let response = route(shared, &method, &path);
+    if let Some((method, path)) = read_request(&mut stream) {
+        let response = route(qp, &method, &path);
         let _ = stream.write_all(response.as_bytes());
         let _ = stream.flush();
     }
@@ -157,30 +96,24 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<AdminShared>) {
 
 /// Reads until the blank line ending the request head and returns
 /// `(method, path)` from the request line. `None` on malformed input,
-/// timeout, or shutdown.
-fn read_request(stream: &mut TcpStream, stop: &AtomicBool) -> Option<(String, String)> {
+/// end of stream (the peer left, or the listener is shutting down), or
+/// a head still incomplete after [`REQUEST_PATIENCE`].
+fn read_request(stream: &mut TcpStream) -> Option<(String, String)> {
     let mut head = Vec::new();
     let mut buf = [0u8; 1024];
     let patience = Instant::now() + REQUEST_PATIENCE;
-    loop {
-        if stop.load(Ordering::SeqCst) || Instant::now() > patience {
+    while !head.windows(4).any(|w| w == b"\r\n\r\n") {
+        if !set_read_deadline(stream, patience) {
             return None;
         }
-        if head.windows(4).any(|w| w == b"\r\n\r\n") {
-            break;
-        }
         match stream.read(&mut buf) {
-            Ok(0) => return None,
+            Ok(0) | Err(_) => return None,
             Ok(n) => {
                 head.extend_from_slice(&buf[..n]);
                 if head.len() > MAX_REQUEST_BYTES {
                     return None;
                 }
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(_) => return None,
         }
     }
     let head = String::from_utf8_lossy(&head);
@@ -193,7 +126,7 @@ fn read_request(stream: &mut TcpStream, stop: &AtomicBool) -> Option<(String, St
 
 /// Dispatches one request to its handler and serializes the full
 /// HTTP/1.1 response (status line, headers, body).
-fn route(shared: &Arc<AdminShared>, method: &str, path: &str) -> String {
+fn route(qp: &QpServer, method: &str, path: &str) -> String {
     if method != "GET" {
         return respond(
             405,
@@ -202,7 +135,6 @@ fn route(shared: &Arc<AdminShared>, method: &str, path: &str) -> String {
             "only GET is served\n",
         );
     }
-    let qp = &shared.qp;
     let obs = qp.obs();
     match path {
         "/metrics" => respond(
@@ -370,6 +302,59 @@ mod tests {
         let mut raw = String::new();
         stream.read_to_string(&mut raw).unwrap();
         assert!(raw.starts_with("HTTP/1.1 405"), "got: {raw}");
+        admin.shutdown();
+        qp.shutdown();
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_for_a_silent_peer() {
+        let (mut admin, _, qp) = admin_fixture();
+        let started = Instant::now();
+        admin.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_millis(250),
+            "no client ever connected, yet shutdown took {:?}",
+            started.elapsed()
+        );
+
+        let mut admin = AdminServer::bind("127.0.0.1:0", Arc::clone(&qp)).unwrap();
+        // A peer that sends half a request line and then nothing: its
+        // handler sits in `read` with two seconds of patience left.
+        let mut idle = TcpStream::connect(admin.local_addr()).unwrap();
+        idle.write_all(b"GET /met").unwrap();
+        let (status, _) = http_get(admin.local_addr(), "/healthz").unwrap();
+        assert_eq!(status, 200, "the silent peer holds up nobody else");
+        let started = Instant::now();
+        admin.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_millis(250),
+            "shutdown waited {:?} on a handler blocked in read",
+            started.elapsed()
+        );
+        let mut rest = Vec::new();
+        assert_eq!(idle.read_to_end(&mut rest).unwrap(), 0, "closed unanswered");
+        qp.shutdown();
+    }
+
+    #[test]
+    fn finished_handlers_are_reaped_as_scrapes_arrive() {
+        let (mut admin, addr, qp) = admin_fixture();
+        for _ in 0..100 {
+            assert_eq!(http_get(addr, "/healthz").unwrap().0, 200);
+        }
+        // Each accept forgets the handlers that have finished, and a
+        // handler finishes a moment after its client reads end-of-stream:
+        // within a few more accepts the registry is down to the handler
+        // of the last scrape. (One entry per scrape ever made: 100.)
+        let mut tracked = admin.listener.tracked_connections();
+        for _ in 0..50 {
+            if tracked <= 1 {
+                break;
+            }
+            assert_eq!(http_get(addr, "/healthz").unwrap().0, 200);
+            tracked = admin.listener.tracked_connections();
+        }
+        assert!(tracked <= 1, "{tracked} handlers tracked after the scrapes");
         admin.shutdown();
         qp.shutdown();
     }

@@ -250,9 +250,10 @@ impl AdmmSolver {
                 &mut self.rho_vec,
                 &mut self.rho_inv_vec,
             );
-            let mut prof = self.profile;
-            let _ = self.kkt.update_rho(&self.rho_vec, &mut prof);
-            self.profile = prof;
+            // Counted nowhere: `profile` stays the work of `new`, so a
+            // pooled solver's solve reports what a fresh clone's would,
+            // not a running total of the resets before it.
+            let _ = self.kkt.update_rho(&self.rho_vec, &mut Profile::default());
         }
     }
 

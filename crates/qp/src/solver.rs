@@ -687,27 +687,44 @@ mod tests {
         .unwrap();
         let template = Solver::new(problem, Settings::default()).unwrap();
 
-        let apply = |s: &mut Solver| {
+        let tighten = |s: &mut Solver| {
             s.update_q(&[-2.0, 0.1]).unwrap();
             s.update_bounds(&[-1.0, 0.4, 0.0], &[1.0, 0.4, 0.8])
                 .unwrap();
             s.reset();
         };
+        let relax = |s: &mut Solver| {
+            s.update_bounds(&[-1.0, 0.0, 0.0], &[1.0, 0.8, 0.8])
+                .unwrap();
+            s.reset();
+        };
 
-        // Pooled path: solve something else first, then re-parameterize.
+        // Pooled path: serve other parameters first — row 1 changes class
+        // (and the KKT matrix is refactorized) at every reset — then
+        // re-parameterize.
         let mut pooled = template.clone();
         pooled.solve();
-        apply(&mut pooled);
+        for _ in 0..4 {
+            tighten(&mut pooled);
+            pooled.solve();
+            relax(&mut pooled);
+            pooled.solve();
+        }
+        tighten(&mut pooled);
         let via_pool = pooled.solve();
 
         // Reference path: fresh clone, same updates.
         let mut fresh = template.clone();
-        apply(&mut fresh);
+        tighten(&mut fresh);
         let via_fresh = fresh.solve();
 
         assert_eq!(via_pool.x, via_fresh.x, "pooled reset must be bitwise");
         assert_eq!(via_pool.iterations, via_fresh.iterations);
         assert_eq!(via_pool.status, via_fresh.status);
+        assert_eq!(
+            via_pool.profile, via_fresh.profile,
+            "a pooled solve reports its own work, not that of the resets before it"
+        );
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //!   backend). Each shard owns worker threads with warm per-tenant
 //!   [`Solver`](mib_qp::Solver) clones, so steady-state serving pays no
 //!   setup and no allocation. Cold shards are LRU-evicted.
-//! - **Micro-batching**: workers coalesce same-pattern requests arriving
-//!   within a bounded window into one back-to-back multi-solve, in the
-//!   style of `mib_qp::BatchSolver`.
+//! - **Opportunistic batching**: a worker claims whatever same-pattern
+//!   requests are queued when it becomes free (up to `max_batch`) and
+//!   solves them back-to-back; it never holds a request to wait for
+//!   company, so an idle shard answers at once and batches form only
+//!   under load.
 //! - **Admission control**: bounded queues reject with an explicit
 //!   [`SubmitError::QueueFull`] (carrying observed depth and capacity)
 //!   at the submission boundary; per-request deadlines and cancellation

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mib_qp::{Algorithm, Problem, Settings, Solver};
 
@@ -21,12 +21,8 @@ pub struct ServeConfig {
     /// Bound of each shard's submission queue; submissions beyond it are
     /// rejected with [`SubmitError::QueueFull`].
     pub queue_capacity: usize,
-    /// How long a worker keeps a micro-batch drain open waiting for more
-    /// same-pattern requests. `Duration::ZERO` disables the wait (the
-    /// worker still drains whatever is already queued, up to
-    /// `max_batch`).
-    pub batch_window: Duration,
-    /// Largest micro-batch a worker serves back-to-back.
+    /// Most requests one worker claims from the queue at a time and
+    /// serves back-to-back. A worker never waits for a batch to fill.
     pub max_batch: usize,
     /// Worker threads per pattern shard.
     pub workers_per_shard: usize,
@@ -58,7 +54,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             queue_capacity: 64,
-            batch_window: Duration::from_micros(200),
             max_batch: 16,
             workers_per_shard: 2,
             max_shards: 8,
@@ -88,7 +83,6 @@ impl ServeConfig {
     fn shard(&self) -> ShardConfig {
         ShardConfig {
             queue_capacity: self.queue_capacity,
-            batch_window: self.batch_window,
             max_batch: self.max_batch,
             workers: self.workers_per_shard,
             shadow_rel_tol: self.shadow_rel_tol,
@@ -144,8 +138,9 @@ struct ServerState {
 /// Tenants [`register`](QpServer::register) a template problem once
 /// (paying solver setup), then [`submit`](QpServer::submit) parametric
 /// requests against it. Requests are routed by structural
-/// [`PatternKey`] onto warm worker shards, micro-batched, solved with
-/// deadline/cancellation observation, and answered through [`Ticket`]s.
+/// [`PatternKey`] onto warm worker shards, batched as they queue,
+/// solved with deadline/cancellation observation, and answered through
+/// [`Ticket`]s.
 ///
 /// Every `Solved` answer is bitwise-identical to a direct cold solve of
 /// the same parametric problem — serving is an execution strategy, not a

@@ -1,5 +1,5 @@
-//! Pattern shards: per-structure worker pools with bounded queues and a
-//! micro-batching drain loop.
+//! Pattern shards: per-structure worker pools with bounded queues and an
+//! opportunistic batching drain.
 //!
 //! A shard owns every resource keyed by one [`PatternKey`]: a bounded
 //! submission queue (the backpressure boundary), a small pool of worker
@@ -7,13 +7,17 @@
 //! that are re-parameterized and [`reset`](Solver::reset) per request, so
 //! steady-state serving performs no setup work and no solver allocation.
 //!
-//! # Micro-batching
+//! # Opportunistic batching
 //!
-//! A worker that finds the queue non-empty takes one request, then keeps
-//! the drain open for up to the configured window (or until `max_batch`
-//! requests are in hand) before solving the whole batch back-to-back —
-//! the `BatchSolver`-style multi-solve, amortizing wakeups and keeping
-//! one warm solver hot across consecutive same-tenant requests.
+//! A worker blocks until the queue is non-empty, claims what is queued
+//! (at most `max_batch` requests) and solves that batch back-to-back —
+//! one wakeup and one warm solver kept hot across consecutive
+//! same-tenant requests. It never waits for a batch to fill: a batch is
+//! solved one request after the other, so holding the first request for
+//! later arrivals would only add its wait to every answer. Batches form
+//! by themselves under load, from what arrives while the workers are
+//! busy; an idle shard serves a lone request at once (DESIGN.md §9 has
+//! the measurement).
 //!
 //! # Determinism
 //!
@@ -76,7 +80,6 @@ pub(crate) struct Pending {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ShardConfig {
     pub queue_capacity: usize,
-    pub batch_window: Duration,
     pub max_batch: usize,
     pub workers: usize,
     pub shadow_rel_tol: f64,
@@ -203,60 +206,23 @@ impl Shard {
         }
     }
 
-    /// Blocks until work is available, then drains a micro-batch: one
-    /// request immediately, then up to `max_batch` within the batching
-    /// window. Returns `None` when the shard is stopping and drained.
+    /// Blocks until work is available, then claims what is queued, up to
+    /// `max_batch` requests. Returns `None` when the shard is stopping
+    /// and drained.
     fn next_batch(&self) -> Option<Vec<Pending>> {
         let mut st = self.state.lock().expect("shard queue lock");
-        loop {
-            if !st.queue.is_empty() {
-                break;
-            }
+        while st.queue.is_empty() {
             if st.stopping {
                 return None;
             }
             st = self.available.wait(st).expect("shard queue lock");
         }
-        let mut batch = Vec::with_capacity(self.cfg.max_batch.min(st.queue.len()));
-        while batch.len() < self.cfg.max_batch {
-            match st.queue.pop_front() {
-                Some(p) => batch.push(p),
-                None => break,
-            }
-        }
-        // Keep the drain open for the rest of the window: later arrivals
-        // coalesce into this batch instead of waking another worker.
-        if batch.len() < self.cfg.max_batch && !self.cfg.batch_window.is_zero() {
-            let window_end = Instant::now() + self.cfg.batch_window;
-            'window: while batch.len() < self.cfg.max_batch {
-                while st.queue.is_empty() {
-                    if st.stopping {
-                        break 'window;
-                    }
-                    let now = Instant::now();
-                    if now >= window_end {
-                        break 'window;
-                    }
-                    let (guard, _) = self
-                        .available
-                        .wait_timeout(st, window_end - now)
-                        .expect("shard queue lock");
-                    st = guard;
-                }
-                while batch.len() < self.cfg.max_batch {
-                    match st.queue.pop_front() {
-                        Some(p) => batch.push(p),
-                        None => break,
-                    }
-                }
-            }
-        }
-        drop(st);
-        Some(batch)
+        let claimed = self.cfg.max_batch.min(st.queue.len());
+        Some(st.queue.drain(..claimed).collect())
     }
 }
 
-/// Worker thread body: drain micro-batches until the shard stops, keeping
+/// Worker thread body: drain batches until the shard stops, keeping
 /// a warm solver per tenant.
 fn worker_loop(shard: &Arc<Shard>) {
     let mut warm: HashMap<u64, Solver> = HashMap::new();

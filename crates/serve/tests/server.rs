@@ -2,7 +2,7 @@
 //! parity with direct solves, deadlines, cancellation, backpressure,
 //! LRU shard eviction and drain-then-shutdown.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use mib_problems::{instance, Domain};
@@ -144,13 +144,12 @@ fn lru_evicts_the_coldest_shard() {
 
 #[test]
 fn queue_full_is_reported_synchronously() {
-    // One worker, capacity 1, and a long batch window so the worker sits
-    // in its drain while we overfill the queue.
+    // One worker serving one request at a time behind a queue of one:
+    // submissions arrive faster than solves finish, so the queue fills.
     let config = ServeConfig {
         queue_capacity: 1,
         workers_per_shard: 1,
         max_batch: 1,
-        batch_window: Duration::ZERO,
         ..ServeConfig::default()
     };
     let server = QpServer::new(config);
@@ -190,7 +189,6 @@ fn queued_requests_expire_at_their_deadline_without_solving() {
     let config = ServeConfig {
         workers_per_shard: 1,
         max_batch: 1,
-        batch_window: Duration::ZERO,
         ..ServeConfig::default()
     };
     let server = QpServer::new(config);
@@ -310,35 +308,78 @@ fn unknown_tenant_is_rejected() {
 }
 
 #[test]
-fn micro_batching_coalesces_a_burst() {
-    // One worker and a generous window: a burst submitted together should
-    // produce at least one batch of size > 1.
+fn a_busy_worker_finds_the_burst_as_one_batch() {
     let config = ServeConfig {
         workers_per_shard: 1,
         max_batch: 16,
-        batch_window: Duration::from_millis(20),
         ..ServeConfig::default()
     };
     let server = QpServer::new(config);
     let spec = instance(Domain::Portfolio, 2);
     let tenant = server.register(spec.problem, Settings::default()).unwrap();
-    let tickets: Vec<_> = (0..12)
+
+    // Park the only worker inside a completion callback. When the solve
+    // beats `on_ready` the callback runs inline on this thread instead:
+    // it returns at once (dropping `entered`) and the next lone request
+    // tries again.
+    let submitter = std::thread::current().id();
+    let mut lone = 0u64;
+    let release = loop {
+        let (entered, on_worker) = mpsc::channel::<()>();
+        let (release, released) = mpsc::channel::<()>();
+        let ticket = server.submit(tenant, Request::default()).unwrap();
+        lone += 1;
+        ticket.on_ready(move |response| {
+            assert_eq!(response.batch_size, 1, "a lone request is a batch of one");
+            if std::thread::current().id() != submitter {
+                entered.send(()).expect("the test thread is waiting");
+                let _ = released.recv();
+            }
+        });
+        if on_worker.recv().is_ok() {
+            break release;
+        }
+    };
+
+    let burst: Vec<_> = (0..11)
         .map(|_| server.submit(tenant, Request::default()).unwrap())
         .collect();
-    let mut max_seen = 0usize;
-    for t in tickets {
+    drop(release);
+    for t in burst {
         let r = t.wait();
         assert!(r.outcome.is_solved());
-        max_seen = max_seen.max(r.batch_size);
+        assert_eq!(
+            r.batch_size, 11,
+            "everything queued while the worker was busy is claimed at once"
+        );
     }
-    assert!(
-        max_seen > 1,
-        "a 12-request burst through one worker must coalesce (max batch {max_seen})"
-    );
     let m = server.metrics();
     let ord = std::sync::atomic::Ordering::Relaxed;
-    assert_eq!(m.counters.batched_requests.load(ord), 12);
-    assert!(m.counters.batches.load(ord) < 12);
+    assert_eq!(m.counters.batches.load(ord), lone + 1);
+    assert_eq!(m.counters.batched_requests.load(ord), lone + 11);
+    server.shutdown();
+}
+
+#[test]
+fn an_idle_shard_serves_a_lone_request_at_once() {
+    let server = QpServer::new(ServeConfig::default());
+    let spec = instance(Domain::Portfolio, 0);
+    let tenant = server.register(spec.problem, Settings::default()).unwrap();
+    // The minimum is what the path costs with no scheduling noise on
+    // it: a worker that holds a lone request for any window cannot get
+    // under that window.
+    let fastest = (0..200)
+        .map(|_| {
+            let r = server.submit(tenant, Request::default()).unwrap().wait();
+            assert!(r.outcome.is_solved());
+            r.queue_wait
+        })
+        .min()
+        .expect("200 requests");
+    assert!(
+        fastest < Duration::from_micros(100),
+        "the fastest of 200 lone requests waited {fastest:?} in the queue of an idle shard"
+    );
     server.shutdown();
 }
 

@@ -59,19 +59,19 @@ cargo clippy --workspace --all-targets \
   -A clippy::implicit_hasher
 
 echo "==> cargo test --workspace"
+# Every crate's unit, integration and doc tests, the root package's
+# suites (serve_soak, trace_pipeline, timeline_attribution, zero_alloc,
+# ...) among them.
 cargo test --workspace -q
 
-echo "==> serving runtime (mib-serve tests + soak + smoke trace)"
-cargo test -p mib-serve -q
-cargo test --test serve_soak -q
+echo "==> serving runtime (smoke trace)"
 cargo run --release -q -p mib-bench --bin serve_bench -- --smoke >/dev/null
 
-echo "==> network front-end (mib-net tests + loopback load smoke gate)"
-# Frame-codec proptests, loopback protocol tests, then a few thousand
-# requests over real sockets in both loop modes: bitwise verification of
-# sampled answers, explicit rate-limit sheds on the limited tenant, zero
-# unexplained sheds, zero decode errors (all asserted inside the bin).
-cargo test -p mib-net -q
+echo "==> network front-end (loopback load smoke gate)"
+# A few thousand requests over real sockets in both loop modes: bitwise
+# verification of sampled answers, explicit rate-limit sheds on the
+# limited tenant, zero unexplained sheds, zero decode errors (all
+# asserted inside the bin).
 cargo run --release -q -p mib-bench --bin load_bench -- --smoke >/dev/null
 
 echo "==> solver backends (ADMM/PDQP convergence gate)"
@@ -92,11 +92,15 @@ cargo run --release -q -p mib-bench --bin verify_schedules -- --smoke >/dev/null
 # and overflow checks armed (the [profile.checked] build).
 cargo test --profile checked --test static_timing --test proptest_timing -q
 
-echo "==> tracing (enabled-mode pipeline + cycle attribution + zero-alloc guard)"
-cargo test --test trace_pipeline -q
-cargo test --test timeline_attribution -q
-cargo test --test zero_alloc -q
+echo "==> tracing (trace report smoke gate)"
 cargo run --release -q -p mib-bench --bin trace_report -- --smoke >/dev/null
+
+echo "==> benchmark/ (its own tests + every workload once, briefly)"
+# benchmark/ is a package of its own that reaches the workspace only
+# through public items: this is what notices a public-API change that
+# stops it compiling, or a workload whose checks no longer pass.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke >/dev/null
 
 echo "==> benchmark regression gate (working tree vs HEAD baselines)"
 # Diffs results/BENCH_serve.json and results/BENCH_kernels.json against

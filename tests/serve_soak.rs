@@ -65,7 +65,6 @@ fn soak_mixed_tenants_under_backpressure() {
         queue_capacity: QUEUE_CAPACITY,
         workers_per_shard: 2,
         max_batch: 8,
-        batch_window: Duration::from_micros(100),
         max_shards: 8,
         // Audit every third routed request on the sibling backend; the
         // acceptance bar below requires zero discrepancies.
