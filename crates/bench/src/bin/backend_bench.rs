@@ -15,6 +15,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use mib_bench::json_f64;
 use mib_problems::{instance, Domain};
 use mib_qp::{Algorithm, Settings, Solver, Status};
 
@@ -46,18 +47,6 @@ struct Run {
     micros: u128,
     prim_res: f64,
     dual_res: f64,
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let mut s = format!("{v}");
-        if !s.contains(['.', 'e', 'E']) {
-            s.push_str(".0");
-        }
-        s
-    } else {
-        "null".to_string()
-    }
 }
 
 fn main() {

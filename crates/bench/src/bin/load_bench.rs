@@ -56,7 +56,9 @@ use mib_net::{
 };
 use mib_problems::{instance, Domain};
 use mib_qp::{Algorithm, Settings, Solver};
-use mib_serve::{Histogram, ObsConfig, QpServer, ServeConfig, TenantPolicy, LATENCY_BUCKETS_US};
+use mib_serve::{
+    Histogram, Metrics, ObsConfig, QpServer, ServeConfig, TenantPolicy, LATENCY_BUCKETS_US,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -199,6 +201,29 @@ struct PhaseResult {
     completed: u64,
     e2e: Histogram<10>,
     stats: Vec<ClientStats>,
+}
+
+/// The server-side `queue_wait` and `service` samples of one phase: what
+/// the server's cumulative registry gained while the phase ran.
+struct PhaseSeries {
+    queue_wait: Histogram<10>,
+    service: Histogram<10>,
+}
+
+/// Runs one phase against the server whose registry is `metrics` and
+/// takes that phase's own server-side series from it.
+fn run_measured(
+    metrics: &Metrics,
+    phase: impl FnOnce() -> PhaseResult,
+) -> (PhaseResult, PhaseSeries) {
+    let queue_wait = metrics.queue_wait.snapshot();
+    let service = metrics.service.snapshot();
+    let result = phase();
+    let series = PhaseSeries {
+        queue_wait: metrics.queue_wait.since(&queue_wait),
+        service: metrics.service.since(&service),
+    };
+    (result, series)
 }
 
 /// Drives `total` requests through `clients` connections.
@@ -602,25 +627,30 @@ fn main() {
 
     let mut body = String::new();
     body.push_str("== load_bench: socket-level load against the mib-net front-end ==\n\n");
-    let mut runs: Vec<(String, PhaseResult)> = Vec::new();
+    let registry = qp.metrics();
+    let mut runs: Vec<(String, PhaseResult, PhaseSeries)> = Vec::new();
 
     // ---- Phase 1: closed loop (peak sustainable throughput). ----
-    let closed = run_phase(addr, &mix, total, clients, None, sample_every, 0);
+    let (closed, series) = run_measured(&registry, || {
+        run_phase(addr, &mix, total, clients, None, sample_every, 0)
+    });
     let closed_rps = closed.completed as f64 / closed.wall.as_secs_f64();
-    runs.push(("net-closed".into(), closed));
+    runs.push(("net-closed".into(), closed, series));
 
     // ---- Phase 2: open loop at ~70% of the measured closed rate. ----
     let pace = Duration::from_secs_f64(1.0 / (0.7 * closed_rps / clients as f64));
-    let open = run_phase(
-        addr,
-        &mix,
-        open_total,
-        clients,
-        Some(pace),
-        sample_every,
-        total,
-    );
-    runs.push(("net-open".into(), open));
+    let (open, series) = run_measured(&registry, || {
+        run_phase(
+            addr,
+            &mix,
+            open_total,
+            clients,
+            Some(pace),
+            sample_every,
+            total,
+        )
+    });
+    runs.push(("net-open".into(), open, series));
 
     // ---- Phase 3 (smoke): a rate-limited tenant MUST see sheds. ----
     if smoke {
@@ -668,7 +698,7 @@ fn main() {
 
     // ---- Verification: hard gates, then sampled bitwise parity. ----
     let mut verified = 0u64;
-    for (mode, phase) in &runs {
+    for (mode, phase, series) in &runs {
         for st in &phase.stats {
             assert!(
                 st.errors.is_empty(),
@@ -693,6 +723,18 @@ fn main() {
             open_total
         };
         assert_eq!(offered, expected, "[{mode}] every request must complete");
+        // Every answer passed through a shard worker, which records one
+        // queue-wait and one service sample before it answers.
+        for (name, h) in [
+            ("queue_wait", &series.queue_wait),
+            ("service", &series.service),
+        ] {
+            assert_eq!(
+                h.count(),
+                phase.completed,
+                "[{mode}] the {name} series must hold exactly this run's answers"
+            );
+        }
         for st in &phase.stats {
             for (i, reply) in &st.sampled {
                 verify_sample(*i, reply, &mix).expect("bitwise verification");
@@ -702,8 +744,7 @@ fn main() {
     }
 
     // ---- Report. ----
-    let metrics = qp.metrics();
-    let c = &metrics.counters;
+    let c = &registry.counters;
     let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
     assert_eq!(
         load(&c.net_frame_decode_errors),
@@ -711,7 +752,7 @@ fn main() {
         "zero protocol errors across the whole run"
     );
     let mut serve_runs = Vec::new();
-    for (mode, phase) in &runs {
+    for (mode, phase, series) in &runs {
         let rps = phase.completed as f64 / phase.wall.as_secs_f64();
         let _ = writeln!(
             body,
@@ -773,15 +814,15 @@ fn main() {
                 },
                 LatencySummary {
                     name: "queue_wait".into(),
-                    mean_us: metrics.queue_wait.mean(),
-                    p50_us: metrics.queue_wait.quantile_bound(0.5),
-                    p99_us: metrics.queue_wait.quantile_bound(0.99),
+                    mean_us: series.queue_wait.mean(),
+                    p50_us: series.queue_wait.quantile_bound(0.5),
+                    p99_us: series.queue_wait.quantile_bound(0.99),
                 },
                 LatencySummary {
                     name: "service".into(),
-                    mean_us: metrics.service.mean(),
-                    p50_us: metrics.service.quantile_bound(0.5),
-                    p99_us: metrics.service.quantile_bound(0.99),
+                    mean_us: series.service.mean(),
+                    p50_us: series.service.quantile_bound(0.5),
+                    p99_us: series.service.quantile_bound(0.99),
                 },
             ],
             obs_overhead_pct: None,
@@ -810,7 +851,7 @@ fn main() {
         load(&c.shed_queue_full),
     );
     body.push_str("\n-- server metrics snapshot --\n");
-    body.push_str(&metrics.render());
+    body.push_str(&registry.render());
 
     // ---- Phase 4: observability overhead + admin-plane scrape. ----
     //

@@ -25,7 +25,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use mib_bench::eval_settings;
+use mib_bench::{eval_settings, json_f64};
 use mib_compiler::lower::lower;
 use mib_compiler::verify_schedule;
 use mib_core::hbm::HbmStream;
@@ -49,18 +49,6 @@ struct Row {
     predicted_cycles: u64,
     stall_cycles: u64,
     agree: bool,
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let mut s = format!("{v}");
-        if !s.contains(['.', 'e', 'E']) {
-            s.push_str(".0");
-        }
-        s
-    } else {
-        "null".to_string()
-    }
 }
 
 fn main() {

@@ -7,7 +7,7 @@
 //! The comparison is structural, not textual: a tiny recursive-descent
 //! JSON parser (no serde in the dependency tree) loads both documents,
 //! matched entries are located by their identity keys (`mode` for serve
-//! runs; `group`/`kernel`/`n`/`path` for kernel rows), and each tracked
+//! runs; `group`/`kernel`/`n` for kernel rows), and each tracked
 //! metric is checked against its tolerance. An entry present in the
 //! baseline but missing from the current document is itself a failure —
 //! losing coverage must not pass silently.
@@ -420,7 +420,7 @@ pub fn diff_serve(baseline: &str, current: &str) -> Result<Vec<Finding>, String>
 }
 
 /// Diffs two `BENCH_kernels.json` documents over `ns_per_call` of every
-/// baseline kernel row (matched on `group`/`kernel`/`n`/`path`).
+/// baseline kernel row (matched on `group`/`kernel`/`n`).
 ///
 /// # Errors
 ///
@@ -428,12 +428,11 @@ pub fn diff_serve(baseline: &str, current: &str) -> Result<Vec<Finding>, String>
 pub fn diff_kernels(baseline: &str, current: &str) -> Result<Vec<Finding>, String> {
     let base = Json::parse(baseline).map_err(|e| format!("baseline kernels: {e}"))?;
     let cur = Json::parse(current).map_err(|e| format!("current kernels: {e}"))?;
-    let identity = |row: &Json| -> Option<(String, String, u64, String)> {
+    let identity = |row: &Json| -> Option<(String, String, u64)> {
         Some((
             row.get("group")?.as_str()?.to_string(),
             row.get("kernel")?.as_str()?.to_string(),
             row.get("n")?.as_f64()? as u64,
-            row.get("path")?.as_str()?.to_string(),
         ))
     };
     let mut findings = Vec::new();
@@ -442,10 +441,7 @@ pub fn diff_kernels(baseline: &str, current: &str) -> Result<Vec<Finding>, Strin
         let Some(base_ns) = row.get("ns_per_call").and_then(Json::as_f64) else {
             continue;
         };
-        let label = format!(
-            "kernels[{}/{}/n={}/{}].ns_per_call",
-            key.0, key.1, key.2, key.3
-        );
+        let label = format!("kernels[{}/{}/n={}].ns_per_call", key.0, key.1, key.2);
         let cur_ns = cur
             .get("kernels")
             .map_or(&[][..], Json::items)
@@ -571,7 +567,7 @@ mod tests {
             .iter()
             .any(|f| !f.ok && f.metric == "serve[net-closed]"));
 
-        let kernels = r#"{"kernels": [{"group": "vector", "kernel": "dot", "n": 1000, "path": "avx2", "ns_per_call": 150.0}]}"#;
+        let kernels = r#"{"kernels": [{"group": "vector", "kernel": "dot", "n": 1000, "ns_per_call": 150.0}]}"#;
         let empty = r#"{"kernels": []}"#;
         let findings = diff_kernels(kernels, empty).expect("diff runs");
         assert_eq!(findings.len(), 1);
@@ -580,7 +576,7 @@ mod tests {
 
     #[test]
     fn kernel_slowdowns_respect_the_ratio() {
-        let kernels = r#"{"kernels": [{"group": "vector", "kernel": "dot", "n": 1000, "path": "avx2", "ns_per_call": 150.0}]}"#;
+        let kernels = r#"{"kernels": [{"group": "vector", "kernel": "dot", "n": 1000, "ns_per_call": 150.0}]}"#;
         let doubled = kernels.replace("150.0", "300.0");
         assert!(diff_kernels(kernels, &doubled)
             .expect("diff runs")

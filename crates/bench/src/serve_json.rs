@@ -14,6 +14,8 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use crate::json_f64;
+
 /// One latency series summary (mean plus bucketed quantile bounds, µs).
 #[derive(Debug, Clone)]
 pub struct LatencySummary {
@@ -57,18 +59,6 @@ pub struct ServeRun {
     /// a percentage of the obs-disabled rate. Only the `net-closed` run
     /// measures this; `None` elsewhere.
     pub obs_overhead_pct: Option<f64>,
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let mut s = format!("{v}");
-        if !s.contains(['.', 'e', 'E']) {
-            s.push_str(".0");
-        }
-        s
-    } else {
-        "null".to_string()
-    }
 }
 
 fn json_str(s: &str) -> String {

@@ -145,6 +145,35 @@ impl<const B: usize> Histogram<B> {
         u64::MAX
     }
 
+    /// A copy of the current state. Cells are read one at a time, so a
+    /// copy taken while samples are still arriving may be torn across
+    /// cells; take it at a quiet point.
+    pub fn snapshot(&self) -> Self {
+        Histogram {
+            bounds: self.bounds,
+            buckets: std::array::from_fn(|i| AtomicU64::new(self.buckets[i].load(ORD))),
+            overflow: AtomicU64::new(self.overflow.load(ORD)),
+            sum: AtomicU64::new(self.sum()),
+            count: AtomicU64::new(self.count()),
+        }
+    }
+
+    /// The samples recorded since `earlier` (a [`snapshot`](Self::snapshot)
+    /// of this histogram), as a histogram of their own: what one phase of
+    /// a run added to a long-lived registry.
+    pub fn since(&self, earlier: &Self) -> Self {
+        let delta = |now: &AtomicU64, then: &AtomicU64| {
+            AtomicU64::new(now.load(ORD).saturating_sub(then.load(ORD)))
+        };
+        Histogram {
+            bounds: self.bounds,
+            buckets: std::array::from_fn(|i| delta(&self.buckets[i], &earlier.buckets[i])),
+            overflow: delta(&self.overflow, &earlier.overflow),
+            sum: delta(&self.sum, &earlier.sum),
+            count: delta(&self.count, &earlier.count),
+        }
+    }
+
     /// Appends `name_bucket{le=...}` / `_sum` / `_count` lines.
     fn render_into(&self, name: &str, out: &mut String) {
         let mut cumulative = 0;
@@ -529,6 +558,24 @@ mod tests {
         // The overflow sample (1s) pushes the max quantile to +Inf.
         assert_eq!(h.quantile_bound(1.0), u64::MAX);
         assert!(h.mean() > 0.0);
+    }
+
+    #[test]
+    fn since_holds_only_the_later_samples() {
+        let h: Histogram<10> = Histogram::new(LATENCY_BUCKETS_US);
+        for v in [2u64, 3, 1_000_000] {
+            h.observe(v);
+        }
+        let before = h.snapshot();
+        for v in [100u64, 200, 300] {
+            h.observe(v);
+        }
+        let delta = h.since(&before);
+        assert_eq!(delta.count(), 3);
+        assert_eq!(delta.sum(), 600);
+        assert_eq!(delta.quantile_bound(0.0), 256);
+        assert_eq!(delta.quantile_bound(1.0), 1_024);
+        assert_eq!(h.since(&h.snapshot()).count(), 0);
     }
 
     #[test]

@@ -42,9 +42,10 @@ use crate::request::Outcome;
 /// synchronization.
 const ORD: Ordering = Ordering::Relaxed;
 
-/// Log₂ bucket count of the rolling-window histograms: bucket `k` holds
-/// samples in `(2^(k-1), 2^k]` µs, covering 1 µs up to ~33 s.
-const LOG_BUCKETS: usize = 26;
+/// Log₂ bucket count of the rolling-window histograms: bucket 0 holds
+/// 0 µs, bucket `k` in `1..=25` holds samples in `[2^(k-1), 2^k − 1]` µs
+/// (up to ~33.5 s), and the top bucket every sample of `2^25` µs or more.
+const LOG_BUCKETS: usize = 27;
 
 /// EWMA smoothing factor per observation.
 const EWMA_ALPHA: f64 = 0.05;
@@ -125,18 +126,22 @@ impl ObsConfig {
     }
 }
 
-/// Log₂ bucket index of a µs sample.
+/// Log₂ bucket index of a µs sample: its bit length, clamped into the
+/// top bucket.
 fn bucket_of(us: u64) -> usize {
     let k = (u64::BITS - us.leading_zeros()) as usize;
     k.min(LOG_BUCKETS - 1)
 }
 
-/// Upper bound (µs) of log₂ bucket `k`.
+/// Inclusive upper bound (µs) of log₂ bucket `k`: `2^k − 1`, or
+/// `u64::MAX` for the clamped top bucket, whose samples have no bound
+/// (as [`Histogram::quantile_bound`](crate::metrics::Histogram::quantile_bound)
+/// reports overflow).
 fn bucket_bound(k: usize) -> u64 {
-    if k == 0 {
-        0
+    if k >= LOG_BUCKETS - 1 {
+        u64::MAX
     } else {
-        1u64 << k.min(63)
+        (1u64 << k) - 1
     }
 }
 
@@ -842,8 +847,8 @@ mod tests {
         }
         let slo = plane.render_slo(now);
         assert!(slo.contains("mib_obs_phase_count{phase=\"e2e\"} 5"));
-        assert!(slo.contains("mib_obs_backend_p99_us{backend=\"pdqp\"} 1024"));
-        assert!(slo.contains("mib_obs_tenant_p99_us{tenant=\"tenant-3\"} 1024"));
+        assert!(slo.contains("mib_obs_backend_p99_us{backend=\"pdqp\"} 1023"));
+        assert!(slo.contains("mib_obs_tenant_p99_us{tenant=\"tenant-3\"} 1023"));
         assert!(slo.contains("mib_slo_burn_rate{window=\"short\"} 0.000000"));
         assert!(slo.contains("mib_trace_dropped_records_total "));
     }
@@ -923,14 +928,23 @@ mod tests {
 
     #[test]
     fn log_bucket_edges() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(u64::MAX), LOG_BUCKETS - 1);
-        assert_eq!(bucket_bound(0), 0);
-        assert_eq!(bucket_bound(1), 2);
-        assert_eq!(bucket_bound(2), 4);
+        // A sample's reported bound covers it and is less than twice it,
+        // on both sides of every power of two below the clamp.
+        assert_eq!(bucket_bound(bucket_of(0)), 0);
+        for j in 0..25 {
+            let p = 1u64 << j;
+            for v in [p - 1, p, p + 1] {
+                if v == 0 {
+                    continue;
+                }
+                let bound = bucket_bound(bucket_of(v));
+                assert!(bound >= v && bound < 2 * v, "v={v}: bound {bound}");
+            }
+        }
+        assert_eq!(bucket_bound(bucket_of((1 << 25) - 1)), (1 << 25) - 1);
+        // From 2^25 µs on, samples are clamped and have no finite bound.
+        for v in [1u64 << 25, (1 << 25) + 1, 1 << 40, u64::MAX] {
+            assert_eq!(bucket_bound(bucket_of(v)), u64::MAX, "v={v}");
+        }
     }
 }

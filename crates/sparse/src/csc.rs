@@ -397,7 +397,6 @@ impl CscMatrix {
     pub fn gaxpy_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "spmv: x has wrong length");
         assert_eq!(y.len(), self.nrows, "spmv: y has wrong length");
-        let path = crate::simd::dispatch_path();
         for (j, &xj) in x.iter().enumerate() {
             if xj != 0.0 {
                 let r = self.col_range(j);
@@ -411,9 +410,9 @@ impl CscMatrix {
                 // IEEE multiplication commutes.
                 match idx {
                     [first, .., last] if last - first == idx.len() - 1 => {
-                        crate::simd::axpy_into_with(path, &mut y[*first..=*last], xj, vals);
+                        crate::simd::axpy_into(&mut y[*first..=*last], xj, vals);
                     }
-                    _ => crate::simd::scatter_axpy(path, y, idx, vals, xj),
+                    _ => crate::simd::scatter_axpy(y, idx, vals, xj),
                 }
             }
         }
@@ -440,7 +439,6 @@ impl CscMatrix {
     pub fn gaxpy_t_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.nrows, "spmv^T: x has wrong length");
         assert_eq!(y.len(), self.ncols, "spmv^T: y has wrong length");
-        let path = crate::simd::dispatch_path();
         for (j, yj) in y.iter_mut().enumerate() {
             let r = self.col_range(j);
             let idx = &self.row_ind[r.clone()];
@@ -451,9 +449,9 @@ impl CscMatrix {
             // contiguous indices make them read identical operands.
             *yj += match idx {
                 [first, .., last] if last - first == idx.len() - 1 => {
-                    crate::simd::dot_with(path, vals, &x[*first..=*last])
+                    crate::simd::dot(vals, &x[*first..=*last])
                 }
-                _ => crate::simd::gather_dot(path, vals, idx, x),
+                _ => crate::simd::gather_dot(vals, idx, x),
             };
         }
     }
@@ -548,7 +546,6 @@ impl CscMatrix {
         );
         assert_eq!(x.len(), self.ncols, "sym spmv: x has wrong length");
         assert_eq!(y.len(), self.nrows, "sym spmv: y has wrong length");
-        let path = crate::simd::dispatch_path();
         for j in 0..self.ncols {
             let r = self.col_range(j);
             let rows = &self.row_ind[r.clone()];
@@ -559,12 +556,12 @@ impl CscMatrix {
             );
             // Upper-triangle pass: y[i] += v * x[j] for every stored entry
             // of column j, diagonal included.
-            crate::simd::scatter_axpy(path, y, rows, vals, x[j]);
+            crate::simd::scatter_axpy(y, rows, vals, x[j]);
             // Mirrored strictly-lower pass, as one gather-dot over the
             // strictly-upper entries (row indices are ascending, so a
             // diagonal entry is always last in the column).
             let strict = rows.len() - usize::from(rows.last() == Some(&j));
-            y[j] += crate::simd::gather_dot(path, &vals[..strict], &rows[..strict], x);
+            y[j] += crate::simd::gather_dot(&vals[..strict], &rows[..strict], x);
         }
     }
 

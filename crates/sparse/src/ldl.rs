@@ -103,7 +103,6 @@ impl LdlSymbolic {
         let fill = &mut f.work_fill;
         fill.fill(0);
         let mut flops = 0u64;
-        let path = crate::simd::dispatch_path();
 
         for k in 0..n {
             // Scatter column k of A (upper triangle) into the accumulator and
@@ -138,7 +137,7 @@ impl LdlSymbolic {
                 // `y -= l * yi` as `y += l * (-yi)`: IEEE negation is
                 // exact, so this is bitwise identical to the subtract loop.
                 let r = col_start..col_start + fill[i];
-                crate::simd::scatter_axpy(path, y, &f.l_row_ind[r.clone()], &f.l_values[r], -yi);
+                crate::simd::scatter_axpy(y, &f.l_row_ind[r.clone()], &f.l_values[r], -yi);
                 let di = f.d[i];
                 // di == 0 cannot happen: rows < k already produced valid pivots.
                 let l_ki = yi / di;
@@ -265,19 +264,12 @@ impl LdlFactor {
     /// Panics if `x.len() != n`.
     pub fn l_solve(&self, x: &mut [f64]) {
         assert_eq!(x.len(), self.n, "l_solve: rhs has wrong length");
-        let path = crate::simd::dispatch_path();
         for j in 0..self.n {
             let xj = x[j];
             if xj != 0.0 {
                 // `x -= l * xj` as `x += l * (-xj)` (exact negation).
                 let r = self.l_col_ptr[j]..self.l_col_ptr[j + 1];
-                crate::simd::scatter_axpy(
-                    path,
-                    x,
-                    &self.l_row_ind[r.clone()],
-                    &self.l_values[r],
-                    -xj,
-                );
+                crate::simd::scatter_axpy(x, &self.l_row_ind[r.clone()], &self.l_values[r], -xj);
             }
         }
     }
@@ -291,10 +283,9 @@ impl LdlFactor {
     /// Panics if `x.len() != n`.
     pub fn lt_solve(&self, x: &mut [f64]) {
         assert_eq!(x.len(), self.n, "lt_solve: rhs has wrong length");
-        let path = crate::simd::dispatch_path();
         for j in (0..self.n).rev() {
             let r = self.l_col_ptr[j]..self.l_col_ptr[j + 1];
-            let s = crate::simd::gather_dot(path, &self.l_values[r.clone()], &self.l_row_ind[r], x);
+            let s = crate::simd::gather_dot(&self.l_values[r.clone()], &self.l_row_ind[r], x);
             x[j] -= s;
         }
     }

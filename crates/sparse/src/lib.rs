@@ -39,11 +39,7 @@
 //! # }
 //! ```
 
-// `unsafe` is denied crate-wide; the single, audited exception is the
-// `simd` module, whose `core::arch` intrinsic bodies are gated behind
-// runtime feature detection and differentially tested bit-for-bit
-// against the safe portable path.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod csc;
@@ -53,7 +49,6 @@ pub mod etree;
 pub mod ldl;
 pub mod order;
 mod perm;
-#[allow(unsafe_code)]
 pub mod simd;
 mod stack;
 mod triplet;

@@ -6,7 +6,7 @@
 //! projection the ADMM loop needs.
 //!
 //! Every hot kernel here is a thin re-export of (or delegates to) the
-//! runtime-dispatched implementations in [`crate::simd`] — the single
+//! implementations in [`crate::simd`] — the single
 //! source of truth for the canonical lane-chunked reduction order and the
 //! canonical min/max semantics. The allocating convenience wrappers
 //! (`ew_prod`, `axpby`, `project_box`, ...) build their output through the

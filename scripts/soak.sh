@@ -19,15 +19,6 @@ for i in $(seq 1 "${iterations}"); do
   cargo test --test serve_soak -q
 done
 
-echo "==> serve_soak under forced dispatch paths (MIB_SIMD override)"
-# The soak's bitwise assertions must hold on every SIMD dispatch path,
-# not just the auto-detected one. 'scalar' always exists; 'avx2' is
-# ignored by the dispatcher on hosts without the feature.
-for path in scalar avx2; do
-  echo "--- MIB_SIMD=${path}"
-  MIB_SIMD="${path}" cargo test --test serve_soak -q
-done
-
 echo "==> serve_bench (full trace)"
 cargo run --release -q -p mib-bench --bin serve_bench
 

@@ -24,6 +24,8 @@
 //! the `mib-bench` crate's binaries, which regenerate every figure and
 //! table of the paper (see DESIGN.md and EXPERIMENTS.md).
 
+#![forbid(unsafe_code)]
+
 pub use mib_compiler as compiler;
 pub use mib_core as core;
 pub use mib_net as net;

@@ -84,16 +84,11 @@ fn disabled_tracing_instrumentation_allocates_nothing() {
     assert_eq!(allocs, 0, "disabled-mode tracing allocated {allocs} times");
 }
 
-/// The dispatched SIMD kernels never touch the heap: dispatch resolution
-/// is one relaxed atomic load (the `OnceLock` env probe is warmed outside
-/// the measurement) and every kernel works in caller-provided buffers,
-/// on both the portable and the vectorized path.
+/// The SIMD kernels never touch the heap: every kernel works in
+/// caller-provided buffers.
 #[test]
 fn simd_kernels_perform_zero_allocations() {
     use mib::sparse::simd;
-    // Warm the lazily initialized default dispatch path (reads MIB_SIMD)
-    // before measuring.
-    let path = simd::dispatch_path();
     let n = 1 << 10;
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
     let mut y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
@@ -107,8 +102,8 @@ fn simd_kernels_perform_zero_allocations() {
         simd::axpy_into(&mut y, 0.25, &x);
         simd::ew_prod_into(&mut out, &x, &y);
         simd::project_box_into(&mut y, &l, &u);
-        let g = simd::gather_dot(path, &x, &idx, &y);
-        simd::scatter_axpy(path, &mut out, &idx, &x, 0.5);
+        let g = simd::gather_dot(&x, &idx, &y);
+        simd::scatter_axpy(&mut out, &idx, &x, 0.5);
         // Fold the reduction results into an output so none of the calls
         // can be optimized away.
         out[0] += (d + m + g) * 1e-300;
