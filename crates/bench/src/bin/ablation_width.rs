@@ -28,7 +28,7 @@ fn main() {
     for width in [8usize, 16, 32, 64] {
         let config = MibConfig::with_width(width);
         let lowered = lower(&inst.problem, &settings, config).expect("lowering succeeds");
-        let seconds = mib_bench::mib_solve_seconds(&lowered, &settings, &result);
+        let seconds = mib_bench::mib_solve_seconds(&lowered, &result);
         let ms = seconds * 1e3;
         let base = *base_ms.get_or_insert(ms);
         let _ = writeln!(

@@ -1,9 +1,8 @@
 //! kernel_bench: std-only micro-benchmark of the SIMD kernels.
 //!
 //! Measures per-kernel GFLOP/s for the hot `_into` kernels, sweeps the
-//! sparse kernels across the five benchmark domains, runs
-//! the [`BatchSolver`] thread-scaling study, and attributes per-stage
-//! solver time through the opt-in `mib-trace` kernel spans. The report is
+//! sparse kernels across the five benchmark domains and runs the
+//! [`BatchSolver`] thread-scaling study. The report is
 //! machine-diffable JSON with stable key order
 //! (`results/BENCH_kernels.json`); GFLOP/s numbers are
 //! environment-dependent, everything else is deterministic.
@@ -23,7 +22,7 @@ use std::time::Instant;
 
 use mib_bench::json_f64;
 use mib_problems::{instance, Domain};
-use mib_qp::{BatchSolver, BatchUpdate, Settings, Solver, Status};
+use mib_qp::{BatchSolver, BatchUpdate, Settings};
 use mib_sparse::simd;
 use mib_sparse::{ldl::LdlSolver, order::Ordering, CscMatrix, TripletMatrix};
 
@@ -285,84 +284,6 @@ fn bench_batch_scaling(smoke: bool) -> Vec<ScalingRow> {
     rows
 }
 
-/// Per-stage kernel time share, measured through the opt-in mib-trace
-/// kernel spans.
-struct PhaseShare {
-    algo: &'static str,
-    stage: String,
-    ns: u64,
-    share: f64,
-}
-
-/// Aggregates `Category::Kernel` span durations by name for one solve
-/// of each backend.
-fn measure_phase_shares(smoke: bool) -> Vec<PhaseShare> {
-    use mib_qp::Algorithm;
-    let spec = instance(Domain::Portfolio, if smoke { 0 } else { 4 });
-    let mut shares = Vec::new();
-    mib_trace::enable();
-    mib_trace::enable_kernel_spans();
-    for algorithm in Algorithm::all() {
-        let mut settings = Settings::with_algorithm(algorithm);
-        settings.max_iter = match algorithm {
-            Algorithm::Admm => 20_000,
-            Algorithm::Pdqp => 2_000_000,
-        };
-        let mut solver = Solver::new(spec.problem.clone(), settings).expect("setup");
-        mib_trace::clear();
-        let result = solver.solve();
-        assert_eq!(result.status, Status::Solved, "{algorithm} must converge");
-        let trace = mib_trace::take();
-
-        // Sum Begin..End durations per span name (spans nest per thread;
-        // kernel stages never self-nest, so a name-keyed open map works).
-        let mut open: std::collections::HashMap<u64, (&'static str, u64)> =
-            std::collections::HashMap::new();
-        let mut totals: std::collections::BTreeMap<&'static str, u64> =
-            std::collections::BTreeMap::new();
-        for thread in &trace.threads {
-            open.clear();
-            for rec in &thread.records {
-                match rec.event {
-                    mib_trace::Event::Begin {
-                        name,
-                        cat: mib_trace::Category::Kernel,
-                    } => {
-                        open.insert(rec.span, (name, rec.ts_ns));
-                    }
-                    mib_trace::Event::End { .. } => {
-                        if let Some((name, begin)) = open.remove(&rec.span) {
-                            *totals.entry(name).or_insert(0) += rec.ts_ns.saturating_sub(begin);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let grand: u64 = totals.values().sum();
-        assert!(
-            !totals.is_empty(),
-            "{algorithm}: kernel spans produced no stage timings"
-        );
-        for (stage, ns) in totals {
-            shares.push(PhaseShare {
-                algo: algorithm.name(),
-                stage: stage.to_string(),
-                ns,
-                share: if grand > 0 {
-                    ns as f64 / grand as f64
-                } else {
-                    0.0
-                },
-            });
-        }
-    }
-    mib_trace::disable_kernel_spans();
-    mib_trace::disable();
-    mib_trace::clear();
-    shares
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
 
@@ -391,7 +312,6 @@ fn main() {
     bench_ldl_solve(ldl_n, &mut ms);
 
     let scaling = bench_batch_scaling(smoke);
-    let phases = measure_phase_shares(smoke);
 
     // ---- report ----------------------------------------------------------
     let cores = std::thread::available_parallelism().map_or(1, |v| v.get());
@@ -442,20 +362,6 @@ fn main() {
             row.problems,
             row.micros,
             json_f64(base_us as f64 / row.micros.max(1) as f64),
-        );
-    }
-    json.push_str("],\"phase_shares\":[");
-    for (i, p) in phases.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "{{\"algo\":\"{}\",\"stage\":\"{}\",\"ns\":{},\"share\":{}}}",
-            p.algo,
-            p.stage,
-            p.ns,
-            json_f64(p.share),
         );
     }
     json.push_str("]}");

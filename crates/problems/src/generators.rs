@@ -307,8 +307,12 @@ mod tests {
     #[test]
     fn svm_solves_and_separates() {
         let pr = svm(12, 24, 17);
+        // Tighter than the default eps: the solve stops as soon as it
+        // converges, and at 1e-3 that can leave a slack below -1e-3.
         let settings = Settings {
             max_iter: 10_000,
+            eps_abs: 1e-4,
+            eps_rel: 1e-4,
             ..Settings::default()
         };
         let r = Solver::new(pr.clone(), settings).unwrap().solve();

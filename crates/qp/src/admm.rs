@@ -2,8 +2,10 @@
 //!
 //! This module is the former `solver.rs` iteration core, moved verbatim
 //! behind the trait boundary: the arithmetic, stage order and adaptive-ρ
-//! logic are untouched, so results remain **bitwise identical** to the
-//! pre-trait solver. The public entry point is the
+//! logic are untouched, so the iterates remain **bitwise identical** to
+//! the pre-trait solver's (the pre-test-triggered checks of
+//! [`AdmmSolver::solve_into`] may only stop it sooner). The public entry
+//! point is the
 //! [`Solver`](crate::Solver) facade, which boxes an [`AdmmSolver`] when
 //! [`Settings::algorithm`](crate::Settings) is [`Algorithm::Admm`].
 
@@ -19,7 +21,11 @@ use crate::linsys::{DirectKkt, IndirectKkt, KktSolver};
 use crate::profile::Profile;
 use crate::scaling::{ruiz_equilibrate, Scaling};
 use crate::workspace::SolveWorkspace;
-use crate::{KktBackend, Problem, QpError, Result, Settings, SolveResult, Status, INFTY};
+use crate::{KktBackend, Problem, Result, Settings, SolveResult, Status, INFTY};
+
+/// Iteration stride of the convergence pre-test between regular
+/// termination checks (see [`AdmmSolver::solve_into`]).
+const PRETEST_EVERY: usize = 5;
 
 /// The ADMM QP solver (Algorithm 1 of the paper).
 ///
@@ -34,10 +40,12 @@ use crate::{KktBackend, Problem, QpError, Result, Settings, SolveResult, Status,
 ///
 /// The iteration is decomposed into named stages — `stage_rhs`,
 /// `stage_ztilde`, `stage_x_update`, `stage_z_projection`,
-/// `stage_y_update`, `stage_residuals`, `stage_adaptive_rho` — each of
+/// `stage_y_update`, `stage_pretest`, `stage_residuals`,
+/// `stage_adaptive_rho` — each of
 /// which reads and writes well-defined workspace buffers, so they are
-/// testable in isolation and map one-to-one onto the schedule fragments
-/// the MIB compiler emits.
+/// testable in isolation. All but `stage_pretest` map one-to-one onto the
+/// schedule fragments the MIB compiler emits; the pre-test has no
+/// fragment, and the MIB cycle model does not charge it.
 #[derive(Debug)]
 pub struct AdmmSolver {
     settings: Settings,
@@ -264,21 +272,8 @@ impl AdmmSolver {
     /// Returns [`QpError::InvalidProblem`] on length mismatch or non-finite
     /// entries.
     pub fn update_q(&mut self, q: &[f64]) -> Result<()> {
-        if q.len() != self.q.len() {
-            return Err(QpError::InvalidProblem(format!(
-                "q has length {} but problem has {} variables",
-                q.len(),
-                self.q.len()
-            )));
-        }
-        if q.iter().any(|v| !v.is_finite()) {
-            return Err(QpError::InvalidProblem("q entries must be finite".into()));
-        }
-        let (p0, _q0, a0, l0, u0) = self.orig.clone().into_parts();
-        self.orig = Problem::new(p0, q.to_vec(), a0, l0, u0)?;
-        for (j, qs) in self.q.iter_mut().enumerate() {
-            *qs = q[j] * self.scaling.c * self.scaling.d[j];
-        }
+        self.orig.set_q(q)?;
+        self.scaling.scale_q_into(q, &mut self.q);
         Ok(())
     }
 
@@ -289,23 +284,9 @@ impl AdmmSolver {
     /// Returns [`QpError::InvalidProblem`] if any `l[i] > u[i]` or lengths
     /// mismatch.
     pub fn update_bounds(&mut self, l: &[f64], u: &[f64]) -> Result<()> {
-        if l.len() != self.l.len() || u.len() != self.u.len() {
-            return Err(QpError::InvalidProblem("bound length mismatch".into()));
-        }
-        let (p0, q0, a0, _l0, _u0) = self.orig.clone().into_parts();
-        self.orig = Problem::new(p0, q0, a0, l.to_vec(), u.to_vec())?;
-        for i in 0..l.len() {
-            self.l[i] = if l[i].abs() < INFTY {
-                l[i] * self.scaling.e[i]
-            } else {
-                l[i]
-            };
-            self.u[i] = if u[i].abs() < INFTY {
-                u[i] * self.scaling.e[i]
-            } else {
-                u[i]
-            };
-        }
+        self.orig.set_bounds(l, u)?;
+        self.scaling.scale_bounds_into(l, &mut self.l);
+        self.scaling.scale_bounds_into(u, &mut self.u);
         Ok(())
     }
 
@@ -314,6 +295,14 @@ impl AdmmSolver {
     /// same problem dimensions, this performs **zero heap allocations** on
     /// feasible problems — the property the repository's counting-allocator
     /// test pins down. (Infeasible exits clone the certificate vector.)
+    ///
+    /// The full termination check runs every `check_termination`
+    /// iterations, and also on any multiple of `PRETEST_EVERY` (5) where
+    /// the cheap [`stage_pretest`](Self::stage_pretest) passes. A
+    /// triggered check can only stop the solve as `Solved` — it reads
+    /// the iterates and writes nothing but residual scratch — so a solve
+    /// follows the same iterate sequence as with regular checks alone and
+    /// stops at or before the same iteration.
     pub fn solve_into(&mut self, result: &mut SolveResult) {
         let start = Instant::now();
         // The solve's only read of the tracing flag: spans and events below
@@ -418,13 +407,16 @@ impl AdmmSolver {
                 self.stage_y_update(&mut prof);
             }
 
-            let checking = k % check_every == 0 || k == max_iter;
-            if checking {
+            // Only regular checks drive side effects (infeasibility, PCG
+            // tolerance, adaptive ρ); a triggered one can only stop the solve.
+            let regular = k % check_every == 0 || k == max_iter;
+            let triggered = !regular && k % PRETEST_EVERY == 0 && self.stage_pretest(&mut prof);
+            if regular || triggered {
                 let res = {
                     let _s = mib_trace::span_if(kdetail, "stage_residuals", TraceCat::Kernel);
                     self.stage_residuals(&mut prof)
                 };
-                final_res = Some(res);
+                prof.checks += 1;
                 if tracing {
                     // `res.prim`/`res.dual` are the exact values a
                     // terminating check writes into the result, so the
@@ -449,44 +441,48 @@ impl AdmmSolver {
                 let eps_prim = self.settings.eps_abs + self.settings.eps_rel * res.prim_norm;
                 let eps_dual = self.settings.eps_abs + self.settings.eps_rel * res.dual_norm;
                 if res.prim < eps_prim && res.dual < eps_dual {
+                    final_res = Some(res);
                     status = Status::Solved;
                     break;
                 }
-                if self.check_primal_infeasible(&mut prof) {
-                    status = Status::PrimalInfeasible;
-                    result.certificate.extend_from_slice(&self.ws.cert_y);
-                    break;
-                }
-                if self.check_dual_infeasible(&mut prof) {
-                    status = Status::DualInfeasible;
-                    result.certificate.extend_from_slice(&self.ws.cert_x);
-                    break;
-                }
-                // Adaptive PCG tolerance: tighten as the ADMM residuals
-                // fall, and halve unconditionally at every check so a
-                // stalled outer loop (caused by inexact inner solves)
-                // always escapes.
-                if self.kkt.backend() == KktBackend::Indirect {
-                    let target = 0.15
-                        * (res.prim / res.prim_norm.max(1e-12) * res.dual
-                            / res.dual_norm.max(1e-12))
-                        .sqrt();
-                    pcg_tol = (0.5 * pcg_tol).min(target).max(1e-9);
-                    self.kkt.set_tolerance(pcg_tol);
-                }
-                if self.settings.adaptive_rho && k % adapt_every == 0 {
-                    let rho_before = self.rho;
-                    let res = self.stage_adaptive_rho(res, &mut prof);
+                if !triggered {
                     final_res = Some(res);
-                    if tracing && self.rho.to_bits() != rho_before.to_bits() {
-                        mib_trace::record_if(
-                            true,
-                            TraceEvent::RhoUpdate {
-                                iter: u32::try_from(k).unwrap_or(u32::MAX),
-                                rho_old: rho_before,
-                                rho_new: self.rho,
-                            },
-                        );
+                    if self.check_primal_infeasible(&mut prof) {
+                        status = Status::PrimalInfeasible;
+                        result.certificate.extend_from_slice(&self.ws.cert_y);
+                        break;
+                    }
+                    if self.check_dual_infeasible(&mut prof) {
+                        status = Status::DualInfeasible;
+                        result.certificate.extend_from_slice(&self.ws.cert_x);
+                        break;
+                    }
+                    // Adaptive PCG tolerance: tighten as the ADMM residuals
+                    // fall, and halve unconditionally at every check so a
+                    // stalled outer loop (caused by inexact inner solves)
+                    // always escapes.
+                    if self.kkt.backend() == KktBackend::Indirect {
+                        let target = 0.15
+                            * (res.prim / res.prim_norm.max(1e-12) * res.dual
+                                / res.dual_norm.max(1e-12))
+                            .sqrt();
+                        pcg_tol = (0.5 * pcg_tol).min(target).max(1e-9);
+                        self.kkt.set_tolerance(pcg_tol);
+                    }
+                    if self.settings.adaptive_rho && k % adapt_every == 0 {
+                        let rho_before = self.rho;
+                        let res = self.stage_adaptive_rho(res, &mut prof);
+                        final_res = Some(res);
+                        if tracing && self.rho.to_bits() != rho_before.to_bits() {
+                            mib_trace::record_if(
+                                true,
+                                TraceEvent::RhoUpdate {
+                                    iter: u32::try_from(k).unwrap_or(u32::MAX),
+                                    rho_old: rho_before,
+                                    rho_new: self.rho,
+                                },
+                            );
+                        }
                     }
                 }
             }
@@ -605,6 +601,17 @@ impl AdmmSolver {
             &self.z,
         );
         prof.add_vector(3.0 * self.y.len() as f64);
+    }
+
+    /// Convergence pre-test, one m-length pass after the y-update: the
+    /// unscaled primal-residual step `‖E⁻¹(z_relaxed − zᵏ⁺¹)‖∞` (that is,
+    /// `δy/ρ`) against `eps_abs + eps_rel·‖E⁻¹ zᵏ⁺¹‖∞`. Passing only earns
+    /// a full [`stage_residuals`](Self::stage_residuals) check.
+    fn stage_pretest(&self, prof: &mut Profile) -> bool {
+        let (step, norm) =
+            vector::norm_inf_weighted_step(&self.scaling.einv, &self.ws.z_relaxed, &self.z);
+        prof.add_vector(3.0 * self.z.len() as f64);
+        step < self.settings.eps_abs + self.settings.eps_rel * norm
     }
 
     /// Stage 6: unscaled residuals and their normalization terms, staged

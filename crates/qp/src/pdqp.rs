@@ -37,7 +37,7 @@ use crate::backend::{Algorithm, QpBackend};
 use crate::profile::Profile;
 use crate::scaling::{ruiz_equilibrate, Scaling};
 use crate::workspace::SolveWorkspace;
-use crate::{Problem, QpError, Result, Settings, SolveResult, Status, INFTY};
+use crate::{Problem, Result, Settings, SolveResult, Status};
 
 /// Power-iteration budget for the setup-time operator-norm estimates.
 const POWER_ITERS: usize = 64;
@@ -213,21 +213,8 @@ impl PdqpSolver {
     /// Returns [`QpError::InvalidProblem`] on length mismatch or non-finite
     /// entries.
     pub fn update_q(&mut self, q: &[f64]) -> Result<()> {
-        if q.len() != self.q.len() {
-            return Err(QpError::InvalidProblem(format!(
-                "q has length {} but problem has {} variables",
-                q.len(),
-                self.q.len()
-            )));
-        }
-        if q.iter().any(|v| !v.is_finite()) {
-            return Err(QpError::InvalidProblem("q entries must be finite".into()));
-        }
-        let (p0, _q0, a0, l0, u0) = self.orig.clone().into_parts();
-        self.orig = Problem::new(p0, q.to_vec(), a0, l0, u0)?;
-        for (j, qs) in self.q.iter_mut().enumerate() {
-            *qs = q[j] * self.scaling.c * self.scaling.d[j];
-        }
+        self.orig.set_q(q)?;
+        self.scaling.scale_q_into(q, &mut self.q);
         Ok(())
     }
 
@@ -239,23 +226,9 @@ impl PdqpSolver {
     /// Returns [`QpError::InvalidProblem`] if any `l[i] > u[i]` or lengths
     /// mismatch.
     pub fn update_bounds(&mut self, l: &[f64], u: &[f64]) -> Result<()> {
-        if l.len() != self.l.len() || u.len() != self.u.len() {
-            return Err(QpError::InvalidProblem("bound length mismatch".into()));
-        }
-        let (p0, q0, a0, _l0, _u0) = self.orig.clone().into_parts();
-        self.orig = Problem::new(p0, q0, a0, l.to_vec(), u.to_vec())?;
-        for i in 0..l.len() {
-            self.l[i] = if l[i].abs() < INFTY {
-                l[i] * self.scaling.e[i]
-            } else {
-                l[i]
-            };
-            self.u[i] = if u[i].abs() < INFTY {
-                u[i] * self.scaling.e[i]
-            } else {
-                u[i]
-            };
-        }
+        self.orig.set_bounds(l, u)?;
+        self.scaling.scale_bounds_into(l, &mut self.l);
+        self.scaling.scale_bounds_into(u, &mut self.u);
         Ok(())
     }
 
@@ -314,6 +287,7 @@ impl PdqpSolver {
                 vector::div_scale_into(&mut self.y_avg, &self.y_sum, t);
                 let res_cur = self.residuals_at(false, &mut prof);
                 let res_avg = self.residuals_at(true, &mut prof);
+                prof.checks += 1;
                 let (use_avg, res) = if self.score(&res_avg) < self.score(&res_cur) {
                     (true, res_avg)
                 } else {

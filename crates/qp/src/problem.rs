@@ -64,16 +64,7 @@ impl Problem {
                 u.len()
             )));
         }
-        for (i, (&lo, &hi)) in l.iter().zip(&u).enumerate() {
-            if lo.is_nan() || hi.is_nan() {
-                return Err(QpError::InvalidProblem(format!("nan bound at row {i}")));
-            }
-            if lo > hi {
-                return Err(QpError::InvalidProblem(format!(
-                    "lower bound {lo} exceeds upper bound {hi} at row {i}"
-                )));
-            }
-        }
+        check_bounds(&l, &u)?;
         if p.values().iter().any(|v| !v.is_finite())
             || a.values().iter().any(|v| !v.is_finite())
             || q.iter().any(|v| !v.is_finite())
@@ -83,6 +74,44 @@ impl Problem {
             ));
         }
         Ok(Problem { p, q, a, l, u })
+    }
+
+    /// Replaces `q` in place, validating only the new vector.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QpError::InvalidProblem`] on a length mismatch or a
+    /// non-finite entry; the problem is then unchanged.
+    pub(crate) fn set_q(&mut self, q: &[f64]) -> Result<()> {
+        if q.len() != self.q.len() {
+            return Err(QpError::InvalidProblem(format!(
+                "q has length {} but problem has {} variables",
+                q.len(),
+                self.q.len()
+            )));
+        }
+        if q.iter().any(|v| !v.is_finite()) {
+            return Err(QpError::InvalidProblem("q entries must be finite".into()));
+        }
+        self.q.copy_from_slice(q);
+        Ok(())
+    }
+
+    /// Replaces the bounds `l`, `u` in place, validating only the new
+    /// vectors.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QpError::InvalidProblem`] on a length mismatch, a NaN
+    /// bound or any `l[i] > u[i]`; the problem is then unchanged.
+    pub(crate) fn set_bounds(&mut self, l: &[f64], u: &[f64]) -> Result<()> {
+        if l.len() != self.l.len() || u.len() != self.u.len() {
+            return Err(QpError::InvalidProblem("bound length mismatch".into()));
+        }
+        check_bounds(l, u)?;
+        self.l.copy_from_slice(l);
+        self.u.copy_from_slice(u);
+        Ok(())
     }
 
     /// Number of decision variables `n`.
@@ -178,6 +207,21 @@ impl Problem {
     }
 }
 
+/// Rejects NaN bounds and rows with `l[i] > u[i]`.
+fn check_bounds(l: &[f64], u: &[f64]) -> Result<()> {
+    for (i, (&lo, &hi)) in l.iter().zip(u).enumerate() {
+        if lo.is_nan() || hi.is_nan() {
+            return Err(QpError::InvalidProblem(format!("nan bound at row {i}")));
+        }
+        if lo > hi {
+            return Err(QpError::InvalidProblem(format!(
+                "lower bound {lo} exceeds upper bound {hi} at row {i}"
+            )));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,6 +256,30 @@ mod tests {
         let a = CscMatrix::identity(1);
         assert!(Problem::new(p.clone(), vec![0.0], a.clone(), vec![2.0], vec![1.0]).is_err());
         assert!(Problem::new(p, vec![0.0], a, vec![f64::NAN], vec![1.0]).is_err());
+    }
+
+    #[test]
+    fn in_place_updates_validate_and_leave_rejected_data_untouched() {
+        let mut pr = tiny();
+        let before = pr.clone();
+        assert!(pr.set_q(&[1.0]).is_err());
+        assert!(pr.set_q(&[1.0, f64::INFINITY]).is_err());
+        assert!(pr.set_bounds(&[0.0], &[1.0, 1.0]).is_err());
+        assert!(pr.set_bounds(&[0.0, 2.0], &[1.0, 1.0]).is_err());
+        assert!(pr.set_bounds(&[0.0, f64::NAN], &[1.0, 1.0]).is_err());
+        assert_eq!(pr, before, "a rejected update must change nothing");
+
+        pr.set_q(&[3.0, -4.0]).unwrap();
+        pr.set_bounds(&[-1.0, -2e30], &[1.0, 2e30]).unwrap();
+        let want = Problem::new(
+            before.p().clone(),
+            vec![3.0, -4.0],
+            before.a().clone(),
+            vec![-1.0, -2e30],
+            vec![1.0, 2e30],
+        )
+        .unwrap();
+        assert_eq!(pr, want);
     }
 
     #[test]

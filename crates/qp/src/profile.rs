@@ -93,6 +93,9 @@ pub struct Profile {
     pub pcg_iters: usize,
     /// ADMM iterations executed.
     pub admm_iters: usize,
+    /// Full termination checks run: those on the `check_termination`
+    /// cadence plus (ADMM only) those a passing pre-test triggered.
+    pub checks: usize,
     /// Number of adaptive `ρ` updates applied.
     pub rho_updates: usize,
 }

@@ -84,6 +84,20 @@ impl Scaling {
         vector::prod_scale_into(out, &self.e, y_scaled, self.cinv);
     }
 
+    /// Writes the scaled cost `q̄ = c·D q` into `out`.
+    pub(crate) fn scale_q_into(&self, q: &[f64], out: &mut [f64]) {
+        for ((o, &qj), &dj) in out.iter_mut().zip(q).zip(&self.d) {
+            *o = qj * self.c * dj;
+        }
+    }
+
+    /// Writes the scaled bound `E b` into `out`, copying infinite entries
+    /// unchanged (the rule setup scaling applies).
+    pub(crate) fn scale_bounds_into(&self, b: &[f64], out: &mut [f64]) {
+        out.copy_from_slice(b);
+        scale_bounds(out, &self.e);
+    }
+
     /// Maps a scaled objective value back: `f = f̄ / c`.
     pub fn unscale_obj(&self, obj_scaled: f64) -> f64 {
         obj_scaled * self.cinv

@@ -45,8 +45,13 @@ pub struct Settings {
     pub eps_dual_inf: f64,
     /// Iteration limit (default `4000`).
     pub max_iter: usize,
-    /// Check the termination criterion every this many iterations
-    /// (default `25`).
+    /// Interval of the regular termination check (default `25`): the full
+    /// residual test plus the infeasibility certificates, the PCG
+    /// tolerance update and, every `adaptive_rho_interval`, adaptive `ρ`.
+    /// Between regular checks the ADMM backend also runs a cheap pre-test
+    /// every 5 iterations, and a full residual test when it passes, so an
+    /// ADMM solve can stop on any multiple of 5 (or on `max_iter`). PDQP
+    /// checks on this interval only.
     pub check_termination: usize,
     /// Number of Ruiz equilibration passes; `0` disables scaling
     /// (default `10`).

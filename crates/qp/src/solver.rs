@@ -732,7 +732,14 @@ mod tests {
         let p = CscMatrix::from_dense(2, 2, &[2.0, 0.0, 0.0, 2.0]);
         let a = CscMatrix::identity(2);
         let problem = Problem::new(p, vec![-1.0, -1.0], a, vec![0.0; 2], vec![0.3; 2]).unwrap();
-        let solver = Solver::new(problem, Settings::default()).unwrap();
+        // Both optima sit on the bound 0.3, so compare them only once the
+        // solves have converged far below the 1e-9 margin.
+        let settings = Settings {
+            eps_abs: 1e-12,
+            eps_rel: 1e-12,
+            ..Settings::default()
+        };
+        let solver = Solver::new(problem, settings).unwrap();
         let mut c1 = solver.clone();
         let mut c2 = solver.clone();
         c2.update_q(&[-2.0, -2.0]).unwrap();

@@ -136,6 +136,34 @@ pub fn norm_inf_sum3(a: &[f64], b: &[f64], c: &[f64]) -> f64 {
     m
 }
 
+/// `(max |w[i]·(a[i] − b[i])|, max |w[i]·b[i]|)` in one pass — a weighted
+/// step and the weighted norm it is judged against (the ADMM pre-test).
+#[inline]
+pub fn norm_inf_weighted_step(w: &[f64], a: &[f64], b: &[f64]) -> (f64, f64) {
+    let n = w.len();
+    assert!(
+        a.len() == n && b.len() == n,
+        "norm_inf_weighted_step: length mismatch"
+    );
+    let c4 = n - n % LANES;
+    let mut step = [0.0f64; LANES];
+    let mut norm = [0.0f64; LANES];
+    for base in (0..c4).step_by(LANES) {
+        for l in 0..LANES {
+            let i = base + l;
+            step[l] = cmax(step[l], (w[i] * (a[i] - b[i])).abs());
+            norm[l] = cmax(norm[l], (w[i] * b[i]).abs());
+        }
+    }
+    let mut s = cmax(cmax(step[0], step[2]), cmax(step[1], step[3]));
+    let mut m = cmax(cmax(norm[0], norm[2]), cmax(norm[1], norm[3]));
+    for i in c4..n {
+        s = cmax(s, (w[i] * (a[i] - b[i])).abs());
+        m = cmax(m, (w[i] * b[i]).abs());
+    }
+    (s, m)
+}
+
 // ---------------------------------------------------------------------------
 // Sparse primitives.
 // ---------------------------------------------------------------------------
@@ -483,5 +511,20 @@ mod tests {
         assert_eq!(cmin(-0.0, 0.0).to_bits(), (0.0f64).to_bits());
         assert!(cmax(1.0, f64::NAN).is_nan());
         assert_eq!(cmax(f64::NAN, 1.0), 1.0);
+    }
+
+    #[test]
+    fn weighted_step_norms_match_elementwise_maxima() {
+        for n in [0, 3, 4, 11] {
+            let w = data(n, 17);
+            let a = data(n, 19);
+            let b = data(n, 23);
+            let mut want = (0.0f64, 0.0f64);
+            for i in 0..n {
+                want.0 = want.0.max((w[i] * (a[i] - b[i])).abs());
+                want.1 = want.1.max((w[i] * b[i]).abs());
+            }
+            assert_eq!(norm_inf_weighted_step(&w, &a, &b), want, "n = {n}");
+        }
     }
 }

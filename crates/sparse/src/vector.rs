@@ -16,9 +16,9 @@
 pub use crate::simd::{
     add_assign, add_prod_diff_into, axpby_into, axpy_into, clamp_into, div_scale_into, dot,
     ew_prod_into, grad_step_into, moreau_into, mul_assign, neg_into, norm_inf, norm_inf_diff,
-    norm_inf_sum3, prod_diff_into, prod_scale_into, project_box_into, relax_delta_into,
-    relax_project_into, sax_sub_into, scaled_diff_update_into, sub_into, sub_prod_into,
-    update_dir_into,
+    norm_inf_sum3, norm_inf_weighted_step, prod_diff_into, prod_scale_into, project_box_into,
+    relax_delta_into, relax_project_into, sax_sub_into, scaled_diff_update_into, sub_into,
+    sub_prod_into, update_dir_into,
 };
 
 /// Euclidean norm `sqrt(sum x_i^2)` (canonical reduction order).

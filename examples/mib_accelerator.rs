@@ -98,8 +98,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(max_err < 1e-4, "on-machine ADMM must track the reference");
 
     // Timing: deterministic MIB cycles vs the modelled CPU baseline.
-    let checks = result.iterations.div_ceil(settings.check_termination);
-    let mib_s = lowered.total_seconds(result.iterations, 0, checks, result.profile.factor_count);
+    let mib_s = lowered.total_seconds(
+        result.iterations,
+        0,
+        result.profile.checks,
+        result.profile.factor_count,
+    );
     let work = WorkSummary::from_result(&problem, &settings, &result);
     let cpu_s = CpuModel::new(CpuVariant::Builtin).solve_time(&work);
     println!(

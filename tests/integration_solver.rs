@@ -2,8 +2,54 @@
 //! KKT optimality verification.
 
 use mib::problems::{instance, Domain};
-use mib::qp::{KktBackend, Settings, Solver};
+use mib::qp::{KktBackend, Problem, Settings, SolveResult, Solver};
 use mib::sparse::vector;
+
+/// OSQP's termination criterion recomputed from the returned `(x, y, z)`
+/// with plain loops over the problem's CSC entries — no scaling, no
+/// workspace, none of the solver's kernels — at the solver's own eps:
+///
+/// `‖Ax − z‖∞ ≤ eps_abs + eps_rel·max(‖Ax‖∞, ‖z‖∞)` and
+/// `‖Px + q + Aᵀy‖∞ ≤ eps_abs + eps_rel·max(‖Px‖∞, ‖Aᵀy‖∞, ‖q‖∞)`.
+/// The solver tests the same inequalities on its own products, whose
+/// summation order differs, hence the rounding slack.
+fn assert_osqp_criterion(label: &str, pr: &Problem, s: &Settings, r: &SolveResult) {
+    let (n, m) = (pr.num_vars(), pr.num_constraints());
+    let mut ax = vec![0.0; m];
+    let mut aty = vec![0.0; n];
+    for (i, j, v) in pr.a().iter() {
+        ax[i] += v * r.x[j];
+        aty[j] += v * r.y[i];
+    }
+    let mut px = vec![0.0; n];
+    for (i, j, v) in pr.p().iter() {
+        px[i] += v * r.x[j];
+        if i != j {
+            px[j] += v * r.x[i];
+        }
+    }
+    let max_abs = |v: &[f64]| v.iter().fold(0.0f64, |acc, e| acc.max(e.abs()));
+    let prim = ax
+        .iter()
+        .zip(&r.z)
+        .fold(0.0f64, |acc, (a, z)| acc.max((a - z).abs()));
+    let dual = px
+        .iter()
+        .zip(pr.q())
+        .zip(&aty)
+        .fold(0.0f64, |acc, ((p, q), t)| acc.max((p + q + t).abs()));
+    let eps_prim = s.eps_abs + s.eps_rel * max_abs(&ax).max(max_abs(&r.z));
+    let eps_dual = s.eps_abs + s.eps_rel * max_abs(&px).max(max_abs(&aty)).max(max_abs(pr.q()));
+    let slack = 1.0 + 1e-9;
+    assert!(
+        prim <= eps_prim * slack,
+        "{label}: primal residual {prim:e} above eps {eps_prim:e}"
+    );
+    assert!(
+        dual <= eps_dual * slack,
+        "{label}: dual residual {dual:e} above eps {eps_dual:e}"
+    );
+}
 
 /// Verifies the KKT conditions of a solved instance directly from the
 /// returned primal/dual pair (independent of the solver's own residuals).
@@ -14,12 +60,18 @@ fn verify_kkt(domain: Domain, index: usize, backend: KktBackend) {
     settings.eps_abs = 1e-5;
     settings.eps_rel = 1e-5;
     settings.max_iter = 30_000;
-    let r = Solver::new(pr.clone(), settings).unwrap().solve();
+    let r = Solver::new(pr.clone(), settings.clone()).unwrap().solve();
     assert!(
         r.status.is_solved(),
         "{domain} #{index} ({}): {}",
         backend.name(),
         r.status
+    );
+    assert_osqp_criterion(
+        &format!("{domain} #{index} ({})", backend.name()),
+        pr,
+        &settings,
+        &r,
     );
 
     // Stationarity: ||Px + q + A'y||_inf small relative to the data.

@@ -9,7 +9,7 @@
 
 use mib::problems::random_qp;
 use mib::qp::kkt::KktMatrix;
-use mib::qp::{BatchSolver, BatchUpdate, Problem, Settings, Solver, INFTY};
+use mib::qp::{BatchSolver, BatchUpdate, Problem, Settings, Solver, Status, INFTY};
 use mib::sparse::ldl::LdlSolver;
 use mib::sparse::order::Ordering;
 use proptest::prelude::*;
@@ -71,6 +71,41 @@ fn reference_admm(
         }
     }
     (x, y, z)
+}
+
+/// Solves ended by a pre-test-triggered check, off the 25-iteration check
+/// grid, still match the allocating reference bitwise. The `(n, m, seed)`
+/// triples are fixed inputs known to stop off the grid.
+#[test]
+fn solves_stopped_off_the_check_grid_match_allocating_reference() {
+    let settings = Settings {
+        scaling_iters: 0,
+        adaptive_rho: false,
+        max_iter: 60,
+        ..Settings::default()
+    };
+    for (n, m, seed) in [
+        (2, 2, 946),
+        (2, 2, 2518),
+        (3, 3, 3997),
+        (4, 5, 8962),
+        (5, 4, 2021),
+    ] {
+        let problem = random_qp(n, m, 0.5, seed);
+        let result = Solver::new(problem.clone(), settings.clone())
+            .unwrap()
+            .solve();
+        assert_eq!(result.status, Status::Solved, "({n}, {m}, {seed})");
+        assert!(
+            !result.iterations.is_multiple_of(settings.check_termination),
+            "({n}, {m}, {seed}) stopped on the grid at {}",
+            result.iterations
+        );
+        let (x_ref, y_ref, z_ref) = reference_admm(&problem, &settings, result.iterations);
+        assert_eq!(result.x, x_ref, "({n}, {m}, {seed}): x diverged");
+        assert_eq!(result.y, y_ref, "({n}, {m}, {seed}): y diverged");
+        assert_eq!(result.z, z_ref, "({n}, {m}, {seed}): z diverged");
+    }
 }
 
 proptest! {

@@ -32,12 +32,20 @@ fn solver_iteration_telemetry_matches_result_bitwise() {
             adaptive_rho_interval: 10,
             ..Settings::default()
         };
+        let check_every = settings.check_termination;
         let mut solver = Solver::new(problem, settings).expect("setup");
         let result = solver.solve();
         mib::trace::disable();
         let trace = mib::trace::take();
         assert_eq!(result.status, Status::Solved, "{backend:?}");
         assert_eq!(trace.dropped(), 0);
+        // Both backends stop on a check the pre-test triggered, off the
+        // regular `check_termination` grid.
+        assert_ne!(
+            result.iterations % check_every,
+            0,
+            "{backend:?}: expected a stop off the check grid"
+        );
 
         let telemetry = SolveTrace::collect(&trace);
         let last = telemetry
@@ -48,6 +56,8 @@ fn solver_iteration_telemetry_matches_result_bitwise() {
         assert_eq!(last.prim_res.to_bits(), result.prim_res.to_bits());
         assert_eq!(last.dual_res.to_bits(), result.dual_res.to_bits());
         assert_eq!(last.iter as usize, result.iterations);
+        // Every full check, regular or triggered, records one event.
+        assert_eq!(telemetry.iterations.len(), result.profile.checks);
         assert!(
             telemetry.iterations.len() > 1,
             "{backend:?}: expected multiple termination checks"

@@ -17,7 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mib::problems::portfolio;
-use mib::qp::{KktBackend, Settings, Solver, Status};
+use mib::qp::{KktBackend, Settings, Solver, Status, INFTY};
 
 struct CountingAlloc;
 
@@ -179,6 +179,45 @@ fn pdqp_solve_into_performs_zero_allocations() {
         "pdqp solve_into performed {allocs} heap allocations; \
          the first-order pipeline must perform none"
     );
+}
+
+/// The pooled-solver request path — new `q`, new bounds, `reset`, solve —
+/// on a warm solver allocates nothing on any backend: the updates
+/// validate only the new vectors and write the problem data in place.
+#[test]
+fn parametric_update_reset_and_solve_perform_zero_allocations() {
+    for settings in [
+        Settings::default(),
+        Settings::with_backend(KktBackend::Indirect),
+        Settings {
+            max_iter: 500_000,
+            ..Settings::with_algorithm(mib::qp::Algorithm::Pdqp)
+        },
+    ] {
+        let label = format!("{} {}", settings.algorithm, settings.backend.name());
+        let problem = portfolio(24, 4, 3);
+        let q: Vec<f64> = problem.q().iter().map(|v| v + 0.01).collect();
+        let l = problem.l().to_vec();
+        let u: Vec<f64> = problem
+            .u()
+            .iter()
+            .map(|&v| if v.abs() < INFTY { v + 0.05 } else { v })
+            .collect();
+        let mut solver = Solver::new(problem, settings).expect("setup");
+        let mut result = solver.solve();
+        assert_eq!(result.status, Status::Solved, "{label} warm-up must solve");
+        let allocs = allocations_during(|| {
+            solver.update_q(&q).expect("finite q");
+            solver.update_bounds(&l, &u).expect("ordered bounds");
+            solver.reset();
+            solver.solve_into(&mut result);
+        });
+        assert_eq!(result.status, Status::Solved, "{label}");
+        assert_eq!(
+            allocs, 0,
+            "{label}: update + reset + solve_into allocated {allocs} times"
+        );
+    }
 }
 
 /// Parametric re-solves (the batch workload's inner loop) are also
