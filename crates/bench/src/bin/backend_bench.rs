@@ -15,9 +15,9 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mib_bench::json_f64;
 use mib_problems::{instance, Domain};
 use mib_qp::{Algorithm, Settings, Solver, Status};
+use mib_trace::json::write_f64;
 
 /// Suite indices exercised per domain (smoke keeps the gate fast).
 const SMOKE_INDICES: &[usize] = &[0];
@@ -124,7 +124,7 @@ fn main() {
             json,
             "{{\"domain\":\"{}\",\"index\":{},\"n\":{},\"m\":{},\"backend\":\"{}\",\
              \"converged\":{},\"iterations\":{},\"solve_time_us\":{},\
-             \"prim_res\":{},\"dual_res\":{}}}",
+             \"prim_res\":",
             r.domain,
             r.index,
             r.n,
@@ -133,9 +133,11 @@ fn main() {
             r.status == Status::Solved,
             r.iterations,
             r.micros,
-            json_f64(r.prim_res),
-            json_f64(r.dual_res)
         );
+        write_f64(&mut json, r.prim_res);
+        json.push_str(",\"dual_res\":");
+        write_f64(&mut json, r.dual_res);
+        json.push('}');
     }
     json.push_str("]}");
     mib_trace::validate_json(&json).expect("backend report must be valid JSON");

@@ -7,10 +7,10 @@
 //! (`results/BENCH_kernels.json`); GFLOP/s numbers are
 //! environment-dependent, everything else is deterministic.
 //!
-//! The vendored `criterion` is an API stub, so timing is plain
-//! `std::time::Instant`: per measurement the kernel is warmed up, then
-//! the best (minimum) of several timed repetitions is taken — the
-//! standard floor-of-noise estimator for short deterministic kernels.
+//! Timing is plain `std::time::Instant`: per measurement the kernel is
+//! warmed up, then the best (minimum) of several timed repetitions is
+//! taken — the standard floor-of-noise estimator for short deterministic
+//! kernels.
 //!
 //! `--smoke` (the `scripts/check.sh` gate) runs small sizes and
 //! validates the report schema; it does not overwrite the committed
@@ -20,11 +20,11 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-use mib_bench::json_f64;
 use mib_problems::{instance, Domain};
 use mib_qp::{BatchSolver, BatchUpdate, Settings};
 use mib_sparse::simd;
 use mib_sparse::{ldl::LdlSolver, order::Ordering, CscMatrix, TripletMatrix};
+use mib_trace::json::write_f64;
 
 /// Timed repetitions per measurement; the minimum is reported.
 const REPS: usize = 7;
@@ -328,15 +328,15 @@ fn main() {
         }
         let _ = write!(
             json,
-            "{{\"group\":\"{}\",\"kernel\":\"{}\",\"n\":{},\
-             \"flops\":{},\"ns_per_call\":{},\"gflops\":{}}}",
-            m.group,
-            m.kernel,
-            m.n,
-            json_f64(m.flops),
-            json_f64(m.ns_per_call),
-            json_f64(m.gflops()),
+            "{{\"group\":\"{}\",\"kernel\":\"{}\",\"n\":{},\"flops\":",
+            m.group, m.kernel, m.n,
         );
+        write_f64(&mut json, m.flops);
+        json.push_str(",\"ns_per_call\":");
+        write_f64(&mut json, m.ns_per_call);
+        json.push_str(",\"gflops\":");
+        write_f64(&mut json, m.gflops());
+        json.push('}');
     }
     json.push_str("],\"domains\":[");
     for (i, (domain, nrows, ncols, nnz)) in domain_dims.iter().enumerate() {
@@ -357,12 +357,11 @@ fn main() {
         }
         let _ = write!(
             json,
-            "{{\"threads\":{},\"problems\":{},\"wall_us\":{},\"speedup\":{}}}",
-            row.threads,
-            row.problems,
-            row.micros,
-            json_f64(base_us as f64 / row.micros.max(1) as f64),
+            "{{\"threads\":{},\"problems\":{},\"wall_us\":{},\"speedup\":",
+            row.threads, row.problems, row.micros,
         );
+        write_f64(&mut json, base_us as f64 / row.micros.max(1) as f64);
+        json.push('}');
     }
     json.push_str("]}");
     mib_trace::validate_json(&json).expect("kernel report must be valid JSON");

@@ -1,28 +1,32 @@
-//! load_bench: a trace-driven, socket-level load generator for the
-//! `mib-net` front-end.
+//! load_bench: the serving stack's load harness, in process and over
+//! TCP.
 //!
-//! Scales the `serve_bench` request mix — five benchmark domains, two
-//! tenant instances each, parametric `q`/bounds perturbations, warm
-//! starts, tight deadlines, explicit cancels, plus portfolio-routed
-//! traffic — to **a million requests over real TCP sockets**. Every
-//! request is generated from a per-request seed, so any answer can be
-//! re-derived after the fact: a deterministic sample of the Solved
-//! replies is re-solved directly (same parameters, same template) and
-//! compared **bitwise** — transported answers must be exactly the
-//! in-process answers.
+//! One request mix — five benchmark domains, two tenant instances each,
+//! parametric `q`/bounds perturbations, warm starts, tight deadlines,
+//! explicit cancels, plus portfolio-routed traffic — driven at up to a
+//! million requests. Every request is generated from a per-request seed,
+//! so any answer can be re-derived after the fact: a deterministic sample
+//! of the Solved replies is re-solved directly (same parameters, same
+//! template) and compared **bitwise** — served answers must be exactly
+//! the direct solves, whatever the transport.
 //!
-//! Two drive modes, selectable with `--mode`:
+//! Three measured runs on one server, in this order:
 //!
-//! * **closed** (default) — each client keeps a fixed window of
-//!   requests in flight and submits as answers return; measures peak
-//!   sustainable throughput.
-//! * **open** — each client submits on a fixed schedule regardless of
-//!   completions (bounded only by a large in-flight cap); measures
-//!   behavior under offered load. The default open rate is derived from
-//!   the measured closed-loop throughput.
+//! * **inprocess** — closed loop straight into `QpServer::submit` /
+//!   `submit_routed`. Each ticket's `on_ready` callback turns the answer
+//!   into the reply a socket client would receive (`mib_net::wire_reply`)
+//!   and feeds it into the same client loop, so tallies, sheds and
+//!   verification are shared with the TCP runs. What the two closed-loop
+//!   runs differ by is the wire and the front-end's admission control.
+//! * **net-closed** — the same requests over real sockets: each client
+//!   keeps a fixed window of requests in flight and submits as answers
+//!   return; measures peak sustainable throughput.
+//! * **net-open** — each client submits on a fixed schedule regardless of
+//!   completions (bounded only by a large in-flight cap), at ~70 % of the
+//!   measured net-closed rate; measures behavior under offered load.
 //!
 //! Load shedding is explicit end to end: a shed request is answered
-//! with a `Shed` frame carrying the reason and a retry hint, and the
+//! with a `Shed` event carrying the reason and a retry hint, and the
 //! client retries it after the hint. The run fails if any shed arrives
 //! with an unexplained reason, if any protocol error occurs, or if any
 //! request goes unanswered (a hung connection).
@@ -37,27 +41,29 @@
 //! in-process `Metrics::render()` snapshot.
 //!
 //! `--smoke` shrinks the run for `scripts/check.sh`: a few thousand
-//! requests through both loop modes plus a rate-limited tenant phase
-//! that must observe explicit `RateLimited` sheds. Smoke runs print
-//! their report without touching `results/`; full runs merge their run
-//! objects (modes `net-closed` / `net-open`) into
-//! `results/BENCH_serve.json` next to `serve_bench`'s in-process run.
+//! requests through all three runs plus a rate-limited tenant phase that
+//! must observe explicit `RateLimited` sheds. Smoke runs print their
+//! report without touching `results/`; full runs write
+//! `results/load_trace.txt` and the whole of `results/BENCH_serve.json`.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mib_bench::serve_json::{merge_bench_serve, LatencySummary, ServeRun};
+use mib_bench::serve_json::{write_bench_serve, LatencySummary, ServeRun};
 use mib_net::{
-    ClientEvent, EndpointSpec, EndpointTarget, NetClient, NetConfig, NetServer, ReplyCode,
-    ShedReason, TenantAuth, WireReply,
+    wire_reply, ClientEvent, EndpointSpec, EndpointTarget, NetClient, NetConfig, NetServer,
+    ReplyCode, ShedReason, TenantAuth, WireReply,
 };
 use mib_problems::{instance, Domain};
 use mib_qp::{Algorithm, Settings, Solver};
 use mib_serve::{
-    Histogram, Metrics, ObsConfig, QpServer, ServeConfig, TenantPolicy, LATENCY_BUCKETS_US,
+    queue_full_retry_after, CancelHandle, Histogram, Metrics, ObsConfig, QpServer, Request,
+    ServeConfig, SubmitError, TenantPolicy,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -117,8 +123,8 @@ fn portfolio_settings(algorithm: Algorithm) -> Settings {
 fn generate(i: u64, mix: &Mix) -> GenRequest {
     let mut rng = StdRng::seed_from_u64(SEED_BASE.wrapping_add(i));
     if i % ROUTED_EVERY == ROUTED_EVERY - 1 {
-        // Routed portfolio traffic: parametric only (mirrors
-        // serve_bench's make_routed_request).
+        // Routed portfolio traffic: parametric only, no deadlines or
+        // cancels.
         let p = rng.gen_range(0..ROUTED_ENDPOINTS);
         let problem = &mix.routed_problems[p];
         let mut q = problem.q().to_vec();
@@ -144,7 +150,7 @@ fn generate(i: u64, mix: &Mix) -> GenRequest {
             warm_start: None,
         };
     }
-    // Direct tenant traffic (mirrors serve_bench's make_request).
+    // Direct tenant traffic.
     let t = rng.gen_range(0..DIRECT_ENDPOINTS);
     let problem = &mix.problems[t];
     let q = (rng.gen::<f64>() < 0.8).then(|| {
@@ -184,6 +190,7 @@ fn generate(i: u64, mix: &Mix) -> GenRequest {
 /// Per-client tallies of one phase.
 #[derive(Default)]
 struct ClientStats {
+    /// Indexed by wire reply code.
     replies_by_code: [u64; 9],
     sheds_rate_limited: u64,
     sheds_over_share: u64,
@@ -199,15 +206,15 @@ struct ClientStats {
 struct PhaseResult {
     wall: Duration,
     completed: u64,
-    e2e: Histogram<10>,
+    e2e: Histogram,
     stats: Vec<ClientStats>,
 }
 
 /// The server-side `queue_wait` and `service` samples of one phase: what
 /// the server's cumulative registry gained while the phase ran.
 struct PhaseSeries {
-    queue_wait: Histogram<10>,
-    service: Histogram<10>,
+    queue_wait: Histogram,
+    service: Histogram,
 }
 
 /// Runs one phase against the server whose registry is `metrics` and
@@ -226,13 +233,156 @@ fn run_measured(
     (result, series)
 }
 
+/// How a phase's clients reach the serving stack.
+#[derive(Clone, Copy)]
+enum Transport<'a> {
+    /// Straight into the runtime, with the catalog's endpoint targets.
+    InProcess(&'a Stack),
+    /// Over a socket to the stack's front-end.
+    Tcp(SocketAddr),
+}
+
+/// One client's connection: a socket, or the runtime itself behind the
+/// same event stream.
+enum Conn {
+    Wire(NetClient),
+    Local(LocalClient),
+}
+
+/// The in-process transport: submits straight to the `QpServer` and turns
+/// each outcome into the [`ClientEvent`] a socket client would receive —
+/// answers through `wire_reply`, a full queue as a `QueueFull` shed.
+struct LocalClient {
+    qp: Arc<QpServer>,
+    targets: Vec<EndpointTarget>,
+    tx: Sender<ClientEvent>,
+    events: Receiver<ClientEvent>,
+    /// Cancel handles of the requests not yet answered.
+    tickets: HashMap<u64, CancelHandle>,
+}
+
+impl LocalClient {
+    fn submit(&mut self, request_id: u64, g: GenRequest) {
+        let request = Request {
+            q: g.q,
+            bounds: g.bounds,
+            deadline: g.deadline,
+            warm_start: g.warm_start,
+            trace_id: 0,
+        };
+        let submitted = match self.targets[g.endpoint as usize] {
+            EndpointTarget::Tenant(id) => self.qp.submit(id, request),
+            EndpointTarget::Portfolio(id) => self.qp.submit_routed(id, request),
+        };
+        match submitted {
+            Ok(ticket) => {
+                self.tickets.insert(request_id, ticket.cancel_handle());
+                let tx = self.tx.clone();
+                ticket.on_ready(move |response| {
+                    let reply = wire_reply(&response);
+                    let _ = tx.send(ClientEvent::Reply { request_id, reply });
+                });
+            }
+            Err(SubmitError::QueueFull { depth, capacity }) => {
+                let mean_us = self.qp.metrics().service.mean();
+                let retry = queue_full_retry_after(
+                    depth,
+                    self.qp.config().workers_per_shard,
+                    Duration::from_micros(mean_us as u64),
+                );
+                let _ = self.tx.send(ClientEvent::Shed {
+                    request_id,
+                    reason: ShedReason::QueueFull,
+                    depth: u32::try_from(depth).unwrap_or(u32::MAX),
+                    capacity: u32::try_from(capacity).unwrap_or(u32::MAX),
+                    retry_after_us: u64::try_from(retry.as_micros()).unwrap_or(u64::MAX),
+                });
+            }
+            Err(e) => panic!("in-process submit of request {request_id}: {e}"),
+        }
+    }
+}
+
+impl Transport<'_> {
+    fn connect(self) -> Conn {
+        match self {
+            Transport::Tcp(addr) => {
+                Conn::Wire(NetClient::connect(addr, TOKEN_UNLIMITED).expect("connect load client"))
+            }
+            Transport::InProcess(stack) => {
+                let (tx, events) = mpsc::channel();
+                Conn::Local(LocalClient {
+                    qp: Arc::clone(&stack.qp),
+                    targets: stack.targets.clone(),
+                    tx,
+                    events,
+                    tickets: HashMap::new(),
+                })
+            }
+        }
+    }
+}
+
+impl Conn {
+    fn submit(&mut self, request_id: u64, g: GenRequest) {
+        match self {
+            Conn::Wire(c) => c
+                .submit(
+                    request_id,
+                    g.endpoint,
+                    g.deadline,
+                    g.q,
+                    g.bounds,
+                    g.warm_start,
+                )
+                .expect("submit over socket"),
+            Conn::Local(c) => c.submit(request_id, g),
+        }
+    }
+
+    fn cancel(&mut self, request_id: u64) {
+        match self {
+            Conn::Wire(c) => c.cancel(request_id).expect("cancel over socket"),
+            Conn::Local(c) => {
+                if let Some(handle) = c.tickets.get(&request_id) {
+                    handle.cancel();
+                }
+            }
+        }
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Option<ClientEvent> {
+        match self {
+            Conn::Wire(c) => c.recv_timeout(timeout),
+            Conn::Local(c) => {
+                let event = c.events.recv_timeout(timeout).ok();
+                if let Some(ClientEvent::Reply { request_id, .. }) = &event {
+                    c.tickets.remove(request_id);
+                }
+                event
+            }
+        }
+    }
+
+    /// Announces the end of the phase; the confirming `Goodbye` arrives
+    /// once every answer has. Only called with nothing in flight.
+    fn goodbye(&mut self) {
+        match self {
+            Conn::Wire(c) => c.goodbye().expect("goodbye over socket"),
+            Conn::Local(c) => {
+                let _ = c.tx.send(ClientEvent::Goodbye);
+            }
+        }
+    }
+}
+
 /// Drives `total` requests through `clients` connections.
 ///
 /// `pace`: `None` = closed loop with a fixed in-flight window; `Some(d)`
 /// = open loop with one submission per `d` per client.
 #[allow(clippy::too_many_lines)]
 fn run_phase(
-    addr: std::net::SocketAddr,
+    transport: Transport<'_>,
     mix: &Mix,
     total: u64,
     clients: u64,
@@ -241,7 +391,7 @@ fn run_phase(
     id_offset: u64,
 ) -> PhaseResult {
     let window: usize = if pace.is_some() { 4096 } else { 64 };
-    let e2e = Histogram::<10>::new(LATENCY_BUCKETS_US);
+    let e2e = Histogram::new();
     let started = Instant::now();
     let stats: Vec<ClientStats> = std::thread::scope(|s| {
         let mut handles = Vec::new();
@@ -249,8 +399,7 @@ fn run_phase(
             let e2e = &e2e;
             handles.push(s.spawn(move || {
                 let mut st = ClientStats::default();
-                let mut client =
-                    NetClient::connect(addr, TOKEN_UNLIMITED).expect("connect load client");
+                let mut client = transport.connect();
                 // In-flight bookkeeping: id -> (trace index, submit time).
                 let mut inflight: HashMap<u64, (u64, Instant)> = HashMap::new();
                 // This client's strided slice of the trace.
@@ -276,11 +425,10 @@ fn run_phase(
                         submitted += 1;
                         let g = generate(i, mix);
                         inflight.insert(i, (i, Instant::now()));
-                        client
-                            .submit(i, g.endpoint, g.deadline, g.q, g.bounds, g.warm_start)
-                            .expect("submit over socket");
-                        if g.cancel {
-                            client.cancel(i).expect("cancel over socket");
+                        let cancel = g.cancel;
+                        client.submit(i, g);
+                        if cancel {
+                            client.cancel(i);
                         }
                     }
                     // Drain one event (short timeout keeps the open-loop
@@ -297,7 +445,7 @@ fn run_phase(
                                 continue;
                             };
                             e2e.observe_duration(at.elapsed());
-                            st.replies_by_code[reply_code_index(reply.code)] += 1;
+                            st.replies_by_code[reply.code as usize] += 1;
                             if reply.code == ReplyCode::Solved && i % sample_every == 0 {
                                 st.sampled.push((i, reply));
                             }
@@ -324,12 +472,9 @@ fn run_phase(
                                 Duration::from_micros(retry_after_us.min(5_000))
                                     .max(Duration::from_micros(100)),
                             );
-                            let g = generate(i, mix);
                             inflight.insert(i, (i, Instant::now()));
                             st.retries += 1;
-                            client
-                                .submit(i, g.endpoint, g.deadline, g.q, g.bounds, g.warm_start)
-                                .expect("re-submit over socket");
+                            client.submit(i, generate(i, mix));
                         }
                         Some(ClientEvent::Error { code, message }) => {
                             st.errors.push(format!("server error {code}: {message}"));
@@ -352,7 +497,7 @@ fn run_phase(
                 st.unanswered = inflight.len() as u64;
                 // Clean half-close: no more requests, server confirms.
                 if st.errors.is_empty() && st.unanswered == 0 {
-                    client.goodbye().expect("goodbye over socket");
+                    client.goodbye();
                     loop {
                         match client.recv_timeout(Duration::from_secs(30)) {
                             Some(ClientEvent::Goodbye) => break,
@@ -385,20 +530,7 @@ fn run_phase(
     }
 }
 
-fn reply_code_index(code: ReplyCode) -> usize {
-    match code {
-        ReplyCode::Solved => 0,
-        ReplyCode::MaxIterations => 1,
-        ReplyCode::PrimalInfeasible => 2,
-        ReplyCode::DualInfeasible => 3,
-        ReplyCode::TimedOut => 4,
-        ReplyCode::Cancelled => 5,
-        ReplyCode::Expired => 6,
-        ReplyCode::CancelledQueued => 7,
-        ReplyCode::Failed => 8,
-    }
-}
-
+/// Report names of the reply codes, indexed by wire value.
 const REPLY_CODE_NAMES: [&str; 9] = [
     "solved",
     "max_iterations",
@@ -522,6 +654,14 @@ fn build_mix() -> Mix {
     }
 }
 
+/// A serving stack carrying the full tenant mix behind a socket.
+struct Stack {
+    server: NetServer,
+    qp: Arc<QpServer>,
+    /// What each catalog endpoint submits to, in catalog order.
+    targets: Vec<EndpointTarget>,
+}
+
 /// Boots a fresh serving stack carrying the full tenant mix behind a
 /// socket. With `obs` the observability plane is enabled and the admin
 /// listener rides along on its own ephemeral port.
@@ -529,7 +669,7 @@ fn build_mix() -> Mix {
 /// Note the process-global consequence: the first obs-enabled server
 /// turns tracing on for the rest of the process, so any obs-disabled
 /// measurement must happen before this is ever called with `obs: true`.
-fn boot_server(obs: bool) -> (NetServer, Arc<QpServer>) {
+fn boot_server(obs: bool) -> Stack {
     let config = ServeConfig {
         queue_capacity: 32,
         max_shards: 24,
@@ -595,9 +735,14 @@ fn boot_server(obs: bool) -> (NetServer, Arc<QpServer>) {
         admin_addr: obs.then(|| "127.0.0.1:0".to_string()),
         ..NetConfig::default()
     };
+    let targets = endpoints.iter().map(|e| e.target).collect();
     let server = NetServer::bind("127.0.0.1:0", Arc::clone(&qp), endpoints, auth, cfg)
         .expect("bind load server");
-    (server, qp)
+    Stack {
+        server,
+        qp,
+        targets,
+    }
 }
 
 #[allow(clippy::too_many_lines)]
@@ -616,32 +761,49 @@ fn main() {
     let sample_every: u64 = flag("--sample-every").unwrap_or(if smoke { 50 } else { 1_000 });
 
     eprintln!(
-        "load_bench: {total} closed-loop + {open_total} open-loop requests, {clients} clients{}",
+        "load_bench: {total} in-process + {total} closed-loop + {open_total} open-loop requests, \
+         {clients} clients{}",
         if smoke { " [smoke]" } else { "" }
     );
 
-    // ---- Server side: the serve_bench tenant mix behind a socket. ----
+    // ---- Server side: the tenant mix behind a socket. ----
     let mix = build_mix();
-    let (mut server, qp) = boot_server(false);
-    let addr = server.local_addr();
+    let mut stack = boot_server(false);
+    let addr = stack.server.local_addr();
 
     let mut body = String::new();
-    body.push_str("== load_bench: socket-level load against the mib-net front-end ==\n\n");
-    let registry = qp.metrics();
-    let mut runs: Vec<(String, PhaseResult, PhaseSeries)> = Vec::new();
+    body.push_str("== load_bench: the serving stack in process and over TCP ==\n\n");
+    let registry = stack.qp.metrics();
+    let mut runs: Vec<(&str, PhaseResult, PhaseSeries)> = Vec::new();
 
-    // ---- Phase 1: closed loop (peak sustainable throughput). ----
+    // ---- Phase 1: closed loop in process (no wire). ----
+    let (inproc, series) = run_measured(&registry, || {
+        run_phase(
+            Transport::InProcess(&stack),
+            &mix,
+            total,
+            clients,
+            None,
+            sample_every,
+            0,
+        )
+    });
+    runs.push(("inprocess", inproc, series));
+
+    // ---- Phase 2: the same requests, closed loop over TCP (peak
+    // sustainable throughput). ----
+    let tcp = Transport::Tcp(addr);
     let (closed, series) = run_measured(&registry, || {
-        run_phase(addr, &mix, total, clients, None, sample_every, 0)
+        run_phase(tcp, &mix, total, clients, None, sample_every, 0)
     });
     let closed_rps = closed.completed as f64 / closed.wall.as_secs_f64();
-    runs.push(("net-closed".into(), closed, series));
+    runs.push(("net-closed", closed, series));
 
-    // ---- Phase 2: open loop at ~70% of the measured closed rate. ----
+    // ---- Phase 3: open loop at ~70% of the measured closed rate. ----
     let pace = Duration::from_secs_f64(1.0 / (0.7 * closed_rps / clients as f64));
     let (open, series) = run_measured(&registry, || {
         run_phase(
-            addr,
+            tcp,
             &mix,
             open_total,
             clients,
@@ -650,9 +812,9 @@ fn main() {
             total,
         )
     });
-    runs.push(("net-open".into(), open, series));
+    runs.push(("net-open", open, series));
 
-    // ---- Phase 3 (smoke): a rate-limited tenant MUST see sheds. ----
+    // ---- Phase 4 (smoke): a rate-limited tenant MUST see sheds. ----
     if smoke {
         let mut client = NetClient::connect(addr, TOKEN_LIMITED).expect("limited client");
         let burst = 200u64;
@@ -694,7 +856,7 @@ fn main() {
         );
     }
 
-    server.shutdown();
+    stack.server.shutdown();
 
     // ---- Verification: hard gates, then sampled bitwise parity. ----
     let mut verified = 0u64;
@@ -713,16 +875,18 @@ fn main() {
             // Queue-full and over-share sheds are legitimate explicit
             // backpressure under load; they were all retried to
             // completion (completed == offered), so nothing is lost.
-            let failed = st.replies_by_code[reply_code_index(ReplyCode::Failed)];
+            let failed = st.replies_by_code[ReplyCode::Failed as usize];
             assert_eq!(failed, 0, "[{mode}] no request may fail validation");
         }
-        let offered: u64 = phase.completed;
-        let expected = if mode == "net-closed" {
-            total
-        } else {
+        let expected = if *mode == "net-open" {
             open_total
+        } else {
+            total
         };
-        assert_eq!(offered, expected, "[{mode}] every request must complete");
+        assert_eq!(
+            phase.completed, expected,
+            "[{mode}] every request must complete"
+        );
         // Every answer passed through a shard worker, which records one
         // queue-wait and one service sample before it answers.
         for (name, h) in [
@@ -735,12 +899,20 @@ fn main() {
                 "[{mode}] the {name} series must hold exactly this run's answers"
             );
         }
+        let mut run_verified = 0u64;
         for st in &phase.stats {
             for (i, reply) in &st.sampled {
-                verify_sample(*i, reply, &mix).expect("bitwise verification");
-                verified += 1;
+                verify_sample(*i, reply, &mix)
+                    .unwrap_or_else(|e| panic!("[{mode}] bitwise verification: {e}"));
+                run_verified += 1;
             }
         }
+        // Every transport's answers are checked, not only the wire's.
+        assert!(
+            run_verified > 0 || expected < 10 * sample_every,
+            "[{mode}] no sampled Solved answer was verified"
+        );
+        verified += run_verified;
     }
 
     // ---- Report. ----
@@ -792,7 +964,7 @@ fn main() {
         );
         let _ = writeln!(body);
         serve_runs.push(ServeRun {
-            mode: mode.clone(),
+            mode: (*mode).to_string(),
             requests: phase.completed,
             clients,
             tenants: (DIRECT_ENDPOINTS + ROUTED_ENDPOINTS) as u64,
@@ -806,24 +978,9 @@ fn main() {
                 ("rate_limited".to_string(), rate_limited),
             ],
             latency: vec![
-                LatencySummary {
-                    name: "e2e_client".into(),
-                    mean_us: phase.e2e.mean(),
-                    p50_us: phase.e2e.quantile_bound(0.5),
-                    p99_us: phase.e2e.quantile_bound(0.99),
-                },
-                LatencySummary {
-                    name: "queue_wait".into(),
-                    mean_us: series.queue_wait.mean(),
-                    p50_us: series.queue_wait.quantile_bound(0.5),
-                    p99_us: series.queue_wait.quantile_bound(0.99),
-                },
-                LatencySummary {
-                    name: "service".into(),
-                    mean_us: series.service.mean(),
-                    p50_us: series.service.quantile_bound(0.5),
-                    p99_us: series.service.quantile_bound(0.99),
-                },
+                LatencySummary::of("e2e_client", &phase.e2e),
+                LatencySummary::of("queue_wait", &series.queue_wait),
+                LatencySummary::of("service", &series.service),
             ],
             obs_overhead_pct: None,
         });
@@ -853,7 +1010,7 @@ fn main() {
     body.push_str("\n-- server metrics snapshot --\n");
     body.push_str(&registry.render());
 
-    // ---- Phase 4: observability overhead + admin-plane scrape. ----
+    // ---- Phase 5: observability overhead + admin-plane scrape. ----
     //
     // The same closed-loop workload runs twice on *fresh* servers: first
     // with the obs plane off (reference), then with the full plane on —
@@ -869,34 +1026,36 @@ fn main() {
     // later; many short reps give each side more draws at its true peak
     // rate, which is the comparable quantity.
     let reps = if smoke { 1 } else { 8 };
-    let check_phase = |label: &str, phase: &PhaseResult| {
-        for st in &phase.stats {
-            assert!(
-                st.errors.is_empty(),
-                "[{label}] protocol/connection errors: {:?}",
-                st.errors
-            );
-            assert_eq!(st.unanswered, 0, "[{label}] requests left unanswered");
-        }
-        assert_eq!(
-            phase.completed, obs_total,
-            "[{label}] every request must complete"
-        );
+    // A warm-up, then the best closed-loop rate of `reps` runs.
+    let best_rps = |label: &str, stack: &Stack| {
+        let tcp = Transport::Tcp(stack.server.local_addr());
+        run_phase(tcp, &mix, warmup, clients, None, u64::MAX, 0);
+        (0..reps)
+            .map(|_| {
+                let phase = run_phase(tcp, &mix, obs_total, clients, None, u64::MAX, 0);
+                for st in &phase.stats {
+                    assert!(
+                        st.errors.is_empty(),
+                        "[{label}] protocol/connection errors: {:?}",
+                        st.errors
+                    );
+                    assert_eq!(st.unanswered, 0, "[{label}] requests left unanswered");
+                }
+                assert_eq!(
+                    phase.completed, obs_total,
+                    "[{label}] every request must complete"
+                );
+                phase.completed as f64 / phase.wall.as_secs_f64()
+            })
+            .fold(0.0, f64::max)
     };
-    let (mut ref_server, _ref_qp) = boot_server(false);
-    let ref_addr = ref_server.local_addr();
-    run_phase(ref_addr, &mix, warmup, clients, None, u64::MAX, 0);
-    let mut ref_rps = 0.0f64;
-    for _ in 0..reps {
-        let phase = run_phase(ref_addr, &mix, obs_total, clients, None, u64::MAX, 0);
-        check_phase("obs-off", &phase);
-        ref_rps = ref_rps.max(phase.completed as f64 / phase.wall.as_secs_f64());
-    }
-    ref_server.shutdown();
+    let mut ref_stack = boot_server(false);
+    let ref_rps = best_rps("obs-off", &ref_stack);
+    ref_stack.server.shutdown();
 
-    let (mut obs_server, obs_qp) = boot_server(true);
-    let obs_addr = obs_server.local_addr();
-    let admin = obs_server
+    let mut obs_stack = boot_server(true);
+    let admin = obs_stack
+        .server
         .admin_addr()
         .expect("obs server exposes an admin listener");
     eprintln!("admin plane listening on http://{admin} (/metrics /slo /healthz /trace/<id>)");
@@ -919,13 +1078,7 @@ fn main() {
             }
         })
     };
-    run_phase(obs_addr, &mix, warmup, clients, None, u64::MAX, 0);
-    let mut obs_rps = 0.0f64;
-    for _ in 0..reps {
-        let phase = run_phase(obs_addr, &mix, obs_total, clients, None, u64::MAX, 0);
-        check_phase("obs-on", &phase);
-        obs_rps = obs_rps.max(phase.completed as f64 / phase.wall.as_secs_f64());
-    }
+    let obs_rps = best_rps("obs-on", &obs_stack);
     stop.store(true, Ordering::Relaxed);
     scraper.join().expect("scraper thread");
     let overhead_pct = (ref_rps - obs_rps) / ref_rps * 100.0;
@@ -937,7 +1090,7 @@ fn main() {
     for _ in 0..100 {
         let (status, scraped) = mib_obs::http_get(admin, "/metrics").expect("admin /metrics");
         assert_eq!(status, 200, "admin /metrics must answer 200");
-        if scraped == obs_qp.metrics().render() {
+        if scraped == obs_stack.qp.metrics().render() {
             scrape_matches = true;
             break;
         }
@@ -958,7 +1111,7 @@ fn main() {
         slo_status == 200 && slo_body.contains("mib_slo_burn_rate"),
         "admin /slo must expose burn rates, got {slo_status}"
     );
-    obs_server.shutdown();
+    obs_stack.server.shutdown();
 
     let _ = writeln!(
         body,
@@ -982,11 +1135,9 @@ fn main() {
         eprintln!("(smoke mode: results/BENCH_serve.json not rewritten)");
     } else {
         mib_bench::emit_report("load_trace", &body);
-        for run in &serve_runs {
-            match merge_bench_serve(run) {
-                Ok(path) => eprintln!("({} run merged into {})", run.mode, path.display()),
-                Err(e) => eprintln!("warning: could not write BENCH_serve.json: {e}"),
-            }
+        match write_bench_serve(&serve_runs) {
+            Ok(path) => eprintln!("(written to {})", path.display()),
+            Err(e) => eprintln!("warning: could not write BENCH_serve.json: {e}"),
         }
     }
 }

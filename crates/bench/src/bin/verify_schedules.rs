@@ -25,7 +25,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use mib_bench::{eval_settings, json_f64};
+use mib_bench::eval_settings;
 use mib_compiler::lower::lower;
 use mib_compiler::verify_schedule;
 use mib_core::hbm::HbmStream;
@@ -33,6 +33,7 @@ use mib_core::machine::{HazardPolicy, Machine};
 use mib_core::MibConfig;
 use mib_problems::{instance, Domain, INSTANCES_PER_DOMAIN};
 use mib_qp::KktBackend;
+use mib_trace::json::write_f64;
 use mib_verify::timing;
 
 /// Committed baseline: total scheduler give-ups (instructions appended
@@ -162,13 +163,14 @@ fn main() {
             json,
             "\"mode\":\"{mode}\",\"width\":{},\"programs\":{programs},\
              \"agreement\":{},\"forced_appends\":{forced_appends},\
-             \"analysis_us\":{},\"simulation_us\":{},\"speedup\":{},\"runs\":[",
+             \"analysis_us\":{},\"simulation_us\":{},\"speedup\":",
             config.width,
             programs - disagreements,
             analysis_time.as_micros(),
             sim_time.as_micros(),
-            json_f64(speedup)
         );
+        write_f64(&mut json, speedup);
+        json.push_str(",\"runs\":[");
         for (i, r) in rows.iter().enumerate() {
             if i > 0 {
                 json.push(',');

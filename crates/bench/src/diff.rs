@@ -4,15 +4,17 @@
 //! tolerances tuned for the noisy single-core runners this repository
 //! measures on.
 //!
-//! The comparison is structural, not textual: a tiny recursive-descent
-//! JSON parser (no serde in the dependency tree) loads both documents,
-//! matched entries are located by their identity keys (`mode` for serve
-//! runs; `group`/`kernel`/`n` for kernel rows), and each tracked
-//! metric is checked against its tolerance. An entry present in the
+//! The comparison is structural, not textual: the workspace's one JSON
+//! parser ([`mib_trace::json`]) loads both documents, matched entries
+//! are located by their identity keys (`mode` for serve runs;
+//! `group`/`kernel`/`n` for kernel rows), and each tracked metric is
+//! checked against its tolerance. An entry present in the
 //! baseline but missing from the current document is itself a failure —
 //! losing coverage must not pass silently.
 
 use std::fmt::Write as _;
+
+use mib_trace::json::Json;
 
 /// Serve-run throughput may drop to this fraction of baseline before it
 /// counts as a regression (closed/open-loop rates on a shared single
@@ -20,8 +22,8 @@ use std::fmt::Write as _;
 pub const SERVE_THROUGHPUT_MIN_RATIO: f64 = 0.65;
 
 /// Serve-run service-time p50 may grow by this factor before it counts
-/// as a regression. The p50 is a log₂ bucket upper bound, so 4.0 allows
-/// two buckets of drift.
+/// as a regression: run-to-run noise on a shared single core, where a
+/// slow run's median solve can take several times a quiet run's.
 pub const SERVE_SERVICE_P50_MAX_RATIO: f64 = 4.0;
 
 /// Absolute ceiling on `obs_overhead_pct` wherever it is recorded: the
@@ -32,240 +34,6 @@ pub const OBS_OVERHEAD_MAX_PCT: f64 = 5.0;
 /// Kernel `ns_per_call` may grow by this factor before it counts as a
 /// regression.
 pub const KERNEL_NS_MAX_RATIO: f64 = 2.5;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (parsed as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in document order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses a complete JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message with a byte offset on malformed input or
-    /// trailing garbage.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    /// Object field lookup (`None` for non-objects / missing keys).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Numeric value (`None` for non-numbers).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// String value (`None` for non-strings).
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Array elements (empty slice for non-arrays).
-    pub fn items(&self) -> &[Json] {
-        match self {
-            Json::Arr(items) => items,
-            _ => &[],
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    let Some(&c) = bytes.get(*pos) else {
-        return Err("unexpected end of input".into());
-    };
-    match c {
-        b'{' => parse_object(bytes, pos),
-        b'[' => parse_array(bytes, pos),
-        b'"' => Ok(Json::Str(parse_string(bytes, pos)?)),
-        b't' => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        b'f' => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        b'n' => parse_lit(bytes, pos, "null", Json::Null),
-        b'-' | b'0'..=b'9' => parse_number(bytes, pos),
-        other => Err(format!("unexpected byte {other:#04x} at {pos}", pos = *pos)),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        let Some(&c) = bytes.get(*pos) else {
-            return Err("unterminated string".into());
-        };
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err("unterminated escape".into());
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("invalid \\u escape at byte {}", *pos))?;
-                        *pos += 4;
-                        // Surrogate pairs do not occur in these documents;
-                        // map lone surrogates to the replacement char.
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("invalid escape {other:#04x}")),
-                }
-            }
-            _ => {
-                // Collect the full UTF-8 sequence starting at c.
-                let width = utf8_width(c);
-                let start = *pos - 1;
-                *pos = start + width;
-                let chunk = bytes
-                    .get(start..*pos)
-                    .and_then(|b| std::str::from_utf8(b).ok())
-                    .ok_or_else(|| format!("invalid UTF-8 at byte {start}"))?;
-                out.push_str(chunk);
-            }
-        }
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    debug_assert_eq!(bytes[*pos], b'[');
-    *pos += 1;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    debug_assert_eq!(bytes[*pos], b'{');
-    *pos += 1;
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {}", *pos));
-        }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {}", *pos));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
 
 /// One compared metric: its identity, both values, the applied rule and
 /// the verdict.

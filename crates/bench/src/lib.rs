@@ -154,21 +154,6 @@ pub fn ratio(baseline: f64, ours: f64) -> f64 {
     baseline / ours
 }
 
-/// Formats a number for the hand-written JSON reports: Rust's shortest
-/// round-trip form, always with a decimal point or exponent, and `null`
-/// for NaN/±∞ (which JSON cannot represent).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let mut s = format!("{v}");
-        if !s.contains(['.', 'e', 'E']) {
-            s.push_str(".0");
-        }
-        s
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Writes a report both to stdout and to `results/<name>.txt`.
 pub fn emit_report(name: &str, body: &str) {
     println!("{body}");

@@ -1,40 +1,45 @@
-//! Serde-free structured export of serving benchmark runs:
-//! `results/BENCH_serve.json`.
-//!
-//! Two binaries feed the same document — `serve_bench` (the in-process
-//! trace replay, mode `"inprocess"`) and `load_bench` (the socket-level
-//! load harness, modes `"net-closed"` / `"net-open"`). Each writes its
-//! own run object and must not clobber the others', so the writer
-//! *merges*: it re-reads the existing document, splits the `"runs"`
-//! array into its top-level objects with a brace/string-aware scanner
-//! (no JSON parser in the dependency tree), replaces any run of the
-//! same mode, and rewrites the whole document. Every write is validated
-//! with [`mib_trace::validate_json`] before it hits the filesystem.
+//! Serde-free structured export of the serving benchmark:
+//! `results/BENCH_serve.json`. `load_bench` writes the whole document
+//! once, one run object per transport and loop mode (`inprocess`,
+//! `net-closed`, `net-open`), and validates it with
+//! [`mib_trace::validate_json`] before it hits the filesystem.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use crate::json_f64;
+use mib_serve::Histogram;
+use mib_trace::json::{write_f64, write_str};
 
-/// One latency series summary (mean plus bucketed quantile bounds, µs).
+/// One latency series summary (mean plus histogram quantile bounds, µs).
 #[derive(Debug, Clone)]
 pub struct LatencySummary {
-    /// Series name (`queue_wait`, `service`, `e2e`, ...).
+    /// Series name (`queue_wait`, `service`, `e2e_client`, ...).
     pub name: String,
     /// Mean, µs.
     pub mean_us: f64,
-    /// Bucketed p50 upper bound, µs.
+    /// p50 upper bound, µs (at most 12.5 % above the exact quantile).
     pub p50_us: u64,
-    /// Bucketed p99 upper bound, µs.
+    /// p99 upper bound, µs (at most 12.5 % above the exact quantile).
     pub p99_us: u64,
+}
+
+impl LatencySummary {
+    /// The summary of the samples in `h`.
+    pub fn of(name: &str, h: &Histogram) -> Self {
+        LatencySummary {
+            name: name.to_string(),
+            mean_us: h.mean(),
+            p50_us: h.quantile_bound(0.5),
+            p99_us: h.quantile_bound(0.99),
+        }
+    }
 }
 
 /// One benchmark run of the serving stack, in-process or over sockets.
 #[derive(Debug, Clone)]
 pub struct ServeRun {
-    /// Distinguishes runs in the shared document: `"inprocess"`,
-    /// `"net-closed"` or `"net-open"`. A new run replaces the previous
-    /// run of the same mode.
+    /// Identifies the run in the document: `"inprocess"`,
+    /// `"net-closed"` or `"net-open"`.
     pub mode: String,
     /// Terminal answers received (sheds excluded).
     pub requests: u64,
@@ -42,7 +47,7 @@ pub struct ServeRun {
     pub clients: u64,
     /// Distinct tenants in the mix.
     pub tenants: u64,
-    /// Wall-clock seconds of the replay.
+    /// Wall-clock seconds of the run.
     pub wall_seconds: f64,
     /// Requests per second over the wall clock.
     pub throughput_rps: f64,
@@ -61,73 +66,52 @@ pub struct ServeRun {
     pub obs_overhead_pct: Option<f64>,
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Appends `"name": {"k": n, ...}` for a list of tallies.
+fn write_tallies(o: &mut String, name: &str, tallies: &[(String, u64)]) {
+    let _ = write!(o, "      \"{name}\": {{");
+    for (i, (key, count)) in tallies.iter().enumerate() {
+        if i > 0 {
+            o.push_str(", ");
         }
+        write_str(o, key);
+        let _ = write!(o, ": {count}");
     }
-    out.push('"');
-    out
+    o.push_str("},\n");
 }
 
 impl ServeRun {
-    /// Renders this run as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut o = String::new();
-        o.push_str("    {\n");
-        let _ = writeln!(o, "      \"mode\": {},", json_str(&self.mode));
-        let _ = writeln!(o, "      \"requests\": {},", self.requests);
-        let _ = writeln!(o, "      \"clients\": {},", self.clients);
-        let _ = writeln!(o, "      \"tenants\": {},", self.tenants);
+    /// Appends this run as one JSON object.
+    fn write_json(&self, o: &mut String) {
+        o.push_str("    {\n      \"mode\": ");
+        write_str(o, &self.mode);
+        let _ = write!(
+            o,
+            ",\n      \"requests\": {},\n      \"clients\": {},\n      \"tenants\": {},\n      \
+             \"wall_seconds\": ",
+            self.requests, self.clients, self.tenants
+        );
+        write_f64(o, self.wall_seconds);
+        o.push_str(",\n      \"throughput_rps\": ");
+        write_f64(o, self.throughput_rps);
         let _ = writeln!(
             o,
-            "      \"wall_seconds\": {},",
-            json_f64(self.wall_seconds)
+            ",\n      \"verified_bitwise\": {},",
+            self.verified_bitwise
         );
-        let _ = writeln!(
-            o,
-            "      \"throughput_rps\": {},",
-            json_f64(self.throughput_rps)
-        );
-        let _ = writeln!(o, "      \"verified_bitwise\": {},", self.verified_bitwise);
         if let Some(pct) = self.obs_overhead_pct {
-            let _ = writeln!(o, "      \"obs_overhead_pct\": {},", json_f64(pct));
+            o.push_str("      \"obs_overhead_pct\": ");
+            write_f64(o, pct);
+            o.push_str(",\n");
         }
-        o.push_str("      \"outcomes\": {");
-        for (i, (name, count)) in self.outcomes.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            let _ = write!(o, "{}: {count}", json_str(name));
-        }
-        o.push_str("},\n      \"sheds\": {");
-        for (i, (name, count)) in self.sheds.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            let _ = write!(o, "{}: {count}", json_str(name));
-        }
-        o.push_str("},\n      \"latency_us\": [\n");
+        write_tallies(o, "outcomes", &self.outcomes);
+        write_tallies(o, "sheds", &self.sheds);
+        o.push_str("      \"latency_us\": [\n");
         for (i, l) in self.latency.iter().enumerate() {
-            let _ = write!(
-                o,
-                "        {{\"series\": {}, \"mean\": {}, \"p50\": {}, \"p99\": {}}}",
-                json_str(&l.name),
-                json_f64(l.mean_us),
-                l.p50_us,
-                l.p99_us
-            );
+            o.push_str("        {\"series\": ");
+            write_str(o, &l.name);
+            o.push_str(", \"mean\": ");
+            write_f64(o, l.mean_us);
+            let _ = write!(o, ", \"p50\": {}, \"p99\": {}}}", l.p50_us, l.p99_us);
             o.push_str(if i + 1 < self.latency.len() {
                 ",\n"
             } else {
@@ -135,89 +119,21 @@ impl ServeRun {
             });
         }
         o.push_str("      ]\n    }");
-        o
     }
 }
 
-/// Splits the `"runs"` array of an existing document into its top-level
-/// run objects (raw JSON text, one string per run). Returns an empty
-/// list for anything that does not look like a serve document.
-fn split_runs(doc: &str) -> Vec<String> {
-    let Some(key) = doc.find("\"runs\"") else {
-        return Vec::new();
-    };
-    let Some(open) = doc[key..].find('[') else {
-        return Vec::new();
-    };
-    let body = &doc[key + open + 1..];
-    let mut runs = Vec::new();
-    let mut depth = 0usize;
-    let mut start = None;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in body.char_indices() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    if let Some(s) = start.take() {
-                        runs.push(body[s..=i].to_string());
-                    }
-                }
-            }
-            ']' if depth == 0 => break,
-            _ => {}
-        }
-    }
-    runs
-}
-
-/// Extracts the `"mode"` value of a rendered run object.
-fn run_mode(obj: &str) -> Option<String> {
-    let key = obj.find("\"mode\"")?;
-    let rest = &obj[key + 6..];
-    let open = rest.find('"')?;
-    let rest = &rest[open + 1..];
-    let close = rest.find('"')?;
-    Some(rest[..close].to_string())
-}
-
-/// Renders the full document from pre-rendered run objects.
-fn render_document(runs: &[String]) -> String {
-    let mut doc = String::new();
-    doc.push_str("{\n  \"bench\": \"serve\",\n  \"runs\": [\n");
+/// Renders the full document.
+fn render_document(runs: &[ServeRun]) -> String {
+    let mut doc = String::from("{\n  \"bench\": \"serve\",\n  \"runs\": [\n");
     for (i, run) in runs.iter().enumerate() {
-        // Re-indent merged runs that were captured without their leading
-        // whitespace.
-        if run.starts_with('{') {
-            doc.push_str("    ");
-        }
-        doc.push_str(run);
+        run.write_json(&mut doc);
         doc.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
     }
     doc.push_str("  ]\n}\n");
     doc
 }
 
-/// Merges `run` into `results/BENCH_serve.json`: existing runs of other
-/// modes are preserved, a previous run of the same mode is replaced.
+/// Writes `runs` as `results/BENCH_serve.json`, replacing the file.
 /// Returns the path written.
 ///
 /// # Errors
@@ -228,21 +144,11 @@ fn render_document(runs: &[String]) -> String {
 ///
 /// Panics if the rendered document fails JSON validation — a bug in
 /// this module, not an environment condition.
-pub fn merge_bench_serve(run: &ServeRun) -> std::io::Result<PathBuf> {
+pub fn write_bench_serve(runs: &[ServeRun]) -> std::io::Result<PathBuf> {
     let dir = std::path::Path::new("results");
     std::fs::create_dir_all(dir)?;
     let path = dir.join("BENCH_serve.json");
-    let mut runs: Vec<String> = match std::fs::read_to_string(&path) {
-        Ok(existing) => split_runs(&existing)
-            .into_iter()
-            .filter(|r| run_mode(r).as_deref() != Some(run.mode.as_str()))
-            .collect(),
-        Err(_) => Vec::new(),
-    };
-    runs.push(run.to_json());
-    // Deterministic document order regardless of which binary ran last.
-    runs.sort_by_key(|r| run_mode(r).unwrap_or_default());
-    let doc = render_document(&runs);
+    let doc = render_document(runs);
     mib_trace::validate_json(&doc).expect("BENCH_serve.json must be valid JSON");
     std::fs::write(&path, doc)?;
     Ok(path)
@@ -251,8 +157,13 @@ pub fn merge_bench_serve(run: &ServeRun) -> std::io::Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mib_trace::json::Json;
 
     fn sample(mode: &str, requests: u64) -> ServeRun {
+        let latency = Histogram::new();
+        for us in [40, 959, 1834] {
+            latency.observe(us);
+        }
         ServeRun {
             mode: mode.to_string(),
             requests,
@@ -264,18 +175,8 @@ mod tests {
             outcomes: vec![("solved".into(), requests - 3), ("cancelled".into(), 3)],
             sheds: vec![("rate_limited".into(), 7), ("queue_full".into(), 2)],
             latency: vec![
-                LatencySummary {
-                    name: "e2e".into(),
-                    mean_us: 1834.5,
-                    p50_us: 1024,
-                    p99_us: 16384,
-                },
-                LatencySummary {
-                    name: "service".into(),
-                    mean_us: 900.0,
-                    p50_us: 512,
-                    p99_us: 4096,
-                },
+                LatencySummary::of("e2e", &latency),
+                LatencySummary::of("service", &latency),
             ],
             obs_overhead_pct: (mode == "net-closed").then_some(1.25),
         }
@@ -283,50 +184,20 @@ mod tests {
 
     #[test]
     fn run_objects_are_valid_json() {
-        let doc = render_document(&[sample("inprocess", 600).to_json()]);
-        mib_trace::validate_json(&doc).expect("document must validate");
+        let doc = render_document(&[sample("inprocess", 600), sample("net-closed", 1_000_000)]);
+        let parsed = Json::parse(&doc).expect("document must parse");
         assert!(doc.contains("\"mode\": \"inprocess\""));
         assert!(doc.contains("\"throughput_rps\": 400.0"));
-    }
-
-    #[test]
-    fn split_recovers_each_run_and_mode() {
-        let doc = render_document(&[
-            sample("inprocess", 600).to_json(),
-            sample("net-closed", 1_000_000).to_json(),
-        ]);
-        let runs = split_runs(&doc);
+        let runs = parsed.get("runs").map_or(&[][..], Json::items);
         assert_eq!(runs.len(), 2);
-        assert_eq!(run_mode(&runs[0]).as_deref(), Some("inprocess"));
-        assert_eq!(run_mode(&runs[1]).as_deref(), Some("net-closed"));
-        assert!(runs[1].contains("\"requests\": 1000000"));
-    }
-
-    #[test]
-    fn same_mode_replaces_other_modes_survive() {
-        let first = render_document(&[
-            sample("inprocess", 600).to_json(),
-            sample("net-closed", 500).to_json(),
-        ]);
-        // Simulate the merge path without touching the filesystem.
-        let mut runs: Vec<String> = split_runs(&first)
-            .into_iter()
-            .filter(|r| run_mode(r).as_deref() != Some("net-closed"))
-            .collect();
-        runs.push(sample("net-closed", 1_000_000).to_json());
-        runs.sort_by_key(|r| run_mode(r).unwrap_or_default());
-        let merged = render_document(&runs);
-        mib_trace::validate_json(&merged).expect("merged document must validate");
-        assert!(merged.contains("\"requests\": 600"), "other mode survives");
-        assert!(merged.contains("\"requests\": 1000000"), "new run present");
-        assert!(!merged.contains("\"requests\": 500"), "old run replaced");
-    }
-
-    #[test]
-    fn scanner_survives_braces_inside_strings() {
-        let tricky = r#"{ "bench": "serve", "runs": [ {"mode": "a{}[]\"x", "requests": 1} ] }"#;
-        let runs = split_runs(tricky);
-        assert_eq!(runs.len(), 1);
-        assert_eq!(run_mode(&runs[0]).as_deref(), Some("a{}[]\\"));
+        assert_eq!(runs[1].get("requests").and_then(Json::as_f64), Some(1e6));
+        assert_eq!(
+            runs[1].get("obs_overhead_pct").and_then(Json::as_f64),
+            Some(1.25)
+        );
+        assert!(runs[0].get("obs_overhead_pct").is_none());
+        let e2e = &runs[0].get("latency_us").map_or(&[][..], Json::items)[0];
+        assert_eq!(e2e.get("p50").and_then(Json::as_f64), Some(959.0));
+        assert_eq!(e2e.get("p99").and_then(Json::as_f64), Some(1834.0));
     }
 }

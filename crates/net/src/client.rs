@@ -15,8 +15,8 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use crate::frame::{
-    self, encode_to_vec, error_code, EndpointInfo, Frame, FrameReader, ShedReason, WireReply,
-    DEFAULT_MAX_FRAME_BYTES, MIN_VERSION, VERSION,
+    self, encode_to_vec, EndpointInfo, Frame, FrameReader, ShedReason, WireReply,
+    DEFAULT_MAX_FRAME_BYTES,
 };
 
 /// One server-to-client event, demultiplexed by the reader thread.
@@ -62,7 +62,6 @@ pub struct NetClient {
     stream: TcpStream,
     tenant: String,
     endpoints: Vec<EndpointInfo>,
-    version: u16,
     events: Receiver<ClientEvent>,
     reader: Option<JoinHandle<()>>,
     scratch: Vec<u8>,
@@ -90,44 +89,15 @@ impl NetClient {
         token: &[u8],
         max_frame_bytes: usize,
     ) -> io::Result<NetClient> {
-        // Offer the newest protocol first; when the server caps its
-        // dialect below the offer it refuses with a VERSION error, and
-        // the client reconnects offering each older version in turn.
-        // One extra round trip per downgrade, only on the mixed-fleet
-        // path — steady state is a single handshake.
-        for offer in (MIN_VERSION..=VERSION).rev() {
-            match NetClient::handshake(&addr, token, max_frame_bytes, offer) {
-                Ok(client) => return Ok(client),
-                Err(Handshake::VersionRefused) if offer > MIN_VERSION => {}
-                Err(Handshake::VersionRefused) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionRefused,
-                        "server refused every protocol version this client speaks",
-                    ));
-                }
-                Err(Handshake::Fatal(e)) => return Err(e),
-            }
-        }
-        unreachable!("the version loop always returns")
-    }
-
-    fn handshake<A: ToSocketAddrs>(
-        addr: &A,
-        token: &[u8],
-        max_frame_bytes: usize,
-        offer: u16,
-    ) -> Result<NetClient, Handshake> {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.write_all(&encode_to_vec(&Frame::Hello {
-            version: offer,
             token: token.to_vec(),
         }))?;
 
         // Blocking handshake on the caller thread: the first frame back
         // decides whether this connection exists at all.
         let mut reader = FrameReader::new(max_frame_bytes);
-        reader.set_version(offer);
         let mut buf = [0u8; 4096];
         let (tenant, endpoints) = loop {
             if let Some(f) = reader
@@ -137,21 +107,16 @@ impl NetClient {
                 match f {
                     Frame::HelloAck { tenant, endpoints } => break (tenant, endpoints),
                     Frame::Error { code, message } => {
-                        if code == error_code::VERSION {
-                            return Err(Handshake::VersionRefused);
-                        }
                         return Err(io::Error::new(
                             io::ErrorKind::ConnectionRefused,
                             format!("server refused the connection (code {code}): {message}"),
-                        )
-                        .into());
+                        ));
                     }
                     other => {
                         return Err(io::Error::new(
                             io::ErrorKind::InvalidData,
                             format!("expected a HelloAck, got {other:?}"),
-                        )
-                        .into());
+                        ));
                     }
                 }
             }
@@ -160,8 +125,7 @@ impl NetClient {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "server closed the connection during the handshake",
-                )
-                .into());
+                ));
             }
             reader.extend(&buf[..n]);
         };
@@ -211,7 +175,6 @@ impl NetClient {
             stream,
             tenant,
             endpoints,
-            version: offer,
             events,
             reader: Some(reader_handle),
             scratch: Vec::new(),
@@ -221,11 +184,6 @@ impl NetClient {
     /// The tenant label the token authenticated as.
     pub fn tenant(&self) -> &str {
         &self.tenant
-    }
-
-    /// The wire protocol version both sides agreed on.
-    pub fn negotiated_version(&self) -> u16 {
-        self.version
     }
 
     /// The endpoint catalog the server advertised.
@@ -240,7 +198,7 @@ impl NetClient {
     /// Socket write failures.
     pub fn send(&mut self, frame: &Frame) -> io::Result<()> {
         self.scratch.clear();
-        frame::encode_versioned(frame, self.version, &mut self.scratch);
+        frame::encode(frame, &mut self.scratch);
         self.stream.write_all(&self.scratch)
     }
 
@@ -265,8 +223,7 @@ impl NetClient {
     /// As [`submit`](NetClient::submit), stamping the request with a
     /// 128-bit trace id so server-side spans (queue wait, solve phases,
     /// kernels) can be correlated with this client's view of the
-    /// request. A zero id means "untraced"; on a connection negotiated
-    /// at a pre-trace protocol version the id is silently dropped.
+    /// request. A zero id means "untraced".
     ///
     /// # Errors
     ///
@@ -329,19 +286,6 @@ impl Drop for NetClient {
         if let Some(h) = self.reader.take() {
             let _ = h.join();
         }
-    }
-}
-
-/// Internal handshake outcome: a version refusal is retryable at a
-/// lower offer, everything else aborts the connect.
-enum Handshake {
-    VersionRefused,
-    Fatal(io::Error),
-}
-
-impl From<io::Error> for Handshake {
-    fn from(e: io::Error) -> Handshake {
-        Handshake::Fatal(e)
     }
 }
 

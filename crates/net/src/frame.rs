@@ -28,23 +28,11 @@ use std::fmt;
 /// Protocol magic leading every [`Frame::Hello`]: `"MIBQ"` LE.
 pub const MAGIC: u32 = 0x4d49_4251;
 
-/// Newest protocol version spoken by this build.
-///
-/// * **v1** — the PR 9 wire format.
-/// * **v2** — adds an optional 128-bit trace id to [`Frame::Submit`]
-///   (section mask bit 3), propagating a client-chosen trace context
-///   into the server's span pipeline and flight recorder.
-///
-/// Negotiation is one-sided and implicit: the client offers a version
-/// in its [`Frame::Hello`], and a server accepting the connection
-/// speaks exactly that version for the rest of the stream. A server
-/// capped below the offer refuses with [`error_code::VERSION`]; the
-/// client then retries the connection offering v1 — both directions
-/// degrade to trace-id-free operation, never to an application error.
+/// The one protocol version this build speaks, carried in every
+/// [`Frame::Hello`]; a Hello offering any other version is
+/// [`FrameError::BadVersion`]. In this version a [`Frame::Submit`] may
+/// carry a 128-bit trace id (section mask bit 3).
 pub const VERSION: u16 = 2;
-
-/// Oldest protocol version this build still accepts.
-pub const MIN_VERSION: u16 = 1;
 
 /// Default cap on a single frame body, bytes. Generous for solution
 /// vectors of every benchmark domain, small enough that a hostile
@@ -54,8 +42,10 @@ pub const DEFAULT_MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 /// Fixed body prefix: kind, flags, request id.
 const HEADER_BYTES: usize = 1 + 1 + 8;
 
-/// Why a shed frame was sent instead of an answer (wire codes 0-2).
+/// Why a shed frame was sent instead of an answer (wire codes 0-2, in
+/// declaration order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ShedReason {
     /// The tenant's token bucket was empty.
     RateLimited,
@@ -66,26 +56,22 @@ pub enum ShedReason {
 }
 
 impl ShedReason {
-    fn code(self) -> u8 {
-        match self {
-            ShedReason::RateLimited => 0,
-            ShedReason::OverShare => 1,
-            ShedReason::QueueFull => 2,
-        }
-    }
-
     fn from_code(code: u8) -> Result<Self, FrameError> {
-        match code {
-            0 => Ok(ShedReason::RateLimited),
-            1 => Ok(ShedReason::OverShare),
-            2 => Ok(ShedReason::QueueFull),
-            _ => Err(FrameError::Malformed("unknown shed reason")),
-        }
+        [
+            ShedReason::RateLimited,
+            ShedReason::OverShare,
+            ShedReason::QueueFull,
+        ]
+        .get(usize::from(code))
+        .copied()
+        .ok_or(FrameError::Malformed("unknown shed reason"))
     }
 }
 
-/// Terminal outcome code of a [`WireReply`] (wire codes 0-8).
+/// Terminal outcome code of a [`WireReply`] (wire codes 0-8, in
+/// declaration order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ReplyCode {
     /// Solve converged; `x`/`y`/`obj_val` carry the answer.
     Solved,
@@ -108,33 +94,24 @@ pub enum ReplyCode {
 }
 
 impl ReplyCode {
-    fn code(self) -> u8 {
-        match self {
-            ReplyCode::Solved => 0,
-            ReplyCode::MaxIterations => 1,
-            ReplyCode::PrimalInfeasible => 2,
-            ReplyCode::DualInfeasible => 3,
-            ReplyCode::TimedOut => 4,
-            ReplyCode::Cancelled => 5,
-            ReplyCode::Expired => 6,
-            ReplyCode::CancelledQueued => 7,
-            ReplyCode::Failed => 8,
-        }
-    }
+    /// Every code, indexed by its wire value.
+    const ALL: [ReplyCode; 9] = [
+        ReplyCode::Solved,
+        ReplyCode::MaxIterations,
+        ReplyCode::PrimalInfeasible,
+        ReplyCode::DualInfeasible,
+        ReplyCode::TimedOut,
+        ReplyCode::Cancelled,
+        ReplyCode::Expired,
+        ReplyCode::CancelledQueued,
+        ReplyCode::Failed,
+    ];
 
     fn from_code(code: u8) -> Result<Self, FrameError> {
-        Ok(match code {
-            0 => ReplyCode::Solved,
-            1 => ReplyCode::MaxIterations,
-            2 => ReplyCode::PrimalInfeasible,
-            3 => ReplyCode::DualInfeasible,
-            4 => ReplyCode::TimedOut,
-            5 => ReplyCode::Cancelled,
-            6 => ReplyCode::Expired,
-            7 => ReplyCode::CancelledQueued,
-            8 => ReplyCode::Failed,
-            _ => return Err(FrameError::Malformed("unknown reply code")),
-        })
+        ReplyCode::ALL
+            .get(usize::from(code))
+            .copied()
+            .ok_or(FrameError::Malformed("unknown reply code"))
     }
 
     /// Whether the reply carries a solution vector worth reading.
@@ -155,9 +132,6 @@ pub mod error_code {
     pub const SHUTTING_DOWN: u8 = 4;
     /// A submit named an endpoint outside the advertised catalog.
     pub const UNKNOWN_ENDPOINT: u8 = 5;
-    /// The Hello offered a protocol version this server does not speak;
-    /// retry the connection offering an older version.
-    pub const VERSION: u8 = 6;
 }
 
 /// One entry of the endpoint catalog advertised in [`Frame::HelloAck`]:
@@ -202,12 +176,8 @@ pub struct WireReply {
 /// A decoded protocol frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Connection opener: magic + version + tenant auth token.
+    /// Connection opener: magic + [`VERSION`] + tenant auth token.
     Hello {
-        /// Protocol version the client offers (any of
-        /// `MIN_VERSION..=VERSION`). An accepting server speaks exactly
-        /// this version for the rest of the connection.
-        version: u16,
         /// Tenant auth token (opaque bytes; the server maps it to a
         /// tenant label and admission policy).
         token: Vec<u8>,
@@ -236,9 +206,7 @@ pub enum Frame {
         /// Warm-start point `(x, y)`.
         warm_start: Option<(Vec<f64>, Vec<f64>)>,
         /// 128-bit trace-context id linking the server-side spans of
-        /// this request (0 = none). v2 only: a v1 stream neither
-        /// carries nor decodes it — the encoder silently drops a
-        /// nonzero id when speaking v1 (graceful degradation).
+        /// this request (0 = none, which costs no wire bytes).
         trace_id: u128,
     },
     /// Terminal answer to a [`Frame::Submit`].
@@ -337,7 +305,7 @@ impl fmt::Display for FrameError {
             FrameError::BadVersion { got } => {
                 write!(
                     f,
-                    "peer offered protocol version {got}, this build speaks {MIN_VERSION}..={VERSION}"
+                    "peer offered protocol version {got}, this build speaks {VERSION}"
                 )
             }
             FrameError::UnknownKind(kind) => write!(f, "unknown frame kind {kind}"),
@@ -382,35 +350,22 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Encodes `frame` (length prefix included) onto `out`, speaking the
-/// newest protocol dialect ([`VERSION`]).
+/// Encodes `frame` (length prefix included) onto `out`.
 ///
 /// # Panics
 ///
 /// Panics if a payload section exceeds `u32` counts — unreachable for
 /// anything produced by this stack.
 pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
-    encode_versioned(frame, VERSION, out);
-}
-
-/// Encodes `frame` speaking the `wire_version` dialect — how a peer
-/// that negotiated an older version keeps its stream decodable by the
-/// other side. The only dialect difference today is the v2 submit
-/// trace-id section, which a v1 encoding silently drops.
-///
-/// # Panics
-///
-/// As [`encode`].
-pub fn encode_versioned(frame: &Frame, wire_version: u16, out: &mut Vec<u8>) {
     let len_at = out.len();
     put_u32(out, 0); // patched below
     out.push(frame.kind());
     out.push(0); // flags
     put_u64(out, frame.request_id());
     match frame {
-        Frame::Hello { version, token } => {
+        Frame::Hello { token } => {
             put_u32(out, MAGIC);
-            put_u16(out, *version);
+            put_u16(out, VERSION);
             put_u16(
                 out,
                 u16::try_from(token.len()).expect("auth token fits a u16 length"),
@@ -442,7 +397,7 @@ pub fn encode_versioned(frame: &Frame, wire_version: u16, out: &mut Vec<u8>) {
         } => {
             put_u32(out, *endpoint);
             put_u64(out, *deadline_us);
-            let trace = *trace_id != 0 && wire_version >= 2;
+            let trace = *trace_id != 0;
             let mask = u8::from(q.is_some())
                 | (u8::from(bounds.is_some()) << 1)
                 | (u8::from(warm_start.is_some()) << 2)
@@ -465,7 +420,7 @@ pub fn encode_versioned(frame: &Frame, wire_version: u16, out: &mut Vec<u8>) {
             }
         }
         Frame::Response { reply, .. } => {
-            out.push(reply.code.code());
+            out.push(reply.code as u8);
             put_u32(out, reply.iterations);
             put_u64(out, reply.obj_val.to_bits());
             put_u64(out, reply.queue_wait_us);
@@ -482,7 +437,7 @@ pub fn encode_versioned(frame: &Frame, wire_version: u16, out: &mut Vec<u8>) {
             retry_after_us,
             ..
         } => {
-            out.push(reason.code());
+            out.push(*reason as u8);
             put_u32(out, *depth);
             put_u32(out, *capacity);
             put_u64(out, *retry_after_us);
@@ -578,16 +533,12 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decodes one frame body (the bytes after the length prefix),
-/// speaking the newest protocol dialect ([`VERSION`]).
+/// Decodes one frame body (the bytes after the length prefix).
+///
+/// # Errors
+///
+/// A [`FrameError`] for a body that is not exactly one well-formed frame.
 pub fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
-    decode_body_versioned(body, VERSION)
-}
-
-/// Decodes one frame body under the `wire_version` dialect (what a
-/// server sets after negotiating the client's offered version): at v1
-/// the submit trace-id section bit is unknown and rejected.
-pub fn decode_body_versioned(body: &[u8], wire_version: u16) -> Result<Frame, FrameError> {
     if body.len() < HEADER_BYTES {
         return Err(FrameError::Malformed("body shorter than the fixed header"));
     }
@@ -605,15 +556,12 @@ pub fn decode_body_versioned(body: &[u8], wire_version: u16) -> Result<Frame, Fr
                 return Err(FrameError::BadMagic(magic));
             }
             let version = c.u16()?;
-            // The Hello is version *negotiation*, not version use: any
-            // offer this build can speak is accepted here, and the
-            // connection then runs at the offered version.
-            if !(MIN_VERSION..=VERSION).contains(&version) {
+            if version != VERSION {
                 return Err(FrameError::BadVersion { got: version });
             }
             let token_len = c.u16()? as usize;
             let token = c.take(token_len)?.to_vec();
-            Frame::Hello { version, token }
+            Frame::Hello { token }
         }
         1 => {
             let tenant = c.string()?;
@@ -634,8 +582,7 @@ pub fn decode_body_versioned(body: &[u8], wire_version: u16) -> Result<Frame, Fr
             let endpoint = c.u32()?;
             let deadline_us = c.u64()?;
             let mask = c.u8()?;
-            let known = if wire_version >= 2 { 0b1111 } else { 0b111 };
-            if mask & !known != 0 {
+            if mask & !0b1111 != 0 {
                 return Err(FrameError::Malformed("unknown submit section bits"));
             }
             let q = (mask & 1 != 0).then(|| c.f64_vec()).transpose()?;
@@ -708,34 +655,16 @@ pub struct FrameReader {
     buf: Vec<u8>,
     start: usize,
     max_frame: usize,
-    version: u16,
 }
 
 impl FrameReader {
-    /// A reader enforcing `max_frame` bytes per body, speaking the
-    /// newest dialect ([`VERSION`]) until [`set_version`] says
-    /// otherwise.
-    ///
-    /// [`set_version`]: FrameReader::set_version
+    /// A reader enforcing `max_frame` bytes per body.
     pub fn new(max_frame: usize) -> Self {
         FrameReader {
             buf: Vec::new(),
             start: 0,
             max_frame,
-            version: VERSION,
         }
-    }
-
-    /// Pins the dialect for subsequent frames — a server calls this
-    /// with the client's offered Hello version right after the
-    /// handshake, before any request traffic is decoded.
-    pub fn set_version(&mut self, version: u16) {
-        self.version = version;
-    }
-
-    /// The dialect currently decoded.
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// Appends freshly read bytes.
@@ -749,8 +678,12 @@ impl FrameReader {
     }
 
     /// Pulls the next complete frame, `Ok(None)` if more bytes are
-    /// needed. After an `Err` the stream is unrecoverable — tear the
-    /// connection down.
+    /// needed.
+    ///
+    /// # Errors
+    ///
+    /// An oversized length header or a body that fails to decode. The
+    /// stream is then unrecoverable — tear the connection down.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
         let avail = &self.buf[self.start..];
         if avail.len() < 4 {
@@ -766,7 +699,7 @@ impl FrameReader {
         if avail.len() < 4 + body_len {
             return Ok(None);
         }
-        let frame = decode_body_versioned(&avail[4..4 + body_len], self.version)?;
+        let frame = decode_body(&avail[4..4 + body_len])?;
         self.start += 4 + body_len;
         Ok(Some(frame))
     }
@@ -797,12 +730,7 @@ mod tests {
     fn every_frame_kind_round_trips() {
         let frames = [
             Frame::Hello {
-                version: VERSION,
                 token: b"tenant-a-secret".to_vec(),
-            },
-            Frame::Hello {
-                version: MIN_VERSION,
-                token: b"old-client".to_vec(),
             },
             Frame::HelloAck {
                 tenant: "tenant-a".into(),
@@ -869,6 +797,10 @@ mod tests {
             },
             Frame::Goodbye,
         ];
+        for (i, code) in ReplyCode::ALL.into_iter().enumerate() {
+            assert_eq!(code as usize, i, "ALL is indexed by wire value");
+            assert_eq!(ReplyCode::from_code(code as u8), Ok(code));
+        }
         for frame in &frames {
             let decoded = roundtrip(frame);
             // NaN payloads break PartialEq; compare the re-encoding
@@ -952,111 +884,37 @@ mod tests {
 
     #[test]
     fn bad_magic_and_bad_version_are_rejected() {
-        let mut wire = encode_to_vec(&Frame::Hello {
-            version: VERSION,
-            token: vec![1, 2],
-        });
+        let mut wire = encode_to_vec(&Frame::Hello { token: vec![1, 2] });
         // Corrupt the magic (body offset: 4 len + 10 header).
         wire[14] ^= 0xff;
         let mut r = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
         r.extend(&wire);
         assert!(matches!(r.next_frame(), Err(FrameError::BadMagic(_))));
 
-        let mut wire = encode_to_vec(&Frame::Hello {
-            version: VERSION,
-            token: vec![],
-        });
-        // Corrupt the version (low byte of the LE u16 at body offset 4).
-        wire[18] = 0x7f;
-        let mut r = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
-        r.extend(&wire);
-        assert_eq!(r.next_frame(), Err(FrameError::BadVersion { got: 0x7f }));
-
-        // Version 0 is below MIN_VERSION: rejected.
-        let mut wire = encode_to_vec(&Frame::Hello {
-            version: VERSION,
-            token: vec![],
-        });
-        wire[18] = 0;
-        let mut r = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
-        r.extend(&wire);
-        assert_eq!(r.next_frame(), Err(FrameError::BadVersion { got: 0 }));
-
-        // Every version in the supported range decodes.
-        for v in MIN_VERSION..=VERSION {
-            let wire = encode_to_vec(&Frame::Hello {
-                version: v,
-                token: b"tok".to_vec(),
-            });
+        // Any version but VERSION is refused, the retired v1 included
+        // (the LE u16 at body offset 4).
+        for v in [0u16, 1, 0x7f] {
+            let mut wire = encode_to_vec(&Frame::Hello { token: vec![] });
+            wire[18..20].copy_from_slice(&v.to_le_bytes());
             let mut r = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
             r.extend(&wire);
-            assert_eq!(
-                r.next_frame(),
-                Ok(Some(Frame::Hello {
-                    version: v,
-                    token: b"tok".to_vec(),
-                }))
-            );
+            assert_eq!(r.next_frame(), Err(FrameError::BadVersion { got: v }));
         }
+
+        // VERSION decodes.
+        let hello = Frame::Hello {
+            token: b"tok".to_vec(),
+        };
+        let wire = encode_to_vec(&hello);
+        assert_eq!(wire[18..20], VERSION.to_le_bytes());
+        let mut r = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
+        r.extend(&wire);
+        assert_eq!(r.next_frame(), Ok(Some(hello)));
     }
 
     #[test]
-    fn v1_encoding_silently_drops_the_trace_id() {
-        let submit = Frame::Submit {
-            request_id: 9,
-            endpoint: 1,
-            deadline_us: 100,
-            q: Some(vec![0.5]),
-            bounds: None,
-            warm_start: None,
-            trace_id: 0xabcd_ef01_2345_6789_abcd_ef01_2345_6789,
-        };
-        let mut v1 = Vec::new();
-        encode_versioned(&submit, 1, &mut v1);
-        let mut v2 = Vec::new();
-        encode_versioned(&submit, 2, &mut v2);
-        // The v1 wire image is the v2 image minus the 16-byte trace
-        // section (and the mask bit).
-        assert_eq!(v1.len() + 16, v2.len());
-
-        // A v1 reader accepts the v1 image and reports trace_id 0.
-        let decoded = decode_body_versioned(&v1[4..], 1).expect("v1 image decodes at v1");
-        let Frame::Submit { trace_id, .. } = decoded else {
-            panic!("expected a submit");
-        };
-        assert_eq!(trace_id, 0);
-
-        // A v2 reader round-trips the id.
-        let decoded = decode_body_versioned(&v2[4..], 2).expect("v2 image decodes at v2");
-        let Frame::Submit { trace_id, .. } = decoded else {
-            panic!("expected a submit");
-        };
-        assert_eq!(trace_id, 0xabcd_ef01_2345_6789_abcd_ef01_2345_6789);
-    }
-
-    #[test]
-    fn v1_reader_rejects_the_trace_section_bit() {
-        let submit = Frame::Submit {
-            request_id: 9,
-            endpoint: 1,
-            deadline_us: 100,
-            q: None,
-            bounds: None,
-            warm_start: None,
-            trace_id: 7,
-        };
-        let mut v2 = Vec::new();
-        encode_versioned(&submit, 2, &mut v2);
-        // At wire version 1 the trace bit is an unknown section.
-        assert_eq!(
-            decode_body_versioned(&v2[4..], 1),
-            Err(FrameError::Malformed("unknown submit section bits"))
-        );
-    }
-
-    #[test]
-    fn zero_trace_id_costs_no_wire_bytes_at_v2() {
-        let submit = Frame::Submit {
+    fn unknown_submit_section_bit_is_rejected() {
+        let mut wire = encode_to_vec(&Frame::Submit {
             request_id: 9,
             endpoint: 1,
             deadline_us: 100,
@@ -1064,12 +922,38 @@ mod tests {
             bounds: None,
             warm_start: None,
             trace_id: 0,
+        });
+        // The section mask follows the 10-byte header, the endpoint and
+        // the deadline; bits 0-3 are q, bounds, warm start and trace id.
+        let mask_at = 4 + 10 + 4 + 8;
+        assert_eq!(wire[mask_at], 0);
+        wire[mask_at] = 1 << 4;
+        assert_eq!(
+            decode_body(&wire[4..]),
+            Err(FrameError::Malformed("unknown submit section bits"))
+        );
+    }
+
+    #[test]
+    fn zero_trace_id_costs_no_wire_bytes_at_v2() {
+        let submit = |trace_id| Frame::Submit {
+            request_id: 9,
+            endpoint: 1,
+            deadline_us: 100,
+            q: None,
+            bounds: None,
+            warm_start: None,
+            trace_id,
         };
-        let mut v1 = Vec::new();
-        encode_versioned(&submit, 1, &mut v1);
-        let mut v2 = Vec::new();
-        encode_versioned(&submit, 2, &mut v2);
-        assert_eq!(v1, v2);
+        let untraced = encode_to_vec(&submit(0));
+        let traced = encode_to_vec(&submit(0xabcd_ef01_2345_6789_abcd_ef01_2345_6789));
+        // The trace section is 16 bytes and its mask bit, nothing else.
+        assert_eq!(untraced.len() + 16, traced.len());
+        assert_eq!(untraced[26] | (1 << 3), traced[26]);
+        assert_eq!(
+            decode_body(&traced[4..]),
+            Ok(submit(0xabcd_ef01_2345_6789_abcd_ef01_2345_6789))
+        );
     }
 
     #[test]

@@ -41,6 +41,6 @@ pub mod server;
 pub use client::{ClientEvent, NetClient};
 pub use frame::{
     error_code, EndpointInfo, Frame, FrameError, FrameReader, ReplyCode, ShedReason, WireReply,
-    DEFAULT_MAX_FRAME_BYTES, MAGIC, MIN_VERSION, VERSION,
+    DEFAULT_MAX_FRAME_BYTES, MAGIC, VERSION,
 };
 pub use server::{wire_reply, EndpointSpec, EndpointTarget, NetConfig, NetServer, TenantAuth};

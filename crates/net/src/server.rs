@@ -53,7 +53,7 @@ use mib_serve::{
 
 use crate::frame::{
     self, encode_to_vec, error_code, EndpointInfo, Frame, FrameReader, ReplyCode, ShedReason,
-    WireReply, DEFAULT_MAX_FRAME_BYTES, MIN_VERSION, VERSION,
+    WireReply, DEFAULT_MAX_FRAME_BYTES,
 };
 use mib_obs::{set_read_deadline, AdminServer, Listener};
 
@@ -103,12 +103,6 @@ pub struct NetConfig {
     pub max_frame_bytes: usize,
     /// Admission-control window/slack (see [`AdmissionConfig`]).
     pub admission: AdmissionConfig,
-    /// Highest wire version this server negotiates. Defaults to
-    /// [`VERSION`]; capping it below lets deployments hold a fleet at
-    /// an older protocol while clients that offer newer versions fall
-    /// back transparently (they re-offer each older version on an
-    /// `error_code::VERSION` refusal).
-    pub max_version: u16,
     /// Where to bind the observability admin listener (`/metrics`,
     /// `/healthz`, `/slo`, `/trace/*`), e.g. `"127.0.0.1:0"`. `None`
     /// (the default) runs no admin plane.
@@ -120,7 +114,6 @@ impl Default for NetConfig {
         NetConfig {
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             admission: AdmissionConfig::default(),
-            max_version: VERSION,
             admin_addr: None,
         }
     }
@@ -193,10 +186,6 @@ impl NetServer {
         assert!(
             !auth.is_empty(),
             "at least one tenant credential is required"
-        );
-        assert!(
-            (MIN_VERSION..=VERSION).contains(&cfg.max_version),
-            "max_version must be a wire version this build can speak"
         );
         let metrics = qp.metrics();
         let admission = AdmissionController::new(cfg.admission, Arc::clone(&metrics));
@@ -326,11 +315,11 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>, stop: &AtomicBo
     metrics.inc(&metrics.counters.net_connections_opened);
     let _ = stream.set_nodelay(true);
 
-    if let Some((slot, version)) = handshake(&mut stream, shared, stop) {
+    if let Some(slot) = handshake(&mut stream, shared, stop) {
         // Authenticated: from here the reader waits for its client for
         // as long as the connection lives.
         if stream.set_read_timeout(None).is_ok() {
-            connection_loop(&mut stream, shared, stop, slot, version);
+            connection_loop(&mut stream, shared, stop, slot);
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
@@ -338,14 +327,14 @@ fn serve_connection(mut stream: TcpStream, shared: &Arc<Shared>, stop: &AtomicBo
 }
 
 /// Runs the Hello/HelloAck exchange. `None` means the connection was
-/// refused (an Error frame was already sent best-effort). On success
-/// the returned version is the one the Hello offered — the whole
-/// connection speaks exactly that version from here on.
+/// refused (an Error frame was already sent best-effort); a Hello
+/// offering another wire version fails to decode and is refused as a
+/// protocol error.
 fn handshake(
     stream: &mut TcpStream,
     shared: &Arc<Shared>,
     stop: &AtomicBool,
-) -> Option<(TenantSlot, u16)> {
+) -> Option<TenantSlot> {
     let metrics = &shared.metrics;
     let mut reader = FrameReader::new(shared.cfg.max_frame_bytes);
     let mut buf = vec![0u8; 64 * 1024];
@@ -377,65 +366,45 @@ fn handshake(
                 );
                 return None;
             }
-            ReadStep::Frame(Frame::Hello { version, token }, bytes) => {
+            ReadStep::Frame(Frame::Hello { token }, bytes) => {
                 metrics.inc(&metrics.counters.net_frames_received);
                 metrics.net_frame_bytes.observe(bytes as u64);
-                if version > shared.cfg.max_version {
-                    // Refuse with the VERSION code: a conforming client
-                    // reconnects offering its next-older version.
+                let Some((slot, label)) = shared.auth.get(&token) else {
+                    metrics.inc(&metrics.counters.net_auth_failures);
                     send_direct(
                         stream,
                         &Frame::Error {
-                            code: error_code::VERSION,
-                            message: format!(
-                                "wire version {version} refused; highest accepted is {}",
-                                shared.cfg.max_version
-                            ),
+                            code: error_code::AUTH_FAILED,
+                            message: "unknown tenant token".into(),
+                        },
+                        metrics,
+                    );
+                    return None;
+                };
+                if reader.pending_bytes() > 0 {
+                    // Pipelined bytes after the Hello would be lost when
+                    // this reader is dropped; a conforming client waits
+                    // for the ack.
+                    metrics.inc(&metrics.counters.net_frame_decode_errors);
+                    send_direct(
+                        stream,
+                        &Frame::Error {
+                            code: error_code::PROTOCOL,
+                            message: "frames pipelined before the HelloAck".into(),
                         },
                         metrics,
                     );
                     return None;
                 }
-                match shared.auth.get(&token) {
-                    Some((slot, label)) => {
-                        if reader.pending_bytes() > 0 {
-                            // Pipelined bytes after the Hello would be
-                            // lost when this reader is dropped; a
-                            // conforming client waits for the ack.
-                            metrics.inc(&metrics.counters.net_frame_decode_errors);
-                            send_direct(
-                                stream,
-                                &Frame::Error {
-                                    code: error_code::PROTOCOL,
-                                    message: "frames pipelined before the HelloAck".into(),
-                                },
-                                metrics,
-                            );
-                            return None;
-                        }
-                        send_direct(
-                            stream,
-                            &Frame::HelloAck {
-                                tenant: label.clone(),
-                                endpoints: shared.catalog.clone(),
-                            },
-                            metrics,
-                        );
-                        return Some((*slot, version));
-                    }
-                    None => {
-                        metrics.inc(&metrics.counters.net_auth_failures);
-                        send_direct(
-                            stream,
-                            &Frame::Error {
-                                code: error_code::AUTH_FAILED,
-                                message: "unknown tenant token".into(),
-                            },
-                            metrics,
-                        );
-                        return None;
-                    }
-                }
+                send_direct(
+                    stream,
+                    &Frame::HelloAck {
+                        tenant: label.clone(),
+                        endpoints: shared.catalog.clone(),
+                    },
+                    metrics,
+                );
+                return Some(*slot);
             }
             ReadStep::Frame(_, bytes) => {
                 metrics.inc(&metrics.counters.net_frames_received);
@@ -459,7 +428,6 @@ fn connection_loop(
     shared: &Arc<Shared>,
     stop: &AtomicBool,
     slot: TenantSlot,
-    version: u16,
 ) {
     let metrics = Arc::clone(&shared.metrics);
     let (tx, rx) = mpsc::channel::<WriterMsg>();
@@ -474,7 +442,6 @@ fn connection_loop(
     let in_flight = Arc::new(Mutex::new(InFlight::default()));
 
     let mut reader = FrameReader::new(shared.cfg.max_frame_bytes);
-    reader.set_version(version);
     let mut buf = vec![0u8; 256 * 1024];
 
     // Take requests until something ends the stream; `farewell` is the
@@ -732,9 +699,20 @@ fn shed_trace(shared: &Arc<Shared>, trace_id: u128, reason: &'static str) {
 /// Converts a serve [`Response`] into its wire form. Solution vectors
 /// and the objective cross as raw bits — bitwise exact.
 pub fn wire_reply(response: &Response) -> WireReply {
-    let (code, iterations, obj_val, x, y, message) = match &response.outcome {
+    let mut reply = WireReply {
+        code: ReplyCode::Failed,
+        iterations: 0,
+        obj_val: f64::NAN,
+        queue_wait_us: duration_us(response.queue_wait),
+        service_us: duration_us(response.service_time),
+        batch_size: u32::try_from(response.batch_size).unwrap_or(u32::MAX),
+        x: vec![],
+        y: vec![],
+        message: String::new(),
+    };
+    match &response.outcome {
         Outcome::Finished(r) => {
-            let code = match r.status {
+            reply.code = match r.status {
                 Status::Solved => ReplyCode::Solved,
                 Status::MaxIterations => ReplyCode::MaxIterations,
                 Status::PrimalInfeasible => ReplyCode::PrimalInfeasible,
@@ -742,49 +720,14 @@ pub fn wire_reply(response: &Response) -> WireReply {
                 Status::TimedOut => ReplyCode::TimedOut,
                 Status::Cancelled => ReplyCode::Cancelled,
             };
-            (
-                code,
-                u32::try_from(r.iterations).unwrap_or(u32::MAX),
-                r.obj_val,
-                r.x.clone(),
-                r.y.clone(),
-                String::new(),
-            )
+            reply.iterations = u32::try_from(r.iterations).unwrap_or(u32::MAX);
+            reply.obj_val = r.obj_val;
+            reply.x.clone_from(&r.x);
+            reply.y.clone_from(&r.y);
         }
-        Outcome::Expired => (
-            ReplyCode::Expired,
-            0,
-            f64::NAN,
-            vec![],
-            vec![],
-            String::new(),
-        ),
-        Outcome::Cancelled => (
-            ReplyCode::CancelledQueued,
-            0,
-            f64::NAN,
-            vec![],
-            vec![],
-            String::new(),
-        ),
-        Outcome::Failed(e) => (
-            ReplyCode::Failed,
-            0,
-            f64::NAN,
-            vec![],
-            vec![],
-            e.to_string(),
-        ),
-    };
-    WireReply {
-        code,
-        iterations,
-        obj_val,
-        queue_wait_us: duration_us(response.queue_wait),
-        service_us: duration_us(response.service_time),
-        batch_size: u32::try_from(response.batch_size).unwrap_or(u32::MAX),
-        x,
-        y,
-        message,
+        Outcome::Expired => reply.code = ReplyCode::Expired,
+        Outcome::Cancelled => reply.code = ReplyCode::CancelledQueued,
+        Outcome::Failed(e) => reply.message = e.to_string(),
     }
+    reply
 }

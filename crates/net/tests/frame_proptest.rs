@@ -3,8 +3,8 @@
 //! headers.
 
 use mib_net::frame::{
-    decode_body, encode_to_vec, encode_versioned, Frame, FrameError, FrameReader, ShedReason,
-    DEFAULT_MAX_FRAME_BYTES, MIN_VERSION, VERSION,
+    decode_body, encode_to_vec, Frame, FrameError, FrameReader, ShedReason,
+    DEFAULT_MAX_FRAME_BYTES, VERSION,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -109,51 +109,6 @@ proptest! {
     }
 
     #[test]
-    /// The torn-stream property holds at every negotiable wire version:
-    /// a reader pinned to the connection's version reassembles the
-    /// stream to frames that re-encode to the identical bytes at that
-    /// version. (At v1 the trace id never crosses the wire, so the
-    /// round-trip law is stated on re-encoded bytes, not field equality.)
-    fn torn_streams_round_trip_at_every_version(
-        version in MIN_VERSION..VERSION + 1,
-        frames in vec(submit_frame(), 1..6),
-        cuts in vec(0usize..96, 1..12),
-    ) {
-        let mut all: Vec<Frame> = frames;
-        all.push(Frame::Goodbye);
-        let mut wire = Vec::new();
-        let mut scratch = Vec::new();
-        for f in &all {
-            scratch.clear();
-            encode_versioned(f, version, &mut scratch);
-            wire.extend_from_slice(&scratch);
-        }
-        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
-        reader.set_version(version);
-        let mut seen = Vec::new();
-        let mut pos = 0;
-        let mut cut = 0;
-        while pos < wire.len() {
-            let step = (cuts[cut % cuts.len()] + 1).min(wire.len() - pos);
-            cut += 1;
-            reader.extend(&wire[pos..pos + step]);
-            pos += step;
-            while let Some(f) = reader.next_frame().expect("stream is well-formed") {
-                seen.push(f);
-            }
-        }
-        prop_assert_eq!(reader.pending_bytes(), 0);
-        prop_assert_eq!(seen.len(), all.len());
-        for (got, want) in seen.iter().zip(&all) {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            encode_versioned(got, version, &mut a);
-            encode_versioned(want, version, &mut b);
-            prop_assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     /// A length header beyond the limit is rejected no matter what
     /// bytes follow, and before the body arrives.
     fn oversized_headers_always_reject(
@@ -197,9 +152,11 @@ proptest! {
 
     #[test]
     /// Hello frames with a corrupted version word are rejected as
-    /// BadVersion for every value above the newest speakable version.
-    fn wrong_versions_reject(version in (VERSION + 1)..u16::MAX) {
-        let mut wire = encode_to_vec(&Frame::Hello { version: VERSION, token: vec![7; 3] });
+    /// BadVersion for every `u16` other than the one spoken version.
+    fn wrong_versions_reject(draw in 0u16..u16::MAX) {
+        // Skip over VERSION so the draws cover every other u16.
+        let version = if draw >= VERSION { draw + 1 } else { draw };
+        let mut wire = encode_to_vec(&Frame::Hello { token: vec![7; 3] });
         wire[18..20].copy_from_slice(&version.to_le_bytes());
         let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
         reader.extend(&wire);

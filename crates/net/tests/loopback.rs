@@ -4,7 +4,7 @@
 //! clean teardown under garbage, oversized and unauthenticated input.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -292,31 +292,39 @@ fn wrong_token_is_refused_with_an_auth_error() {
     );
 }
 
-#[test]
-fn garbage_bytes_get_an_error_frame_and_a_clean_close() {
-    let (server, _template) = start_server(TenantPolicy::default());
-    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-    // A plausible length header followed by an unknown kind byte.
-    raw.write_all(&12u32.to_le_bytes()).unwrap();
-    raw.write_all(&[0xEE; 12]).unwrap();
-
+/// Sends `bytes` on a raw connection and collects the codes of the
+/// `Error` frames the server answers with until it closes.
+fn error_codes_after(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.write_all(bytes).unwrap();
     let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
     let mut buf = [0u8; 4096];
-    let mut saw_error = false;
+    let mut codes = Vec::new();
     loop {
         let n = raw.read(&mut buf).unwrap_or(0);
         if n == 0 {
-            break; // server closed: clean teardown
+            return codes; // server closed: clean teardown
         }
         reader.extend(&buf[..n]);
         while let Ok(Some(f)) = reader.next_frame() {
             if let Frame::Error { code, .. } = f {
-                assert_eq!(code, error_code::PROTOCOL);
-                saw_error = true;
+                codes.push(code);
             }
         }
     }
-    assert!(saw_error, "the server must explain before closing");
+}
+
+#[test]
+fn garbage_bytes_get_an_error_frame_and_a_clean_close() {
+    let (server, _template) = start_server(TenantPolicy::default());
+    // A plausible length header followed by an unknown kind byte.
+    let mut garbage = 12u32.to_le_bytes().to_vec();
+    garbage.extend([0xEE; 12]);
+    assert_eq!(
+        error_codes_after(server.local_addr(), &garbage),
+        [error_code::PROTOCOL],
+        "the server must explain before closing"
+    );
     assert!(
         server
             .qp()
@@ -331,33 +339,17 @@ fn garbage_bytes_get_an_error_frame_and_a_clean_close() {
 #[test]
 fn oversized_frames_are_rejected_without_buffering() {
     let (server, _template) = start_server(TenantPolicy::default());
-    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
     // Claim a body far beyond the server's limit; send nothing else.
-    raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
-
-    let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
-    let mut buf = [0u8; 4096];
-    let mut saw_error = false;
-    loop {
-        let n = raw.read(&mut buf).unwrap_or(0);
-        if n == 0 {
-            break;
-        }
-        reader.extend(&buf[..n]);
-        while let Ok(Some(f)) = reader.next_frame() {
-            if matches!(f, Frame::Error { .. }) {
-                saw_error = true;
-            }
-        }
-    }
-    assert!(saw_error, "oversized frames must be refused explicitly");
+    assert!(
+        !error_codes_after(server.local_addr(), &u32::MAX.to_le_bytes()).is_empty(),
+        "oversized frames must be refused explicitly"
+    );
 }
 
 #[test]
 fn submits_before_hello_are_refused() {
     let (server, _template) = start_server(TenantPolicy::default());
-    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-    raw.write_all(&encode_to_vec(&Frame::Submit {
+    let submit = encode_to_vec(&Frame::Submit {
         request_id: 1,
         endpoint: 0,
         deadline_us: 0,
@@ -365,29 +357,15 @@ fn submits_before_hello_are_refused() {
         q: None,
         bounds: None,
         warm_start: None,
-    }))
-    .unwrap();
-
-    let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
-    let mut buf = [0u8; 4096];
-    let mut code_seen = None;
-    loop {
-        let n = raw.read(&mut buf).unwrap_or(0);
-        if n == 0 {
-            break;
-        }
-        reader.extend(&buf[..n]);
-        while let Ok(Some(f)) = reader.next_frame() {
-            if let Frame::Error { code, .. } = f {
-                code_seen = Some(code);
-            }
-        }
-    }
-    assert_eq!(code_seen, Some(error_code::EXPECTED_HELLO));
+    });
+    assert_eq!(
+        error_codes_after(server.local_addr(), &submit),
+        [error_code::EXPECTED_HELLO]
+    );
 }
 
 /// As [`start_server`] with an explicit [`NetConfig`] and serve config,
-/// for the negotiation/observability matrix below; also hands back the
+/// for the version and observability tests below; also hands back the
 /// one tenant behind the catalog.
 fn start_server_cfg(serve: ServeConfig, cfg: NetConfig) -> (NetServer, TenantId) {
     let qp = Arc::new(QpServer::new(serve));
@@ -427,29 +405,9 @@ fn wait_for_reply(client: &mut NetClient, request_id: u64) -> ReplyCode {
 }
 
 #[test]
-fn old_server_downgrades_new_clients_without_breaking_them() {
-    // A server pinned to wire v1 refuses the client's v2 offer; the
-    // client transparently reconnects at v1 and everything — including
-    // a *traced* submit, whose id silently stays client-side — works.
-    let (server, _) = start_server_cfg(
-        ServeConfig::default(),
-        NetConfig {
-            max_version: 1,
-            ..NetConfig::default()
-        },
-    );
-    let mut client = NetClient::connect(server.local_addr(), TOKEN_A).unwrap();
-    assert_eq!(client.negotiated_version(), 1);
-    client
-        .submit_traced(7, 0, None, 0xfeed_f00d_dead_beef, None, None, None)
-        .unwrap();
-    assert_eq!(wait_for_reply(&mut client, 7), ReplyCode::Solved);
-}
-
-#[test]
 fn matched_versions_negotiate_the_newest_and_carry_trace_ids() {
-    // v2 client against a v2 server: one handshake, and the Submit's
-    // trace id crosses the wire into the serving runtime's request.
+    // One handshake at the one wire version, and the Submit's trace id
+    // crosses the wire into the serving runtime's request.
     let (server, _) = start_server_cfg(
         ServeConfig {
             obs: mib_serve::ObsConfig {
@@ -464,7 +422,6 @@ fn matched_versions_negotiate_the_newest_and_carry_trace_ids() {
         NetConfig::default(),
     );
     let mut client = NetClient::connect(server.local_addr(), TOKEN_A).unwrap();
-    assert_eq!(client.negotiated_version(), mib_net::VERSION);
     let trace_id: u128 = (0xabad_1dea_u128 << 64) | 0x0ddc_0ffe;
     client
         .submit_traced(9, 0, None, trace_id, None, None, None)
@@ -481,6 +438,17 @@ fn matched_versions_negotiate_the_newest_and_carry_trace_ids() {
             mib_trace::Event::Begin { name, .. } if *name == "solve_request"
         )),
         "flight record must contain the serve-side solve span"
+    );
+
+    // A Hello offering any other version, the retired v1 included, is
+    // refused as a protocol error.
+    let mut hello = encode_to_vec(&Frame::Hello {
+        token: TOKEN_A.to_vec(),
+    });
+    hello[18..20].copy_from_slice(&1u16.to_le_bytes());
+    assert_eq!(
+        error_codes_after(server.local_addr(), &hello),
+        [error_code::PROTOCOL]
     );
 }
 

@@ -23,9 +23,9 @@
 //!   [`AdmissionController`] adds per-tenant token-bucket rate limiting
 //!   and weighted fair-share admission under congestion — the policy
 //!   layer the `mib-net` wire front-end answers shed frames from.
-//! - **Metrics** ([`Metrics`]): lock-free counters and fixed-bucket
-//!   histograms wired through submit → queue → solve → complete, with a
-//!   text snapshot export.
+//! - **Metrics** ([`Metrics`]): lock-free counters and log-linear
+//!   [`Histogram`]s wired through submit → queue → solve → complete, with
+//!   a text snapshot export.
 //! - **Portfolio routing** ([`BackendRouter`]): a problem registered
 //!   under several solver algorithms (`register_portfolio`) is served by
 //!   the backend whose recorded solve telemetry converges fastest for
@@ -37,8 +37,9 @@
 //! Serving never changes answers. A request is served by re-parameterizing
 //! a warm clone of the tenant's template solver and solving from a reset
 //! state, which `mib-qp` guarantees is bitwise-identical to a fresh clone
-//! of the template given the same updates. The root `serve_soak` test and
-//! the `serve_bench` harness verify this bitwise on every `Solved` answer.
+//! of the template given the same updates. The root `serve_soak` test
+//! verifies this bitwise on every `Solved` answer, and the `load_bench`
+//! harness on a sample of answers, in process and over the wire.
 //!
 //! # Example
 //!
@@ -85,11 +86,8 @@ mod shard;
 pub use admission::{
     queue_full_retry_after, AdmissionConfig, AdmissionController, TenantPolicy, TenantSlot, Verdict,
 };
-pub use metrics::{
-    log2_buckets, BackendCounters, Counters, Histogram, Metrics, TenantCounters,
-    BATCH_SIZE_BUCKETS, DEPTH_BUCKETS, FRAME_BYTES_BUCKETS, LATENCY_BUCKETS_US,
-};
-pub use obs::{BurnWindow, ObsConfig, ObsPlane, SloReport, WindowStats};
+pub use metrics::{BackendCounters, Counters, Histogram, Metrics, TenantCounters};
+pub use obs::{BurnWindow, ObsConfig, ObsPlane, SloReport};
 pub use pattern::PatternKey;
 pub use request::{CancelHandle, Outcome, RegisterError, Request, Response, SubmitError, Ticket};
 pub use router::BackendRouter;

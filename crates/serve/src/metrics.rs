@@ -1,4 +1,4 @@
-//! Lock-free serving metrics: atomic counters plus fixed-bucket
+//! Lock-free serving metrics: atomic counters plus log-linear
 //! histograms, with a text snapshot export.
 //!
 //! Every hot-path observation is a relaxed atomic increment — no locks,
@@ -20,71 +20,66 @@ use mib_qp::{Algorithm, ALGORITHM_COUNT};
 /// synchronization.
 const ORD: Ordering = Ordering::Relaxed;
 
-/// Upper bucket bounds (inclusive) of the latency histograms, in
-/// microseconds; the last bucket is unbounded. Powers of four cover
-/// sub-microsecond solves up to multi-second stragglers in 11 buckets.
-pub const LATENCY_BUCKETS_US: [u64; 10] =
-    [1, 4, 16, 64, 256, 1_024, 4_096, 16_384, 65_536, 262_144];
+/// Bits below a value's leading one that pick its sub-bucket: each
+/// octave `[2^k, 2^(k+1))` splits into `2^SUB_BITS` = 8 buckets.
+const SUB_BITS: u32 = 3;
 
-/// Upper bucket bounds (inclusive) of the queue-depth histogram; the last
-/// bucket is unbounded.
-pub const DEPTH_BUCKETS: [u64; 8] = [0, 1, 2, 4, 8, 16, 32, 64];
+/// Buckets covering all of `u64`: one per value below 16, then 8 for each
+/// of the 60 octaves from `2^4` up to `2^64`.
+const BUCKETS: usize = (1 << (SUB_BITS + 1)) + 60 * (1 << SUB_BITS);
 
-/// Upper bucket bounds (inclusive) of the wire-frame-size histogram,
-/// bytes; the last bucket is unbounded. Powers of eight cover the
-/// 18-byte cancel frame up to multi-megabyte warm-start payloads.
-pub const FRAME_BYTES_BUCKETS: [u64; 8] = [
-    32, 256, 2_048, 16_384, 131_072, 1_048_576, 8_388_608, 67_108_864,
-];
-
-/// Log-spaced (power-of-two) bucket bounds starting at 1: the preset
-/// for small-count gauges (queue depths, batch sizes) whose interesting
-/// range is 1..few-thousand — doubling buckets give constant relative
-/// resolution where the fixed latency preset would waste buckets.
-pub const fn log2_buckets<const B: usize>() -> [u64; B] {
-    let mut bounds = [0u64; B];
-    let mut i = 0;
-    while i < B {
-        bounds[i] = 1 << i;
-        i += 1;
-    }
-    bounds
+/// The bucket of `v`: its bit length and the next [`SUB_BITS`] bits.
+/// Values below 16 are their own bucket.
+fn bucket_of(v: u64) -> usize {
+    let shift = (u64::BITS - SUB_BITS - 1).saturating_sub(v.leading_zeros());
+    ((shift as usize) << SUB_BITS) + (v >> shift) as usize
 }
 
-/// Upper bucket bounds (inclusive) of the micro-batch-size histogram:
-/// log-spaced 1..=2048, the preset sized for batch/depth gauges.
-pub const BATCH_SIZE_BUCKETS: [u64; 12] = log2_buckets();
+/// Inclusive upper bound of bucket `i`. Every value in the bucket is at
+/// least `8/9` of it, so the bound overstates a sample by at most 12.5 %.
+fn bucket_top(i: usize) -> u64 {
+    let sub = 1 << SUB_BITS;
+    if i < sub {
+        return i as u64;
+    }
+    let shift = i / sub - 1;
+    let lead = (i % sub + sub) as u64;
+    (lead << shift) | ((1u64 << shift) - 1)
+}
 
-/// A fixed-bucket histogram over `u64` samples (microseconds or queue
-/// depths). `B` bounded buckets plus one overflow bucket, a running sum
-/// and a count — everything atomic.
+/// A log-linear histogram over all of `u64` (microseconds, queue depths,
+/// batch sizes, frame bytes): [`BUCKETS`] buckets of 8 per octave, exact
+/// below 16, plus a running sum, a count and the largest sample —
+/// everything atomic, so nothing overflows and an observation neither
+/// locks nor allocates.
 #[derive(Debug)]
-pub struct Histogram<const B: usize> {
-    bounds: [u64; B],
-    buckets: [AtomicU64; B],
-    overflow: AtomicU64,
+pub struct Histogram {
+    buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
     count: AtomicU64,
+    max: AtomicU64,
 }
 
-impl<const B: usize> Histogram<B> {
-    /// An empty histogram with the given inclusive upper bounds.
-    pub fn new(bounds: [u64; B]) -> Self {
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram::new()
+    }
+}
+
+impl Histogram {
+    /// An empty histogram.
+    pub fn new() -> Self {
         Histogram {
-            bounds,
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            overflow: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             count: AtomicU64::new(0),
+            max: AtomicU64::new(0),
         }
     }
 
     /// Records one sample.
     pub fn observe(&self, value: u64) {
-        match self.bounds.iter().position(|&b| value <= b) {
-            Some(i) => self.buckets[i].fetch_add(1, ORD),
-            None => self.overflow.fetch_add(1, ORD),
-        };
+        self.buckets[bucket_of(value)].fetch_add(1, ORD);
         // The running sum saturates instead of wrapping: long-lived servers
         // feeding u64::MAX-saturated duration samples must never wrap the
         // sum back to a small value and report a bogus mean.
@@ -95,6 +90,9 @@ impl<const B: usize> Histogram<B> {
                 Ok(_) => break,
                 Err(actual) => cur = actual,
             }
+        }
+        if value > self.max.load(ORD) {
+            self.max.fetch_max(value, ORD);
         }
         self.count.fetch_add(1, ORD);
     }
@@ -124,68 +122,81 @@ impl<const B: usize> Histogram<B> {
         }
     }
 
-    /// Smallest bucket bound at or below which at least `q` (0..=1) of
-    /// the samples fall — an upper estimate of the q-quantile. Overflow
-    /// samples report `u64::MAX`.
+    /// An upper bound on the nearest-rank `q`-quantile (`q` in 0..=1):
+    /// the top of the bucket holding it, capped at the largest sample. It
+    /// is never below the exact quantile and at most 12.5 % above it; 0
+    /// when empty.
     pub fn quantile_bound(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;
         }
         // At least one sample must be covered: q = 0.0 reports the bucket
-        // of the minimum sample, not the first (possibly empty) bound.
+        // of the minimum sample, not the first (possibly empty) bucket.
         let target = ((q * total as f64).ceil() as u64).max(1);
+        let max = self.max.load(ORD);
         let mut seen = 0;
         for (i, bucket) in self.buckets.iter().enumerate() {
             seen += bucket.load(ORD);
             if seen >= target {
-                return self.bounds[i];
+                return bucket_top(i).min(max);
             }
         }
-        u64::MAX
+        max
+    }
+
+    /// The cell-wise combination of `self` and `other` under `op`, with
+    /// `max` for the largest sample.
+    fn combine(&self, other: &Self, op: fn(u64, u64) -> u64, max: u64) -> Self {
+        let cell = |a: &AtomicU64, b: &AtomicU64| AtomicU64::new(op(a.load(ORD), b.load(ORD)));
+        Histogram {
+            buckets: std::array::from_fn(|i| cell(&self.buckets[i], &other.buckets[i])),
+            sum: cell(&self.sum, &other.sum),
+            count: cell(&self.count, &other.count),
+            max: AtomicU64::new(max),
+        }
+    }
+
+    /// The samples of `self` and `other` together, as one histogram.
+    pub(crate) fn merged(&self, other: &Self) -> Self {
+        let max = self.max.load(ORD).max(other.max.load(ORD));
+        self.combine(other, u64::saturating_add, max)
     }
 
     /// A copy of the current state. Cells are read one at a time, so a
     /// copy taken while samples are still arriving may be torn across
     /// cells; take it at a quiet point.
     pub fn snapshot(&self) -> Self {
-        Histogram {
-            bounds: self.bounds,
-            buckets: std::array::from_fn(|i| AtomicU64::new(self.buckets[i].load(ORD))),
-            overflow: AtomicU64::new(self.overflow.load(ORD)),
-            sum: AtomicU64::new(self.sum()),
-            count: AtomicU64::new(self.count()),
-        }
+        self.merged(&Histogram::new())
     }
 
     /// The samples recorded since `earlier` (a [`snapshot`](Self::snapshot)
     /// of this histogram), as a histogram of their own: what one phase of
-    /// a run added to a long-lived registry.
+    /// a run added to a long-lived registry. Its largest sample is not
+    /// known exactly; the top of its highest bucket stands in for it.
     pub fn since(&self, earlier: &Self) -> Self {
-        let delta = |now: &AtomicU64, then: &AtomicU64| {
-            AtomicU64::new(now.load(ORD).saturating_sub(then.load(ORD)))
-        };
-        Histogram {
-            bounds: self.bounds,
-            buckets: std::array::from_fn(|i| delta(&self.buckets[i], &earlier.buckets[i])),
-            overflow: delta(&self.overflow, &earlier.overflow),
-            sum: delta(&self.sum, &earlier.sum),
-            count: delta(&self.count, &earlier.count),
-        }
+        let mut delta = self.combine(earlier, u64::saturating_sub, 0);
+        let top = delta.buckets.iter().rposition(|b| b.load(ORD) > 0);
+        let max = top.map_or(0, |i| bucket_top(i).min(self.max.load(ORD)));
+        delta.max = AtomicU64::new(max);
+        delta
     }
 
-    /// Appends `name_bucket{le=...}` / `_sum` / `_count` lines.
+    /// Appends `name_bucket{le=...}` lines for the non-empty buckets, the
+    /// `+Inf` bucket, and `_sum` / `_count`.
     fn render_into(&self, name: &str, out: &mut String) {
         let mut cumulative = 0;
         for (i, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket.load(ORD);
-            let _ = writeln!(
-                out,
-                "{name}_bucket{{le=\"{}\"}} {cumulative}",
-                self.bounds[i]
-            );
+            let n = bucket.load(ORD);
+            if n > 0 {
+                cumulative += n;
+                let _ = writeln!(
+                    out,
+                    "{name}_bucket{{le=\"{}\"}} {cumulative}",
+                    bucket_top(i)
+                );
+            }
         }
-        cumulative += self.overflow.load(ORD);
         let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
         let _ = writeln!(out, "{name}_sum {}", self.sum());
         let _ = writeln!(out, "{name}_count {}", self.count());
@@ -391,45 +402,29 @@ pub struct TenantCounters {
 ///
 /// Shared by reference (`Arc`) between the server, its shards and the
 /// caller; every field is individually atomic.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Metrics {
     /// Event counters.
     pub counters: Counters,
     /// Per-backend (algorithm-labelled) solve counters.
     pub backend: BackendCounters,
     /// Time from submission to the start of the solve, µs.
-    pub queue_wait: Histogram<10>,
+    pub queue_wait: Histogram,
     /// Solve (service) time, µs.
-    pub service: Histogram<10>,
+    pub service: Histogram,
     /// End-to-end latency (submission to terminal response), µs.
-    pub e2e: Histogram<10>,
+    pub e2e: Histogram,
     /// Shard queue depth observed at each enqueue.
-    pub queue_depth: Histogram<8>,
-    /// Micro-batch sizes drained by shard workers (log-spaced buckets).
-    pub batch_size: Histogram<12>,
+    pub queue_depth: Histogram,
+    /// Micro-batch sizes drained by shard workers.
+    pub batch_size: Histogram,
     /// Wire-frame sizes (bytes) seen by the networked front-end, both
     /// directions.
-    pub net_frame_bytes: Histogram<8>,
+    pub net_frame_bytes: Histogram,
     /// Per-tenant admission counters, keyed by tenant label. `BTreeMap`
     /// so the rendered series are sorted by label regardless of
     /// registration order.
     tenant_admission: Mutex<BTreeMap<String, Arc<TenantCounters>>>,
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            counters: Counters::default(),
-            backend: BackendCounters::default(),
-            queue_wait: Histogram::new(LATENCY_BUCKETS_US),
-            service: Histogram::new(LATENCY_BUCKETS_US),
-            e2e: Histogram::new(LATENCY_BUCKETS_US),
-            queue_depth: Histogram::new(DEPTH_BUCKETS),
-            batch_size: Histogram::new(BATCH_SIZE_BUCKETS),
-            net_frame_bytes: Histogram::new(FRAME_BYTES_BUCKETS),
-            tenant_admission: Mutex::new(BTreeMap::new()),
-        }
-    }
 }
 
 impl Metrics {
@@ -500,17 +495,16 @@ impl Metrics {
                 );
             }
         }
-        self.queue_wait
-            .render_into("mib_serve_queue_wait_micros", &mut out);
-        self.service
-            .render_into("mib_serve_service_micros", &mut out);
-        self.e2e.render_into("mib_serve_e2e_micros", &mut out);
-        self.queue_depth
-            .render_into("mib_serve_queue_depth", &mut out);
-        self.batch_size
-            .render_into("mib_serve_batch_size", &mut out);
-        self.net_frame_bytes
-            .render_into("mib_serve_net_frame_bytes", &mut out);
+        for (name, h) in [
+            ("queue_wait_micros", &self.queue_wait),
+            ("service_micros", &self.service),
+            ("e2e_micros", &self.e2e),
+            ("queue_depth", &self.queue_depth),
+            ("batch_size", &self.batch_size),
+            ("net_frame_bytes", &self.net_frame_bytes),
+        ] {
+            h.render_into(&format!("mib_serve_{name}"), &mut out);
+        }
         // Derived latency breakdown: where the end-to-end time goes
         // (queueing vs solving), as mean/p50/p99 summaries of the same
         // histograms — the text-report companion to the per-request
@@ -544,25 +538,66 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn histogram_buckets_and_quantiles() {
-        let h: Histogram<10> = Histogram::new(LATENCY_BUCKETS_US);
+        let h = Histogram::new();
         for v in [1u64, 3, 10, 100, 1000, 1_000_000] {
             h.observe(v);
         }
         assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 1 + 3 + 10 + 100 + 1000 + 1_000_000);
-        // Half the samples are <= 16µs.
-        assert!(h.quantile_bound(0.5) <= 16);
-        // The overflow sample (1s) pushes the max quantile to +Inf.
-        assert_eq!(h.quantile_bound(1.0), u64::MAX);
+        // Values below 16 have buckets of their own: the median is exact.
+        assert_eq!(h.quantile_bound(0.5), 10);
+        // Nothing overflows: the top quantile is the largest sample.
+        assert_eq!(h.quantile_bound(1.0), 1_000_000);
         assert!(h.mean() > 0.0);
     }
 
     #[test]
+    fn quantile_bounds_are_within_an_eighth_of_the_exact_quantile() {
+        let mut rng = StdRng::seed_from_u64(0x4157_0001);
+        let mut samples: Vec<u64> = (0..5_000).map(|_| rng.gen_range(0..1u64 << 40)).collect();
+        samples.extend([0, 1, 7, 8, u64::MAX]);
+        for k in 1..64 {
+            let p = 1u64 << k;
+            samples.extend([p - 1, p, p + 1]);
+        }
+        let h = Histogram::new();
+        for &v in &samples {
+            h.observe(v);
+        }
+        samples.sort_unstable();
+        let max = *samples.last().expect("samples");
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            let rank = ((q * samples.len() as f64).ceil() as usize).max(1);
+            let exact = samples[rank - 1];
+            let bound = h.quantile_bound(q);
+            assert!(bound >= exact, "q={q}: bound {bound} < exact {exact}");
+            assert!(
+                bound as f64 <= 1.125 * exact as f64,
+                "q={q}: bound {bound} > 1.125 x exact {exact}"
+            );
+            assert!(bound <= max, "q={q}: bound {bound} > max {max}");
+        }
+        // The same contract sample by sample, at every edge.
+        for &v in &samples {
+            let one = Histogram::new();
+            one.observe(v);
+            let top = bucket_top(bucket_of(v));
+            assert!(
+                top >= v && top as f64 <= 1.125 * v as f64,
+                "v={v}: top {top}"
+            );
+            assert_eq!(one.quantile_bound(0.5), v, "a lone sample is its own max");
+        }
+    }
+
+    #[test]
     fn since_holds_only_the_later_samples() {
-        let h: Histogram<10> = Histogram::new(LATENCY_BUCKETS_US);
+        let h = Histogram::new();
         for v in [2u64, 3, 1_000_000] {
             h.observe(v);
         }
@@ -573,17 +608,19 @@ mod tests {
         let delta = h.since(&before);
         assert_eq!(delta.count(), 3);
         assert_eq!(delta.sum(), 600);
-        assert_eq!(delta.quantile_bound(0.0), 256);
-        assert_eq!(delta.quantile_bound(1.0), 1_024);
+        // 100 lies in [96, 103] and 300 in [288, 319].
+        assert_eq!(delta.quantile_bound(0.0), 103);
+        assert_eq!(delta.quantile_bound(1.0), 319);
         assert_eq!(h.since(&h.snapshot()).count(), 0);
     }
 
     #[test]
     fn duration_observation_saturates_micros() {
-        let h: Histogram<10> = Histogram::new(LATENCY_BUCKETS_US);
+        let h = Histogram::new();
         h.observe_duration(Duration::from_micros(5));
         h.observe_duration(Duration::from_secs(10));
         assert_eq!(h.count(), 2);
+        assert_eq!(h.quantile_bound(1.0), 10_000_000);
     }
 
     #[test]
@@ -600,6 +637,18 @@ mod tests {
         assert!(text.contains("mib_serve_queue_wait_micros_count 1"));
         assert!(text.contains("mib_serve_queue_depth_bucket{le=\"1\"} 1"));
         assert!(text.contains("mib_serve_e2e_micros_bucket{le=\"+Inf\"} 0"));
+        // Only non-empty buckets render, plus +Inf.
+        let buckets: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("mib_serve_queue_wait_micros_bucket"))
+            .collect();
+        assert_eq!(
+            buckets,
+            [
+                "mib_serve_queue_wait_micros_bucket{le=\"3\"} 1",
+                "mib_serve_queue_wait_micros_bucket{le=\"+Inf\"} 1"
+            ]
+        );
     }
 
     #[test]
@@ -664,19 +713,20 @@ mod tests {
 
     #[test]
     fn empty_histogram_quantile_is_zero() {
-        let h: Histogram<8> = Histogram::new(DEPTH_BUCKETS);
+        let h = Histogram::new();
         assert_eq!(h.quantile_bound(0.99), 0);
         assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.since(&h.snapshot()).quantile_bound(1.0), 0);
     }
 
     #[test]
     fn quantile_edge_cases() {
-        let h: Histogram<8> = Histogram::new(DEPTH_BUCKETS);
+        let h = Histogram::new();
         // Empty: every quantile is 0, including the extremes.
         assert_eq!(h.quantile_bound(0.0), 0);
         assert_eq!(h.quantile_bound(1.0), 0);
-        // One sample in the third bucket (value 2): q = 0.0 must cover at
-        // least that sample, not report the empty first bound.
+        // One sample (value 2): q = 0.0 must cover at least that sample,
+        // not report the empty first bucket.
         h.observe(2);
         assert_eq!(h.quantile_bound(0.0), 2);
         assert_eq!(h.quantile_bound(0.5), 2);
@@ -685,58 +735,17 @@ mod tests {
 
     #[test]
     fn quantile_of_values_exactly_on_bucket_bounds() {
-        // Bounds are inclusive: a sample equal to a bound lands in that
-        // bucket, and the quantile reports the bound itself.
-        let h: Histogram<8> = Histogram::new(DEPTH_BUCKETS);
-        for &b in &DEPTH_BUCKETS {
-            h.observe(b);
+        // Bounds are inclusive: a sample equal to a bucket's top lands in
+        // that bucket, and the quantile reports the top itself.
+        let h = Histogram::new();
+        for i in 0..BUCKETS {
+            assert_eq!(bucket_of(bucket_top(i)), i, "top of bucket {i}");
+            h.observe(bucket_top(i));
         }
-        assert_eq!(h.count(), DEPTH_BUCKETS.len() as u64);
+        assert_eq!(h.count(), BUCKETS as u64);
         assert_eq!(h.quantile_bound(0.0), 0);
-        // 4 of 8 samples are <= 2 (bounds 0, 1, 2 plus... 0,1,2 are three);
-        // the 0.5 quantile needs ceil(4) samples: bounds 0,1,2,4 → 4.
-        assert_eq!(h.quantile_bound(0.5), 4);
-        assert_eq!(h.quantile_bound(1.0), *DEPTH_BUCKETS.last().unwrap());
-        // One more sample beyond every bound overflows: max quantile
-        // becomes u64::MAX.
-        h.observe(DEPTH_BUCKETS.last().unwrap() + 1);
-        assert_eq!(h.quantile_bound(1.0), u64::MAX);
-    }
-
-    #[test]
-    fn log2_preset_is_doubling_from_one() {
-        assert_eq!(
-            BATCH_SIZE_BUCKETS,
-            [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048]
-        );
-        let small: [u64; 4] = log2_buckets();
-        assert_eq!(small, [1, 2, 4, 8]);
-    }
-
-    #[test]
-    fn log2_preset_quantile_round_trips_at_bucket_edges() {
-        let h: Histogram<12> = Histogram::new(BATCH_SIZE_BUCKETS);
-        // Empty: every quantile (including the extremes) is 0.
-        assert_eq!(h.quantile_bound(0.0), 0);
-        assert_eq!(h.quantile_bound(0.5), 0);
-        assert_eq!(h.quantile_bound(1.0), 0);
-        // Single sample exactly on a bucket edge: every quantile reports
-        // that edge back.
-        h.observe(16);
-        for q in [0.0, 0.5, 1.0] {
-            assert_eq!(h.quantile_bound(q), 16);
-        }
-        // One sample on every edge: q=0 is the smallest edge, q=1 the
-        // largest, q=0.5 the median edge.
-        let h: Histogram<12> = Histogram::new(BATCH_SIZE_BUCKETS);
-        for &b in &BATCH_SIZE_BUCKETS {
-            h.observe(b);
-        }
-        assert_eq!(h.quantile_bound(0.0), 1);
-        assert_eq!(h.quantile_bound(0.5), 32);
-        assert_eq!(h.quantile_bound(1.0), 2048);
-        // Beyond the last edge: overflow reports u64::MAX.
-        h.observe(2049);
+        assert_eq!(h.quantile_bound(0.5), bucket_top(BUCKETS / 2 - 1));
+        // The last bucket ends at u64::MAX: nothing lies beyond it.
         assert_eq!(h.quantile_bound(1.0), u64::MAX);
     }
 
@@ -762,7 +771,7 @@ mod tests {
 
     #[test]
     fn sum_saturates_instead_of_wrapping() {
-        let h: Histogram<10> = Histogram::new(LATENCY_BUCKETS_US);
+        let h = Histogram::new();
         h.observe(u64::MAX);
         h.observe(u64::MAX);
         h.observe(17);

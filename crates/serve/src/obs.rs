@@ -13,9 +13,10 @@
 //!   sampling: the traces an operator wants are exactly the ones that
 //!   misbehaved, and the well-behaved majority never leaves the
 //!   thread-local buffer;
-//! * feeds every terminal response into per-second rolling windows
-//!   (per-phase, per-backend, per-tenant) from which p50/p99 upper
-//!   bounds and an EWMA are computed over the trailing window;
+//! * feeds every terminal response into rolling windows (per-phase,
+//!   per-backend, per-tenant), each a ring of [`Histogram`]s, from which
+//!   p50/p99 upper bounds and an EWMA are computed over the trailing
+//!   window;
 //! * classifies every eligible response as SLO-good or SLO-bad (within
 //!   the latency objective and terminal-by-convergence) and exposes
 //!   multi-window burn rates: `burn = bad_fraction / (1 - target)`,
@@ -29,23 +30,23 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use mib_qp::{Algorithm, Status, ALGORITHM_COUNT};
 use mib_trace::{FlightRecord, FlightRecorder, KeepReason, Record};
 
-use crate::metrics::Metrics;
+use crate::metrics::{Histogram, Metrics};
 use crate::request::Outcome;
 
 /// Relaxed ordering everywhere: observability is statistics, not
 /// synchronization.
 const ORD: Ordering = Ordering::Relaxed;
 
-/// Log₂ bucket count of the rolling-window histograms: bucket 0 holds
-/// 0 µs, bucket `k` in `1..=25` holds samples in `[2^(k-1), 2^k − 1]` µs
-/// (up to ~33.5 s), and the top bucket every sample of `2^25` µs or more.
-const LOG_BUCKETS: usize = 27;
+/// Histograms in the ring behind each rolling series: the long window is
+/// split into this many sub-windows, and the oldest is recycled as the
+/// clock moves on.
+const SUB_WINDOWS: u64 = 10;
 
 /// EWMA smoothing factor per observation.
 const EWMA_ALPHA: f64 = 0.05;
@@ -126,72 +127,15 @@ impl ObsConfig {
     }
 }
 
-/// Log₂ bucket index of a µs sample: its bit length, clamped into the
-/// top bucket.
-fn bucket_of(us: u64) -> usize {
-    let k = (u64::BITS - us.leading_zeros()) as usize;
-    k.min(LOG_BUCKETS - 1)
-}
-
-/// Inclusive upper bound (µs) of log₂ bucket `k`: `2^k − 1`, or
-/// `u64::MAX` for the clamped top bucket, whose samples have no bound
-/// (as [`Histogram::quantile_bound`](crate::metrics::Histogram::quantile_bound)
-/// reports overflow).
-fn bucket_bound(k: usize) -> u64 {
-    if k >= LOG_BUCKETS - 1 {
-        u64::MAX
-    } else {
-        (1u64 << k) - 1
-    }
-}
-
-/// One second of a rolling series: a coarse log₂ histogram plus
-/// count/sum. Slots are stamped with their absolute second and lazily
-/// reset when the ring wraps onto a stale second.
-#[derive(Debug, Clone)]
-struct SecondSlot {
-    sec: u64,
-    counts: [u32; LOG_BUCKETS],
-    count: u64,
-    sum: u64,
-}
-
-impl SecondSlot {
-    fn stale() -> SecondSlot {
-        SecondSlot {
-            sec: u64::MAX,
-            counts: [0; LOG_BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    fn reset(&mut self, sec: u64) {
-        self.sec = sec;
-        self.counts = [0; LOG_BUCKETS];
-        self.count = 0;
-        self.sum = 0;
-    }
-}
-
-/// Rolling quantile summary of one series over a trailing window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowStats {
-    /// Samples inside the window.
-    pub count: u64,
-    /// Mean sample, µs (0 when empty).
-    pub mean_us: f64,
-    /// p50 upper bound, µs.
-    pub p50_us: u64,
-    /// p99 upper bound, µs.
-    pub p99_us: u64,
-}
-
-/// One rolling latency series: a ring of per-second log₂ histograms
-/// plus an exponentially weighted moving average.
+/// One rolling latency series: a ring of [`SUB_WINDOWS`] histograms,
+/// each holding the samples of `span` consecutive seconds, plus an
+/// exponentially weighted moving average.
 #[derive(Debug)]
 struct Series {
-    slots: Vec<SecondSlot>,
+    window: u64,
+    span: u64,
+    /// `(sub-window index, its samples)`; `u64::MAX` marks an unused slot.
+    ring: Vec<(u64, Histogram)>,
     ewma_us: f64,
     seeded: bool,
 }
@@ -199,21 +143,23 @@ struct Series {
 impl Series {
     fn new(window_secs: u64) -> Series {
         Series {
-            slots: vec![SecondSlot::stale(); window_secs as usize],
+            window: window_secs,
+            span: window_secs.div_ceil(SUB_WINDOWS),
+            ring: (0..SUB_WINDOWS)
+                .map(|_| (u64::MAX, Histogram::new()))
+                .collect(),
             ewma_us: 0.0,
             seeded: false,
         }
     }
 
     fn observe(&mut self, sec: u64, us: u64) {
-        let idx = (sec % self.slots.len() as u64) as usize;
-        let slot = &mut self.slots[idx];
-        if slot.sec != sec {
-            slot.reset(sec);
+        let sub = sec / self.span;
+        let slot = &mut self.ring[(sub % SUB_WINDOWS) as usize];
+        if slot.0 != sub {
+            *slot = (sub, Histogram::new());
         }
-        slot.counts[bucket_of(us)] += 1;
-        slot.count += 1;
-        slot.sum = slot.sum.saturating_add(us);
+        slot.1.observe(us);
         if self.seeded {
             self.ewma_us += EWMA_ALPHA * (us as f64 - self.ewma_us);
         } else {
@@ -222,44 +168,30 @@ impl Series {
         }
     }
 
-    fn window(&self, now_sec: u64, window_secs: u64) -> WindowStats {
-        let oldest = now_sec.saturating_sub(window_secs.saturating_sub(1));
-        let mut counts = [0u64; LOG_BUCKETS];
-        let mut count = 0u64;
-        let mut sum = 0u64;
-        for slot in &self.slots {
-            if slot.sec >= oldest && slot.sec <= now_sec {
-                for (acc, c) in counts.iter_mut().zip(slot.counts.iter()) {
-                    *acc += u64::from(*c);
+    /// The samples of every sub-window that starts inside the trailing
+    /// window ending at `now_sec`, so none is older than the window; a
+    /// sample up to one sub-window younger may already be gone.
+    fn window(&self, now_sec: u64) -> Histogram {
+        self.ring
+            .iter()
+            .filter(|(sub, _)| {
+                *sub != u64::MAX && {
+                    let start = sub * self.span;
+                    start <= now_sec && start + self.window > now_sec
                 }
-                count += slot.count;
-                sum = sum.saturating_add(slot.sum);
-            }
-        }
-        let quantile = |q: f64| -> u64 {
-            if count == 0 {
-                return 0;
-            }
-            let target = ((q * count as f64).ceil() as u64).max(1);
-            let mut seen = 0;
-            for (k, c) in counts.iter().enumerate() {
-                seen += c;
-                if seen >= target {
-                    return bucket_bound(k);
-                }
-            }
-            u64::MAX
-        };
-        WindowStats {
-            count,
-            mean_us: if count == 0 {
-                0.0
-            } else {
-                sum as f64 / count as f64
-            },
-            p50_us: quantile(0.5),
-            p99_us: quantile(0.99),
-        }
+            })
+            .fold(Histogram::new(), |acc, (_, h)| acc.merged(h))
+    }
+}
+
+/// Appends the p50/p99 upper-bound lines of one rolling series.
+fn write_quantiles(out: &mut String, kind: &str, label: &str, h: &Histogram) {
+    for (name, q) in [("p50", 0.5), ("p99", 0.99)] {
+        let _ = writeln!(
+            out,
+            "mib_obs_{kind}_{name}_us{{{label}}} {}",
+            h.quantile_bound(q)
+        );
     }
 }
 
@@ -315,6 +247,20 @@ struct RollingState {
     admission: TallyRing, // (admitted, shed)
 }
 
+impl RollingState {
+    fn new(window: u64) -> RollingState {
+        RollingState {
+            queue_wait: Series::new(window),
+            service: Series::new(window),
+            e2e: Series::new(window),
+            backend: (0..ALGORITHM_COUNT).map(|_| Series::new(window)).collect(),
+            tenant: BTreeMap::new(),
+            slo: TallyRing::new(window),
+            admission: TallyRing::new(window),
+        }
+    }
+}
+
 /// One burn-rate window of an [`SloReport`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurnWindow {
@@ -348,32 +294,31 @@ pub struct ObsPlane {
     metrics: Arc<Metrics>,
     flight: FlightRecorder,
     epoch: Instant,
-    state: Mutex<RollingState>,
+    /// The rolling windows and tallies; `None` when the plane is disabled.
+    state: Option<Mutex<RollingState>>,
     next_trace: AtomicU64,
 }
 
 impl ObsPlane {
-    /// Builds the plane (cheap even when disabled; the rolling rings
-    /// are allocated lazily on first use via the mutex-guarded state).
+    /// Builds the plane. A disabled plane holds no rolling state at all.
     pub(crate) fn new(cfg: ObsConfig, metrics: Arc<Metrics>) -> ObsPlane {
         cfg.validate();
-        let window = cfg.burn_long_secs;
         ObsPlane {
             cfg,
             metrics,
             flight: FlightRecorder::new(if cfg.enabled { cfg.flight_capacity } else { 0 }),
             epoch: Instant::now(),
-            state: Mutex::new(RollingState {
-                queue_wait: Series::new(window),
-                service: Series::new(window),
-                e2e: Series::new(window),
-                backend: (0..ALGORITHM_COUNT).map(|_| Series::new(window)).collect(),
-                tenant: BTreeMap::new(),
-                slo: TallyRing::new(window),
-                admission: TallyRing::new(window),
-            }),
+            state: cfg
+                .enabled
+                .then(|| Mutex::new(RollingState::new(cfg.burn_long_secs))),
             next_trace: AtomicU64::new(1),
         }
+    }
+
+    /// The locked rolling state, or `None` when the plane is disabled.
+    fn rolling(&self) -> Option<MutexGuard<'_, RollingState>> {
+        let state = self.state.as_ref()?;
+        Some(state.lock().expect("obs rolling state lock"))
     }
 
     /// Whether the plane records anything.
@@ -437,23 +382,19 @@ impl ObsPlane {
         };
         let mut records = mib_trace::take_since(cursor);
         let span = mib_trace::fresh_span_id();
-        let begin = Record {
-            ts_ns: mib_trace::timestamp_ns(submitted_at),
+        let (name, cat) = ("queue_wait", mib_trace::Category::Serve);
+        let at = |t, event| Record {
+            ts_ns: mib_trace::timestamp_ns(t),
             span,
-            event: mib_trace::Event::Begin {
-                name: "queue_wait",
-                cat: mib_trace::Category::Serve,
-            },
+            event,
         };
-        let end = Record {
-            ts_ns: mib_trace::timestamp_ns(picked_up),
-            span,
-            event: mib_trace::Event::End {
-                name: "queue_wait",
-                cat: mib_trace::Category::Serve,
-            },
-        };
-        records.splice(0..0, [begin, end]);
+        records.splice(
+            0..0,
+            [
+                at(submitted_at, mib_trace::Event::Begin { name, cat }),
+                at(picked_up, mib_trace::Event::End { name, cat }),
+            ],
+        );
         let (tid, thread) = mib_trace::thread_info();
         self.push_flight(FlightRecord {
             trace_id,
@@ -480,42 +421,32 @@ impl ObsPlane {
     /// work the server refused. Unstamped sheds only feed the
     /// readiness window — a shed flood cannot fill the ring.
     pub fn record_shed(&self, trace_id: u128, reason: &'static str, now: Instant) {
-        if !self.cfg.enabled {
+        let Some(mut st) = self.rolling() else {
             return;
-        }
-        let sec = self.sec(now);
-        self.state
-            .lock()
-            .expect("obs rolling state lock")
-            .admission
-            .add(sec, 0, 1);
+        };
+        st.admission.add(self.sec(now), 0, 1);
+        drop(st);
         if trace_id == 0 {
             return;
         }
         let span = mib_trace::fresh_span_id();
         let ts = mib_trace::timestamp_ns(now);
         let cat = mib_trace::Category::Serve;
-        let records = vec![
-            Record {
-                ts_ns: ts,
-                span,
-                event: mib_trace::Event::Begin { name: "shed", cat },
+        let records = [
+            mib_trace::Event::Begin { name: "shed", cat },
+            mib_trace::Event::Mark {
+                name: reason,
+                cat,
+                value: 1.0,
             },
-            Record {
-                ts_ns: ts,
-                span,
-                event: mib_trace::Event::Mark {
-                    name: reason,
-                    cat,
-                    value: 1.0,
-                },
-            },
-            Record {
-                ts_ns: ts,
-                span,
-                event: mib_trace::Event::End { name: "shed", cat },
-            },
-        ];
+            mib_trace::Event::End { name: "shed", cat },
+        ]
+        .map(|event| Record {
+            ts_ns: ts,
+            span,
+            event,
+        })
+        .to_vec();
         let (tid, thread) = mib_trace::thread_info();
         self.push_flight(FlightRecord {
             trace_id,
@@ -528,15 +459,9 @@ impl ObsPlane {
 
     /// Feeds one admitted request into the readiness window.
     pub fn record_admitted(&self, now: Instant) {
-        if !self.cfg.enabled {
-            return;
+        if let Some(mut st) = self.rolling() {
+            st.admission.add(self.sec(now), 1, 0);
         }
-        let sec = self.sec(now);
-        self.state
-            .lock()
-            .expect("obs rolling state lock")
-            .admission
-            .add(sec, 1, 0);
     }
 
     /// Feeds one terminal response into the rolling windows and the SLO
@@ -554,11 +479,10 @@ impl ObsPlane {
         verdict: Option<bool>,
         now: Instant,
     ) {
-        if !self.cfg.enabled {
+        let Some(mut st) = self.rolling() else {
             return;
-        }
+        };
         let sec = self.sec(now);
-        let mut st = self.state.lock().expect("obs rolling state lock");
         st.queue_wait.observe(sec, queue_wait_us);
         st.service.observe(sec, service_us);
         st.e2e.observe(sec, e2e_us);
@@ -605,7 +529,7 @@ impl ObsPlane {
     /// Snapshot of the burn-rate windows.
     pub fn slo_report(&self, now: Instant) -> SloReport {
         let sec = self.sec(now);
-        let st = self.state.lock().expect("obs rolling state lock");
+        let st = self.rolling();
         let mut windows = [BurnWindow {
             secs: 0,
             good: 0,
@@ -616,7 +540,7 @@ impl ObsPlane {
             .iter_mut()
             .zip([self.cfg.burn_short_secs, self.cfg.burn_long_secs])
         {
-            let (good, bad) = st.slo.window(sec, secs);
+            let (good, bad) = st.as_ref().map_or((0, 0), |st| st.slo.window(sec, secs));
             let total = good + bad;
             let bad_fraction = if total == 0 {
                 0.0
@@ -656,77 +580,40 @@ impl ObsPlane {
             let _ = writeln!(out, "mib_slo_burn_rate{{window=\"{label}\"}} {:.6}", w.burn);
         }
         let sec = self.sec(now);
-        let window = self.cfg.burn_long_secs;
-        let st = self.state.lock().expect("obs rolling state lock");
-        for (phase, series) in [
-            ("queue_wait", &st.queue_wait),
-            ("service", &st.service),
-            ("e2e", &st.e2e),
-        ] {
-            let stats = series.window(sec, window);
-            let _ = writeln!(
-                out,
-                "mib_obs_phase_count{{phase=\"{phase}\"}} {}",
-                stats.count
-            );
-            let _ = writeln!(
-                out,
-                "mib_obs_phase_mean_us{{phase=\"{phase}\"}} {:.3}",
-                stats.mean_us
-            );
-            let _ = writeln!(
-                out,
-                "mib_obs_phase_p50_us{{phase=\"{phase}\"}} {}",
-                stats.p50_us
-            );
-            let _ = writeln!(
-                out,
-                "mib_obs_phase_p99_us{{phase=\"{phase}\"}} {}",
-                stats.p99_us
-            );
-            let _ = writeln!(
-                out,
-                "mib_obs_phase_ewma_us{{phase=\"{phase}\"}} {:.3}",
-                series.ewma_us
-            );
+        if let Some(st) = self.rolling() {
+            for (phase, series) in [
+                ("queue_wait", &st.queue_wait),
+                ("service", &st.service),
+                ("e2e", &st.e2e),
+            ] {
+                let h = series.window(sec);
+                let label = format!("phase=\"{phase}\"");
+                let _ = writeln!(out, "mib_obs_phase_count{{{label}}} {}", h.count());
+                let _ = writeln!(out, "mib_obs_phase_mean_us{{{label}}} {:.3}", h.mean());
+                write_quantiles(&mut out, "phase", &label, &h);
+                let _ = writeln!(
+                    out,
+                    "mib_obs_phase_ewma_us{{{label}}} {:.3}",
+                    series.ewma_us
+                );
+            }
+            let mut algos: Vec<Algorithm> = Algorithm::all().to_vec();
+            algos.sort_by_key(|a| a.name());
+            for algo in algos {
+                let series = &st.backend[algo.index()];
+                let label = format!("backend=\"{}\"", algo.name());
+                write_quantiles(&mut out, "backend", &label, &series.window(sec));
+                let _ = writeln!(
+                    out,
+                    "mib_obs_backend_ewma_us{{{label}}} {:.3}",
+                    series.ewma_us
+                );
+            }
+            for (id, series) in &st.tenant {
+                let label = format!("tenant=\"tenant-{id}\"");
+                write_quantiles(&mut out, "tenant", &label, &series.window(sec));
+            }
         }
-        let mut algos: Vec<Algorithm> = Algorithm::all().to_vec();
-        algos.sort_by_key(|a| a.name());
-        for algo in algos {
-            let stats = st.backend[algo.index()].window(sec, window);
-            let _ = writeln!(
-                out,
-                "mib_obs_backend_p50_us{{backend=\"{}\"}} {}",
-                algo.name(),
-                stats.p50_us
-            );
-            let _ = writeln!(
-                out,
-                "mib_obs_backend_p99_us{{backend=\"{}\"}} {}",
-                algo.name(),
-                stats.p99_us
-            );
-            let _ = writeln!(
-                out,
-                "mib_obs_backend_ewma_us{{backend=\"{}\"}} {:.3}",
-                algo.name(),
-                st.backend[algo.index()].ewma_us
-            );
-        }
-        for (id, series) in &st.tenant {
-            let stats = series.window(sec, window);
-            let _ = writeln!(
-                out,
-                "mib_obs_tenant_p50_us{{tenant=\"tenant-{id}\"}} {}",
-                stats.p50_us
-            );
-            let _ = writeln!(
-                out,
-                "mib_obs_tenant_p99_us{{tenant=\"tenant-{id}\"}} {}",
-                stats.p99_us
-            );
-        }
-        drop(st);
         let _ = writeln!(out, "mib_obs_flight_kept_total {}", self.flight.kept());
         let _ = writeln!(
             out,
@@ -748,12 +635,9 @@ impl ObsPlane {
     /// admission controller has to shed it.
     pub fn healthz(&self, now: Instant) -> (bool, String) {
         let sec = self.sec(now);
-        let (admitted, shed) = self
-            .state
-            .lock()
-            .expect("obs rolling state lock")
-            .admission
-            .window(sec, self.cfg.burn_short_secs);
+        let (admitted, shed) = self.rolling().map_or((0, 0), |st| {
+            st.admission.window(sec, self.cfg.burn_short_secs)
+        });
         let total = admitted + shed;
         let ratio = if total == 0 {
             0.0
@@ -797,6 +681,14 @@ mod tests {
         assert!(plane.flight().is_empty());
         assert_eq!(plane.slo_report(now).windows[0].good, 0);
         assert_eq!(plane.metrics.counters.slo_good.load(ORD), 0);
+        assert!(plane.healthz(now).0);
+        assert!(!plane.render_slo(now).contains("mib_obs_phase_count"));
+    }
+
+    #[test]
+    fn disabled_plane_holds_no_rolling_storage() {
+        assert!(active_plane(ObsConfig::default()).state.is_none());
+        assert!(active_plane(enabled_cfg()).state.is_some());
     }
 
     #[test]
@@ -847,8 +739,11 @@ mod tests {
         }
         let slo = plane.render_slo(now);
         assert!(slo.contains("mib_obs_phase_count{phase=\"e2e\"} 5"));
-        assert!(slo.contains("mib_obs_backend_p99_us{backend=\"pdqp\"} 1023"));
-        assert!(slo.contains("mib_obs_tenant_p99_us{tenant=\"tenant-3\"} 1023"));
+        // 1000 µs lies in the bucket [960, 1023]; the largest sample caps
+        // the bound.
+        assert!(slo.contains("mib_obs_backend_p99_us{backend=\"pdqp\"} 1000"));
+        assert!(slo.contains("mib_obs_tenant_p99_us{tenant=\"tenant-3\"} 1000"));
+        assert!(slo.contains("mib_obs_phase_p50_us{phase=\"e2e\"} 31"));
         assert!(slo.contains("mib_slo_burn_rate{window=\"short\"} 0.000000"));
         assert!(slo.contains("mib_trace_dropped_records_total "));
     }
@@ -927,24 +822,57 @@ mod tests {
     }
 
     #[test]
-    fn log_bucket_edges() {
-        // A sample's reported bound covers it and is less than twice it,
-        // on both sides of every power of two below the clamp.
-        assert_eq!(bucket_bound(bucket_of(0)), 0);
-        for j in 0..25 {
-            let p = 1u64 << j;
-            for v in [p - 1, p, p + 1] {
-                if v == 0 {
-                    continue;
-                }
-                let bound = bucket_bound(bucket_of(v));
-                assert!(bound >= v && bound < 2 * v, "v={v}: bound {bound}");
-            }
+    fn rolling_quantiles_forget_samples_older_than_the_long_window() {
+        let plane = active_plane(enabled_cfg());
+        let long = plane.cfg.burn_long_secs;
+        let t0 = plane.epoch;
+        plane.record_response(3, Algorithm::Admm, 5000, 5000, 5000, Some(true), t0);
+        // One second inside the long window: still remembered.
+        let inside = t0 + Duration::from_secs(long - 1);
+        plane.record_response(3, Algorithm::Admm, 10, 10, 10, Some(true), inside);
+        let slo = plane.render_slo(inside);
+        assert!(
+            slo.contains("mib_obs_phase_count{phase=\"e2e\"} 2"),
+            "{slo}"
+        );
+        assert!(slo.contains("mib_obs_phase_p99_us{phase=\"e2e\"} 5000"));
+        // A long window after the first sample it is gone from every
+        // series; the later one stays.
+        let later = t0 + Duration::from_secs(long);
+        let slo = plane.render_slo(later);
+        for line in [
+            "mib_obs_phase_count{phase=\"e2e\"} 1",
+            "mib_obs_phase_p99_us{phase=\"service\"} 10",
+            "mib_obs_backend_p99_us{backend=\"admm\"} 10",
+            "mib_obs_tenant_p99_us{tenant=\"tenant-3\"} 10",
+        ] {
+            assert!(slo.contains(line), "missing {line:?} in {slo}");
         }
-        assert_eq!(bucket_bound(bucket_of((1 << 25) - 1)), (1 << 25) - 1);
-        // From 2^25 µs on, samples are clamped and have no finite bound.
-        for v in [1u64 << 25, (1 << 25) + 1, 1 << 40, u64::MAX] {
-            assert_eq!(bucket_bound(bucket_of(v)), u64::MAX, "v={v}");
+        // And after another long window nothing is left.
+        let slo = plane.render_slo(later + Duration::from_secs(long));
+        assert!(slo.contains("mib_obs_phase_count{phase=\"e2e\"} 0"));
+        assert!(slo.contains("mib_obs_phase_p99_us{phase=\"e2e\"} 0"));
+    }
+
+    #[test]
+    fn log_bucket_edges() {
+        // A window's bound covers the sample and overstates it by at most
+        // an eighth, on both sides of every power of two, and stays
+        // finite up to u64::MAX.
+        for k in 0..64 {
+            let p = 1u64 << k;
+            for v in [p - 1, p, p + 1] {
+                let mut series = Series::new(600);
+                series.observe(0, v);
+                series.observe(0, u64::MAX);
+                let window = series.window(0);
+                let bound = window.quantile_bound(0.5);
+                assert!(
+                    bound >= v && bound as f64 <= 1.125 * v as f64,
+                    "v={v}: bound {bound}"
+                );
+                assert_eq!(window.quantile_bound(1.0), u64::MAX);
+            }
         }
     }
 }

@@ -282,8 +282,12 @@ impl Ticket {
         }
     }
 
-    /// Waits up to `timeout`; `Err(self)` gives the ticket back on
-    /// timeout so the caller can keep waiting or cancel.
+    /// Waits up to `timeout` for the response.
+    ///
+    /// # Errors
+    ///
+    /// `Err(self)` gives the ticket back on timeout so the caller can
+    /// keep waiting or cancel.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Response, Ticket> {
         let deadline = Instant::now() + timeout;
         let mut slot = self.shared.slot.lock().expect("ticket lock poisoned");

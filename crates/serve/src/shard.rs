@@ -25,7 +25,7 @@
 //! solved from a reset state, so the answer is a pure function of the
 //! request — independent of which worker serves it, what that worker
 //! served before, and how requests were batched. The soak test and
-//! `serve_bench` pin this down bitwise against direct solves.
+//! `load_bench` pin this down bitwise against direct solves.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};

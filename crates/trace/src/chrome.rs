@@ -11,6 +11,7 @@
 use std::fmt::Write;
 
 use crate::event::{Event, Record};
+use crate::json::{write_f64, write_str};
 use crate::Trace;
 
 /// Serializes the trace to Chrome trace-event JSON. The output is one
@@ -36,7 +37,7 @@ fn write_meta(out: &mut String, first: &mut bool, tid: u64, name: &str) {
     out.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
     let _ = write!(out, "{tid}");
     out.push_str(",\"args\":{\"name\":");
-    json_string(out, name);
+    write_str(out, name);
     out.push_str("}}");
 }
 
@@ -53,7 +54,7 @@ fn write_record(out: &mut String, first: &mut bool, tid: u64, record: &Record) {
         Event::Mark { name, cat, value } => {
             event_head(out, first, name, cat.as_str(), 'i', tid, record.ts_ns);
             out.push_str(",\"s\":\"t\",\"args\":{\"value\":");
-            json_f64(out, value);
+            write_f64(out, value);
             out.push_str("}}");
         }
         Event::Iteration {
@@ -68,11 +69,11 @@ fn write_record(out: &mut String, first: &mut bool, tid: u64, record: &Record) {
             // A counter event draws the residual tracks...
             event_head(out, first, "residuals", "solver", 'C', tid, record.ts_ns);
             out.push_str(",\"args\":{\"prim_res\":");
-            json_f64(out, prim_res);
+            write_f64(out, prim_res);
             out.push_str(",\"dual_res\":");
-            json_f64(out, dual_res);
+            write_f64(out, dual_res);
             out.push_str(",\"rho\":");
-            json_f64(out, rho);
+            write_f64(out, rho);
             out.push_str("}}");
             // ... and an instant event carries the full payload.
             event_head(out, first, "iteration", "solver", 'i', tid, record.ts_ns);
@@ -89,9 +90,9 @@ fn write_record(out: &mut String, first: &mut bool, tid: u64, record: &Record) {
         } => {
             event_head(out, first, "rho_update", "solver", 'i', tid, record.ts_ns);
             let _ = write!(out, ",\"s\":\"t\",\"args\":{{\"iter\":{iter},\"rho_old\":");
-            json_f64(out, rho_old);
+            write_f64(out, rho_old);
             out.push_str(",\"rho_new\":");
-            json_f64(out, rho_new);
+            write_f64(out, rho_new);
             out.push_str("}}");
         }
         Event::CacheAccess { name, hit } => {
@@ -137,7 +138,7 @@ fn event_head(
 ) {
     sep(out, first);
     out.push_str("{\"name\":");
-    json_string(out, name);
+    write_str(out, name);
     let _ = write!(
         out,
         ",\"cat\":\"{cat}\",\"ph\":\"{ph}\",\"ts\":{}.{:03},\"pid\":1,\"tid\":{tid}",
@@ -151,40 +152,6 @@ fn sep(out: &mut String, first: &mut bool) {
         *first = false;
     } else {
         out.push(',');
-    }
-}
-
-/// Writes a JSON string literal with the required escapes.
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Writes an `f64` as a JSON number (`null` for non-finite values, which
-/// JSON cannot represent). Rust's shortest-roundtrip `Display` keeps the
-/// value bit-exact for finite inputs, but always suffix integral values
-/// so they read back as floats.
-fn json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-        if v == v.trunc() && v.abs() < 1e15 {
-            out.push_str(".0");
-        }
-    } else {
-        out.push_str("null");
     }
 }
 
@@ -299,7 +266,7 @@ mod tests {
     fn floats_round_trip_through_display() {
         for v in [1.25e-3, 3.0, 0.1, f64::MIN_POSITIVE, 1.0 / 3.0, -2.5e300] {
             let mut s = String::new();
-            json_f64(&mut s, v);
+            write_f64(&mut s, v);
             let back: f64 = s.parse().expect("parseable");
             assert_eq!(back.to_bits(), v.to_bits(), "{v} -> {s}");
         }
@@ -308,7 +275,7 @@ mod tests {
     #[test]
     fn string_escaping() {
         let mut s = String::new();
-        json_string(&mut s, "a\"b\\c\nd\u{1}");
+        write_str(&mut s, "a\"b\\c\nd\u{1}");
         assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }

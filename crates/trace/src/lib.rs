@@ -43,7 +43,7 @@
 mod chrome;
 mod event;
 mod flight;
-mod json;
+pub mod json;
 mod summary;
 
 pub use chrome::to_chrome_json;

@@ -11,52 +11,52 @@ echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo clippy --workspace (pedantic)"
-# Pedantic pass with a curated allowlist: the denied subset must stay
-# clean; the allowed lints are stylistic choices this codebase makes
-# deliberately (see DESIGN.md). Vendored dependency stubs are excluded —
-# they mirror external APIs and are held to the plain -D warnings bar
-# above instead.
-cargo clippy --workspace --all-targets \
-  --exclude criterion --exclude proptest --exclude rand \
-  -- -D warnings -W clippy::pedantic \
-  -A clippy::cast_precision_loss \
-  -A clippy::cast_possible_truncation \
-  -A clippy::cast_sign_loss \
-  -A clippy::cast_possible_wrap \
-  -A clippy::cast_lossless \
-  -A clippy::similar_names \
-  -A clippy::many_single_char_names \
-  -A clippy::too_many_lines \
-  -A clippy::too_many_arguments \
-  -A clippy::missing_panics_doc \
-  -A clippy::missing_errors_doc \
-  -A clippy::module_name_repetitions \
-  -A clippy::doc_markdown \
-  -A clippy::must_use_candidate \
-  -A clippy::return_self_not_must_use \
-  -A clippy::float_cmp \
-  -A clippy::needless_range_loop \
-  -A clippy::unreadable_literal \
-  -A clippy::items_after_statements \
-  -A clippy::inline_always \
-  -A clippy::struct_excessive_bools \
-  -A clippy::wildcard_imports \
-  -A clippy::match_same_arms \
-  -A clippy::if_not_else \
-  -A clippy::single_match_else \
-  -A clippy::redundant_closure_for_method_calls \
-  -A clippy::explicit_iter_loop \
-  -A clippy::uninlined_format_args \
-  -A clippy::manual_assert \
-  -A clippy::range_plus_one \
-  -A clippy::unnecessary_wraps \
-  -A clippy::unused_self \
-  -A clippy::fn_params_excessive_bools \
-  -A clippy::large_types_passed_by_value \
-  -A clippy::trivially_copy_pass_by_ref \
-  -A clippy::semicolon_if_nothing_returned \
-  -A clippy::ptr_arg \
-  -A clippy::implicit_hasher
+# Pedantic pass: everything it reports is denied except the lints below,
+# each of which fires somewhere in the workspace today. Vendored
+# dependency stubs are excluded — they mirror external APIs and are held
+# to the plain -D warnings bar above instead.
+pedantic_allow=(
+  # Getters and constructors all over the API; the attribute is noise.
+  -A clippy::must_use_candidate
+  -A clippy::return_self_not_must_use
+  # Panics are invariant checks (poisoned locks, impossible states), not
+  # caller contracts.
+  -A clippy::missing_panics_doc
+  # Counts become f64 for rates, means and models, far below 2^53.
+  -A clippy::cast_precision_loss
+  # Narrowing casts are range-checked by construction (wire u32 counts,
+  # f64 -> u64 microseconds, lane indices).
+  -A clippy::cast_possible_truncation
+  # f64 -> u64 of quantities that are never negative.
+  -A clippy::cast_sign_loss
+  # `as` widening in kernels and tests; `From` adds nothing there.
+  -A clippy::cast_lossless
+  # Docs name math and paper terms (KKT, OSQP, rho) that are not code.
+  -A clippy::doc_markdown
+  # Numerical code keeps the paper's notation (P, q, A, l, u, x, y, z).
+  -A clippy::many_single_char_names
+  -A clippy::similar_names
+  # Long single-purpose functions (ADMM loop, schedulers, report bins).
+  -A clippy::too_many_lines
+  # Bitwise equality is the contract the solver tests pin.
+  -A clippy::float_cmp
+  # Closures and `iter_mut()` loop heads state intent at these sites.
+  -A clippy::redundant_closure_for_method_calls
+  -A clippy::explicit_iter_loop
+  -A clippy::semicolon_if_nothing_returned
+  # Platform models keep `&self` for one model interface.
+  -A clippy::unused_self
+  # The SIMD kernel helpers must inline into their callers.
+  -A clippy::inline_always
+  # lower_indirect returns a Result like its fallible sibling.
+  -A clippy::unnecessary_wraps
+  # A constant declared next to its one use inside a long function.
+  -A clippy::items_after_statements
+  # A multiplier constant from the xorshift64* reference.
+  -A clippy::unreadable_literal
+)
+cargo clippy --workspace --all-targets --exclude proptest --exclude rand \
+  -- -D warnings -W clippy::pedantic "${pedantic_allow[@]}"
 
 echo "==> cargo test --workspace"
 # Every crate's unit, integration and doc tests, the root package's
@@ -64,14 +64,11 @@ echo "==> cargo test --workspace"
 # ...) among them.
 cargo test --workspace -q
 
-echo "==> serving runtime (smoke trace)"
-cargo run --release -q -p mib-bench --bin serve_bench -- --smoke >/dev/null
-
-echo "==> network front-end (loopback load smoke gate)"
-# A few thousand requests over real sockets in both loop modes: bitwise
-# verification of sampled answers, explicit rate-limit sheds on the
-# limited tenant, zero unexplained sheds, zero decode errors (all
-# asserted inside the bin).
+echo "==> serving stack (load smoke gate: in process and over loopback)"
+# A few thousand requests in process and over real sockets in both loop
+# modes: bitwise verification of sampled answers on every transport,
+# explicit rate-limit sheds on the limited tenant, zero unexplained
+# sheds, zero decode errors (all asserted inside the bin).
 cargo run --release -q -p mib-bench --bin load_bench -- --smoke >/dev/null
 
 echo "==> solver backends (ADMM/PDQP convergence gate)"
