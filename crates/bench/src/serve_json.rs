@@ -200,4 +200,34 @@ mod tests {
         assert_eq!(e2e.get("p50").and_then(Json::as_f64), Some(959.0));
         assert_eq!(e2e.get("p99").and_then(Json::as_f64), Some(1834.0));
     }
+
+    #[test]
+    fn split_recovers_each_run_and_mode() {
+        // The document is written whole; reading it back run by run gives
+        // each mode with its own numbers, in the order written.
+        let doc = render_document(&[
+            sample("inprocess", 600),
+            sample("net-closed", 1_000_000),
+            sample("net-open", 750),
+        ]);
+        let parsed = Json::parse(&doc).expect("document must parse");
+        assert_eq!(parsed.get("bench").and_then(Json::as_str), Some("serve"));
+        let runs = parsed.get("runs").map_or(&[][..], Json::items);
+        let recovered: Vec<(&str, f64)> = runs
+            .iter()
+            .map(|r| {
+                let mode = r.get("mode").and_then(Json::as_str).unwrap_or_default();
+                let requests = r.get("requests").and_then(Json::as_f64).unwrap_or(-1.0);
+                (mode, requests)
+            })
+            .collect();
+        assert_eq!(
+            recovered,
+            [
+                ("inprocess", 600.0),
+                ("net-closed", 1e6),
+                ("net-open", 750.0)
+            ]
+        );
+    }
 }

@@ -750,6 +750,31 @@ mod tests {
     }
 
     #[test]
+    fn log2_preset_quantile_round_trips_at_bucket_edges() {
+        // Batch sizes on the powers of two 1..=2048 (the edges of the old
+        // log2 batch-size buckets) keep their quantiles: the extremes are
+        // exact and the median is within 12.5 % above the exact value.
+        let h = Histogram::new();
+        h.observe(16);
+        for q in [0.0, 0.5, 1.0] {
+            assert_eq!(h.quantile_bound(q), 16);
+        }
+        let h = Histogram::new();
+        let edges: Vec<u64> = (0..12).map(|k| 1 << k).collect();
+        for &b in &edges {
+            h.observe(b);
+        }
+        assert_eq!(h.quantile_bound(0.0), 1);
+        let median = h.quantile_bound(0.5);
+        assert!((32..=36).contains(&median), "median bound {median}");
+        assert_eq!(h.quantile_bound(1.0), 2048);
+        // Past the last old edge the quantile stays finite and exact at
+        // the top, where the old overflow bucket reported u64::MAX.
+        h.observe(2049);
+        assert_eq!(h.quantile_bound(1.0), 2049);
+    }
+
+    #[test]
     fn render_exposes_batch_size_histogram_and_trace_drops() {
         let m = Metrics::new();
         m.batch_size.observe(4);
