@@ -1,7 +1,8 @@
 //! kernel_bench: std-only micro-benchmark of the SIMD kernels.
 //!
 //! Measures per-kernel GFLOP/s for the hot `_into` kernels, sweeps the
-//! sparse kernels across the five benchmark domains and runs the
+//! sparse kernels across the five benchmark domains, times the KKT
+//! ordering (`order`/`min_degree`, one row per domain) and runs the
 //! [`BatchSolver`] thread-scaling study. The report is
 //! machine-diffable JSON with stable key order
 //! (`results/BENCH_kernels.json`); GFLOP/s numbers are
@@ -21,9 +22,11 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use mib_problems::{instance, Domain};
+use mib_qp::kkt::KktMatrix;
 use mib_qp::{BatchSolver, BatchUpdate, Settings};
+use mib_sparse::order::{self, Ordering};
 use mib_sparse::simd;
-use mib_sparse::{ldl::LdlSolver, order::Ordering, CscMatrix, TripletMatrix};
+use mib_sparse::{ldl::LdlSolver, CscMatrix, TripletMatrix};
 use mib_trace::json::write_f64;
 
 /// Timed repetitions per measurement; the minimum is reported.
@@ -228,6 +231,26 @@ fn bench_ldl_solve(n: usize, out: &mut Vec<Measurement>) {
     });
 }
 
+/// Times the default fill-reducing ordering on one domain's KKT pattern
+/// (`n` = KKT dimension). Ordering does no floating-point work: `flops`
+/// is 0.
+fn bench_order(domain: Domain, index: usize, out: &mut Vec<Measurement>) {
+    let problem = instance(domain, index).problem;
+    let rho = vec![0.1; problem.num_constraints()];
+    let kkt = KktMatrix::assemble(problem.p(), problem.a(), Settings::default().sigma, &rho)
+        .expect("suite KKT assembles");
+    let ns = time_ns(1, || {
+        black_box(order::compute(black_box(kkt.matrix()), Ordering::MinDegree).expect("square"));
+    });
+    out.push(Measurement {
+        group: "order",
+        kernel: "min_degree",
+        n: kkt.dim(),
+        flops: 0.0,
+        ns_per_call: ns,
+    });
+}
+
 /// One batch thread-scaling row.
 struct ScalingRow {
     threads: usize,
@@ -310,6 +333,9 @@ fn main() {
         bench_spmv(domain.name(), am, &mut ms);
     }
     bench_ldl_solve(ldl_n, &mut ms);
+    for domain in Domain::all() {
+        bench_order(domain, if smoke { 10 } else { 19 }, &mut ms);
+    }
 
     let scaling = bench_batch_scaling(smoke);
 

@@ -2,7 +2,7 @@
 //! symbolic setup.
 //!
 //! The expensive part of [`Solver::new`] is structural — Ruiz
-//! equilibration, the AMD-style fill-reducing ordering, the elimination
+//! equilibration, the AMD fill-reducing ordering, the elimination
 //! tree and the symbolic KKT factorization all depend only on the sparsity
 //! pattern, not the values. The paper's target workload ("millions of QPs
 //! with the same sparsity pattern", e.g. a portfolio problem re-solved per

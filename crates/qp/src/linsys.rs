@@ -72,8 +72,8 @@ pub trait KktSolver: std::fmt::Debug + Send + Sync {
     fn clone_box(&self) -> Box<dyn KktSolver>;
 }
 
-/// Direct backend: sparse LDLᵀ of the KKT matrix with minimum-degree
-/// ordering (OSQP-direct).
+/// Direct backend: sparse LDLᵀ of the KKT matrix with AMD ordering
+/// (OSQP-direct).
 #[derive(Debug, Clone)]
 pub struct DirectKkt {
     kkt: KktMatrix,
