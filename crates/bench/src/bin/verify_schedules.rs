@@ -16,7 +16,10 @@
 //! - default: three-instance sample per domain (the 120-program suite);
 //! - `--full` / `MIB_VERIFY_FULL=1`: all 20 instances per domain;
 //! - `--smoke`: one instance per domain (the `scripts/check.sh` timing
-//!   gate);
+//!   gate), each program's slots, predicted cycles and stall cycles held
+//!   to the row of the same label in the committed
+//!   `results/BENCH_verify.json` — any difference fails, so a change that
+//!   moves the cycle model must regenerate that file with `--timing`;
 //! - `--timing`: additionally rewrite `results/BENCH_verify.json` with
 //!   per-program predicted cycles, the agreement tally, and the
 //!   analysis-vs-simulation wall-clock speedup (skipped under
@@ -33,7 +36,7 @@ use mib_core::machine::{HazardPolicy, Machine};
 use mib_core::MibConfig;
 use mib_problems::{instance, Domain, INSTANCES_PER_DOMAIN};
 use mib_qp::KktBackend;
-use mib_trace::json::write_f64;
+use mib_trace::json::{write_f64, Json};
 use mib_verify::timing;
 
 /// Committed baseline: total scheduler give-ups (instructions appended
@@ -42,6 +45,9 @@ use mib_verify::timing;
 /// logical instruction within the probe limit; a count above this means
 /// schedule quality regressed and the sweep fails.
 const FORCED_APPENDS_BASELINE: usize = 0;
+
+/// The committed timing record `--timing` writes and `--smoke` gates on.
+const TIMING_BASELINE: &str = "results/BENCH_verify.json";
 
 /// One certified program's timing record (for the JSON report).
 struct Row {
@@ -186,16 +192,34 @@ fn main() {
         mib_trace::validate_json(&json).expect("verify report must be valid JSON");
         let dir = std::path::Path::new("results");
         if std::fs::create_dir_all(dir).is_ok() {
-            let path = dir.join("BENCH_verify.json");
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
+            if let Err(e) = std::fs::write(TIMING_BASELINE, &json) {
+                eprintln!("warning: could not write {TIMING_BASELINE}: {e}");
             } else {
-                eprintln!("(written to {})", path.display());
+                eprintln!("(written to {TIMING_BASELINE})");
             }
         }
     }
 
     let mut failed = false;
+    if smoke {
+        let drift = match std::fs::read_to_string(TIMING_BASELINE)
+            .map_err(|e| e.to_string())
+            .and_then(|text| Json::parse(&text))
+        {
+            Ok(baseline) => baseline_drift(&rows, &baseline),
+            Err(e) => vec![format!("cannot read {TIMING_BASELINE}: {e}")],
+        };
+        for d in &drift {
+            println!("TIMING DRIFT {d}");
+        }
+        if !drift.is_empty() {
+            println!(
+                "FAIL: {} programs differ from {TIMING_BASELINE} (regenerate it with --timing if the cycle model moved on purpose)",
+                drift.len()
+            );
+            failed = true;
+        }
+    }
     if errors > 0 {
         println!("FAIL: error-severity findings present");
         failed = true;
@@ -214,4 +238,68 @@ fn main() {
         std::process::exit(1);
     }
     println!("OK: every schedule certified and timed exactly");
+}
+
+/// Each of `rows` whose slots, predicted cycles or stall cycles differ
+/// from the `runs[]` row of the same label in `baseline`, or that has no
+/// such row, as one line naming the differences.
+fn baseline_drift(rows: &[Row], baseline: &Json) -> Vec<String> {
+    let runs = baseline.get("runs").map_or(&[][..], Json::items);
+    rows.iter()
+        .filter_map(|row| {
+            let Some(base) = runs
+                .iter()
+                .find(|b| b.get("program").and_then(Json::as_str) == Some(row.label.as_str()))
+            else {
+                return Some(format!("{}: no committed row", row.label));
+            };
+            let diffs: Vec<String> = [
+                ("slots", row.slots),
+                ("predicted_cycles", row.predicted_cycles),
+                ("stall_cycles", row.stall_cycles),
+            ]
+            .into_iter()
+            .filter_map(|(key, ours)| {
+                let committed = base.get(key).and_then(Json::as_f64);
+                let same = committed == Some(ours as f64);
+                (!same).then(|| format!("{key} {ours}, committed {committed:?}"))
+            })
+            .collect();
+            (!diffs.is_empty()).then(|| format!("{}: {}", row.label, diffs.join(", ")))
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(label: &str, slots: u64, predicted_cycles: u64) -> Row {
+        Row {
+            label: label.into(),
+            slots,
+            predicted_cycles,
+            stall_cycles: 0,
+            agree: true,
+        }
+    }
+
+    #[test]
+    fn drift_names_every_moved_or_missing_program() {
+        let baseline = Json::parse(
+            r#"{"runs":[{"program":"a/load","slots":10,"predicted_cycles":17,"stall_cycles":0},
+                        {"program":"a/setup","slots":398,"predicted_cycles":405,"stall_cycles":0}]}"#,
+        )
+        .unwrap();
+        let same = [row("a/load", 10, 17), row("a/setup", 398, 405)];
+        assert!(baseline_drift(&same, &baseline).is_empty());
+        let moved = [row("a/load", 10, 18), row("a/check", 5, 12)];
+        assert_eq!(
+            baseline_drift(&moved, &baseline),
+            vec![
+                "a/load: predicted_cycles 18, committed Some(17.0)".to_string(),
+                "a/check: no committed row".to_string(),
+            ]
+        );
+    }
 }

@@ -1,11 +1,12 @@
 //! First-fit multi-issue scheduling (Section IV.B of the paper).
 //!
-//! Every logical instruction is encoded as a hardware-occupancy footprint
-//! (one bit per network node, `C·(log₂C + 1)` bits) plus per-lane register
-//! port usage. Scheduling is bin packing: walk the instructions in their
-//! initial (algorithm) order; place each into the **first** issue slot that
-//! is at or after its dependency-ready slot and whose already-packed
-//! occupancy does not collide. Dependency-ready slots encode the pipeline
+//! Every logical instruction is encoded once as a hardware-occupancy
+//! footprint bitset: one bit per network node (`C·(log₂C + 1)` bits) plus
+//! one per register write port ([`NetInstruction::footprint`]). Scheduling
+//! is bin packing: walk the instructions in their initial (algorithm)
+//! order; place each into the **first** issue slot that is at or after its
+//! dependency-ready slot and whose already-packed occupancy does not
+//! collide, merging it in place. Dependency-ready slots encode the pipeline
 //! data hazards (RAW = full latency), so the packed program is hazard-free
 //! by construction — the machine's strict verification mode re-checks this.
 //!
@@ -73,10 +74,8 @@ impl Schedule {
 
 struct SlotState {
     inst: NetInstruction,
-    footprint: Vec<bool>,
-    /// Write-port usage per lane (footprint covers read ports via the
-    /// multiplier row).
-    write_lanes: Vec<bool>,
+    /// Union of the placed instructions' footprints.
+    footprint: Vec<u64>,
     /// `(lane, word)` pairs for HBM stream reassembly.
     stream: Vec<(usize, f64)>,
 }
@@ -104,24 +103,23 @@ pub fn schedule(kernel: &Kernel, opts: ScheduleOptions) -> Schedule {
                 slots.push(empty_slot(width));
             }
             debug_assert!(slots[t].inst.is_nop());
-            place(&mut slots[t], li);
+            place(&mut slots[t], li, &li.inst.footprint());
             slot_of.push(t);
             continue;
         }
         // First-fit probe.
         let fp = li.inst.footprint();
-        let wl: Vec<bool> = li.inst.writes().iter().map(Option::is_some).collect();
         let mut probes = 0usize;
         loop {
             if t >= slots.len() {
                 while slots.len() <= t {
                     slots.push(empty_slot(width));
                 }
-                place(&mut slots[t], li);
+                place(&mut slots[t], li, &fp);
                 break;
             }
-            if fits(&slots[t], &fp, &wl) {
-                place(&mut slots[t], li);
+            if fits(&slots[t], &fp) {
+                place(&mut slots[t], li, &fp);
                 break;
             }
             t += 1;
@@ -160,35 +158,19 @@ fn empty_slot(width: usize) -> SlotState {
     SlotState {
         inst,
         footprint,
-        write_lanes: vec![false; width],
         stream: Vec::new(),
     }
 }
 
-fn fits(slot: &SlotState, fp: &[bool], wl: &[bool]) -> bool {
-    if slot.footprint.iter().zip(fp).any(|(a, b)| *a && *b) {
-        return false;
-    }
-    if slot.write_lanes.iter().zip(wl).any(|(a, b)| *a && *b) {
-        return false;
-    }
-    true
+fn fits(slot: &SlotState, fp: &[u64]) -> bool {
+    slot.footprint.iter().zip(fp).all(|(a, b)| a & b == 0)
 }
 
-fn place(slot: &mut SlotState, li: &crate::kernel::LogicalInstr) {
-    slot.inst = slot
-        .inst
-        .try_merge(&li.inst)
-        .expect("fits() guaranteed mergeability");
-    for (i, b) in li.inst.footprint().into_iter().enumerate() {
-        if b {
-            slot.footprint[i] = true;
-        }
-    }
-    for (lane, w) in li.inst.writes().iter().enumerate() {
-        if w.is_some() {
-            slot.write_lanes[lane] = true;
-        }
+/// Merges `li` (footprint `fp`) into a slot that [`fits`] it.
+fn place(slot: &mut SlotState, li: &crate::kernel::LogicalInstr, fp: &[u64]) {
+    slot.inst.merge_disjoint(&li.inst);
+    for (a, b) in slot.footprint.iter_mut().zip(fp) {
+        *a |= b;
     }
     for &(lane, word) in &li.stream {
         slot.stream.push((lane, word));

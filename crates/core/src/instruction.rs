@@ -239,8 +239,9 @@ pub struct NetInstruction {
     width: usize,
     /// Per-lane multiplier-stage source (`None` = lane unused).
     inputs: Vec<Option<LaneSource>>,
-    /// Adder node modes, `stages × width`.
-    nodes: Vec<Vec<NodeMode>>,
+    /// Adder node modes, stage-major: node `(stage, lane)` is at
+    /// `stage * width + lane`.
+    nodes: Vec<NodeMode>,
     /// Per-lane writeback (`None` = discard).
     writes: Vec<Option<LaneWrite>>,
     /// Per-lane output multiplier modes.
@@ -264,7 +265,7 @@ impl NetInstruction {
         NetInstruction {
             width,
             inputs: vec![None; width],
-            nodes: vec![vec![NodeMode::Idle; width]; stages],
+            nodes: vec![NodeMode::Idle; stages * width],
             writes: vec![None; width],
             out_muls: vec![OutMul::Bypass; width],
             kind: InstrKind::Nop,
@@ -278,7 +279,7 @@ impl NetInstruction {
 
     /// Number of adder stages.
     pub fn stages(&self) -> usize {
-        self.nodes.len()
+        self.width.trailing_zeros() as usize
     }
 
     /// Per-lane inputs.
@@ -293,7 +294,16 @@ impl NetInstruction {
 
     /// Mode of adder node `(stage, lane)`.
     pub fn node(&self, stage: usize, lane: usize) -> NodeMode {
-        self.nodes[stage][lane]
+        self.nodes[stage * self.width + lane]
+    }
+
+    /// Modes of every adder node of `stage`, in lane order.
+    pub fn stage(&self, stage: usize) -> &[NodeMode] {
+        &self.nodes[stage * self.width..(stage + 1) * self.width]
+    }
+
+    fn node_mut(&mut self, stage: usize, lane: usize) -> &mut NodeMode {
+        &mut self.nodes[stage * self.width + lane]
     }
 
     /// Sets a lane input.
@@ -341,39 +351,33 @@ impl NetInstruction {
     ///
     /// Panics if the node is already non-idle with a different mode.
     pub fn set_node(&mut self, stage: usize, lane: usize, mode: NodeMode) {
-        let cur = self.nodes[stage][lane];
+        let node = self.node_mut(stage, lane);
+        let cur = *node;
         assert!(
             cur == NodeMode::Idle || cur == mode,
             "node ({stage}, {lane}) already set to {cur:?}"
         );
-        self.nodes[stage][lane] = mode;
+        *node = mode;
     }
 
     /// Upgrades a node to `Sum` mode (merging a reduction collision);
     /// allowed from `Idle`, `Direct`, `Cross` or `Sum`.
     pub fn set_node_sum(&mut self, stage: usize, lane: usize) {
-        self.nodes[stage][lane] = NodeMode::Sum;
+        *self.node_mut(stage, lane) = NodeMode::Sum;
     }
 
     /// Whether the instruction does nothing.
     pub fn is_nop(&self) -> bool {
         self.inputs.iter().all(Option::is_none)
             && self.writes.iter().all(Option::is_none)
-            && self
-                .nodes
-                .iter()
-                .all(|stage| stage.iter().all(|&m| m == NodeMode::Idle))
+            && self.nodes.iter().all(|&m| m == NodeMode::Idle)
     }
 
     /// Number of busy nodes (multiplier nodes with inputs + non-idle adder
     /// nodes) — the numerator of the spatial-utilization statistic.
     pub fn busy_nodes(&self) -> usize {
         let mul = self.inputs.iter().filter(|i| i.is_some()).count();
-        let adders: usize = self
-            .nodes
-            .iter()
-            .map(|stage| stage.iter().filter(|&&m| m != NodeMode::Idle).count())
-            .sum();
+        let adders = self.nodes.iter().filter(|&&m| m != NodeMode::Idle).count();
         mul + adders
     }
 
@@ -432,10 +436,7 @@ impl NetInstruction {
     /// writeback on an undriven lane commits the architectural zero (the
     /// idle-node output), which is almost always a scheduling artifact.
     pub fn lane_driven(&self, lane: usize) -> bool {
-        match self.nodes.last() {
-            Some(stage) => stage[lane] != NodeMode::Idle,
-            None => self.inputs[lane].is_some(),
-        }
+        self.node(self.stages() - 1, lane) != NodeMode::Idle
     }
 
     /// Number of floating-point operations this instruction performs:
@@ -452,11 +453,7 @@ impl NetInstruction {
             .flatten()
             .filter(|s| s.is_multiply())
             .count();
-        let sums: usize = self
-            .nodes
-            .iter()
-            .map(|stage| stage.iter().filter(|&&m| m == NodeMode::Sum).count())
-            .sum();
+        let sums = self.nodes.iter().filter(|&&m| m == NodeMode::Sum).count();
         let out_muls = self
             .out_muls
             .iter()
@@ -492,11 +489,7 @@ impl NetInstruction {
     pub fn stage_occupancy(&self) -> crate::timeline::StageOccupancy {
         crate::timeline::StageOccupancy {
             multiplier_lanes: self.inputs.iter().filter(|i| i.is_some()).count() as u64,
-            adder_nodes: self
-                .nodes
-                .iter()
-                .map(|stage| stage.iter().filter(|&&m| m != NodeMode::Idle).count() as u64)
-                .sum(),
+            adder_nodes: self.nodes.iter().filter(|&&m| m != NodeMode::Idle).count() as u64,
             output_mul_lanes: self
                 .out_muls
                 .iter()
@@ -513,54 +506,74 @@ impl NetInstruction {
         for input in &self.inputs {
             v.push(input.is_some());
         }
-        for stage in &self.nodes {
-            for &m in stage {
-                v.push(m != NodeMode::Idle);
-            }
-        }
+        v.extend(self.nodes.iter().map(|&m| m != NodeMode::Idle));
         v
     }
 
-    /// The structural **footprint**: every node this instruction produces a
-    /// value on *or consumes an input from*. A `Direct`/`Cross`/`Sum` node
-    /// reads specific previous-stage outputs; those slots must not be driven
-    /// by another instruction merged into the same cycle (a `Sum` node whose
-    /// second input is architecturally zero relies on that lane *staying*
-    /// idle). Merging is legal iff footprints are disjoint — this is the
-    /// occupancy vector the first-fit scheduler packs.
-    pub fn footprint(&self) -> Vec<bool> {
-        let mut v = self.occupancy();
+    /// The structural **footprint**, as a bitset (bit `i` is bit `i % 64`
+    /// of word `i / 64`) over every per-slot resource the instruction
+    /// claims: `C·(log₂C + 1)` node bits, multiplier stage first, then
+    /// `C` writeback-port bits. A node bit is set for every node the
+    /// instruction produces a value on *or consumes an input from*: a
+    /// `Direct`/`Cross`/`Sum` node reads specific previous-stage outputs,
+    /// and those must not be driven by another instruction merged into the
+    /// same cycle (a `Sum` node whose second input is architecturally zero
+    /// relies on that lane *staying* idle). A lane's multiplier bit also
+    /// stands for its register read port. Merging is legal iff footprints
+    /// are disjoint — this is the occupancy the first-fit scheduler packs.
+    pub fn footprint(&self) -> Vec<u64> {
         let w = self.width;
-        for (s, stage) in self.nodes.iter().enumerate() {
-            for (lane, &m) in stage.iter().enumerate() {
-                if m == NodeMode::Idle {
-                    continue;
-                }
-                // Row offset of the previous stage in the flat vector:
-                // stage 0 consumes multiplier outputs (offset 0).
-                let prev_off = s * w;
-                let bit = 1usize << s;
-                match m {
-                    NodeMode::Direct => v[prev_off + lane] = true,
-                    NodeMode::Cross => v[prev_off + (lane ^ bit)] = true,
-                    NodeMode::Sum => {
-                        v[prev_off + lane] = true;
-                        v[prev_off + (lane ^ bit)] = true;
-                    }
-                    NodeMode::Idle => unreachable!(),
-                }
+        let nodes = w * (self.stages() + 1);
+        let mut bits = vec![0u64; (nodes + w).div_ceil(64)];
+        let mut set = |i: usize| bits[i / 64] |= 1 << (i % 64);
+        for (lane, input) in self.inputs.iter().enumerate() {
+            if input.is_some() {
+                set(lane);
             }
         }
-        v
+        for (s, stage) in self.nodes.chunks_exact(w).enumerate() {
+            // Row offsets in the bitset: this stage's nodes sit one row
+            // after the row they consume (stage 0 consumes the multipliers).
+            let (prev, row) = (s * w, (s + 1) * w);
+            let bit = 1usize << s;
+            for (lane, &m) in stage.iter().enumerate() {
+                match m {
+                    NodeMode::Idle => continue,
+                    NodeMode::Direct => set(prev + lane),
+                    NodeMode::Cross => set(prev + (lane ^ bit)),
+                    NodeMode::Sum => {
+                        set(prev + lane);
+                        set(prev + (lane ^ bit));
+                    }
+                }
+                set(row + lane);
+            }
+        }
+        for (lane, write) in self.writes.iter().enumerate() {
+            if write.is_some() {
+                set(nodes + lane);
+            }
+        }
+        bits
     }
 
     /// Tests whether `other` can be merged into `self` without structural
     /// conflicts: disjoint footprints (shared or consumed nodes) and
-    /// disjoint per-lane read/write ports.
+    /// disjoint per-lane read/write ports. The conflict named is the first
+    /// read or write port in lane order, else the first shared node.
     pub fn conflicts_with(&self, other: &NetInstruction) -> Option<String> {
         if self.width != other.width {
             return Some("width mismatch".into());
         }
+        let shared = self
+            .footprint()
+            .iter()
+            .zip(&other.footprint())
+            .enumerate()
+            .find_map(|(k, (a, b))| {
+                let both = a & b;
+                (both != 0).then(|| k * 64 + both.trailing_zeros() as usize)
+            })?;
         for lane in 0..self.width {
             if self.inputs[lane].is_some() && other.inputs[lane].is_some() {
                 return Some(format!("lane {lane} read port"));
@@ -569,21 +582,14 @@ impl NetInstruction {
                 return Some(format!("lane {lane} write port"));
             }
         }
-        let fa = self.footprint();
-        let fb = other.footprint();
+        // No port is shared, so the first shared resource is a node.
         let w = self.width;
-        for (idx, (a, b)) in fa.iter().zip(&fb).enumerate() {
-            if *a && *b {
-                let stage = idx / w;
-                let lane = idx % w;
-                return Some(if stage == 0 {
-                    format!("multiplier node {lane}")
-                } else {
-                    format!("adder node ({}, {lane})", stage - 1)
-                });
-            }
-        }
-        None
+        let (row, lane) = (shared / w, shared % w);
+        Some(if row == 0 {
+            format!("multiplier node {lane}")
+        } else {
+            format!("adder node ({}, {lane})", row - 1)
+        })
     }
 
     /// Merges two structurally disjoint instructions into one issue slot
@@ -597,29 +603,33 @@ impl NetInstruction {
             return Err(MibError::MergeConflict(conflict));
         }
         let mut merged = self.clone();
+        merged.merge_disjoint(other);
+        Ok(merged)
+    }
+
+    /// Merges `other` into this slot in place, without the conflict check
+    /// of [`NetInstruction::try_merge`]: for callers that have already
+    /// proved the two footprints disjoint, as the first-fit scheduler does.
+    /// The slot keeps its own `kind` — statistics count slots, not logical
+    /// instructions.
+    pub fn merge_disjoint(&mut self, other: &NetInstruction) {
+        debug_assert_eq!(self.conflicts_with(other), None);
         for lane in 0..self.width {
             if let Some(src) = other.inputs[lane] {
-                merged.inputs[lane] = Some(src);
+                self.inputs[lane] = Some(src);
             }
             if let Some(w) = other.writes[lane] {
-                merged.writes[lane] = Some(w);
+                self.writes[lane] = Some(w);
             }
             if other.out_muls[lane] != OutMul::Bypass {
-                merged.out_muls[lane] = other.out_muls[lane];
+                self.out_muls[lane] = other.out_muls[lane];
             }
         }
-        for s in 0..self.stages() {
-            for lane in 0..self.width {
-                if other.nodes[s][lane] != NodeMode::Idle {
-                    merged.nodes[s][lane] = other.nodes[s][lane];
-                }
+        for (m, &o) in self.nodes.iter_mut().zip(&other.nodes) {
+            if o != NodeMode::Idle {
+                *m = o;
             }
         }
-        if merged.kind != other.kind {
-            // A merged slot holding different primitives keeps the first
-            // kind; statistics treat slots, not logical instructions.
-        }
-        Ok(merged)
     }
 
     /// Routes a value from `src` lane to `dst` lane through the butterfly,
@@ -642,9 +652,10 @@ impl NetInstruction {
             } else {
                 NodeMode::Direct
             };
-            let cur = self.nodes[s][next];
+            let node = self.node_mut(s, next);
+            let cur = *node;
             if cur == NodeMode::Idle {
-                self.nodes[s][next] = mode;
+                *node = mode;
             } else if cur != mode && cur != NodeMode::Sum {
                 panic!("routing conflict at node ({s}, {next}): {cur:?} vs {mode:?}");
             }
@@ -688,12 +699,13 @@ impl NetInstruction {
                     (false, true) => NodeMode::Cross,
                     (false, false) => unreachable!("target with no live input"),
                 };
-                let cur = self.nodes[s][t];
+                let node = self.node_mut(s, t);
+                let cur = *node;
                 assert!(
                     cur == NodeMode::Idle || cur == mode,
                     "reduction conflict at node ({s}, {t}): {cur:?} vs {mode:?}"
                 );
-                self.nodes[s][t] = mode;
+                *node = mode;
             }
             live = next;
         }

@@ -43,6 +43,7 @@ pub mod hbm;
 pub mod instruction;
 pub mod isa;
 pub mod machine;
+pub mod pending;
 pub mod regfile;
 pub mod stats;
 pub mod timeline;

@@ -10,10 +10,9 @@
 //! cycles), under [`HazardPolicy::Strict`] it reports an error — the mode
 //! used to verify that compiler schedules are hazard-free.
 
-use std::collections::HashMap;
-
 use crate::hbm::HbmStream;
-use crate::instruction::{LaneSource, NetInstruction, NodeMode, WriteMode};
+use crate::instruction::{LaneSource, NetInstruction, NodeMode, OutMul, WriteMode};
+use crate::pending::PendingWrites;
 use crate::regfile::RegisterFiles;
 use crate::stats::ExecStats;
 use crate::timeline::Timeline;
@@ -116,9 +115,11 @@ impl Machine {
         let width = self.config.width;
         let latency = self.config.latency();
         let mut stats = ExecStats::default();
-        // (bank, addr) -> cycle at which the pending write becomes visible.
-        let mut ready: HashMap<(usize, usize), u64> = HashMap::new();
-        let mut latch_ready = vec![0u64; width];
+        let mut pending = PendingWrites::new(&self.config);
+        // Lane values entering and leaving an adder stage, reused by
+        // every slot.
+        let mut values = vec![0.0f64; width];
+        let mut next = vec![0.0f64; width];
         let mut cycle: u64 = 0;
 
         for (idx, inst) in program.iter().enumerate() {
@@ -129,51 +130,21 @@ impl Machine {
                 });
             }
 
-            // Earliest hazard-free issue cycle. Tracks the *binding* hazard
-            // (the pending write with the latest visibility cycle) so the
-            // strict-mode error carries the same provenance the static
-            // verifier reports.
-            let mut issue = cycle;
-            let mut binding_hazard: Option<(usize, usize, bool, u64)> = None;
-            let mut note_hazard =
-                |bank: usize, addr: usize, latch: bool, r: u64, issue: &mut u64| {
-                    if r > *issue {
-                        *issue = r;
-                        binding_hazard = Some((bank, addr, latch, r));
-                    }
-                };
-            for (lane, input) in inst.inputs().iter().enumerate() {
-                let Some(src) = input else { continue };
-                if let Some(addr) = src.reg_addr() {
-                    if let Some(&r) = ready.get(&(lane, addr)) {
-                        note_hazard(lane, addr, false, r, &mut issue);
-                    }
-                }
-                if src.uses_latch() && latch_ready[lane] > issue {
-                    let r = latch_ready[lane];
-                    note_hazard(lane, 0, true, r, &mut issue);
-                }
-            }
-            // Read-modify-write writebacks read their target.
-            for (lane, write) in inst.writes().iter().enumerate() {
-                let Some(w) = write else { continue };
-                if w.mode.is_rmw() {
-                    if let Some(&r) = ready.get(&(lane, w.addr)) {
-                        note_hazard(lane, w.addr, false, r, &mut issue);
-                    }
-                }
-            }
-            if issue > cycle {
+            // Earliest hazard-free issue cycle, held back by the *binding*
+            // hazard (the pending write with the latest visibility cycle)
+            // so the strict-mode error carries the same provenance the
+            // static verifier reports.
+            let hazard = pending.binding(inst, cycle + 1);
+            let issue = hazard.map_or(cycle, |h| h.ready);
+            if let Some(h) = hazard {
                 if policy == HazardPolicy::Strict {
-                    let (bank, addr, latch, r) =
-                        binding_hazard.expect("issue moved implies a recorded hazard");
                     return Err(MibError::DataHazard {
                         cycle,
                         instruction: idx,
-                        bank,
-                        addr,
-                        latch,
-                        ready: r,
+                        bank: h.bank,
+                        addr: h.addr,
+                        latch: h.latch,
+                        ready: h.ready,
                     });
                 }
                 stats.stall_cycles += issue - cycle;
@@ -182,9 +153,11 @@ impl Machine {
             // ---- Functional evaluation ----
             let hbm_words_before = stats.hbm_words;
             // Multiplier stage (stream words consumed in lane order).
-            let mut values = vec![0.0f64; width];
             for (lane, input) in inst.inputs().iter().enumerate() {
-                let Some(src) = input else { continue };
+                let Some(src) = input else {
+                    values[lane] = 0.0;
+                    continue;
+                };
                 let v = match *src {
                     LaneSource::Reg { addr } => self.regs.read(lane, addr)?,
                     LaneSource::Stream => self.stream_word(hbm, idx, &mut stats)?,
@@ -232,9 +205,8 @@ impl Machine {
             // Adder stages.
             for s in 0..inst.stages() {
                 let bit = 1usize << s;
-                let mut next = vec![0.0f64; width];
-                for lane in 0..width {
-                    next[lane] = match inst.node(s, lane) {
+                for (lane, (out, &mode)) in next.iter_mut().zip(inst.stage(s)).enumerate() {
+                    *out = match mode {
                         NodeMode::Idle => 0.0,
                         NodeMode::Direct => values[lane],
                         NodeMode::Cross => values[lane ^ bit],
@@ -244,12 +216,12 @@ impl Machine {
                         }
                     };
                 }
-                values = next;
+                std::mem::swap(&mut values, &mut next);
             }
             // Output multiplier stage (consumes stream words after the
             // input stage, in lane order).
             for (lane, &om) in inst.out_muls().iter().enumerate() {
-                if let crate::instruction::OutMul::MulStream { negate } = om {
+                if let OutMul::MulStream { negate } = om {
                     let s = self.stream_word(hbm, idx, &mut stats)?;
                     stats.flops += 1;
                     values[lane] *= if negate { -s } else { s };
@@ -287,12 +259,8 @@ impl Machine {
                     }
                 }
                 stats.reg_writes += 1;
-                if w.mode == WriteMode::Latch {
-                    latch_ready[lane] = issue + latency;
-                } else {
-                    ready.insert((lane, w.addr), issue + latency);
-                }
             }
+            pending.record(idx, issue + latency, inst);
 
             stats.slots += 1;
             stats.busy_nodes += inst.busy_nodes() as u64;

@@ -12,7 +12,10 @@ use crate::{MibError, Result};
 /// `C` register-file banks of equal depth.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegisterFiles {
-    banks: Vec<Vec<f64>>,
+    /// One address-major allocation: word `addr` of bank `bank` is at
+    /// `addr * width + bank`, so one slot's lanes touch adjacent words.
+    words: Vec<f64>,
+    width: usize,
     depth: usize,
 }
 
@@ -20,14 +23,15 @@ impl RegisterFiles {
     /// Allocates `width` banks of `depth` words, zero-initialized.
     pub fn new(width: usize, depth: usize) -> Self {
         RegisterFiles {
-            banks: vec![vec![0.0; depth]; width],
+            words: vec![0.0; width * depth],
+            width,
             depth,
         }
     }
 
     /// Number of banks (`C`).
     pub fn width(&self) -> usize {
-        self.banks.len()
+        self.width
     }
 
     /// Words per bank.
@@ -41,8 +45,7 @@ impl RegisterFiles {
     ///
     /// Returns [`MibError::AddressOutOfRange`] for bad addresses.
     pub fn read(&self, bank: usize, addr: usize) -> Result<f64> {
-        self.check(bank, addr)?;
-        Ok(self.banks[bank][addr])
+        Ok(self.words[self.index(bank, addr)?])
     }
 
     /// Writes `bank[addr] = value`.
@@ -51,8 +54,8 @@ impl RegisterFiles {
     ///
     /// Returns [`MibError::AddressOutOfRange`] for bad addresses.
     pub fn write(&mut self, bank: usize, addr: usize, value: f64) -> Result<()> {
-        self.check(bank, addr)?;
-        self.banks[bank][addr] = value;
+        let i = self.index(bank, addr)?;
+        self.words[i] = value;
         Ok(())
     }
 
@@ -62,27 +65,25 @@ impl RegisterFiles {
     ///
     /// Returns [`MibError::AddressOutOfRange`] for bad addresses.
     pub fn accumulate(&mut self, bank: usize, addr: usize, value: f64) -> Result<()> {
-        self.check(bank, addr)?;
-        self.banks[bank][addr] += value;
+        let i = self.index(bank, addr)?;
+        self.words[i] += value;
         Ok(())
     }
 
     /// Clears every bank to zero.
     pub fn clear(&mut self) {
-        for bank in &mut self.banks {
-            bank.fill(0.0);
-        }
+        self.words.fill(0.0);
     }
 
-    fn check(&self, bank: usize, addr: usize) -> Result<()> {
-        if bank >= self.banks.len() || addr >= self.depth {
+    fn index(&self, bank: usize, addr: usize) -> Result<usize> {
+        if bank >= self.width || addr >= self.depth {
             return Err(MibError::AddressOutOfRange {
                 bank,
                 addr,
                 depth: self.depth,
             });
         }
-        Ok(())
+        Ok(addr * self.width + bank)
     }
 }
 

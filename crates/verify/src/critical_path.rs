@@ -22,9 +22,8 @@
 //! [`CriticalPath::to_diagnostics`], the same machinery every other
 //! verifier finding uses.
 
-use std::collections::HashMap;
-
 use mib_core::instruction::{InstrKind, NetInstruction};
+use mib_core::pending::PendingWrites;
 use mib_core::MibConfig;
 
 use crate::diag::{DiagKind, Diagnostic, Loc};
@@ -100,65 +99,37 @@ pub fn critical_path(program: &[NetInstruction], config: &MibConfig) -> Critical
         return CriticalPath::default();
     }
     let latency = config.latency();
-    // (bank, addr) -> (visible cycle, producer slot); same for latches.
-    let mut ready: HashMap<(usize, usize), (u64, usize)> = HashMap::new();
-    let mut latch_ready: Vec<Option<(u64, usize)>> = vec![None; width];
+    // The machine's pending-write window. It keeps the last `latency`
+    // slots, so a write visible exactly at the earliest issue cycle — a
+    // tight hop — is still in it.
+    let mut pending = PendingWrites::new(config);
     let mut cycle: u64 = 0;
-    let mut issue_cycles: Vec<u64> = Vec::with_capacity(program.len());
     let mut bindings: Vec<Option<Binding>> = Vec::with_capacity(program.len());
     let mut total_stall: u64 = 0;
 
     for (t, inst) in program.iter().enumerate() {
-        // Same scan order as the machine's hazard check; the binding
-        // dependence is the first one reaching the maximal visible cycle.
-        // A dependence binds when the operand becomes visible exactly at
-        // (or after) the slot's unconstrained issue cycle — i.e. it is
-        // what determines the issue cycle, stalled or tight.
-        let mut issue = cycle;
-        let mut binding: Option<Binding> = None;
-        let mut note = |loc: Loc, r: u64, producer: usize, issue: &mut u64| {
-            // Strictly-greater rebinds (matching the machine's first-max-
-            // wins tie rule); an exact tie binds only when nothing is
-            // bound yet, which covers the tight zero-stall case r == cycle.
-            if r > *issue || (r == *issue && binding.is_none()) {
-                *issue = r;
-                binding = Some(Binding {
-                    loc,
-                    producer_slot: producer,
-                    stall_cycles: 0,
-                });
-            }
-        };
-        for (lane, addr) in inst.reg_read_locs() {
-            if let Some(&(r, p)) = ready.get(&(lane, addr)) {
-                note(Loc::Reg { bank: lane, addr }, r, p, &mut issue);
-            }
-        }
-        for lane in inst.latch_read_lanes() {
-            if let Some((r, p)) = latch_ready[lane] {
-                note(Loc::Latch { lane }, r, p, &mut issue);
-            }
-        }
-        for (lane, addr) in inst.rmw_read_locs() {
-            if let Some(&(r, p)) = ready.get(&(lane, addr)) {
-                note(Loc::Reg { bank: lane, addr }, r, p, &mut issue);
-            }
-        }
+        // The machine's scan and tie rule, except that a dependence also
+        // binds when its operand becomes visible exactly at the slot's
+        // unconstrained issue cycle: it is what determines the issue
+        // cycle, stalled or tight.
+        let binding = pending.binding(inst, cycle);
+        let issue = binding.map_or(cycle, |b| b.ready);
         let stall = issue - cycle;
         total_stall += stall;
-        if let Some(b) = &mut binding {
-            b.stall_cycles = stall;
-        }
-        bindings.push(binding);
-
-        for (lane, w) in inst.write_locs() {
-            if w.mode == mib_core::instruction::WriteMode::Latch {
-                latch_ready[lane] = Some((issue + latency, t));
+        bindings.push(binding.map(|b| Binding {
+            loc: if b.latch {
+                Loc::Latch { lane: b.bank }
             } else {
-                ready.insert((lane, w.addr), (issue + latency, t));
-            }
-        }
-        issue_cycles.push(issue);
+                Loc::Reg {
+                    bank: b.bank,
+                    addr: b.addr,
+                }
+            },
+            producer_slot: b.slot,
+            stall_cycles: stall,
+        }));
+
+        pending.record(t, issue + latency, inst);
         cycle = issue + 1;
     }
 

@@ -7,10 +7,11 @@
 //! many HBM words a slot consumes, and the fixed pipeline latency
 //! `log₂C + 2` from [`MibConfig::latency`]. [`predict`] replays exactly
 //! the issue rules of [`Machine::run`](mib_core::machine::Machine::run) —
-//! the per-location ready map, the latch-ready array, the in-order
-//! single-slot-per-cycle issue, the stall (or strict rejection) on a
-//! pending write, the streaming-window merge and the final pipeline
-//! drain — while skipping all functional evaluation. The result is a
+//! the machine's own pending-write window and hazard scan
+//! ([`PendingWrites`]), the in-order single-slot-per-cycle issue, the
+//! stall (or strict rejection) on a pending write, the streaming-window
+//! merge and the final pipeline drain — while skipping all functional
+//! evaluation. The result is a
 //! **bitwise** prediction of the run:
 //!
 //! * the full [`ExecStats`] (cycles, slots, stalls, FLOPs, HBM words,
@@ -26,16 +27,19 @@
 //! proptest mutation (`tests/static_timing.rs`,
 //! `tests/proptest_timing.rs`).
 //!
-//! Because no register values are computed, no `f64` lane vectors are
-//! allocated and no stream words are materialized, prediction is an order
-//! of magnitude cheaper than simulation — cheap enough to run on every
-//! compiled schedule as the compiler's cost oracle
-//! (`mib_compiler::cost::StaticCost`).
-
-use std::collections::HashMap;
+//! No register values are computed and no stream words are materialized,
+//! but every slot's lanes are still walked several times (the hazard
+//! scan, the fault replay, the per-slot counts), so prediction is only
+//! somewhat cheaper than simulation: over the
+//! 120-program `verify_schedules --timing` sample at C = 32 it took
+//! 0.87 s against the simulator's 1.15 s (`speedup` 1.32 in
+//! `results/BENCH_verify.json`, on a 2-vCPU Intel Xeon KVM guest). That
+//! is cheap enough to run on every compiled schedule as the compiler's
+//! cost oracle (`mib_compiler::cost::StaticCost`).
 
 use mib_core::instruction::{NetInstruction, OutMul, WriteMode};
 use mib_core::machine::HazardPolicy;
+use mib_core::pending::PendingWrites;
 use mib_core::stats::ExecStats;
 use mib_core::timeline::Timeline;
 use mib_core::{MibConfig, MibError};
@@ -84,10 +88,8 @@ pub fn predict(
     let mut stats = ExecStats::default();
     let mut timeline = Timeline::default();
     let mut issue_cycles = Vec::with_capacity(program.len());
-    // (bank, addr) -> cycle at which the pending write becomes visible —
-    // the same ready map the machine keeps.
-    let mut ready: HashMap<(usize, usize), u64> = HashMap::new();
-    let mut latch_ready = vec![0u64; width];
+    // The same pending-write window the machine keeps.
+    let mut pending = PendingWrites::new(config);
     let mut cycle: u64 = 0;
     // Stream cursor: the machine reads words positionally, so exhaustion
     // is a pure counting question.
@@ -101,49 +103,19 @@ pub fn predict(
             });
         }
 
-        // Issue rule, replayed in the machine's exact scan order (per
-        // lane: register read then latch read; then RMW writebacks) so
-        // the *binding* hazard — first location to reach the maximal
-        // ready cycle — matches the strict-mode error provenance.
-        let mut issue = cycle;
-        let mut binding_hazard: Option<(usize, usize, bool, u64)> = None;
-        let mut note_hazard = |bank: usize, addr: usize, latch: bool, r: u64, issue: &mut u64| {
-            if r > *issue {
-                *issue = r;
-                binding_hazard = Some((bank, addr, latch, r));
-            }
-        };
-        for (lane, input) in inst.inputs().iter().enumerate() {
-            let Some(src) = input else { continue };
-            if let Some(addr) = src.reg_addr() {
-                if let Some(&r) = ready.get(&(lane, addr)) {
-                    note_hazard(lane, addr, false, r, &mut issue);
-                }
-            }
-            if src.uses_latch() && latch_ready[lane] > issue {
-                let r = latch_ready[lane];
-                note_hazard(lane, 0, true, r, &mut issue);
-            }
-        }
-        for (lane, write) in inst.writes().iter().enumerate() {
-            let Some(w) = write else { continue };
-            if w.mode.is_rmw() {
-                if let Some(&r) = ready.get(&(lane, w.addr)) {
-                    note_hazard(lane, w.addr, false, r, &mut issue);
-                }
-            }
-        }
-        if issue > cycle {
+        // Issue rule: the machine's own scan over the same window, so the
+        // *binding* hazard matches the strict-mode error provenance.
+        let hazard = pending.binding(inst, cycle + 1);
+        let issue = hazard.map_or(cycle, |h| h.ready);
+        if let Some(h) = hazard {
             if policy == HazardPolicy::Strict {
-                let (bank, addr, latch, r) =
-                    binding_hazard.expect("issue moved implies a recorded hazard");
                 return Err(MibError::DataHazard {
                     cycle,
                     instruction: idx,
-                    bank,
-                    addr,
-                    latch,
-                    ready: r,
+                    bank: h.bank,
+                    addr: h.addr,
+                    latch: h.latch,
+                    ready: h.ready,
                 });
             }
             stats.stall_cycles += issue - cycle;
@@ -182,13 +154,7 @@ pub fn predict(
         stats.flops += inst.flop_count();
 
         // Writeback visibility, identical to the machine's bookkeeping.
-        for (lane, w) in inst.write_locs() {
-            if w.mode == WriteMode::Latch {
-                latch_ready[lane] = issue + latency;
-            } else {
-                ready.insert((lane, w.addr), issue + latency);
-            }
-        }
+        pending.record(idx, issue + latency, inst);
 
         stats.slots += 1;
         stats.busy_nodes += inst.busy_nodes() as u64;
