@@ -3,19 +3,19 @@
 //!
 //! One request mix — five benchmark domains, two tenant instances each,
 //! parametric `q`/bounds perturbations, warm starts, tight deadlines,
-//! explicit cancels, plus portfolio-routed traffic — driven at up to a
-//! million requests. Every request is generated from a per-request seed,
-//! so any answer can be re-derived after the fact: a deterministic sample
-//! of the Solved replies is re-solved directly (same parameters, same
-//! template) and compared **bitwise** — served answers must be exactly
-//! the direct solves, whatever the transport.
+//! explicit cancels — driven at up to a million requests. Every request
+//! is generated from a per-request seed, so any answer can be re-derived
+//! after the fact: a deterministic sample of the Solved replies is
+//! re-solved directly (same parameters, same template) and compared
+//! **bitwise** — served answers must be exactly the direct solves,
+//! whatever the transport.
 //!
 //! Three measured runs on one server, in this order:
 //!
-//! * **inprocess** — closed loop straight into `QpServer::submit` /
-//!   `submit_routed`. Each ticket's `on_ready` callback turns the answer
-//!   into the reply a socket client would receive (`mib_net::wire_reply`)
-//!   and feeds it into the same client loop, so tallies, sheds and
+//! * **inprocess** — closed loop straight into `QpServer::submit`. Each
+//!   ticket's `on_ready` callback turns the answer into the reply a
+//!   socket client would receive (`mib_net::wire_reply`) and feeds it
+//!   into the same client loop, so tallies, sheds and
 //!   verification are shared with the TCP runs. What the two closed-loop
 //!   runs differ by is the wire and the front-end's admission control.
 //! * **net-closed** — the same requests over real sockets: each client
@@ -60,10 +60,10 @@ use mib_net::{
     ReplyCode, ShedReason, TenantAuth, WireReply,
 };
 use mib_problems::{instance, Domain};
-use mib_qp::{Algorithm, Settings, Solver};
+use mib_qp::{Settings, Solver};
 use mib_serve::{
     queue_full_retry_after, CancelHandle, Histogram, Metrics, ObsConfig, QpServer, Request,
-    ServeConfig, SubmitError, TenantPolicy,
+    ServeConfig, SubmitError, TenantId, TenantPolicy,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,11 +76,8 @@ const DOMAINS: [Domain; 5] = [
     Domain::Svm,
 ];
 const TENANTS_PER_DOMAIN: usize = 2;
-/// Direct endpoints 0..10, routed endpoints 10..15.
-const DIRECT_ENDPOINTS: usize = DOMAINS.len() * TENANTS_PER_DOMAIN;
-const ROUTED_ENDPOINTS: usize = DOMAINS.len();
-/// Every `ROUTED_EVERY`-th request goes to a routed portfolio endpoint.
-const ROUTED_EVERY: u64 = 8;
+/// Catalog endpoints, one per tenant.
+const ENDPOINTS: usize = DOMAINS.len() * TENANTS_PER_DOMAIN;
 /// Seed base; request `i` is generated from `SEED_BASE + i`.
 const SEED_BASE: u64 = 0x10ad_bec4;
 
@@ -102,56 +99,13 @@ struct Mix {
     problems: Vec<mib_qp::Problem>,
     templates: Vec<Solver>,
     warm_points: Vec<(Vec<f64>, Vec<f64>)>,
-    routed_problems: Vec<mib_qp::Problem>,
-    /// Indexed `[portfolio][Algorithm::index()]`.
-    routed_templates: Vec<[Solver; 2]>,
-}
-
-fn portfolio_settings(algorithm: Algorithm) -> Settings {
-    let mut s = Settings::with_algorithm(algorithm);
-    s.eps_abs = 1e-5;
-    s.eps_rel = 1e-5;
-    s.max_iter = match algorithm {
-        Algorithm::Admm => 50_000,
-        Algorithm::Pdqp => 2_000_000,
-    };
-    s
 }
 
 /// Regenerates request `i` of the trace — identical on every call, so a
 /// sampled reply can be verified long after the request was sent.
 fn generate(i: u64, mix: &Mix) -> GenRequest {
     let mut rng = StdRng::seed_from_u64(SEED_BASE.wrapping_add(i));
-    if i % ROUTED_EVERY == ROUTED_EVERY - 1 {
-        // Routed portfolio traffic: parametric only, no deadlines or
-        // cancels.
-        let p = rng.gen_range(0..ROUTED_ENDPOINTS);
-        let problem = &mix.routed_problems[p];
-        let mut q = problem.q().to_vec();
-        for qi in q.iter_mut() {
-            *qi += 0.05 * (rng.gen::<f64>() - 0.5);
-        }
-        let bounds = (rng.gen::<f64>() < 0.3).then(|| {
-            let l = problem.l().to_vec();
-            let mut u = problem.u().to_vec();
-            for ui in u.iter_mut() {
-                if ui.is_finite() {
-                    *ui += 0.1 * rng.gen::<f64>();
-                }
-            }
-            (l, u)
-        });
-        return GenRequest {
-            endpoint: (DIRECT_ENDPOINTS + p) as u32,
-            deadline: None,
-            cancel: false,
-            q: Some(q),
-            bounds,
-            warm_start: None,
-        };
-    }
-    // Direct tenant traffic.
-    let t = rng.gen_range(0..DIRECT_ENDPOINTS);
+    let t = rng.gen_range(0..ENDPOINTS);
     let problem = &mix.problems[t];
     let q = (rng.gen::<f64>() < 0.8).then(|| {
         let mut q = problem.q().to_vec();
@@ -236,7 +190,7 @@ fn run_measured(
 /// How a phase's clients reach the serving stack.
 #[derive(Clone, Copy)]
 enum Transport<'a> {
-    /// Straight into the runtime, with the catalog's endpoint targets.
+    /// Straight into the runtime, with the catalog's tenants.
     InProcess(&'a Stack),
     /// Over a socket to the stack's front-end.
     Tcp(SocketAddr),
@@ -254,7 +208,7 @@ enum Conn {
 /// answers through `wire_reply`, a full queue as a `QueueFull` shed.
 struct LocalClient {
     qp: Arc<QpServer>,
-    targets: Vec<EndpointTarget>,
+    tenants: Vec<TenantId>,
     tx: Sender<ClientEvent>,
     events: Receiver<ClientEvent>,
     /// Cancel handles of the requests not yet answered.
@@ -270,11 +224,7 @@ impl LocalClient {
             warm_start: g.warm_start,
             trace_id: 0,
         };
-        let submitted = match self.targets[g.endpoint as usize] {
-            EndpointTarget::Tenant(id) => self.qp.submit(id, request),
-            EndpointTarget::Portfolio(id) => self.qp.submit_routed(id, request),
-        };
-        match submitted {
+        match self.qp.submit(self.tenants[g.endpoint as usize], request) {
             Ok(ticket) => {
                 self.tickets.insert(request_id, ticket.cancel_handle());
                 let tx = self.tx.clone();
@@ -313,7 +263,7 @@ impl Transport<'_> {
                 let (tx, events) = mpsc::channel();
                 Conn::Local(LocalClient {
                     qp: Arc::clone(&stack.qp),
-                    targets: stack.targets.clone(),
+                    tenants: stack.tenants.clone(),
                     tx,
                     events,
                     tickets: HashMap::new(),
@@ -543,71 +493,56 @@ const REPLY_CODE_NAMES: [&str; 9] = [
     "failed",
 ];
 
-/// Bitwise-verifies one sampled Solved reply against a direct solve of
-/// the regenerated request. Routed samples are checked against both
-/// backend templates (the wire reply does not say which one served it);
-/// matching either is exact agreement.
-fn verify_sample(i: u64, reply: &WireReply, mix: &Mix) -> Result<(), String> {
+/// The direct solve of request `i`: a fresh clone of its tenant's
+/// template, re-parameterized the way the serving runtime does it.
+fn direct_solve(i: u64, mix: &Mix) -> mib_qp::SolveResult {
     let g = generate(i, mix);
     let endpoint = g.endpoint as usize;
-    let solve_direct = |template: &Solver, problem: &mib_qp::Problem| {
-        let mut solver = template.clone();
-        let q = g.q.clone().unwrap_or_else(|| problem.q().to_vec());
-        let (l, u) = g
-            .bounds
-            .clone()
-            .unwrap_or_else(|| (problem.l().to_vec(), problem.u().to_vec()));
-        solver.update_q(&q).expect("reference update_q");
-        solver
-            .update_bounds(&l, &u)
-            .expect("reference update_bounds");
-        solver.reset();
-        if let Some((x, y)) = &g.warm_start {
-            solver.warm_start(x, y);
-        }
-        solver.solve()
+    let problem = &mix.problems[endpoint];
+    let mut solver = mix.templates[endpoint].clone();
+    let q = g.q.unwrap_or_else(|| problem.q().to_vec());
+    let (l, u) = g
+        .bounds
+        .unwrap_or_else(|| (problem.l().to_vec(), problem.u().to_vec()));
+    solver.update_q(&q).expect("reference update_q");
+    solver
+        .update_bounds(&l, &u)
+        .expect("reference update_bounds");
+    solver.reset();
+    if let Some((x, y)) = &g.warm_start {
+        solver.warm_start(x, y);
+    }
+    solver.solve()
+}
+
+/// Bitwise-verifies one sampled Solved reply against a direct solve of
+/// the regenerated request: status, iterations, objective, and every
+/// entry of `x` and `y`, lengths included.
+fn verify_sample(i: u64, reply: &WireReply, mix: &Mix) -> Result<(), String> {
+    let result = direct_solve(i, mix);
+    let bitwise = |a: &[f64], b: &[f64]| {
+        a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
     };
-    let matches = |result: &mib_qp::SolveResult| {
-        result.status == mib_qp::Status::Solved
-            && result.iterations == reply.iterations as usize
-            && result.obj_val.to_bits() == reply.obj_val.to_bits()
-            && result.x.len() == reply.x.len()
-            && result
-                .x
-                .iter()
-                .zip(&reply.x)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-            && result
-                .y
-                .iter()
-                .zip(&reply.y)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    };
-    if endpoint < DIRECT_ENDPOINTS {
-        let result = solve_direct(&mix.templates[endpoint], &mix.problems[endpoint]);
-        if matches(&result) {
-            Ok(())
-        } else {
-            Err(format!(
-                "request {i} (endpoint {endpoint}): wire answer differs from the direct solve \
-                 (obj {:e} vs {:e}, iters {} vs {})",
-                reply.obj_val, result.obj_val, reply.iterations, result.iterations
-            ))
-        }
+    if result.status == mib_qp::Status::Solved
+        && result.iterations == reply.iterations as usize
+        && result.obj_val.to_bits() == reply.obj_val.to_bits()
+        && bitwise(&result.x, &reply.x)
+        && bitwise(&result.y, &reply.y)
+    {
+        Ok(())
     } else {
-        let p = endpoint - DIRECT_ENDPOINTS;
-        let problem = &mix.routed_problems[p];
-        let ok = mix.routed_templates[p]
-            .iter()
-            .any(|template| matches(&solve_direct(template, problem)));
-        if ok {
-            Ok(())
-        } else {
-            Err(format!(
-                "routed request {i} (portfolio {p}): wire answer matches neither backend's \
-                 direct solve"
-            ))
-        }
+        Err(format!(
+            "request {i}: wire answer differs from the direct solve \
+             (obj {:e} vs {:e}, iters {} vs {}, {}+{} vs {}+{} entries)",
+            reply.obj_val,
+            result.obj_val,
+            reply.iterations,
+            result.iterations,
+            reply.x.len(),
+            reply.y.len(),
+            result.x.len(),
+            result.y.len()
+        ))
     }
 }
 
@@ -626,18 +561,6 @@ fn build_mix() -> Mix {
             problems.push(spec.problem);
         }
     }
-    let mut routed_problems = Vec::new();
-    let mut routed_templates = Vec::new();
-    for domain in DOMAINS {
-        let spec = instance(domain, TENANTS_PER_DOMAIN);
-        routed_templates.push([
-            Solver::new(spec.problem.clone(), portfolio_settings(Algorithm::Admm))
-                .expect("admm template"),
-            Solver::new(spec.problem.clone(), portfolio_settings(Algorithm::Pdqp))
-                .expect("pdqp template"),
-        ]);
-        routed_problems.push(spec.problem);
-    }
     let warm_points: Vec<(Vec<f64>, Vec<f64>)> = templates
         .iter()
         .map(|t| {
@@ -649,8 +572,6 @@ fn build_mix() -> Mix {
         problems,
         templates,
         warm_points,
-        routed_problems,
-        routed_templates,
     }
 }
 
@@ -658,8 +579,8 @@ fn build_mix() -> Mix {
 struct Stack {
     server: NetServer,
     qp: Arc<QpServer>,
-    /// What each catalog endpoint submits to, in catalog order.
-    targets: Vec<EndpointTarget>,
+    /// The tenant behind each catalog endpoint, in catalog order.
+    tenants: Vec<TenantId>,
 }
 
 /// Boots a fresh serving stack carrying the full tenant mix behind a
@@ -680,6 +601,7 @@ fn boot_server(obs: bool) -> Stack {
         ..ServeConfig::default()
     };
     let qp = Arc::new(QpServer::new(config));
+    let mut tenants = Vec::new();
     let mut endpoints = Vec::new();
     for domain in DOMAINS {
         for index in 0..TENANTS_PER_DOMAIN {
@@ -689,6 +611,7 @@ fn boot_server(obs: bool) -> Stack {
             let id = qp
                 .register(spec.problem, Settings::default())
                 .expect("tenant registration");
+            tenants.push(id);
             endpoints.push(EndpointSpec {
                 target: EndpointTarget::Tenant(id),
                 name: format!("{domain:?}[{index}]"),
@@ -696,24 +619,6 @@ fn boot_server(obs: bool) -> Stack {
                 num_constraints,
             });
         }
-    }
-    for domain in DOMAINS {
-        let spec = instance(domain, TENANTS_PER_DOMAIN);
-        let id = qp
-            .register_portfolio(
-                &spec.problem,
-                vec![
-                    portfolio_settings(Algorithm::Admm),
-                    portfolio_settings(Algorithm::Pdqp),
-                ],
-            )
-            .expect("portfolio registration");
-        endpoints.push(EndpointSpec {
-            target: EndpointTarget::Portfolio(id),
-            name: format!("{domain:?}[{TENANTS_PER_DOMAIN}:routed]"),
-            num_vars: spec.problem.num_vars(),
-            num_constraints: spec.problem.num_constraints(),
-        });
     }
     let auth = vec![
         TenantAuth {
@@ -735,13 +640,12 @@ fn boot_server(obs: bool) -> Stack {
         admin_addr: obs.then(|| "127.0.0.1:0".to_string()),
         ..NetConfig::default()
     };
-    let targets = endpoints.iter().map(|e| e.target).collect();
     let server = NetServer::bind("127.0.0.1:0", Arc::clone(&qp), endpoints, auth, cfg)
         .expect("bind load server");
     Stack {
         server,
         qp,
-        targets,
+        tenants,
     }
 }
 
@@ -967,7 +871,7 @@ fn main() {
             mode: (*mode).to_string(),
             requests: phase.completed,
             clients,
-            tenants: (DIRECT_ENDPOINTS + ROUTED_ENDPOINTS) as u64,
+            tenants: ENDPOINTS as u64,
             wall_seconds: phase.wall.as_secs_f64(),
             throughput_rps: rps,
             verified_bitwise: phase.stats.iter().map(|s| s.sampled.len() as u64).sum(),
@@ -1139,5 +1043,34 @@ fn main() {
             Ok(path) => eprintln!("(written to {})", path.display()),
             Err(e) => eprintln!("warning: could not write BENCH_serve.json: {e}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_sampled_reply_missing_a_dual_entry_is_rejected() {
+        let mix = build_mix();
+        let (i, result) = (0..1000)
+            .map(|i| (i, direct_solve(i, &mix)))
+            .find(|(_, r)| r.status == mib_qp::Status::Solved && !r.y.is_empty())
+            .expect("some request of the trace solves");
+        let reply = WireReply {
+            code: ReplyCode::Solved,
+            iterations: u32::try_from(result.iterations).expect("iterations fit u32"),
+            obj_val: result.obj_val,
+            queue_wait_us: 0,
+            service_us: 0,
+            batch_size: 1,
+            x: result.x,
+            y: result.y,
+            message: String::new(),
+        };
+        assert_eq!(verify_sample(i, &reply, &mix), Ok(()));
+        let mut truncated = reply.clone();
+        truncated.y.pop();
+        assert!(verify_sample(i, &truncated, &mix).is_err());
     }
 }

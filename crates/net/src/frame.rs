@@ -30,9 +30,9 @@ pub const MAGIC: u32 = 0x4d49_4251;
 
 /// The one protocol version this build speaks, carried in every
 /// [`Frame::Hello`]; a Hello offering any other version is
-/// [`FrameError::BadVersion`]. In this version a [`Frame::Submit`] may
-/// carry a 128-bit trace id (section mask bit 3).
-pub const VERSION: u16 = 2;
+/// [`FrameError::BadVersion`], so a peer built for another catalog or
+/// submit layout is refused at the handshake instead of misreading it.
+pub const VERSION: u16 = 3;
 
 /// Default cap on a single frame body, bytes. Generous for solution
 /// vectors of every benchmark domain, small enough that a hostile
@@ -140,8 +140,6 @@ pub mod error_code {
 pub struct EndpointInfo {
     /// Index used by [`Frame::Submit`].
     pub id: u32,
-    /// Whether submissions are portfolio-routed across backends.
-    pub routed: bool,
     /// Number of decision variables (`q`/`x` length).
     pub num_vars: u32,
     /// Number of constraints (`l`/`u`/`y` length).
@@ -380,7 +378,6 @@ pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
             );
             for e in endpoints {
                 put_u32(out, e.id);
-                out.push(u8::from(e.routed));
                 put_u32(out, e.num_vars);
                 put_u32(out, e.num_constraints);
                 put_str(out, &e.name);
@@ -570,7 +567,6 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
             for _ in 0..count {
                 endpoints.push(EndpointInfo {
                     id: c.u32()?,
-                    routed: c.u8()? != 0,
                     num_vars: c.u32()?,
                     num_constraints: c.u32()?,
                     name: c.string()?,
@@ -737,14 +733,12 @@ mod tests {
                 endpoints: vec![
                     EndpointInfo {
                         id: 0,
-                        routed: false,
                         num_vars: 12,
                         num_constraints: 30,
                         name: "Portfolio[0]".into(),
                     },
                     EndpointInfo {
                         id: 1,
-                        routed: true,
                         num_vars: 5,
                         num_constraints: 7,
                         name: "Mpc[1]".into(),
@@ -891,9 +885,9 @@ mod tests {
         r.extend(&wire);
         assert!(matches!(r.next_frame(), Err(FrameError::BadMagic(_))));
 
-        // Any version but VERSION is refused, the retired v1 included
-        // (the LE u16 at body offset 4).
-        for v in [0u16, 1, 0x7f] {
+        // Any version but VERSION is refused, the retired v1 and v2
+        // included (the LE u16 at body offset 4).
+        for v in [0u16, 1, 2, 0x7f] {
             let mut wire = encode_to_vec(&Frame::Hello { token: vec![] });
             wire[18..20].copy_from_slice(&v.to_le_bytes());
             let mut r = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
@@ -910,6 +904,32 @@ mod tests {
         let mut r = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
         r.extend(&wire);
         assert_eq!(r.next_frame(), Ok(Some(hello)));
+    }
+
+    #[test]
+    fn hello_ack_catalog_entry_has_the_v3_layout() {
+        let wire = encode_to_vec(&Frame::HelloAck {
+            tenant: "t".into(),
+            endpoints: vec![EndpointInfo {
+                id: 7,
+                num_vars: 12,
+                num_constraints: 30,
+                name: "ab".into(),
+            }],
+        });
+        let mut golden = Vec::new();
+        golden.extend_from_slice(&37u32.to_le_bytes()); // body length
+        golden.extend_from_slice(&[1, 0]); // kind HelloAck, flags
+        golden.extend_from_slice(&0u64.to_le_bytes()); // request id
+        golden.extend_from_slice(&1u32.to_le_bytes()); // tenant label
+        golden.push(b't');
+        golden.extend_from_slice(&1u32.to_le_bytes()); // catalog count
+        golden.extend_from_slice(&7u32.to_le_bytes()); // id
+        golden.extend_from_slice(&12u32.to_le_bytes()); // num_vars
+        golden.extend_from_slice(&30u32.to_le_bytes()); // num_constraints
+        golden.extend_from_slice(&2u32.to_le_bytes()); // name
+        golden.extend_from_slice(b"ab");
+        assert_eq!(wire, golden);
     }
 
     #[test]

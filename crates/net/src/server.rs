@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 use mib_qp::Status;
 use mib_serve::{
     queue_full_retry_after, AdmissionConfig, AdmissionController, CancelHandle, Metrics, Outcome,
-    PortfolioId, QpServer, Request, Response, SubmitError, TenantId, TenantPolicy, TenantSlot,
+    QpServer, Request, Response, SubmitError, TenantId, TenantPolicy, TenantSlot,
 };
 
 use crate::frame::{
@@ -64,10 +64,9 @@ const HELLO_PATIENCE: Duration = Duration::from_secs(5);
 /// What a catalog endpoint submits to.
 #[derive(Debug, Clone, Copy)]
 pub enum EndpointTarget {
-    /// A single registered tenant (`QpServer::submit`).
+    /// A registered tenant (`QpServer::submit`), served by the solver it
+    /// registered with.
     Tenant(TenantId),
-    /// A portfolio, routed across backends (`QpServer::submit_routed`).
-    Portfolio(PortfolioId),
 }
 
 /// One entry of the endpoint catalog a server advertises.
@@ -200,7 +199,6 @@ impl NetServer {
             .enumerate()
             .map(|(id, e)| EndpointInfo {
                 id: u32::try_from(id).expect("catalog fits u32 ids"),
-                routed: matches!(e.target, EndpointTarget::Portfolio(_)),
                 num_vars: u32::try_from(e.num_vars).expect("num_vars fits u32"),
                 num_constraints: u32::try_from(e.num_constraints)
                     .expect("num_constraints fits u32"),
@@ -589,11 +587,8 @@ fn handle_submit(
         warm_start,
         trace_id,
     };
-    let submitted = match spec.target {
-        EndpointTarget::Tenant(id) => shared.qp.submit(id, request),
-        EndpointTarget::Portfolio(id) => shared.qp.submit_routed(id, request),
-    };
-    match submitted {
+    let EndpointTarget::Tenant(id) = spec.target;
+    match shared.qp.submit(id, request) {
         Ok(ticket) => {
             in_flight
                 .lock()

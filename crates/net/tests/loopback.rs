@@ -1,6 +1,6 @@
 //! End-to-end tests over a real loopback socket: handshake + auth,
-//! bitwise answer parity with direct solves, routed endpoints,
-//! rate-limit sheds, cancellation, the Goodbye drain protocol, and
+//! bitwise answer parity with direct solves, an ADMM and a PDQP
+//! endpoint, rate-limit sheds, cancellation, the Goodbye drain protocol, and
 //! clean teardown under garbage, oversized and unauthenticated input.
 
 use std::io::{Read, Write};
@@ -20,44 +20,23 @@ use mib_serve::{QpServer, Request, ServeConfig, TenantId, TenantPolicy};
 const TOKEN_A: &[u8] = b"tenant-a-token";
 const TOKEN_B: &[u8] = b"tenant-b-token";
 
-/// A server with one direct endpoint (Portfolio domain) and one routed
-/// endpoint (same problem under both algorithms), two tenants.
+/// A server with two endpoints on one problem (Portfolio domain), an
+/// ADMM tenant and a PDQP tenant, and two auth tokens.
 fn start_server(policy_a: TenantPolicy) -> (NetServer, Solver) {
     let qp = Arc::new(QpServer::new(ServeConfig::default()));
     let spec = instance(Domain::Portfolio, 0);
     let template = Solver::new(spec.problem.clone(), Settings::default()).unwrap();
-    let tenant = qp
-        .register(spec.problem.clone(), Settings::default())
-        .unwrap();
-    let portfolio = qp
-        .register_portfolio(
-            &spec.problem,
-            vec![
-                Settings {
-                    algorithm: Algorithm::Admm,
-                    ..Settings::default()
-                },
-                Settings {
-                    algorithm: Algorithm::Pdqp,
-                    ..Settings::default()
-                },
-            ],
-        )
-        .unwrap();
-    let endpoints = vec![
-        EndpointSpec {
-            target: EndpointTarget::Tenant(tenant),
-            name: "portfolio-direct".into(),
-            num_vars: spec.problem.num_vars(),
-            num_constraints: spec.problem.num_constraints(),
-        },
-        EndpointSpec {
-            target: EndpointTarget::Portfolio(portfolio),
-            name: "portfolio-routed".into(),
-            num_vars: spec.problem.num_vars(),
-            num_constraints: spec.problem.num_constraints(),
-        },
-    ];
+    let endpoints = [
+        ("portfolio-admm", Settings::default()),
+        ("portfolio-pdqp", Settings::with_algorithm(Algorithm::Pdqp)),
+    ]
+    .map(|(name, settings)| EndpointSpec {
+        target: EndpointTarget::Tenant(qp.register(spec.problem.clone(), settings).unwrap()),
+        name: name.into(),
+        num_vars: spec.problem.num_vars(),
+        num_constraints: spec.problem.num_constraints(),
+    })
+    .to_vec();
     let auth = vec![
         TenantAuth {
             token: TOKEN_A.to_vec(),
@@ -94,8 +73,7 @@ fn served_answers_over_the_wire_are_bitwise_equal_to_direct_solves() {
     let mut client = NetClient::connect(server.local_addr(), TOKEN_A).unwrap();
     assert_eq!(client.tenant(), "tenant-a");
     assert_eq!(client.endpoints().len(), 2);
-    assert!(!client.endpoints()[0].routed);
-    assert!(client.endpoints()[1].routed);
+    assert_eq!(client.endpoints()[1].name, "portfolio-pdqp");
 
     let n = client.endpoints()[0].num_vars as usize;
     let base_q: Vec<f64> = template.problem().q().to_vec();

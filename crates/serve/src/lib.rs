@@ -3,11 +3,14 @@
 //! The solver stack below this crate answers one question: *how fast can
 //! one problem be solved?* This crate answers the production question:
 //! *how are thousands of parametric solves served concurrently without
-//! losing the determinism story?* It is built from five pieces:
+//! losing the determinism story?* It is built from four pieces:
 //!
 //! - **Pattern sharding** ([`PatternKey`]): requests route by the
 //!   structural identity of their QP (sparsity patterns + dimensions +
-//!   backend). Each shard owns worker threads with warm per-tenant
+//!   KKT backend + solver algorithm). A tenant is served by the solver
+//!   it registered with (`Settings::algorithm`), so ADMM and PDQP
+//!   tenants of one problem keep shards of their own. Each shard owns
+//!   worker threads with warm per-tenant
 //!   [`Solver`](mib_qp::Solver) clones, so steady-state serving pays no
 //!   setup and no allocation. Cold shards are LRU-evicted.
 //! - **Opportunistic batching**: a worker claims whatever same-pattern
@@ -26,11 +29,6 @@
 //! - **Metrics** ([`Metrics`]): lock-free counters and log-linear
 //!   [`Histogram`]s wired through submit → queue → solve → complete, with
 //!   a text snapshot export.
-//! - **Portfolio routing** ([`BackendRouter`]): a problem registered
-//!   under several solver algorithms (`register_portfolio`) is served by
-//!   the backend whose recorded solve telemetry converges fastest for
-//!   that structure, with an optional shadow-audit mode cross-checking a
-//!   sampled fraction of answers between backends.
 //!
 //! # Determinism contract
 //!
@@ -79,16 +77,14 @@ mod metrics;
 mod obs;
 mod pattern;
 mod request;
-mod router;
 mod server;
 mod shard;
 
 pub use admission::{
     queue_full_retry_after, AdmissionConfig, AdmissionController, TenantPolicy, TenantSlot, Verdict,
 };
-pub use metrics::{BackendCounters, Counters, Histogram, Metrics, TenantCounters};
+pub use metrics::{Counters, Histogram, Metrics, TenantCounters};
 pub use obs::{BurnWindow, ObsConfig, ObsPlane, SloReport};
 pub use pattern::PatternKey;
 pub use request::{CancelHandle, Outcome, RegisterError, Request, Response, SubmitError, Ticket};
-pub use router::BackendRouter;
-pub use server::{PortfolioId, QpServer, ServeConfig, TenantId};
+pub use server::{QpServer, ServeConfig, TenantId};

@@ -14,8 +14,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use mib_qp::{Algorithm, ALGORITHM_COUNT};
-
 /// Relaxed ordering everywhere: counters are statistics, not
 /// synchronization.
 const ORD: Ordering = Ordering::Relaxed;
@@ -265,17 +263,6 @@ counters! {
     batches,
     /// Requests served through micro-batches (sum of batch sizes).
     batched_requests,
-    /// Portfolio submissions routed by the backend router and admitted.
-    routed_portfolio,
-    /// Shadow audits started (a sampled request re-solved on a second
-    /// backend).
-    shadow_audits,
-    /// Shadow audits where both backends reached consistent answers.
-    shadow_agreements,
-    /// Shadow audits where the backends disagreed beyond tolerance.
-    shadow_mismatches,
-    /// Shadow audits with no verdict (either solve non-terminal).
-    shadow_inconclusive,
     /// Requests admitted by the admission controller (all tenants).
     admitted,
     /// Requests shed by per-tenant token-bucket rate limiting.
@@ -311,75 +298,6 @@ counters! {
     flight_evicted,
 }
 
-/// Per-backend solve counters: every cell is keyed by
-/// [`Algorithm::index`], and the rendered snapshot labels each line with
-/// a `backend="..."` dimension
-/// (`mib_serve_backend_solves_total{backend="admm"}`).
-#[derive(Debug, Default)]
-pub struct BackendCounters {
-    solves: [AtomicU64; ALGORITHM_COUNT],
-    solved: [AtomicU64; ALGORITHM_COUNT],
-    iterations: [AtomicU64; ALGORITHM_COUNT],
-    solve_micros: [AtomicU64; ALGORITHM_COUNT],
-}
-
-impl BackendCounters {
-    /// Records one terminal solve served by `algorithm`.
-    pub fn record(&self, algorithm: Algorithm, converged: bool, iterations: u64, micros: u64) {
-        let i = algorithm.index();
-        self.solves[i].fetch_add(1, ORD);
-        if converged {
-            self.solved[i].fetch_add(1, ORD);
-        }
-        self.iterations[i].fetch_add(iterations, ORD);
-        self.solve_micros[i].fetch_add(micros, ORD);
-    }
-
-    /// Terminal solves served by `algorithm`.
-    pub fn solves(&self, algorithm: Algorithm) -> u64 {
-        self.solves[algorithm.index()].load(ORD)
-    }
-
-    /// Converged solves served by `algorithm`.
-    pub fn solved(&self, algorithm: Algorithm) -> u64 {
-        self.solved[algorithm.index()].load(ORD)
-    }
-
-    /// Total solver iterations spent by `algorithm`.
-    pub fn iterations(&self, algorithm: Algorithm) -> u64 {
-        self.iterations[algorithm.index()].load(ORD)
-    }
-
-    /// Total solve wall time spent by `algorithm`, µs.
-    pub fn solve_micros(&self, algorithm: Algorithm) -> u64 {
-        self.solve_micros[algorithm.index()].load(ORD)
-    }
-
-    fn render_into(&self, out: &mut String) {
-        // Labelled series render in sorted label order within each
-        // metric, independent of enum declaration order, so snapshot
-        // diffs stay stable (`Algorithm::all()` happens to be sorted
-        // today; don't rely on it).
-        let mut algos: Vec<Algorithm> = Algorithm::all().to_vec();
-        algos.sort_by_key(|a| a.name());
-        for (name, cells) in [
-            ("solves", &self.solves),
-            ("solved", &self.solved),
-            ("iterations", &self.iterations),
-            ("solve_micros", &self.solve_micros),
-        ] {
-            for algo in &algos {
-                let _ = writeln!(
-                    out,
-                    "mib_serve_backend_{name}_total{{backend=\"{}\"}} {}",
-                    algo.name(),
-                    cells[algo.index()].load(ORD)
-                );
-            }
-        }
-    }
-}
-
 /// Per-tenant admission counters, labelled by the tenant string in the
 /// rendered snapshot
 /// (`mib_serve_admission_admitted_total{tenant="..."}`). Handles are
@@ -406,8 +324,6 @@ pub struct TenantCounters {
 pub struct Metrics {
     /// Event counters.
     pub counters: Counters,
-    /// Per-backend (algorithm-labelled) solve counters.
-    pub backend: BackendCounters,
     /// Time from submission to the start of the solve, µs.
     pub queue_wait: Histogram,
     /// Solve (service) time, µs.
@@ -473,13 +389,12 @@ impl Metrics {
     }
 
     /// Renders the whole registry as Prometheus-flavored text lines
-    /// (`mib_serve_*`). Stable ordering — labelled series (backend,
-    /// tenant) emit in sorted label order — so snapshots diff cleanly
+    /// (`mib_serve_*`). Stable ordering — labelled series (tenant) emit
+    /// in sorted label order — so snapshots diff cleanly
     /// across runs and are suitable for golden files.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.counters.render_into(&mut out);
-        self.backend.render_into(&mut out);
         let tenants = self.tenant_admission_snapshot();
         for (name, field) in [
             ("admitted", 0usize),
@@ -652,25 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_counters_render_with_a_backend_label() {
-        let m = Metrics::new();
-        m.backend.record(Algorithm::Admm, true, 75, 1200);
-        m.backend.record(Algorithm::Admm, false, 4000, 9000);
-        m.backend.record(Algorithm::Pdqp, true, 310, 800);
-        assert_eq!(m.backend.solves(Algorithm::Admm), 2);
-        assert_eq!(m.backend.solved(Algorithm::Admm), 1);
-        assert_eq!(m.backend.iterations(Algorithm::Admm), 4075);
-        assert_eq!(m.backend.solve_micros(Algorithm::Pdqp), 800);
-        let text = m.render();
-        assert!(text.contains("mib_serve_backend_solves_total{backend=\"admm\"} 2"));
-        assert!(text.contains("mib_serve_backend_solves_total{backend=\"pdqp\"} 1"));
-        assert!(text.contains("mib_serve_backend_solved_total{backend=\"pdqp\"} 1"));
-        assert!(text.contains("mib_serve_backend_iterations_total{backend=\"admm\"} 4075"));
-        assert!(text.contains("mib_serve_shadow_mismatches_total 0"));
-        assert!(text.contains("mib_serve_routed_portfolio_total 0"));
-    }
-
-    #[test]
     fn labelled_series_render_sorted_regardless_of_registration_order() {
         let m = Metrics::new();
         // Register tenants in reverse-sorted order; the render must come
@@ -687,13 +583,6 @@ mod tests {
         let mut sorted = tenant_lines.clone();
         sorted.sort_unstable();
         assert_eq!(tenant_lines, sorted, "tenant series must be sorted");
-        let backend_lines: Vec<&str> = text
-            .lines()
-            .filter(|l| l.starts_with("mib_serve_backend_solves_total"))
-            .collect();
-        let mut sorted = backend_lines.clone();
-        sorted.sort_unstable();
-        assert_eq!(backend_lines, sorted, "backend series must be sorted");
         // Two renders of the same registry are identical.
         assert_eq!(text, m.render());
     }

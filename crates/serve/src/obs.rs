@@ -13,8 +13,8 @@
 //!   sampling: the traces an operator wants are exactly the ones that
 //!   misbehaved, and the well-behaved majority never leaves the
 //!   thread-local buffer;
-//! * feeds every terminal response into rolling windows (per-phase,
-//!   per-backend, per-tenant), each a ring of [`Histogram`]s, from which
+//! * feeds every terminal response into rolling windows (per-phase and
+//!   per-tenant), each a ring of [`Histogram`]s, from which
 //!   p50/p99 upper bounds and an EWMA are computed over the trailing
 //!   window;
 //! * classifies every eligible response as SLO-good or SLO-bad (within
@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use mib_qp::{Algorithm, Status, ALGORITHM_COUNT};
+use mib_qp::Status;
 use mib_trace::{FlightRecord, FlightRecorder, KeepReason, Record};
 
 use crate::metrics::{Histogram, Metrics};
@@ -233,15 +233,13 @@ impl TallyRing {
     }
 }
 
-/// Rolling aggregation state behind the plane's mutex: per-phase,
-/// per-backend and per-tenant latency series plus the SLO and shed
-/// tallies.
+/// Rolling aggregation state behind the plane's mutex: per-phase and
+/// per-tenant latency series plus the SLO and shed tallies.
 #[derive(Debug)]
 struct RollingState {
     queue_wait: Series,
     service: Series,
     e2e: Series,
-    backend: Vec<Series>,
     tenant: BTreeMap<u64, Series>,
     slo: TallyRing,       // (good, bad)
     admission: TallyRing, // (admitted, shed)
@@ -253,7 +251,6 @@ impl RollingState {
             queue_wait: Series::new(window),
             service: Series::new(window),
             e2e: Series::new(window),
-            backend: (0..ALGORITHM_COUNT).map(|_| Series::new(window)).collect(),
             tenant: BTreeMap::new(),
             slo: TallyRing::new(window),
             admission: TallyRing::new(window),
@@ -468,11 +465,9 @@ impl ObsPlane {
     /// tally. `verdict` is `Some(good)` for SLO-eligible responses and
     /// `None` for client-cancelled ones (neither good nor bad — a
     /// client abort is not server error budget).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn record_response(
         &self,
         tenant_id: u64,
-        algorithm: Algorithm,
         queue_wait_us: u64,
         service_us: u64,
         e2e_us: u64,
@@ -486,7 +481,6 @@ impl ObsPlane {
         st.queue_wait.observe(sec, queue_wait_us);
         st.service.observe(sec, service_us);
         st.e2e.observe(sec, e2e_us);
-        st.backend[algorithm.index()].observe(sec, service_us);
         let window = self.cfg.burn_long_secs;
         if st.tenant.len() < MAX_TENANT_SERIES || st.tenant.contains_key(&tenant_id) {
             st.tenant
@@ -562,7 +556,7 @@ impl ObsPlane {
     }
 
     /// Renders the `/slo` text document: objectives, burn-rate windows,
-    /// rolling per-phase/per-backend/per-tenant quantiles, and the
+    /// rolling per-phase/per-tenant quantiles, and the
     /// flight-ring totals. Deterministic ordering.
     pub fn render_slo(&self, now: Instant) -> String {
         let report = self.slo_report(now);
@@ -594,18 +588,6 @@ impl ObsPlane {
                 let _ = writeln!(
                     out,
                     "mib_obs_phase_ewma_us{{{label}}} {:.3}",
-                    series.ewma_us
-                );
-            }
-            let mut algos: Vec<Algorithm> = Algorithm::all().to_vec();
-            algos.sort_by_key(|a| a.name());
-            for algo in algos {
-                let series = &st.backend[algo.index()];
-                let label = format!("backend=\"{}\"", algo.name());
-                write_quantiles(&mut out, "backend", &label, &series.window(sec));
-                let _ = writeln!(
-                    out,
-                    "mib_obs_backend_ewma_us{{{label}}} {:.3}",
                     series.ewma_us
                 );
             }
@@ -677,7 +659,7 @@ mod tests {
         let now = plane.epoch;
         plane.record_shed(7, "rate_limited", now);
         plane.record_admitted(now);
-        plane.record_response(0, Algorithm::Admm, 1, 2, 3, Some(true), now);
+        plane.record_response(0, 1, 2, 3, Some(true), now);
         assert!(plane.flight().is_empty());
         assert_eq!(plane.slo_report(now).windows[0].good, 0);
         assert_eq!(plane.metrics.counters.slo_good.load(ORD), 0);
@@ -699,10 +681,10 @@ mod tests {
         });
         let now = plane.epoch;
         for _ in 0..8 {
-            plane.record_response(0, Algorithm::Admm, 1, 2, 3, Some(true), now);
+            plane.record_response(0, 1, 2, 3, Some(true), now);
         }
         for _ in 0..2 {
-            plane.record_response(0, Algorithm::Admm, 1, 2, 3, Some(false), now);
+            plane.record_response(0, 1, 2, 3, Some(false), now);
         }
         let report = plane.slo_report(now);
         // 20% bad against a 10% budget: burning 2x.
@@ -719,11 +701,11 @@ mod tests {
     fn short_window_forgets_old_failures() {
         let plane = active_plane(enabled_cfg());
         let t0 = plane.epoch;
-        plane.record_response(0, Algorithm::Admm, 1, 2, 3, Some(false), t0);
+        plane.record_response(0, 1, 2, 3, Some(false), t0);
         // 2 minutes later the short (60s) window is clean, the long
         // (600s) window still remembers.
         let later = t0 + Duration::from_mins(2);
-        plane.record_response(0, Algorithm::Admm, 1, 2, 3, Some(true), later);
+        plane.record_response(0, 1, 2, 3, Some(true), later);
         let report = plane.slo_report(later);
         assert_eq!(report.windows[0].bad, 0, "short window must forget");
         assert_eq!(report.windows[0].good, 1);
@@ -735,13 +717,12 @@ mod tests {
         let plane = active_plane(enabled_cfg());
         let now = plane.epoch;
         for us in [10u64, 20, 30, 40, 1000] {
-            plane.record_response(3, Algorithm::Pdqp, us, us, us, Some(true), now);
+            plane.record_response(3, us, us, us, Some(true), now);
         }
         let slo = plane.render_slo(now);
         assert!(slo.contains("mib_obs_phase_count{phase=\"e2e\"} 5"));
         // 1000 µs lies in the bucket [960, 1023]; the largest sample caps
         // the bound.
-        assert!(slo.contains("mib_obs_backend_p99_us{backend=\"pdqp\"} 1000"));
         assert!(slo.contains("mib_obs_tenant_p99_us{tenant=\"tenant-3\"} 1000"));
         assert!(slo.contains("mib_obs_phase_p50_us{phase=\"e2e\"} 31"));
         assert!(slo.contains("mib_slo_burn_rate{window=\"short\"} 0.000000"));
@@ -794,7 +775,7 @@ mod tests {
         let finished = |status| {
             Outcome::Finished(SolveResult {
                 status,
-                algorithm: Algorithm::Admm,
+                algorithm: mib_qp::Algorithm::Admm,
                 x: vec![],
                 y: vec![],
                 z: vec![],
@@ -826,10 +807,10 @@ mod tests {
         let plane = active_plane(enabled_cfg());
         let long = plane.cfg.burn_long_secs;
         let t0 = plane.epoch;
-        plane.record_response(3, Algorithm::Admm, 5000, 5000, 5000, Some(true), t0);
+        plane.record_response(3, 5000, 5000, 5000, Some(true), t0);
         // One second inside the long window: still remembered.
         let inside = t0 + Duration::from_secs(long - 1);
-        plane.record_response(3, Algorithm::Admm, 10, 10, 10, Some(true), inside);
+        plane.record_response(3, 10, 10, 10, Some(true), inside);
         let slo = plane.render_slo(inside);
         assert!(
             slo.contains("mib_obs_phase_count{phase=\"e2e\"} 2"),
@@ -843,7 +824,6 @@ mod tests {
         for line in [
             "mib_obs_phase_count{phase=\"e2e\"} 1",
             "mib_obs_phase_p99_us{phase=\"service\"} 10",
-            "mib_obs_backend_p99_us{backend=\"admm\"} 10",
             "mib_obs_tenant_p99_us{tenant=\"tenant-3\"} 10",
         ] {
             assert!(slo.contains(line), "missing {line:?} in {slo}");

@@ -19,24 +19,14 @@ use mib_sparse::CscMatrix;
 ///
 /// The key stores the full structural stream (not just a digest), so two
 /// distinct patterns can never collide; the 64-bit [`digest`] is a cheap
-/// fingerprint for display and map hashing only. The solver identity
-/// (backend, algorithm) sits at the end of the stream, so the
-/// pure-structure prefix yields a second fingerprint,
-/// [`structure_digest`], shared by every solver variant of the same
-/// shape — the portfolio router compares backends under that key.
+/// fingerprint for display and map hashing only.
 ///
 /// [`digest`]: PatternKey::digest
-/// [`structure_digest`]: PatternKey::structure_digest
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternKey {
     stream: Vec<u64>,
     digest: u64,
-    structure_digest: u64,
 }
-
-/// Trailing stream words that identify the solver rather than the
-/// problem structure: the KKT backend and the algorithm.
-const SOLVER_IDENTITY_WORDS: usize = 2;
 
 impl PatternKey {
     /// The structural key of `problem` solved with `backend` by
@@ -47,31 +37,16 @@ impl PatternKey {
         stream.push(problem.num_constraints() as u64);
         push_structure(&mut stream, problem.p());
         push_structure(&mut stream, problem.a());
-        // Solver identity goes last so the structure-only prefix is a
-        // stream prefix.
         stream.push(backend as u64);
         stream.push(algorithm.index() as u64);
         let digest = fnv1a(&stream);
-        let structure_digest = fnv1a(&stream[..stream.len() - SOLVER_IDENTITY_WORDS]);
-        PatternKey {
-            stream,
-            digest,
-            structure_digest,
-        }
+        PatternKey { stream, digest }
     }
 
     /// A 64-bit fingerprint of the pattern (FNV-1a over the structural
     /// stream). Collision-tolerant uses only: display, hashing.
     pub fn digest(&self) -> u64 {
         self.digest
-    }
-
-    /// Fingerprint of the problem structure alone (dimensions and
-    /// `P`/`A` sparsity, no backend/algorithm): equal across every
-    /// solver variant of the same shape. The backend router keys its
-    /// telemetry on this.
-    pub fn structure_digest(&self) -> u64 {
-        self.structure_digest
     }
 }
 
@@ -145,7 +120,6 @@ mod tests {
         );
         assert_eq!(a, b);
         assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.structure_digest(), b.structure_digest());
     }
 
     #[test]
@@ -188,20 +162,6 @@ mod tests {
                 Algorithm::Pdqp
             )
         );
-    }
-
-    #[test]
-    fn solver_variants_share_the_structure_digest() {
-        let spec = problem(&[4.0, 1.0, 2.0, 1.0], 0.7);
-        let keys = [
-            PatternKey::of(&spec, KktBackend::Direct, Algorithm::Admm),
-            PatternKey::of(&spec, KktBackend::Indirect, Algorithm::Admm),
-            PatternKey::of(&spec, KktBackend::Direct, Algorithm::Pdqp),
-        ];
-        for k in &keys[1..] {
-            assert_ne!(keys[0].digest(), k.digest());
-            assert_eq!(keys[0].structure_digest(), k.structure_digest());
-        }
     }
 
     #[test]

@@ -2,17 +2,15 @@
 //! LRU eviction, admission control and drain-then-shutdown.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use mib_qp::{Algorithm, Problem, Settings, Solver};
+use mib_qp::{Problem, Settings, Solver};
 
 use crate::metrics::Metrics;
 use crate::obs::{ObsConfig, ObsPlane};
 use crate::pattern::PatternKey;
 use crate::request::{RegisterError, Request, SubmitError, Ticket, TicketShared};
-use crate::router::BackendRouter;
 use crate::shard::{Pending, Shard, ShardConfig, Tenant};
 
 /// Server-wide configuration.
@@ -29,20 +27,6 @@ pub struct ServeConfig {
     /// Most-recently-used pattern shards kept warm; the least recently
     /// used shard beyond this bound is drained and evicted.
     pub max_shards: usize,
-    /// Shadow-audit sampling period for routed portfolio submissions:
-    /// every `shadow_every`-th routed request is additionally re-solved
-    /// on a sibling backend and the answers cross-checked
-    /// (`shadow_*` counters). `0` disables auditing.
-    pub shadow_every: usize,
-    /// Relative objective tolerance for a shadow audit to count as
-    /// agreement: `|obj_a - obj_b| <= tol * max(1, |obj_a|, |obj_b|)`.
-    ///
-    /// Two backends each terminating at residual tolerance `eps` can
-    /// legitimately disagree in objective by a few multiples of `eps`
-    /// relative; the default is sized for the solver's default
-    /// `eps_abs = eps_rel = 1e-3`. Tighten it together with the solver
-    /// tolerances.
-    pub shadow_rel_tol: f64,
     /// Observability plane configuration (flight recorder, SLO
     /// objectives, rolling windows). Disabled by default; enabling it
     /// also enables `mib-trace` spans (including kernel spans) so the
@@ -57,8 +41,6 @@ impl Default for ServeConfig {
             max_batch: 16,
             workers_per_shard: 2,
             max_shards: 8,
-            shadow_every: 0,
-            shadow_rel_tol: 1e-2,
             obs: ObsConfig::default(),
         }
     }
@@ -73,10 +55,6 @@ impl ServeConfig {
             "workers_per_shard must be >= 1"
         );
         assert!(self.max_shards >= 1, "max_shards must be >= 1");
-        assert!(
-            self.shadow_rel_tol.is_finite() && self.shadow_rel_tol >= 0.0,
-            "shadow_rel_tol must be finite and non-negative"
-        );
         self.obs.validate();
     }
 
@@ -85,7 +63,6 @@ impl ServeConfig {
             queue_capacity: self.queue_capacity,
             max_batch: self.max_batch,
             workers: self.workers_per_shard,
-            shadow_rel_tol: self.shadow_rel_tol,
         }
     }
 }
@@ -97,18 +74,6 @@ pub struct TenantId(u64);
 impl std::fmt::Display for TenantId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "tenant-{}", self.0)
-    }
-}
-
-/// Opaque handle to a registered portfolio: one problem registered under
-/// several solver-settings variants, with submissions routed to the
-/// variant the telemetry says converges fastest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PortfolioId(u64);
-
-impl std::fmt::Display for PortfolioId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "portfolio-{}", self.0)
     }
 }
 
@@ -124,10 +89,8 @@ struct ShardSlot {
 #[derive(Debug)]
 struct ServerState {
     tenants: HashMap<u64, Arc<Tenant>>,
-    portfolios: HashMap<u64, Vec<Arc<Tenant>>>,
     shards: HashMap<PatternKey, ShardSlot>,
     next_tenant: u64,
-    next_portfolio: u64,
     /// Monotonic LRU clock, bumped on every shard touch.
     tick: u64,
     accepting: bool,
@@ -139,8 +102,8 @@ struct ServerState {
 /// (paying solver setup), then [`submit`](QpServer::submit) parametric
 /// requests against it. Requests are routed by structural
 /// [`PatternKey`] onto warm worker shards, batched as they queue,
-/// solved with deadline/cancellation observation, and answered through
-/// [`Ticket`]s.
+/// solved by the tenant's own solver (`Settings::algorithm`) with
+/// deadline/cancellation observation, and answered through [`Ticket`]s.
 ///
 /// Every `Solved` answer is bitwise-identical to a direct cold solve of
 /// the same parametric problem — serving is an execution strategy, not a
@@ -149,11 +112,7 @@ struct ServerState {
 pub struct QpServer {
     config: ServeConfig,
     metrics: Arc<Metrics>,
-    router: Arc<BackendRouter>,
     obs: Arc<ObsPlane>,
-    /// Monotonic routed-submission counter driving deterministic
-    /// shadow-audit sampling.
-    shadow_tick: AtomicU64,
     state: Mutex<ServerState>,
 }
 
@@ -186,15 +145,11 @@ impl QpServer {
         QpServer {
             config,
             metrics,
-            router: Arc::new(BackendRouter::new()),
             obs,
-            shadow_tick: AtomicU64::new(0),
             state: Mutex::new(ServerState {
                 tenants: HashMap::new(),
-                portfolios: HashMap::new(),
                 shards: HashMap::new(),
                 next_tenant: 0,
-                next_portfolio: 0,
                 tick: 0,
                 accepting: true,
             }),
@@ -216,12 +171,6 @@ impl QpServer {
     /// The server configuration (read-only; fixed at construction).
     pub fn config(&self) -> &ServeConfig {
         &self.config
-    }
-
-    /// The shared backend router (per-structure solve-time telemetry
-    /// behind portfolio routing).
-    pub fn router(&self) -> Arc<BackendRouter> {
-        Arc::clone(&self.router)
     }
 
     /// Live (warm) pattern shards.
@@ -247,59 +196,11 @@ impl QpServer {
         problem: Problem,
         settings: Settings,
     ) -> Result<TenantId, RegisterError> {
-        self.register_tenant(problem, settings).map(|(id, _)| id)
-    }
-
-    /// Registers a portfolio: the same problem prepared once per
-    /// settings variant (typically one per solver [`Algorithm`]), each
-    /// variant a full tenant with its own warm pool. Submissions through
-    /// [`submit_routed`](Self::submit_routed) go to the variant whose
-    /// recorded solve telemetry converges fastest for this structure.
-    ///
-    /// # Errors
-    ///
-    /// As [`register`](Self::register); the first failing variant aborts
-    /// the portfolio.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `variants` is empty.
-    pub fn register_portfolio(
-        &self,
-        problem: &Problem,
-        variants: Vec<Settings>,
-    ) -> Result<PortfolioId, RegisterError> {
-        assert!(
-            !variants.is_empty(),
-            "a portfolio needs at least one settings variant"
-        );
-        let mut tenants = Vec::with_capacity(variants.len());
-        for settings in variants {
-            let (_, tenant) = self.register_tenant(problem.clone(), settings)?;
-            tenants.push(tenant);
-        }
-        let mut st = self.state.lock().expect("server state lock");
-        if !st.accepting {
-            return Err(RegisterError::ShuttingDown);
-        }
-        let id = st.next_portfolio;
-        st.next_portfolio += 1;
-        st.portfolios.insert(id, tenants);
-        Ok(PortfolioId(id))
-    }
-
-    fn register_tenant(
-        &self,
-        problem: Problem,
-        settings: Settings,
-    ) -> Result<(TenantId, Arc<Tenant>), RegisterError> {
         // Setup is the expensive part; do it outside the registry lock.
         let pattern = PatternKey::of(&problem, settings.backend, settings.algorithm);
-        let algorithm = settings.algorithm;
         let template = Solver::new(problem.clone(), settings)?;
         let evicted;
         let id;
-        let tenant;
         {
             let mut st = self.state.lock().expect("server state lock");
             if !st.accepting {
@@ -307,18 +208,17 @@ impl QpServer {
             }
             id = st.next_tenant;
             st.next_tenant += 1;
-            tenant = Arc::new(Tenant {
+            let tenant = Tenant {
                 id,
                 pattern: pattern.clone(),
-                algorithm,
                 problem,
                 template,
-            });
-            st.tenants.insert(id, Arc::clone(&tenant));
+            };
+            st.tenants.insert(id, Arc::new(tenant));
             evicted = self.touch_shard(&mut st, &pattern).1;
         }
         self.drain_evicted(evicted);
-        Ok((TenantId(id), tenant))
+        Ok(TenantId(id))
     }
 
     /// Deregisters a tenant. In-flight and queued requests of the tenant
@@ -342,7 +242,7 @@ impl QpServer {
     /// [`SubmitError::UnknownTenant`], [`SubmitError::QueueFull`] when
     /// the shard's bounded queue is at capacity, or
     /// [`SubmitError::ShuttingDown`].
-    pub fn submit(&self, tenant: TenantId, request: Request) -> Result<Ticket, SubmitError> {
+    pub fn submit(&self, tenant: TenantId, mut request: Request) -> Result<Ticket, SubmitError> {
         let owner = {
             let st = self.state.lock().expect("server state lock");
             if !st.accepting {
@@ -355,63 +255,6 @@ impl QpServer {
                     .ok_or(SubmitError::UnknownTenant)?,
             )
         };
-        self.submit_pending(&owner, request, None)
-    }
-
-    /// Submits a parametric request for a portfolio: the backend router
-    /// picks the variant whose recorded solve times are fastest for this
-    /// structure (exploring each variant first while cold). When shadow
-    /// auditing is enabled ([`ServeConfig::shadow_every`]), every
-    /// `shadow_every`-th routed submission is also re-solved on the next
-    /// variant and the answers cross-checked into the `shadow_*`
-    /// counters.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit`](Self::submit); [`SubmitError::UnknownTenant`] if the
-    /// portfolio id was never registered.
-    pub fn submit_routed(
-        &self,
-        portfolio: PortfolioId,
-        request: Request,
-    ) -> Result<Ticket, SubmitError> {
-        let tenants = {
-            let st = self.state.lock().expect("server state lock");
-            if !st.accepting {
-                self.metrics.inc(&self.metrics.counters.rejected_shutdown);
-                return Err(SubmitError::ShuttingDown);
-            }
-            st.portfolios
-                .get(&portfolio.0)
-                .cloned()
-                .ok_or(SubmitError::UnknownTenant)?
-        };
-        let candidates: Vec<Algorithm> = tenants.iter().map(|t| t.algorithm).collect();
-        let structure = tenants[0].pattern.structure_digest();
-        let algorithm = self.router.choose(structure, &candidates);
-        let idx = tenants
-            .iter()
-            .position(|t| t.algorithm == algorithm)
-            .expect("the chosen algorithm comes from the candidate list");
-        let primary = Arc::clone(&tenants[idx]);
-        let shadow = if self.config.shadow_every > 0 && tenants.len() > 1 {
-            let tick = self.shadow_tick.fetch_add(1, Ordering::Relaxed);
-            tick.is_multiple_of(self.config.shadow_every as u64)
-                .then(|| Arc::clone(&tenants[(idx + 1) % tenants.len()]))
-        } else {
-            None
-        };
-        let ticket = self.submit_pending(&primary, request, shadow)?;
-        self.metrics.inc(&self.metrics.counters.routed_portfolio);
-        Ok(ticket)
-    }
-
-    fn submit_pending(
-        &self,
-        owner: &Arc<Tenant>,
-        mut request: Request,
-        mut shadow: Option<Arc<Tenant>>,
-    ) -> Result<Ticket, SubmitError> {
         // A concurrent eviction can stop the shard between our lookup and
         // the enqueue; re-route (the touch re-creates the shard) a couple
         // of times before giving up. The rejected Pending travels back so
@@ -429,20 +272,16 @@ impl QpServer {
             let now = Instant::now();
             let ticket = TicketShared::new();
             let pending = Pending {
-                tenant: Arc::clone(owner),
+                tenant: Arc::clone(&owner),
                 deadline: request.deadline.map(|d| now + d),
                 request,
                 ticket: Arc::clone(&ticket),
                 submitted_at: now,
-                shadow: shadow.take(),
             };
             match shard.enqueue(pending) {
                 Ok(()) => return Ok(Ticket { shared: ticket }),
                 // Shard was stopped by a concurrent eviction; retry.
-                Err((SubmitError::ShuttingDown, rejected)) => {
-                    request = rejected.request;
-                    shadow = rejected.shadow;
-                }
+                Err((SubmitError::ShuttingDown, rejected)) => request = rejected.request,
                 Err((e, _)) => return Err(e),
             }
         }
@@ -488,7 +327,6 @@ impl QpServer {
             pattern.clone(),
             self.config.shard(),
             Arc::clone(&self.metrics),
-            Arc::clone(&self.router),
             Arc::clone(&self.obs),
         );
         st.shards.insert(

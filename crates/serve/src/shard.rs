@@ -33,13 +33,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mib_qp::{Algorithm, QpError, SolveResult, Solver, Status};
+use mib_qp::{QpError, SolveResult, Solver, Status};
 
 use crate::metrics::Metrics;
 use crate::obs::ObsPlane;
 use crate::pattern::PatternKey;
 use crate::request::{Outcome, Request, Response, SubmitError, TicketShared};
-use crate::router::BackendRouter;
 
 /// A registered tenant: one template problem prepared for serving.
 ///
@@ -52,9 +51,6 @@ pub(crate) struct Tenant {
     pub id: u64,
     /// Structural routing key.
     pub pattern: PatternKey,
-    /// Solver algorithm of the template (the backend label of every
-    /// solve served for this tenant).
-    pub algorithm: Algorithm,
     /// The registered base problem (source of `None`-field defaults).
     pub problem: mib_qp::Problem,
     /// Prepared solver prototype, cloned by workers.
@@ -70,10 +66,6 @@ pub(crate) struct Pending {
     pub submitted_at: Instant,
     /// Absolute deadline derived from the request's relative one.
     pub deadline: Option<Instant>,
-    /// Shadow-audit companion: after the primary solve, re-solve the
-    /// same request on this sibling tenant (a different backend of the
-    /// same portfolio) and cross-check the answers.
-    pub shadow: Option<Arc<Tenant>>,
 }
 
 /// Per-shard knobs, copied from the server configuration.
@@ -82,7 +74,6 @@ pub(crate) struct ShardConfig {
     pub queue_capacity: usize,
     pub max_batch: usize,
     pub workers: usize,
-    pub shadow_rel_tol: f64,
 }
 
 /// Queue state guarded by the shard mutex.
@@ -101,7 +92,6 @@ pub(crate) struct Shard {
     state: Mutex<QueueState>,
     available: Condvar,
     metrics: Arc<Metrics>,
-    router: Arc<BackendRouter>,
     obs: Arc<ObsPlane>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -112,7 +102,6 @@ impl Shard {
         key: PatternKey,
         cfg: ShardConfig,
         metrics: Arc<Metrics>,
-        router: Arc<BackendRouter>,
         obs: Arc<ObsPlane>,
     ) -> Arc<Shard> {
         let shard = Arc::new(Shard {
@@ -124,7 +113,6 @@ impl Shard {
             }),
             available: Condvar::new(),
             metrics,
-            router,
             obs,
             workers: Mutex::new(Vec::with_capacity(cfg.workers)),
         });
@@ -269,7 +257,6 @@ fn serve_one(shard: &Shard, warm: &mut HashMap<u64, Solver>, pending: Pending, b
         ticket,
         submitted_at,
         deadline,
-        shadow,
     } = pending;
     let picked_up = Instant::now();
     let queue_wait = picked_up.saturating_duration_since(submitted_at);
@@ -314,7 +301,7 @@ fn serve_one(shard: &Shard, warm: &mut HashMap<u64, Solver>, pending: Pending, b
         };
 
         let solve_span = mib_trace::span_if(tracing, "solve_request", mib_trace::Category::Serve);
-        let outcome = match solve_request(solver, &tenant, &request, deadline, Some(&ticket)) {
+        let outcome = match solve_request(solver, &tenant, &request, deadline, &ticket) {
             Ok(result) => {
                 match result.status {
                     Status::Solved => metrics.inc(&c.solved),
@@ -323,7 +310,6 @@ fn serve_one(shard: &Shard, warm: &mut HashMap<u64, Solver>, pending: Pending, b
                     Status::TimedOut => metrics.inc(&c.timed_out),
                     Status::Cancelled => metrics.inc(&c.cancelled),
                 }
-                record_solve_telemetry(shard, &tenant, &result, false);
                 Outcome::Finished(result)
             }
             Err(e) => {
@@ -332,9 +318,6 @@ fn serve_one(shard: &Shard, warm: &mut HashMap<u64, Solver>, pending: Pending, b
             }
         };
         drop(solve_span);
-        if let (Some(sibling), Outcome::Finished(primary)) = (&shadow, &outcome) {
-            shadow_audit(shard, warm, sibling, &request, primary);
-        }
         (outcome, picked_up.elapsed())
     };
     // Close the request span before sampling so its End record is part
@@ -368,93 +351,16 @@ fn serve_one(shard: &Shard, warm: &mut HashMap<u64, Solver>, pending: Pending, b
     );
 }
 
-/// Feeds one terminal solve into the backend-labelled counters and, for
-/// runs that actually iterated to an answer (converged or ran out of
-/// iterations — not interrupted), into the router's per-structure EWMA.
-/// Audit solves update the EWMA only — they never count toward the
-/// router's cold-exploration quota (see [`BackendRouter::record_audit`]).
-///
-/// [`BackendRouter::record_audit`]: crate::router::BackendRouter::record_audit
-fn record_solve_telemetry(shard: &Shard, tenant: &Tenant, result: &SolveResult, audit: bool) {
-    let micros = u64::try_from(result.solve_time.as_micros()).unwrap_or(u64::MAX);
-    shard.metrics.backend.record(
-        result.algorithm,
-        result.status.is_solved(),
-        result.iterations as u64,
-        micros,
-    );
-    if matches!(result.status, Status::Solved | Status::MaxIterations) {
-        let structure = tenant.pattern.structure_digest();
-        let micros = micros as f64;
-        if audit {
-            shard
-                .router
-                .record_audit(structure, result.algorithm, micros);
-        } else {
-            shard.router.record(structure, result.algorithm, micros);
-        }
-    }
-}
-
-/// Re-solves an already-answered request on the shadow tenant (a sibling
-/// backend of the same portfolio) and cross-checks the two answers.
-/// Shadow solves run without the request's deadline or cancellation flag
-/// — the audit compares algorithms, not interruptions — and feed the
-/// backend counters and the router's EWMA (but not its exploration
-/// quota, which only routed primaries satisfy). A verdict needs both
-/// solves terminal-by-convergence: agreement when both converge to
-/// objectives within the relative tolerance (or both prove
-/// infeasibility), mismatch when they contradict, inconclusive
-/// otherwise.
-fn shadow_audit(
-    shard: &Shard,
-    warm: &mut HashMap<u64, Solver>,
-    tenant: &Arc<Tenant>,
-    request: &Request,
-    primary: &SolveResult,
-) {
-    let metrics = &*shard.metrics;
-    let c = &metrics.counters;
-    metrics.inc(&c.shadow_audits);
-    let tracing = mib_trace::enabled();
-    let _shadow_span = mib_trace::span_if(tracing, "shadow_audit", mib_trace::Category::Serve);
-    let solver = warm
-        .entry(tenant.id)
-        .or_insert_with(|| tenant.template.clone());
-    let Ok(shadow) = solve_request(solver, tenant, request, None, None) else {
-        metrics.inc(&c.shadow_inconclusive);
-        return;
-    };
-    record_solve_telemetry(shard, tenant, &shadow, true);
-    let infeasible = |s: Status| matches!(s, Status::PrimalInfeasible | Status::DualInfeasible);
-    match (primary.status, shadow.status) {
-        (Status::Solved, Status::Solved) => {
-            let scale = primary.obj_val.abs().max(shadow.obj_val.abs()).max(1.0);
-            if (primary.obj_val - shadow.obj_val).abs() <= shard.cfg.shadow_rel_tol * scale {
-                metrics.inc(&c.shadow_agreements);
-            } else {
-                metrics.inc(&c.shadow_mismatches);
-            }
-        }
-        (a, b) if infeasible(a) && infeasible(b) => metrics.inc(&c.shadow_agreements),
-        (Status::Solved, b) if infeasible(b) => metrics.inc(&c.shadow_mismatches),
-        (a, Status::Solved) if infeasible(a) => metrics.inc(&c.shadow_mismatches),
-        _ => metrics.inc(&c.shadow_inconclusive),
-    }
-}
-
 /// Re-parameterizes the warm solver from the tenant template plus the
 /// request and solves. The sequence (update, reset, optional warm start)
 /// makes the answer a pure function of `(template, request)` — bitwise
 /// equal to a fresh clone of the template given the same updates.
-/// Shadow solves pass `cancel: None` so an audit cannot be aborted by
-/// the primary ticket's cancellation.
 fn solve_request(
     solver: &mut Solver,
     tenant: &Tenant,
     request: &Request,
     deadline: Option<Instant>,
-    cancel: Option<&TicketShared>,
+    ticket: &TicketShared,
 ) -> Result<SolveResult, QpError> {
     solver.update_q(request.q.as_deref().unwrap_or(tenant.problem.q()))?;
     match &request.bounds {
@@ -475,7 +381,7 @@ fn solve_request(
         solver.warm_start(x, y);
     }
     solver.set_deadline(deadline);
-    solver.set_cancel_flag(cancel.map(TicketShared::cancel_flag));
+    solver.set_cancel_flag(Some(ticket.cancel_flag()));
     let result = solver.solve();
     solver.set_cancel_flag(None);
     solver.set_deadline(None);
@@ -506,7 +412,6 @@ fn finish(
         let verdict = shard.obs.slo_verdict(&outcome, e2e_us);
         shard.obs.record_response(
             tenant.id,
-            tenant.algorithm,
             us(queue_wait),
             us(service_time),
             e2e_us,

@@ -1,4 +1,4 @@
-//! End-to-end tests of the serving runtime: routing, batching, bitwise
+//! End-to-end tests of the serving runtime: pattern-shard routing, batching, bitwise
 //! parity with direct solves, deadlines, cancellation, backpressure,
 //! LRU shard eviction and drain-then-shutdown.
 
@@ -421,92 +421,6 @@ fn warm_started_requests_converge() {
         .wait();
     assert!(matches!(bad.outcome, Outcome::Failed(_)));
     server.shutdown();
-}
-
-#[test]
-fn portfolio_routing_explores_then_exploits_with_clean_shadow_audits() {
-    let config = ServeConfig {
-        shadow_every: 2,
-        workers_per_shard: 1,
-        ..ServeConfig::default()
-    };
-    let server = QpServer::new(config);
-    let spec = instance(Domain::Portfolio, 0);
-    let admm = Settings::default();
-    let pdqp = Settings {
-        max_iter: 500_000,
-        ..Settings::with_algorithm(mib_qp::Algorithm::Pdqp)
-    };
-    let portfolio = server
-        .register_portfolio(&spec.problem, vec![admm, pdqp])
-        .unwrap();
-    // Two variants of the same problem: two tenants, two pattern shards.
-    assert_eq!(server.tenant_count(), 2);
-    assert_eq!(server.shard_count(), 2);
-
-    for _ in 0..10 {
-        let ticket = server.submit_routed(portfolio, Request::default()).unwrap();
-        assert!(ticket.wait().outcome.is_solved());
-    }
-    server.shutdown();
-
-    let m = server.metrics();
-    let ord = std::sync::atomic::Ordering::Relaxed;
-    assert_eq!(m.counters.routed_portfolio.load(ord), 10);
-    // Explore-first guarantees both backends actually served traffic.
-    for algo in mib_qp::Algorithm::all() {
-        assert!(
-            m.backend.solves(algo) >= 1,
-            "backend {algo} never served a routed request"
-        );
-        assert!(m.backend.iterations(algo) >= 1);
-    }
-    // Every second routed request was shadow-audited; the backends must
-    // agree on this convex problem.
-    assert_eq!(m.counters.shadow_audits.load(ord), 5);
-    assert_eq!(m.counters.shadow_mismatches.load(ord), 0);
-    assert_eq!(m.counters.shadow_inconclusive.load(ord), 0);
-    assert_eq!(m.counters.shadow_agreements.load(ord), 5);
-
-    // The router accumulated per-structure telemetry for both backends.
-    // Only the 10 routed primaries count toward the exploration quota;
-    // the 5 shadow audits sharpen the EWMAs without inflating it.
-    let key = mib_serve::PatternKey::of(&spec.problem, KktBackend::Direct, mib_qp::Algorithm::Admm);
-    let router = server.router();
-    let total: u64 = mib_qp::Algorithm::all()
-        .iter()
-        .map(|&a| router.samples(key.structure_digest(), a))
-        .sum();
-    assert_eq!(total, 10, "exactly the routed primaries gate exploration");
-    for a in mib_qp::Algorithm::all() {
-        assert!(
-            router.ewma_micros(key.structure_digest(), a).is_some(),
-            "backend {a} has no EWMA despite primaries and audits"
-        );
-    }
-
-    let text = m.render();
-    assert!(text.contains("mib_serve_backend_solves_total{backend=\"admm\"}"));
-    assert!(text.contains("mib_serve_backend_solves_total{backend=\"pdqp\"}"));
-}
-
-#[test]
-fn unknown_portfolio_is_rejected() {
-    let server = QpServer::new(ServeConfig::default());
-    let spec = instance(Domain::Lasso, 0);
-    let portfolio = server
-        .register_portfolio(&spec.problem, vec![Settings::default()])
-        .unwrap();
-    // A single-variant portfolio routes every request to its only tenant.
-    let t = server.submit_routed(portfolio, Request::default()).unwrap();
-    assert!(t.wait().outcome.is_solved());
-    server.shutdown();
-    assert_eq!(
-        server
-            .submit_routed(portfolio, Request::default())
-            .unwrap_err(),
-        SubmitError::ShuttingDown
-    );
 }
 
 #[test]
