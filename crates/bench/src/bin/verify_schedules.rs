@@ -21,9 +21,13 @@
 //!   `results/BENCH_verify.json` — any difference fails, so a change that
 //!   moves the cycle model must regenerate that file with `--timing`;
 //! - `--timing`: additionally rewrite `results/BENCH_verify.json` with
-//!   per-program predicted cycles, the agreement tally, and the
-//!   analysis-vs-simulation wall-clock speedup (skipped under
-//!   `--smoke`, which only gates).
+//!   per-program predicted cycles, lower bound
+//!   ([`mib_compiler::lower_bound`]) and gap (cycles above the bound), the
+//!   agreement tally, and the analysis-vs-simulation wall-clock speedup
+//!   (skipped under `--smoke`, which only gates).
+//!
+//! Every mode also fails if a program runs in fewer cycles than its lower
+//! bound.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -55,6 +59,8 @@ struct Row {
     slots: u64,
     predicted_cycles: u64,
     stall_cycles: u64,
+    /// No packing of the program's instructions runs faster.
+    lower_bound: u64,
     agree: bool,
 }
 
@@ -77,8 +83,10 @@ fn main() {
     let mut warnings = 0usize;
     let mut forced_appends = 0usize;
     let mut disagreements = 0usize;
+    let mut unbounded = 0usize;
     let mut analysis_time = Duration::ZERO;
     let mut sim_time = Duration::ZERO;
+    let mut machine = Machine::new(config);
     let mut rows: Vec<Row> = Vec::new();
 
     println!("== Static schedule certification (C = {}) ==", config.width);
@@ -115,16 +123,18 @@ fn main() {
 
                     // Differential timing check: the static predictor must
                     // reproduce the simulator bitwise — stats AND timeline.
+                    // Each side is timed on the program alone: one machine
+                    // serves every run (register values move no count
+                    // compared here) and the stream is built before the
+                    // clock starts.
                     let t0 = Instant::now();
                     let predicted =
                         timing::predict(&s.program, s.hbm.len(), &config, HazardPolicy::Strict);
                     analysis_time += t0.elapsed();
+                    let mut hbm = HbmStream::new(s.hbm.clone());
                     let t1 = Instant::now();
-                    let simulated = Machine::new(config).run_with_timeline(
-                        &s.program,
-                        &mut HbmStream::new(s.hbm.clone()),
-                        HazardPolicy::Strict,
-                    );
+                    let simulated =
+                        machine.run_with_timeline(&s.program, &mut hbm, HazardPolicy::Strict);
                     sim_time += t1.elapsed();
                     let (agree, slots, cycles, stalls) = match (&predicted, &simulated) {
                         (Ok(p), Ok((stats, tl))) => (
@@ -141,11 +151,17 @@ fn main() {
                             "TIMING DISAGREEMENT {label}: predicted {predicted:?} vs simulated {simulated:?}"
                         );
                     }
+                    let lower_bound = mib_compiler::lower_bound(s, &config);
+                    if lower_bound > cycles {
+                        unbounded += 1;
+                        println!("BOUND ABOVE CYCLES {label}: {lower_bound} > {cycles}");
+                    }
                     rows.push(Row {
                         label,
                         slots,
                         predicted_cycles: cycles,
                         stall_cycles: stalls,
+                        lower_bound,
                         agree,
                     });
                 }
@@ -184,8 +200,14 @@ fn main() {
             let _ = write!(
                 json,
                 "{{\"program\":\"{}\",\"slots\":{},\"predicted_cycles\":{},\
-                 \"stall_cycles\":{},\"agree\":{}}}",
-                r.label, r.slots, r.predicted_cycles, r.stall_cycles, r.agree
+                 \"stall_cycles\":{},\"agree\":{},\"lower_bound\":{},\"gap\":{}}}",
+                r.label,
+                r.slots,
+                r.predicted_cycles,
+                r.stall_cycles,
+                r.agree,
+                r.lower_bound,
+                r.predicted_cycles.saturating_sub(r.lower_bound)
             );
         }
         json.push_str("]}");
@@ -226,6 +248,10 @@ fn main() {
     }
     if disagreements > 0 {
         println!("FAIL: static timing prediction disagrees with the simulator");
+        failed = true;
+    }
+    if unbounded > 0 {
+        println!("FAIL: {unbounded} programs run in fewer cycles than their lower bound");
         failed = true;
     }
     if forced_appends > FORCED_APPENDS_BASELINE {
@@ -280,6 +306,7 @@ mod tests {
             slots,
             predicted_cycles,
             stall_cycles: 0,
+            lower_bound: 0,
             agree: true,
         }
     }

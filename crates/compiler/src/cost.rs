@@ -63,6 +63,45 @@ pub fn static_cost(s: &Schedule, config: &MibConfig) -> Option<StaticCost> {
     })
 }
 
+/// A lower bound on the cycles of any packing of the schedule's logical
+/// instructions (the same instructions and registers): the largest of
+///
+/// * the kernel's dependence depth ([`Schedule::depth`]);
+/// * the slots claiming the busiest footprint resource — each node and
+///   each write port serves one slot per cycle;
+/// * busy nodes over the `C·(log₂C + 1)` nodes of a slot;
+/// * HBM words over the `C` words a slot streams;
+///
+/// plus the drain. `cycles − lower_bound` is the most any re-packing
+/// could save.
+pub fn lower_bound(s: &Schedule, config: &MibConfig) -> u64 {
+    if s.program.is_empty() {
+        return 0;
+    }
+    let mut claims: Vec<u64> = Vec::new();
+    let (mut busy, mut words) = (0u64, 0u64);
+    for inst in &s.program {
+        busy += inst.busy_nodes() as u64;
+        words += inst.stream_words() as u64;
+        let footprint = inst.footprint();
+        claims.resize(footprint.len() * 64, 0);
+        for (k, &word) in footprint.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                claims[k * 64 + bits.trailing_zeros() as usize] += 1;
+                bits &= bits - 1;
+            }
+        }
+    }
+    let busiest = claims.iter().copied().max().unwrap_or(0);
+    let slots = s
+        .depth
+        .max(busiest)
+        .max(busy.div_ceil(config.total_nodes() as u64))
+        .max(words.div_ceil(config.width as u64));
+    slots + config.latency()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,6 +153,24 @@ mod tests {
         assert_eq!(cost.slots, stats.slots);
         assert_eq!(cost.stall_cycles, 0);
         assert_eq!(cost.critical_path_cycles, cost.cycles);
+        // The dependent pair sets the bound, and the schedule meets it.
+        assert_eq!(s.depth, cfg.latency() + 1);
+        assert_eq!(lower_bound(&s, &cfg), cost.cycles);
+    }
+
+    #[test]
+    fn the_busiest_port_bounds_independent_work() {
+        let cfg = config();
+        // Nine independent writes into lane 0's bank share its write port:
+        // nine slots, though no instruction depends on another.
+        let mut b = KernelBuilder::new("port", 8, cfg.latency());
+        for to in 0..9 {
+            b.push(mov(0, 20 + to, to), vec![]);
+        }
+        let s = schedule(&b.finish(), ScheduleOptions::default());
+        assert_eq!(s.depth, 1);
+        assert_eq!(lower_bound(&s, &cfg), 9 + cfg.latency());
+        assert_eq!(static_cost(&s, &cfg).unwrap().cycles, 9 + cfg.latency());
     }
 
     #[test]
@@ -126,6 +183,7 @@ mod tests {
             slot_of: vec![0, 1],
             logical_count: 2,
             forced_appends: 0,
+            depth: 0,
         };
         assert!(static_cost(&s, &cfg).is_none());
     }

@@ -13,8 +13,6 @@
 //! The per-lane broadcast latch is tracked like a register location.
 //! The resulting [`Kernel`] is the input of the first-fit scheduler.
 
-use std::collections::HashMap;
-
 use mib_core::instruction::{NetInstruction, WriteMode};
 
 /// A logical network instruction plus its dependencies and HBM words.
@@ -71,8 +69,34 @@ impl Kernel {
     }
 }
 
-/// Sentinel address used to key latch locations in the dependency maps.
-const LATCH_ADDR: usize = usize::MAX;
+/// No instruction: an unwritten location, or a location without readers.
+const NONE: u32 = u32::MAX;
+
+/// The dependency state of one register or latch location.
+#[derive(Debug, Clone, Copy)]
+struct LocState {
+    /// The last instruction that wrote the location.
+    last_write: u32,
+    /// The location's list in [`KernelBuilder::lists`]: the instructions
+    /// that read it since that write.
+    readers: u32,
+}
+
+impl LocState {
+    const EMPTY: LocState = LocState {
+        last_write: NONE,
+        readers: NONE,
+    };
+}
+
+/// A location an instruction accesses.
+#[derive(Debug, Clone, Copy)]
+enum Loc {
+    /// Register `addr` of bank `lane`.
+    Reg(usize, usize),
+    /// The broadcast latch of a lane.
+    Latch(usize),
+}
 
 /// Builds a [`Kernel`], deriving dependencies from each instruction's
 /// register and latch accesses.
@@ -82,8 +106,16 @@ pub struct KernelBuilder {
     width: usize,
     latency: u64,
     instrs: Vec<LogicalInstr>,
-    last_write: HashMap<(usize, usize), usize>,
-    readers: HashMap<(usize, usize), Vec<usize>>,
+    /// Per lane, per register address (grown on first touch).
+    regs: Vec<Vec<LocState>>,
+    /// Per lane, its broadcast latch.
+    latches: Vec<LocState>,
+    /// Reader lists, recycled: a write that drains a list returns it to
+    /// `free`.
+    lists: Vec<Vec<u32>>,
+    free: Vec<u32>,
+    /// The `(producer, delay)` pairs of the instruction being pushed.
+    deps: Vec<(usize, u64)>,
 }
 
 impl KernelBuilder {
@@ -95,8 +127,11 @@ impl KernelBuilder {
             width,
             latency,
             instrs: Vec::new(),
-            last_write: HashMap::new(),
-            readers: HashMap::new(),
+            regs: vec![Vec::new(); width],
+            latches: vec![LocState::EMPTY; width],
+            lists: Vec::new(),
+            free: Vec::new(),
+            deps: Vec::new(),
         }
     }
 
@@ -126,80 +161,92 @@ impl KernelBuilder {
     pub fn push(&mut self, inst: NetInstruction, stream: Vec<(usize, f64)>) -> usize {
         assert_eq!(inst.width(), self.width, "instruction width mismatch");
         let id = self.instrs.len();
-        let mut deps: HashMap<usize, u64> = HashMap::new();
-        let mut add_dep = |deps: &mut HashMap<usize, u64>, producer: usize, delay: u64| {
-            let e = deps.entry(producer).or_insert(0);
-            *e = (*e).max(delay);
-        };
+        let id32 = u32::try_from(id).expect("a kernel holds fewer than 2^32 instructions");
+        self.deps.clear();
 
         // Reads (multiplier stage, at issue time).
-        for (lane, input) in inst.inputs().iter().enumerate() {
-            let Some(src) = input else { continue };
+        for (lane, src) in inst.input_locs() {
             if let Some(addr) = src.reg_addr() {
-                self.note_read((lane, addr), id, &mut deps, &mut add_dep);
+                self.note_read(Loc::Reg(lane, addr), id32);
             }
             if src.uses_latch() {
-                self.note_read((lane, LATCH_ADDR), id, &mut deps, &mut add_dep);
+                self.note_read(Loc::Latch(lane), id32);
             }
         }
         // Writes (writeback stage).
-        for (lane, write) in inst.writes().iter().enumerate() {
-            let Some(w) = write else { continue };
+        for (lane, w) in inst.write_locs() {
             let loc = if w.mode == WriteMode::Latch {
-                (lane, LATCH_ADDR)
+                Loc::Latch(lane)
             } else {
-                (lane, w.addr)
+                Loc::Reg(lane, w.addr)
             };
-            self.note_write(loc, id, w.mode.is_rmw(), &mut deps, &mut add_dep);
+            self.note_write(loc, id32, w.mode.is_rmw());
         }
 
-        let mut deps: Vec<(usize, u64)> = deps.into_iter().collect();
-        deps.sort_unstable();
+        // One entry per producer with its largest delay: sorted, that is
+        // the last of each producer's run.
+        self.deps.sort_unstable();
+        let mut deps: Vec<(usize, u64)> = Vec::with_capacity(self.deps.len());
+        for &(producer, delay) in &self.deps {
+            match deps.last_mut() {
+                Some(last) if last.0 == producer => last.1 = delay,
+                _ => deps.push((producer, delay)),
+            }
+        }
         self.instrs.push(LogicalInstr { inst, deps, stream });
         id
     }
 
-    fn note_read(
-        &mut self,
-        loc: (usize, usize),
-        id: usize,
-        deps: &mut HashMap<usize, u64>,
-        add_dep: &mut impl FnMut(&mut HashMap<usize, u64>, usize, u64),
-    ) {
-        if let Some(&w) = self.last_write.get(&loc) {
-            add_dep(deps, w, self.latency);
+    fn state(&mut self, loc: Loc) -> &mut LocState {
+        match loc {
+            Loc::Reg(lane, addr) => {
+                let bank = &mut self.regs[lane];
+                if bank.len() <= addr {
+                    bank.resize(addr + 1, LocState::EMPTY);
+                }
+                &mut bank[addr]
+            }
+            Loc::Latch(lane) => &mut self.latches[lane],
         }
-        self.readers.entry(loc).or_default().push(id);
     }
 
-    fn note_write(
-        &mut self,
-        loc: (usize, usize),
-        id: usize,
-        rmw: bool,
-        deps: &mut HashMap<usize, u64>,
-        add_dep: &mut impl FnMut(&mut HashMap<usize, u64>, usize, u64),
-    ) {
-        if let Some(&w) = self.last_write.get(&loc) {
+    fn note_read(&mut self, loc: Loc, id: u32) {
+        let state = *self.state(loc);
+        if state.last_write != NONE {
+            self.deps.push((state.last_write as usize, self.latency));
+        }
+        let list = if state.readers == NONE {
+            let list = self.free.pop().unwrap_or_else(|| {
+                self.lists.push(Vec::new());
+                (self.lists.len() - 1) as u32
+            });
+            self.state(loc).readers = list;
+            list
+        } else {
+            state.readers
+        };
+        self.lists[list as usize].push(id);
+    }
+
+    fn note_write(&mut self, loc: Loc, id: u32, rmw: bool) {
+        let state = *self.state(loc);
+        if state.last_write != NONE {
             // A read-modify-write must wait for the previous value; a plain
             // store only needs commit ordering.
-            add_dep(deps, w, if rmw { self.latency } else { 1 });
+            let delay = if rmw { self.latency } else { 1 };
+            self.deps.push((state.last_write as usize, delay));
         }
-        if let Some(readers) = self.readers.remove(&loc) {
-            for r in readers {
-                if r != id {
-                    add_dep(deps, r, 0);
-                }
-            }
+        if state.readers != NONE {
+            let readers = &mut self.lists[state.readers as usize];
+            let earlier = readers.iter().filter(|&&r| r != id);
+            self.deps.extend(earlier.map(|&r| (r as usize, 0)));
+            readers.clear();
+            self.free.push(state.readers);
         }
-        self.last_write.insert(loc, id);
-    }
-
-    /// Marks a location as externally written **after** all instructions so
-    /// far (e.g. the boundary between two phases built by different
-    /// builders); subsequent readers will not be reordered before `id`.
-    pub fn barrier_loc(&mut self, bank: usize, addr: usize, id: usize) {
-        self.last_write.insert((bank, addr), id);
+        *self.state(loc) = LocState {
+            last_write: id,
+            readers: NONE,
+        };
     }
 
     /// Finishes the kernel.

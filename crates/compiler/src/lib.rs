@@ -49,7 +49,7 @@ pub mod trisolve;
 pub mod verify;
 
 pub use cache::{CacheStats, ProgramCache};
-pub use cost::{static_cost, StaticCost};
+pub use cost::{lower_bound, static_cost, StaticCost};
 pub use kernel::{Kernel, KernelBuilder, LogicalInstr};
 pub use layout::{Allocator, Layout};
 pub use schedule::{schedule, Schedule, ScheduleOptions};

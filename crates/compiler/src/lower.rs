@@ -745,6 +745,31 @@ mod tests {
         }
     }
 
+    /// No compiled program runs faster than its lower bound, and some
+    /// program meets it (the load is one HBM word stream).
+    #[test]
+    fn lowered_programs_run_at_or_above_their_lower_bound() {
+        let problem = small_problem();
+        let mut tight = false;
+        for backend in [KktBackend::Direct, KktBackend::Indirect] {
+            let settings = Settings::with_backend(backend);
+            let lowered = lower(&problem, &settings, tiny_config()).unwrap();
+            for s in [
+                &lowered.load,
+                &lowered.setup,
+                &lowered.iteration,
+                &lowered.pcg_iteration,
+                &lowered.check,
+            ] {
+                let bound = crate::lower_bound(s, &lowered.config);
+                let cycles = crate::static_cost(s, &lowered.config).unwrap().cycles;
+                assert!(bound <= cycles, "bound {bound} above {cycles} cycles");
+                tight |= !s.program.is_empty() && bound == cycles;
+            }
+        }
+        assert!(tight);
+    }
+
     /// The critical end-to-end functional test: replaying the direct
     /// iteration program must reproduce the reference ADMM iterates.
     #[test]

@@ -57,6 +57,11 @@ pub struct Schedule {
     /// degraded (the verifier reports it as a warning); correctness is
     /// unaffected.
     pub forced_appends: usize,
+    /// Slots the kernel's dependences alone require: one past the latest
+    /// slot any logical instruction could issue in if every slot had room
+    /// for everything (the longest path of `(producer, delay)` edges). No
+    /// schedule of the kernel is shorter.
+    pub depth: u64,
 }
 
 impl Schedule {
@@ -86,13 +91,18 @@ pub fn schedule(kernel: &Kernel, opts: ScheduleOptions) -> Schedule {
     let mut slots: Vec<SlotState> = Vec::new();
     let mut slot_of: Vec<usize> = Vec::with_capacity(kernel.instrs.len());
     let mut forced_appends = 0usize;
+    let mut earliest: Vec<u64> = Vec::with_capacity(kernel.instrs.len());
 
     for li in &kernel.instrs {
-        // Dependency-ready slot.
+        // Dependency-ready slot, and the one it would be if every earlier
+        // instruction had issued at its own.
         let mut ready: u64 = 0;
+        let mut floor: u64 = 0;
         for &(dep, delay) in &li.deps {
             ready = ready.max(slot_of[dep] as u64 + delay);
+            floor = floor.max(earliest[dep] + delay);
         }
+        earliest.push(floor);
         let mut t = ready as usize;
         if !opts.multi_issue {
             // Sequential: strictly after the previous instruction.
@@ -137,11 +147,10 @@ pub fn schedule(kernel: &Kernel, opts: ScheduleOptions) -> Schedule {
     // machine consumes stream words in lane order.
     let mut program = Vec::with_capacity(slots.len());
     let mut hbm = Vec::new();
-    for slot in &mut slots {
-        let mut by_lane = std::mem::take(&mut slot.stream);
-        by_lane.sort_by_key(|&(lane, _)| lane);
-        hbm.extend(by_lane.iter().map(|&(_, w)| w));
-        program.push(slot.inst.clone());
+    for mut slot in slots {
+        slot.stream.sort_by_key(|&(lane, _)| lane);
+        hbm.extend(slot.stream.iter().map(|&(_, w)| w));
+        program.push(slot.inst);
     }
     Schedule {
         program,
@@ -149,6 +158,7 @@ pub fn schedule(kernel: &Kernel, opts: ScheduleOptions) -> Schedule {
         slot_of,
         logical_count: kernel.instrs.len(),
         forced_appends,
+        depth: earliest.iter().max().map_or(0, |&e| e + 1),
     }
 }
 

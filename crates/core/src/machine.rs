@@ -11,7 +11,7 @@
 //! used to verify that compiler schedules are hazard-free.
 
 use crate::hbm::HbmStream;
-use crate::instruction::{LaneSource, NetInstruction, NodeMode, OutMul, WriteMode};
+use crate::instruction::{lanes, LaneSource, NetInstruction, WriteMode};
 use crate::pending::PendingWrites;
 use crate::regfile::RegisterFiles;
 use crate::stats::ExecStats;
@@ -117,9 +117,11 @@ impl Machine {
         let mut stats = ExecStats::default();
         let mut pending = PendingWrites::new(&self.config);
         // Lane values entering and leaving an adder stage, reused by
-        // every slot.
+        // every slot. A lane outside a buffer's `live` mask holds 0.0, the
+        // output of an idle node; only live lanes are ever cleared.
         let mut values = vec![0.0f64; width];
         let mut next = vec![0.0f64; width];
+        let (mut live, mut next_live) = (0u128, 0u128);
         let mut cycle: u64 = 0;
 
         for (idx, inst) in program.iter().enumerate() {
@@ -150,21 +152,18 @@ impl Machine {
                 stats.stall_cycles += issue - cycle;
             }
 
-            // ---- Functional evaluation ----
+            // ---- Functional evaluation, over the slot's lanes only ----
             let hbm_words_before = stats.hbm_words;
             // Multiplier stage (stream words consumed in lane order).
-            for (lane, input) in inst.inputs().iter().enumerate() {
-                let Some(src) = input else {
-                    values[lane] = 0.0;
-                    continue;
-                };
-                let v = match *src {
+            clear_lanes(&mut values, live & !inst.input_mask());
+            live = inst.input_mask();
+            for (lane, src) in inst.input_locs() {
+                let v = match src {
                     LaneSource::Reg { addr } => self.regs.read(lane, addr)?,
                     LaneSource::Stream => self.stream_word(hbm, idx, &mut stats)?,
                     LaneSource::RegTimesStream { addr, negate } => {
                         let r = self.regs.read(lane, addr)?;
                         let s = self.stream_word(hbm, idx, &mut stats)?;
-                        stats.flops += 1;
                         if negate {
                             -(r * s)
                         } else {
@@ -172,24 +171,16 @@ impl Machine {
                         }
                     }
                     LaneSource::RegTimesLatch { addr, negate } => {
-                        let r = self.regs.read(lane, addr)?;
-                        stats.flops += 1;
-                        let p = r * self.latches[lane];
+                        let p = self.regs.read(lane, addr)? * self.latches[lane];
                         if negate {
                             -p
                         } else {
                             p
                         }
                     }
-                    LaneSource::RegTimesImm { addr, imm } => {
-                        let r = self.regs.read(lane, addr)?;
-                        stats.flops += 1;
-                        r * imm
-                    }
+                    LaneSource::RegTimesImm { addr, imm } => self.regs.read(lane, addr)? * imm,
                     LaneSource::StreamTimesLatch { negate } => {
-                        let s = self.stream_word(hbm, idx, &mut stats)?;
-                        stats.flops += 1;
-                        let p = s * self.latches[lane];
+                        let p = self.stream_word(hbm, idx, &mut stats)? * self.latches[lane];
                         if negate {
                             -p
                         } else {
@@ -197,69 +188,57 @@ impl Machine {
                         }
                     }
                 };
-                if src.reg_addr().is_some() {
-                    stats.reg_reads += 1;
-                }
                 values[lane] = v;
             }
             // Adder stages.
             for s in 0..inst.stages() {
                 let bit = 1usize << s;
-                for (lane, (out, &mode)) in next.iter_mut().zip(inst.stage(s)).enumerate() {
-                    *out = match mode {
-                        NodeMode::Idle => 0.0,
-                        NodeMode::Direct => values[lane],
-                        NodeMode::Cross => values[lane ^ bit],
-                        NodeMode::Sum => {
-                            stats.flops += 1;
-                            values[lane] + values[lane ^ bit]
-                        }
+                let (direct, cross) = inst.stage_inputs(s);
+                let active = direct | cross;
+                clear_lanes(&mut next, next_live & !active);
+                next_live = active;
+                for lane in lanes(active) {
+                    next[lane] = match (direct >> lane & 1 != 0, cross >> lane & 1 != 0) {
+                        (true, true) => values[lane] + values[lane ^ bit],
+                        (true, false) => values[lane],
+                        _ => values[lane ^ bit],
                     };
                 }
                 std::mem::swap(&mut values, &mut next);
+                std::mem::swap(&mut live, &mut next_live);
             }
             // Output multiplier stage (consumes stream words after the
             // input stage, in lane order).
-            for (lane, &om) in inst.out_muls().iter().enumerate() {
-                if let OutMul::MulStream { negate } = om {
-                    let s = self.stream_word(hbm, idx, &mut stats)?;
-                    stats.flops += 1;
-                    values[lane] *= if negate { -s } else { s };
-                }
+            for (lane, negate) in inst.out_mul_locs() {
+                let s = self.stream_word(hbm, idx, &mut stats)?;
+                values[lane] *= if negate { -s } else { s };
             }
+            live |= inst.out_mul_mask();
             // Writeback stage.
-            for (lane, write) in inst.writes().iter().enumerate() {
-                let Some(w) = write else { continue };
+            for (lane, w) in inst.write_locs() {
                 let v = values[lane];
                 match w.mode {
                     WriteMode::Store => self.regs.write(lane, w.addr, v)?,
-                    WriteMode::Add => {
-                        stats.flops += 1;
-                        self.regs.accumulate(lane, w.addr, v)?;
-                    }
-                    WriteMode::StoreRecip => {
-                        stats.flops += 1;
-                        self.regs.write(lane, w.addr, 1.0 / v)?;
-                    }
+                    WriteMode::Add => self.regs.accumulate(lane, w.addr, v)?,
+                    WriteMode::StoreRecip => self.regs.write(lane, w.addr, 1.0 / v)?,
                     WriteMode::Latch => self.latches[lane] = v,
                     WriteMode::Min => {
-                        stats.flops += 1;
                         let cur = self.regs.read(lane, w.addr)?;
                         self.regs.write(lane, w.addr, cur.min(v))?;
                     }
                     WriteMode::Max => {
-                        stats.flops += 1;
                         let cur = self.regs.read(lane, w.addr)?;
                         self.regs.write(lane, w.addr, cur.max(v))?;
                     }
                     WriteMode::MaxAbs => {
-                        stats.flops += 1;
                         let cur = self.regs.read(lane, w.addr)?;
                         self.regs.write(lane, w.addr, cur.max(v.abs()))?;
                     }
                 }
-                stats.reg_writes += 1;
             }
+            stats.flops += inst.flop_count();
+            stats.reg_reads += inst.reg_read_count();
+            stats.reg_writes += inst.write_count();
             pending.record(idx, issue + latency, inst);
 
             stats.slots += 1;
@@ -295,6 +274,13 @@ impl Machine {
             .ok_or(MibError::StreamExhausted { instruction })?;
         stats.hbm_words += 1;
         Ok(w)
+    }
+}
+
+/// Zeroes the lanes of `mask` in `buf`.
+fn clear_lanes(buf: &mut [f64], mask: u128) {
+    for lane in lanes(mask) {
+        buf[lane] = 0.0;
     }
 }
 

@@ -19,7 +19,7 @@
 //! [`PendingWrites::binding`] is the issue rule all three consumers apply
 //! to the window, scanned in one order.
 
-use crate::instruction::{NetInstruction, WriteMode};
+use crate::instruction::{lanes, NetInstruction, WriteMode};
 use crate::MibConfig;
 
 /// Marks a lane with no register write in a window slot. No bank holds
@@ -44,8 +44,8 @@ pub struct BindingWrite {
 }
 
 /// The last `latency` issued slots' writes: per lane, the register
-/// address written, plus each slot's visibility cycle and index, and
-/// every lane latch's newest write.
+/// address written, plus each slot's visibility cycle, index and written
+/// lanes, and every lane latch's newest write.
 #[derive(Debug, Clone)]
 pub struct PendingWrites {
     /// Window length in slots: the pipeline latency.
@@ -57,6 +57,12 @@ pub struct PendingWrites {
     addrs: Vec<usize>,
     /// Per position, mirrored the same way: (visible cycle, slot).
     meta: Vec<(u64, usize)>,
+    /// Per position (not mirrored): the lanes with a register write, the
+    /// only entries of `addrs` at that position that are not `NO_WRITE`.
+    written: Vec<u128>,
+    /// The union of `written` over the window: a lane outside it has no
+    /// pending register write.
+    any_written: u128,
     /// Per lane: the newest latch write's (visible cycle, slot), however
     /// old.
     latches: Vec<Option<(u64, usize)>>,
@@ -74,6 +80,8 @@ impl PendingWrites {
             depth,
             addrs: vec![NO_WRITE; 2 * depth * config.width],
             meta: vec![(0, 0); 2 * depth],
+            written: vec![0; depth],
+            any_written: 0,
             latches: vec![None; config.width],
             newest: 2 * depth - 1,
             len: 0,
@@ -82,11 +90,13 @@ impl PendingWrites {
 
     /// Records the writes of `inst`, issued as slot `slot` and visible
     /// from cycle `ready` on, as the window's newest slot; the oldest
-    /// slot leaves once the window is full.
+    /// slot leaves once the window is full. Only the lanes the two slots
+    /// write are touched.
     pub fn record(&mut self, slot: usize, ready: u64, inst: &NetInstruction) {
         let depth = self.depth;
-        debug_assert_eq!(inst.width() * 2 * depth, self.addrs.len());
-        let pos = if self.newest + 1 == 2 * depth {
+        let span = 2 * depth;
+        debug_assert_eq!(inst.width() * span, self.addrs.len());
+        let pos = if self.newest + 1 == span {
             0
         } else {
             self.newest + 1 - depth
@@ -95,19 +105,24 @@ impl PendingWrites {
         self.len = (self.len + 1).min(depth);
         self.meta[pos] = (ready, slot);
         self.meta[pos + depth] = (ready, slot);
-        let rows = self.addrs.chunks_exact_mut(2 * depth);
-        for (lane, (row, write)) in rows.zip(inst.writes()).enumerate() {
-            let addr = match write {
-                Some(w) if w.mode == WriteMode::Latch => {
-                    self.latches[lane] = Some((ready, slot));
-                    NO_WRITE
-                }
-                Some(w) => w.addr,
-                None => NO_WRITE,
-            };
-            row[pos] = addr;
-            row[pos + depth] = addr;
+        let mut written = 0u128;
+        for (lane, w) in inst.write_locs() {
+            if w.mode == WriteMode::Latch {
+                self.latches[lane] = Some((ready, slot));
+                continue;
+            }
+            written |= 1 << lane;
+            self.addrs[lane * span + pos] = w.addr;
+            self.addrs[lane * span + pos + depth] = w.addr;
         }
+        // The evicted slot's register writes that this one did not
+        // overwrite.
+        for lane in lanes(self.written[pos] & !written) {
+            self.addrs[lane * span + pos] = NO_WRITE;
+            self.addrs[lane * span + pos + depth] = NO_WRITE;
+        }
+        self.written[pos] = written;
+        self.any_written = self.written.iter().fold(0, |acc, &m| acc | m);
     }
 
     /// The write that binds `inst`'s issue: among the locations it reads
@@ -136,8 +151,7 @@ impl PendingWrites {
                 });
             }
         };
-        for (lane, input) in inst.inputs().iter().enumerate() {
-            let Some(src) = input else { continue };
+        for (lane, src) in inst.input_locs() {
             if let Some(addr) = src.reg_addr() {
                 note(lane, addr, false, self.reg(lane, addr));
             }
@@ -154,7 +168,7 @@ impl PendingWrites {
     /// The newest write to register `(bank, addr)` in the window: the
     /// cycle it becomes visible and the slot that made it.
     fn reg(&self, bank: usize, addr: usize) -> Option<(u64, usize)> {
-        if addr == NO_WRITE {
+        if addr == NO_WRITE || self.any_written & (1 << bank) == 0 {
             return None;
         }
         let span = 2 * self.depth;

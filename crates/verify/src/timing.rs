@@ -27,17 +27,19 @@
 //! proptest mutation (`tests/static_timing.rs`,
 //! `tests/proptest_timing.rs`).
 //!
-//! No register values are computed and no stream words are materialized,
-//! but every slot's lanes are still walked several times (the hazard
-//! scan, the fault replay, the per-slot counts), so prediction is only
-//! somewhat cheaper than simulation: over the
-//! 120-program `verify_schedules --timing` sample at C = 32 it took
-//! 0.87 s against the simulator's 1.15 s (`speedup` 1.32 in
-//! `results/BENCH_verify.json`, on a 2-vCPU Intel Xeon KVM guest). That
-//! is cheap enough to run on every compiled schedule as the compiler's
-//! cost oracle (`mib_compiler::cost::StaticCost`).
+//! No register values are computed and no stream words are materialized.
+//! Like the machine, the predictor visits only the lanes a slot uses (the
+//! instruction's lane masks), and the per-slot counts are popcounts, so
+//! what remains is the hazard scan and the fault replay. Over the
+//! 120-program `verify_schedules --timing` sample at C = 32, prediction
+//! took 0.32 s against the simulator's 0.44 s (`speedup` 1.38 in
+//! `results/BENCH_verify.json`; 1.4–1.6 over four runs). Each side was
+//! timed on its own call, one machine serving every run, on a 2-vCPU
+//! Intel Xeon guest. That is cheap enough to run on every compiled
+//! schedule as the compiler's cost oracle
+//! (`mib_compiler::cost::StaticCost`).
 
-use mib_core::instruction::{NetInstruction, OutMul, WriteMode};
+use mib_core::instruction::{NetInstruction, WriteMode};
 use mib_core::machine::HazardPolicy;
 use mib_core::pending::PendingWrites;
 use mib_core::stats::ExecStats;
@@ -127,8 +129,7 @@ pub fn predict(
         // multipliers stream after the whole input stage; writebacks
         // bounds-check last.
         let hbm_words_before = stats.hbm_words;
-        for (lane, input) in inst.inputs().iter().enumerate() {
-            let Some(src) = input else { continue };
+        for (lane, src) in inst.input_locs() {
             if let Some(addr) = src.reg_addr() {
                 check_addr(lane, addr, config)?;
                 stats.reg_reads += 1;
@@ -137,20 +138,17 @@ pub fn predict(
             // stream word (if any) is consumed after the register read,
             // matching the machine's evaluation order within the lane.
             if src.uses_stream() {
-                take_word(&mut streamed, hbm_words, idx, &mut stats)?;
+                take_words(1, &mut streamed, hbm_words, idx, &mut stats)?;
             }
         }
-        for om in inst.out_muls() {
-            if matches!(om, OutMul::MulStream { .. }) {
-                take_word(&mut streamed, hbm_words, idx, &mut stats)?;
-            }
-        }
+        let out_words = inst.out_mul_mask().count_ones() as usize;
+        take_words(out_words, &mut streamed, hbm_words, idx, &mut stats)?;
         for (lane, w) in inst.write_locs() {
             if w.mode != WriteMode::Latch {
                 check_addr(lane, w.addr, config)?;
             }
-            stats.reg_writes += 1;
         }
+        stats.reg_writes += inst.write_count();
         stats.flops += inst.flop_count();
 
         // Writeback visibility, identical to the machine's bookkeeping.
@@ -193,19 +191,20 @@ fn check_addr(bank: usize, addr: usize, config: &MibConfig) -> Result<(), MibErr
     Ok(())
 }
 
-/// Mirrors `Machine::stream_word`: positional consumption, exhaustion at
-/// the instruction requesting the missing word.
-fn take_word(
+/// Mirrors `Machine::stream_word`, `n` times: positional consumption,
+/// exhaustion at the instruction requesting the missing word.
+fn take_words(
+    n: usize,
     streamed: &mut usize,
     hbm_words: usize,
     instruction: usize,
     stats: &mut ExecStats,
 ) -> Result<(), MibError> {
-    if *streamed >= hbm_words {
+    if *streamed + n > hbm_words {
         return Err(MibError::StreamExhausted { instruction });
     }
-    *streamed += 1;
-    stats.hbm_words += 1;
+    *streamed += n;
+    stats.hbm_words += n as u64;
     Ok(())
 }
 
