@@ -2,8 +2,7 @@
 //!
 //! Measures per-kernel GFLOP/s for the hot `_into` kernels, sweeps the
 //! sparse kernels across the five benchmark domains, times the KKT
-//! ordering (`order`/`min_degree`, one row per domain) and runs the
-//! [`BatchSolver`] thread-scaling study. The report is
+//! ordering (`order`/`min_degree`, one row per domain). The report is
 //! machine-diffable JSON with stable key order
 //! (`results/BENCH_kernels.json`); GFLOP/s numbers are
 //! environment-dependent, everything else is deterministic.
@@ -23,7 +22,7 @@ use std::time::Instant;
 
 use mib_problems::{instance, Domain};
 use mib_qp::kkt::KktMatrix;
-use mib_qp::{BatchSolver, BatchUpdate, Settings};
+use mib_qp::Settings;
 use mib_sparse::order::{self, Ordering};
 use mib_sparse::simd;
 use mib_sparse::{ldl::LdlSolver, CscMatrix, TripletMatrix};
@@ -251,62 +250,6 @@ fn bench_order(domain: Domain, index: usize, out: &mut Vec<Measurement>) {
     });
 }
 
-/// One batch thread-scaling row.
-struct ScalingRow {
-    threads: usize,
-    problems: usize,
-    micros: u128,
-}
-
-/// BatchSolver scaling study: same batch, increasing worker counts up to
-/// the host's available parallelism (on a single-core host this is
-/// honestly a single row).
-fn bench_batch_scaling(smoke: bool) -> Vec<ScalingRow> {
-    let spec = instance(Domain::Portfolio, if smoke { 0 } else { 4 });
-    let problems = if smoke { 8 } else { 32 };
-    let batch = BatchSolver::new(spec.problem.clone(), Settings::default()).expect("setup");
-    let q0 = spec.problem.q().to_vec();
-    let updates: Vec<BatchUpdate> = (0..problems)
-        .map(|k| {
-            let q: Vec<f64> = q0.iter().map(|&v| v + 0.01 * k as f64).collect();
-            BatchUpdate::with_q(q)
-        })
-        .collect();
-
-    let ap = std::thread::available_parallelism().map_or(1, |v| v.get());
-    let mut thread_counts = vec![1usize];
-    let mut t = 2;
-    while t <= ap {
-        thread_counts.push(t);
-        t *= 2;
-    }
-    if *thread_counts.last().expect("non-empty") != ap {
-        thread_counts.push(ap);
-    }
-    thread_counts.dedup();
-
-    let mut rows = Vec::new();
-    for &threads in &thread_counts {
-        let b = batch.clone().with_threads(threads);
-        // Warm-up pass, then best-of-3.
-        let _ = b.solve_batch(&updates).expect("batch solves");
-        let mut best = u128::MAX;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let results = b.solve_batch(&updates).expect("batch solves");
-            let dt = t0.elapsed().as_micros();
-            assert_eq!(results.len(), problems);
-            best = best.min(dt);
-        }
-        rows.push(ScalingRow {
-            threads,
-            problems,
-            micros: best,
-        });
-    }
-    rows
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
 
@@ -336,8 +279,6 @@ fn main() {
     for domain in Domain::all() {
         bench_order(domain, if smoke { 10 } else { 19 }, &mut ms);
     }
-
-    let scaling = bench_batch_scaling(smoke);
 
     // ---- report ----------------------------------------------------------
     let cores = std::thread::available_parallelism().map_or(1, |v| v.get());
@@ -374,20 +315,6 @@ fn main() {
             "{{\"domain\":\"{domain}\",\"index\":{domain_index},\
              \"rows\":{nrows},\"cols\":{ncols},\"nnz\":{nnz}}}",
         );
-    }
-    json.push_str("],\"batch_scaling\":[");
-    let base_us = scaling.first().map_or(0, |r| r.micros);
-    for (i, row) in scaling.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "{{\"threads\":{},\"problems\":{},\"wall_us\":{},\"speedup\":",
-            row.threads, row.problems, row.micros,
-        );
-        write_f64(&mut json, base_us as f64 / row.micros.max(1) as f64);
-        json.push('}');
     }
     json.push_str("]}");
     mib_trace::validate_json(&json).expect("kernel report must be valid JSON");

@@ -12,10 +12,11 @@
 //!   These carry timestamps and are not committed (gitignored).
 //!
 //! The binary doubles as an end-to-end check: per-iteration residual
-//! events must match the returned [`SolveResult`] bitwise, serve spans
-//! must nest the solver's spans on the worker thread, and every exported
-//! JSON must validate. `--smoke` restricts the run to the first domain
-//! and skips the committed report (used by `scripts/check.sh`).
+//! events must match the returned [`SolveResult`](mib_qp::SolveResult)
+//! bitwise, serve spans must nest the solver's spans on the worker
+//! thread, and every exported JSON must validate. `--smoke` restricts the
+//! run to the first domain and skips the committed report (used by
+//! `scripts/check.sh`).
 
 use std::fmt::Write as _;
 

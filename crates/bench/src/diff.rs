@@ -19,21 +19,21 @@ use mib_trace::json::Json;
 /// Serve-run throughput may drop to this fraction of baseline before it
 /// counts as a regression (closed/open-loop rates on a shared single
 /// core jitter by tens of percent run to run).
-pub const SERVE_THROUGHPUT_MIN_RATIO: f64 = 0.65;
+const SERVE_THROUGHPUT_MIN_RATIO: f64 = 0.65;
 
 /// Serve-run service-time p50 may grow by this factor before it counts
 /// as a regression: run-to-run noise on a shared single core, where a
 /// slow run's median solve can take several times a quiet run's.
-pub const SERVE_SERVICE_P50_MAX_RATIO: f64 = 4.0;
+const SERVE_SERVICE_P50_MAX_RATIO: f64 = 4.0;
 
 /// Absolute ceiling on `obs_overhead_pct` wherever it is recorded: the
 /// observability plane must stay under 5% of closed-loop throughput
 /// regardless of what the baseline measured.
-pub const OBS_OVERHEAD_MAX_PCT: f64 = 5.0;
+const OBS_OVERHEAD_MAX_PCT: f64 = 5.0;
 
 /// Kernel `ns_per_call` may grow by this factor before it counts as a
 /// regression.
-pub const KERNEL_NS_MAX_RATIO: f64 = 2.5;
+const KERNEL_NS_MAX_RATIO: f64 = 2.5;
 
 /// One compared metric: its identity, both values, the applied rule and
 /// the verdict.

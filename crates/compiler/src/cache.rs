@@ -13,7 +13,7 @@
 //! pattern pays the full lowering cost (symbolic KKT analysis, fill-reducing
 //! ordering, elimination tree, instruction scheduling); every subsequent
 //! same-pattern solve clones the cached schedules and regenerates only the
-//! cheap load program via [`crate::lower::build_load_schedule`].
+//! cheap load program via `lower::build_load_schedule`.
 //!
 //! # What counts as "the same pattern"
 //!
@@ -28,8 +28,8 @@
 //!   classification* (loose / equality / inequality) — so bounds may vary
 //!   freely across cache hits as long as no constraint changes class.
 //!
-//! Only `q`, `l`, `u` may differ on a hit — exactly the parameters a
-//! [`mib_qp::BatchSolver`] stream varies.
+//! Only `q`, `l`, `u` may differ on a hit — exactly the parameters
+//! [`mib_qp::Solver::update_q`] and [`mib_qp::Solver::update_bounds`] vary.
 
 use std::collections::HashMap;
 
@@ -113,18 +113,6 @@ impl ProgramCache {
             capacity: max_entries,
             ..ProgramCache::default()
         }
-    }
-
-    /// Changes the capacity bound, evicting LRU entries immediately if the
-    /// new bound is tighter than the current population.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_entries` is zero.
-    pub fn set_capacity(&mut self, max_entries: usize) {
-        assert!(max_entries > 0, "cache capacity must be at least 1");
-        self.capacity = max_entries;
-        self.evict_to_capacity();
     }
 
     /// The configured capacity bound (`usize::MAX` when unbounded).
@@ -215,11 +203,6 @@ impl ProgramCache {
     /// Number of lowering requests that ran the full compiler.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Number of entries dropped by the LRU capacity bound.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Counters plus the estimated resident footprint, for metrics export
@@ -552,7 +535,7 @@ mod tests {
             .lower_cached(&problem_variant(2), &settings, config())
             .unwrap();
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
+        assert_eq!(cache.stats().evictions, 1);
         // Variant 0 is still resident; variant 1 must recompile.
         cache
             .lower_cached(&problem_variant(0), &settings, config())
@@ -580,7 +563,7 @@ mod tests {
         cache
             .lower_cached(&problem_variant(5), &settings, config())
             .unwrap();
-        assert_eq!(cache.evictions(), 1);
+        assert_eq!(cache.stats().evictions, 1);
 
         // Hit on the resident entry (same pattern as variant 5, new q).
         let mut hit_problem = problem_variant(5);
@@ -603,7 +586,11 @@ mod tests {
         // The evicted pattern recompiles to a bitwise-identical program.
         let evicted = problem_with(vec![1.0, 1.0], 0.7);
         let relowered = cache.lower_cached(&evicted, &settings, config()).unwrap();
-        assert_eq!(cache.evictions(), 2, "capacity 1: the hit entry is evicted");
+        assert_eq!(
+            cache.stats().evictions,
+            2,
+            "capacity 1: the hit entry is evicted"
+        );
         let fresh = lower(&evicted, &settings, config()).unwrap();
         assert_eq!(relowered.load.program, fresh.load.program);
         assert_eq!(relowered.load.hbm, fresh.load.hbm);
@@ -613,23 +600,6 @@ mod tests {
         assert_eq!(relowered.iteration.hbm, fresh.iteration.hbm);
         assert_eq!(relowered.check.program, fresh.check.program);
         assert_eq!(relowered.check.hbm, fresh.check.hbm);
-    }
-
-    #[test]
-    fn set_capacity_evicts_immediately() {
-        let mut cache = ProgramCache::new();
-        let settings = Settings::default();
-        for v in 0..4 {
-            cache
-                .lower_cached(&problem_variant(v), &settings, config())
-                .unwrap();
-        }
-        assert_eq!(cache.len(), 4);
-        let before = cache.stats().resident_bytes;
-        cache.set_capacity(2);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 2);
-        assert!(cache.stats().resident_bytes < before);
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //! 2. Each logical instruction records its **data dependencies**
 //!    automatically (read-after-write with full pipeline latency,
 //!    write-after-read/write ordering) via the [`kernel::KernelBuilder`].
-//! 3. The [`schedule`] module packs logical instructions into issue slots
-//!    with the **first-fit** algorithm of Section IV.B: an instruction goes
-//!    into the earliest dependency-feasible slot whose hardware-occupancy
-//!    footprint does not collide — multiple short instructions issue
-//!    together, and prefetch copies fill otherwise-empty slots.
+//! 3. The [`schedule`](mod@schedule) module packs logical instructions
+//!    into issue slots with the **first-fit** algorithm of Section IV.B:
+//!    an instruction goes into the earliest dependency-feasible slot whose
+//!    hardware-occupancy footprint does not collide — multiple short
+//!    instructions issue together, and prefetch copies fill otherwise-empty
+//!    slots.
 //! 4. [`lower`] assembles whole OSQP iterations (direct and indirect) into
 //!    scheduled programs and a per-solve cycle model.
 //! 5. [`cache::ProgramCache`] memoizes compiled programs by sparsity

@@ -106,11 +106,6 @@ pub fn permute(b: &mut KernelBuilder, src: Layout, dst: Layout, perm: &Permutati
     }
 }
 
-/// Emits the inverse (scatter) permutation: `dst[perm[k]] = src[k]`.
-pub fn permute_inverse(b: &mut KernelBuilder, src: Layout, dst: Layout, perm: &Permutation) {
-    permute(b, src, dst, &perm.inverse());
-}
-
 /// A single register-to-register transfer `(src_loc, dst_loc)`, each
 /// location expressed as `(bank, row)`.
 pub type Transfer = ((usize, usize), (usize, usize));
@@ -242,7 +237,7 @@ mod tests {
         let mut b = KernelBuilder::new("perm", c.width, c.latency());
         load_vec(&mut b, a0, &data);
         permute(&mut b, a0, a1, &p);
-        permute_inverse(&mut b, a1, a2, &p);
+        permute(&mut b, a1, a2, &p.inverse());
         let s = schedule(&b.finish(), ScheduleOptions::default());
         let mut m = Machine::new(c);
         m.run(

@@ -1,22 +1,23 @@
-//! Triangular-solve kernels over a register-resident LDLᵀ factor.
+//! Triangular-solve kernels over a streamed LDLᵀ factor.
 //!
 //! The direct KKT solve is `x ← Lᵀ \ (D⁻¹ (L \ x))` (Listing 1's
-//! `L_solve`, `D_solve`, `Lt_solve` schedules):
+//! `L_solve`, `D_solve`, `Lt_solve` schedules). The factor values arrive
+//! from HBM alongside the instructions:
 //!
 //! * **`L` solve** uses the **column elimination** primitive (equations
-//!   (8)–(12) of the paper): after `x_j` is final, broadcast it into the
-//!   latches of the lanes holding column `j`'s entries (Fig. 6b) and
-//!   scatter-subtract the products `L(r,j)·x_j` into `x_r`.
-//! * **`D` solve** is an element-wise product with the precomputed
+//!   (8)–(12) of the paper): after `x_j` is final, it fans out through the
+//!   butterfly to the lanes owning column `j`'s rows, where the output
+//!   multipliers scale it by the streamed `-L(r,j)` and the writeback
+//!   accumulates the product into `x_r`.
+//! * **`D` solve** is an element-wise product with the streamed
 //!   reciprocal diagonal.
 //! * **`Lᵀ` solve** uses the **MAC** primitive (equation (7)): for column
-//!   `j` (descending), the products `L(r,j)·x_r` reduce through the MAC
+//!   `j` (descending), the products `-L(r,j)·x_r` reduce through the MAC
 //!   tree into `x_j`.
 //!
-//! The factor values live in the register files at a [`FactorLayout`]:
-//! entry `L(r, j)` in bank `r mod C` (so elimination products form in the
-//! lane that owns `x_r`), written there either by the on-machine
-//! factorization kernel ([`crate::factor`]) or by preloading.
+//! [`FactorLayout`] is the register-file placement the on-machine
+//! factorization kernel ([`crate::factor`]) writes `L` to: entry `L(r, j)`
+//! in bank `r mod C`.
 
 use mib_core::instruction::{InstrKind, LaneSource, LaneWrite, NetInstruction, OutMul, WriteMode};
 use mib_core::machine::Machine;
@@ -90,25 +91,6 @@ impl FactorLayout {
         self.dinv
     }
 
-    /// Writes a numeric factor's values into a machine's register files
-    /// (used when the factor was computed off-machine).
-    pub fn preload(&self, f: &LdlFactor, m: &mut Machine) {
-        for (p, (&r, &v)) in f.l_row_ind().iter().zip(f.l_values()).enumerate() {
-            let (bank, addr) = self.l_loc(p, r);
-            m.regs_mut()
-                .write(bank, addr, v)
-                .expect("factor layout fits bank depth");
-        }
-        for (k, &dk) in f.d().iter().enumerate() {
-            m.regs_mut()
-                .write(self.d.bank(k), self.d.addr(k), dk)
-                .expect("factor layout fits bank depth");
-            m.regs_mut()
-                .write(self.dinv.bank(k), self.dinv.addr(k), 1.0 / dk)
-                .expect("factor layout fits bank depth");
-        }
-    }
-
     /// Reads the L values back from a machine (verification of the
     /// on-machine factorization).
     pub fn read_l(&self, row_ind: &[usize], m: &Machine) -> Vec<f64> {
@@ -125,152 +107,12 @@ impl FactorLayout {
     }
 }
 
-/// Emits the `L_solve` kernel: in-place `x ← L⁻¹ x` (unit lower L).
-pub fn lsolve(b: &mut KernelBuilder, fl: &FactorLayout, f: &LdlFactor, x: Layout) {
-    assert_eq!(x.len, f.n(), "x layout does not match factor dimension");
-    let width = b.width();
-    let col_ptr = f.l_col_ptr();
-    let row_ind = f.l_row_ind();
-    for j in 0..f.n() {
-        let range = col_ptr[j]..col_ptr[j + 1];
-        if range.is_empty() {
-            continue;
-        }
-        // Broadcast final x_j into target lanes' latches.
-        let mut targets: Vec<usize> = row_ind[range.clone()].iter().map(|&r| r % width).collect();
-        targets.sort_unstable();
-        targets.dedup();
-        let (sj, aj) = x.loc(j);
-        let mut bcast = NetInstruction::nop(width);
-        bcast.kind = InstrKind::Broadcast;
-        bcast.set_input(sj, LaneSource::Reg { addr: aj });
-        let mut rs = RouteSpace::new(width);
-        rs.try_claim_input(sj, 0);
-        for &t in &targets {
-            assert!(rs.try_route(&mut bcast, 0, sj, t));
-            bcast.set_write(
-                t,
-                LaneWrite {
-                    addr: 0,
-                    mode: WriteMode::Latch,
-                },
-            );
-        }
-        b.push(bcast, vec![]);
-        // Elimination chunks: x_r -= L(r,j) * x_j.
-        let mut idx = range.start;
-        while idx < range.end {
-            let mut used = vec![false; width];
-            let mut inst = NetInstruction::nop(width);
-            inst.kind = InstrKind::ColElim;
-            while idx < range.end {
-                let r = row_ind[idx];
-                let lane = r % width;
-                if used[lane] {
-                    break;
-                }
-                used[lane] = true;
-                inst.set_input(
-                    lane,
-                    LaneSource::RegTimesLatch {
-                        addr: fl.l_addr[idx],
-                        negate: true,
-                    },
-                );
-                inst.route(lane, lane);
-                inst.set_write(
-                    lane,
-                    LaneWrite {
-                        addr: x.addr(r),
-                        mode: WriteMode::Add,
-                    },
-                );
-                idx += 1;
-            }
-            b.push(inst, vec![]);
-        }
-    }
-}
-
-/// Emits the `D_solve` kernel: `x ← D⁻¹ x` element-wise.
-pub fn dsolve(b: &mut KernelBuilder, fl: &FactorLayout, x: Layout) {
-    crate::elementwise::ew_prod(b, x, fl.dinv, x, WriteMode::Store);
-}
-
-/// Emits the `Lt_solve` kernel: in-place `x ← L⁻ᵀ x` (unit upper `Lᵀ`),
-/// row-oriented MAC substitution.
-pub fn ltsolve(b: &mut KernelBuilder, fl: &FactorLayout, f: &LdlFactor, x: Layout) {
-    assert_eq!(x.len, f.n(), "x layout does not match factor dimension");
-    let width = b.width();
-    let col_ptr = f.l_col_ptr();
-    let row_ind = f.l_row_ind();
-    for j in (0..f.n()).rev() {
-        let range = col_ptr[j]..col_ptr[j + 1];
-        if range.is_empty() {
-            continue;
-        }
-        let dst = x.bank(j);
-        let mut idx = range.start;
-        while idx < range.end {
-            // Latch a chunk of x_r values, then reduce -L(r,j)*x_r into x_j.
-            let mut used = vec![false; width];
-            let mut latch = NetInstruction::nop(width);
-            latch.kind = InstrKind::Elementwise;
-            let mut macs: Vec<(usize, usize)> = Vec::new(); // (lane, l position)
-            while idx < range.end {
-                let r = row_ind[idx];
-                let lane = r % width;
-                if used[lane] {
-                    break;
-                }
-                used[lane] = true;
-                latch.set_input(lane, LaneSource::Reg { addr: x.addr(r) });
-                latch.route(lane, lane);
-                latch.set_write(
-                    lane,
-                    LaneWrite {
-                        addr: 0,
-                        mode: WriteMode::Latch,
-                    },
-                );
-                macs.push((lane, idx));
-                idx += 1;
-            }
-            b.push(latch, vec![]);
-            let mut mac = NetInstruction::nop(width);
-            mac.kind = InstrKind::Mac;
-            let mut rs = RouteSpace::new(width);
-            let lanes: Vec<usize> = macs.iter().map(|&(l, _)| l).collect();
-            for &(lane, p) in &macs {
-                mac.set_input(
-                    lane,
-                    LaneSource::RegTimesLatch {
-                        addr: fl.l_addr[p],
-                        negate: true,
-                    },
-                );
-                rs.try_claim_input(lane, 0);
-            }
-            assert!(rs.try_reduce(&mut mac, 0, &lanes, dst));
-            mac.set_write(
-                dst,
-                LaneWrite {
-                    addr: x.addr(j),
-                    mode: WriteMode::Add,
-                },
-            );
-            b.push(mac, vec![]);
-        }
-    }
-}
-
-/// Streamed-L `L_solve`: identical mathematics to [`lsolve`] but with the
+/// Streamed-L `L_solve`: in-place `x ← L⁻¹ x` (unit lower `L`) with the
 /// factor values arriving from HBM through the **output multipliers** —
 /// one network instruction per column chunk (`x_j` fans out through the
 /// butterfly and multiplies the streamed `-L(r,j)` at each target lane).
-/// This halves the elimination-tree critical path relative to the
-/// latch-based variant and is what the lowered ADMM iteration uses; the
-/// factorization step writes `L` back to HBM for it.
+/// This is what the lowered ADMM iteration uses; the factorization step
+/// writes `L` back to HBM for it.
 pub fn lsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
     assert_eq!(x.len, f.n(), "x layout does not match factor dimension");
     let width = b.width();
@@ -456,18 +298,15 @@ mod tests {
         let bvec: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
 
         let c = cfg();
-        let mut alloc = Allocator::new(c.width);
-        let fl = FactorLayout::plan(f.l_col_ptr(), f.l_row_ind(), n, &mut alloc);
-        let x = alloc.alloc(n);
+        let x = Allocator::new(c.width).alloc(n);
         let mut b = KernelBuilder::new("solve", c.width, c.latency());
         load_vec(&mut b, x, &bvec);
-        lsolve(&mut b, &fl, &f, x);
-        dsolve(&mut b, &fl, x);
-        ltsolve(&mut b, &fl, &f, x);
+        lsolve_streamed(&mut b, &f, x);
+        dsolve_streamed(&mut b, &f, x);
+        ltsolve_streamed(&mut b, &f, x);
         let s = schedule(&b.finish(), ScheduleOptions::default());
 
         let mut m = Machine::new(c);
-        fl.preload(&f, &mut m);
         let mut hbm = HbmStream::new(s.hbm.clone());
         m.run(&s.program, &mut hbm, HazardPolicy::Strict).unwrap();
 
@@ -492,15 +331,12 @@ mod tests {
         let f = LdlSymbolic::new(&a).unwrap().factor(&a).unwrap();
         let bvec: Vec<f64> = (0..n).map(|i| (i as f64) - 4.0).collect();
         let c = cfg();
-        let mut alloc = Allocator::new(c.width);
-        let fl = FactorLayout::plan(f.l_col_ptr(), f.l_row_ind(), n, &mut alloc);
-        let x = alloc.alloc(n);
+        let x = Allocator::new(c.width).alloc(n);
         let mut b = KernelBuilder::new("lsolve", c.width, c.latency());
         load_vec(&mut b, x, &bvec);
-        lsolve(&mut b, &fl, &f, x);
+        lsolve_streamed(&mut b, &f, x);
         let s = schedule(&b.finish(), ScheduleOptions::default());
         let mut m = Machine::new(c);
-        fl.preload(&f, &mut m);
         m.run(
             &s.program,
             &mut HbmStream::new(s.hbm.clone()),

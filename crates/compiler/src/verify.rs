@@ -4,7 +4,7 @@
 //!
 //! Program-level verification ([`verify_schedule`]) proves the published
 //! slots are something the machine's strict execution accepts. The packing
-//! cross-check ([`verify_packing`]) additionally proves the scheduler
+//! cross-check (`verify_packing`) additionally proves the scheduler
 //! *placed* instructions legally: every dependency distance is respected,
 //! the logical instructions of each slot re-merge without collisions, and
 //! the re-merged slots and re-assembled HBM stream are bitwise identical
@@ -48,7 +48,7 @@ pub fn verify_schedule(name: &str, s: &Schedule, config: &MibConfig) -> Report {
 ///
 /// Returns the findings (all error severity); empty means the packing is
 /// provably faithful.
-pub fn verify_packing(kernel: &Kernel, s: &Schedule) -> Vec<Diagnostic> {
+fn verify_packing(kernel: &Kernel, s: &Schedule) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     if s.slot_of.len() != kernel.instrs.len() {
         diags.push(Diagnostic::global(DiagKind::PackingSlotMismatch));
@@ -152,12 +152,13 @@ pub fn verify_kernel_schedule(kernel: &Kernel, s: &Schedule, config: &MibConfig)
 
 /// Whether schedule-time verification is active: always in debug builds,
 /// and opt-in via the `MIB_VERIFY` environment variable elsewhere.
-pub fn verification_enabled() -> bool {
+fn verification_enabled() -> bool {
     cfg!(debug_assertions) || std::env::var_os("MIB_VERIFY").is_some()
 }
 
-/// Schedules a kernel and — when [`verification_enabled`] — immediately
-/// verifies the result, program-level and packing-level.
+/// Schedules a kernel and — in debug builds, or elsewhere when
+/// `MIB_VERIFY` is set — immediately verifies the result, program-level
+/// and packing-level.
 ///
 /// # Panics
 ///

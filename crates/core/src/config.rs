@@ -75,12 +75,6 @@ impl MibConfig {
         self.stages() as u64 + 2
     }
 
-    /// Control bits per network instruction for the adder stages,
-    /// `2·C·log₂C` (Section III.C).
-    pub fn control_bits(&self) -> usize {
-        2 * self.width * self.stages()
-    }
-
     /// Converts a cycle count to seconds at the configured clock.
     pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
         cycles as f64 / self.clock_hz
@@ -103,7 +97,6 @@ mod tests {
         assert_eq!(c.width, 32);
         assert_eq!(c.stages(), 5);
         assert_eq!(c.total_nodes(), 192); // "192 nodes" in Fig. 8
-        assert_eq!(c.control_bits(), 2 * 32 * 5);
     }
 
     #[test]

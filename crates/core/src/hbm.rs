@@ -59,12 +59,6 @@ impl HbmStream {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
-
-    /// Rewinds to the beginning (replaying the same program, e.g. one ADMM
-    /// iteration's schedule executed every iteration).
-    pub fn rewind(&mut self) {
-        self.pos = 0;
-    }
 }
 
 #[cfg(test)]
@@ -80,8 +74,6 @@ mod tests {
         assert_eq!(s.remaining(), 1);
         assert_eq!(s.next_word(), Some(3.0));
         assert_eq!(s.next_word(), None);
-        s.rewind();
-        assert_eq!(s.next_word(), Some(1.0));
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl LaneSource {
 
     /// Whether the multiplier performs an actual multiplication (for FLOP
     /// accounting).
-    pub fn is_multiply(&self) -> bool {
+    fn is_multiply(&self) -> bool {
         !matches!(self, LaneSource::Reg { .. } | LaneSource::Stream)
     }
 }
@@ -696,7 +696,7 @@ impl NetInstruction {
     /// conflicts: disjoint footprints (shared or consumed nodes) and
     /// disjoint per-lane read/write ports. The conflict named is the first
     /// read or write port in lane order, else the first shared node.
-    pub fn conflicts_with(&self, other: &NetInstruction) -> Option<String> {
+    fn conflicts_with(&self, other: &NetInstruction) -> Option<String> {
         if self.width() != other.width() {
             return Some("width mismatch".into());
         }

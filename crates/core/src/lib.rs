@@ -41,7 +41,6 @@ mod config;
 mod error;
 pub mod hbm;
 pub mod instruction;
-pub mod isa;
 pub mod machine;
 pub mod pending;
 pub mod regfile;

@@ -58,11 +58,6 @@ impl Machine {
         &self.regs
     }
 
-    /// Mutable register files (e.g. to preload vectors before a run).
-    pub fn regs_mut(&mut self) -> &mut RegisterFiles {
-        &mut self.regs
-    }
-
     /// Resets registers and latches to zero.
     pub fn reset(&mut self) {
         self.regs.clear();
@@ -301,7 +296,7 @@ mod tests {
     fn preload(m: &mut Machine, base: usize, v: &[f64]) {
         let c = m.config().width;
         for (e, &x) in v.iter().enumerate() {
-            m.regs_mut().write(e % c, base + e / c, x).unwrap();
+            m.regs.write(e % c, base + e / c, x).unwrap();
         }
     }
 
@@ -456,7 +451,7 @@ mod tests {
         }
         // No panic = consistent modes; every lane receives the value.
         let mut m = machine8();
-        m.regs_mut().write(2, 0, 42.0).unwrap();
+        m.regs.write(2, 0, 42.0).unwrap();
         for lane in 0..8 {
             inst.set_write(
                 lane,
@@ -476,7 +471,7 @@ mod tests {
     #[test]
     fn store_recip_inverts() {
         let mut m = machine8();
-        m.regs_mut().write(0, 0, 4.0).unwrap();
+        m.regs.write(0, 0, 4.0).unwrap();
         let mut inst = NetInstruction::nop(8);
         inst.set_input(0, LaneSource::Reg { addr: 0 });
         inst.route(0, 0);

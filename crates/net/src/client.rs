@@ -84,7 +84,7 @@ impl NetClient {
     /// # Errors
     ///
     /// As [`connect`](NetClient::connect).
-    pub fn connect_with<A: ToSocketAddrs>(
+    fn connect_with<A: ToSocketAddrs>(
         addr: A,
         token: &[u8],
         max_frame_bytes: usize,

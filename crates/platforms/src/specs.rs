@@ -24,7 +24,7 @@ pub struct PlatformSpec {
 }
 
 /// The MIB `C = 16` prototype row.
-pub fn mib_c16() -> PlatformSpec {
+fn mib_c16() -> PlatformSpec {
     PlatformSpec {
         name: "MIB C=16",
         model: "Alveo U50",
@@ -38,7 +38,7 @@ pub fn mib_c16() -> PlatformSpec {
 }
 
 /// The MIB `C = 32` prototype row.
-pub fn mib_c32() -> PlatformSpec {
+fn mib_c32() -> PlatformSpec {
     PlatformSpec {
         name: "MIB C=32",
         model: "Alveo U50",

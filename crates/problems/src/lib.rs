@@ -1,7 +1,7 @@
 //! Benchmark problem generators for the five application domains the paper
 //! evaluates (Section II.E / Figure 3): portfolio optimization, Lasso,
 //! Huber fitting, model predictive control (MPC) and support vector
-//! machines (SVM) — the OSQP benchmark suite [38] — plus random QPs.
+//! machines (SVM) — the OSQP benchmark suite \[38\] — plus random QPs.
 //!
 //! Each generator reduces its domain problem to the standard form
 //! `min ½xᵀPx + qᵀx  s.t.  l ≤ Ax ≤ u`, preserving the domain's canonical

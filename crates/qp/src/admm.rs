@@ -112,7 +112,8 @@ impl AdmmSolver {
     /// # Errors
     ///
     /// Returns setting/problem validation errors or
-    /// [`QpError::KktFactorization`] if the initial factorization fails.
+    /// [`QpError::KktFactorization`](crate::QpError::KktFactorization) if
+    /// the initial factorization fails.
     pub fn new(problem: Problem, settings: Settings) -> Result<Self> {
         settings.validate()?;
         let n = problem.num_vars();
@@ -224,8 +225,7 @@ impl AdmmSolver {
     /// Resets the solver to its post-setup state: zero iterates, initial
     /// `ρ`, no warm-start memory in the backend. After `reset`, a solve
     /// reproduces the very first solve of a freshly constructed solver
-    /// bitwise. [`BatchSolver`](crate::BatchSolver) relies on this to make
-    /// parallel and sequential batch runs identical.
+    /// bitwise.
     ///
     /// The `ρ` vector is rebuilt from the *current* bounds, so the reset
     /// state is a pure function of the current problem data — a pooled
@@ -269,8 +269,8 @@ impl AdmmSolver {
     ///
     /// # Errors
     ///
-    /// Returns [`QpError::InvalidProblem`] on length mismatch or non-finite
-    /// entries.
+    /// Returns [`QpError::InvalidProblem`](crate::QpError::InvalidProblem)
+    /// on length mismatch or non-finite entries.
     pub fn update_q(&mut self, q: &[f64]) -> Result<()> {
         self.orig.set_q(q)?;
         self.scaling.scale_q_into(q, &mut self.q);
@@ -281,8 +281,8 @@ impl AdmmSolver {
     ///
     /// # Errors
     ///
-    /// Returns [`QpError::InvalidProblem`] if any `l[i] > u[i]` or lengths
-    /// mismatch.
+    /// Returns [`QpError::InvalidProblem`](crate::QpError::InvalidProblem)
+    /// if any `l[i] > u[i]` or lengths mismatch.
     pub fn update_bounds(&mut self, l: &[f64], u: &[f64]) -> Result<()> {
         self.orig.set_bounds(l, u)?;
         self.scaling.scale_bounds_into(l, &mut self.l);
@@ -298,7 +298,7 @@ impl AdmmSolver {
     ///
     /// The full termination check runs every `check_termination`
     /// iterations, and also on any multiple of `PRETEST_EVERY` (5) where
-    /// the cheap [`stage_pretest`](Self::stage_pretest) passes. A
+    /// the cheap `stage_pretest` passes. A
     /// triggered check can only stop the solve as `Solved` — it reads
     /// the iterates and writes nothing but residual scratch — so a solve
     /// follows the same iterate sequence as with regular checks alone and

@@ -2,8 +2,8 @@
 //! the [`QpBackend`] trait every iteration family implements.
 //!
 //! The public [`Solver`](crate::Solver) facade owns a `Box<dyn QpBackend>`
-//! and forwards every call, so the layers above (`mib-serve` routing,
-//! `BatchSolver`, the bench harnesses) treat algorithms uniformly: setup
+//! and forwards every call, so the layers above (the `mib-serve` shard
+//! workers, the bench harnesses) treat algorithms uniformly: setup
 //! from [`Problem`] + [`Settings`], allocation-free [`solve_into`] on a
 //! shared [`SolveWorkspace`], warm starting, parametric updates,
 //! cancellation/deadline hooks and per-iteration `Iteration` telemetry.

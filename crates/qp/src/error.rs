@@ -17,11 +17,6 @@ pub enum QpError {
     /// The KKT matrix could not be factored (should not occur for valid
     /// convex data since the KKT matrix is quasi-definite).
     KktFactorization(String),
-    /// One or more [`BatchSolver`](crate::BatchSolver) worker threads
-    /// panicked. The message lists the captured panic payloads; results
-    /// from surviving problems are available through
-    /// [`BatchSolver::solve_batch_partial`](crate::BatchSolver::solve_batch_partial).
-    WorkerPanic(String),
 }
 
 impl fmt::Display for QpError {
@@ -32,9 +27,6 @@ impl fmt::Display for QpError {
             QpError::Sparse(e) => write!(f, "sparse algebra error: {e}"),
             QpError::KktFactorization(msg) => {
                 write!(f, "kkt factorization failed: {msg}")
-            }
-            QpError::WorkerPanic(msg) => {
-                write!(f, "batch worker panicked: {msg}")
             }
         }
     }

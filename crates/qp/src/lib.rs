@@ -41,12 +41,10 @@
 
 mod admm;
 mod backend;
-mod batch;
 mod error;
 pub mod kkt;
 pub mod linsys;
 mod pdqp;
-pub mod polish;
 mod problem;
 pub mod profile;
 pub mod scaling;
@@ -58,7 +56,6 @@ mod workspace;
 
 pub use admm::AdmmSolver;
 pub use backend::{Algorithm, QpBackend, ALGORITHM_COUNT};
-pub use batch::{BatchSolver, BatchUpdate};
 pub use error::QpError;
 pub use pdqp::PdqpSolver;
 pub use problem::Problem;

@@ -34,9 +34,8 @@ use crate::{KktBackend, QpError, Result};
 
 /// Interface shared by the two KKT backends.
 ///
-/// `Send + Sync` is required so boxed backends can move into — and the
-/// template solver can be shared across — the worker threads of
-/// [`BatchSolver`](crate::BatchSolver).
+/// `Send + Sync` is required so boxed backends can move into the worker
+/// threads of the `mib-serve` shard pool.
 pub trait KktSolver: std::fmt::Debug + Send + Sync {
     /// Solves the KKT system. Reads the right-hand side from `ws.rhs_x` /
     /// `ws.rhs_z`, writes `x̃` into `ws.xtilde` and `ν` into `ws.nu`, and

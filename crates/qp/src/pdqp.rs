@@ -210,8 +210,8 @@ impl PdqpSolver {
     ///
     /// # Errors
     ///
-    /// Returns [`QpError::InvalidProblem`] on length mismatch or non-finite
-    /// entries.
+    /// Returns [`QpError::InvalidProblem`](crate::QpError::InvalidProblem)
+    /// on length mismatch or non-finite entries.
     pub fn update_q(&mut self, q: &[f64]) -> Result<()> {
         self.orig.set_q(q)?;
         self.scaling.scale_q_into(q, &mut self.q);
@@ -223,8 +223,8 @@ impl PdqpSolver {
     ///
     /// # Errors
     ///
-    /// Returns [`QpError::InvalidProblem`] if any `l[i] > u[i]` or lengths
-    /// mismatch.
+    /// Returns [`QpError::InvalidProblem`](crate::QpError::InvalidProblem)
+    /// if any `l[i] > u[i]` or lengths mismatch.
     pub fn update_bounds(&mut self, l: &[f64], u: &[f64]) -> Result<()> {
         self.orig.set_bounds(l, u)?;
         self.scaling.scale_bounds_into(l, &mut self.l);

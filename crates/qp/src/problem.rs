@@ -1,6 +1,6 @@
 use mib_sparse::CscMatrix;
 
-use crate::{QpError, Result, INFTY};
+use crate::{QpError, Result};
 
 /// A convex quadratic program in OSQP standard form (equation (1) of the
 /// paper):
@@ -12,7 +12,7 @@ use crate::{QpError, Result, INFTY};
 ///
 /// `P` must be positive semidefinite and is stored by its **upper triangle**
 /// only (the OSQP convention). `A` is a general `m × n` sparse matrix.
-/// Infinite bounds are encoded as values with magnitude `≥` [`INFTY`].
+/// Infinite bounds are encoded as values with magnitude `≥` [`INFTY`](crate::INFTY).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     p: CscMatrix,
@@ -178,29 +178,6 @@ impl Problem {
             .fold(0.0f64, f64::max)
     }
 
-    /// Returns the indices of equality constraints (`l == u`), which receive
-    /// a boosted step size in the `ρ` vector.
-    pub fn equality_rows(&self) -> Vec<usize> {
-        self.l
-            .iter()
-            .zip(&self.u)
-            .enumerate()
-            .filter(|(_, (&lo, &hi))| lo == hi && lo.abs() < INFTY)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Returns the indices of loose constraints (both bounds infinite).
-    pub fn loose_rows(&self) -> Vec<usize> {
-        self.l
-            .iter()
-            .zip(&self.u)
-            .enumerate()
-            .filter(|(_, (&lo, &hi))| lo <= -INFTY && hi >= INFTY)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Decomposes into the raw parts `(P, q, A, l, u)`.
     pub fn into_parts(self) -> (CscMatrix, Vec<f64>, CscMatrix, Vec<f64>, Vec<f64>) {
         (self.p, self.q, self.a, self.l, self.u)
@@ -294,21 +271,5 @@ mod tests {
         let p = CscMatrix::identity(2);
         let a = CscMatrix::identity(3);
         assert!(Problem::new(p, vec![0.0; 2], a, vec![0.0; 3], vec![1.0; 3]).is_err());
-    }
-
-    #[test]
-    fn classifies_rows() {
-        let p = CscMatrix::identity(1);
-        let a = CscMatrix::from_dense(3, 1, &[1.0, 1.0, 1.0]);
-        let pr = Problem::new(
-            p,
-            vec![0.0],
-            a,
-            vec![1.0, -2e30, -2e30],
-            vec![1.0, 2e30, 5.0],
-        )
-        .unwrap();
-        assert_eq!(pr.equality_rows(), vec![0]);
-        assert_eq!(pr.loose_rows(), vec![1]);
     }
 }

@@ -51,35 +51,16 @@ impl Scaling {
     }
 
     /// Maps a scaled primal iterate back to the original space: `x = D x̄`.
-    pub fn unscale_x(&self, x_scaled: &[f64]) -> Vec<f64> {
-        vector::ew_prod(&self.d, x_scaled)
-    }
-
-    /// Allocation-free form of [`Scaling::unscale_x`].
     pub fn unscale_x_into(&self, x_scaled: &[f64], out: &mut [f64]) {
         vector::ew_prod_into(out, &self.d, x_scaled);
     }
 
     /// Maps a scaled constraint iterate back: `z = E⁻¹ z̄`.
-    pub fn unscale_z(&self, z_scaled: &[f64]) -> Vec<f64> {
-        vector::ew_prod(&self.einv, z_scaled)
-    }
-
-    /// Allocation-free form of [`Scaling::unscale_z`].
     pub fn unscale_z_into(&self, z_scaled: &[f64], out: &mut [f64]) {
         vector::ew_prod_into(out, &self.einv, z_scaled);
     }
 
     /// Maps a scaled dual iterate back: `y = E ȳ / c`.
-    pub fn unscale_y(&self, y_scaled: &[f64]) -> Vec<f64> {
-        self.e
-            .iter()
-            .zip(y_scaled)
-            .map(|(&e, &y)| e * y * self.cinv)
-            .collect()
-    }
-
-    /// Allocation-free form of [`Scaling::unscale_y`].
     pub fn unscale_y_into(&self, y_scaled: &[f64], out: &mut [f64]) {
         vector::prod_scale_into(out, &self.e, y_scaled, self.cinv);
     }
@@ -96,11 +77,6 @@ impl Scaling {
     pub(crate) fn scale_bounds_into(&self, b: &[f64], out: &mut [f64]) {
         out.copy_from_slice(b);
         scale_bounds(out, &self.e);
-    }
-
-    /// Maps a scaled objective value back: `f = f̄ / c`.
-    pub fn unscale_obj(&self, obj_scaled: f64) -> f64 {
-        obj_scaled * self.cinv
     }
 }
 
@@ -273,13 +249,15 @@ mod tests {
         let s = ruiz_equilibrate(&mut p, &mut q, &mut a, &mut l, &mut u, 10);
         // Scaled x̄ = D⁻¹ x; unscale must recover x.
         let x_scaled = vector::ew_prod(&s.dinv, &x_orig);
-        let back = s.unscale_x(&x_scaled);
+        let mut back = vec![0.0; x_orig.len()];
+        s.unscale_x_into(&x_scaled, &mut back);
         for (u0, v0) in back.iter().zip(&x_orig) {
             assert!((u0 - v0).abs() < 1e-12);
         }
-        // Ā x̄ = E A x; unscale_z(E A x) must equal A x.
+        // Ā x̄ = E A x; unscaling E A x must give back A x.
         let ax_scaled = a.mul_vec(&x_scaled);
-        let ax_back = s.unscale_z(&ax_scaled);
+        let mut ax_back = vec![0.0; ax_orig.len()];
+        s.unscale_z_into(&ax_scaled, &mut ax_back);
         for (u0, v0) in ax_back.iter().zip(&ax_orig) {
             assert!((u0 - v0).abs() < 1e-9, "{u0} vs {v0}");
         }

@@ -99,8 +99,7 @@ impl Solver {
 
     /// Warm-starts the iterates from a previous [`SolveResult`] of a
     /// same-dimension problem — the "serve the next request from where the
-    /// last one converged" workflow of [`BatchSolver`](crate::BatchSolver)
-    /// streams and the `mib-serve` runtime.
+    /// last one converged" workflow of the `mib-serve` runtime.
     ///
     /// # Errors
     ///
@@ -142,8 +141,6 @@ impl Solver {
     /// Resets the solver to its post-setup state: zero iterates, initial
     /// step sizes, no warm-start memory. After `reset`, a solve reproduces
     /// the very first solve of a freshly constructed solver bitwise.
-    /// [`BatchSolver`](crate::BatchSolver) relies on this to make parallel
-    /// and sequential batch runs identical.
     ///
     /// The reset state is a pure function of the current problem data — a
     /// pooled solver that served other parameters first reaches bitwise

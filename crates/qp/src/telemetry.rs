@@ -3,7 +3,7 @@
 //! The solver emits per-iteration [`Event::Iteration`] records at every
 //! termination-check boundary, [`Event::RhoUpdate`] records for accepted
 //! adaptive-ρ rescalings, and phase spans (`scaling`, `symbolic`,
-//! `factor`, `solve`, `admm_loop`, `refactor`, `polish`). [`SolveTrace`]
+//! `factor`, `solve`, `admm_loop`, `refactor`). [`SolveTrace`]
 //! reassembles those raw records into the OSQP-style iteration log:
 //!
 //! ```
@@ -66,7 +66,7 @@ pub struct RhoUpdateRecord {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseRecord {
     /// Span name (`"scaling"`, `"symbolic"`, `"factor"`, `"solve"`,
-    /// `"admm_loop"`, `"refactor"`, `"polish"`, ...).
+    /// `"admm_loop"`, `"refactor"`).
     pub name: &'static str,
     /// Span category.
     pub category: Category,
@@ -154,11 +154,6 @@ impl SolveTrace {
     /// Total PCG iterations across all recorded checks.
     pub fn total_pcg_iters(&self) -> u64 {
         self.iterations.iter().map(|r| u64::from(r.pcg_iters)).sum()
-    }
-
-    /// Total KKT backend time across all recorded checks.
-    pub fn total_kkt_ns(&self) -> u64 {
-        self.iterations.iter().map(|r| r.kkt_ns).sum()
     }
 
     /// Completed phases with the given name, in recording order.
@@ -249,7 +244,6 @@ mod tests {
         assert_eq!(t.iterations[0].algo, "admm");
         assert_eq!(t.last_iteration().unwrap().iter, 50);
         assert_eq!(t.total_pcg_iters(), 13);
-        assert_eq!(t.total_kkt_ns(), 1000);
         assert_eq!(t.rho_updates.len(), 1);
         assert_eq!(t.rho_updates[0].rho_new, 0.9);
         assert_eq!(t.phases.len(), 1);

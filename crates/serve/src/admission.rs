@@ -279,15 +279,6 @@ impl AdmissionController {
         drop(st);
         self.metrics.inc(&self.metrics.counters.shed_queue_full);
     }
-
-    /// Whether the congestion memory is armed at `now`.
-    pub fn congested(&self, now: Instant) -> bool {
-        self.state
-            .lock()
-            .expect("admission state lock")
-            .congested_until
-            .is_some_and(|until| now < until)
-    }
 }
 
 const fn ord() -> std::sync::atomic::Ordering {
@@ -311,6 +302,15 @@ mod tests {
 
     fn controller(cfg: AdmissionConfig) -> AdmissionController {
         AdmissionController::new(cfg, Arc::new(Metrics::new()))
+    }
+
+    /// Whether the congestion memory is armed at `now`.
+    fn congested(c: &AdmissionController, now: Instant) -> bool {
+        c.state
+            .lock()
+            .expect("admission state lock")
+            .congested_until
+            .is_some_and(|until| now < until)
     }
 
     #[test]
@@ -401,7 +401,7 @@ mod tests {
             assert_eq!(c.admit(a, t0), Verdict::Admit);
         }
         c.note_queue_full(a, t0);
-        assert!(c.congested(t0));
+        assert!(congested(&c, t0));
         // a is far past its 50% share; b is under.
         assert!(matches!(c.admit(a, t0), Verdict::OverShare { .. }));
         assert_eq!(c.admit(b, t0), Verdict::Admit);
@@ -410,7 +410,7 @@ mod tests {
         let t1 = t0 + Duration::from_millis(90);
         c.note_queue_full(b, t1);
         let t2 = t1 + Duration::from_millis(9);
-        assert!(c.congested(t2));
+        assert!(congested(&c, t2));
         // After ~1 half-life a's count halved but is still over-share...
         assert!(matches!(c.admit(a, t2), Verdict::OverShare { .. }));
         // ...and b can still get in.
@@ -433,7 +433,7 @@ mod tests {
         c.note_queue_full(a, t0);
         assert!(matches!(c.admit(a, t0), Verdict::OverShare { .. }));
         let t1 = t0 + Duration::from_millis(101);
-        assert!(!c.congested(t1));
+        assert!(!congested(&c, t1));
         assert_eq!(c.admit(a, t1), Verdict::Admit);
     }
 

@@ -84,7 +84,7 @@ pub use admission::{
     queue_full_retry_after, AdmissionConfig, AdmissionController, TenantPolicy, TenantSlot, Verdict,
 };
 pub use metrics::{Counters, Histogram, Metrics, TenantCounters};
-pub use obs::{BurnWindow, ObsConfig, ObsPlane, SloReport};
+pub use obs::{ObsConfig, ObsPlane};
 pub use pattern::PatternKey;
 pub use request::{CancelHandle, Outcome, RegisterError, Request, Response, SubmitError, Ticket};
 pub use server::{QpServer, ServeConfig, TenantId};

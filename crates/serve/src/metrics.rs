@@ -46,7 +46,7 @@ fn bucket_top(i: usize) -> u64 {
 }
 
 /// A log-linear histogram over all of `u64` (microseconds, queue depths,
-/// batch sizes, frame bytes): [`BUCKETS`] buckets of 8 per octave, exact
+/// batch sizes, frame bytes): `BUCKETS` buckets of 8 per octave, exact
 /// below 16, plus a running sum, a count and the largest sample —
 /// everything atomic, so nothing overflows and an observation neither
 /// locks nor allocates.
@@ -369,7 +369,7 @@ impl Metrics {
     /// Snapshot of every tenant's admission counters, sorted by label:
     /// `(label, admitted, shed_rate_limited, shed_over_share,
     /// shed_queue_full)`.
-    pub fn tenant_admission_snapshot(&self) -> Vec<(String, u64, u64, u64, u64)> {
+    fn tenant_admission_snapshot(&self) -> Vec<(String, u64, u64, u64, u64)> {
         let registry = self
             .tenant_admission
             .lock()

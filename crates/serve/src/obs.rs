@@ -260,27 +260,27 @@ impl RollingState {
 
 /// One burn-rate window of an [`SloReport`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurnWindow {
+struct BurnWindow {
     /// Window length, seconds.
-    pub secs: u64,
+    secs: u64,
     /// SLO-good responses inside the window.
-    pub good: u64,
+    good: u64,
     /// SLO-bad responses inside the window.
-    pub bad: u64,
+    bad: u64,
     /// Error-budget burn rate: `bad_fraction / (1 - target)`; 0 when
     /// the window is empty.
-    pub burn: f64,
+    burn: f64,
 }
 
 /// Snapshot of the SLO state (see [`ObsPlane::slo_report`]).
 #[derive(Debug, Clone)]
-pub struct SloReport {
+struct SloReport {
     /// Configured good-fraction target.
-    pub target: f64,
+    target: f64,
     /// Configured latency objective, µs.
-    pub latency_us: u64,
+    latency_us: u64,
     /// Short and long burn windows, in that order.
-    pub windows: [BurnWindow; 2],
+    windows: [BurnWindow; 2],
 }
 
 /// The observability plane shared between the serving runtime, its
@@ -521,7 +521,7 @@ impl ObsPlane {
     }
 
     /// Snapshot of the burn-rate windows.
-    pub fn slo_report(&self, now: Instant) -> SloReport {
+    fn slo_report(&self, now: Instant) -> SloReport {
         let sec = self.sec(now);
         let st = self.rolling();
         let mut windows = [BurnWindow {

@@ -50,14 +50,6 @@ impl Request {
         }
     }
 
-    /// A request replacing only the bounds.
-    pub fn with_bounds(l: Vec<f64>, u: Vec<f64>) -> Self {
-        Request {
-            bounds: Some((l, u)),
-            ..Request::default()
-        }
-    }
-
     /// Sets a relative deadline.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);

@@ -178,11 +178,6 @@ impl QpServer {
         self.state.lock().expect("server state lock").shards.len()
     }
 
-    /// Registered tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.state.lock().expect("server state lock").tenants.len()
-    }
-
     /// Registers a tenant: performs full solver setup (equilibration,
     /// ordering, factorization) on the template problem and warms the
     /// pattern shard so the first submission is served hot.

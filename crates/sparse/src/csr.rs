@@ -49,11 +49,6 @@ impl CsrMatrix {
         &self.row_ptr
     }
 
-    /// The column index array.
-    pub fn col_ind(&self) -> &[usize] {
-        &self.col_ind
-    }
-
     /// The stored values.
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -71,11 +66,6 @@ impl CsrMatrix {
             .iter()
             .copied()
             .zip(self.values[range].iter().copied())
-    }
-
-    /// Number of nonzeros in row `i`.
-    pub fn row_nnz(&self, i: usize) -> usize {
-        self.row_ptr[i + 1] - self.row_ptr[i]
     }
 
     /// Computes `y = A * x` row by row.
@@ -136,7 +126,7 @@ mod tests {
     fn row_nnz_counts() {
         let a = CscMatrix::from_dense(2, 2, &[1.0, 1.0, 0.0, 1.0]);
         let r = a.to_csr();
-        assert_eq!(r.row_nnz(0), 2);
-        assert_eq!(r.row_nnz(1), 1);
+        assert_eq!(r.row(0).count(), 2);
+        assert_eq!(r.row(1).count(), 1);
     }
 }

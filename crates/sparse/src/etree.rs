@@ -1,6 +1,6 @@
 //! Elimination trees for sparse symmetric factorization.
 //!
-//! The elimination tree (Liu [24] in the paper) is the spanning tree of the
+//! The elimination tree (Liu \[24\] in the paper) is the spanning tree of the
 //! factorization data-dependency graph: column `j` of `L` depends on column
 //! `i < j` iff `i` is a descendant of `j`. The MIB compiler uses it twice:
 //!

@@ -281,7 +281,7 @@ impl LdlFactor {
     /// # Panics
     ///
     /// Panics if `x.len() != n`.
-    pub fn lt_solve(&self, x: &mut [f64]) {
+    fn lt_solve(&self, x: &mut [f64]) {
         assert_eq!(x.len(), self.n, "lt_solve: rhs has wrong length");
         for j in (0..self.n).rev() {
             let r = self.l_col_ptr[j]..self.l_col_ptr[j + 1];
@@ -296,7 +296,7 @@ impl LdlFactor {
     /// # Panics
     ///
     /// Panics if `x.len() != n`.
-    pub fn d_solve(&self, x: &mut [f64]) {
+    fn d_solve(&self, x: &mut [f64]) {
         assert_eq!(x.len(), self.n, "d_solve: rhs has wrong length");
         crate::simd::mul_assign(x, &self.dinv);
     }
@@ -306,7 +306,7 @@ impl LdlFactor {
     /// # Panics
     ///
     /// Panics if `x.len() != n`.
-    pub fn solve_in_place(&self, x: &mut [f64]) {
+    fn solve_in_place(&self, x: &mut [f64]) {
         self.l_solve(x);
         self.d_solve(x);
         self.lt_solve(x);
@@ -397,11 +397,6 @@ impl LdlSolver {
     /// The current numeric factor.
     pub fn factor(&self) -> &LdlFactor {
         &self.factor
-    }
-
-    /// The permuted matrix `P A Pᵀ` that was factored (upper triangle).
-    pub fn permuted_matrix(&self) -> &CscMatrix {
-        &self.permuted
     }
 
     /// Updates the numeric values of the matrix (same pattern as the one the

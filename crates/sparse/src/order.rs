@@ -1,6 +1,6 @@
 //! Fill-reducing orderings for symmetric sparse factorization.
 //!
-//! The paper's compiler permutes the KKT matrix with AMD [2] before
+//! The paper's compiler permutes the KKT matrix with AMD \[2\] before
 //! factorization, and so do we: [`Ordering::MinDegree`] is Amestoy–Davis–Duff
 //! approximate minimum degree on a quotient graph, with approximate external
 //! degrees, element absorption (aggressive included), mass elimination and

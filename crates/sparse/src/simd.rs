@@ -9,7 +9,7 @@
 //! sequential, wire ≡ in-process, the golden suites), so it is fixed:
 //!
 //! * **Canonical reduction order.** Reductions accumulate into
-//!   [`LANES`] = 4 independent lanes over the full 4-chunks
+//!   `LANES` = 4 independent lanes over the full 4-chunks
 //!   (`acc[l] += term(4c + l)`), combine the lanes as
 //!   `(acc[0] + acc[2]) + (acc[1] + acc[3])`, and fold the remainder
 //!   sequentially *after* the combine. Do not rewrite a loop as
@@ -28,7 +28,7 @@
 //! the measurements that removed the last one.
 
 /// Number of `f64` lanes every reduction chunks by.
-pub const LANES: usize = 4;
+const LANES: usize = 4;
 
 /// Canonical maximum: `if a > b { a } else { b }` (so the second operand
 /// wins on NaN and on ±0 ties). Used by every max-reduction and

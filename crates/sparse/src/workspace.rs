@@ -40,14 +40,6 @@ impl SparseWorkspace {
         SparseWorkspace { pool: Vec::new() }
     }
 
-    /// A pool pre-warmed with one buffer per requested length, so the
-    /// first `take` of each listed size is already allocation-free.
-    pub fn with_buffers(lens: &[usize]) -> Self {
-        SparseWorkspace {
-            pool: lens.iter().map(|&l| vec![0.0; l]).collect(),
-        }
-    }
-
     /// Checks out a zeroed buffer of length `len`.
     ///
     /// Reuses the pooled buffer with the smallest capacity `>= len` if one
@@ -104,7 +96,10 @@ mod tests {
 
     #[test]
     fn reuses_smallest_sufficient_buffer() {
-        let mut ws = SparseWorkspace::with_buffers(&[16, 4, 64]);
+        let mut ws = SparseWorkspace::new();
+        for len in [16, 4, 64] {
+            ws.put(vec![0.0; len]);
+        }
         let b = ws.take(4);
         assert_eq!(b.capacity(), 4, "must pick the tightest fit");
         ws.put(b);

@@ -152,11 +152,6 @@ pub fn enable_kernel_spans() {
     KERNEL_SPANS.store(true, Ordering::SeqCst);
 }
 
-/// Turns kernel spans back off (the default).
-pub fn disable_kernel_spans() {
-    KERNEL_SPANS.store(false, Ordering::SeqCst);
-}
-
 /// Whether kernel spans should record: tracing enabled *and* kernel
 /// spans opted in. Hot loops hoist this once per solve/iteration, like
 /// [`enabled`].
@@ -592,7 +587,7 @@ mod tests {
     fn kernel_spans_require_both_flags() {
         let _guard = test_lock::hold();
         disable();
-        disable_kernel_spans();
+        KERNEL_SPANS.store(false, Ordering::SeqCst);
         clear();
         // Off by default, even with tracing enabled.
         enable();
@@ -607,7 +602,7 @@ mod tests {
         // ... but not once tracing itself is off.
         disable();
         assert!(!kernel_spans());
-        disable_kernel_spans();
+        KERNEL_SPANS.store(false, Ordering::SeqCst);
     }
 
     #[test]

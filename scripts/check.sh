@@ -58,6 +58,11 @@ pedantic_allow=(
 cargo clippy --workspace --all-targets --exclude proptest --exclude rand \
   -- -D warnings -W clippy::pedantic "${pedantic_allow[@]}"
 
+echo "==> cargo doc --workspace (deny warnings)"
+# Broken or private intra-doc links and citation brackets read as links
+# fail here. Vendored stubs are excluded, as for the pedantic pass.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude proptest --exclude rand
+
 echo "==> cargo test --workspace"
 # Every crate's unit, integration and doc tests, the root package's
 # suites (serve_soak, trace_pipeline, timeline_attribution, zero_alloc,

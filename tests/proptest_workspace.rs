@@ -9,7 +9,7 @@
 
 use mib::problems::random_qp;
 use mib::qp::kkt::KktMatrix;
-use mib::qp::{BatchSolver, BatchUpdate, Problem, Settings, Solver, Status, INFTY};
+use mib::qp::{Problem, Settings, Solver, Status, INFTY};
 use mib::sparse::ldl::LdlSolver;
 use mib::sparse::order::Ordering;
 use proptest::prelude::*;
@@ -157,37 +157,6 @@ proptest! {
             prop_assert_eq!(&result.x, &want.x, "step {}", step);
             prop_assert_eq!(result.iterations, want.iterations, "step {}", step);
             prop_assert_eq!(result.status, want.status, "step {}", step);
-        }
-    }
-
-    /// Batch solving is chunking-invariant on random problems and thread
-    /// counts, not just on the hand-picked cases in the unit tests.
-    #[test]
-    fn batch_parallel_matches_sequential(
-        seed in 0u64..10_000,
-        count in 1usize..20,
-        threads in 1usize..6,
-    ) {
-        let problem = random_qp(4, 6, 0.6, seed);
-        let base_q = problem.q().to_vec();
-        let batch = BatchSolver::new(problem, Settings::default())
-            .unwrap()
-            .with_threads(threads);
-        let updates: Vec<BatchUpdate> = (0..count)
-            .map(|k| {
-                let qk = base_q
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &v)| v + 0.07 * k as f64 - 0.03 * j as f64)
-                    .collect();
-                BatchUpdate::with_q(qk)
-            })
-            .collect();
-        let par = batch.solve_batch(&updates).unwrap();
-        let seq = batch.solve_sequential(&updates).unwrap();
-        for (k, (a, b)) in par.iter().zip(&seq).enumerate() {
-            prop_assert_eq!(&a.x, &b.x, "problem {} of {} on {} threads", k, count, threads);
-            prop_assert_eq!(a.iterations, b.iterations, "problem {}", k);
         }
     }
 }
