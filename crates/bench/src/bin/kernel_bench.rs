@@ -1,7 +1,9 @@
 //! kernel_bench: std-only micro-benchmark of the SIMD kernels.
 //!
 //! Measures per-kernel GFLOP/s for the hot `_into` kernels, sweeps the
-//! sparse kernels across the five benchmark domains, times the KKT
+//! sparse kernels across the five benchmark domains, times the indirect
+//! backend's reduced operator `S·v` matrix-free and assembled
+//! (`reduced_operator`, rows keyed by each domain's `n`) and the KKT
 //! ordering (`order`/`min_degree`, one row per domain). The report is
 //! machine-diffable JSON with stable key order
 //! (`results/BENCH_kernels.json`); GFLOP/s numbers are
@@ -22,7 +24,8 @@ use std::time::Instant;
 
 use mib_problems::{instance, Domain};
 use mib_qp::kkt::KktMatrix;
-use mib_qp::Settings;
+use mib_qp::linsys::IndirectKkt;
+use mib_qp::{KktBackend, Settings};
 use mib_sparse::order::{self, Ordering};
 use mib_sparse::simd;
 use mib_sparse::{ldl::LdlSolver, CscMatrix, TripletMatrix};
@@ -250,6 +253,54 @@ fn bench_order(domain: Domain, index: usize, out: &mut Vec<Measurement>) {
     });
 }
 
+/// Times one product `S·v` by the reduced PCG operator
+/// `S = P + σI + Aᵀ diag(ρ) A` on one domain's instance (`n` = its
+/// variable count): the matrix-free passes, and the assembled `S` when the
+/// indirect backend's size guard admits it.
+fn bench_reduced_operator(domain: Domain, index: usize, out: &mut Vec<Measurement>) {
+    let problem = instance(domain, index).problem;
+    let (n, m) = (problem.num_vars(), problem.num_constraints());
+    let settings = Settings::with_backend(KktBackend::Indirect);
+    let kkt = IndirectKkt::new(
+        problem.p(),
+        problem.a(),
+        settings.sigma,
+        &vec![0.1; m],
+        settings.eps_pcg_start,
+        settings.eps_pcg_min,
+        settings.max_pcg_iter,
+    );
+    let mut rng = Rng(0x1319_8a2e_0370_7344 ^ n as u64);
+    let v = rng.vec(n);
+    let mut sv = vec![0.0; n];
+    let mut az = vec![0.0; m];
+    // P·v (both triangles), σv, A·v, ρ∘(Av), Aᵀ(ρ∘Av).
+    let flops = (4 * (problem.p().nnz() + problem.a().nnz()) + 2 * n + m) as f64;
+    let ns = time_ns(inner_for(flops), || {
+        kkt.apply_matrix_free(black_box(&v), black_box(&mut sv), &mut az);
+    });
+    out.push(Measurement {
+        group: "reduced_operator",
+        kernel: "matrix_free",
+        n,
+        flops,
+        ns_per_call: ns,
+    });
+    if let Some(s) = kkt.reduced_matrix() {
+        let flops = 2.0 * s.nnz() as f64;
+        let ns = time_ns(inner_for(flops), || {
+            s.spmv_t_into(black_box(&v), black_box(&mut sv));
+        });
+        out.push(Measurement {
+            group: "reduced_operator",
+            kernel: "assembled",
+            n,
+            flops,
+            ns_per_call: ns,
+        });
+    }
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
 
@@ -274,6 +325,9 @@ fn main() {
         let am = spec.problem.a();
         domain_dims.push((domain, am.nrows(), am.ncols(), am.nnz()));
         bench_spmv(domain.name(), am, &mut ms);
+    }
+    for domain in Domain::all() {
+        bench_reduced_operator(domain, domain_index, &mut ms);
     }
     bench_ldl_solve(ldl_n, &mut ms);
     for domain in Domain::all() {

@@ -72,23 +72,6 @@ pub fn load_vec(b: &mut KernelBuilder, v: Layout, values: &[f64]) {
     }
 }
 
-/// Reads a layout and discards the values (`write_vec` — the result words
-/// leave on the HBM write port, which the functional model does not
-/// represent; the cycle cost is what matters).
-pub fn write_vec(b: &mut KernelBuilder, v: Layout) {
-    let width = b.width();
-    for range in chunks(v.len, width) {
-        let mut inst = NetInstruction::nop(width);
-        inst.kind = InstrKind::Elementwise;
-        for e in range {
-            let (lane, addr) = v.loc(e);
-            inst.set_input(lane, LaneSource::Reg { addr });
-            inst.route(lane, lane);
-        }
-        b.push(inst, vec![]);
-    }
-}
-
 /// `dst = s * src` (or `dst += s * src` with [`WriteMode::Add`]).
 ///
 /// `src` and `dst` must have the same length (banks align automatically
@@ -700,17 +683,5 @@ mod tests {
         zero(&mut b, x);
         let m = run(b);
         assert_eq!(read_layout(&m, x), vec![0.0; 12]);
-    }
-
-    #[test]
-    fn write_vec_costs_cycles_without_mutating() {
-        let (mut b, mut a) = builder();
-        let x = a.alloc(8);
-        load_vec(&mut b, x, &[1.0; 8]);
-        let before_len = b.len();
-        write_vec(&mut b, x);
-        assert!(b.len() > before_len);
-        let m = run(b);
-        assert_eq!(read_layout(&m, x), vec![1.0; 8]);
     }
 }

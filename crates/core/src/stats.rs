@@ -41,14 +41,6 @@ impl ExecStats {
         self.busy_nodes as f64 / (self.cycles as f64 * total_nodes as f64)
     }
 
-    /// Achieved FLOP/s at the given clock.
-    pub fn flops_per_second(&self, clock_hz: f64) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        self.flops as f64 * clock_hz / self.cycles as f64
-    }
-
     /// Merges another run's counters into this one (e.g. summing phases).
     pub fn merge(&mut self, other: &ExecStats) {
         self.cycles += other.cycles;
@@ -97,15 +89,5 @@ mod tests {
         b.merge(&a);
         assert_eq!(b.slots_by_kind[0], 3);
         assert_eq!(b.flops, 7);
-    }
-
-    #[test]
-    fn flops_per_second() {
-        let s = ExecStats {
-            cycles: 100,
-            flops: 200,
-            ..ExecStats::default()
-        };
-        assert!((s.flops_per_second(1e6) - 2e6).abs() < 1.0);
     }
 }

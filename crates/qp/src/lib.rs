@@ -9,7 +9,8 @@
 //!   ([`linsys::DirectKkt`]);
 //! * **OSQP-indirect** — the KKT system is reduced to the positive-definite
 //!   form `(P + σI + AᵀρA) x = b` and solved by Preconditioned Conjugate
-//!   Gradient ([`linsys::IndirectKkt`], Algorithm 2 of the paper).
+//!   Gradient ([`linsys::IndirectKkt`], Algorithm 2 of the paper), with
+//!   the reduced matrix assembled when it stays sparse.
 //!
 //! The solver includes modified Ruiz equilibration, per-constraint step
 //! sizes (`ρ` vector with equality-constraint boosting), adaptive `ρ`,

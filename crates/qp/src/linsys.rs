@@ -11,9 +11,18 @@
 //! The direct backend ([`DirectKkt`]) factors the quasi-definite KKT matrix
 //! once and refactors numerically when `ρ` changes. The indirect backend
 //! ([`IndirectKkt`]) eliminates the second block row to get the positive
-//! definite system `(P + σI + Aᵀ diag(ρ) A) x̃ = r_x + Aᵀ diag(ρ) r_z` and
-//! runs Preconditioned Conjugate Gradient (Algorithm 2 of the paper) with a
-//! Jacobi preconditioner, never forming `AᵀA` explicitly.
+//! definite system `S x̃ = r_x + Aᵀ diag(ρ) r_z`, `S = P + σI + Aᵀ diag(ρ) A`,
+//! and runs Preconditioned Conjugate Gradient (Algorithm 2 of the paper)
+//! with the Jacobi preconditioner `1/diag(S)`.
+//!
+//! PCG spends its time in products `S·v`. When `S` stays sparse — at most
+//! [`ASSEMBLY_FILL_LIMIT`] times the stored entries of `P` and `A`, plus
+//! the diagonal — the indirect backend assembles `S` once and applies it
+//! as one sparse product per PCG iteration. A dense row of `A` makes `S`
+//! dense, so such problems keep the matrix-free product (`P·v`, `A·v`,
+//! `Aᵀ(ρ∘Av)`), which never forms `AᵀA`. Either way the [`Profile`] is
+//! charged the paper's matrix-free operator: it models the accelerator's
+//! work, not the CPU's.
 //!
 //! Backends exchange vectors through the caller's [`SolveWorkspace`]: the
 //! right-hand side arrives in [`SolveWorkspace::rhs_x`] /
@@ -25,7 +34,7 @@
 
 use mib_sparse::ldl::LdlSolver;
 use mib_sparse::order::Ordering;
-use mib_sparse::{vector, CscMatrix};
+use mib_sparse::{vector, CscMatrix, CsrMatrix};
 
 use crate::kkt::KktMatrix;
 use crate::profile::Profile;
@@ -170,19 +179,134 @@ impl KktSolver for DirectKkt {
     }
 }
 
+/// Size guard of the assembled reduced operator: `S` is assembled only when
+/// `nnz(S) ≤ ASSEMBLY_FILL_LIMIT · (nnz(P) + nnz(A)) + n`. At the served
+/// sizes the sparse-row domains stay inside it (at most 2.9×, huber),
+/// while one dense row of `A` makes `S` dense, quadratic in `n`
+/// (DESIGN.md §11).
+pub const ASSEMBLY_FILL_LIMIT: usize = 4;
+
+/// `S = P + σI + Aᵀ diag(ρ) A` assembled in full (both-triangle) storage,
+/// so that one [`CscMatrix::spmv_t_into`] applies it.
+#[derive(Debug, Clone)]
+struct AssembledS {
+    /// Pattern and current values of `S`.
+    s: CscMatrix,
+    /// The ρ-independent part of every value, aligned with `s`: `P`
+    /// mirrored, plus `σ` on the diagonal.
+    base: Vec<f64>,
+    /// The rows of `A`.
+    a_rows: CsrMatrix,
+    /// Dense accumulator of one column of `Aᵀ diag(ρ) A`; all zero
+    /// between evaluations.
+    acc: Vec<f64>,
+}
+
+impl AssembledS {
+    /// Builds the pattern of `P + I + AᵀA` and the base values, or `None`
+    /// when `S` would exceed the size guard. `p` is the upper triangle of
+    /// the objective matrix. The values still lack the ρ part:
+    /// [`AssembledS::evaluate`] adds it.
+    fn new(p: &CscMatrix, a: &CscMatrix, sigma: f64) -> Option<Self> {
+        let n = p.ncols();
+        let limit = ASSEMBLY_FILL_LIMIT * (p.nnz() + a.nnz()) + n;
+        let a_rows = CsrMatrix::from_csc(a);
+        // Row `j` of the upper triangle, i.e. the mirrored lower part of
+        // column `j` of `P`.
+        let p_rows = p.transpose();
+        let mut mark = vec![usize::MAX; n];
+        let mut col_ptr = Vec::with_capacity(n + 1);
+        col_ptr.push(0);
+        let mut row_ind: Vec<usize> = Vec::new();
+        for j in 0..n {
+            let start = row_ind.len();
+            let p_col = p.col(j).chain(p_rows.col(j)).map(|(i, _)| i);
+            let a_col = a.col(j).flat_map(|(i, _)| a_rows.row(i).map(|(k, _)| k));
+            for k in std::iter::once(j).chain(p_col).chain(a_col) {
+                if mark[k] != j {
+                    mark[k] = j;
+                    row_ind.push(k);
+                }
+            }
+            // Early exit keeps the symbolic pass linear in the limit even
+            // when a dense row would make `S` quadratic.
+            if row_ind.len() > limit {
+                return None;
+            }
+            row_ind[start..].sort_unstable();
+            col_ptr.push(row_ind.len());
+        }
+        let nnz = row_ind.len();
+        let s = CscMatrix::from_parts(n, n, col_ptr, row_ind, vec![0.0; nnz])
+            .expect("sorted, deduplicated columns form a valid CSC matrix");
+        // `mark` becomes the position of each row within the current column.
+        let mut base = vec![0.0; nnz];
+        for j in 0..n {
+            for idx in s.col_range(j) {
+                mark[s.row_ind()[idx]] = idx;
+            }
+            for (i, v) in p.col(j) {
+                base[mark[i]] = v;
+            }
+            for (k, v) in p_rows.col(j).filter(|&(k, _)| k > j) {
+                base[mark[k]] = v;
+            }
+            base[mark[j]] += sigma;
+        }
+        Some(AssembledS {
+            s,
+            base,
+            a_rows,
+            acc: vec![0.0; n],
+        })
+    }
+
+    /// Sets every value of `S` from its base value and `ρ`: entry `(k, j)`
+    /// gets `base + Σᵢ (ρᵢ aᵢⱼ) aᵢₖ` over the rows `i` of column `j` of `A`,
+    /// in ascending `i`. A fixed recipe, never an increment, so the values
+    /// depend only on `(P, A, σ, ρ)`. Allocates nothing.
+    fn evaluate(&mut self, a: &CscMatrix, rho: &[f64]) {
+        let AssembledS {
+            s,
+            base,
+            a_rows,
+            acc,
+        } = self;
+        for j in 0..a.ncols() {
+            for (i, aij) in a.col(j) {
+                let w = rho[i] * aij;
+                for (k, aik) in a_rows.row(i) {
+                    acc[k] += w * aik;
+                }
+            }
+            for idx in s.col_range(j) {
+                let k = s.row_ind()[idx];
+                s.values_mut()[idx] = base[idx] + acc[k];
+                acc[k] = 0.0;
+            }
+        }
+    }
+}
+
 /// Indirect backend: PCG on the reduced positive-definite system
-/// (OSQP-indirect).
+/// `S = P + σI + Aᵀ diag(ρ) A` (OSQP-indirect).
 ///
-/// All per-solve scratch (`r`, `pdir`, `sp`, `dvec`, `az`, `b_red`) lives
-/// in the shared [`SolveWorkspace`]; the backend itself carries only
-/// problem data, the preconditioner and the warm-start state.
+/// `S` is assembled in `new` when it passes the [`ASSEMBLY_FILL_LIMIT`]
+/// size guard: each PCG iteration then makes one sparse product instead
+/// of three passes, and a `ρ` update re-evaluates its values from scratch.
+/// Otherwise `S·v` runs matrix-free. All per-solve scratch (`r`, `pdir`,
+/// `sp`, `dvec`, `az`, `b_red`) lives in the shared [`SolveWorkspace`];
+/// the backend itself carries only problem data, the preconditioner and
+/// the warm-start state.
 #[derive(Debug, Clone)]
 pub struct IndirectKkt {
     p: CscMatrix,
     a: CscMatrix,
     sigma: f64,
     rho_vec: Vec<f64>,
-    /// Jacobi preconditioner: `M = diag(P) + σ + Σᵢ ρᵢ A²ᵢⱼ`.
+    /// `S` itself, or `None` when the size guard keeps it matrix-free.
+    assembled: Option<AssembledS>,
+    /// Jacobi preconditioner: `1/diag(S)`, `diag(S) = diag(P) + σ + Σᵢ ρᵢ A²ᵢⱼ`.
     precond_inv: Vec<f64>,
     /// Warm-start state: solution of the previous KKT solve.
     x_prev: Vec<f64>,
@@ -196,7 +320,7 @@ pub struct IndirectKkt {
 }
 
 impl IndirectKkt {
-    /// Prepares the PCG backend.
+    /// Prepares the PCG backend, assembling `S` when the size guard allows.
     pub fn new(
         p: &CscMatrix,
         a: &CscMatrix,
@@ -217,6 +341,7 @@ impl IndirectKkt {
             a: a.clone(),
             sigma,
             rho_vec: rho_vec.to_vec(),
+            assembled: AssembledS::new(p, a, sigma),
             precond_inv: vec![1.0; n],
             x_prev: vec![0.0; n],
             tol: tol0,
@@ -224,41 +349,63 @@ impl IndirectKkt {
             eps_min,
             max_iter,
         };
-        solver.rebuild_preconditioner();
+        solver.install_rho();
         solver
     }
 
-    fn rebuild_preconditioner(&mut self) {
-        let n = self.p.ncols();
-        for j in 0..n {
-            self.precond_inv[j] = self.sigma + self.p.get(j, j);
+    /// The assembled `S` in full storage, or `None` when the size guard
+    /// keeps the product matrix-free.
+    pub fn reduced_matrix(&self) -> Option<&CscMatrix> {
+        self.assembled.as_ref().map(|s| &s.s)
+    }
+
+    /// Re-evaluates `S` (when assembled) and the Jacobi preconditioner for
+    /// the current `rho_vec`.
+    fn install_rho(&mut self) {
+        if let Some(s) = &mut self.assembled {
+            s.evaluate(&self.a, &self.rho_vec);
+            for (j, d) in self.precond_inv.iter_mut().enumerate() {
+                *d = s.s.get(j, j);
+            }
+        } else {
+            for (j, d) in self.precond_inv.iter_mut().enumerate() {
+                *d = self.sigma + self.p.get(j, j);
+            }
+            for (i, j, v) in self.a.iter() {
+                self.precond_inv[j] += self.rho_vec[i] * v * v;
+            }
         }
-        for (i, j, v) in self.a.iter() {
-            self.precond_inv[j] += self.rho_vec[i] * v * v;
-        }
-        for d in self.precond_inv.iter_mut() {
+        for d in &mut self.precond_inv {
             *d = if *d > 0.0 { 1.0 / *d } else { 1.0 };
         }
     }
 
-    /// Applies `v -> S v = (P + σI + Aᵀ diag(ρ) A) v` without forming `S`,
-    /// using `az` as the length-`m` intermediate.
-    fn apply_s(&self, v: &[f64], out: &mut [f64], az: &mut [f64], profile: &mut Profile) {
-        // out = P v (symmetric product) ...
+    /// Computes `out = S v` without forming `S`: `P·v`, `σv`, then
+    /// `Aᵀ(ρ ∘ (A v))` with `az` as the length-`m` intermediate.
+    pub fn apply_matrix_free(&self, v: &[f64], out: &mut [f64], az: &mut [f64]) {
         out.fill(0.0);
         self.p.sym_upper_mul_vec_acc(v, out);
-        profile.add_spmv_mac(2 * self.p.nnz());
-        // ... + σ v ...
         vector::axpy_into(out, self.sigma, v);
-        // ... + Aᵀ (ρ ∘ (A v)): A·v is the MAC primitive, Aᵀ·w is column
-        // elimination (Section IV.B of the paper).
         az.fill(0.0);
         self.a.mul_vec_acc(v, az);
-        profile.add_spmv_mac(self.a.nnz());
         vector::mul_assign(az, &self.rho_vec);
         self.a.tr_mul_vec_acc(az, out);
+    }
+
+    /// Computes `out = S v` — one product by the assembled `S`, or the
+    /// matrix-free passes — and charges the paper's matrix-free operator
+    /// to `profile` either way.
+    fn apply_s(&self, v: &[f64], out: &mut [f64], az: &mut [f64], profile: &mut Profile) {
+        match &self.assembled {
+            Some(s) => s.s.spmv_t_into(v, out),
+            None => self.apply_matrix_free(v, out, az),
+        }
+        // P·v (symmetric product), A·v (the MAC primitive) and Aᵀ·w (column
+        // elimination, Section IV.B of the paper).
+        profile.add_spmv_mac(2 * self.p.nnz());
+        profile.add_spmv_mac(self.a.nnz());
         profile.add_spmv_col_elim(self.a.nnz());
-        profile.add_vector((2 * v.len() + az.len()) as f64);
+        profile.add_vector((2 * v.len() + self.a.nrows()) as f64);
     }
 
     /// Runs PCG to solve `S x = b`, warm-started from the previous
@@ -357,7 +504,7 @@ impl KktSolver for IndirectKkt {
 
     fn update_rho(&mut self, rho_vec: &[f64], profile: &mut Profile) -> Result<()> {
         self.rho_vec.copy_from_slice(rho_vec);
-        self.rebuild_preconditioner();
+        self.install_rho();
         profile.add_vector((self.a.nnz() + self.p.ncols()) as f64);
         Ok(())
     }
@@ -466,6 +613,25 @@ mod tests {
         }
         for (u, v) in nu1.iter().zip(&nu2) {
             assert!((u - v).abs() < 1e-6, "nu mismatch: {u} vs {v}");
+        }
+    }
+
+    #[test]
+    fn assembled_s_matches_dense_reference() {
+        let (p, a, sigma, rho) = problem_data();
+        let solver = IndirectKkt::new(&p, &a, sigma, &rho, 1e-10, 1e-12, 500);
+        let s = solver
+            .reduced_matrix()
+            .expect("3x3 S passes the size guard");
+        let (pd, ad) = (p.to_dense(), a.to_dense());
+        for j in 0..3 {
+            for k in 0..3 {
+                let mut want = pd[j.min(k) * 3 + j.max(k)] + if j == k { sigma } else { 0.0 };
+                for i in 0..2 {
+                    want += rho[i] * ad[i * 3 + j] * ad[i * 3 + k];
+                }
+                assert!((s.get(j, k) - want).abs() < 1e-15, "S[{j},{k}]");
+            }
         }
     }
 

@@ -17,16 +17,13 @@
 //! tight hops; the chain tells the scheduler which dependences it must
 //! restructure to go faster.
 //!
-//! Each hop carries slot/location provenance and renders as an
-//! [`Info`](crate::diag::Severity::Info) [`Diagnostic`] through
-//! [`CriticalPath::to_diagnostics`], the same machinery every other
-//! verifier finding uses.
+//! Each hop carries slot/location provenance.
 
 use mib_core::instruction::{InstrKind, NetInstruction};
 use mib_core::pending::PendingWrites;
 use mib_core::MibConfig;
 
-use crate::diag::{DiagKind, Diagnostic, Loc};
+use crate::diag::Loc;
 
 /// One hop of the critical dependence chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,26 +53,6 @@ pub struct CriticalPath {
     /// Dependence hops, earliest slot first. Empty when program order
     /// alone bounds the program (no dependence is tight).
     pub hops: Vec<CriticalHop>,
-}
-
-impl CriticalPath {
-    /// Renders every hop as an info-severity diagnostic anchored to the
-    /// bound slot, carrying the location and producer provenance.
-    pub fn to_diagnostics(&self) -> Vec<Diagnostic> {
-        self.hops
-            .iter()
-            .map(|h| {
-                Diagnostic::at_slot(
-                    h.slot,
-                    DiagKind::CriticalPathHop {
-                        loc: h.loc,
-                        producer_slot: h.producer_slot,
-                        stall_cycles: h.stall_cycles,
-                    },
-                )
-            })
-            .collect()
-    }
 }
 
 /// Per-slot binding constraint found during the replay.
@@ -171,7 +148,6 @@ pub fn critical_path(program: &[NetInstruction], config: &MibConfig) -> Critical
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diag::Severity;
     use mib_core::instruction::{LaneSource, LaneWrite, WriteMode};
 
     fn config8() -> MibConfig {
@@ -245,20 +221,6 @@ mod tests {
         let cp = critical_path(&prog, &cfg);
         assert!(cp.hops.is_empty(), "{:?}", cp.hops);
         assert_eq!(cp.stall_cycles, 0);
-    }
-
-    #[test]
-    fn hops_render_as_info_diagnostics_with_provenance() {
-        let cfg = config8();
-        let prog = vec![mov(0, 0, 1), mov(0, 1, 2)];
-        let diags = critical_path(&prog, &cfg).to_diagnostics();
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].severity, Severity::Info);
-        assert_eq!(diags[0].slot, Some(1));
-        let s = diags[0].to_string();
-        assert!(s.contains("critical-path"), "{s}");
-        assert!(s.contains("bank 0 addr 1"), "{s}");
-        assert!(s.contains("slot 0"), "{s}");
     }
 
     #[test]

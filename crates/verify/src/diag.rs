@@ -190,18 +190,6 @@ pub enum DiagKind {
         /// First differing word index (or the shorter length).
         word: usize,
     },
-    /// One hop of the program's critical dependence chain (see
-    /// `critical_path`): the slot's issue cycle was determined by this
-    /// dependence, not by program order.
-    CriticalPathHop {
-        /// Location the dependence flows through.
-        loc: Loc,
-        /// Slot of the producing write.
-        producer_slot: usize,
-        /// Stall cycles the hop cost (0 for a tight, hazard-free
-        /// dependence).
-        stall_cycles: u64,
-    },
 }
 
 impl DiagKind {
@@ -221,7 +209,7 @@ impl DiagKind {
             | DiagKind::DeadWrite { .. }
             | DiagKind::UndrivenWrite { .. }
             | DiagKind::ForcedAppends { .. } => Severity::Warning,
-            DiagKind::ReadBeforeInit { .. } | DiagKind::CriticalPathHop { .. } => Severity::Info,
+            DiagKind::ReadBeforeInit { .. } => Severity::Info,
         }
     }
 
@@ -233,8 +221,7 @@ impl DiagKind {
             DiagKind::HazardRead { loc, .. }
             | DiagKind::AddressOutOfRange { loc, .. }
             | DiagKind::DeadWrite { loc, .. }
-            | DiagKind::DoubleWrite { loc }
-            | DiagKind::CriticalPathHop { loc, .. } => Some(*loc),
+            | DiagKind::DoubleWrite { loc } => Some(*loc),
             DiagKind::ReadBeforeInit { sample, .. } => sample.first().map(|&(loc, _)| loc),
             _ => None,
         }
@@ -257,7 +244,6 @@ impl DiagKind {
             DiagKind::PackingDependency { .. } => "packing-dependency",
             DiagKind::PackingSlotMismatch => "packing-slot-mismatch",
             DiagKind::PackingStreamMismatch { .. } => "packing-stream-mismatch",
-            DiagKind::CriticalPathHop { .. } => "critical-path-hop",
         }
     }
 }
@@ -341,15 +327,6 @@ impl fmt::Display for DiagKind {
             DiagKind::PackingStreamMismatch { word } => write!(
                 f,
                 "HBM stream diverges from the kernel's words at index {word}"
-            ),
-            DiagKind::CriticalPathHop {
-                loc,
-                producer_slot,
-                stall_cycles,
-            } => write!(
-                f,
-                "critical-path dependence through {loc}: produced at slot \
-                 {producer_slot}, {stall_cycles} stall cycle(s)"
             ),
         }
     }

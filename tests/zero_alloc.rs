@@ -16,7 +16,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mib::problems::portfolio;
+use mib::problems::{instance, portfolio, Domain};
+use mib::qp::linsys::IndirectKkt;
 use mib::qp::{KktBackend, Settings, Solver, Status, INFTY};
 
 struct CountingAlloc;
@@ -156,6 +157,54 @@ fn direct_solve_into_performs_zero_allocations() {
 #[test]
 fn indirect_solve_into_performs_zero_allocations() {
     assert_solve_is_allocation_free(KktBackend::Indirect);
+}
+
+/// The indirect backend with `S` assembled (the sparse-row SVM suite
+/// instance passes the size guard; the portfolio above stays matrix-free):
+/// `reset` re-installs the base `ρ` after the warm-up's adaptive update,
+/// and the measured solve updates `ρ` again, so both re-evaluations of the
+/// assembled values run inside the measured region.
+#[test]
+fn assembled_indirect_solve_and_rho_updates_perform_zero_allocations() {
+    let problem = instance(Domain::Svm, 1).problem;
+    let settings = Settings {
+        backend: KktBackend::Indirect,
+        adaptive_rho_interval: 10,
+        ..Settings::default()
+    };
+    let kkt = IndirectKkt::new(
+        problem.p(),
+        problem.a(),
+        settings.sigma,
+        &vec![settings.rho; problem.num_constraints()],
+        settings.eps_pcg_start,
+        settings.eps_pcg_min,
+        settings.max_pcg_iter,
+    );
+    assert!(
+        kkt.reduced_matrix().is_some(),
+        "svm[1] must take the assembled path"
+    );
+    let mut solver = Solver::new(problem, settings).expect("setup");
+    let mut result = solver.solve();
+    assert_eq!(result.status, Status::Solved, "warm-up must solve");
+    assert!(
+        result.profile.rho_updates >= 1,
+        "warm-up must update rho so that reset re-installs it"
+    );
+    let allocs = allocations_during(|| {
+        solver.reset();
+        solver.solve_into(&mut result);
+    });
+    assert_eq!(result.status, Status::Solved);
+    assert!(
+        result.profile.rho_updates >= 1,
+        "the measured solve must update rho"
+    );
+    assert_eq!(
+        allocs, 0,
+        "assembled indirect reset + solve_into allocated {allocs} times"
+    );
 }
 
 /// The PDQP backend shares the zero-allocation contract: restarted
