@@ -1,13 +1,14 @@
 //! Benchmark regression detection: diffs the committed benchmark
-//! documents (`results/BENCH_serve.json`, `results/BENCH_kernels.json`)
-//! against a baseline revision of the same files, with per-metric
-//! tolerances tuned for the noisy single-core runners this repository
-//! measures on.
+//! documents (`results/BENCH_serve.json`, `results/BENCH_kernels.json`,
+//! `results/BENCH_backends.json`) against a baseline revision of the same
+//! files, with per-metric tolerances tuned for the noisy single-core
+//! runners this repository measures on.
 //!
 //! The comparison is structural, not textual: the workspace's one JSON
 //! parser ([`mib_trace::json`]) loads both documents, matched entries
 //! are located by their identity keys (`mode` for serve runs;
-//! `group`/`kernel`/`n` for kernel rows), and each tracked metric is
+//! `group`/`kernel`/`n` for kernel rows; `domain`/`index`/`backend` for
+//! backend runs), and each tracked metric is
 //! checked against its tolerance. An entry present in the
 //! baseline but missing from the current document is itself a failure —
 //! losing coverage must not pass silently.
@@ -34,6 +35,11 @@ const OBS_OVERHEAD_MAX_PCT: f64 = 5.0;
 /// Kernel `ns_per_call` may grow by this factor before it counts as a
 /// regression.
 const KERNEL_NS_MAX_RATIO: f64 = 2.5;
+
+/// Backend-run `iterations` may grow by this factor before it counts as
+/// a regression. The counts are deterministic, so any rise comes from a
+/// change to an algorithm, not from noise.
+const BACKEND_ITERS_MAX_RATIO: f64 = 1.1;
 
 /// One compared metric: its identity, both values, the applied rule and
 /// the verdict.
@@ -237,6 +243,71 @@ pub fn diff_kernels(baseline: &str, current: &str) -> Result<Vec<Finding>, Strin
     Ok(findings)
 }
 
+/// Diffs two `BENCH_backends.json` documents over every baseline run
+/// (matched on `domain`/`index`/`backend`): the run must still be there,
+/// a converged run must stay converged, and its `iterations` may rise by
+/// at most 10 %.
+///
+/// # Errors
+///
+/// Returns parse errors for either document.
+pub fn diff_backends(baseline: &str, current: &str) -> Result<Vec<Finding>, String> {
+    let base = Json::parse(baseline).map_err(|e| format!("baseline backends: {e}"))?;
+    let cur = Json::parse(current).map_err(|e| format!("current backends: {e}"))?;
+    let identity = |run: &Json| -> Option<(String, u64, String)> {
+        Some((
+            run.get("domain")?.as_str()?.to_string(),
+            run.get("index")?.as_f64()? as u64,
+            run.get("backend")?.as_str()?.to_string(),
+        ))
+    };
+    let converged = |run: &Json| matches!(run.get("converged"), Some(Json::Bool(true)));
+    let mut findings = Vec::new();
+    for run in base.get("runs").map_or(&[][..], Json::items) {
+        let Some(key) = identity(run) else { continue };
+        let label = format!("backends[{}/{}/{}]", key.0, key.1, key.2);
+        let Some(cur_run) = cur
+            .get("runs")
+            .map_or(&[][..], Json::items)
+            .iter()
+            .find(|r| identity(r).as_ref() == Some(&key))
+        else {
+            findings.push(Finding::ratio(
+                label,
+                f64::NAN,
+                f64::NAN,
+                "row present".into(),
+                false,
+            ));
+            continue;
+        };
+        if converged(run) {
+            let still = converged(cur_run);
+            findings.push(Finding::ratio(
+                format!("{label}.converged"),
+                1.0,
+                if still { 1.0 } else { 0.0 },
+                "stays converged".into(),
+                still,
+            ));
+        }
+        if let Some(base_iters) = run.get("iterations").and_then(Json::as_f64) {
+            let cur_iters = cur_run
+                .get("iterations")
+                .and_then(Json::as_f64)
+                .unwrap_or(f64::NAN);
+            findings.push(Finding::ratio(
+                format!("{label}.iterations"),
+                base_iters,
+                cur_iters,
+                format!("<= {BACKEND_ITERS_MAX_RATIO}x baseline"),
+                cur_iters <= base_iters * BACKEND_ITERS_MAX_RATIO,
+            ));
+        }
+    }
+    Ok(findings)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,5 +426,45 @@ mod tests {
             .expect("diff runs")
             .iter()
             .any(|f| !f.ok));
+    }
+
+    #[test]
+    fn backend_rows_lost_unconverged_or_slower_fail() {
+        let backends = r#"{"bench": "backends", "runs": [
+          {"domain": "lasso", "index": 0, "backend": "admm",
+           "converged": true, "iterations": 100, "solve_time_us": 90},
+          {"domain": "lasso", "index": 0, "backend": "pdqp",
+           "converged": true, "iterations": 300, "solve_time_us": 80}
+        ]}"#;
+        // Identical iterations and a 10 % rise pass, whatever the timing.
+        let within = backends
+            .replace("\"iterations\": 100", "\"iterations\": 110")
+            .replace("\"solve_time_us\": 90", "\"solve_time_us\": 900");
+        for current in [backends, within.as_str()] {
+            let findings = diff_backends(backends, current).expect("diff runs");
+            assert_eq!(findings.len(), 4);
+            assert!(findings.iter().all(|f| f.ok), "{findings:?}");
+        }
+        let failing = |current: &str, metric: &str| {
+            let findings = diff_backends(backends, current).expect("diff runs");
+            let bad: Vec<_> = findings.iter().filter(|f| !f.ok).collect();
+            assert_eq!(bad.len(), 1, "{findings:?}");
+            assert_eq!(bad[0].metric, metric);
+        };
+        failing(
+            &backends.replace("\"iterations\": 100", "\"iterations\": 111"),
+            "backends[lasso/0/admm].iterations",
+        );
+        failing(
+            &backends.replace(
+                "\"converged\": true, \"iterations\": 300",
+                "\"converged\": false, \"iterations\": 300",
+            ),
+            "backends[lasso/0/pdqp].converged",
+        );
+        failing(
+            &backends.replace("\"backend\": \"pdqp\"", "\"backend\": \"osqp\""),
+            "backends[lasso/0/pdqp]",
+        );
     }
 }

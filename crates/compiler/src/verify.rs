@@ -11,10 +11,10 @@
 //! to what [`crate::schedule::schedule`] published.
 //!
 //! The lowering pipeline calls [`checked_schedule`] instead of the raw
-//! scheduler: in debug builds (or when the `MIB_VERIFY` environment
-//! variable is set) every schedule is verified immediately after packing,
-//! and the program cache re-verifies the value-refreshed load program on
-//! every hit.
+//! scheduler: in builds with debug assertions (debug builds and the
+//! `checked` profile) every schedule is verified immediately after
+//! packing, and the program cache re-verifies the value-refreshed load
+//! program on every hit.
 
 use mib_core::instruction::NetInstruction;
 use mib_core::MibConfig;
@@ -150,15 +150,8 @@ pub fn verify_kernel_schedule(kernel: &Kernel, s: &Schedule, config: &MibConfig)
     report
 }
 
-/// Whether schedule-time verification is active: always in debug builds,
-/// and opt-in via the `MIB_VERIFY` environment variable elsewhere.
-fn verification_enabled() -> bool {
-    cfg!(debug_assertions) || std::env::var_os("MIB_VERIFY").is_some()
-}
-
-/// Schedules a kernel and — in debug builds, or elsewhere when
-/// `MIB_VERIFY` is set — immediately verifies the result, program-level
-/// and packing-level.
+/// Schedules a kernel and — in builds with debug assertions — immediately
+/// verifies the result, program-level and packing-level.
 ///
 /// # Panics
 ///
@@ -167,7 +160,7 @@ fn verification_enabled() -> bool {
 /// compiler silently.
 pub fn checked_schedule(kernel: &Kernel, opts: ScheduleOptions, config: &MibConfig) -> Schedule {
     let s = schedule(kernel, opts);
-    if verification_enabled() {
+    if cfg!(debug_assertions) {
         let report = verify_kernel_schedule(kernel, &s, config);
         assert!(
             report.is_certified(),
@@ -195,7 +188,7 @@ pub fn checked_schedule(kernel: &Kernel, opts: ScheduleOptions, config: &MibConf
 /// Re-verifies a cache-refreshed load schedule (program-level only — the
 /// cache does not retain the kernel).
 pub(crate) fn maybe_verify_refreshed_load(s: &Schedule, config: &MibConfig) {
-    if verification_enabled() {
+    if cfg!(debug_assertions) {
         let report = verify_schedule("load(cache-hit)", s, config);
         assert!(
             report.is_certified(),

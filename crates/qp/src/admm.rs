@@ -1,42 +1,39 @@
-//! The ADMM backend (Algorithm 1 of the paper), behind [`QpBackend`].
+//! The ADMM iteration (Algorithm 1 of the paper): the
+//! [`Solver`](crate::Solver) variant for
+//! [`Algorithm::Admm`](crate::Algorithm::Admm).
 //!
-//! This module is the former `solver.rs` iteration core, moved verbatim
-//! behind the trait boundary: the arithmetic, stage order and adaptive-ρ
-//! logic are untouched, so the iterates remain **bitwise identical** to
-//! the pre-trait solver's (the pre-test-triggered checks of
-//! [`AdmmSolver::solve_into`] may only stop it sooner). The public entry
-//! point is the
-//! [`Solver`](crate::Solver) facade, which boxes an [`AdmmSolver`] when
-//! [`Settings::algorithm`](crate::Settings) is [`Algorithm::Admm`].
+//! `Solver` owns the problem data, the workspace and the solve envelope
+//! (set-up, updates, interruption, the result epilogue); this module owns
+//! ADMM's iterates, its step sizes, its KKT backend and its loop. The
+//! pre-test-triggered checks of [`Admm::iterate`] may only stop a solve
+//! sooner: they never change the iterates.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-use mib_sparse::vector;
+use mib_sparse::{vector, CscMatrix};
 use mib_trace::{Category as TraceCat, Event as TraceEvent};
 
-use crate::backend::{Algorithm, QpBackend};
-use crate::linsys::{DirectKkt, IndirectKkt, KktSolver};
+use crate::linsys::Kkt;
 use crate::profile::Profile;
-use crate::scaling::{ruiz_equilibrate, Scaling};
-use crate::workspace::SolveWorkspace;
-use crate::{KktBackend, Problem, Result, Settings, SolveResult, Status, INFTY};
+use crate::solver::{Env, Residuals, Run};
+use crate::{Algorithm, Result, Settings, Status, INFTY};
 
 /// Iteration stride of the convergence pre-test between regular
-/// termination checks (see [`AdmmSolver::solve_into`]).
+/// termination checks (see [`Admm::iterate`]).
 const PRETEST_EVERY: usize = 5;
 
-/// The ADMM QP solver (Algorithm 1 of the paper).
-///
-/// An `AdmmSolver` owns a scaled copy of the problem, the selected KKT
-/// backend, the current iterates and a [`SolveWorkspace`] holding every
-/// scratch vector the iteration needs; after [`AdmmSolver::new`] returns,
-/// a call to `solve_into` performs **no heap allocation**. Repeated solves
-/// warm-start from the previous solution, and the parametric update
-/// methods (`update_q`, `update_bounds`) support the "millions of QPs with
-/// the same sparsity pattern" workflow the paper's portfolio example
-/// describes without re-running setup.
+/// Primal infeasibility tolerance of the certificate test.
+const EPS_PRIM_INF: f64 = 1e-4;
+
+/// Dual infeasibility tolerance of the certificate test.
+const EPS_DUAL_INF: f64 = 1e-4;
+
+/// Adaptive `ρ` changes `ρ` only when the new value differs from it by
+/// more than this factor.
+const ADAPTIVE_RHO_TOLERANCE: f64 = 5.0;
+
+/// ADMM's own state: the scaled iterates, the step sizes and the KKT
+/// backend.
 ///
 /// The iteration is decomposed into named stages — `stage_rhs`,
 /// `stage_ztilde`, `stage_x_update`, `stage_z_projection`,
@@ -46,255 +43,99 @@ const PRETEST_EVERY: usize = 5;
 /// testable in isolation. All but `stage_pretest` map one-to-one onto the
 /// schedule fragments the MIB compiler emits; the pre-test has no
 /// fragment, and the MIB cycle model does not charge it.
-#[derive(Debug)]
-pub struct AdmmSolver {
-    settings: Settings,
-    /// Original (unscaled) problem, used for residuals and certificates.
-    orig: Problem,
-    // Scaled data.
-    q: Vec<f64>,
-    l: Vec<f64>,
-    u: Vec<f64>,
-    scaling: Scaling,
+#[derive(Debug, Clone)]
+pub(crate) struct Admm {
     rho: f64,
     rho_vec: Vec<f64>,
     rho_inv_vec: Vec<f64>,
-    kkt: Box<dyn KktSolver>,
+    kkt: Kkt,
     // Scaled iterates.
-    x: Vec<f64>,
-    y: Vec<f64>,
-    z: Vec<f64>,
-    ws: SolveWorkspace,
-    profile: Profile,
-    /// External cancellation flag, polled every `check_interval` iterations.
-    cancel: Option<Arc<AtomicBool>>,
-    /// External absolute deadline (combined with `settings.time_limit`).
-    deadline: Option<Instant>,
+    pub(crate) x: Vec<f64>,
+    pub(crate) y: Vec<f64>,
+    pub(crate) z: Vec<f64>,
 }
 
-impl Clone for AdmmSolver {
-    fn clone(&self) -> Self {
-        AdmmSolver {
-            settings: self.settings.clone(),
-            orig: self.orig.clone(),
-            q: self.q.clone(),
-            l: self.l.clone(),
-            u: self.u.clone(),
-            scaling: self.scaling.clone(),
-            rho: self.rho,
-            rho_vec: self.rho_vec.clone(),
-            rho_inv_vec: self.rho_inv_vec.clone(),
-            kkt: self.kkt.clone_box(),
-            x: self.x.clone(),
-            y: self.y.clone(),
-            z: self.z.clone(),
-            ws: self.ws.clone(),
-            profile: self.profile,
-            cancel: self.cancel.clone(),
-            deadline: self.deadline,
-        }
-    }
-}
-
-/// Residual snapshot used by termination and adaptive-ρ logic.
-#[derive(Debug, Clone, Copy)]
-struct Residuals {
-    prim: f64,
-    dual: f64,
-    prim_norm: f64,
-    dual_norm: f64,
-}
-
-impl AdmmSolver {
-    /// Sets up the solver: validates settings, equilibrates the problem,
-    /// builds the `ρ` vector and the KKT backend.
+impl Admm {
+    /// Builds the `ρ` vector and the KKT backend for the scaled `p`, `a`,
+    /// charging the factorization to `profile`.
     ///
     /// # Errors
     ///
-    /// Returns setting/problem validation errors or
     /// [`QpError::KktFactorization`](crate::QpError::KktFactorization) if
     /// the initial factorization fails.
-    pub fn new(problem: Problem, settings: Settings) -> Result<Self> {
-        settings.validate()?;
-        let n = problem.num_vars();
-        let m = problem.num_constraints();
-
-        // Scale a copy of the data.
-        let mut p = problem.p().clone();
-        let mut q = problem.q().to_vec();
-        let mut a = problem.a().clone();
-        let mut l = problem.l().to_vec();
-        let mut u = problem.u().to_vec();
-        let tracing = mib_trace::enabled();
-        let scaling = if settings.scaling_iters > 0 {
-            let _scaling_span = mib_trace::span_if(tracing, "scaling", TraceCat::Solver);
-            ruiz_equilibrate(
-                &mut p,
-                &mut q,
-                &mut a,
-                &mut l,
-                &mut u,
-                settings.scaling_iters,
-            )
-        } else {
-            Scaling::identity(n, m)
-        };
-
-        let (rho_vec, rho_inv_vec) = build_rho_vec(&settings, settings.rho, &l, &u);
-
-        let mut profile = Profile::default();
-        let kkt_setup_span = mib_trace::span_if(tracing, "kkt_setup", TraceCat::Kkt);
-        let kkt: Box<dyn KktSolver> = match settings.backend {
-            KktBackend::Direct => Box::new(DirectKkt::new(
-                &p,
-                &a,
-                settings.sigma,
-                &rho_vec,
-                &mut profile,
-            )?),
-            KktBackend::Indirect => Box::new(IndirectKkt::new(
-                &p,
-                &a,
-                settings.sigma,
-                &rho_vec,
-                settings.eps_pcg_start,
-                settings.eps_pcg_min,
-                settings.max_pcg_iter,
-            )),
-        };
+    pub(crate) fn new(
+        env: &Env,
+        p: &CscMatrix,
+        a: &CscMatrix,
+        profile: &mut Profile,
+    ) -> Result<Self> {
+        let settings = &env.settings;
+        let (rho_vec, rho_inv_vec) = build_rho_vec(settings, settings.rho, &env.l, &env.u);
+        let kkt_setup_span = mib_trace::span_if(mib_trace::enabled(), "kkt_setup", TraceCat::Kkt);
+        let kkt = Kkt::new(settings, p, a, &rho_vec, profile)?;
         drop(kkt_setup_span);
-
-        // `p`/`a` move into nothing — the backends clone what they need; we
-        // keep the scaled P/A inside the backend only, and original copies
-        // in `orig`. q/l/u stay here because updates and projections use them.
-        drop(p);
-        drop(a);
-
-        Ok(AdmmSolver {
-            settings,
-            orig: problem,
-            q,
-            l,
-            u,
-            scaling,
-            rho: 0.1,
+        let (n, m) = (env.q.len(), env.l.len());
+        Ok(Admm {
+            rho: settings.rho,
             rho_vec,
             rho_inv_vec,
             kkt,
             x: vec![0.0; n],
             y: vec![0.0; m],
             z: vec![0.0; m],
-            ws: SolveWorkspace::new(n, m),
-            profile,
-            cancel: None,
-            deadline: None,
-        })
-        .map(|mut s| {
-            s.rho = s.settings.rho;
-            s
         })
     }
 
-    /// The current base step size `ρ`.
-    pub fn rho(&self) -> f64 {
-        self.rho
-    }
-
-    /// Warm-starts the iterates from an (unscaled) primal/dual guess.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths do not match the problem dimensions.
-    pub fn warm_start(&mut self, x: &[f64], y: &[f64]) {
-        assert_eq!(x.len(), self.x.len(), "warm start x has wrong length");
-        assert_eq!(y.len(), self.y.len(), "warm start y has wrong length");
-        for (i, xs) in self.x.iter_mut().enumerate() {
-            *xs = x[i] * self.scaling.dinv[i];
-        }
-        for (i, ys) in self.y.iter_mut().enumerate() {
-            *ys = y[i] * self.scaling.c * self.scaling.einv[i];
-        }
-        // z = A x in the scaled space is re-established by the first
-        // iteration; initialize with the projection of the current guess.
-        self.orig.a().mul_vec_into(x, &mut self.ws.ax);
+    /// The warm-start slack: `z = A x` of the unscaled guess `x`, scaled.
+    /// The first iteration re-establishes it.
+    pub(crate) fn warm_start_z(&mut self, env: &mut Env, x: &[f64]) {
+        env.orig.a().spmv_into(x, &mut env.ws.ax);
         for (i, zs) in self.z.iter_mut().enumerate() {
-            *zs = self.ws.ax[i] * self.scaling.e[i];
+            *zs = env.ws.ax[i] * env.scaling.e[i];
         }
     }
 
-    /// Resets the solver to its post-setup state: zero iterates, initial
-    /// `ρ`, no warm-start memory in the backend. After `reset`, a solve
-    /// reproduces the very first solve of a freshly constructed solver
-    /// bitwise.
+    /// Zero iterates, the initial `ρ` and no PCG warm start.
     ///
     /// The `ρ` vector is rebuilt from the *current* bounds, so the reset
-    /// state is a pure function of the current problem data — a pooled
-    /// solver that served other parameters first reaches bitwise the same
-    /// state as a fresh clone of its template with the same updates
-    /// applied, even when a bounds update changed a constraint's
-    /// loose/equality/inequality classification.
-    pub fn reset(&mut self) {
+    /// state is a pure function of the current problem data, even when a
+    /// bounds update changed a constraint's loose/equality/inequality
+    /// classification.
+    pub(crate) fn reset(&mut self, env: &Env) {
         self.x.fill(0.0);
         self.y.fill(0.0);
         self.z.fill(0.0);
         self.kkt.reset();
-        self.rho = self.settings.rho;
+        self.rho = env.settings.rho;
         // Rebuild only when some entry actually changes (classification
         // drift or a previous adaptive-ρ run); `rho_vec` always mirrors the
         // value the KKT backend was last updated with, so an unchanged
         // vector needs no refactorization.
-        let changed = self
+        let changed = env
             .l
             .iter()
-            .zip(&self.u)
+            .zip(&env.u)
             .zip(&self.rho_vec)
-            .any(|((&lo, &hi), &r)| rho_for(&self.settings, self.rho, lo, hi) != r);
+            .any(|((&lo, &hi), &r)| rho_for(&env.settings, self.rho, lo, hi) != r);
         if changed {
             build_rho_vec_into(
-                &self.settings,
+                &env.settings,
                 self.rho,
-                &self.l,
-                &self.u,
+                &env.l,
+                &env.u,
                 &mut self.rho_vec,
                 &mut self.rho_inv_vec,
             );
-            // Counted nowhere: `profile` stays the work of `new`, so a
-            // pooled solver's solve reports what a fresh clone's would,
-            // not a running total of the resets before it.
+            // Counted nowhere: the setup profile stays the work of `new`,
+            // so a pooled solver's solve reports what a fresh clone's
+            // would, not a running total of the resets before it.
             let _ = self.kkt.update_rho(&self.rho_vec, &mut Profile::default());
         }
     }
 
-    /// Replaces the linear cost `q` (same dimensions), preserving scaling.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QpError::InvalidProblem`](crate::QpError::InvalidProblem)
-    /// on length mismatch or non-finite entries.
-    pub fn update_q(&mut self, q: &[f64]) -> Result<()> {
-        self.orig.set_q(q)?;
-        self.scaling.scale_q_into(q, &mut self.q);
-        Ok(())
-    }
-
-    /// Replaces the bounds `l`, `u` (same dimensions), preserving scaling.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QpError::InvalidProblem`](crate::QpError::InvalidProblem)
-    /// if any `l[i] > u[i]` or lengths mismatch.
-    pub fn update_bounds(&mut self, l: &[f64], u: &[f64]) -> Result<()> {
-        self.orig.set_bounds(l, u)?;
-        self.scaling.scale_bounds_into(l, &mut self.l);
-        self.scaling.scale_bounds_into(u, &mut self.u);
-        Ok(())
-    }
-
-    /// Runs the ADMM iteration, writing the outcome into an existing
-    /// [`SolveResult`]. When `result` comes from a previous solve of the
-    /// same problem dimensions, this performs **zero heap allocations** on
-    /// feasible problems — the property the repository's counting-allocator
-    /// test pins down. (Infeasible exits clone the certificate vector.)
+    /// Runs the ADMM loop from the current iterates and returns the
+    /// status, the iteration count and the last checked residuals. An
+    /// infeasibility certificate is appended to `certificate`.
     ///
     /// The full termination check runs every `check_termination`
     /// iterations, and also on any multiple of `PRETEST_EVERY` (5) where
@@ -303,52 +144,27 @@ impl AdmmSolver {
     /// the iterates and writes nothing but residual scratch — so a solve
     /// follows the same iterate sequence as with regular checks alone and
     /// stops at or before the same iteration.
-    pub fn solve_into(&mut self, result: &mut SolveResult) {
-        let start = Instant::now();
-        // The solve's only read of the tracing flag: spans and events below
-        // are gated on this hoisted bool, so the disabled-mode cost of the
-        // whole instrumented solve is this one relaxed atomic load.
-        let tracing = mib_trace::enabled();
-        // Opt-in per-stage kernel spans (several per iteration), hoisted
-        // like `tracing` so the disabled cost is one more relaxed load.
-        let ktrace = mib_trace::kernel_spans();
-        // Iteration stride for per-iteration detail (stage spans and the
-        // KKT timestamp pair): 1 records every iteration exactly; the
-        // serving plane raises it so always-on tracing samples instead.
-        let kstride = usize::try_from(mib_trace::kernel_span_stride()).unwrap_or(usize::MAX);
-        let _solve_span = mib_trace::span_if(tracing, "solve", TraceCat::Solver);
-        // Keep setup factorization work, reset per-solve counters.
-        let mut prof = self.profile;
-        prof.admm_iters = 0;
-
-        let n = self.x.len();
-        let m = self.y.len();
-        let max_iter = self.settings.max_iter;
-        let check_every = self.settings.check_termination;
+    pub(crate) fn iterate(
+        &mut self,
+        env: &mut Env,
+        run: &Run,
+        prof: &mut Profile,
+        certificate: &mut Vec<f64>,
+    ) -> (Status, usize, Option<Residuals>) {
+        let tracing = run.tracing;
+        let max_iter = env.settings.max_iter;
+        let check_every = env.settings.check_termination;
         // Round the adaptive interval up to a multiple of the termination
         // check so fresh residuals are always available.
-        let adapt_every = self
+        let adapt_every = env
             .settings
             .adaptive_rho_interval
             .div_ceil(check_every)
             .max(1)
             * check_every;
 
-        result.x.resize(n, 0.0);
-        result.y.resize(m, 0.0);
-        result.z.resize(m, 0.0);
-        result.certificate.clear();
-
-        // Effective deadline: the earlier of the per-solve time limit and
-        // the externally installed absolute deadline.
-        let deadline = match (self.settings.time_limit.map(|d| start + d), self.deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let check_interval = self.settings.check_interval;
-
         let mut status = Status::MaxIterations;
-        let mut pcg_tol = self.settings.eps_pcg_start;
+        let mut pcg_tol = env.settings.eps_pcg_start;
         let mut final_res: Option<Residuals> = None;
         let mut iterations = 0usize;
         // Telemetry deltas: KKT time and PCG iterations since the last
@@ -357,64 +173,52 @@ impl AdmmSolver {
         let mut kkt_ns_reported: u64 = 0;
         let mut pcg_reported = prof.pcg_iters;
 
-        // A request may arrive already cancelled or past its deadline.
-        if let Some(s) = self.interruption(deadline) {
-            status = s;
-        }
         let admm_span = mib_trace::span_if(tracing, "admm_loop", TraceCat::Solver);
         for k in 1..=max_iter {
-            if status != Status::MaxIterations {
-                break;
-            }
             iterations = k;
             // Per-iteration detail is sampled at the kernel stride; with
             // the default stride of 1 every iteration records, so the
             // attribution harnesses keep exact stage totals.
-            let sampled = k == 1 || k % kstride == 0;
-            let kdetail = ktrace && sampled;
+            let sampled = k == 1 || k % run.kstride == 0;
+            let kdetail = run.ktrace && sampled;
             {
                 let _s = mib_trace::span_if(kdetail, "stage_rhs", TraceCat::Kernel);
-                self.stage_rhs(&mut prof);
+                self.stage_rhs(env, prof);
             }
             let kkt_start = if tracing && sampled {
                 Some(Instant::now())
             } else {
                 None
             };
-            let kkt_failed = self.kkt.solve(&mut self.ws, &mut prof).is_err();
+            self.kkt.solve(&mut env.ws, prof);
             if let Some(t0) = kkt_start {
                 kkt_ns_total += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
             }
-            if kkt_failed {
-                // Factorization failures cannot occur mid-run (pattern and
-                // quasi-definiteness are fixed); treat defensively as a stall.
-                break;
-            }
             {
                 let _s = mib_trace::span_if(kdetail, "stage_ztilde", TraceCat::Kernel);
-                self.stage_ztilde(&mut prof);
+                self.stage_ztilde(env, prof);
             }
             {
                 let _s = mib_trace::span_if(kdetail, "stage_x_update", TraceCat::Kernel);
-                self.stage_x_update(&mut prof);
+                self.stage_x_update(env, prof);
             }
             {
                 let _s = mib_trace::span_if(kdetail, "stage_z_projection", TraceCat::Kernel);
-                self.stage_z_projection(&mut prof);
+                self.stage_z_projection(env, prof);
             }
             {
                 let _s = mib_trace::span_if(kdetail, "stage_y_update", TraceCat::Kernel);
-                self.stage_y_update(&mut prof);
+                self.stage_y_update(env, prof);
             }
 
             // Only regular checks drive side effects (infeasibility, PCG
             // tolerance, adaptive ρ); a triggered one can only stop the solve.
             let regular = k % check_every == 0 || k == max_iter;
-            let triggered = !regular && k % PRETEST_EVERY == 0 && self.stage_pretest(&mut prof);
+            let triggered = !regular && k % PRETEST_EVERY == 0 && self.stage_pretest(env, prof);
             if regular || triggered {
                 let res = {
                     let _s = mib_trace::span_if(kdetail, "stage_residuals", TraceCat::Kernel);
-                    self.stage_residuals(&mut prof)
+                    self.stage_residuals(env, prof)
                 };
                 prof.checks += 1;
                 if tracing {
@@ -438,8 +242,8 @@ impl AdmmSolver {
                     pcg_reported = prof.pcg_iters;
                     kkt_ns_reported = kkt_ns_total;
                 }
-                let eps_prim = self.settings.eps_abs + self.settings.eps_rel * res.prim_norm;
-                let eps_dual = self.settings.eps_abs + self.settings.eps_rel * res.dual_norm;
+                let eps_prim = env.settings.eps_abs + env.settings.eps_rel * res.prim_norm;
+                let eps_dual = env.settings.eps_abs + env.settings.eps_rel * res.dual_norm;
                 if res.prim < eps_prim && res.dual < eps_dual {
                     final_res = Some(res);
                     status = Status::Solved;
@@ -447,31 +251,31 @@ impl AdmmSolver {
                 }
                 if !triggered {
                     final_res = Some(res);
-                    if self.check_primal_infeasible(&mut prof) {
+                    if self.check_primal_infeasible(env, prof) {
                         status = Status::PrimalInfeasible;
-                        result.certificate.extend_from_slice(&self.ws.cert_y);
+                        certificate.extend_from_slice(&env.ws.cert_y);
                         break;
                     }
-                    if self.check_dual_infeasible(&mut prof) {
+                    if self.check_dual_infeasible(env, prof) {
                         status = Status::DualInfeasible;
-                        result.certificate.extend_from_slice(&self.ws.cert_x);
+                        certificate.extend_from_slice(&env.ws.cert_x);
                         break;
                     }
                     // Adaptive PCG tolerance: tighten as the ADMM residuals
                     // fall, and halve unconditionally at every check so a
                     // stalled outer loop (caused by inexact inner solves)
                     // always escapes.
-                    if self.kkt.backend() == KktBackend::Indirect {
+                    if let Kkt::Indirect(kkt) = &mut self.kkt {
                         let target = 0.15
                             * (res.prim / res.prim_norm.max(1e-12) * res.dual
                                 / res.dual_norm.max(1e-12))
                             .sqrt();
                         pcg_tol = (0.5 * pcg_tol).min(target).max(1e-9);
-                        self.kkt.set_tolerance(pcg_tol);
+                        kkt.set_tolerance(pcg_tol);
                     }
-                    if self.settings.adaptive_rho && k % adapt_every == 0 {
+                    if env.settings.adaptive_rho && k % adapt_every == 0 {
                         let rho_before = self.rho;
-                        let res = self.stage_adaptive_rho(res, &mut prof);
+                        let res = self.stage_adaptive_rho(env, res, prof);
                         final_res = Some(res);
                         if tracing && self.rho.to_bits() != rho_before.to_bits() {
                             mib_trace::record_if(
@@ -486,86 +290,39 @@ impl AdmmSolver {
                     }
                 }
             }
-            // Interruption boundary: cancellation and deadline polls live
-            // on their own interval so latency-sensitive callers can react
-            // faster than the (costlier) termination check. The poll reads
-            // no iterate state, so it cannot perturb a run that finishes.
-            if k % check_interval == 0 {
-                if let Some(s) = self.interruption(deadline) {
-                    status = s;
-                    break;
-                }
+            if let Some(s) = run.interruption(k) {
+                status = s;
+                break;
             }
             prof.admm_iters = k;
         }
         drop(admm_span);
-
-        // Unscale the solution directly into the result buffers.
-        self.scaling.unscale_x_into(&self.x, &mut result.x);
-        self.scaling.unscale_y_into(&self.y, &mut result.y);
-        self.scaling.unscale_z_into(&self.z, &mut result.z);
-        let res = final_res.unwrap_or(Residuals {
-            prim: f64::INFINITY,
-            dual: f64::INFINITY,
-            prim_norm: 1.0,
-            dual_norm: 1.0,
-        });
-        // obj = ½ xᵀPx + qᵀx, with Px staged through the workspace.
-        self.orig
-            .p()
-            .sym_upper_mul_vec_into(&result.x, &mut self.ws.px);
-        let obj_val =
-            0.5 * vector::dot(&result.x, &self.ws.px) + vector::dot(self.orig.q(), &result.x);
-
-        result.status = status;
-        result.algorithm = Algorithm::Admm;
-        result.obj_val = obj_val;
-        result.prim_res = res.prim;
-        result.dual_res = res.dual;
-        result.iterations = iterations;
-        result.profile = prof;
-        result.solve_time = start.elapsed();
-    }
-
-    /// Polls the external cancellation flag and the effective deadline.
-    /// Cancellation wins over timeout when both fire in the same window.
-    fn interruption(&self, deadline: Option<Instant>) -> Option<Status> {
-        if self
-            .cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-        {
-            return Some(Status::Cancelled);
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Some(Status::TimedOut);
-        }
-        None
+        (status, iterations, final_res)
     }
 
     /// Stage 1: build the KKT right-hand side
     /// `[σ xᵏ − q ; zᵏ − ρ⁻¹ yᵏ]` into `ws.rhs_x` / `ws.rhs_z`.
-    fn stage_rhs(&mut self, prof: &mut Profile) {
-        let ws = &mut self.ws;
-        let sigma = self.settings.sigma;
-        vector::sax_sub_into(&mut ws.rhs_x, sigma, &self.x, &self.q);
+    fn stage_rhs(&self, env: &mut Env, prof: &mut Profile) {
+        let ws = &mut env.ws;
+        let sigma = env.settings.sigma;
+        vector::sax_sub_into(&mut ws.rhs_x, sigma, &self.x, &env.q);
         vector::sub_prod_into(&mut ws.rhs_z, &self.z, &self.rho_inv_vec, &self.y);
         prof.add_vector((2 * self.x.len() + 2 * self.z.len()) as f64);
     }
 
     /// Stage 2 (after the KKT solve): `z̃ = z + ρ⁻¹(ν − y)` into
     /// `ws.ztilde`.
-    fn stage_ztilde(&mut self, prof: &mut Profile) {
-        let ws = &mut self.ws;
+    fn stage_ztilde(&self, env: &mut Env, prof: &mut Profile) {
+        let ws = &mut env.ws;
         vector::add_prod_diff_into(&mut ws.ztilde, &self.z, &self.rho_inv_vec, &ws.nu, &self.y);
         prof.add_vector(3.0 * self.z.len() as f64);
     }
 
     /// Stage 3: relaxed x-update `xᵏ⁺¹ = α x̃ + (1−α) xᵏ`, recording the
     /// step `δx` in `ws.delta_x`.
-    fn stage_x_update(&mut self, prof: &mut Profile) {
-        let ws = &mut self.ws;
-        let alpha = self.settings.alpha;
+    fn stage_x_update(&mut self, env: &mut Env, prof: &mut Profile) {
+        let ws = &mut env.ws;
+        let alpha = env.settings.alpha;
         vector::relax_delta_into(&mut self.x, &mut ws.delta_x, alpha, &ws.xtilde);
         prof.add_vector(4.0 * self.x.len() as f64);
     }
@@ -573,9 +330,9 @@ impl AdmmSolver {
     /// Stage 4: z-projection. Forms the relaxed iterate
     /// `α z̃ + (1−α) zᵏ` (kept in `ws.z_relaxed` for the y-update) and
     /// projects `z_relaxed + ρ⁻¹ yᵏ` onto `[l, u]`.
-    fn stage_z_projection(&mut self, prof: &mut Profile) {
-        let ws = &mut self.ws;
-        let alpha = self.settings.alpha;
+    fn stage_z_projection(&mut self, env: &mut Env, prof: &mut Profile) {
+        let ws = &mut env.ws;
+        let alpha = env.settings.alpha;
         vector::relax_project_into(
             &mut self.z,
             &mut ws.z_relaxed,
@@ -583,16 +340,16 @@ impl AdmmSolver {
             &ws.ztilde,
             &self.rho_inv_vec,
             &self.y,
-            &self.l,
-            &self.u,
+            &env.l,
+            &env.u,
         );
         prof.add_vector(6.0 * self.z.len() as f64);
     }
 
     /// Stage 5: y-update `yᵏ⁺¹ = yᵏ + ρ (z_relaxed − zᵏ⁺¹)`, recording the
     /// step `δy` in `ws.delta_y`.
-    fn stage_y_update(&mut self, prof: &mut Profile) {
-        let ws = &mut self.ws;
+    fn stage_y_update(&mut self, env: &mut Env, prof: &mut Profile) {
+        let ws = &mut env.ws;
         vector::scaled_diff_update_into(
             &mut self.y,
             &mut ws.delta_y,
@@ -607,63 +364,40 @@ impl AdmmSolver {
     /// unscaled primal-residual step `‖E⁻¹(z_relaxed − zᵏ⁺¹)‖∞` (that is,
     /// `δy/ρ`) against `eps_abs + eps_rel·‖E⁻¹ zᵏ⁺¹‖∞`. Passing only earns
     /// a full [`stage_residuals`](Self::stage_residuals) check.
-    fn stage_pretest(&self, prof: &mut Profile) -> bool {
+    fn stage_pretest(&self, env: &Env, prof: &mut Profile) -> bool {
         let (step, norm) =
-            vector::norm_inf_weighted_step(&self.scaling.einv, &self.ws.z_relaxed, &self.z);
+            vector::norm_inf_weighted_step(&env.scaling.einv, &env.ws.z_relaxed, &self.z);
         prof.add_vector(3.0 * self.z.len() as f64);
-        step < self.settings.eps_abs + self.settings.eps_rel * norm
+        step < env.settings.eps_abs + env.settings.eps_rel * norm
     }
 
     /// Stage 6: unscaled residuals and their normalization terms, staged
     /// through the workspace (`x_us`, `y_us`, `z_us`, `ax`, `px`, `aty`).
-    fn stage_residuals(&mut self, prof: &mut Profile) -> Residuals {
-        let ws = &mut self.ws;
-        self.scaling.unscale_x_into(&self.x, &mut ws.x_us);
-        self.scaling.unscale_y_into(&self.y, &mut ws.y_us);
-        self.scaling.unscale_z_into(&self.z, &mut ws.z_us);
-        let a = self.orig.a();
-        let p = self.orig.p();
-
-        a.mul_vec_into(&ws.x_us, &mut ws.ax);
-        prof.add_spmv_mac(a.nnz());
-        let prim = vector::norm_inf_diff(&ws.ax, &ws.z_us);
-        let prim_norm = vector::norm_inf(&ws.ax).max(vector::norm_inf(&ws.z_us));
-
-        p.sym_upper_mul_vec_into(&ws.x_us, &mut ws.px);
-        prof.add_spmv_mac(2 * p.nnz());
-        a.spmv_t_into(&ws.y_us, &mut ws.aty);
-        prof.add_spmv_col_elim(a.nnz());
-        let dual = vector::norm_inf_sum3(&ws.px, self.orig.q(), &ws.aty);
-        let dual_norm = vector::norm_inf(&ws.px)
-            .max(vector::norm_inf(&ws.aty))
-            .max(vector::norm_inf(self.orig.q()));
-        prof.add_vector(4.0 * (ws.x_us.len() + ws.z_us.len()) as f64);
-
-        Residuals {
-            prim,
-            dual,
-            prim_norm,
-            dual_norm,
-        }
+    fn stage_residuals(&self, env: &mut Env, prof: &mut Profile) -> Residuals {
+        let ws = &mut env.ws;
+        env.scaling.unscale_x_into(&self.x, &mut ws.x_us);
+        env.scaling.unscale_y_into(&self.y, &mut ws.y_us);
+        env.scaling.unscale_z_into(&self.z, &mut ws.z_us);
+        env.residuals(false, prof)
     }
 
     /// Tests the primal infeasibility certificate on the unscaled `δy`.
     /// On success the certificate is left in `ws.cert_y`.
-    fn check_primal_infeasible(&mut self, prof: &mut Profile) -> bool {
-        let eps = self.settings.eps_prim_inf;
-        let ws = &mut self.ws;
+    fn check_primal_infeasible(&self, env: &mut Env, prof: &mut Profile) -> bool {
+        let eps = EPS_PRIM_INF;
+        let ws = &mut env.ws;
         // Unscale: δy = E δȳ / c.
         vector::prod_scale_into(
             &mut ws.cert_y,
             &ws.delta_y,
-            &self.scaling.e,
-            self.scaling.cinv,
+            &env.scaling.e,
+            env.scaling.cinv,
         );
         let norm = vector::norm_inf(&ws.cert_y);
         if norm <= 0.0 {
             return false;
         }
-        let a = self.orig.a();
+        let a = env.orig.a();
         a.spmv_t_into(&ws.cert_y, &mut ws.aty);
         prof.add_spmv_col_elim(a.nnz());
         if vector::norm_inf(&ws.aty) > eps * norm {
@@ -676,9 +410,9 @@ impl AdmmSolver {
         let mut lhs = 0.0;
         for (i, &d) in ws.cert_y.iter().enumerate() {
             if d > 0.0 {
-                lhs += self.orig.u()[i] * d;
+                lhs += env.orig.u()[i] * d;
             } else if d < 0.0 {
-                lhs += self.orig.l()[i] * d;
+                lhs += env.orig.l()[i] * d;
             }
         }
         prof.add_vector(2.0 * ws.cert_y.len() as f64);
@@ -687,30 +421,30 @@ impl AdmmSolver {
 
     /// Tests the dual infeasibility certificate on the unscaled `δx`.
     /// On success the certificate is left in `ws.cert_x`.
-    fn check_dual_infeasible(&mut self, prof: &mut Profile) -> bool {
-        let eps = self.settings.eps_dual_inf;
-        let ws = &mut self.ws;
-        vector::ew_prod_into(&mut ws.cert_x, &ws.delta_x, &self.scaling.d);
+    fn check_dual_infeasible(&self, env: &mut Env, prof: &mut Profile) -> bool {
+        let eps = EPS_DUAL_INF;
+        let ws = &mut env.ws;
+        vector::ew_prod_into(&mut ws.cert_x, &ws.delta_x, &env.scaling.d);
         let norm = vector::norm_inf(&ws.cert_x);
         if norm <= 0.0 {
             return false;
         }
-        let p = self.orig.p();
+        let p = env.orig.p();
         p.sym_upper_mul_vec_into(&ws.cert_x, &mut ws.px);
         prof.add_spmv_mac(2 * p.nnz());
         if vector::norm_inf(&ws.px) > eps * norm {
             return false;
         }
-        if vector::dot(self.orig.q(), &ws.cert_x) > -eps * norm {
+        if vector::dot(env.orig.q(), &ws.cert_x) > -eps * norm {
             return false;
         }
-        let a = self.orig.a();
-        a.mul_vec_into(&ws.cert_x, &mut ws.ax);
+        let a = env.orig.a();
+        a.spmv_into(&ws.cert_x, &mut ws.ax);
         prof.add_spmv_mac(a.nnz());
         prof.add_vector(2.0 * ws.cert_x.len() as f64);
         for (i, &v) in ws.ax.iter().enumerate() {
-            let u_inf = self.orig.u()[i] >= INFTY;
-            let l_inf = self.orig.l()[i] <= -INFTY;
+            let u_inf = env.orig.u()[i] >= INFTY;
+            let l_inf = env.orig.l()[i] <= -INFTY;
             let ok = match (l_inf, u_inf) {
                 (true, true) => true,
                 (false, true) => v >= -eps * norm,
@@ -727,22 +461,22 @@ impl AdmmSolver {
     /// Stage 7: the OSQP adaptive-ρ rule, rebuilding the `ρ` vectors in
     /// place if the residual balance warrants it. Returns the residuals
     /// (unchanged) for the caller to keep as the latest snapshot.
-    fn stage_adaptive_rho(&mut self, res: Residuals, prof: &mut Profile) -> Residuals {
+    fn stage_adaptive_rho(&mut self, env: &Env, res: Residuals, prof: &mut Profile) -> Residuals {
         let prim_rel = res.prim / res.prim_norm.max(1e-12);
         let dual_rel = res.dual / res.dual_norm.max(1e-12);
         if prim_rel <= 0.0 || dual_rel <= 0.0 {
             return res;
         }
         let rho_new = (self.rho * (prim_rel / dual_rel).sqrt())
-            .clamp(self.settings.rho_min, self.settings.rho_max);
-        let tol = self.settings.adaptive_rho_tolerance;
+            .clamp(env.settings.rho_min, env.settings.rho_max);
+        let tol = ADAPTIVE_RHO_TOLERANCE;
         if rho_new > self.rho * tol || rho_new < self.rho / tol {
             self.rho = rho_new;
             build_rho_vec_into(
-                &self.settings,
+                &env.settings,
                 rho_new,
-                &self.l,
-                &self.u,
+                &env.l,
+                &env.u,
                 &mut self.rho_vec,
                 &mut self.rho_inv_vec,
             );
@@ -751,60 +485,6 @@ impl AdmmSolver {
             }
         }
         res
-    }
-}
-
-impl QpBackend for AdmmSolver {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::Admm
-    }
-
-    fn settings(&self) -> &Settings {
-        &self.settings
-    }
-
-    fn problem(&self) -> &Problem {
-        &self.orig
-    }
-
-    fn workspace(&self) -> &SolveWorkspace {
-        &self.ws
-    }
-
-    fn step_size(&self) -> f64 {
-        self.rho
-    }
-
-    fn warm_start(&mut self, x: &[f64], y: &[f64]) {
-        AdmmSolver::warm_start(self, x, y);
-    }
-
-    fn reset(&mut self) {
-        AdmmSolver::reset(self);
-    }
-
-    fn update_q(&mut self, q: &[f64]) -> Result<()> {
-        AdmmSolver::update_q(self, q)
-    }
-
-    fn update_bounds(&mut self, l: &[f64], u: &[f64]) -> Result<()> {
-        AdmmSolver::update_bounds(self, l, u)
-    }
-
-    fn set_cancel_flag(&mut self, cancel: Option<Arc<AtomicBool>>) {
-        self.cancel = cancel;
-    }
-
-    fn set_deadline(&mut self, deadline: Option<Instant>) {
-        self.deadline = deadline;
-    }
-
-    fn solve_into(&mut self, result: &mut SolveResult) {
-        AdmmSolver::solve_into(self, result);
-    }
-
-    fn clone_box(&self) -> Box<dyn QpBackend> {
-        Box::new(self.clone())
     }
 }
 
@@ -848,9 +528,10 @@ fn rho_for(settings: &Settings, rho: f64, lo: f64, hi: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mib_sparse::CscMatrix;
+    use crate::solver::Algo;
+    use crate::{Problem, Solver};
 
-    fn staged_solver() -> AdmmSolver {
+    fn staged_solver() -> (Admm, Env) {
         let p = CscMatrix::from_dense(2, 2, &[2.0, 0.0, 0.0, 2.0]);
         let a = CscMatrix::from_dense(3, 2, &[1.0, 1.0, 1.0, 0.0, 0.0, 1.0]);
         let problem = Problem::new(
@@ -866,88 +547,96 @@ mod tests {
             scaling_iters: 0,
             ..Settings::default()
         };
-        AdmmSolver::new(problem, s).unwrap()
+        let Solver {
+            env,
+            algo: Algo::Admm(admm),
+            ..
+        } = Solver::new(problem, s).unwrap()
+        else {
+            unreachable!("the default algorithm is ADMM")
+        };
+        (admm, env)
     }
 
     #[test]
     fn stage_rhs_builds_kkt_rhs() {
-        let mut solver = staged_solver();
+        let (mut solver, mut env) = staged_solver();
         solver.x.copy_from_slice(&[0.5, -0.25]);
         solver.z.copy_from_slice(&[0.1, 0.2, 0.3]);
         solver.y.copy_from_slice(&[1.0, -1.0, 0.5]);
         let mut prof = Profile::default();
-        solver.stage_rhs(&mut prof);
-        let sigma = solver.settings.sigma;
+        solver.stage_rhs(&mut env, &mut prof);
+        let sigma = env.settings.sigma;
         for j in 0..2 {
-            let want = sigma * solver.x[j] - solver.q[j];
-            assert_eq!(solver.ws.rhs_x[j], want);
+            let want = sigma * solver.x[j] - env.q[j];
+            assert_eq!(env.ws.rhs_x[j], want);
         }
         for i in 0..3 {
             let want = solver.z[i] - solver.rho_inv_vec[i] * solver.y[i];
-            assert_eq!(solver.ws.rhs_z[i], want);
+            assert_eq!(env.ws.rhs_z[i], want);
         }
         assert!(prof.ops.elementwise > 0.0);
     }
 
     #[test]
     fn stage_x_update_applies_relaxation() {
-        let mut solver = staged_solver();
+        let (mut solver, mut env) = staged_solver();
         solver.x.copy_from_slice(&[1.0, 2.0]);
-        solver.ws.xtilde.copy_from_slice(&[3.0, -2.0]);
-        let alpha = solver.settings.alpha;
+        env.ws.xtilde.copy_from_slice(&[3.0, -2.0]);
+        let alpha = env.settings.alpha;
         let mut prof = Profile::default();
-        solver.stage_x_update(&mut prof);
+        solver.stage_x_update(&mut env, &mut prof);
         for j in 0..2 {
             let x_old = [1.0, 2.0][j];
-            let want = alpha * solver.ws.xtilde[j] + (1.0 - alpha) * x_old;
+            let want = alpha * env.ws.xtilde[j] + (1.0 - alpha) * x_old;
             assert_eq!(solver.x[j], want);
-            assert_eq!(solver.ws.delta_x[j], want - x_old);
+            assert_eq!(env.ws.delta_x[j], want - x_old);
         }
     }
 
     #[test]
     fn z_projection_then_y_update_matches_fused_reference() {
-        let mut solver = staged_solver();
+        let (mut solver, mut env) = staged_solver();
         let z0 = [0.9, -0.4, 0.85];
         let y0 = [0.3, -0.6, 0.0];
         let ztilde = [1.5, 0.1, -0.2];
         solver.z.copy_from_slice(&z0);
         solver.y.copy_from_slice(&y0);
-        solver.ws.ztilde.copy_from_slice(&ztilde);
+        env.ws.ztilde.copy_from_slice(&ztilde);
         let mut prof = Profile::default();
-        solver.stage_z_projection(&mut prof);
-        solver.stage_y_update(&mut prof);
+        solver.stage_z_projection(&mut env, &mut prof);
+        solver.stage_y_update(&mut env, &mut prof);
         // Reference: the fused per-element update.
-        let alpha = solver.settings.alpha;
+        let alpha = env.settings.alpha;
         for i in 0..3 {
             let z_relaxed = alpha * ztilde[i] + (1.0 - alpha) * z0[i];
             let w = z_relaxed + solver.rho_inv_vec[i] * y0[i];
-            let z_new = w.max(solver.l[i]).min(solver.u[i]);
+            let z_new = w.max(env.l[i]).min(env.u[i]);
             let y_new = y0[i] + solver.rho_vec[i] * (z_relaxed - z_new);
             assert_eq!(solver.z[i], z_new, "z[{i}]");
             assert_eq!(solver.y[i], y_new, "y[{i}]");
-            assert_eq!(solver.ws.delta_y[i], y_new - y0[i], "delta_y[{i}]");
+            assert_eq!(env.ws.delta_y[i], y_new - y0[i], "delta_y[{i}]");
         }
     }
 
     #[test]
     fn stage_residuals_matches_direct_computation() {
-        let mut solver = staged_solver();
+        let (mut solver, mut env) = staged_solver();
         solver.x.copy_from_slice(&[0.4, 0.2]);
         solver.z.copy_from_slice(&[0.6, 0.4, 0.2]);
         solver.y.copy_from_slice(&[0.1, 0.0, -0.1]);
         let mut prof = Profile::default();
-        let res = solver.stage_residuals(&mut prof);
+        let res = solver.stage_residuals(&mut env, &mut prof);
         // With identity scaling the unscaled iterates are the iterates.
-        let a = solver.orig.a();
+        let a = env.orig.a();
         let ax = a.mul_vec(&[0.4, 0.2]);
         let prim = vector::norm_inf_diff(&ax, &[0.6, 0.4, 0.2]);
         assert_eq!(res.prim, prim);
-        let px = solver.orig.p().sym_upper_mul_vec(&[0.4, 0.2]);
+        let px = env.orig.p().sym_upper_mul_vec(&[0.4, 0.2]);
         let aty = a.tr_mul_vec(&[0.1, 0.0, -0.1]);
         let mut dual = 0.0f64;
         for j in 0..2 {
-            dual = dual.max((px[j] + solver.orig.q()[j] + aty[j]).abs());
+            dual = dual.max((px[j] + env.orig.q()[j] + aty[j]).abs());
         }
         assert_eq!(res.dual, dual);
     }

@@ -12,6 +12,12 @@
 //!   Gradient ([`linsys::IndirectKkt`], Algorithm 2 of the paper), with
 //!   the reduced matrix assembled when it stays sparse.
 //!
+//! A restarted primal-dual first-order method ("PDQP", matrix-vector
+//! products only) is the one other algorithm. [`Solver`] runs the one
+//! [`Settings::algorithm`] names inside a single envelope — scaling,
+//! parametric updates, warm starts, interruption and the result — that
+//! both algorithms share.
+//!
 //! The solver includes modified Ruiz equilibration, per-constraint step
 //! sizes (`ρ` vector with equality-constraint boosting), adaptive `ρ`,
 //! primal/dual infeasibility certificates, warm starting, and an exact FLOP
@@ -41,7 +47,6 @@
 #![warn(missing_docs)]
 
 mod admm;
-mod backend;
 mod error;
 pub mod kkt;
 pub mod linsys;
@@ -55,13 +60,10 @@ pub mod telemetry;
 mod types;
 mod workspace;
 
-pub use admm::AdmmSolver;
-pub use backend::{Algorithm, QpBackend, ALGORITHM_COUNT};
 pub use error::QpError;
-pub use pdqp::PdqpSolver;
 pub use problem::Problem;
 pub use profile::Certification;
-pub use settings::{KktBackend, Settings};
+pub use settings::{Algorithm, KktBackend, Settings};
 pub use solver::Solver;
 pub use telemetry::SolveTrace;
 pub use types::{SolveResult, Status};

@@ -39,45 +39,69 @@ use mib_sparse::{vector, CscMatrix, CsrMatrix};
 use crate::kkt::KktMatrix;
 use crate::profile::Profile;
 use crate::workspace::SolveWorkspace;
-use crate::{KktBackend, QpError, Result};
+use crate::{KktBackend, QpError, Result, Settings};
 
-/// Interface shared by the two KKT backends.
-///
-/// `Send + Sync` is required so boxed backends can move into the worker
-/// threads of the `mib-serve` shard pool.
-pub trait KktSolver: std::fmt::Debug + Send + Sync {
-    /// Solves the KKT system. Reads the right-hand side from `ws.rhs_x` /
-    /// `ws.rhs_z`, writes `x̃` into `ws.xtilde` and `ν` into `ws.nu`, and
-    /// charges the work to `profile`. Implementations may use the scratch
-    /// buffers of `ws` freely but must not touch the iterate or residual
-    /// buffers.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the underlying factorization or iteration fails.
-    fn solve(&mut self, ws: &mut SolveWorkspace, profile: &mut Profile) -> Result<()>;
+/// The KKT backend an ADMM solver runs, chosen by
+/// [`Settings::backend`]. Both variants read the right-hand side from
+/// `ws.rhs_x` / `ws.rhs_z`, write `x̃` into `ws.xtilde` and `ν` into
+/// `ws.nu`, and may use the scratch buffers of `ws` freely, but never the
+/// iterate or residual buffers.
+#[derive(Debug, Clone)]
+pub(crate) enum Kkt {
+    Direct(DirectKkt),
+    Indirect(IndirectKkt),
+}
 
-    /// Installs a new `ρ` vector (refactoring or re-preconditioning as
-    /// needed).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the refactorization fails.
-    fn update_rho(&mut self, rho_vec: &[f64], profile: &mut Profile) -> Result<()>;
+impl Kkt {
+    /// Builds the backend `settings.backend` names for the scaled `P`, `A`.
+    pub(crate) fn new(
+        settings: &Settings,
+        p: &CscMatrix,
+        a: &CscMatrix,
+        rho_vec: &[f64],
+        profile: &mut Profile,
+    ) -> Result<Self> {
+        Ok(match settings.backend {
+            KktBackend::Direct => {
+                Kkt::Direct(DirectKkt::new(p, a, settings.sigma, rho_vec, profile)?)
+            }
+            KktBackend::Indirect => Kkt::Indirect(IndirectKkt::new(
+                p,
+                a,
+                settings.sigma,
+                rho_vec,
+                settings.eps_pcg_start,
+                settings.eps_pcg_min,
+                settings.max_pcg_iter,
+            )),
+        })
+    }
 
-    /// Adjusts the iterative tolerance; no-op for the direct backend.
-    fn set_tolerance(&mut self, _tol: f64) {}
+    /// Solves the KKT system, charging the work to `profile`.
+    pub(crate) fn solve(&mut self, ws: &mut SolveWorkspace, profile: &mut Profile) {
+        match self {
+            Kkt::Direct(kkt) => kkt.solve(ws, profile),
+            Kkt::Indirect(kkt) => kkt.solve(ws, profile),
+        }
+    }
 
-    /// Clears warm-start state so the next solve behaves like the first;
-    /// no-op for stateless backends.
-    fn reset(&mut self) {}
+    /// Installs a new `ρ` vector.
+    pub(crate) fn update_rho(&mut self, rho_vec: &[f64], profile: &mut Profile) -> Result<()> {
+        match self {
+            Kkt::Direct(kkt) => kkt.update_rho(rho_vec, profile),
+            Kkt::Indirect(kkt) => {
+                kkt.update_rho(rho_vec, profile);
+                Ok(())
+            }
+        }
+    }
 
-    /// Which variant this backend implements.
-    fn backend(&self) -> KktBackend;
-
-    /// Clones the backend behind the trait object (used by
-    /// [`Solver::clone`](crate::Solver)).
-    fn clone_box(&self) -> Box<dyn KktSolver>;
+    /// Clears the PCG warm start; the direct backend keeps no such state.
+    pub(crate) fn reset(&mut self) {
+        if let Kkt::Indirect(kkt) = self {
+            kkt.reset();
+        }
+    }
 }
 
 /// Direct backend: sparse LDLᵀ of the KKT matrix with AMD ordering
@@ -118,25 +142,9 @@ impl DirectKkt {
         Ok(DirectKkt { kkt, ldl })
     }
 
-    /// Below-diagonal nonzeros of the factor `L` (drives per-solve cost).
-    pub fn l_nnz(&self) -> usize {
-        self.ldl.factor().l_nnz()
-    }
-
-    /// The assembled KKT matrix (for inspection by the compiler stack).
-    pub fn kkt(&self) -> &KktMatrix {
-        &self.kkt
-    }
-
-    /// The LDLᵀ solver (permutation + factor), exposed for the MIB
-    /// compiler, which turns it into network schedules.
-    pub fn ldl(&self) -> &LdlSolver {
-        &self.ldl
-    }
-}
-
-impl KktSolver for DirectKkt {
-    fn solve(&mut self, ws: &mut SolveWorkspace, profile: &mut Profile) -> Result<()> {
+    /// Solves the KKT system by forward/backward substitution through
+    /// `ws` (see [`SolveWorkspace`]) and charges the work to `profile`.
+    pub fn solve(&mut self, ws: &mut SolveWorkspace, profile: &mut Profile) {
         let n = self.kkt.num_vars();
         let m = self.kkt.num_constraints();
         let SolveWorkspace {
@@ -157,10 +165,14 @@ impl KktSolver for DirectKkt {
         xtilde.copy_from_slice(&kkt_sol[..n]);
         nu.copy_from_slice(&kkt_sol[n..]);
         profile.add_triangular_solve(self.ldl.factor().l_nnz(), n + m);
-        Ok(())
     }
 
-    fn update_rho(&mut self, rho_vec: &[f64], profile: &mut Profile) -> Result<()> {
+    /// Installs a new `ρ` vector and refactors numerically.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QpError::KktFactorization`] if the refactorization fails.
+    pub fn update_rho(&mut self, rho_vec: &[f64], profile: &mut Profile) -> Result<()> {
         let _refactor = mib_trace::span("refactor", mib_trace::Category::Kkt);
         self.kkt.update_rho(rho_vec);
         self.ldl
@@ -168,14 +180,6 @@ impl KktSolver for DirectKkt {
             .map_err(|e| QpError::KktFactorization(e.to_string()))?;
         profile.add_factor(self.ldl.factor().flops() as f64);
         Ok(())
-    }
-
-    fn backend(&self) -> KktBackend {
-        KktBackend::Direct
-    }
-
-    fn clone_box(&self) -> Box<dyn KktSolver> {
-        Box::new(self.clone())
     }
 }
 
@@ -312,7 +316,7 @@ pub struct IndirectKkt {
     x_prev: Vec<f64>,
     /// Relative tolerance for the next solve.
     tol: f64,
-    /// Initial relative tolerance, restored by [`KktSolver::reset`].
+    /// Initial relative tolerance, restored by [`IndirectKkt::reset`].
     tol0: f64,
     /// Absolute floor on the residual norm.
     eps_min: f64,
@@ -387,9 +391,9 @@ impl IndirectKkt {
         self.p.sym_upper_mul_vec_acc(v, out);
         vector::axpy_into(out, self.sigma, v);
         az.fill(0.0);
-        self.a.mul_vec_acc(v, az);
+        self.a.gaxpy_into(v, az);
         vector::mul_assign(az, &self.rho_vec);
-        self.a.tr_mul_vec_acc(az, out);
+        self.a.gaxpy_t_into(az, out);
     }
 
     /// Computes `out = S v` — one product by the assembled `S`, or the
@@ -468,10 +472,11 @@ impl IndirectKkt {
         profile.pcg_iters += iters;
         iters
     }
-}
 
-impl KktSolver for IndirectKkt {
-    fn solve(&mut self, ws: &mut SolveWorkspace, profile: &mut Profile) -> Result<()> {
+    /// Solves the KKT system through the reduced system and PCG, reading
+    /// and writing `ws` (see [`SolveWorkspace`]), and charges the work to
+    /// `profile`.
+    pub fn solve(&mut self, ws: &mut SolveWorkspace, profile: &mut Profile) {
         let SolveWorkspace {
             rhs_x,
             rhs_z,
@@ -490,40 +495,35 @@ impl KktSolver for IndirectKkt {
         // before PCG overwrites it.
         b_red.copy_from_slice(rhs_x);
         vector::ew_prod_into(az, rhs_z, &self.rho_vec);
-        self.a.tr_mul_vec_acc(az, b_red);
+        self.a.gaxpy_t_into(az, b_red);
         profile.add_spmv_col_elim(self.a.nnz());
         profile.add_vector(rhs_z.len() as f64);
         self.pcg(b_red, xtilde, r, pdir, sp, dvec, az, profile);
         // ν = ρ ∘ (A x̃ - rhs_z)
-        self.a.mul_vec_into(xtilde, az);
+        self.a.spmv_into(xtilde, az);
         profile.add_spmv_mac(self.a.nnz());
         vector::prod_diff_into(nu, &self.rho_vec, az, rhs_z);
         profile.add_vector(2.0 * nu.len() as f64);
-        Ok(())
     }
 
-    fn update_rho(&mut self, rho_vec: &[f64], profile: &mut Profile) -> Result<()> {
+    /// Installs a new `ρ` vector: re-evaluates `S` (when assembled) and
+    /// the preconditioner.
+    pub fn update_rho(&mut self, rho_vec: &[f64], profile: &mut Profile) {
         self.rho_vec.copy_from_slice(rho_vec);
         self.install_rho();
         profile.add_vector((self.a.nnz() + self.p.ncols()) as f64);
-        Ok(())
     }
 
-    fn set_tolerance(&mut self, tol: f64) {
+    /// Sets the relative PCG tolerance of the next solves.
+    pub fn set_tolerance(&mut self, tol: f64) {
         self.tol = tol;
     }
 
-    fn reset(&mut self) {
+    /// Clears the warm start and restores the initial tolerance, so the
+    /// next solve behaves like the first.
+    pub fn reset(&mut self) {
         self.x_prev.fill(0.0);
         self.tol = self.tol0;
-    }
-
-    fn backend(&self) -> KktBackend {
-        KktBackend::Indirect
-    }
-
-    fn clone_box(&self) -> Box<dyn KktSolver> {
-        Box::new(self.clone())
     }
 }
 
@@ -541,7 +541,7 @@ mod tests {
 
     /// Solves with the given right-hand side, returning `(x̃, ν)`.
     fn run(
-        solver: &mut dyn KktSolver,
+        solver: &mut Kkt,
         ws: &mut SolveWorkspace,
         rhs_x: &[f64],
         rhs_z: &[f64],
@@ -549,12 +549,12 @@ mod tests {
     ) -> (Vec<f64>, Vec<f64>) {
         ws.rhs_x.copy_from_slice(rhs_x);
         ws.rhs_z.copy_from_slice(rhs_z);
-        solver.solve(ws, prof).unwrap();
+        solver.solve(ws, prof);
         (ws.xtilde.clone(), ws.nu.clone())
     }
 
     /// Checks that a backend's (x̃, ν) satisfies both KKT block equations.
-    fn check_backend(solver: &mut dyn KktSolver, tol: f64) {
+    fn check_backend(solver: &mut Kkt, tol: f64) {
         let (p, a, sigma, rho) = problem_data();
         let mut ws = SolveWorkspace::new(3, 2);
         let mut prof = Profile::default();
@@ -564,7 +564,7 @@ mod tests {
         for (r, &xi) in r1.iter_mut().zip(&x) {
             *r += sigma * xi;
         }
-        a.tr_mul_vec_acc(&nu, &mut r1);
+        a.gaxpy_t_into(&nu, &mut r1);
         for (got, want) in r1.iter().zip(&[1.0, -2.0, 0.5]) {
             assert!((got - want).abs() < tol, "block1: {got} vs {want}");
         }
@@ -585,7 +585,7 @@ mod tests {
     fn direct_solves_kkt() {
         let (p, a, sigma, rho) = problem_data();
         let mut prof = Profile::default();
-        let mut solver = DirectKkt::new(&p, &a, sigma, &rho, &mut prof).unwrap();
+        let mut solver = Kkt::Direct(DirectKkt::new(&p, &a, sigma, &rho, &mut prof).unwrap());
         assert_eq!(prof.factor_count, 1);
         check_backend(&mut solver, 1e-9);
     }
@@ -593,7 +593,7 @@ mod tests {
     #[test]
     fn indirect_solves_kkt() {
         let (p, a, sigma, rho) = problem_data();
-        let mut solver = IndirectKkt::new(&p, &a, sigma, &rho, 1e-10, 1e-12, 500);
+        let mut solver = Kkt::Indirect(IndirectKkt::new(&p, &a, sigma, &rho, 1e-10, 1e-12, 500));
         check_backend(&mut solver, 1e-6);
     }
 
@@ -601,8 +601,8 @@ mod tests {
     fn backends_agree() {
         let (p, a, sigma, rho) = problem_data();
         let mut prof = Profile::default();
-        let mut direct = DirectKkt::new(&p, &a, sigma, &rho, &mut prof).unwrap();
-        let mut indirect = IndirectKkt::new(&p, &a, sigma, &rho, 1e-12, 1e-14, 1000);
+        let mut direct = Kkt::Direct(DirectKkt::new(&p, &a, sigma, &rho, &mut prof).unwrap());
+        let mut indirect = Kkt::Indirect(IndirectKkt::new(&p, &a, sigma, &rho, 1e-12, 1e-14, 1000));
         let mut ws = SolveWorkspace::new(3, 2);
         let rhs_x = [0.2, 0.4, -0.6];
         let rhs_z = [1.0, 1.0];
@@ -639,7 +639,7 @@ mod tests {
     fn direct_rho_update_refactors() {
         let (p, a, sigma, rho) = problem_data();
         let mut prof = Profile::default();
-        let mut solver = DirectKkt::new(&p, &a, sigma, &rho, &mut prof).unwrap();
+        let mut solver = Kkt::Direct(DirectKkt::new(&p, &a, sigma, &rho, &mut prof).unwrap());
         solver.update_rho(&[1.0, 1.0], &mut prof).unwrap();
         assert_eq!(prof.factor_count, 2);
         // The refactored system must reflect the new rho.
@@ -658,7 +658,7 @@ mod tests {
     #[test]
     fn pcg_warm_start_cuts_iterations() {
         let (p, a, sigma, rho) = problem_data();
-        let mut solver = IndirectKkt::new(&p, &a, sigma, &rho, 1e-10, 1e-12, 500);
+        let mut solver = Kkt::Indirect(IndirectKkt::new(&p, &a, sigma, &rho, 1e-10, 1e-12, 500));
         let mut ws = SolveWorkspace::new(3, 2);
         let rhs_x = [1.0, 1.0, 1.0];
         let rhs_z = [0.5, 0.5];
@@ -677,7 +677,7 @@ mod tests {
     #[test]
     fn reset_clears_warm_start() {
         let (p, a, sigma, rho) = problem_data();
-        let mut solver = IndirectKkt::new(&p, &a, sigma, &rho, 1e-10, 1e-12, 500);
+        let mut solver = Kkt::Indirect(IndirectKkt::new(&p, &a, sigma, &rho, 1e-10, 1e-12, 500));
         let mut ws = SolveWorkspace::new(3, 2);
         let mut prof = Profile::default();
         let (x1, _) = run(
@@ -702,17 +702,16 @@ mod tests {
     }
 
     #[test]
-    fn clone_box_is_independent() {
+    fn clone_is_independent() {
         let (p, a, sigma, rho) = problem_data();
         let mut prof = Profile::default();
-        let direct = DirectKkt::new(&p, &a, sigma, &rho, &mut prof).unwrap();
-        let mut cloned = direct.clone_box();
+        let mut orig = Kkt::Direct(DirectKkt::new(&p, &a, sigma, &rho, &mut prof).unwrap());
+        let mut cloned = orig.clone();
         // Updating rho on the clone must not affect the original.
         cloned.update_rho(&[1.0, 1.0], &mut prof).unwrap();
-        let mut orig: Box<dyn KktSolver> = Box::new(direct);
         let mut ws = SolveWorkspace::new(3, 2);
-        let (x_orig, _) = run(orig.as_mut(), &mut ws, &[0.0; 3], &[1.0, 0.0], &mut prof);
-        let (x_clone, _) = run(cloned.as_mut(), &mut ws, &[0.0; 3], &[1.0, 0.0], &mut prof);
+        let (x_orig, _) = run(&mut orig, &mut ws, &[0.0; 3], &[1.0, 0.0], &mut prof);
+        let (x_clone, _) = run(&mut cloned, &mut ws, &[0.0; 3], &[1.0, 0.0], &mut prof);
         assert_ne!(x_orig, x_clone, "clone must own its factorization");
     }
 }

@@ -1,7 +1,47 @@
 use std::time::Duration;
 
-use crate::backend::Algorithm;
 use crate::{QpError, Result};
+
+/// Which iteration family solves the QP.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Algorithm {
+    /// OSQP-style ADMM (splitting + KKT solves; Algorithm 1 of the paper).
+    #[default]
+    Admm,
+    /// Restarted averaged primal-dual hybrid gradient ("PDQP" à la
+    /// Lu & Yang): factorization-free, three mat-vecs per iteration.
+    Pdqp,
+}
+
+impl Algorithm {
+    /// Short lowercase name (`"admm"` / `"pdqp"`), used in reports,
+    /// telemetry tags and metric labels.
+    pub fn name(self) -> &'static str {
+        match self {
+            Algorithm::Admm => "admm",
+            Algorithm::Pdqp => "pdqp",
+        }
+    }
+
+    /// Dense index in `0..2`, for per-algorithm counters.
+    pub fn index(self) -> usize {
+        match self {
+            Algorithm::Admm => 0,
+            Algorithm::Pdqp => 1,
+        }
+    }
+
+    /// Every algorithm, in [`Algorithm::index`] order.
+    pub fn all() -> [Algorithm; 2] {
+        [Algorithm::Admm, Algorithm::Pdqp]
+    }
+}
+
+impl std::fmt::Display for Algorithm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// Which linear-system backend solves the KKT system (2) — the choice
 /// between the paper's OSQP-direct and OSQP-indirect variants.
@@ -39,10 +79,6 @@ pub struct Settings {
     pub eps_abs: f64,
     /// Relative tolerance for the termination criterion (default `1e-3`).
     pub eps_rel: f64,
-    /// Primal infeasibility tolerance (default `1e-4`).
-    pub eps_prim_inf: f64,
-    /// Dual infeasibility tolerance (default `1e-4`).
-    pub eps_dual_inf: f64,
     /// Iteration limit (default `4000`).
     pub max_iter: usize,
     /// Interval of the regular termination check (default `25`): the full
@@ -60,9 +96,6 @@ pub struct Settings {
     pub adaptive_rho: bool,
     /// Interval (in iterations) between adaptive `ρ` checks (default `100`).
     pub adaptive_rho_interval: usize,
-    /// `ρ` changes only when the new value differs by more than this factor
-    /// (default `5.0`).
-    pub adaptive_rho_tolerance: f64,
     /// Lower clamp for `ρ` (default `1e-6`).
     pub rho_min: f64,
     /// Upper clamp for `ρ` (default `1e6`).
@@ -98,11 +131,6 @@ pub struct Settings {
     /// at the cost of one clock read per check; the checks never touch the
     /// iterates, so they cannot perturb the solution of runs that finish.
     pub check_interval: usize,
-    /// PDQP restart threshold `β ∈ (0, 1)` (default `0.5`): the restarted
-    /// PDHG backend restarts from its best candidate once that candidate's
-    /// normalized KKT score has decayed below `β` times the score at the
-    /// previous restart. Ignored by the ADMM algorithm.
-    pub pdqp_restart_beta: f64,
 }
 
 impl Default for Settings {
@@ -113,14 +141,11 @@ impl Default for Settings {
             alpha: 1.6,
             eps_abs: 1e-3,
             eps_rel: 1e-3,
-            eps_prim_inf: 1e-4,
-            eps_dual_inf: 1e-4,
             max_iter: 4000,
             check_termination: 25,
             scaling_iters: 10,
             adaptive_rho: true,
             adaptive_rho_interval: 100,
-            adaptive_rho_tolerance: 5.0,
             rho_min: 1e-6,
             rho_max: 1e6,
             rho_eq_scale: 1e3,
@@ -131,7 +156,6 @@ impl Default for Settings {
             max_pcg_iter: 0,
             time_limit: None,
             check_interval: 25,
-            pdqp_restart_beta: 0.5,
         }
     }
 }
@@ -198,11 +222,6 @@ impl Settings {
                 "rho bounds must satisfy 0 < rho_min <= rho_max".into(),
             ));
         }
-        if self.adaptive_rho_tolerance < 1.0 {
-            return Err(QpError::InvalidSetting(
-                "adaptive_rho_tolerance must be >= 1".into(),
-            ));
-        }
         if self.check_interval == 0 {
             return Err(QpError::InvalidSetting(
                 "check_interval must be at least 1".into(),
@@ -212,12 +231,6 @@ impl Settings {
             return Err(QpError::InvalidSetting(
                 "time_limit must be positive (use None to disable)".into(),
             ));
-        }
-        if !(self.pdqp_restart_beta > 0.0 && self.pdqp_restart_beta < 1.0) {
-            return Err(QpError::InvalidSetting(format!(
-                "pdqp_restart_beta must lie in (0, 1), got {}",
-                self.pdqp_restart_beta
-            )));
         }
         Ok(())
     }
@@ -254,11 +267,8 @@ mod tests {
         assert!(bad(|s| s.max_iter = 0));
         assert!(bad(|s| s.check_termination = 0));
         assert!(bad(|s| s.rho_max = 1e-9));
-        assert!(bad(|s| s.adaptive_rho_tolerance = 0.5));
         assert!(bad(|s| s.check_interval = 0));
         assert!(bad(|s| s.time_limit = Some(Duration::ZERO)));
-        assert!(bad(|s| s.pdqp_restart_beta = 0.0));
-        assert!(bad(|s| s.pdqp_restart_beta = 1.0));
     }
 
     #[test]
@@ -277,6 +287,17 @@ mod tests {
             ..Settings::default()
         };
         s.validate().unwrap();
+    }
+
+    #[test]
+    fn algorithm_names_indices_and_order() {
+        assert_eq!(Algorithm::Admm.name(), "admm");
+        assert_eq!(Algorithm::Pdqp.name(), "pdqp");
+        assert_eq!(Algorithm::default(), Algorithm::Admm);
+        for (i, algo) in Algorithm::all().into_iter().enumerate() {
+            assert_eq!(algo.index(), i);
+        }
+        assert_eq!(Algorithm::Pdqp.to_string(), "pdqp");
     }
 
     #[test]

@@ -1,27 +1,31 @@
-//! The public [`Solver`] facade over the pluggable [`QpBackend`] family.
+//! The public [`Solver`]: one solve envelope around two algorithms.
 //!
-//! [`Solver::new`] selects the backend named by
-//! [`Settings::algorithm`](crate::Settings) — the OSQP-style
-//! [`AdmmSolver`](crate::AdmmSolver) or the restarted primal-dual
-//! [`PdqpSolver`](crate::PdqpSolver) — and forwards every call through the
-//! trait, so callers (batch, serve, benches) are algorithm-agnostic. The
-//! facade adds the validated [`Solver::warm_start_from`] entry point on
-//! top of the trait's panicking `warm_start`.
+//! [`Solver`] owns everything the OSQP-style ADMM loop and the restarted
+//! primal-dual ("PDQP") loop share: the validated settings, the original
+//! and the Ruiz-scaled problem data, the workspace, the set-up profile,
+//! the parametric updates, warm-start scaling, the cancellation and
+//! deadline poll, and the result epilogue. What differs — each loop's
+//! iterates and state, and how it recovers the slack `z` — sits in a
+//! private enum with one variant per [`Algorithm`], dispatched by `match`.
 
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::admm::AdmmSolver;
-use crate::backend::{Algorithm, QpBackend};
-use crate::pdqp::PdqpSolver;
-use crate::workspace::SolveWorkspace;
-use crate::{Problem, QpError, Result, Settings, SolveResult};
+use mib_sparse::vector;
+use mib_trace::Category as TraceCat;
 
-/// The QP solver: a thin facade over the algorithm backend selected by
-/// [`Settings::algorithm`](crate::Settings).
+use crate::admm::Admm;
+use crate::pdqp::Pdqp;
+use crate::profile::Profile;
+use crate::scaling::{ruiz_equilibrate, Scaling};
+use crate::workspace::SolveWorkspace;
+use crate::{Algorithm, Problem, QpError, Result, Settings, SolveResult, Status};
+
+/// The QP solver: the algorithm named by
+/// [`Settings::algorithm`](crate::Settings) inside one shared envelope.
 ///
-/// A `Solver` owns a scaled copy of the problem, the backend's iterates
+/// A `Solver` owns a scaled copy of the problem, the algorithm's iterates
 /// and a [`SolveWorkspace`] holding every scratch vector the iteration
 /// needs; after [`Solver::new`] returns, a call to [`Solver::solve_into`]
 /// performs **no heap allocation**. Repeated [`Solver::solve`] calls
@@ -29,64 +33,203 @@ use crate::{Problem, QpError, Result, Settings, SolveResult};
 /// methods ([`Solver::update_q`], [`Solver::update_bounds`]) support the
 /// "millions of QPs with the same sparsity pattern" workflow the paper's
 /// portfolio example describes without re-running setup.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Solver {
-    inner: Box<dyn QpBackend>,
+    pub(crate) env: Env,
+    pub(crate) algo: Algo,
+    /// Set-up work (the initial factorization); every solve starts from it.
+    profile: Profile,
+    /// External cancellation flag, polled every `check_interval` iterations.
+    cancel: Option<Arc<AtomicBool>>,
+    /// External absolute deadline (combined with `settings.time_limit`).
+    deadline: Option<Instant>,
 }
 
-impl Clone for Solver {
-    fn clone(&self) -> Self {
-        Solver {
-            inner: self.inner.clone_box(),
+/// The data both algorithms read: the settings, the original problem (for
+/// residuals, certificates and the objective), its scaled `q`, `l`, `u`
+/// with the scaling, and the scratch buffers.
+#[derive(Debug, Clone)]
+pub(crate) struct Env {
+    pub(crate) settings: Settings,
+    pub(crate) orig: Problem,
+    pub(crate) q: Vec<f64>,
+    pub(crate) l: Vec<f64>,
+    pub(crate) u: Vec<f64>,
+    pub(crate) scaling: Scaling,
+    pub(crate) ws: SolveWorkspace,
+}
+
+/// The algorithm-specific state. One per solver and never collected on
+/// its own, so the size gap between the variants costs nothing worth a
+/// `Box` and its extra indirection.
+#[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Algo {
+    Admm(Admm),
+    Pdqp(Pdqp),
+}
+
+/// Residual snapshot of one termination check.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Residuals {
+    pub(crate) prim: f64,
+    pub(crate) dual: f64,
+    pub(crate) prim_norm: f64,
+    pub(crate) dual_norm: f64,
+}
+
+/// What the envelope hands an algorithm's loop for one solve: the trace
+/// flags, read once per solve, and the interruption poll.
+pub(crate) struct Run<'a> {
+    /// [`mib_trace::enabled`]: spans and events are gated on this bool,
+    /// so the disabled-mode cost of a whole solve is one relaxed load.
+    pub(crate) tracing: bool,
+    /// [`mib_trace::kernel_spans`]: opt-in per-stage kernel spans.
+    pub(crate) ktrace: bool,
+    /// Iteration stride for per-iteration detail (stage spans and the KKT
+    /// timestamp pair): 1 records every iteration exactly; the serving
+    /// plane raises it so always-on tracing samples instead.
+    pub(crate) kstride: usize,
+    cancel: Option<&'a AtomicBool>,
+    /// The earlier of the per-solve time limit and the external deadline.
+    deadline: Option<Instant>,
+    check_interval: usize,
+}
+
+impl Run<'_> {
+    /// Polls the cancellation flag and the deadline after iteration `k`
+    /// when `k` is a multiple of `check_interval` (so also before the
+    /// first iteration, `k = 0`). Cancellation wins over timeout when both
+    /// fire in the same window. The poll reads no iterate state, so it
+    /// cannot perturb a run that finishes.
+    pub(crate) fn interruption(&self, k: usize) -> Option<Status> {
+        if !k.is_multiple_of(self.check_interval) {
+            return None;
+        }
+        if self.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+            return Some(Status::Cancelled);
+        }
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Some(Status::TimedOut);
+        }
+        None
+    }
+}
+
+impl Env {
+    /// Unscaled residuals and their normalization terms of the iterate
+    /// staged in `ws.x_us`, `ws.y_us` and `ws.z_us`; with `project_z`,
+    /// `z_us` is first set to the projection of `Ax` onto `[l, u]`.
+    pub(crate) fn residuals(&mut self, project_z: bool, prof: &mut Profile) -> Residuals {
+        let ws = &mut self.ws;
+        let a = self.orig.a();
+        let p = self.orig.p();
+
+        a.spmv_into(&ws.x_us, &mut ws.ax);
+        prof.add_spmv_mac(a.nnz());
+        if project_z {
+            vector::clamp_into(&mut ws.z_us, &ws.ax, self.orig.l(), self.orig.u());
+        }
+        let prim = vector::norm_inf_diff(&ws.ax, &ws.z_us);
+        let prim_norm = vector::norm_inf(&ws.ax).max(vector::norm_inf(&ws.z_us));
+
+        p.sym_upper_mul_vec_into(&ws.x_us, &mut ws.px);
+        prof.add_spmv_mac(2 * p.nnz());
+        a.spmv_t_into(&ws.y_us, &mut ws.aty);
+        prof.add_spmv_col_elim(a.nnz());
+        let dual = vector::norm_inf_sum3(&ws.px, self.orig.q(), &ws.aty);
+        let dual_norm = vector::norm_inf(&ws.px)
+            .max(vector::norm_inf(&ws.aty))
+            .max(vector::norm_inf(self.orig.q()));
+        prof.add_vector(4.0 * (ws.x_us.len() + ws.z_us.len()) as f64);
+
+        Residuals {
+            prim,
+            dual,
+            prim_norm,
+            dual_norm,
         }
     }
 }
 
 impl Solver {
-    /// Sets up the backend named by `settings.algorithm`: validates
-    /// settings, equilibrates the problem and runs the backend's one-time
-    /// setup (KKT factorization for ADMM, operator-norm estimation for
-    /// PDQP).
+    /// Sets up the algorithm named by `settings.algorithm`: validates
+    /// settings, equilibrates the problem and runs the algorithm's
+    /// one-time setup (KKT factorization for ADMM, operator-norm
+    /// estimation for PDQP).
     ///
     /// # Errors
     ///
     /// Returns setting/problem validation errors or
     /// [`QpError::KktFactorization`] if an initial factorization fails.
     pub fn new(problem: Problem, settings: Settings) -> Result<Self> {
-        let inner: Box<dyn QpBackend> = match settings.algorithm {
-            Algorithm::Admm => Box::new(AdmmSolver::new(problem, settings)?),
-            Algorithm::Pdqp => Box::new(PdqpSolver::new(problem, settings)?),
+        settings.validate()?;
+        let n = problem.num_vars();
+        let m = problem.num_constraints();
+
+        // Scale a copy of the data.
+        let mut p = problem.p().clone();
+        let mut q = problem.q().to_vec();
+        let mut a = problem.a().clone();
+        let mut l = problem.l().to_vec();
+        let mut u = problem.u().to_vec();
+        let scaling = if settings.scaling_iters > 0 {
+            let _scaling_span =
+                mib_trace::span_if(mib_trace::enabled(), "scaling", TraceCat::Solver);
+            ruiz_equilibrate(
+                &mut p,
+                &mut q,
+                &mut a,
+                &mut l,
+                &mut u,
+                settings.scaling_iters,
+            )
+        } else {
+            Scaling::identity(n, m)
         };
-        Ok(Solver { inner })
+        let env = Env {
+            settings,
+            orig: problem,
+            q,
+            l,
+            u,
+            scaling,
+            ws: SolveWorkspace::new(n, m),
+        };
+
+        // ADMM's KKT backend copies what it needs of the scaled `P` and
+        // `A`; PDQP keeps them.
+        let mut profile = Profile::default();
+        let algo = match env.settings.algorithm {
+            Algorithm::Admm => Algo::Admm(Admm::new(&env, &p, &a, &mut profile)?),
+            Algorithm::Pdqp => Algo::Pdqp(Pdqp::new(p, a)),
+        };
+        Ok(Solver {
+            env,
+            algo,
+            profile,
+            cancel: None,
+            deadline: None,
+        })
     }
 
     /// Which algorithm this solver runs.
     pub fn algorithm(&self) -> Algorithm {
-        self.inner.algorithm()
+        self.env.settings.algorithm
     }
 
     /// The solver settings.
     pub fn settings(&self) -> &Settings {
-        self.inner.settings()
+        &self.env.settings
     }
 
     /// The original (unscaled) problem.
     pub fn problem(&self) -> &Problem {
-        self.inner.problem()
-    }
-
-    /// The current base step size: `ρ` for the ADMM backend, the primal
-    /// step `τ` for PDQP.
-    pub fn rho(&self) -> f64 {
-        self.inner.step_size()
-    }
-
-    /// The preallocated workspace (for inspection in tests and benches).
-    pub fn workspace(&self) -> &SolveWorkspace {
-        self.inner.workspace()
+        &self.env.orig
     }
 
     /// Warm-starts the iterates from an (unscaled) primal/dual guess.
+    /// PDQP also opens a fresh restart epoch.
     ///
     /// # Panics
     ///
@@ -94,7 +237,23 @@ impl Solver {
     /// non-panicking variant that validates a previous result, see
     /// [`Solver::warm_start_from`].
     pub fn warm_start(&mut self, x: &[f64], y: &[f64]) {
-        self.inner.warm_start(x, y);
+        let (xs, ys) = match &mut self.algo {
+            Algo::Admm(admm) => (&mut admm.x, &mut admm.y),
+            Algo::Pdqp(pdqp) => (&mut pdqp.x, &mut pdqp.y),
+        };
+        assert_eq!(x.len(), xs.len(), "warm start x has wrong length");
+        assert_eq!(y.len(), ys.len(), "warm start y has wrong length");
+        let scaling = &self.env.scaling;
+        for (i, v) in xs.iter_mut().enumerate() {
+            *v = x[i] * scaling.dinv[i];
+        }
+        for (i, v) in ys.iter_mut().enumerate() {
+            *v = y[i] * scaling.c * scaling.einv[i];
+        }
+        match &mut self.algo {
+            Algo::Admm(admm) => admm.warm_start_z(&mut self.env, x),
+            Algo::Pdqp(pdqp) => pdqp.open_epoch(),
+        }
     }
 
     /// Warm-starts the iterates from a previous [`SolveResult`] of a
@@ -107,8 +266,8 @@ impl Solver {
     /// not match this solver's problem (e.g. a pooled result from a
     /// different-shaped tenant); the iterates are left untouched.
     pub fn warm_start_from(&mut self, previous: &SolveResult) -> Result<()> {
-        let n = self.inner.problem().num_vars();
-        let m = self.inner.problem().num_constraints();
+        let n = self.env.orig.num_vars();
+        let m = self.env.orig.num_constraints();
         if previous.x.len() != n || previous.y.len() != m {
             return Err(QpError::InvalidProblem(format!(
                 "warm start result has dimensions ({}, {}) but problem has ({n}, {m})",
@@ -116,7 +275,7 @@ impl Solver {
                 previous.y.len()
             )));
         }
-        self.inner.warm_start(&previous.x, &previous.y);
+        self.warm_start(&previous.x, &previous.y);
         Ok(())
     }
 
@@ -127,7 +286,7 @@ impl Solver {
     /// `true`. The poll never touches the iterates, so installing a flag
     /// cannot change the answer of a run that completes.
     pub fn set_cancel_flag(&mut self, cancel: Option<Arc<AtomicBool>>) {
-        self.inner.set_cancel_flag(cancel);
+        self.cancel = cancel;
     }
 
     /// Installs (or clears) an absolute wall-clock deadline. Combined with
@@ -135,7 +294,7 @@ impl Solver {
     /// wins); checked every `check_interval` iterations, yielding
     /// [`Status::TimedOut`](crate::Status::TimedOut).
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
-        self.inner.set_deadline(deadline);
+        self.deadline = deadline;
     }
 
     /// Resets the solver to its post-setup state: zero iterates, initial
@@ -145,9 +304,12 @@ impl Solver {
     /// The reset state is a pure function of the current problem data — a
     /// pooled solver that served other parameters first reaches bitwise
     /// the same state as a fresh clone of its template with the same
-    /// updates applied. This invariant holds for every backend.
+    /// updates applied. This invariant holds for every algorithm.
     pub fn reset(&mut self) {
-        self.inner.reset();
+        match &mut self.algo {
+            Algo::Admm(admm) => admm.reset(&self.env),
+            Algo::Pdqp(pdqp) => pdqp.reset(),
+        }
     }
 
     /// Replaces the linear cost `q` (same dimensions), preserving scaling.
@@ -157,12 +319,10 @@ impl Solver {
     /// Returns [`QpError::InvalidProblem`] on length mismatch or non-finite
     /// entries.
     pub fn update_q(&mut self, q: &[f64]) -> Result<()> {
-        let _span = mib_trace::span_if(
-            mib_trace::enabled(),
-            "update_q",
-            mib_trace::Category::Solver,
-        );
-        self.inner.update_q(q)
+        let _span = mib_trace::span_if(mib_trace::enabled(), "update_q", TraceCat::Solver);
+        self.env.orig.set_q(q)?;
+        self.env.scaling.scale_q_into(q, &mut self.env.q);
+        Ok(())
     }
 
     /// Replaces the bounds `l`, `u` (same dimensions), preserving scaling.
@@ -172,12 +332,12 @@ impl Solver {
     /// Returns [`QpError::InvalidProblem`] if any `l[i] > u[i]` or lengths
     /// mismatch.
     pub fn update_bounds(&mut self, l: &[f64], u: &[f64]) -> Result<()> {
-        let _span = mib_trace::span_if(
-            mib_trace::enabled(),
-            "update_bounds",
-            mib_trace::Category::Solver,
-        );
-        self.inner.update_bounds(l, u)
+        let _span = mib_trace::span_if(mib_trace::enabled(), "update_bounds", TraceCat::Solver);
+        let env = &mut self.env;
+        env.orig.set_bounds(l, u)?;
+        env.scaling.scale_bounds_into(l, &mut env.l);
+        env.scaling.scale_bounds_into(u, &mut env.u);
+        Ok(())
     }
 
     /// Runs the iteration until convergence, infeasibility detection or
@@ -195,7 +355,77 @@ impl Solver {
     /// feasible problems — the property the repository's counting-allocator
     /// test pins down. (Infeasible exits clone the certificate vector.)
     pub fn solve_into(&mut self, result: &mut SolveResult) {
-        self.inner.solve_into(result);
+        let start = Instant::now();
+        let tracing = mib_trace::enabled();
+        let _solve_span = mib_trace::span_if(tracing, "solve", TraceCat::Solver);
+        let env = &mut self.env;
+        let run = Run {
+            tracing,
+            ktrace: mib_trace::kernel_spans(),
+            kstride: usize::try_from(mib_trace::kernel_span_stride()).unwrap_or(usize::MAX),
+            cancel: self.cancel.as_deref(),
+            deadline: match (env.settings.time_limit.map(|d| start + d), self.deadline) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            },
+            check_interval: env.settings.check_interval,
+        };
+        // Keep the set-up work, reset the per-solve counters.
+        let mut prof = self.profile;
+        prof.admm_iters = 0;
+
+        let n = env.orig.num_vars();
+        let m = env.orig.num_constraints();
+        result.x.resize(n, 0.0);
+        result.y.resize(m, 0.0);
+        result.z.resize(m, 0.0);
+        result.certificate.clear();
+
+        // A request may arrive already cancelled or past its deadline.
+        let (status, iterations, res) = match run.interruption(0) {
+            Some(status) => (status, 0, None),
+            None => match &mut self.algo {
+                Algo::Admm(admm) => admm.iterate(env, &run, &mut prof, &mut result.certificate),
+                Algo::Pdqp(pdqp) => pdqp.iterate(env, &run, &mut prof),
+            },
+        };
+
+        // Unscale the solution directly into the result buffers.
+        let (x, y) = match &self.algo {
+            Algo::Admm(admm) => (&admm.x, &admm.y),
+            Algo::Pdqp(pdqp) => (&pdqp.x, &pdqp.y),
+        };
+        env.scaling.unscale_x_into(x, &mut result.x);
+        env.scaling.unscale_y_into(y, &mut result.y);
+        match &self.algo {
+            Algo::Admm(admm) => env.scaling.unscale_z_into(&admm.z, &mut result.z),
+            // PDQP keeps no slack: it is the projection of Ax onto [l, u].
+            Algo::Pdqp(_) => {
+                env.orig.a().spmv_into(&result.x, &mut env.ws.ax);
+                vector::clamp_into(&mut result.z, &env.ws.ax, env.orig.l(), env.orig.u());
+            }
+        }
+        let res = res.unwrap_or(Residuals {
+            prim: f64::INFINITY,
+            dual: f64::INFINITY,
+            prim_norm: 1.0,
+            dual_norm: 1.0,
+        });
+        // obj = ½ xᵀPx + qᵀx, with Px staged through the workspace.
+        env.orig
+            .p()
+            .sym_upper_mul_vec_into(&result.x, &mut env.ws.px);
+        let obj_val =
+            0.5 * vector::dot(&result.x, &env.ws.px) + vector::dot(env.orig.q(), &result.x);
+
+        result.status = status;
+        result.algorithm = env.settings.algorithm;
+        result.obj_val = obj_val;
+        result.prim_res = res.prim;
+        result.dual_res = res.dual;
+        result.iterations = iterations;
+        result.profile = prof;
+        result.solve_time = start.elapsed();
     }
 }
 
@@ -667,6 +897,15 @@ mod tests {
         }
     }
 
+    /// ADMM with the direct and the indirect KKT backend, and PDQP.
+    fn configurations() -> [Settings; 3] {
+        [
+            Settings::with_backend(KktBackend::Direct),
+            Settings::with_backend(KktBackend::Indirect),
+            Settings::with_algorithm(Algorithm::Pdqp),
+        ]
+    }
+
     #[test]
     fn reset_after_classification_change_matches_fresh_clone() {
         // Template: row 1 is an inequality. The update turns it into an
@@ -682,7 +921,6 @@ mod tests {
             vec![1.0, 0.8, 0.8],
         )
         .unwrap();
-        let template = Solver::new(problem, Settings::default()).unwrap();
 
         let tighten = |s: &mut Solver| {
             s.update_q(&[-2.0, 0.1]).unwrap();
@@ -696,32 +934,40 @@ mod tests {
             s.reset();
         };
 
-        // Pooled path: serve other parameters first — row 1 changes class
-        // (and the KKT matrix is refactorized) at every reset — then
-        // re-parameterize.
-        let mut pooled = template.clone();
-        pooled.solve();
-        for _ in 0..4 {
+        for settings in configurations() {
+            let what = format!("{:?}/{:?}", settings.algorithm, settings.backend);
+            let template = Solver::new(problem.clone(), settings).unwrap();
+
+            // Pooled path: serve other parameters first — row 1 changes
+            // class (and the KKT matrix is refactorized) at every reset —
+            // then re-parameterize.
+            let mut pooled = template.clone();
+            pooled.solve();
+            for _ in 0..4 {
+                tighten(&mut pooled);
+                pooled.solve();
+                relax(&mut pooled);
+                pooled.solve();
+            }
             tighten(&mut pooled);
-            pooled.solve();
-            relax(&mut pooled);
-            pooled.solve();
+            let via_pool = pooled.solve();
+
+            // Reference path: fresh clone, same updates.
+            let mut fresh = template.clone();
+            tighten(&mut fresh);
+            let via_fresh = fresh.solve();
+
+            assert_eq!(
+                via_pool.x, via_fresh.x,
+                "{what}: pooled reset must be bitwise"
+            );
+            assert_eq!(via_pool.iterations, via_fresh.iterations, "{what}");
+            assert_eq!(via_pool.status, via_fresh.status, "{what}");
+            assert_eq!(
+                via_pool.profile, via_fresh.profile,
+                "{what}: a pooled solve reports its own work, not that of the resets before it"
+            );
         }
-        tighten(&mut pooled);
-        let via_pool = pooled.solve();
-
-        // Reference path: fresh clone, same updates.
-        let mut fresh = template.clone();
-        tighten(&mut fresh);
-        let via_fresh = fresh.solve();
-
-        assert_eq!(via_pool.x, via_fresh.x, "pooled reset must be bitwise");
-        assert_eq!(via_pool.iterations, via_fresh.iterations);
-        assert_eq!(via_pool.status, via_fresh.status);
-        assert_eq!(
-            via_pool.profile, via_fresh.profile,
-            "a pooled solve reports its own work, not that of the resets before it"
-        );
     }
 
     #[test]
@@ -730,20 +976,29 @@ mod tests {
         let a = CscMatrix::identity(2);
         let problem = Problem::new(p, vec![-1.0, -1.0], a, vec![0.0; 2], vec![0.3; 2]).unwrap();
         // Both optima sit on the bound 0.3, so compare them only once the
-        // solves have converged far below the 1e-9 margin.
-        let settings = Settings {
-            eps_abs: 1e-12,
-            eps_rel: 1e-12,
-            ..Settings::default()
-        };
-        let solver = Solver::new(problem, settings).unwrap();
-        let mut c1 = solver.clone();
-        let mut c2 = solver.clone();
-        c2.update_q(&[-2.0, -2.0]).unwrap();
-        let r1 = c1.solve();
-        let r2 = c2.solve();
-        assert_eq!(r1.status, Status::Solved);
-        assert_eq!(r2.status, Status::Solved);
-        assert!(r2.x[0] > r1.x[0] - 1e-9, "clones must not share state");
+        // solves have converged below the 1e-9 margin: to 1e-12, except
+        // indirect ADMM, whose relative PCG tolerance stops at 1e-9.
+        let [direct, indirect, pdqp] = configurations();
+        for (settings, eps) in [(direct, 1e-12), (indirect, 1e-9), (pdqp, 1e-12)] {
+            let what = format!("{:?}/{:?}", settings.algorithm, settings.backend);
+            let settings = Settings {
+                eps_abs: eps,
+                eps_rel: eps,
+                eps_pcg_min: 1e-14,
+                ..settings
+            };
+            let solver = Solver::new(problem.clone(), settings).unwrap();
+            let mut c1 = solver.clone();
+            let mut c2 = solver.clone();
+            c2.update_q(&[-2.0, -2.0]).unwrap();
+            let r1 = c1.solve();
+            let r2 = c2.solve();
+            assert_eq!(r1.status, Status::Solved, "{what}");
+            assert_eq!(r2.status, Status::Solved, "{what}");
+            assert!(
+                r2.x[0] > r1.x[0] - 1e-9,
+                "{what}: clones must not share state"
+            );
+        }
     }
 }

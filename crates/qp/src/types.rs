@@ -1,7 +1,7 @@
 use std::time::Duration;
 
-use crate::backend::Algorithm;
 use crate::profile::Profile;
+use crate::settings::Algorithm;
 
 /// Outcome of a solver run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -6,12 +6,15 @@
 //! residual paths then borrow slices from it instead of allocating — the
 //! invariant the zero-allocation test in `tests/zero_alloc.rs` enforces.
 //!
-//! The [`KktSolver`](crate::linsys::KktSolver) trait receives the whole
-//! workspace: backends read the right-hand side from [`rhs_x`] /
-//! [`rhs_z`], write the solution to [`xtilde`] / [`nu`], and are free to
-//! use the scratch fields. Sharing one pool of buffers (rather than
-//! per-backend fields) is what lets `DirectKkt` and `IndirectKkt` reuse
-//! the same memory and keeps buffer sizing in a single place.
+//! Both KKT backends ([`DirectKkt::solve`], [`IndirectKkt::solve`])
+//! receive the whole workspace: they read the right-hand side from
+//! [`rhs_x`] / [`rhs_z`], write the solution to [`xtilde`] / [`nu`], and
+//! are free to use the scratch fields. Sharing one pool of buffers (rather
+//! than per-backend fields) is what lets `DirectKkt` and `IndirectKkt`
+//! reuse the same memory and keeps buffer sizing in a single place.
+//!
+//! [`DirectKkt::solve`]: crate::linsys::DirectKkt::solve
+//! [`IndirectKkt::solve`]: crate::linsys::IndirectKkt::solve
 //!
 //! [`rhs_x`]: SolveWorkspace::rhs_x
 //! [`rhs_z`]: SolveWorkspace::rhs_z
@@ -25,7 +28,8 @@
 pub struct SolveWorkspace {
     // --- KKT exchange buffers (iteration ⇄ backend) -----------------
     /// KKT right-hand side, first block (length `n`). Input to
-    /// [`KktSolver::solve`](crate::linsys::KktSolver::solve).
+    /// [`DirectKkt::solve`](crate::linsys::DirectKkt::solve) and
+    /// [`IndirectKkt::solve`](crate::linsys::IndirectKkt::solve).
     pub rhs_x: Vec<f64>,
     /// KKT right-hand side, second block (length `m`).
     pub rhs_z: Vec<f64>,

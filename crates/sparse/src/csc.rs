@@ -480,26 +480,6 @@ impl CscMatrix {
         y
     }
 
-    /// Computes `y = A * x` into a caller-provided buffer (overwriting it).
-    /// Alias of [`CscMatrix::spmv_into`], kept for source compatibility.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != ncols` or `y.len() != nrows`.
-    pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv_into(x, y);
-    }
-
-    /// Accumulates `y += A * x`. Alias of [`CscMatrix::gaxpy_into`], kept
-    /// for source compatibility.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != ncols` or `y.len() != nrows`.
-    pub fn mul_vec_acc(&self, x: &[f64], y: &mut [f64]) {
-        self.gaxpy_into(x, y);
-    }
-
     /// Computes `y = Aᵀ * x` without materializing the transpose.
     ///
     /// # Panics
@@ -509,16 +489,6 @@ impl CscMatrix {
         let mut y = vec![0.0; self.ncols];
         self.spmv_t_into(x, &mut y);
         y
-    }
-
-    /// Accumulates `y += Aᵀ * x`. Alias of [`CscMatrix::gaxpy_t_into`],
-    /// kept for source compatibility.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != nrows` or `y.len() != ncols`.
-    pub fn tr_mul_vec_acc(&self, x: &[f64], y: &mut [f64]) {
-        self.gaxpy_t_into(x, y);
     }
 
     /// Computes `y = P * x` where `self` stores only the **upper triangle**

@@ -16,7 +16,7 @@ tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
 args=()
-for doc in serve kernels; do
+for doc in serve kernels backends; do
     if git cat-file -e "$rev:results/BENCH_${doc}.json" 2>/dev/null; then
         git show "$rev:results/BENCH_${doc}.json" > "$tmpdir/BENCH_${doc}.json"
         args+=("--baseline-${doc}" "$tmpdir/BENCH_${doc}.json")

@@ -104,9 +104,11 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke >/dev/null
 
 echo "==> benchmark regression gate (working tree vs HEAD baselines)"
-# Diffs results/BENCH_serve.json and results/BENCH_kernels.json against
-# the copies committed at HEAD with generous single-core tolerances;
-# fails on lost runs/rows, large slowdowns, or obs overhead >= 5%.
+# Diffs results/BENCH_serve.json, results/BENCH_kernels.json and
+# results/BENCH_backends.json against the copies committed at HEAD with
+# generous single-core tolerances; fails on lost runs/rows, large
+# slowdowns, backend iteration rises > 10 %, lost convergence, or obs
+# overhead >= 5%.
 scripts/bench_diff.sh
 
 echo "All checks passed."

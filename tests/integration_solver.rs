@@ -79,7 +79,7 @@ fn verify_kkt(domain: Domain, index: usize, backend: KktBackend) {
     for (g, &qj) in grad.iter_mut().zip(pr.q()) {
         *g += qj;
     }
-    pr.a().tr_mul_vec_acc(&r.y, &mut grad);
+    pr.a().gaxpy_t_into(&r.y, &mut grad);
     let scale = vector::norm_inf(pr.q()).max(1.0);
     assert!(
         vector::norm_inf(&grad) < 5e-3 * scale.max(vector::norm_inf(&r.y)),

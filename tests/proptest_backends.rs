@@ -1,26 +1,35 @@
-//! Property tests parameterized over the solver backends.
+//! Property tests parameterized over the solver configurations.
 //!
-//! The [`QpBackend`](mib::qp::QpBackend) abstraction must not weaken the
-//! determinism contract the serving layer is built on: for **every**
-//! algorithm, a pooled solver that has served arbitrary earlier traffic
+//! One [`Solver`] envelope serves ADMM with the direct and the indirect
+//! KKT backend and PDQP, and none of them may weaken the determinism
+//! contract the serving layer is built on: for **every** configuration,
+//! a pooled solver that has served arbitrary earlier traffic
 //! and is then re-parameterized, `reset()` and warm-started from a prior
 //! result must produce answers **bitwise** identical to a fresh clone of
 //! the template given the same updates. `warm_start_from` must reject
 //! mismatched dimensions without touching the iterates.
 
 use mib::problems::random_qp;
-use mib::qp::{Algorithm, QpError, Settings, Solver};
+use mib::qp::{Algorithm, KktBackend, QpError, Settings, Solver};
 use proptest::prelude::*;
 
-/// Suite-sized settings for one backend: PDQP takes many more (cheap)
-/// first-order iterations than factorized ADMM, so its cap is higher.
-fn settings_for(algorithm: Algorithm) -> Settings {
-    let mut s = Settings::with_algorithm(algorithm);
-    s.max_iter = match algorithm {
-        Algorithm::Admm => 4_000,
-        Algorithm::Pdqp => 200_000,
+/// Suite-sized settings for ADMM-direct, ADMM-indirect and PDQP, each with
+/// its label: PDQP takes many more (cheap) first-order iterations than
+/// factorized ADMM, so its cap is higher.
+fn configurations() -> [(&'static str, Settings); 3] {
+    let admm = |backend| Settings {
+        max_iter: 4_000,
+        ..Settings::with_backend(backend)
     };
-    s
+    let pdqp = Settings {
+        max_iter: 200_000,
+        ..Settings::with_algorithm(Algorithm::Pdqp)
+    };
+    [
+        ("admm-direct", admm(KktBackend::Direct)),
+        ("admm-indirect", admm(KktBackend::Indirect)),
+        ("pdqp", pdqp),
+    ]
 }
 
 fn assert_bitwise(a: &mib::qp::SolveResult, b: &mib::qp::SolveResult, what: &str) {
@@ -49,7 +58,7 @@ fn assert_bitwise(a: &mib::qp::SolveResult, b: &mib::qp::SolveResult, what: &str
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Pooled-solver invariant, per backend: after serving a perturbed
+    /// Pooled-solver invariant, per configuration: after serving a perturbed
     /// request, `update_q` + `reset` + `warm_start_from` a donor result
     /// reproduces a fresh template clone bitwise.
     #[test]
@@ -60,9 +69,9 @@ proptest! {
     ) {
         let problem = random_qp(n, m, 0.6, seed);
         let base_q = problem.q().to_vec();
-        for algorithm in Algorithm::all() {
-            let template = Solver::new(problem.clone(), settings_for(algorithm)).unwrap();
-            prop_assert_eq!(template.settings().algorithm, algorithm);
+        for (label, settings) in configurations() {
+            let template = Solver::new(problem.clone(), settings.clone()).unwrap();
+            prop_assert_eq!(template.settings(), &settings);
 
             // A donor solution to warm-start from.
             let donor = template.clone().solve();
@@ -88,11 +97,11 @@ proptest! {
             fresh.warm_start_from(&donor).unwrap();
             let expect = fresh.solve();
 
-            assert_bitwise(&served, &expect, algorithm.name());
+            assert_bitwise(&served, &expect, label);
         }
     }
 
-    /// Dimension validation, per backend: a donor result from a
+    /// Dimension validation, per configuration: a donor result from a
     /// different-shaped problem is rejected with `QpError::InvalidProblem`
     /// and the solve proceeds exactly as if the call never happened.
     #[test]
@@ -103,10 +112,9 @@ proptest! {
     ) {
         let problem = random_qp(n, m, 0.6, seed);
         let foreign = random_qp(n + 1, m + 2, 0.6, seed ^ 0xbeef);
-        for algorithm in Algorithm::all() {
-            let template = Solver::new(problem.clone(), settings_for(algorithm)).unwrap();
-            let foreign_donor =
-                Solver::new(foreign.clone(), settings_for(algorithm)).unwrap().solve();
+        for (label, settings) in configurations() {
+            let template = Solver::new(problem.clone(), settings.clone()).unwrap();
+            let foreign_donor = Solver::new(foreign.clone(), settings).unwrap().solve();
 
             let mut solver = template.clone();
             let err = solver.warm_start_from(&foreign_donor).unwrap_err();
@@ -116,7 +124,7 @@ proptest! {
             );
             let after_rejection = solver.solve();
             let untouched = template.clone().solve();
-            assert_bitwise(&after_rejection, &untouched, algorithm.name());
+            assert_bitwise(&after_rejection, &untouched, label);
         }
     }
 }
