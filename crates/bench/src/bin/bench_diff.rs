@@ -9,6 +9,7 @@
 //! bench_diff --baseline-serve OLD.json [--current-serve NEW.json]
 //!            --baseline-kernels OLD.json [--current-kernels NEW.json]
 //!            --baseline-backends OLD.json [--current-backends NEW.json]
+//!            --baseline-verify OLD.json [--current-verify NEW.json]
 //! ```
 //!
 //! At least one `--baseline-*` must be given; a current path defaults to
@@ -17,7 +18,9 @@
 
 use std::process::ExitCode;
 
-use mib_bench::diff::{diff_backends, diff_kernels, diff_serve, render_findings, Finding};
+use mib_bench::diff::{
+    diff_backends, diff_kernels, diff_serve, diff_verify, render_findings, Finding,
+};
 
 fn read(path: &str, what: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {what} {path}: {e}"))
@@ -28,25 +31,33 @@ fn run() -> Result<Vec<Finding>, String> {
     let mut baseline_serve = None;
     let mut baseline_kernels = None;
     let mut baseline_backends = None;
+    let mut baseline_verify = None;
     let mut current_serve = "results/BENCH_serve.json".to_string();
     let mut current_kernels = "results/BENCH_kernels.json".to_string();
     let mut current_backends = "results/BENCH_backends.json".to_string();
+    let mut current_verify = "results/BENCH_verify.json".to_string();
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a path"));
         match arg.as_str() {
             "--baseline-serve" => baseline_serve = Some(value("--baseline-serve")?),
             "--baseline-kernels" => baseline_kernels = Some(value("--baseline-kernels")?),
             "--baseline-backends" => baseline_backends = Some(value("--baseline-backends")?),
+            "--baseline-verify" => baseline_verify = Some(value("--baseline-verify")?),
             "--current-serve" => current_serve = value("--current-serve")?,
             "--current-kernels" => current_kernels = value("--current-kernels")?,
             "--current-backends" => current_backends = value("--current-backends")?,
+            "--current-verify" => current_verify = value("--current-verify")?,
             other => return Err(format!("unknown argument {other}")),
         }
     }
-    if baseline_serve.is_none() && baseline_kernels.is_none() && baseline_backends.is_none() {
-        return Err(
-            "need at least one --baseline-serve, --baseline-kernels or --baseline-backends".into(),
-        );
+    if baseline_serve.is_none()
+        && baseline_kernels.is_none()
+        && baseline_backends.is_none()
+        && baseline_verify.is_none()
+    {
+        return Err("need at least one --baseline-serve, --baseline-kernels, \
+                    --baseline-backends or --baseline-verify"
+            .into());
     }
 
     let mut findings = Vec::new();
@@ -64,6 +75,11 @@ fn run() -> Result<Vec<Finding>, String> {
         let base = read(&base, "baseline backends")?;
         let cur = read(&current_backends, "current backends")?;
         findings.extend(diff_backends(&base, &cur)?);
+    }
+    if let Some(base) = baseline_verify {
+        let base = read(&base, "baseline verify")?;
+        let cur = read(&current_verify, "current verify")?;
+        findings.extend(diff_verify(&base, &cur)?);
     }
     Ok(findings)
 }

@@ -4,8 +4,8 @@
 //! KKT variants, runs the `mib-verify` static verifier over each compiled
 //! program (load / setup / iteration / pcg / check), and differentially
 //! checks the static timing predictor: `timing::predict` must reproduce
-//! `Machine::run_with_timeline` **bitwise** — total cycles, every
-//! `ExecStats` counter, and the per-kind issue/stall timeline buckets.
+//! `Machine::run` **bitwise** — total cycles and every `ExecStats`
+//! counter.
 //! Prints one certificate line per program and exits non-zero if any
 //! program carries an error-severity finding, any prediction disagrees
 //! with the simulator, or total forced appends regress above the
@@ -14,7 +14,7 @@
 //!
 //! Modes:
 //! - default: three-instance sample per domain (the 120-program suite);
-//! - `--full` / `MIB_VERIFY_FULL=1`: all 20 instances per domain;
+//! - `--full`: all 20 instances per domain;
 //! - `--smoke`: one instance per domain (the `scripts/check.sh` timing
 //!   gate), each program's slots, predicted cycles and stall cycles held
 //!   to the row of the same label in the committed
@@ -66,7 +66,7 @@ struct Row {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let full = args.iter().any(|a| a == "--full") || std::env::var_os("MIB_VERIFY_FULL").is_some();
+    let full = args.iter().any(|a| a == "--full");
     let smoke = args.iter().any(|a| a == "--smoke");
     let timing_report = args.iter().any(|a| a == "--timing");
     let indices: Vec<usize> = if smoke {
@@ -122,7 +122,7 @@ fn main() {
                     }
 
                     // Differential timing check: the static predictor must
-                    // reproduce the simulator bitwise — stats AND timeline.
+                    // reproduce the simulator's stats bitwise.
                     // Each side is timed on the program alone: one machine
                     // serves every run (register values move no count
                     // compared here) and the stream is built before the
@@ -133,12 +133,11 @@ fn main() {
                     analysis_time += t0.elapsed();
                     let mut hbm = HbmStream::new(s.hbm.clone());
                     let t1 = Instant::now();
-                    let simulated =
-                        machine.run_with_timeline(&s.program, &mut hbm, HazardPolicy::Strict);
+                    let simulated = machine.run(&s.program, &mut hbm, HazardPolicy::Strict);
                     sim_time += t1.elapsed();
                     let (agree, slots, cycles, stalls) = match (&predicted, &simulated) {
-                        (Ok(p), Ok((stats, tl))) => (
-                            p.stats == *stats && p.timeline == *tl,
+                        (Ok(p), Ok(stats)) => (
+                            p.stats == *stats,
                             p.stats.slots,
                             p.stats.cycles,
                             p.stats.stall_cycles,

@@ -1,14 +1,14 @@
 //! Benchmark regression detection: diffs the committed benchmark
 //! documents (`results/BENCH_serve.json`, `results/BENCH_kernels.json`,
-//! `results/BENCH_backends.json`) against a baseline revision of the same
-//! files, with per-metric tolerances tuned for the noisy single-core
+//! `results/BENCH_backends.json`, `results/BENCH_verify.json`) against a
+//! baseline revision of the same files, with per-metric tolerances tuned for the noisy single-core
 //! runners this repository measures on.
 //!
 //! The comparison is structural, not textual: the workspace's one JSON
 //! parser ([`mib_trace::json`]) loads both documents, matched entries
 //! are located by their identity keys (`mode` for serve runs;
 //! `group`/`kernel`/`n` for kernel rows; `domain`/`index`/`backend` for
-//! backend runs), and each tracked metric is
+//! backend runs; `program` for verify runs), and each tracked metric is
 //! checked against its tolerance. An entry present in the
 //! baseline but missing from the current document is itself a failure —
 //! losing coverage must not pass silently.
@@ -308,6 +308,97 @@ pub fn diff_backends(baseline: &str, current: &str) -> Result<Vec<Finding>, Stri
     Ok(findings)
 }
 
+/// Diffs two `BENCH_verify.json` documents. Every baseline run (matched
+/// on `program`) must still be there, a run whose prediction agreed with
+/// the simulator must still agree, no run may stall, and `slots` and
+/// `predicted_cycles` may not rise at all: the counts are exact, so any
+/// rise is a change to the compiler or the cycle model. Document-wide,
+/// `agreement` must equal `programs` and `forced_appends` may not rise.
+/// Wall-clock fields are not compared.
+///
+/// # Errors
+///
+/// Returns parse errors for either document.
+pub fn diff_verify(baseline: &str, current: &str) -> Result<Vec<Finding>, String> {
+    let base = Json::parse(baseline).map_err(|e| format!("baseline verify: {e}"))?;
+    let cur = Json::parse(current).map_err(|e| format!("current verify: {e}"))?;
+    let program = |run: &Json| {
+        run.get("program")
+            .and_then(Json::as_str)
+            .map(str::to_string)
+    };
+    let count = |doc: &Json, field: &str| doc.get(field).and_then(Json::as_f64).unwrap_or(f64::NAN);
+    let agrees = |run: &Json| matches!(run.get("agree"), Some(Json::Bool(true)));
+    let mut findings = Vec::new();
+    for run in base.get("runs").map_or(&[][..], Json::items) {
+        let Some(key) = program(run) else { continue };
+        let label = format!("verify[{key}]");
+        let Some(cur_run) = cur
+            .get("runs")
+            .map_or(&[][..], Json::items)
+            .iter()
+            .find(|r| program(r).as_ref() == Some(&key))
+        else {
+            findings.push(Finding::ratio(
+                label,
+                f64::NAN,
+                f64::NAN,
+                "row present".into(),
+                false,
+            ));
+            continue;
+        };
+        if agrees(run) {
+            let still = agrees(cur_run);
+            findings.push(Finding::ratio(
+                format!("{label}.agree"),
+                1.0,
+                if still { 1.0 } else { 0.0 },
+                "stays in agreement".into(),
+                still,
+            ));
+        }
+        let stalls = count(cur_run, "stall_cycles");
+        findings.push(Finding::ratio(
+            format!("{label}.stall_cycles"),
+            count(run, "stall_cycles"),
+            stalls,
+            "== 0".into(),
+            stalls == 0.0,
+        ));
+        for field in ["slots", "predicted_cycles"] {
+            let (was, now) = (count(run, field), count(cur_run, field));
+            findings.push(Finding::ratio(
+                format!("{label}.{field}"),
+                was,
+                now,
+                "<= baseline".into(),
+                now <= was,
+            ));
+        }
+    }
+    let (programs, agreement) = (count(&cur, "programs"), count(&cur, "agreement"));
+    findings.push(Finding::ratio(
+        "verify.agreement".into(),
+        count(&base, "agreement"),
+        agreement,
+        format!(">= programs ({programs})"),
+        agreement >= programs,
+    ));
+    let (was, now) = (
+        count(&base, "forced_appends"),
+        count(&cur, "forced_appends"),
+    );
+    findings.push(Finding::ratio(
+        "verify.forced_appends".into(),
+        was,
+        now,
+        "<= baseline".into(),
+        now <= was,
+    ));
+    Ok(findings)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,6 +556,68 @@ mod tests {
         failing(
             &backends.replace("\"backend\": \"pdqp\"", "\"backend\": \"osqp\""),
             "backends[lasso/0/pdqp]",
+        );
+    }
+
+    #[test]
+    fn verify_rows_lost_disagreeing_stalling_or_longer_fail() {
+        let verify = r#"{"bench": "verify", "programs": 2, "agreement": 2,
+          "forced_appends": 0, "analysis_us": 100, "runs": [
+          {"program": "lasso[0]/Direct/setup", "slots": 40,
+           "predicted_cycles": 47, "stall_cycles": 0, "agree": true},
+          {"program": "lasso[0]/Direct/check", "slots": 10,
+           "predicted_cycles": 17, "stall_cycles": 0, "agree": true}
+        ]}"#;
+        // Identical counts and fewer slots and cycles pass, whatever the
+        // timing.
+        let shorter = verify
+            .replace("\"slots\": 40", "\"slots\": 39")
+            .replace("\"predicted_cycles\": 47", "\"predicted_cycles\": 46")
+            .replace("\"analysis_us\": 100", "\"analysis_us\": 900");
+        for current in [verify, shorter.as_str()] {
+            let findings = diff_verify(verify, current).expect("diff runs");
+            assert_eq!(findings.len(), 10);
+            assert!(findings.iter().all(|f| f.ok), "{findings:?}");
+        }
+        let failing = |current: &str, metric: &str| {
+            let findings = diff_verify(verify, current).expect("diff runs");
+            let bad: Vec<_> = findings.iter().filter(|f| !f.ok).collect();
+            assert_eq!(bad.len(), 1, "{findings:?}");
+            assert_eq!(bad[0].metric, metric);
+        };
+        failing(
+            &verify.replace("\"slots\": 40", "\"slots\": 41"),
+            "verify[lasso[0]/Direct/setup].slots",
+        );
+        failing(
+            &verify.replace("\"predicted_cycles\": 17", "\"predicted_cycles\": 18"),
+            "verify[lasso[0]/Direct/check].predicted_cycles",
+        );
+        failing(
+            &verify.replace(
+                "\"predicted_cycles\": 47, \"stall_cycles\": 0",
+                "\"predicted_cycles\": 47, \"stall_cycles\": 3",
+            ),
+            "verify[lasso[0]/Direct/setup].stall_cycles",
+        );
+        failing(
+            &verify.replace(
+                "\"stall_cycles\": 0, \"agree\": true}\n        ]",
+                "\"stall_cycles\": 0, \"agree\": false}\n        ]",
+            ),
+            "verify[lasso[0]/Direct/check].agree",
+        );
+        failing(
+            &verify.replace("Direct/check", "Indirect/check"),
+            "verify[lasso[0]/Direct/check]",
+        );
+        failing(
+            &verify.replace("\"agreement\": 2", "\"agreement\": 1"),
+            "verify.agreement",
+        );
+        failing(
+            &verify.replace("\"forced_appends\": 0", "\"forced_appends\": 1"),
+            "verify.forced_appends",
         );
     }
 }

@@ -39,85 +39,21 @@ use mib_sparse::CscMatrix;
 
 use crate::lower::{build_load_schedule, lower, rho_vec_for, LoweredQp};
 
-/// Point-in-time counters of a [`ProgramCache`] (see
-/// [`ProgramCache::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lowering requests served from the cache.
-    pub hits: u64,
-    /// Lowering requests that ran the full compiler.
-    pub misses: u64,
-    /// Entries dropped by the LRU capacity bound.
-    pub evictions: u64,
-    /// Estimated bytes held by the resident entries (keys + programs +
-    /// HBM streams + slot maps).
-    pub resident_bytes: usize,
-}
-
-/// One resident compiled program plus its LRU bookkeeping.
-#[derive(Debug)]
-struct CacheEntry {
-    lowered: LoweredQp,
-    /// Monotonic use tick; the smallest tick is the eviction victim.
-    last_used: u64,
-    /// Estimated size, accounted into [`CacheStats::resident_bytes`].
-    bytes: usize,
-}
-
 /// Caches [`LoweredQp`] programs keyed by sparsity pattern (and the other
 /// program-shaping inputs; see the module docs) so parametric re-solves
-/// skip recompilation. The cache can be bounded
-/// ([`ProgramCache::with_capacity`]); when full, the least-recently-used
-/// compiled pattern is evicted. Eviction only ever costs a recompile — a
-/// re-lowered pattern is bitwise identical to the evicted one.
-#[derive(Debug)]
+/// skip recompilation. The cache is unbounded; [`ProgramCache::clear`]
+/// drops every entry.
+#[derive(Debug, Default)]
 pub struct ProgramCache {
-    entries: HashMap<Vec<u64>, CacheEntry>,
-    /// Maximum resident entries; `usize::MAX` means unbounded.
-    capacity: usize,
-    tick: u64,
+    entries: HashMap<Vec<u64>, LoweredQp>,
     hits: u64,
     misses: u64,
-    evictions: u64,
-}
-
-impl Default for ProgramCache {
-    fn default() -> Self {
-        ProgramCache {
-            entries: HashMap::new(),
-            capacity: usize::MAX,
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
 }
 
 impl ProgramCache {
-    /// An empty, unbounded cache.
+    /// An empty cache.
     pub fn new() -> Self {
         ProgramCache::default()
-    }
-
-    /// An empty cache holding at most `max_entries` compiled patterns,
-    /// evicting the least recently used beyond that.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_entries` is zero — a cache that can hold nothing
-    /// would silently recompile every request.
-    pub fn with_capacity(max_entries: usize) -> Self {
-        assert!(max_entries > 0, "cache capacity must be at least 1");
-        ProgramCache {
-            capacity: max_entries,
-            ..ProgramCache::default()
-        }
-    }
-
-    /// The configured capacity bound (`usize::MAX` when unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Compiles `problem` for the MIB machine, reusing cached schedules
@@ -126,8 +62,7 @@ impl ProgramCache {
     ///
     /// On a hit, only the value-dependent load program is rebuilt; the
     /// setup, iteration, PCG and check schedules are cloned from the cache.
-    /// On a miss the full [`lower`] runs and the result is cached,
-    /// evicting the least-recently-used pattern if the cache is full.
+    /// On a miss the full [`lower`] runs and the result is cached.
     ///
     /// # Errors
     ///
@@ -142,8 +77,7 @@ impl ProgramCache {
         settings.validate()?;
         let tracing = mib_trace::enabled();
         let key = cache_key(problem, settings, config);
-        self.tick += 1;
-        if let Some(entry) = self.entries.get_mut(&key) {
+        if let Some(cached) = self.entries.get(&key) {
             self.hits += 1;
             mib_trace::record_if(
                 tracing,
@@ -152,8 +86,7 @@ impl ProgramCache {
                     hit: true,
                 },
             );
-            entry.last_used = self.tick;
-            let mut lowered = entry.lowered.clone();
+            let mut lowered = cached.clone();
             lowered.load = build_load_schedule(problem, settings, config);
             crate::verify::maybe_verify_refreshed_load(&lowered.load, &config);
             return Ok(lowered);
@@ -167,32 +100,8 @@ impl ProgramCache {
                 hit: false,
             },
         );
-        let bytes = entry_bytes(&key, &lowered);
-        self.entries.insert(
-            key,
-            CacheEntry {
-                lowered: lowered.clone(),
-                last_used: self.tick,
-                bytes,
-            },
-        );
-        self.evict_to_capacity();
+        self.entries.insert(key, lowered.clone());
         Ok(lowered)
-    }
-
-    /// Drops least-recently-used entries until the population fits the
-    /// capacity bound.
-    fn evict_to_capacity(&mut self) {
-        while self.entries.len() > self.capacity {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty: len > capacity >= 1");
-            self.entries.remove(&victim);
-            self.evictions += 1;
-        }
     }
 
     /// Number of lowering requests served from the cache.
@@ -203,17 +112,6 @@ impl ProgramCache {
     /// Number of lowering requests that ran the full compiler.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Counters plus the estimated resident footprint, for metrics export
-    /// (the `mib-serve` runtime surfaces these per pattern shard).
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            resident_bytes: self.entries.values().map(|e| e.bytes).sum(),
-        }
     }
 
     /// Number of distinct compiled patterns currently cached.
@@ -231,31 +129,7 @@ impl ProgramCache {
         self.entries.clear();
         self.hits = 0;
         self.misses = 0;
-        self.evictions = 0;
-        self.tick = 0;
     }
-}
-
-/// Estimated heap footprint of one cache entry: the key stream plus every
-/// schedule's program, HBM stream and slot map. An estimate (container
-/// headers and padding are ignored), but proportional to the real cost.
-fn entry_bytes(key: &[u64], lowered: &LoweredQp) -> usize {
-    let schedule = |s: &crate::schedule::Schedule| {
-        std::mem::size_of_val(s.program.as_slice())
-            + std::mem::size_of_val(s.hbm.as_slice())
-            + std::mem::size_of_val(s.slot_of.as_slice())
-    };
-    key.len() * 8
-        + [
-            &lowered.load,
-            &lowered.setup,
-            &lowered.iteration,
-            &lowered.pcg_iteration,
-            &lowered.check,
-        ]
-        .into_iter()
-        .map(schedule)
-        .sum::<usize>()
 }
 
 /// Builds the canonical key stream for a lowering request.
@@ -381,8 +255,6 @@ mod tests {
             let report = crate::verify::verify_schedule(name, s, &lowered.config);
             assert!(report.is_certified(), "{report}");
         }
-        let cert = crate::verify::certify_lowered(&lowered);
-        assert!(cert.is_certified(), "{cert}");
     }
 
     #[test]
@@ -496,110 +368,6 @@ mod tests {
             m.run(&s.program, &mut hbm, HazardPolicy::Strict)
                 .expect("cache-refreshed programs must be hazard-free");
         }
-    }
-
-    /// A structurally distinct problem family: `variant` scales the P
-    /// values, so each variant is its own cache key.
-    fn problem_variant(variant: usize) -> Problem {
-        let s = 1.0 + variant as f64;
-        let p = CscMatrix::from_dense(2, 2, &[4.0 * s, s, 0.0, 2.0 * s])
-            .upper_triangle()
-            .unwrap();
-        let a = CscMatrix::from_dense(3, 2, &[1.0, 1.0, 1.0, 0.0, 0.0, 1.0]);
-        Problem::new(
-            p,
-            vec![1.0, 1.0],
-            a,
-            vec![1.0, 0.0, 0.0],
-            vec![1.0, 0.7, 0.7],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn lru_eviction_respects_capacity_and_recency() {
-        let mut cache = ProgramCache::with_capacity(2);
-        let settings = Settings::default();
-        for v in 0..2 {
-            cache
-                .lower_cached(&problem_variant(v), &settings, config())
-                .unwrap();
-        }
-        // Touch variant 0 so variant 1 becomes the LRU victim.
-        cache
-            .lower_cached(&problem_variant(0), &settings, config())
-            .unwrap();
-        assert_eq!(cache.hits(), 1);
-        // Insert variant 2: evicts variant 1.
-        cache
-            .lower_cached(&problem_variant(2), &settings, config())
-            .unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
-        // Variant 0 is still resident; variant 1 must recompile.
-        cache
-            .lower_cached(&problem_variant(0), &settings, config())
-            .unwrap();
-        assert_eq!(cache.hits(), 2);
-        cache
-            .lower_cached(&problem_variant(1), &settings, config())
-            .unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 4, "variant 1 was evicted and recompiled");
-        assert_eq!(stats.evictions, 2);
-        assert!(stats.resident_bytes > 0);
-    }
-
-    #[test]
-    fn eviction_preserves_bitwise_fresh_vs_cached_invariant() {
-        // Capacity 1: inserting B evicts A; re-lowering A after eviction
-        // and hitting B's entry must both match fresh lowerings bitwise —
-        // eviction can cost a recompile but never change a program.
-        let mut cache = ProgramCache::with_capacity(1);
-        let settings = Settings::default();
-        cache
-            .lower_cached(&problem_with(vec![1.0, 1.0], 0.7), &settings, config())
-            .unwrap();
-        cache
-            .lower_cached(&problem_variant(5), &settings, config())
-            .unwrap();
-        assert_eq!(cache.stats().evictions, 1);
-
-        // Hit on the resident entry (same pattern as variant 5, new q).
-        let mut hit_problem = problem_variant(5);
-        {
-            let (p0, _q0, a0, l0, u0) = hit_problem.into_parts();
-            hit_problem = Problem::new(p0, vec![-0.5, 2.0], a0, l0, u0).unwrap();
-        }
-        let cached = cache
-            .lower_cached(&hit_problem, &settings, config())
-            .unwrap();
-        assert_eq!(cache.hits(), 1);
-        let fresh = lower(&hit_problem, &settings, config()).unwrap();
-        assert_eq!(cached.load.program, fresh.load.program);
-        assert_eq!(cached.load.hbm, fresh.load.hbm);
-        assert_eq!(cached.setup.program, fresh.setup.program);
-        assert_eq!(cached.iteration.program, fresh.iteration.program);
-        assert_eq!(cached.iteration.hbm, fresh.iteration.hbm);
-        assert_eq!(cached.check.program, fresh.check.program);
-
-        // The evicted pattern recompiles to a bitwise-identical program.
-        let evicted = problem_with(vec![1.0, 1.0], 0.7);
-        let relowered = cache.lower_cached(&evicted, &settings, config()).unwrap();
-        assert_eq!(
-            cache.stats().evictions,
-            2,
-            "capacity 1: the hit entry is evicted"
-        );
-        let fresh = lower(&evicted, &settings, config()).unwrap();
-        assert_eq!(relowered.load.program, fresh.load.program);
-        assert_eq!(relowered.load.hbm, fresh.load.hbm);
-        assert_eq!(relowered.setup.program, fresh.setup.program);
-        assert_eq!(relowered.setup.hbm, fresh.setup.hbm);
-        assert_eq!(relowered.iteration.program, fresh.iteration.program);
-        assert_eq!(relowered.iteration.hbm, fresh.iteration.hbm);
-        assert_eq!(relowered.check.program, fresh.check.program);
-        assert_eq!(relowered.check.hbm, fresh.check.hbm);
     }
 
     #[test]

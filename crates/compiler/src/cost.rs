@@ -4,20 +4,22 @@
 //! [`static_cost`] wraps `mib-verify`'s exact timing predictor
 //! ([`mib_verify::timing::predict`]) and critical-path extractor for the
 //! compiler's own [`Schedule`] type. The prediction is **not** a model:
-//! it is provably equal to what `Machine::run_with_timeline` measures
-//! (the differential test suite pins cycle counts and bucket-by-bucket
-//! attribution across every benchmark program), at a fraction of the
-//! simulation cost because no functional state is computed. This is the
-//! trusted signal a schedule autotuner can search against: comparing two
-//! candidate schedules costs two predictions, not two simulations.
+//! it is provably equal to what `Machine::run` measures (the differential
+//! test suite pins the full `ExecStats` across every benchmark program),
+//! at a fraction of the simulation cost because no functional state is
+//! computed. This is the trusted signal a schedule autotuner can search
+//! against: comparing two candidate schedules costs two predictions, not
+//! two simulations.
 //!
 //! The oracle is load-bearing in the pipeline today: [`checked_schedule`]
 //! cross-checks every certified schedule against it (a certified schedule
-//! must predict strict acceptance with zero stalls), `certify_lowered`'s
-//! certificates carry the predicted cycles, and the lowering's
-//! `ScheduleQuality` trace events record them for offline analysis.
+//! must predict strict acceptance with zero stalls), the certificates of
+//! [`verify_schedule`] reports carry the predicted cycles, and the
+//! lowering's `ScheduleQuality` trace events record them for offline
+//! analysis.
 //!
 //! [`checked_schedule`]: crate::verify::checked_schedule
+//! [`verify_schedule`]: crate::verify::verify_schedule
 
 use mib_core::machine::HazardPolicy;
 use mib_core::MibConfig;

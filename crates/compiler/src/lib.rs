@@ -49,9 +49,9 @@ pub mod spmv;
 pub mod trisolve;
 pub mod verify;
 
-pub use cache::{CacheStats, ProgramCache};
+pub use cache::ProgramCache;
 pub use cost::{lower_bound, static_cost, StaticCost};
 pub use kernel::{Kernel, KernelBuilder, LogicalInstr};
 pub use layout::{Allocator, Layout};
 pub use schedule::{schedule, Schedule, ScheduleOptions};
-pub use verify::{certify_lowered, checked_schedule, verify_kernel_schedule, verify_schedule};
+pub use verify::{checked_schedule, verify_kernel_schedule, verify_schedule};

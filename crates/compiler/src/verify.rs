@@ -18,11 +18,9 @@
 
 use mib_core::instruction::NetInstruction;
 use mib_core::MibConfig;
-use mib_qp::profile::Certification;
 use mib_verify::{DiagKind, Diagnostic, Report};
 
 use crate::kernel::Kernel;
-use crate::lower::LoweredQp;
 use crate::schedule::{schedule, Schedule, ScheduleOptions};
 
 /// Statically verifies a compiled schedule, folding in the scheduler's
@@ -194,26 +192,6 @@ pub(crate) fn maybe_verify_refreshed_load(s: &Schedule, config: &MibConfig) {
             report.is_certified(),
             "cache-refreshed load schedule failed verification:\n{report}"
         );
-    }
-}
-
-/// Verifies every program of a lowered QP and packages the result as the
-/// solver-facing [`Certification`]. Empty programs (e.g. the direct
-/// variant's PCG slot) are skipped.
-pub fn certify_lowered(lowered: &LoweredQp) -> Certification {
-    let programs = [
-        ("load", &lowered.load),
-        ("setup", &lowered.setup),
-        ("iteration", &lowered.iteration),
-        ("pcg", &lowered.pcg_iteration),
-        ("check", &lowered.check),
-    ];
-    Certification {
-        certificates: programs
-            .into_iter()
-            .filter(|(_, s)| !s.program.is_empty())
-            .map(|(name, s)| verify_schedule(name, s, &lowered.config).certificate())
-            .collect(),
     }
 }
 

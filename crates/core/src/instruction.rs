@@ -213,23 +213,11 @@ impl InstrKind {
     /// Number of variants (the length of per-kind counter arrays).
     pub const COUNT: usize = 7;
 
-    /// Every variant, in [`InstrKind::index`] order.
-    pub const ALL: [InstrKind; InstrKind::COUNT] = [
-        InstrKind::Mac,
-        InstrKind::ColElim,
-        InstrKind::Broadcast,
-        InstrKind::Permute,
-        InstrKind::Elementwise,
-        InstrKind::Prefetch,
-        InstrKind::Nop,
-    ];
-
-    /// Dense index of the variant — the bucket used by every per-kind
-    /// counter array ([`ExecStats::slots_by_kind`], the profiling
-    /// timeline). `InstrKind::ALL[k.index()] == k` for every variant
-    /// (pinned by an exhaustive round-trip test), so adding a variant
-    /// without growing [`InstrKind::ALL`] and [`InstrKind::COUNT`] fails
-    /// to compile rather than silently mis-bucketing statistics.
+    /// Dense index of the variant — the bucket of
+    /// [`ExecStats::slots_by_kind`]. An exhaustive round-trip test pins
+    /// the indices as `0..COUNT`, so adding a variant without updating
+    /// [`InstrKind::COUNT`] fails that test's compilation rather than
+    /// silently mis-bucketing statistics.
     ///
     /// [`ExecStats::slots_by_kind`]: crate::stats::ExecStats::slots_by_kind
     pub fn index(self) -> usize {
@@ -241,19 +229,6 @@ impl InstrKind {
             InstrKind::Elementwise => 4,
             InstrKind::Prefetch => 5,
             InstrKind::Nop => 6,
-        }
-    }
-
-    /// Stable lowercase name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            InstrKind::Mac => "mac",
-            InstrKind::ColElim => "col_elim",
-            InstrKind::Broadcast => "broadcast",
-            InstrKind::Permute => "permute",
-            InstrKind::Elementwise => "elementwise",
-            InstrKind::Prefetch => "prefetch",
-            InstrKind::Nop => "nop",
         }
     }
 }
@@ -640,20 +615,6 @@ impl NetInstruction {
         u64::from(self.write_mask.count_ones())
     }
 
-    /// Per-stage busy-element counts of this slot, in the shape the
-    /// profiling [`Timeline`](crate::timeline::Timeline) accumulates. The
-    /// machine records exactly this value when executing the slot, so a
-    /// static replay using this accessor reproduces the timeline's
-    /// occupancy totals bitwise.
-    pub fn stage_occupancy(&self) -> crate::timeline::StageOccupancy {
-        crate::timeline::StageOccupancy {
-            multiplier_lanes: u64::from(self.input_mask.count_ones()),
-            adder_nodes: u64::from(self.adder_nodes()),
-            output_mul_lanes: u64::from(self.out_mul_mask.count_ones()),
-            writeback_lanes: u64::from(self.write_mask.count_ones()),
-        }
-    }
-
     /// The structural **footprint**, as a bitset (bit `i` is bit `i % 64`
     /// of word `i / 64`) over every per-slot resource the instruction
     /// claims: `C·(log₂C + 1)` node bits, multiplier stage first, then
@@ -993,12 +954,20 @@ mod tests {
 
     #[test]
     fn instr_kind_index_round_trips_exhaustively() {
-        // `ALL` enumerates every variant exactly once, in index order:
-        // a match on each element keeps this test exhaustive — adding an
-        // `InstrKind` variant fails compilation here until `ALL`, `COUNT`
-        // and `index()` are all updated together.
-        assert_eq!(InstrKind::ALL.len(), InstrKind::COUNT);
-        for (pos, kind) in InstrKind::ALL.into_iter().enumerate() {
+        // Every variant exactly once, in index order: the match on each
+        // element keeps this test exhaustive — adding an `InstrKind`
+        // variant fails compilation here until this list, `COUNT` and
+        // `index()` are all updated together.
+        const ALL: [InstrKind; InstrKind::COUNT] = [
+            InstrKind::Mac,
+            InstrKind::ColElim,
+            InstrKind::Broadcast,
+            InstrKind::Permute,
+            InstrKind::Elementwise,
+            InstrKind::Prefetch,
+            InstrKind::Nop,
+        ];
+        for (pos, kind) in ALL.into_iter().enumerate() {
             match kind {
                 InstrKind::Mac
                 | InstrKind::ColElim
@@ -1009,20 +978,6 @@ mod tests {
                 | InstrKind::Nop => {}
             }
             assert_eq!(kind.index(), pos, "{kind:?} is mis-bucketed");
-            assert_eq!(InstrKind::ALL[kind.index()], kind);
-        }
-        // Indices are dense and distinct.
-        let mut seen = [false; InstrKind::COUNT];
-        for kind in InstrKind::ALL {
-            assert!(!seen[kind.index()], "duplicate index for {kind:?}");
-            seen[kind.index()] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-        // Names are distinct too (they key report rows).
-        for (i, a) in InstrKind::ALL.iter().enumerate() {
-            for b in &InstrKind::ALL[i + 1..] {
-                assert_ne!(a.name(), b.name());
-            }
         }
     }
 
@@ -1093,8 +1048,6 @@ mod tests {
         i.set_input(1, LaneSource::Stream);
         i.route(1, 2);
         // Multiplier node 1 plus 2 adder nodes on the path.
-        let occ = i.stage_occupancy();
-        assert_eq!((occ.multiplier_lanes, occ.adder_nodes), (1, 2));
         assert_eq!(i.busy_nodes(), 3);
         assert_eq!(i.stream_words(), 1);
         assert_masks(&i);

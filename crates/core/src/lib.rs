@@ -45,7 +45,6 @@ pub mod machine;
 pub mod pending;
 pub mod regfile;
 pub mod stats;
-pub mod timeline;
 
 pub use config::MibConfig;
 pub use error::MibError;

@@ -15,7 +15,6 @@ use crate::instruction::{lanes, LaneSource, NetInstruction, WriteMode};
 use crate::pending::PendingWrites;
 use crate::regfile::RegisterFiles;
 use crate::stats::ExecStats;
-use crate::timeline::Timeline;
 use crate::{MibConfig, MibError, Result};
 
 /// How the machine reacts to data hazards in the program.
@@ -77,36 +76,6 @@ impl Machine {
         hbm: &mut HbmStream,
         policy: HazardPolicy,
     ) -> Result<ExecStats> {
-        self.run_inner(program, hbm, policy, None)
-    }
-
-    /// Like [`Machine::run`], additionally collecting a cycle-attributed
-    /// [`Timeline`] (per-kind issue/stall buckets, stage occupancy, HBM
-    /// streaming windows). The timeline's buckets sum exactly to the
-    /// returned [`ExecStats::cycles`]; the functional result and the
-    /// statistics are bitwise identical to a plain [`Machine::run`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Machine::run`].
-    pub fn run_with_timeline(
-        &mut self,
-        program: &[NetInstruction],
-        hbm: &mut HbmStream,
-        policy: HazardPolicy,
-    ) -> Result<(ExecStats, Timeline)> {
-        let mut timeline = Timeline::default();
-        let stats = self.run_inner(program, hbm, policy, Some(&mut timeline))?;
-        Ok((stats, timeline))
-    }
-
-    fn run_inner(
-        &mut self,
-        program: &[NetInstruction],
-        hbm: &mut HbmStream,
-        policy: HazardPolicy,
-        mut timeline: Option<&mut Timeline>,
-    ) -> Result<ExecStats> {
         let width = self.config.width;
         let latency = self.config.latency();
         let mut stats = ExecStats::default();
@@ -148,7 +117,6 @@ impl Machine {
             }
 
             // ---- Functional evaluation, over the slot's lanes only ----
-            let hbm_words_before = stats.hbm_words;
             // Multiplier stage (stream words consumed in lane order).
             clear_lanes(&mut values, live & !inst.input_mask());
             live = inst.input_mask();
@@ -239,22 +207,10 @@ impl Machine {
             stats.slots += 1;
             stats.busy_nodes += inst.busy_nodes() as u64;
             stats.count_kind(inst.kind);
-            if let Some(tl) = timeline.as_deref_mut() {
-                tl.record_slot(
-                    inst.kind,
-                    issue,
-                    issue - cycle,
-                    &inst.stage_occupancy(),
-                    stats.hbm_words - hbm_words_before,
-                );
-            }
             cycle = issue + 1;
         }
         let drain = if stats.slots > 0 { latency } else { 0 };
         stats.cycles = cycle + drain;
-        if let Some(tl) = timeline {
-            tl.drain_cycles = drain;
-        }
         Ok(stats)
     }
 
@@ -607,92 +563,5 @@ mod tests {
             .unwrap();
         assert_eq!(stats.cycles, 0);
         assert_eq!(stats.slots, 0);
-    }
-
-    /// A producer/consumer pair that stalls, plus a streaming MAC: the
-    /// timeline must attribute every cycle (issue + stall + drain) and
-    /// agree bitwise with the plain run.
-    #[test]
-    fn timeline_attribution_matches_exec_stats() {
-        let mut mac = NetInstruction::nop(8);
-        mac.kind = InstrKind::Mac;
-        for lane in 0..8 {
-            mac.set_input(
-                lane,
-                LaneSource::RegTimesStream {
-                    addr: 0,
-                    negate: false,
-                },
-            );
-        }
-        mac.reduce(&[0, 1, 2, 3, 4, 5, 6, 7], 0);
-        mac.set_write(
-            0,
-            LaneWrite {
-                addr: 3,
-                mode: WriteMode::Store,
-            },
-        );
-        // Immediately consume the MAC result: forces a stall window.
-        let mut consumer = NetInstruction::nop(8);
-        consumer.kind = InstrKind::Permute;
-        consumer.set_input(0, LaneSource::Reg { addr: 3 });
-        consumer.route(0, 5);
-        consumer.set_write(
-            5,
-            LaneWrite {
-                addr: 4,
-                mode: WriteMode::Store,
-            },
-        );
-        let program = [mac, consumer];
-        let words = vec![1.0; 8];
-
-        let mut plain = machine8();
-        let stats_plain = plain
-            .run(
-                &program,
-                &mut HbmStream::new(words.clone()),
-                HazardPolicy::Stall,
-            )
-            .unwrap();
-        let mut timed = machine8();
-        let (stats, tl) = timed
-            .run_with_timeline(&program, &mut HbmStream::new(words), HazardPolicy::Stall)
-            .unwrap();
-
-        assert_eq!(stats, stats_plain);
-        assert_eq!(
-            plain.regs().read(5, 4).unwrap(),
-            timed.regs().read(5, 4).unwrap()
-        );
-        assert_eq!(tl.total_cycles(), stats.cycles);
-        assert_eq!(tl.stall_cycles(), stats.stall_cycles);
-        assert_eq!(tl.hbm_words(), stats.hbm_words);
-        assert_eq!(tl.issue_cycles_by_kind[InstrKind::Mac.index()], 1);
-        assert_eq!(tl.issue_cycles_by_kind[InstrKind::Permute.index()], 1);
-        // The stall is charged to the stalled (consumer) instruction.
-        assert_eq!(
-            tl.stall_cycles_by_kind[InstrKind::Permute.index()],
-            stats.stall_cycles
-        );
-        assert_eq!(tl.drain_cycles, machine8().config().latency());
-        // The MAC streamed 8 words in one single-cycle window.
-        assert_eq!(tl.hbm_windows.len(), 1);
-        assert_eq!(tl.hbm_windows[0].words, 8);
-        // Occupancy: 8 multiplier lanes + 1 reg-read lane, 2 writebacks.
-        assert_eq!(tl.occupancy.multiplier_lanes, 9);
-        assert_eq!(tl.occupancy.writeback_lanes, 2);
-    }
-
-    #[test]
-    fn timeline_empty_program_attributes_zero() {
-        let mut m = machine8();
-        let (stats, tl) = m
-            .run_with_timeline(&[], &mut HbmStream::empty(), HazardPolicy::Strict)
-            .unwrap();
-        assert_eq!(stats.cycles, 0);
-        assert_eq!(tl.total_cycles(), 0);
-        assert!(tl.hbm_windows.is_empty());
     }
 }

@@ -62,7 +62,6 @@ mod workspace;
 
 pub use error::QpError;
 pub use problem::Problem;
-pub use profile::Certification;
 pub use settings::{Algorithm, KktBackend, Settings};
 pub use solver::Solver;
 pub use telemetry::SolveTrace;

@@ -14,10 +14,7 @@
 //! The solver accumulates these counts exactly as it runs, so the Fig. 3
 //! harness reads them off a finished solve.
 
-use std::fmt;
 use std::ops::{Add, AddAssign};
-
-use mib_verify::Certificate;
 
 /// FLOP totals attributed to the four primitive operations.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -141,62 +138,6 @@ impl Profile {
     }
 }
 
-/// Static-verification certification of the compiled programs backing a
-/// solve: one [`Certificate`] per program (load, setup, iteration, PCG,
-/// check), as produced by the `mib-verify` pass over the compiler's
-/// schedules.
-///
-/// Kept separate from [`Profile`] (which is `Copy` and purely numeric):
-/// certification is per-program structured data that only exists when a
-/// solve was lowered for the MIB machine.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Certification {
-    /// One certificate per verified program.
-    pub certificates: Vec<Certificate>,
-}
-
-impl Certification {
-    /// Whether every verified program was certified (and at least one
-    /// program was actually verified).
-    pub fn is_certified(&self) -> bool {
-        !self.certificates.is_empty() && self.certificates.iter().all(Certificate::is_certified)
-    }
-
-    /// Total error-severity findings across all programs.
-    pub fn errors(&self) -> usize {
-        self.certificates.iter().map(|c| c.errors).sum()
-    }
-
-    /// Total warning-severity findings across all programs.
-    pub fn warnings(&self) -> usize {
-        self.certificates.iter().map(|c| c.warnings).sum()
-    }
-
-    /// Peak live register values over all programs and banks.
-    pub fn peak_live(&self) -> usize {
-        self.certificates
-            .iter()
-            .map(|c| c.peak_live)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-impl fmt::Display for Certification {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.certificates.is_empty() {
-            return write!(f, "no programs verified");
-        }
-        for (i, c) in self.certificates.iter().enumerate() {
-            if i > 0 {
-                writeln!(f)?;
-            }
-            write!(f, "{c}")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,40 +193,6 @@ mod tests {
         c += b;
         assert_eq!(c.mac, 1.0);
         assert_eq!(c.col_elim, 2.0);
-    }
-
-    #[test]
-    fn certification_aggregates_certificates() {
-        let mut cert = Certification::default();
-        assert!(!cert.is_certified(), "empty certification proves nothing");
-        cert.certificates.push(Certificate {
-            program: "load".into(),
-            slots: 10,
-            errors: 0,
-            warnings: 1,
-            infos: 0,
-            peak_live: 5,
-            bank_depth: 64,
-            predicted_cycles: Some(15),
-        });
-        cert.certificates.push(Certificate {
-            program: "iteration".into(),
-            slots: 40,
-            errors: 0,
-            warnings: 0,
-            infos: 1,
-            peak_live: 9,
-            bank_depth: 64,
-            predicted_cycles: None,
-        });
-        assert!(cert.is_certified());
-        assert_eq!(cert.errors(), 0);
-        assert_eq!(cert.warnings(), 1);
-        assert_eq!(cert.peak_live(), 9);
-        assert!(cert.to_string().contains("iteration"));
-        cert.certificates[0].errors = 2;
-        assert!(!cert.is_certified());
-        assert_eq!(cert.errors(), 2);
     }
 
     #[test]

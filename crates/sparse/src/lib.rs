@@ -18,8 +18,7 @@
 //! * an up-looking sparse LDLᵀ factorization ([`ldl`]) in the style of QDLDL
 //!   (the factorization OSQP ships), with separate symbolic and numeric
 //!   phases and both row- and column-oriented triangular solves,
-//! * allocation-free `_into` kernels for every hot-path product and solve,
-//!   backed by a reusable scratch-buffer pool ([`SparseWorkspace`]).
+//! * allocation-free `_into` kernels for every hot-path product and solve.
 //!
 //! The scalar type is `f64` throughout: the paper's FPGA prototype uses
 //! floating-point function units, and `f64` matches the reference OSQP
@@ -55,7 +54,6 @@ pub mod simd;
 mod stack;
 mod triplet;
 pub mod vector;
-mod workspace;
 
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
@@ -63,7 +61,6 @@ pub use error::SparseError;
 pub use perm::Permutation;
 pub use stack::{block_diag, hstack, kron, vstack};
 pub use triplet::TripletMatrix;
-pub use workspace::SparseWorkspace;
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, SparseError>;

@@ -9,31 +9,24 @@
 //! the issue rules of [`Machine::run`](mib_core::machine::Machine::run) —
 //! the machine's own pending-write window and hazard scan
 //! ([`PendingWrites`]), the in-order single-slot-per-cycle issue, the
-//! stall (or strict rejection) on a pending write, the streaming-window
-//! merge and the final pipeline drain — while skipping all functional
-//! evaluation. The result is a
-//! **bitwise** prediction of the run:
-//!
-//! * the full [`ExecStats`] (cycles, slots, stalls, FLOPs, HBM words,
-//!   register traffic, per-kind slot counts), and
-//! * the full [`Timeline`] (per-kind issue/stall buckets, drain, stage
-//!   occupancy, merged HBM windows),
-//!
-//! equal field-for-field to what `Machine::run_with_timeline` returns —
-//! or, when the machine would reject the program, the **same**
-//! [`MibError`] value it would reject it with, detected at the same
-//! instruction in the same check order. This exactness is proven
-//! differentially over the whole benchmark program suite and under
-//! proptest mutation (`tests/static_timing.rs`,
-//! `tests/proptest_timing.rs`).
+//! stall (or strict rejection) on a pending write and the final pipeline
+//! drain — while skipping all functional evaluation. The result is a
+//! **bitwise** prediction of the run: the full [`ExecStats`] (cycles,
+//! slots, stalls, FLOPs, HBM words, register traffic, per-kind slot
+//! counts), equal field-for-field to what `Machine::run` returns — or,
+//! when the machine would reject the program, the **same** [`MibError`]
+//! value it would reject it with, detected at the same instruction in the
+//! same check order. This exactness is proven differentially over the
+//! whole benchmark program suite and under proptest mutation
+//! (`tests/static_timing.rs`, `tests/proptest_timing.rs`).
 //!
 //! No register values are computed and no stream words are materialized.
 //! Like the machine, the predictor visits only the lanes a slot uses (the
 //! instruction's lane masks), and the per-slot counts are popcounts, so
 //! what remains is the hazard scan and the fault replay. Over the
 //! 120-program `verify_schedules --timing` sample at C = 32, prediction
-//! took 0.32 s against the simulator's 0.44 s (`speedup` 1.38 in
-//! `results/BENCH_verify.json`; 1.4–1.6 over four runs). Each side was
+//! took 0.40 s against the simulator's 0.71 s (`speedup` 1.76 in
+//! `results/BENCH_verify.json`; 1.64–1.76 over three runs). Each side was
 //! timed on its own call, one machine serving every run, on a 2-vCPU
 //! Intel Xeon guest. That is cheap enough to run on every compiled
 //! schedule as the compiler's cost oracle
@@ -43,21 +36,17 @@ use mib_core::instruction::{NetInstruction, WriteMode};
 use mib_core::machine::HazardPolicy;
 use mib_core::pending::PendingWrites;
 use mib_core::stats::ExecStats;
-use mib_core::timeline::Timeline;
 use mib_core::{MibConfig, MibError};
 
 /// The statically predicted outcome of executing a program: the exact
-/// statistics and cycle-attributed timeline the machine would produce.
+/// statistics the machine would produce, plus every slot's issue cycle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StaticTiming {
     /// Predicted execution statistics, bitwise equal to the
     /// [`ExecStats`] of a real run.
     pub stats: ExecStats,
-    /// Predicted cycle attribution, bitwise equal to the [`Timeline`]
-    /// of a real `run_with_timeline`.
-    pub timeline: Timeline,
-    /// Predicted issue cycle of every slot, in program order (the basis
-    /// of critical-path extraction and slack reporting).
+    /// Predicted issue cycle of every slot, in program order (a stall
+    /// shows as a gap between consecutive entries).
     pub issue_cycles: Vec<u64>,
 }
 
@@ -88,7 +77,6 @@ pub fn predict(
     let width = config.width;
     let latency = config.latency();
     let mut stats = ExecStats::default();
-    let mut timeline = Timeline::default();
     let mut issue_cycles = Vec::with_capacity(program.len());
     // The same pending-write window the machine keeps.
     let mut pending = PendingWrites::new(config);
@@ -128,7 +116,6 @@ pub fn predict(
         // lane, the register read happens before the stream word; output
         // multipliers stream after the whole input stage; writebacks
         // bounds-check last.
-        let hbm_words_before = stats.hbm_words;
         for (lane, src) in inst.input_locs() {
             if let Some(addr) = src.reg_addr() {
                 check_addr(lane, addr, config)?;
@@ -157,23 +144,14 @@ pub fn predict(
         stats.slots += 1;
         stats.busy_nodes += inst.busy_nodes() as u64;
         stats.count_kind(inst.kind);
-        timeline.record_slot(
-            inst.kind,
-            issue,
-            issue - cycle,
-            &inst.stage_occupancy(),
-            stats.hbm_words - hbm_words_before,
-        );
         issue_cycles.push(issue);
         cycle = issue + 1;
     }
 
     let drain = if stats.slots > 0 { latency } else { 0 };
     stats.cycles = cycle + drain;
-    timeline.drain_cycles = drain;
     Ok(StaticTiming {
         stats,
-        timeline,
         issue_cycles,
     })
 }
@@ -212,7 +190,7 @@ fn take_words(
 mod tests {
     use super::*;
     use mib_core::hbm::HbmStream;
-    use mib_core::instruction::{InstrKind, LaneSource, LaneWrite};
+    use mib_core::instruction::{LaneSource, LaneWrite};
     use mib_core::machine::Machine;
 
     fn config8() -> MibConfig {
@@ -238,17 +216,14 @@ mod tests {
     }
 
     /// Runs both the predictor and the machine under `policy` and asserts
-    /// exact agreement (stats + timeline, or the identical error).
+    /// exact agreement (full stats, or the identical error).
     fn assert_exact(program: &[NetInstruction], hbm: &[f64], cfg: &MibConfig) {
         for policy in [HazardPolicy::Stall, HazardPolicy::Strict] {
             let predicted = predict(program, hbm.len(), cfg, policy);
             let mut m = Machine::new(*cfg);
-            let simulated = m.run_with_timeline(program, &mut HbmStream::new(hbm.to_vec()), policy);
+            let simulated = m.run(program, &mut HbmStream::new(hbm.to_vec()), policy);
             match (predicted, simulated) {
-                (Ok(p), Ok((stats, tl))) => {
-                    assert_eq!(p.stats, stats, "stats mismatch under {policy:?}");
-                    assert_eq!(p.timeline, tl, "timeline mismatch under {policy:?}");
-                }
+                (Ok(p), Ok(stats)) => assert_eq!(p.stats, stats, "stats mismatch under {policy:?}"),
                 (Err(pe), Err(me)) => assert_eq!(pe, me, "error mismatch under {policy:?}"),
                 (p, s) => panic!("verdict mismatch under {policy:?}: {p:?} vs {s:?}"),
             }
@@ -259,7 +234,6 @@ mod tests {
     fn empty_program_predicts_zero_cycles() {
         let t = predict(&[], 0, &config8(), HazardPolicy::Strict).unwrap();
         assert_eq!(t.cycles(), 0);
-        assert_eq!(t.timeline.total_cycles(), 0);
         assert!(t.issue_cycles.is_empty());
     }
 
@@ -282,10 +256,6 @@ mod tests {
         let prog = vec![mov(0, 0, 1), mov(0, 1, 2)];
         let t = predict(&prog, 0, &cfg, HazardPolicy::Stall).unwrap();
         assert_eq!(t.stats.stall_cycles, cfg.latency() - 1);
-        assert_eq!(
-            t.timeline.stall_cycles_by_kind[InstrKind::Nop.index()],
-            cfg.latency() - 1
-        );
         assert_exact(&prog, &[], &cfg);
         // Strict policy predicts the machine's exact DataHazard payload.
         let err = predict(&prog, 0, &cfg, HazardPolicy::Strict).unwrap_err();
@@ -365,30 +335,5 @@ mod tests {
         assert_exact(&[NetInstruction::nop(4)], &[], &cfg);
         assert_exact(&[mov(2, 64, 0)], &[], &cfg);
         assert_exact(&[mov(2, 0, 64)], &[], &cfg);
-    }
-
-    #[test]
-    fn hbm_windows_merge_like_the_machine() {
-        let cfg = config8();
-        let mut load = NetInstruction::nop(8);
-        load.set_input(3, LaneSource::Stream);
-        load.route(3, 3);
-        load.set_write(
-            3,
-            LaneWrite {
-                addr: 1,
-                mode: WriteMode::Store,
-            },
-        );
-        // Two contiguous streaming slots, a gap, then one more.
-        let prog = vec![
-            load.clone(),
-            load.clone(),
-            NetInstruction::nop(8),
-            load.clone(),
-        ];
-        let t = predict(&prog, 3, &cfg, HazardPolicy::Strict).unwrap();
-        assert_eq!(t.timeline.hbm_windows.len(), 2);
-        assert_exact(&prog, &[1.0, 2.0, 3.0], &cfg);
     }
 }

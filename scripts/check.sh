@@ -65,7 +65,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude proptest --
 
 echo "==> cargo test --workspace"
 # Every crate's unit, integration and doc tests, the root package's
-# suites (serve_soak, trace_pipeline, timeline_attribution, zero_alloc,
+# suites (serve_soak, trace_pipeline, static_timing, zero_alloc,
 # ...) among them.
 cargo test --workspace -q
 
@@ -86,7 +86,7 @@ cargo run --release -q -p mib-bench --bin kernel_bench -- --smoke >/dev/null
 
 echo "==> static timing (predicted-vs-simulated smoke gate + checked-profile tests)"
 # One instance per domain: every compiled program's statically predicted
-# cycles and attribution must equal the simulator's, bitwise, and forced
+# execution statistics must equal the simulator's, bitwise, and forced
 # appends must stay at the committed baseline.
 cargo run --release -q -p mib-bench --bin verify_schedules -- --smoke >/dev/null
 # Re-run the cycle-accounting tests optimized but with debug assertions
@@ -104,11 +104,12 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke >/dev/null
 
 echo "==> benchmark regression gate (working tree vs HEAD baselines)"
-# Diffs results/BENCH_serve.json, results/BENCH_kernels.json and
-# results/BENCH_backends.json against the copies committed at HEAD with
-# generous single-core tolerances; fails on lost runs/rows, large
-# slowdowns, backend iteration rises > 10 %, lost convergence, or obs
-# overhead >= 5%.
+# Diffs results/BENCH_serve.json, results/BENCH_kernels.json,
+# results/BENCH_backends.json and results/BENCH_verify.json against the
+# copies committed at HEAD with generous single-core tolerances; fails on
+# lost runs/rows, large slowdowns, backend iteration rises > 10 %, lost
+# convergence, obs overhead >= 5%, or any rise in a program's slots or
+# predicted cycles, a stall, or a lost timing agreement.
 scripts/bench_diff.sh
 
 echo "All checks passed."

@@ -1,8 +1,6 @@
 #!/usr/bin/env bash
 # Tracing demo: regenerate the per-domain Chrome traces and the committed
-# deterministic summary, then replay the full verify_schedules program
-# set through the cycle-attribution identity check (release mode, so the
-# large instances lower quickly).
+# deterministic summary.
 #
 # Artifacts:
 #   results/trace_report.txt     deterministic summary (committed)
@@ -13,8 +11,5 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo run --release -p mib-bench --bin trace_report"
 cargo run --release -q -p mib-bench --bin trace_report
-
-echo "==> timeline attribution over the full verify_schedules sample"
-MIB_TIMELINE_FULL=1 cargo test --release -q --test timeline_attribution
 
 echo "trace demo complete; open results/<domain>.trace.json in Perfetto."

@@ -243,21 +243,15 @@ mod timing {
     use super::*;
 
     /// Asserts the predictor matches the machine under both policies —
-    /// stats and timeline, or the identical error — and returns the
+    /// full stats, or the identical error — and returns the
     /// predicted issue cycles under `Stall`.
     fn agrees(cfg: MibConfig, program: &[NetInstruction], hbm: &[f64]) -> Vec<u64> {
         for policy in [HazardPolicy::Stall, HazardPolicy::Strict] {
             let predicted = predict(program, hbm.len(), &cfg, policy);
-            let simulated = Machine::new(cfg).run_with_timeline(
-                program,
-                &mut HbmStream::new(hbm.to_vec()),
-                policy,
-            );
+            let simulated =
+                Machine::new(cfg).run(program, &mut HbmStream::new(hbm.to_vec()), policy);
             match (predicted, simulated) {
-                (Ok(p), Ok((stats, tl))) => {
-                    assert_eq!(p.stats, stats, "{policy:?}");
-                    assert_eq!(p.timeline, tl, "{policy:?}");
-                }
+                (Ok(p), Ok(stats)) => assert_eq!(p.stats, stats, "{policy:?}"),
                 (Err(pe), Err(me)) => assert_eq!(pe, me, "{policy:?}"),
                 (p, s) => panic!("verdicts differ under {policy:?}: {p:?} vs {s:?}"),
             }

@@ -1,10 +1,9 @@
 //! Exactness proof for the static timing analyzer, over the benchmark
 //! suite.
 //!
-//! [`mib::verify::timing::predict`] claims to reproduce
-//! [`Machine::run_with_timeline`] **bitwise** without computing any
-//! functional state: total cycles, every `ExecStats` counter, and the
-//! per-kind issue/stall timeline buckets. This test replays the
+//! [`mib::verify::timing::predict`] claims to reproduce [`Machine::run`]
+//! **bitwise** without computing any functional state: total cycles and
+//! every `ExecStats` counter. This test replays the
 //! verify_schedules program set — sampled benchmark instances of the
 //! five domains, both KKT backends, all compiled programs — and asserts
 //! full-struct equality under both hazard policies, plus agreement
@@ -58,25 +57,20 @@ fn static_prediction_is_bitwise_exact_across_the_suite() {
                         let predicted = timing::predict(&s.program, s.hbm.len(), &config, policy)
                             .unwrap_or_else(|e| panic!("{label}: prediction failed: {e}"));
                         let mut hbm = HbmStream::new(s.hbm.clone());
-                        let (stats, tl) = m
-                            .run_with_timeline(&s.program, &mut hbm, policy)
+                        let stats = m
+                            .run(&s.program, &mut hbm, policy)
                             .unwrap_or_else(|e| panic!("{label}: {e}"));
                         assert_eq!(
                             predicted.stats, stats,
                             "{label} ({policy:?}): predicted stats must equal the machine's"
-                        );
-                        assert_eq!(
-                            predicted.timeline, tl,
-                            "{label} ({policy:?}): predicted attribution must equal the \
-                             machine's, bucket by bucket"
                         );
                     }
                     // The compiler's cost oracle is the same predictor; its
                     // cycles and the critical path's total must agree with
                     // the simulator too.
                     let cost = static_cost(s, &config).expect("certified schedule has a cost");
-                    let (stats, _) = m
-                        .run_with_timeline(
+                    let stats = m
+                        .run(
                             &s.program,
                             &mut HbmStream::new(s.hbm.clone()),
                             HazardPolicy::Strict,
