@@ -88,7 +88,7 @@ impl ProgramCache {
             );
             let mut lowered = cached.clone();
             lowered.load = build_load_schedule(problem, settings, config);
-            crate::verify::maybe_verify_refreshed_load(&lowered.load, &config);
+            crate::verify::debug_assert_certified("load(cache-hit)", &lowered.load, &config);
             return Ok(lowered);
         }
         let lowered = lower(problem, settings, config)?;
@@ -252,8 +252,13 @@ mod tests {
             ("iteration", &lowered.iteration),
             ("check", &lowered.check),
         ] {
-            let report = crate::verify::verify_schedule(name, s, &lowered.config);
-            assert!(report.is_certified(), "{report}");
+            let strict = mib_verify::predict(
+                &s.program,
+                s.hbm.len(),
+                &lowered.config,
+                HazardPolicy::Strict,
+            );
+            assert!(strict.is_ok(), "{name}: {strict:?}");
         }
     }
 

@@ -1,49 +1,34 @@
-//! The compiler's certified cost oracle: exact cycle costs for compiled
-//! schedules, without simulation.
+//! The compiler's cost oracle: exact cycle costs for compiled schedules,
+//! without simulation.
 //!
 //! [`static_cost`] wraps `mib-verify`'s exact timing predictor
-//! ([`mib_verify::timing::predict`]) and critical-path extractor for the
-//! compiler's own [`Schedule`] type. The prediction is **not** a model:
-//! it is provably equal to what `Machine::run` measures (the differential
-//! test suite pins the full `ExecStats` across every benchmark program),
-//! at a fraction of the simulation cost because no functional state is
-//! computed. This is the trusted signal a schedule autotuner can search
-//! against: comparing two candidate schedules costs two predictions, not
-//! two simulations.
+//! ([`mib_verify::timing::predict`]) for the compiler's own [`Schedule`]
+//! type. The prediction is **not** a model: it is provably equal to what
+//! `Machine::run` measures (the differential test suite pins the full
+//! `ExecStats` across every benchmark program), at a fraction of the
+//! simulation cost because no functional state is computed. This is the
+//! trusted signal a schedule autotuner can search against: comparing two
+//! candidate schedules costs two predictions, not two simulations.
 //!
-//! The oracle is load-bearing in the pipeline today: [`checked_schedule`]
-//! cross-checks every certified schedule against it (a certified schedule
-//! must predict strict acceptance with zero stalls), the certificates of
-//! [`verify_schedule`] reports carry the predicted cycles, and the
-//! lowering's `ScheduleQuality` trace events record them for offline
-//! analysis.
-//!
-//! [`checked_schedule`]: crate::verify::checked_schedule
-//! [`verify_schedule`]: crate::verify::verify_schedule
+//! The lowering's `ScheduleQuality` trace events record the predicted
+//! cycles for offline analysis. [`lower_bound`] is the packing bound the
+//! cycles are held against.
 
 use mib_core::machine::HazardPolicy;
 use mib_core::MibConfig;
-use mib_verify::{critical_path, timing};
+use mib_verify::timing;
 
 use crate::schedule::Schedule;
 
 /// Exact static cost of a schedule, as the machine would measure it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticCost {
-    /// Total execution cycles (issue + stalls + pipeline drain) —
-    /// bitwise equal to `ExecStats::cycles` of a real run.
+    /// Total execution cycles (issue + pipeline drain; a schedule the
+    /// strict policy accepts never stalls) — bitwise equal to
+    /// `ExecStats::cycles` of a real run.
     pub cycles: u64,
     /// Issue slots (one per instruction).
     pub slots: u64,
-    /// Hazard-stall cycles (always 0 for a schedule the compiler
-    /// certifies — the packer spaces dependences by the full latency).
-    pub stall_cycles: u64,
-    /// Cycles of the critical dependence chain's program (the same
-    /// total, decomposed along the chain of tight dependences).
-    pub critical_path_cycles: u64,
-    /// Number of tight dependence hops bounding the schedule — what a
-    /// rescheduler would need to restructure to go faster.
-    pub critical_path_hops: usize,
 }
 
 /// Predicts the exact cost of a schedule under the strict hazard policy
@@ -55,13 +40,9 @@ pub struct StaticCost {
 /// *candidate* schedules use the `None` as a rejection verdict.
 pub fn static_cost(s: &Schedule, config: &MibConfig) -> Option<StaticCost> {
     let t = timing::predict(&s.program, s.hbm.len(), config, HazardPolicy::Strict).ok()?;
-    let cp = critical_path::critical_path(&s.program, config);
     Some(StaticCost {
         cycles: t.stats.cycles,
         slots: t.stats.slots,
-        stall_cycles: t.stats.stall_cycles,
-        critical_path_cycles: cp.cycles,
-        critical_path_hops: cp.hops.len(),
     })
 }
 
@@ -153,8 +134,6 @@ mod tests {
             .unwrap();
         assert_eq!(cost.cycles, stats.cycles);
         assert_eq!(cost.slots, stats.slots);
-        assert_eq!(cost.stall_cycles, 0);
-        assert_eq!(cost.critical_path_cycles, cost.cycles);
         // The dependent pair sets the bound, and the schedule meets it.
         assert_eq!(s.depth, cfg.latency() + 1);
         assert_eq!(lower_bound(&s, &cfg), cost.cycles);
@@ -200,6 +179,5 @@ mod tests {
         let cost = static_cost(&s, &cfg).unwrap();
         assert_eq!(cost.cycles, 0);
         assert_eq!(cost.slots, 0);
-        assert_eq!(cost.critical_path_hops, 0);
     }
 }

@@ -54,4 +54,4 @@ pub use cost::{lower_bound, static_cost, StaticCost};
 pub use kernel::{Kernel, KernelBuilder, LogicalInstr};
 pub use layout::{Allocator, Layout};
 pub use schedule::{schedule, Schedule, ScheduleOptions};
-pub use verify::{checked_schedule, verify_kernel_schedule, verify_schedule};
+pub use verify::checked_schedule;

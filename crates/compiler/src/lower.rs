@@ -157,7 +157,8 @@ pub(crate) fn rho_vec_for(problem: &Problem, settings: &Settings) -> Vec<f64> {
 /// # Errors
 ///
 /// Returns [`QpError`] variants for invalid settings or a failed symbolic
-/// KKT analysis.
+/// KKT analysis, and [`QpError::InvalidSetting`] when the register layout
+/// needs more words per bank than `config.bank_depth`.
 pub fn lower(
     problem: &Problem,
     settings: &Settings,
@@ -190,6 +191,21 @@ fn traced_schedule(name: &'static str, kernel: &Kernel, config: &MibConfig) -> S
         });
     }
     s
+}
+
+/// Fails unless every register address the allocator handed out fits in
+/// a bank. Lowering calls it once, after the last allocation and before
+/// the first schedule, so no program that addresses past `bank_depth` is
+/// ever scheduled.
+fn check_fits(alloc: &Allocator, config: &MibConfig) -> Result<(), QpError> {
+    if alloc.used() > config.bank_depth {
+        return Err(QpError::InvalidSetting(format!(
+            "register layout needs {} words per bank, but bank_depth is {}",
+            alloc.used(),
+            config.bank_depth
+        )));
+    }
+    Ok(())
 }
 
 struct CommonState {
@@ -431,6 +447,11 @@ fn lower_direct(
 
     let (fl, y_scratch) = plan_factor_exact(&permuted, &sym, &mut alloc);
     let v = alloc.alloc(n + m);
+    // The check kernel allocates the last scratch; built first, it makes
+    // the layout final before anything is scheduled.
+    let mut cb = KernelBuilder::new("check", config.width, config.latency());
+    build_check(&mut cb, &mut alloc, &st, &a_csr, &p_full);
+    check_fits(&alloc, &config)?;
 
     // Load program (shared with the cache's value-refresh path).
     let load = build_load_schedule(problem, settings, config);
@@ -477,10 +498,6 @@ fn lower_direct(
     permute_locs(&mut ib, &scatter);
     build_updates(&mut ib, &st, settings.alpha);
     let iteration = traced_schedule("iteration", &ib.finish(), &config);
-
-    // Check program.
-    let mut cb = KernelBuilder::new("check", config.width, config.latency());
-    build_check(&mut cb, &mut alloc, &st, &a_csr, &p_full);
     let check = traced_schedule("check", &cb.finish(), &config);
 
     Ok(LoweredQp {
@@ -522,9 +539,8 @@ fn lower_indirect(
         scalars,
     } = alloc_pcg(&mut alloc, n, m);
 
-    // Load program, including the Jacobi preconditioner values
-    // (diag(P) + sigma + sum rho_i A_ij^2).
-    let load = build_load_schedule(problem, settings, config);
+    // Every kernel is built before any is scheduled: the builders allocate
+    // scratch as they go, so only then is the layout final.
 
     // Iteration (outer) program: rhs, reduced rhs, nu recovery, updates.
     let mut ib = KernelBuilder::new("iteration", config.width, config.latency());
@@ -565,7 +581,6 @@ fn lower_indirect(
     ew::scale(&mut ib, st.t_m, st.t_m2, -1.0, WriteMode::Add);
     ew::ew_prod(&mut ib, st.t_m2, st.rho, st.nu, WriteMode::Store);
     build_updates(&mut ib, &st, settings.alpha);
-    let iteration = traced_schedule("iteration", &ib.finish(), &config);
 
     // PCG iteration program (Algorithm 2, lines 3-9).
     let mut pb = KernelBuilder::new("pcg", config.width, config.latency());
@@ -615,10 +630,16 @@ fn lower_indirect(
         1.0,
         WriteMode::Store,
     );
-    let pcg_iteration = traced_schedule("pcg", &pb.finish(), &config);
 
     let mut cb = KernelBuilder::new("check", config.width, config.latency());
     build_check(&mut cb, &mut alloc, &st, &a_csr, &p_full);
+    check_fits(&alloc, &config)?;
+
+    // Load program, including the Jacobi preconditioner values
+    // (diag(P) + sigma + sum rho_i A_ij^2).
+    let load = build_load_schedule(problem, settings, config);
+    let iteration = traced_schedule("iteration", &ib.finish(), &config);
+    let pcg_iteration = traced_schedule("pcg", &pb.finish(), &config);
     let check = traced_schedule("check", &cb.finish(), &config);
 
     Ok(LoweredQp {

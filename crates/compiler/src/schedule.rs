@@ -54,8 +54,8 @@ pub struct Schedule {
     pub logical_count: usize,
     /// How many instructions exhausted the first-fit probe limit and were
     /// placed in force-appended fresh slots. Nonzero means packing quality
-    /// degraded (the verifier reports it as a warning); correctness is
-    /// unaffected.
+    /// degraded (`verify_schedules` holds the suite's total to a baseline);
+    /// correctness is unaffected.
     pub forced_appends: usize,
     /// Slots the kernel's dependences alone require: one past the latest
     /// slot any logical instruction could issue in if every slot had room

@@ -1,40 +1,84 @@
-//! Compiler-side verification: the `mib-verify` static pass over compiled
-//! schedules, plus a kernel-aware **packing cross-check** that only the
-//! compiler can run (it needs the logical instruction stream).
+//! Compiler-side certification of compiled schedules.
 //!
-//! Program-level verification ([`verify_schedule`]) proves the published
-//! slots are something the machine's strict execution accepts. The packing
-//! cross-check (`verify_packing`) additionally proves the scheduler
-//! *placed* instructions legally: every dependency distance is respected,
-//! the logical instructions of each slot re-merge without collisions, and
-//! the re-merged slots and re-assembled HBM stream are bitwise identical
-//! to what [`crate::schedule::schedule`] published.
+//! A schedule is **certified** when two checks pass:
+//!
+//! 1. the exact timing predictor accepts it under the strict hazard
+//!    policy — `mib_verify::predict(…, HazardPolicy::Strict)` returns the
+//!    machine's own verdict, so a certified program cannot be rejected by
+//!    [`mib_core::machine::Machine::run`];
+//! 2. the kernel-aware **packing cross-check** (`verify_packing`), which
+//!    only the compiler can run because it needs the logical instruction
+//!    stream, proves the scheduler *placed* instructions legally: every
+//!    dependency distance is respected, the logical instructions of each
+//!    slot re-merge without collisions, and the re-merged slots and
+//!    re-assembled HBM stream are bitwise identical to what
+//!    [`crate::schedule::schedule`] published.
 //!
 //! The lowering pipeline calls [`checked_schedule`] instead of the raw
 //! scheduler: in builds with debug assertions (debug builds and the
-//! `checked` profile) every schedule is verified immediately after
-//! packing, and the program cache re-verifies the value-refreshed load
-//! program on every hit.
+//! `checked` profile) every schedule is certified immediately after
+//! packing, and the program cache re-runs the prediction on the
+//! value-refreshed load program of every hit.
+
+use std::fmt;
 
 use mib_core::instruction::NetInstruction;
+use mib_core::machine::HazardPolicy;
 use mib_core::MibConfig;
-use mib_verify::{DiagKind, Diagnostic, Report};
 
 use crate::kernel::Kernel;
 use crate::schedule::{schedule, Schedule, ScheduleOptions};
 
-/// Statically verifies a compiled schedule, folding in the scheduler's
-/// forced-append count as a warning.
-pub fn verify_schedule(name: &str, s: &Schedule, config: &MibConfig) -> Report {
-    let mut report = mib_verify::verify_program(name, &s.program, s.hbm.len(), config);
-    if s.forced_appends > 0 {
-        report
-            .diagnostics
-            .push(Diagnostic::global(DiagKind::ForcedAppends {
-                count: s.forced_appends,
-            }));
+/// The first defect the packing cross-check finds in a schedule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum PackingError {
+    /// `slot_of` gives this logical instruction no slot inside the program
+    /// (or covers a different number of instructions than the kernel has).
+    Unplaced { logical: usize },
+    /// A logical instruction sits closer to its producer than the
+    /// dependency distance allows.
+    Dependency {
+        logical: usize,
+        producer: usize,
+        required: u64,
+        actual: u64,
+    },
+    /// Two logical instructions packed into one slot collide on a network
+    /// node or register port (`detail` names it, as the merge check does).
+    Collision { logical: usize, detail: String },
+    /// The slot rebuilt from the kernel's logical instructions differs from
+    /// the published one.
+    SlotMismatch { slot: usize },
+    /// The HBM stream rebuilt from the kernel differs from the published
+    /// stream at this word (or at the shorter length).
+    StreamMismatch { word: usize },
+}
+
+impl fmt::Display for PackingError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PackingError::Unplaced { logical } => write!(f, "logical {logical} has no slot"),
+            PackingError::Dependency {
+                logical,
+                producer,
+                required,
+                actual,
+            } => write!(
+                f,
+                "logical {logical} is {actual} slot(s) after producer {producer}, \
+                 the dependency requires {required}"
+            ),
+            PackingError::Collision { logical, detail } => {
+                write!(f, "logical {logical} collides in its slot: {detail}")
+            }
+            PackingError::SlotMismatch { slot } => {
+                write!(f, "slot {slot} differs from its re-merge")
+            }
+            PackingError::StreamMismatch { word } => {
+                write!(f, "HBM stream diverges at word {word}")
+            }
+        }
     }
-    report
 }
 
 /// Cross-checks a schedule against the kernel it was packed from:
@@ -44,13 +88,12 @@ pub fn verify_schedule(name: &str, s: &Schedule, config: &MibConfig) -> Report {
 /// 3. the re-merged slots equal the published program bitwise,
 /// 4. the re-assembled HBM stream equals the published stream.
 ///
-/// Returns the findings (all error severity); empty means the packing is
-/// provably faithful.
-fn verify_packing(kernel: &Kernel, s: &Schedule) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
+/// Returns the first defect, in that check order.
+fn verify_packing(kernel: &Kernel, s: &Schedule) -> Result<(), PackingError> {
     if s.slot_of.len() != kernel.instrs.len() {
-        diags.push(Diagnostic::global(DiagKind::PackingSlotMismatch));
-        return diags;
+        return Err(PackingError::Unplaced {
+            logical: s.slot_of.len().min(kernel.instrs.len()),
+        });
     }
 
     // 1. Dependency distances.
@@ -58,64 +101,37 @@ fn verify_packing(kernel: &Kernel, s: &Schedule) -> Vec<Diagnostic> {
         let slot_c = s.slot_of[c] as u64;
         for &(p, delay) in &li.deps {
             let slot_p = s.slot_of[p] as u64;
-            let actual = slot_c.saturating_sub(slot_p);
             if slot_c < slot_p + delay {
-                diags.push(
-                    Diagnostic::at_slot(
-                        s.slot_of[c],
-                        DiagKind::PackingDependency {
-                            logical: c,
-                            producer: p,
-                            required: delay,
-                            actual,
-                        },
-                    )
-                    .with_logical(c),
-                );
+                return Err(PackingError::Dependency {
+                    logical: c,
+                    producer: p,
+                    required: delay,
+                    actual: slot_c.saturating_sub(slot_p),
+                });
             }
         }
     }
 
     // 2. Re-merge each slot's logical instructions, re-assemble the stream.
-    let mut rebuilt: Vec<NetInstruction> = s
-        .program
-        .iter()
-        .map(|_| NetInstruction::nop(kernel.width))
-        .collect();
+    let mut rebuilt = vec![NetInstruction::nop(kernel.width); s.program.len()];
     let mut streams: Vec<Vec<(usize, f64)>> = vec![Vec::new(); s.program.len()];
     for (idx, li) in kernel.instrs.iter().enumerate() {
         let t = s.slot_of[idx];
-        if t >= rebuilt.len() {
-            diags.push(Diagnostic::global(DiagKind::PackingSlotMismatch).with_logical(idx));
-            continue;
-        }
-        match rebuilt[t].try_merge(&li.inst) {
-            Ok(merged) => rebuilt[t] = merged,
-            Err(e) => diags.push(
-                Diagnostic::at_slot(
-                    t,
-                    DiagKind::PackingCollision {
-                        logical: idx,
-                        detail: e.to_string(),
-                    },
-                )
-                .with_logical(idx),
-            ),
-        }
+        let slot = rebuilt
+            .get_mut(t)
+            .ok_or(PackingError::Unplaced { logical: idx })?;
+        *slot = slot
+            .try_merge(&li.inst)
+            .map_err(|e| PackingError::Collision {
+                logical: idx,
+                detail: e.to_string(),
+            })?;
         streams[t].extend_from_slice(&li.stream);
     }
 
-    // 3. Slot equality (skip slots already reported as collisions — their
-    // rebuild is incomplete by construction).
-    let collided: Vec<usize> = diags
-        .iter()
-        .filter(|d| matches!(d.kind, DiagKind::PackingCollision { .. }))
-        .filter_map(|d| d.slot)
-        .collect();
-    for (t, (got, want)) in rebuilt.iter().zip(&s.program).enumerate() {
-        if got != want && !collided.contains(&t) {
-            diags.push(Diagnostic::at_slot(t, DiagKind::PackingSlotMismatch));
-        }
+    // 3. Slot equality.
+    if let Some(slot) = rebuilt.iter().zip(&s.program).position(|(a, b)| a != b) {
+        return Err(PackingError::SlotMismatch { slot });
     }
 
     // 4. Stream equality: within a slot the machine consumes words in the
@@ -126,73 +142,51 @@ fn verify_packing(kernel: &Kernel, s: &Schedule) -> Vec<Diagnostic> {
         hbm.extend(slot_stream.iter().map(|&(_, w)| w));
     }
     if hbm.len() != s.hbm.len() {
-        diags.push(Diagnostic::global(DiagKind::PackingStreamMismatch {
+        return Err(PackingError::StreamMismatch {
             word: hbm.len().min(s.hbm.len()),
-        }));
-    } else if let Some(word) = hbm
+        });
+    }
+    match hbm
         .iter()
         .zip(&s.hbm)
         .position(|(a, b)| a.to_bits() != b.to_bits())
     {
-        diags.push(Diagnostic::global(DiagKind::PackingStreamMismatch { word }));
+        Some(word) => Err(PackingError::StreamMismatch { word }),
+        None => Ok(()),
     }
-
-    diags
 }
 
-/// Full verification of a kernel's schedule: program-level analysis plus
-/// the packing cross-check, as one report.
-pub fn verify_kernel_schedule(kernel: &Kernel, s: &Schedule, config: &MibConfig) -> Report {
-    let mut report = verify_schedule(&kernel.name, s, config);
-    report.diagnostics.extend(verify_packing(kernel, s));
-    report
+/// In builds with debug assertions, panics unless strict execution
+/// accepts the schedule, naming the machine's error. The program cache
+/// calls it on the value-refreshed load program of every hit (it does not
+/// retain the kernel, so there is no packing to cross-check).
+pub(crate) fn debug_assert_certified(name: &str, s: &Schedule, config: &MibConfig) {
+    if cfg!(debug_assertions) {
+        let strict = mib_verify::predict(&s.program, s.hbm.len(), config, HazardPolicy::Strict);
+        if let Err(e) = strict {
+            panic!("compiler produced an uncertifiable {name} schedule: {e}");
+        }
+    }
 }
 
 /// Schedules a kernel and — in builds with debug assertions — immediately
-/// verifies the result, program-level and packing-level.
+/// certifies the result: one strict prediction plus the packing
+/// cross-check.
 ///
 /// # Panics
 ///
-/// Panics with the full report if verification finds an error-severity
-/// defect: a schedule the machine would reject must never leave the
-/// compiler silently.
+/// Panics with the defect if certification fails: a schedule the machine
+/// would reject, or one the packer placed unfaithfully, must never leave
+/// the compiler silently.
 pub fn checked_schedule(kernel: &Kernel, opts: ScheduleOptions, config: &MibConfig) -> Schedule {
     let s = schedule(kernel, opts);
     if cfg!(debug_assertions) {
-        let report = verify_kernel_schedule(kernel, &s, config);
-        assert!(
-            report.is_certified(),
-            "compiler produced an uncertifiable schedule:\n{report}"
-        );
-        // Cross-check against the cost oracle: a certified schedule must
-        // predict strict acceptance, stall-free, and the report's timing
-        // must agree with the oracle's (they run the same predictor
-        // through two call paths).
-        let cost = crate::cost::static_cost(&s, config)
-            .expect("certified schedule must have a static cost");
-        assert_eq!(
-            cost.stall_cycles, 0,
-            "certified schedule predicts stalls: {cost:?}"
-        );
-        let timing = report.timing.expect("certified schedule has timing");
-        assert_eq!(
-            cost.cycles, timing.predicted_cycles,
-            "cost oracle and verifier timing disagree"
-        );
+        if let Err(e) = verify_packing(kernel, &s) {
+            panic!("compiler packed {} unfaithfully: {e}", kernel.name);
+        }
     }
+    debug_assert_certified(&kernel.name, &s, config);
     s
-}
-
-/// Re-verifies a cache-refreshed load schedule (program-level only — the
-/// cache does not retain the kernel).
-pub(crate) fn maybe_verify_refreshed_load(s: &Schedule, config: &MibConfig) {
-    if cfg!(debug_assertions) {
-        let report = verify_schedule("load(cache-hit)", s, config);
-        assert!(
-            report.is_certified(),
-            "cache-refreshed load schedule failed verification:\n{report}"
-        );
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +194,7 @@ mod tests {
     use super::*;
     use crate::kernel::KernelBuilder;
     use mib_core::instruction::{LaneSource, LaneWrite, WriteMode};
-    use mib_verify::Severity;
+    use mib_core::MibError;
 
     fn config() -> MibConfig {
         MibConfig {
@@ -232,13 +226,18 @@ mod tests {
         b.finish()
     }
 
+    /// The strict prediction of a schedule: `Ok` iff it is certified at
+    /// the program level.
+    fn strict(s: &Schedule) -> Result<mib_verify::StaticTiming, MibError> {
+        mib_verify::predict(&s.program, s.hbm.len(), &config(), HazardPolicy::Strict)
+    }
+
     #[test]
     fn faithful_packing_passes_cross_check() {
         let kernel = chain_kernel();
         let s = schedule(&kernel, ScheduleOptions::default());
-        assert!(verify_packing(&kernel, &s).is_empty());
-        let report = verify_kernel_schedule(&kernel, &s, &config());
-        assert!(report.is_certified(), "{report}");
+        assert_eq!(verify_packing(&kernel, &s), Ok(()));
+        assert!(strict(&s).is_ok());
     }
 
     #[test]
@@ -246,22 +245,18 @@ mod tests {
         let kernel = chain_kernel();
         let mut s = schedule(&kernel, ScheduleOptions::default());
         // Move the consumer one slot after its producer: both the packing
-        // cross-check and the program-level dataflow must object.
+        // cross-check and the strict prediction must object.
         let producer_slot = s.slot_of[0];
         let old_slot = s.slot_of[1];
         let inst = s.program[old_slot].clone();
         s.program[old_slot] = NetInstruction::nop(8);
         s.program[producer_slot + 1] = inst;
         s.slot_of[1] = producer_slot + 1;
-        let diags = verify_packing(&kernel, &s);
-        assert!(diags
-            .iter()
-            .any(|d| matches!(d.kind, DiagKind::PackingDependency { logical: 1, .. })));
-        let report = verify_kernel_schedule(&kernel, &s, &config());
-        assert!(!report.is_certified());
-        assert!(report
-            .errors()
-            .any(|d| matches!(d.kind, DiagKind::HazardRead { .. })));
+        assert!(matches!(
+            verify_packing(&kernel, &s),
+            Err(PackingError::Dependency { logical: 1, .. })
+        ));
+        assert!(matches!(strict(&s), Err(MibError::DataHazard { .. })));
     }
 
     #[test]
@@ -271,10 +266,10 @@ mod tests {
         // Tamper with a published slot without telling slot_of.
         let t = s.slot_of[2];
         s.program[t] = s.program[t].try_merge(&mov(5, 0, 1)).unwrap();
-        let diags = verify_packing(&kernel, &s);
-        assert!(diags
-            .iter()
-            .any(|d| matches!(d.kind, DiagKind::PackingSlotMismatch)));
+        assert_eq!(
+            verify_packing(&kernel, &s),
+            Err(PackingError::SlotMismatch { slot: t })
+        );
     }
 
     #[test]
@@ -288,12 +283,10 @@ mod tests {
         let mut s = schedule(&kernel, ScheduleOptions::default());
         s.slot_of = vec![0, 0];
         s.program = vec![s.program[0].clone()];
-        let diags = verify_packing(&kernel, &s);
+        let err = verify_packing(&kernel, &s);
         assert!(
-            diags
-                .iter()
-                .any(|d| matches!(d.kind, DiagKind::PackingCollision { logical: 1, .. })),
-            "{diags:?}"
+            matches!(err, Err(PackingError::Collision { logical: 1, .. })),
+            "{err:?}"
         );
     }
 
@@ -314,19 +307,19 @@ mod tests {
         let kernel = b.finish();
         let mut s = schedule(&kernel, ScheduleOptions::default());
         s.hbm.pop();
-        let diags = verify_packing(&kernel, &s);
-        assert!(diags
-            .iter()
-            .any(|d| matches!(d.kind, DiagKind::PackingStreamMismatch { .. })));
-        // Program-level verification independently flags the underflow.
-        let report = verify_schedule("stream", &s, &config());
-        assert!(report
-            .errors()
-            .any(|d| matches!(d.kind, DiagKind::StreamUnderflow { .. })));
+        assert_eq!(
+            verify_packing(&kernel, &s),
+            Err(PackingError::StreamMismatch { word: 0 })
+        );
+        // The strict prediction independently rejects the short stream.
+        assert!(matches!(
+            strict(&s),
+            Err(MibError::StreamExhausted { instruction: 0 })
+        ));
     }
 
     #[test]
-    fn forced_appends_surface_as_warning() {
+    fn forced_appends_still_certify() {
         let mut b = KernelBuilder::new("tight", 8, config().latency());
         b.push(mov(0, 2, 1), vec![]);
         b.push(mov(0, 3, 1), vec![]);
@@ -341,14 +334,9 @@ mod tests {
             },
         );
         assert!(s.forced_appends > 0);
-        let report = verify_kernel_schedule(&kernel, &s, &config());
         // Degraded packing is still collision-free and hazard-free.
-        assert!(report.is_certified(), "{report}");
-        assert!(report
-            .diagnostics
-            .iter()
-            .any(|d| matches!(d.kind, DiagKind::ForcedAppends { count } if count > 0)));
-        assert!(report.count(Severity::Warning) >= 1);
+        assert_eq!(verify_packing(&kernel, &s), Ok(()));
+        assert!(strict(&s).is_ok());
     }
 
     #[test]

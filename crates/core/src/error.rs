@@ -9,8 +9,8 @@ pub enum MibError {
     /// instruction at `cycle` reads or accumulates into a location whose
     /// pending write completes only at `ready`. The reported location is
     /// the **binding** hazard — the pending write with the latest
-    /// visibility cycle — so dynamic reports line up with the static
-    /// verifier's diagnostics.
+    /// visibility cycle — and the static timing predictor
+    /// (`mib_verify::predict`) returns the identical value.
     DataHazard {
         /// Issue cycle of the offending instruction.
         cycle: u64,

@@ -1040,6 +1040,41 @@ mod tests {
         d.route(6, 2);
         // Verify conflict detection catches the shared node.
         assert!(c.conflicts_with(&d).is_some());
+
+        // One write port per lane: a store and a latch load on lane 3
+        // cannot share a slot, so no slot can write a location twice.
+        let mut store = NetInstruction::nop(8);
+        store.set_write(
+            3,
+            LaneWrite {
+                addr: 0,
+                mode: WriteMode::Store,
+            },
+        );
+        let mut latch = NetInstruction::nop(8);
+        latch.set_write(
+            3,
+            LaneWrite {
+                addr: 0,
+                mode: WriteMode::Latch,
+            },
+        );
+        assert_eq!(
+            store.try_merge(&latch),
+            Err(MibError::MergeConflict("lane 3 write port".into()))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 3 write already set")]
+    fn second_write_on_a_lane_panics() {
+        let mut i = NetInstruction::nop(8);
+        let write = LaneWrite {
+            addr: 0,
+            mode: WriteMode::Store,
+        };
+        i.set_write(3, write);
+        i.set_write(3, write);
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl Machine {
             // Earliest hazard-free issue cycle, held back by the *binding*
             // hazard (the pending write with the latest visibility cycle)
             // so the strict-mode error carries the same provenance the
-            // static verifier reports.
+            // static timing predictor reports.
             let hazard = pending.binding(inst, cycle + 1);
             let issue = hazard.map_or(cycle, |h| h.ready);
             if let Some(h) = hazard {

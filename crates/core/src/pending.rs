@@ -1,6 +1,7 @@
 //! The pending-write window: the register and latch writes still in
 //! flight, as the machine's hazard check, the static timing predictor
-//! (`mib_verify::timing`) and the critical-path extractor
+//! (`mib_verify::timing`, whose strict verdict certifies compiled
+//! schedules) and the critical-path extractor
 //! (`mib_verify::critical_path`) all see them.
 //!
 //! One slot issues per cycle and its writes become visible `latency`

@@ -23,7 +23,23 @@ use mib_core::instruction::{InstrKind, NetInstruction};
 use mib_core::pending::PendingWrites;
 use mib_core::MibConfig;
 
-use crate::diag::Loc;
+/// A storage location of the machine: a register-bank word or a lane's
+/// broadcast latch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Loc {
+    /// `bank[addr]` of the banked register files.
+    Reg {
+        /// Bank (= lane) index.
+        bank: usize,
+        /// Address within the bank.
+        addr: usize,
+    },
+    /// The broadcast latch of a lane.
+    Latch {
+        /// Lane index.
+        lane: usize,
+    },
+}
 
 /// One hop of the critical dependence chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,8 +82,8 @@ struct Binding {
 /// Extracts the critical path of `program` under the stall policy.
 ///
 /// Programs with a width mismatch have no meaningful lane indexing; they
-/// yield an empty default path (the width errors from the structural
-/// checker already refute them). Address or stream faults do not affect
+/// yield an empty default path (the timing predictor rejects them with
+/// `MibError::WidthMismatch`). Address or stream faults do not affect
 /// issue timing and are ignored here — the timing predictor
 /// ([`crate::timing::predict`]) is the authority on fault identity.
 pub fn critical_path(program: &[NetInstruction], config: &MibConfig) -> CriticalPath {

@@ -1,115 +1,41 @@
-//! **mib-verify** — static dataflow verifier and lint pass for compiled
-//! MIB schedules.
+//! **mib-verify** — static analysis of compiled MIB programs: exact
+//! timing prediction and critical-path extraction, without execution.
 //!
-//! [`verify_program`] analyzes a program *without executing it* and proves
-//! (or refutes) that [`mib_core::machine::Machine::run`] under the strict
-//! hazard policy would accept it:
+//! * [`predict`] replays the issue rules of
+//!   [`mib_core::machine::Machine::run`] without computing any value. It
+//!   returns the run's full `ExecStats`, or the very `MibError` the
+//!   machine would reject the program with, at the same instruction.
+//! * [`critical_path()`] decomposes a program's cycle count into the chain
+//!   of dependences that bounds it, with slot and [`Loc`] provenance.
 //!
-//! * a **def-use / liveness dataflow** over the register banks and
-//!   per-lane broadcast latches shows every read issues outside its
-//!   producer's latency window (`latency = log₂C + 2` slots), and flags
-//!   dead writes, same-slot double writes and reads of uninitialized
-//!   locations (the program's live-in set),
-//! * a **structural linter** checks instruction widths, register address
-//!   ranges, writebacks of undriven (architectural-zero) lanes, and that
-//!   the HBM stream is consumed exactly — the machine reads words
-//!   positionally, so any count mismatch is a bug,
-//! * a **register-pressure report** gives peak live values per bank
-//!   against the configured bank depth.
-//!
-//! Every finding is a [`Diagnostic`] carrying provenance: severity, issue
-//! slot, and the storage [`Loc`] involved. A program with zero
-//! [`Severity::Error`] findings is **certified**: the machine's strict
-//! execution provably cannot reject it. The converse also holds — every
-//! error-severity kind corresponds to a concrete `MibError` the machine
-//! raises — so the static verdict and the dynamic one never disagree
-//! (property-tested in `tests/`).
+//! Because the machine is fully static, "would strict execution accept
+//! this program" has one exact answer, and [`predict`] computes it. A
+//! program is **certified** when
+//! `predict(program, hbm_words, config, HazardPolicy::Strict)` is `Ok`;
+//! the compiler adds its packing cross-check for the schedules it packs
+//! (`mib_compiler::verify`). `tests/proptest_verify.rs` pins the verdict
+//! against strict execution on random programs and on mutated compiled
+//! schedules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod critical_path;
-pub mod diag;
-pub mod report;
 pub mod timing;
 
-mod dataflow;
-mod structural;
-
-pub use critical_path::{critical_path, CriticalHop, CriticalPath};
-pub use diag::{DiagKind, Diagnostic, Loc, Severity};
-pub use report::{BankPressure, Certificate, PressureReport, Report, TimingSummary};
+pub use critical_path::{critical_path, CriticalHop, CriticalPath, Loc};
 pub use timing::{predict, StaticTiming};
-
-use mib_core::instruction::NetInstruction;
-use mib_core::machine::HazardPolicy;
-use mib_core::MibConfig;
-
-/// Statically verifies one program against a machine configuration and an
-/// HBM stream of `hbm_words` words.
-///
-/// `name` labels the report (e.g. the schedule's phase, `"iteration"`).
-/// The returned [`Report`] is certified iff strict execution would accept
-/// the program; warnings and infos never block certification.
-pub fn verify_program(
-    name: &str,
-    program: &[NetInstruction],
-    hbm_words: usize,
-    config: &MibConfig,
-) -> Report {
-    let (mut diagnostics, width_mismatch) = structural::check(program, hbm_words, config);
-    let (pressure, timing) = if width_mismatch {
-        // Mixed widths make lane indexing meaningless; the width errors
-        // alone already refute the program.
-        (
-            PressureReport {
-                banks: Vec::new(),
-                bank_depth: config.bank_depth,
-            },
-            None,
-        )
-    } else {
-        let (flow_diags, pressure) = dataflow::analyze(program, config);
-        diagnostics.extend(flow_diags);
-        // Exact timing prediction under the stall policy (a certified
-        // program has zero stalls, so this equals its strict cycle
-        // count); faulting programs carry no timing.
-        let timing = timing::predict(program, hbm_words, config, HazardPolicy::Stall)
-            .ok()
-            .map(|t| {
-                let cp = critical_path::critical_path(program, config);
-                TimingSummary {
-                    predicted_cycles: t.stats.cycles,
-                    stall_cycles: t.stats.stall_cycles,
-                    critical_path_cycles: cp.cycles,
-                    critical_path_hops: cp.hops.len(),
-                }
-            });
-        (pressure, timing)
-    };
-    // Deterministic report order: most severe first, then by slot
-    // (whole-program findings last), then by location — byte-stable
-    // across runs and platforms.
-    diagnostics.sort_by_key(|d| {
-        (
-            std::cmp::Reverse(d.severity),
-            d.slot.map_or((1, 0), |s| (0, s)),
-            d.kind.loc(),
-        )
-    });
-    Report {
-        name: name.to_string(),
-        slots: program.len(),
-        diagnostics,
-        pressure,
-        timing,
-    }
-}
 
 #[cfg(test)]
 mod tests {
+    //! Certification is the strict prediction's verdict: each way a
+    //! program can fail it is one `MibError`, with the machine's
+    //! provenance.
+
     use super::*;
-    use mib_core::instruction::{LaneSource, LaneWrite, WriteMode};
+    use mib_core::instruction::{LaneSource, LaneWrite, NetInstruction, WriteMode};
+    use mib_core::machine::HazardPolicy;
+    use mib_core::{MibConfig, MibError};
 
     fn config8() -> MibConfig {
         MibConfig {
@@ -117,6 +43,14 @@ mod tests {
             bank_depth: 64,
             clock_hz: 1e6,
         }
+    }
+
+    fn certify(
+        program: &[NetInstruction],
+        hbm_words: usize,
+        cfg: &MibConfig,
+    ) -> Result<StaticTiming, MibError> {
+        predict(program, hbm_words, cfg, HazardPolicy::Strict)
     }
 
     /// `dst[lane] <- stream` for one lane.
@@ -149,40 +83,33 @@ mod tests {
         i
     }
 
-    fn nop_slots(n: usize) -> Vec<NetInstruction> {
-        vec![NetInstruction::nop(8); n]
-    }
-
     #[test]
     fn clean_program_certifies() {
         let cfg = config8();
         let latency = cfg.latency() as usize;
         let mut prog = vec![load(0, 3)];
-        prog.extend(nop_slots(latency - 1));
+        prog.extend(vec![NetInstruction::nop(8); latency - 1]);
         prog.push(copy(0, 3, 4));
-        let report = verify_program("clean", &prog, 1, &cfg);
-        assert!(report.is_certified(), "{report}");
-        assert_eq!(report.count(Severity::Error), 0);
-        assert_eq!(report.slots, latency + 1);
+        let timing = certify(&prog, 1, &cfg).expect("exact-latency spacing is legal");
+        assert_eq!(timing.stats.slots, latency as u64 + 1);
+        assert_eq!(timing.stats.stall_cycles, 0);
     }
 
     #[test]
     fn hazard_read_is_flagged_with_provenance() {
         let cfg = config8();
         let prog = vec![load(0, 3), copy(0, 3, 4)];
-        let report = verify_program("hazard", &prog, 1, &cfg);
-        assert!(!report.is_certified());
-        let err = report.errors().next().unwrap();
-        assert_eq!(err.slot, Some(1));
-        assert!(matches!(
-            err.kind,
-            DiagKind::HazardRead {
-                loc: Loc::Reg { bank: 0, addr: 3 },
-                write_slot: 0,
-                rmw: false,
-                ..
+        assert_eq!(
+            certify(&prog, 1, &cfg).unwrap_err(),
+            MibError::DataHazard {
+                cycle: 1,
+                instruction: 1,
+                bank: 0,
+                addr: 3,
+                latch: false,
+                ready: cfg.latency(),
             }
-        ));
+        );
     }
 
     #[test]
@@ -190,22 +117,30 @@ mod tests {
         let cfg = config8();
         // Slot 0 stores to (0, 3); slot 1 accumulates into (0, 3) — the
         // writeback's implicit read is inside the latency window.
-        let mut prog = vec![load(0, 3)];
-        let mut i = NetInstruction::nop(8);
-        i.set_input(0, LaneSource::Stream);
-        i.route(0, 0);
-        i.set_write(
+        let mut acc = NetInstruction::nop(8);
+        acc.set_input(0, LaneSource::Stream);
+        acc.route(0, 0);
+        acc.set_write(
             0,
             LaneWrite {
                 addr: 3,
                 mode: WriteMode::Add,
             },
         );
-        prog.push(i);
-        let report = verify_program("rmw", &prog, 2, &cfg);
-        assert!(report
-            .errors()
-            .any(|d| matches!(d.kind, DiagKind::HazardRead { rmw: true, .. })));
+        let err = certify(&[load(0, 3), acc], 2, &cfg).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MibError::DataHazard {
+                    instruction: 1,
+                    bank: 0,
+                    addr: 3,
+                    latch: false,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -241,201 +176,58 @@ mod tests {
                 mode: WriteMode::Add,
             },
         );
-        let report = verify_program("latch", &[bcast, elim], 0, &cfg);
-        assert!(report.errors().any(|d| matches!(
-            d.kind,
-            DiagKind::HazardRead {
-                loc: Loc::Latch { lane: 0 },
-                ..
-            }
-        )));
+        let err = certify(&[bcast, elim], 0, &cfg).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MibError::DataHazard {
+                    instruction: 1,
+                    bank: 0,
+                    latch: true,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]
     fn stream_accounting_catches_both_directions() {
         let cfg = config8();
         let prog = vec![load(0, 3)];
-        let under = verify_program("under", &prog, 0, &cfg);
-        assert!(under.errors().any(|d| matches!(
-            d.kind,
-            DiagKind::StreamUnderflow {
-                consumed: 1,
-                provided: 0
-            }
-        )));
-        let over = verify_program("over", &prog, 2, &cfg);
-        assert!(over.is_certified());
-        assert!(over.diagnostics.iter().any(|d| matches!(
-            d.kind,
-            DiagKind::StreamSurplus {
-                consumed: 1,
-                provided: 2
-            }
-        )));
-    }
-
-    #[test]
-    fn dead_write_and_live_in_are_reported() {
-        let cfg = config8();
-        let latency = cfg.latency() as usize;
-        // Slot 0 writes (0, 3); never read; overwritten later. Also a read
-        // of never-written (1, 9) -> live-in info.
-        let mut prog = vec![load(0, 3)];
-        prog.extend(nop_slots(latency));
-        prog.push(copy(1, 9, 10));
-        prog.push(load(0, 3));
-        let report = verify_program("lints", &prog, 2, &cfg);
-        assert!(report.is_certified(), "{report}");
-        assert!(report.diagnostics.iter().any(|d| matches!(
-            d.kind,
-            DiagKind::DeadWrite {
-                loc: Loc::Reg { bank: 0, addr: 3 },
-                write_slot: 0,
-            }
-        )));
-        // The live-in sample carries the first-read slot as provenance.
-        assert!(report.diagnostics.iter().any(|d| matches!(
-            &d.kind,
-            DiagKind::ReadBeforeInit { count: 1, sample } if sample
-                == &vec![(Loc::Reg { bank: 1, addr: 9 }, latency + 1)]
-        )));
-    }
-
-    #[test]
-    fn rmw_overwrite_is_not_a_dead_write() {
-        let cfg = config8();
-        let latency = cfg.latency() as usize;
-        let mut prog = vec![load(0, 3)];
-        prog.extend(nop_slots(latency - 1));
-        let mut acc = NetInstruction::nop(8);
-        acc.set_input(0, LaneSource::Stream);
-        acc.route(0, 0);
-        acc.set_write(
-            0,
-            LaneWrite {
-                addr: 3,
-                mode: WriteMode::Add,
-            },
+        assert_eq!(
+            certify(&prog, 0, &cfg).unwrap_err(),
+            MibError::StreamExhausted { instruction: 0 }
         );
-        prog.push(acc);
-        let report = verify_program("rmw-overwrite", &prog, 2, &cfg);
-        assert!(report.is_certified(), "{report}");
-        assert!(!report
-            .diagnostics
-            .iter()
-            .any(|d| matches!(d.kind, DiagKind::DeadWrite { .. })));
+        // A surplus word blocks nothing (the machine tolerates leftovers),
+        // and the prediction counts the one word actually consumed.
+        let over = certify(&prog, 2, &cfg).expect("surplus stream certifies");
+        assert_eq!(over.stats.hbm_words, 1);
     }
 
     #[test]
     fn width_and_address_errors() {
         let cfg = config8();
-        let report = verify_program("width", &[NetInstruction::nop(4)], 0, &cfg);
-        assert!(report.errors().any(|d| matches!(
-            d.kind,
-            DiagKind::WidthMismatch {
-                got: 4,
-                expected: 8
+        assert_eq!(
+            certify(&[NetInstruction::nop(4)], 0, &cfg).unwrap_err(),
+            MibError::WidthMismatch {
+                instruction: 4,
+                machine: 8,
             }
-        )));
-
-        let report = verify_program("addr", &[copy(2, 64, 0)], 0, &cfg);
-        assert!(report.errors().any(|d| matches!(
-            d.kind,
-            DiagKind::AddressOutOfRange {
-                loc: Loc::Reg { bank: 2, addr: 64 },
+        );
+        assert_eq!(
+            certify(&[copy(2, 64, 0)], 0, &cfg).unwrap_err(),
+            MibError::AddressOutOfRange {
+                bank: 2,
+                addr: 64,
                 depth: 64,
             }
-        )));
-    }
-
-    #[test]
-    fn undriven_write_is_warned() {
-        let cfg = config8();
-        // A writeback on a lane whose final stage is idle commits zero.
-        let mut i = NetInstruction::nop(8);
-        i.set_write(
-            5,
-            LaneWrite {
-                addr: 0,
-                mode: WriteMode::Store,
-            },
         );
-        let report = verify_program("undriven", &[i], 0, &cfg);
-        assert!(report.is_certified());
-        assert!(report
-            .diagnostics
-            .iter()
-            .any(|d| matches!(d.kind, DiagKind::UndrivenWrite { lane: 5 })));
-    }
-
-    #[test]
-    fn pressure_tracks_peak_live_values() {
-        let cfg = config8();
-        let latency = cfg.latency() as usize;
-        // Two values live simultaneously in bank 0.
-        let mut prog = vec![load(0, 1), load(0, 2)];
-        prog.extend(nop_slots(latency));
-        prog.push(copy(0, 1, 3));
-        prog.push(copy(0, 2, 4));
-        let report = verify_program("pressure", &prog, 2, &cfg);
-        assert!(report.is_certified(), "{report}");
-        assert!(report.pressure.banks[0].peak_live >= 2);
-        assert_eq!(report.pressure.banks[7].peak_live, 0);
-        assert!(report.pressure.banks[0].touched >= 4);
-        assert_eq!(report.pressure.bank_depth, 64);
     }
 
     #[test]
     fn empty_program_is_trivially_certified() {
-        let report = verify_program("empty", &[], 0, &config8());
-        assert!(report.is_certified());
-        assert_eq!(report.pressure.peak_live(), 0);
-        assert_eq!(report.timing.map(|t| t.predicted_cycles), Some(0));
-    }
-
-    #[test]
-    fn report_carries_exact_timing_and_critical_path() {
-        let cfg = config8();
-        let latency = cfg.latency() as usize;
-        let mut prog = vec![load(0, 3)];
-        prog.extend(nop_slots(latency - 1));
-        prog.push(copy(0, 3, 4));
-        let report = verify_program("timed", &prog, 1, &cfg);
-        let timing = report.timing.expect("runnable program has timing");
-        assert_eq!(timing.predicted_cycles, (prog.len() + latency) as u64);
-        assert_eq!(timing.stall_cycles, 0);
-        assert_eq!(timing.critical_path_cycles, timing.predicted_cycles);
-        // load -> copy is a tight dependence: exactly one hop.
-        assert_eq!(timing.critical_path_hops, 1);
-        assert!(report.to_string().contains("predicted"), "{report}");
-
-        // A faulting program (stream underflow) carries no timing.
-        let report = verify_program("faulty", &[load(0, 3)], 0, &cfg);
-        assert!(report.timing.is_none());
-    }
-
-    #[test]
-    fn diagnostics_are_sorted_by_severity_slot_loc() {
-        let cfg = config8();
-        let latency = cfg.latency() as usize;
-        // A program producing findings of every severity, anchored to
-        // slots out of order: a hazard (error) late in the program, a
-        // dead write (warning) early, a live-in read (info, global).
-        let mut prog = vec![load(0, 3)]; // dead write at slot 0
-        prog.push(copy(1, 9, 10)); // live-in read of (1, 9)
-        prog.extend(nop_slots(latency));
-        prog.push(load(0, 3)); // overwrite -> dead write
-        prog.push(copy(0, 3, 4)); // hazard: read inside latency window
-        let report = verify_program("sorted", &prog, 2, &cfg);
-        assert!(!report.is_certified());
-        // Severities are non-increasing across the report.
-        let sevs: Vec<Severity> = report.diagnostics.iter().map(|d| d.severity).collect();
-        let mut sorted = sevs.clone();
-        sorted.sort_by(|a, b| b.cmp(a));
-        assert_eq!(sevs, sorted, "{report}");
-        // Byte-stable: re-verifying yields the identical report text.
-        let again = verify_program("sorted", &prog, 2, &cfg);
-        assert_eq!(report.to_string(), again.to_string());
-        assert_eq!(report, again);
+        let timing = certify(&[], 0, &config8()).expect("empty program certifies");
+        assert_eq!(timing.cycles(), 0);
     }
 }

@@ -25,8 +25,8 @@
 //! instruction's lane masks), and the per-slot counts are popcounts, so
 //! what remains is the hazard scan and the fault replay. Over the
 //! 120-program `verify_schedules --timing` sample at C = 32, prediction
-//! took 0.40 s against the simulator's 0.71 s (`speedup` 1.76 in
-//! `results/BENCH_verify.json`; 1.64–1.76 over three runs). Each side was
+//! took 0.34 s against the simulator's 0.59 s (`speedup` 1.74 in
+//! `results/BENCH_verify.json`; 1.74–1.81 over three runs). Each side was
 //! timed on its own call, one machine serving every run, on a 2-vCPU
 //! Intel Xeon guest. That is cheap enough to run on every compiled
 //! schedule as the compiler's cost oracle

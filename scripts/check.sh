@@ -85,13 +85,15 @@ echo "==> SIMD kernels (bench schema smoke gate)"
 cargo run --release -q -p mib-bench --bin kernel_bench -- --smoke >/dev/null
 
 echo "==> static timing (predicted-vs-simulated smoke gate + checked-profile tests)"
-# One instance per domain: every compiled program's statically predicted
-# execution statistics must equal the simulator's, bitwise, and forced
-# appends must stay at the committed baseline.
+# One instance per domain: every compiled program must be certified (the
+# strict prediction accepts it), its statically predicted execution
+# statistics must equal the simulator's, bitwise, and forced appends must
+# stay at the committed baseline.
 cargo run --release -q -p mib-bench --bin verify_schedules -- --smoke >/dev/null
-# Re-run the cycle-accounting tests optimized but with debug assertions
-# and overflow checks armed (the [profile.checked] build).
-cargo test --profile checked --test static_timing --test proptest_timing -q
+# Re-run the cycle-accounting and certification-verdict tests optimized
+# but with debug assertions and overflow checks armed (the
+# [profile.checked] build).
+cargo test --profile checked --test static_timing --test proptest_timing --test proptest_verify -q
 
 echo "==> tracing (trace report smoke gate)"
 cargo run --release -q -p mib-bench --bin trace_report -- --smoke >/dev/null

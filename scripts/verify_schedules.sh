@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Static certification gate: run the mib-verify dataflow/structural
-# verifier over every benchmark-suite schedule (five domains, both KKT
-# variants) and fail on any error-severity finding.
+# Static certification gate: predict every benchmark-suite schedule (five
+# domains, both KKT variants) under the strict hazard policy and fail if
+# any is rejected or its prediction differs from the simulator.
 #
 # Pass --full to certify all 20 instances per domain instead of the
 # default three-instance sample.

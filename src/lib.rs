@@ -10,8 +10,9 @@
 //! * [`core`] — the cycle-accurate Multi-Issue Butterfly machine model,
 //! * [`compiler`] — sparsity-pattern-driven network-instruction generation
 //!   and first-fit multi-issue scheduling,
-//! * [`verify`] — static dataflow verifier and lint pass certifying
-//!   compiled schedules hazard-free without executing them,
+//! * [`verify`] — exact static timing prediction, which certifies
+//!   compiled schedules hazard-free without executing them, and
+//!   critical-path extraction,
 //! * [`problems`] — the five-domain benchmark generators,
 //! * [`platforms`] — reference CPU/GPU/RSQP performance models,
 //! * [`serve`] — the multi-tenant serving runtime (pattern-sharded warm

@@ -8,7 +8,7 @@ use mib::core::hbm::HbmStream;
 use mib::core::machine::{HazardPolicy, Machine};
 use mib::core::MibConfig;
 use mib::problems::{instance, mpc, Domain};
-use mib::qp::{KktBackend, Settings, Solver};
+use mib::qp::{KktBackend, QpError, Settings, Solver};
 
 fn mib_settings(backend: KktBackend) -> Settings {
     let mut s = Settings::with_backend(backend);
@@ -171,4 +171,29 @@ fn schedules_are_value_generic_across_instances() {
     assert_eq!(la.iteration.slots(), lb.iteration.slots());
     assert_eq!(la.pcg_iteration.slots(), lb.pcg_iteration.slots());
     assert_eq!(la.check.slots(), lb.check.slots());
+}
+
+/// A register layout deeper than the banks is refused at lowering time
+/// with a typed error naming the words needed and available — in every
+/// build profile, before any schedule addresses past the bank.
+#[test]
+fn bank_depth_overflow_is_a_lowering_error() {
+    let problem = instance(Domain::Lasso, 5).problem;
+    for backend in [KktBackend::Direct, KktBackend::Indirect] {
+        let settings = mib_settings(backend);
+        for bank_depth in [8, 64, 256] {
+            let config = MibConfig {
+                width: 32,
+                bank_depth,
+                ..MibConfig::c32()
+            };
+            let err = lower(&problem, &settings, config).err();
+            assert!(
+                matches!(&err, Some(QpError::InvalidSetting(msg))
+                    if msg.contains("needs") && msg.ends_with(&format!("bank_depth is {bank_depth}"))),
+                "{backend:?}, bank_depth {bank_depth}: {err:?}"
+            );
+        }
+        assert!(lower(&problem, &settings, MibConfig::c32()).is_ok());
+    }
 }

@@ -1,13 +1,15 @@
-//! Differential tests between the static verifier (`mib-verify`) and the
-//! cycle-accurate machine in strict hazard mode.
+//! Differential tests between static certification (`mib-verify`'s
+//! strict prediction) and the cycle-accurate machine in strict hazard
+//! mode.
 //!
-//! The contract under test: a program is statically certified (zero
-//! error-severity diagnostics) **iff** `Machine::run(Strict)` executes it
-//! without error on a stream of matching length. Random op-tuple programs
-//! exercise the hazard/latency analysis from both sides; seeded mutations
-//! of known-good compiled schedules (slot swaps, shrunk latency gaps,
-//! dropped HBM words) check that every dynamically observable corruption
-//! is also caught statically.
+//! The contract under test: a program is statically certified
+//! (`predict(…, HazardPolicy::Strict)` is `Ok`) **iff**
+//! `Machine::run(Strict)` executes it without error on a stream of the
+//! given length. Random op-tuple programs exercise the hazard/latency
+//! rules from both sides; seeded mutations of known-good compiled
+//! schedules (slot swaps, shrunk latency gaps, dropped HBM words) check
+//! that every dynamically observable corruption is also caught
+//! statically.
 
 use mib::compiler::elementwise::load_vec;
 use mib::compiler::spmv::{mac_spmv, SpmvOptions};
@@ -17,7 +19,7 @@ use mib::core::instruction::{LaneSource, LaneWrite, NetInstruction, WriteMode};
 use mib::core::machine::{HazardPolicy, Machine};
 use mib::core::MibConfig;
 use mib::sparse::CscMatrix;
-use mib::verify::verify_program;
+use mib::verify::predict;
 use proptest::prelude::*;
 
 fn config() -> MibConfig {
@@ -35,7 +37,7 @@ type OpTuple = (usize, usize, usize, usize, usize);
 /// Interprets op tuples into a straight-line network program. Kinds:
 /// register move, stream load, accumulating (RMW) write, latch load, and
 /// a latch-multiplied read — together they cover every hazard class the
-/// verifier models (register RAW, RMW read-before-write, latch RAW).
+/// machine checks (register RAW, RMW read-before-write, latch RAW).
 fn build_program(ops: &[OpTuple], cfg: &MibConfig) -> Vec<NetInstruction> {
     let mut program = Vec::new();
     for &(kind, lane, src, dst, gap) in ops {
@@ -96,12 +98,12 @@ fn build_program(ops: &[OpTuple], cfg: &MibConfig) -> Vec<NetInstruction> {
 
 /// Runs both sides and returns (statically certified, machine accepted).
 fn both_verdicts(program: &[NetInstruction], hbm: Vec<f64>, cfg: &MibConfig) -> (bool, bool) {
-    let report = verify_program("differential", program, hbm.len(), cfg);
+    let certified = predict(program, hbm.len(), cfg, HazardPolicy::Strict).is_ok();
     let mut m = Machine::new(*cfg);
     let dynamic = m
         .run(program, &mut HbmStream::new(hbm), HazardPolicy::Strict)
         .is_ok();
-    (report.is_certified(), dynamic)
+    (certified, dynamic)
 }
 
 /// A known-good compiled schedule (SpMV over a small dense-ish matrix)
@@ -159,8 +161,8 @@ proptest! {
     }
 
     /// Stream-length perturbations: a short stream is rejected by both
-    /// sides; a surplus stream blocks neither (the verifier downgrades it
-    /// to a warning because the machine tolerates leftover words).
+    /// sides; a surplus stream blocks neither (the machine tolerates
+    /// leftover words).
     #[test]
     fn stream_length_mismatches_agree(
         ops in proptest::collection::vec(
@@ -237,7 +239,7 @@ fn dropped_hbm_word_is_caught_statically() {
     assert!(!hbm.is_empty());
     hbm.pop();
     let (certified, dynamic) = both_verdicts(&program, hbm, &cfg);
-    assert!(!certified, "verifier must flag the short stream");
+    assert!(!certified, "certification must reject the short stream");
     assert!(!dynamic, "machine must also reject it");
 }
 
@@ -270,12 +272,12 @@ fn shrunk_latency_gap_is_caught_statically() {
     // Removing one nop shrinks the gap below the pipeline latency.
     program.remove(1);
     let (certified, dynamic) = both_verdicts(&program, Vec::new(), &cfg);
-    assert!(!certified, "verifier must flag the shrunk gap");
+    assert!(!certified, "certification must reject the shrunk gap");
     assert!(!dynamic, "machine must also reject it");
 }
 
-/// Exhaustive adjacent-swap sweep over the compiled substrate: the static
-/// verifier catches every mutation strict execution catches (a 100%
+/// Exhaustive adjacent-swap sweep over the compiled substrate: static
+/// certification catches every mutation strict execution catches (a 100%
 /// catch rate on dynamically observable corruptions), and the two sides
 /// never disagree in either direction.
 #[test]

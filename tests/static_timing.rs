@@ -78,7 +78,6 @@ fn static_prediction_is_bitwise_exact_across_the_suite() {
                         .unwrap();
                     assert_eq!(cost.cycles, stats.cycles, "{label}: oracle cycles");
                     assert_eq!(cost.slots, stats.slots, "{label}: oracle slots");
-                    assert_eq!(cost.stall_cycles, 0, "{label}: certified => no stalls");
                     let cp = critical_path(&s.program, &config);
                     assert_eq!(cp.cycles, stats.cycles, "{label}: critical-path total");
                     assert_eq!(cp.stall_cycles, 0, "{label}: certified => tight hops only");
