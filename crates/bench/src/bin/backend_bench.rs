@@ -1,38 +1,48 @@
 //! backend_bench: per-domain convergence comparison of the solver
-//! backends (ADMM vs restarted-PDHG "PDQP") on the benchmark suite.
+//! backends (ADMM on the direct and on the indirect KKT backend, and
+//! restarted-PDHG "PDQP") on the benchmark suite.
 //!
 //! For every domain the harness solves suite instances cold under each
-//! [`Algorithm`] and records iterations and wall time to the shared
-//! termination tolerance. The report is machine-diffable JSON
+//! backend and records iterations, PCG iterations and wall time to the
+//! shared termination tolerance. The report is machine-diffable JSON
 //! (`results/BENCH_backends.json`): stable key order, one run object per
 //! (domain, instance, backend); iteration counts are deterministic,
 //! wall-clock fields are environment-dependent.
 //!
 //! The run doubles as a correctness gate (`scripts/check.sh --smoke`):
-//! ADMM must converge on every instance it benchmarks, and PDQP must
-//! reach the same tolerance on every instance where ADMM does.
+//! every backend must converge on every instance it benchmarks.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use mib_problems::{instance, Domain};
-use mib_qp::{Algorithm, Settings, Solver, Status};
+use mib_qp::{Algorithm, KktBackend, Settings, Solver, Status};
 use mib_trace::json::write_f64;
 
 /// Suite indices exercised per domain (smoke keeps the gate fast).
 const SMOKE_INDICES: &[usize] = &[0];
 const FULL_INDICES: &[usize] = &[0, 4, 9];
 
-/// Iteration cap per backend. First-order PDQP takes far more (cheap)
-/// iterations than ADMM takes (factorized) ones; both caps are sized so
-/// every convergent suite problem terminates by tolerance, not by cap.
-fn settings_for(algorithm: Algorithm) -> Settings {
-    let mut s = Settings::with_algorithm(algorithm);
-    s.max_iter = match algorithm {
-        Algorithm::Admm => 20_000,
-        Algorithm::Pdqp => 2_000_000,
+/// The benchmarked backends by report label, ADMM first. Iteration caps:
+/// first-order PDQP takes far more (cheap) iterations than ADMM takes
+/// (factorized or PCG-solved) ones; both caps are sized so every
+/// convergent suite problem terminates by tolerance, not by cap.
+fn backends() -> [(&'static str, Settings); 3] {
+    let admm = |backend| Settings {
+        max_iter: 20_000,
+        ..Settings::with_backend(backend)
     };
-    s
+    [
+        ("admm", admm(KktBackend::Direct)),
+        ("admm-indirect", admm(KktBackend::Indirect)),
+        (
+            "pdqp",
+            Settings {
+                max_iter: 2_000_000,
+                ..Settings::with_algorithm(Algorithm::Pdqp)
+            },
+        ),
+    ]
 }
 
 /// One cold solve of one instance under one backend.
@@ -41,9 +51,10 @@ struct Run {
     index: usize,
     n: usize,
     m: usize,
-    algorithm: Algorithm,
+    backend: &'static str,
     status: Status,
     iterations: usize,
+    pcg_iters: usize,
     micros: u128,
     prim_res: f64,
     dual_res: f64,
@@ -57,8 +68,9 @@ fn main() {
     for domain in Domain::all() {
         for &index in indices {
             let spec = instance(domain, index);
-            for algorithm in Algorithm::all() {
-                let mut solver = Solver::new(spec.problem.clone(), settings_for(algorithm))
+            for (backend, settings) in backends() {
+                let algorithm = settings.algorithm;
+                let mut solver = Solver::new(spec.problem.clone(), settings)
                     .expect("benchmark instance is valid");
                 let started = Instant::now();
                 let result = solver.solve();
@@ -72,9 +84,10 @@ fn main() {
                     index,
                     n: spec.problem.num_vars(),
                     m: spec.problem.num_constraints(),
-                    algorithm,
+                    backend,
                     status: result.status,
                     iterations: result.iterations,
+                    pcg_iters: result.profile.pcg_iters,
                     micros: wall.as_micros(),
                     prim_res: result.prim_res,
                     dual_res: result.dual_res,
@@ -83,31 +96,20 @@ fn main() {
         }
     }
 
-    // Correctness gate: the ADMM reference must converge everywhere, and
-    // PDQP must reach the same tolerance on every ADMM-convergent
-    // instance (the suite has no infeasible problems).
-    for pair in runs.chunks(Algorithm::all().len()) {
-        let admm = &pair[0];
+    // Correctness gate: every backend must converge on every instance
+    // (the suite has no infeasible problems).
+    for r in &runs {
         assert_eq!(
-            admm.status,
+            r.status,
             Status::Solved,
-            "ADMM failed on {}[{}]",
-            admm.domain,
-            admm.index
+            "{} failed on {}[{}] ({} iterations, residuals {:.3e}/{:.3e})",
+            r.backend,
+            r.domain,
+            r.index,
+            r.iterations,
+            r.prim_res,
+            r.dual_res
         );
-        for other in &pair[1..] {
-            assert_eq!(
-                other.status,
-                Status::Solved,
-                "{} failed on {}[{}] where ADMM converged ({} iterations, residuals {:.3e}/{:.3e})",
-                other.algorithm,
-                other.domain,
-                other.index,
-                other.iterations,
-                other.prim_res,
-                other.dual_res
-            );
-        }
     }
 
     let mut json = String::from("{\"bench\":\"backends\",");
@@ -123,15 +125,16 @@ fn main() {
         let _ = write!(
             json,
             "{{\"domain\":\"{}\",\"index\":{},\"n\":{},\"m\":{},\"backend\":\"{}\",\
-             \"converged\":{},\"iterations\":{},\"solve_time_us\":{},\
+             \"converged\":{},\"iterations\":{},\"pcg_iters\":{},\"solve_time_us\":{},\
              \"prim_res\":",
             r.domain,
             r.index,
             r.n,
             r.m,
-            r.algorithm,
+            r.backend,
             r.status == Status::Solved,
             r.iterations,
+            r.pcg_iters,
             r.micros,
         );
         write_f64(&mut json, r.prim_res);

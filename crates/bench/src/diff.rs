@@ -36,11 +36,6 @@ const OBS_OVERHEAD_MAX_PCT: f64 = 5.0;
 /// regression.
 const KERNEL_NS_MAX_RATIO: f64 = 2.5;
 
-/// Backend-run `iterations` may grow by this factor before it counts as
-/// a regression. The counts are deterministic, so any rise comes from a
-/// change to an algorithm, not from noise.
-const BACKEND_ITERS_MAX_RATIO: f64 = 1.1;
-
 /// One compared metric: its identity, both values, the applied rule and
 /// the verdict.
 #[derive(Debug, Clone)]
@@ -245,8 +240,9 @@ pub fn diff_kernels(baseline: &str, current: &str) -> Result<Vec<Finding>, Strin
 
 /// Diffs two `BENCH_backends.json` documents over every baseline run
 /// (matched on `domain`/`index`/`backend`): the run must still be there,
-/// a converged run must stay converged, and its `iterations` may rise by
-/// at most 10 %.
+/// a converged run must stay converged, and neither its `iterations` nor
+/// its `pcg_iters` may rise at all. The counts are deterministic, so any
+/// rise comes from a change to an algorithm, not from noise.
 ///
 /// # Errors
 ///
@@ -291,17 +287,20 @@ pub fn diff_backends(baseline: &str, current: &str) -> Result<Vec<Finding>, Stri
                 still,
             ));
         }
-        if let Some(base_iters) = run.get("iterations").and_then(Json::as_f64) {
-            let cur_iters = cur_run
-                .get("iterations")
+        for count in ["iterations", "pcg_iters"] {
+            let Some(base_count) = run.get(count).and_then(Json::as_f64) else {
+                continue;
+            };
+            let cur_count = cur_run
+                .get(count)
                 .and_then(Json::as_f64)
                 .unwrap_or(f64::NAN);
             findings.push(Finding::ratio(
-                format!("{label}.iterations"),
-                base_iters,
-                cur_iters,
-                format!("<= {BACKEND_ITERS_MAX_RATIO}x baseline"),
-                cur_iters <= base_iters * BACKEND_ITERS_MAX_RATIO,
+                format!("{label}.{count}"),
+                base_count,
+                cur_count,
+                "<= baseline".into(),
+                cur_count <= base_count,
             ));
         }
     }
@@ -522,18 +521,20 @@ mod tests {
     #[test]
     fn backend_rows_lost_unconverged_or_slower_fail() {
         let backends = r#"{"bench": "backends", "runs": [
-          {"domain": "lasso", "index": 0, "backend": "admm",
-           "converged": true, "iterations": 100, "solve_time_us": 90},
+          {"domain": "lasso", "index": 0, "backend": "admm-indirect",
+           "converged": true, "iterations": 100, "pcg_iters": 400,
+           "solve_time_us": 90},
           {"domain": "lasso", "index": 0, "backend": "pdqp",
            "converged": true, "iterations": 300, "solve_time_us": 80}
         ]}"#;
-        // Identical iterations and a 10 % rise pass, whatever the timing.
+        // Identical or falling counts pass, whatever the timing.
         let within = backends
-            .replace("\"iterations\": 100", "\"iterations\": 110")
+            .replace("\"iterations\": 100", "\"iterations\": 90")
+            .replace("\"pcg_iters\": 400", "\"pcg_iters\": 399")
             .replace("\"solve_time_us\": 90", "\"solve_time_us\": 900");
         for current in [backends, within.as_str()] {
             let findings = diff_backends(backends, current).expect("diff runs");
-            assert_eq!(findings.len(), 4);
+            assert_eq!(findings.len(), 5);
             assert!(findings.iter().all(|f| f.ok), "{findings:?}");
         }
         let failing = |current: &str, metric: &str| {
@@ -543,8 +544,12 @@ mod tests {
             assert_eq!(bad[0].metric, metric);
         };
         failing(
-            &backends.replace("\"iterations\": 100", "\"iterations\": 111"),
-            "backends[lasso/0/admm].iterations",
+            &backends.replace("\"iterations\": 100", "\"iterations\": 101"),
+            "backends[lasso/0/admm-indirect].iterations",
+        );
+        failing(
+            &backends.replace("\"pcg_iters\": 400", "\"pcg_iters\": 401"),
+            "backends[lasso/0/admm-indirect].pcg_iters",
         );
         failing(
             &backends.replace(

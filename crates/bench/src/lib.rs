@@ -129,9 +129,11 @@ pub fn peak_flops(config: &MibConfig) -> f64 {
 /// Deterministic MIB end-to-end time from compiled schedules plus the
 /// reference run's iteration statistics, charging one check program per
 /// full check the run actually made. The ADMM convergence pre-test that
-/// triggers some of those checks has no compiled schedule and is not
-/// charged (one m-length reduction every 5 iterations), so the MIB time
-/// is slightly understated against the CPU model, whose profile counts it.
+/// triggers some of those checks (and, on the indirect backend, drives
+/// the PCG tolerance) has no compiled schedule and is not charged: one
+/// m-length reduction every 5 iterations, on the indirect backend at
+/// regular checks too. So the MIB time is slightly understated against
+/// the CPU model, whose profile counts it.
 pub fn mib_solve_seconds(lowered: &LoweredQp, result: &SolveResult) -> f64 {
     lowered.total_seconds(
         result.iterations,

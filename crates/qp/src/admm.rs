@@ -6,7 +6,8 @@
 //! (set-up, updates, interruption, the result epilogue); this module owns
 //! ADMM's iterates, its step sizes, its KKT backend and its loop. The
 //! pre-test-triggered checks of [`Admm::iterate`] may only stop a solve
-//! sooner: they never change the iterates.
+//! sooner: they never change the iterates. On the indirect backend the
+//! pre-test's step also drives the PCG tolerance.
 
 use std::time::Instant;
 
@@ -21,6 +22,13 @@ use crate::{Algorithm, Result, Settings, Status, INFTY};
 /// Iteration stride of the convergence pre-test between regular
 /// termination checks (see [`Admm::iterate`]).
 const PRETEST_EVERY: usize = 5;
+
+/// Factor applied to the PCG tolerance when the pre-test's primal step,
+/// relative to its bound, has not fallen since the previous pre-test.
+const PCG_STALL_TIGHTEN: f64 = 0.2;
+
+/// Floor of the relative PCG tolerance.
+const PCG_TOL_FLOOR: f64 = 1e-9;
 
 /// Primal infeasibility tolerance of the certificate test.
 const EPS_PRIM_INF: f64 = 1e-4;
@@ -144,6 +152,14 @@ impl Admm {
     /// the iterates and writes nothing but residual scratch — so a solve
     /// follows the same iterate sequence as with regular checks alone and
     /// stops at or before the same iteration.
+    ///
+    /// The indirect backend's PCG tolerance starts at `eps_pcg_start`,
+    /// halves at every regular check, and shrinks by `PCG_STALL_TIGHTEN`
+    /// at every multiple of `PRETEST_EVERY` where the pre-test's ratio
+    /// `step / bound` has not fallen since the previous one (floor
+    /// `PCG_TOL_FLOOR`). On that backend the pre-test runs on every
+    /// multiple of `PRETEST_EVERY`, regular ones included, so the
+    /// iterates still never depend on triggered checks.
     pub(crate) fn iterate(
         &mut self,
         env: &mut Env,
@@ -165,6 +181,8 @@ impl Admm {
 
         let mut status = Status::MaxIterations;
         let mut pcg_tol = env.settings.eps_pcg_start;
+        let mut last_ratio = f64::INFINITY;
+        let indirect = matches!(self.kkt, Kkt::Indirect(_));
         let mut final_res: Option<Residuals> = None;
         let mut iterations = 0usize;
         // Telemetry deltas: KKT time and PCG iterations since the last
@@ -211,10 +229,23 @@ impl Admm {
                 self.stage_y_update(env, prof);
             }
 
-            // Only regular checks drive side effects (infeasibility, PCG
-            // tolerance, adaptive ρ); a triggered one can only stop the solve.
+            // Only regular checks and the indirect backend's pre-test
+            // drive side effects (infeasibility, PCG tolerance, adaptive
+            // ρ); a triggered check can only stop the solve.
             let regular = k % check_every == 0 || k == max_iter;
-            let triggered = !regular && k % PRETEST_EVERY == 0 && self.stage_pretest(env, prof);
+            let pretest = (k % PRETEST_EVERY == 0 && (!regular || indirect))
+                .then(|| self.stage_pretest(env, prof));
+            if let (Some((step, bound)), Kkt::Indirect(kkt)) = (pretest, &mut self.kkt) {
+                // A primal step that stopped falling relative to its bound
+                // means the inexact KKT solves stall ADMM: tighten PCG.
+                let ratio = step / bound;
+                if ratio >= last_ratio {
+                    pcg_tol = (PCG_STALL_TIGHTEN * pcg_tol).max(PCG_TOL_FLOOR);
+                    kkt.set_tolerance(pcg_tol);
+                }
+                last_ratio = ratio;
+            }
+            let triggered = !regular && pretest.is_some_and(|(step, bound)| step < bound);
             if regular || triggered {
                 let res = {
                     let _s = mib_trace::span_if(kdetail, "stage_residuals", TraceCat::Kernel);
@@ -261,16 +292,11 @@ impl Admm {
                         certificate.extend_from_slice(&env.ws.cert_x);
                         break;
                     }
-                    // Adaptive PCG tolerance: tighten as the ADMM residuals
-                    // fall, and halve unconditionally at every check so a
-                    // stalled outer loop (caused by inexact inner solves)
-                    // always escapes.
+                    // Halve the PCG tolerance at every regular check, so
+                    // the inner solves tighten even while the pre-test's
+                    // step keeps falling.
                     if let Kkt::Indirect(kkt) = &mut self.kkt {
-                        let target = 0.15
-                            * (res.prim / res.prim_norm.max(1e-12) * res.dual
-                                / res.dual_norm.max(1e-12))
-                            .sqrt();
-                        pcg_tol = (0.5 * pcg_tol).min(target).max(1e-9);
+                        pcg_tol = (0.5 * pcg_tol).max(PCG_TOL_FLOOR);
                         kkt.set_tolerance(pcg_tol);
                     }
                     if env.settings.adaptive_rho && k % adapt_every == 0 {
@@ -360,15 +386,16 @@ impl Admm {
         prof.add_vector(3.0 * self.y.len() as f64);
     }
 
-    /// Convergence pre-test, one m-length pass after the y-update: the
-    /// unscaled primal-residual step `‖E⁻¹(z_relaxed − zᵏ⁺¹)‖∞` (that is,
-    /// `δy/ρ`) against `eps_abs + eps_rel·‖E⁻¹ zᵏ⁺¹‖∞`. Passing only earns
-    /// a full [`stage_residuals`](Self::stage_residuals) check.
-    fn stage_pretest(&self, env: &Env, prof: &mut Profile) -> bool {
+    /// Convergence pre-test, one m-length pass after the y-update: returns
+    /// the unscaled primal-residual step `‖E⁻¹(z_relaxed − zᵏ⁺¹)‖∞` (that
+    /// is, `δy/ρ`) and its bound `eps_abs + eps_rel·‖E⁻¹ zᵏ⁺¹‖∞`. A step
+    /// below the bound only earns a full
+    /// [`stage_residuals`](Self::stage_residuals) check.
+    fn stage_pretest(&self, env: &Env, prof: &mut Profile) -> (f64, f64) {
         let (step, norm) =
             vector::norm_inf_weighted_step(&env.scaling.einv, &env.ws.z_relaxed, &self.z);
         prof.add_vector(3.0 * self.z.len() as f64);
-        step < env.settings.eps_abs + env.settings.eps_rel * norm
+        (step, env.settings.eps_abs + env.settings.eps_rel * norm)
     }
 
     /// Stage 6: unscaled residuals and their normalization terms, staged

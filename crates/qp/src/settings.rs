@@ -112,8 +112,11 @@ pub struct Settings {
     /// PCG convergence floor: iteration stops when
     /// `‖r‖₂ ≤ max(eps_pcg_min, tol·‖b‖₂)` (default `1e-7`).
     pub eps_pcg_min: f64,
-    /// Initial PCG relative tolerance (default `1e-4`); tightened
-    /// adaptively as ADMM residuals shrink.
+    /// Initial PCG relative tolerance (default `1e-4`). A solve tightens
+    /// it from this value: ×0.5 at every regular termination check, and
+    /// ×0.2 at every 5th iteration where ADMM's primal step, relative to
+    /// its stopping bound, has not fallen since the previous 5th
+    /// iteration; the floor is `1e-9`.
     pub eps_pcg_start: f64,
     /// PCG iteration cap per KKT solve (default `4 * n` chosen at setup
     /// when `0`).

@@ -109,9 +109,10 @@ echo "==> benchmark regression gate (working tree vs HEAD baselines)"
 # Diffs results/BENCH_serve.json, results/BENCH_kernels.json,
 # results/BENCH_backends.json and results/BENCH_verify.json against the
 # copies committed at HEAD with generous single-core tolerances; fails on
-# lost runs/rows, large slowdowns, backend iteration rises > 10 %, lost
-# convergence, obs overhead >= 5%, or any rise in a program's slots or
-# predicted cycles, a stall, or a lost timing agreement.
+# lost runs/rows, large slowdowns, any rise in a backend run's iterations
+# or PCG iterations, lost convergence, obs overhead >= 5%, or any rise in
+# a program's slots or predicted cycles, a stall, or a lost timing
+# agreement.
 scripts/bench_diff.sh
 
 echo "All checks passed."

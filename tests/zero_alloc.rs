@@ -18,7 +18,7 @@ use std::cell::Cell;
 
 use mib::problems::{instance, portfolio, Domain};
 use mib::qp::linsys::IndirectKkt;
-use mib::qp::{KktBackend, Settings, Solver, Status, INFTY};
+use mib::qp::{KktBackend, Problem, Settings, Solver, Status, INFTY};
 
 struct CountingAlloc;
 
@@ -115,8 +115,7 @@ fn simd_kernels_perform_zero_allocations() {
     );
 }
 
-fn assert_solve_is_allocation_free(backend: KktBackend) {
-    let problem = portfolio(30, 5, 7);
+fn assert_solve_is_allocation_free(problem: Problem, backend: KktBackend) {
     let settings = Settings {
         backend,
         // Force adaptive-rho refactorizations during the measured solve so
@@ -151,12 +150,16 @@ fn assert_solve_is_allocation_free(backend: KktBackend) {
 
 #[test]
 fn direct_solve_into_performs_zero_allocations() {
-    assert_solve_is_allocation_free(KktBackend::Direct);
+    assert_solve_is_allocation_free(portfolio(30, 5, 7), KktBackend::Direct);
 }
 
+/// The portfolio plus the `huber[1]` suite instance, on which the
+/// pre-test tightens the PCG tolerance, so that path runs inside the
+/// measured `solve_into` too.
 #[test]
 fn indirect_solve_into_performs_zero_allocations() {
-    assert_solve_is_allocation_free(KktBackend::Indirect);
+    assert_solve_is_allocation_free(portfolio(30, 5, 7), KktBackend::Indirect);
+    assert_solve_is_allocation_free(instance(Domain::Huber, 1).problem, KktBackend::Indirect);
 }
 
 /// The indirect backend with `S` assembled (the sparse-row SVM suite
