@@ -38,7 +38,9 @@
 //! plane costs < 5% of closed-loop throughput and record the figure as
 //! `obs_overhead_pct` on the `net-closed` run object; every run asserts
 //! the quiesced admin `/metrics` scrape is byte-identical to the
-//! in-process `Metrics::render()` snapshot.
+//! in-process `Metrics::render()` snapshot, and that once the obs-enabled
+//! stack is shut down no connection or shard-worker thread holds trace
+//! records.
 //!
 //! `--smoke` shrinks the run for `scripts/check.sh`: a few thousand
 //! requests through all three runs plus a rate-limited tenant phase that
@@ -63,7 +65,7 @@ use mib_problems::{instance, Domain};
 use mib_qp::{Settings, Solver};
 use mib_serve::{
     queue_full_retry_after, CancelHandle, Histogram, Metrics, ObsConfig, QpServer, Request,
-    ServeConfig, SubmitError, TenantId, TenantPolicy,
+    ServeConfig, SubmitError, TenantCounters, TenantId, TenantPolicy,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -83,6 +85,8 @@ const SEED_BASE: u64 = 0x10ad_bec4;
 
 const TOKEN_UNLIMITED: &[u8] = b"load-bench-unlimited";
 const TOKEN_LIMITED: &[u8] = b"load-bench-limited";
+/// Admission labels of the two tokens, unlimited first.
+const LABELS: [&str; 2] = ["load-unlimited", "load-limited"];
 
 /// Client-side view of one generated request.
 struct GenRequest {
@@ -594,10 +598,7 @@ fn boot_server(obs: bool) -> Stack {
     let config = ServeConfig {
         queue_capacity: 32,
         max_shards: 24,
-        obs: ObsConfig {
-            enabled: obs,
-            ..ObsConfig::default()
-        },
+        obs: ObsConfig { enabled: obs },
         ..ServeConfig::default()
     };
     let qp = Arc::new(QpServer::new(config));
@@ -623,12 +624,12 @@ fn boot_server(obs: bool) -> Stack {
     let auth = vec![
         TenantAuth {
             token: TOKEN_UNLIMITED.to_vec(),
-            label: "load-unlimited".into(),
+            label: LABELS[0].into(),
             policy: TenantPolicy::default(),
         },
         TenantAuth {
             token: TOKEN_LIMITED.to_vec(),
-            label: "load-limited".into(),
+            label: LABELS[1].into(),
             policy: TenantPolicy {
                 rate_per_sec: 50.0,
                 burst: 10.0,
@@ -902,14 +903,21 @@ fn main() {
         load(&c.net_frame_decode_errors),
         load(&c.net_connections_opened),
     );
+    // The admission totals are the sums of the per-tenant series.
+    let tenants = LABELS.map(|label| registry.tenant_admission(label));
+    let sum = |field: fn(&TenantCounters) -> &std::sync::atomic::AtomicU64| {
+        tenants.iter().map(|t| load(field(t))).sum::<u64>()
+    };
+    let (rate, share, queue) = (
+        sum(|t| &t.shed_rate_limited),
+        sum(|t| &t.shed_over_share),
+        sum(|t| &t.shed_queue_full),
+    );
     let _ = writeln!(
         body,
-        "admission:    {} admitted, {} shed (rate {} / share {} / queue {})",
-        load(&c.admitted),
-        load(&c.shed_rate_limited) + load(&c.shed_over_share) + load(&c.shed_queue_full),
-        load(&c.shed_rate_limited),
-        load(&c.shed_over_share),
-        load(&c.shed_queue_full),
+        "admission:    {} admitted, {} shed (rate {rate} / share {share} / queue {queue})",
+        sum(|t| &t.admitted),
+        rate + share + queue,
     );
     body.push_str("\n-- server metrics snapshot --\n");
     body.push_str(&registry.render());
@@ -1016,6 +1024,19 @@ fn main() {
         "admin /slo must expose burn rates, got {slo_status}"
     );
     obs_stack.server.shutdown();
+    obs_stack.qp.shutdown();
+    // With the plane on, no serving thread is left holding trace records:
+    // workers drop theirs after each batch, and submitters keep none.
+    let kept: Vec<String> = mib_trace::take()
+        .threads
+        .iter()
+        .filter(|t| t.name == "mib-net-conn" || t.name.starts_with("mib-serve-"))
+        .map(|t| format!("{} ({} records)", t.name, t.records.len()))
+        .collect();
+    assert!(
+        kept.is_empty(),
+        "serving threads kept trace records: {kept:?}"
+    );
 
     let _ = writeln!(
         body,

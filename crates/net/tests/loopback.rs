@@ -385,31 +385,34 @@ fn wait_for_reply(client: &mut NetClient, request_id: u64) -> ReplyCode {
 #[test]
 fn matched_versions_negotiate_the_newest_and_carry_trace_ids() {
     // One handshake at the one wire version, and the Submit's trace id
-    // crosses the wire into the serving runtime's request.
+    // crosses the wire into the serving runtime's request. A NaN in `q`
+    // fails that request alone, with a typed reply, and the failure is
+    // retained in the flight ring under the client's id.
     let (server, _) = start_server_cfg(
         ServeConfig {
-            obs: mib_serve::ObsConfig {
-                enabled: true,
-                // Retain every finished request: anything slower than
-                // 0us is "slow".
-                slow_us: 0,
-                ..mib_serve::ObsConfig::default()
-            },
+            obs: mib_serve::ObsConfig { enabled: true },
             ..ServeConfig::default()
         },
         NetConfig::default(),
     );
+    let n = instance(Domain::Portfolio, 0).problem.num_vars();
     let mut client = NetClient::connect(server.local_addr(), TOKEN_A).unwrap();
     let trace_id: u128 = (0xabad_1dea_u128 << 64) | 0x0ddc_0ffe;
+    let mut q = vec![0.0; n];
+    q[n / 2] = f64::NAN;
     client
-        .submit_traced(9, 0, None, trace_id, None, None, None)
+        .submit_traced(9, 0, None, trace_id, Some(q), None, None)
         .unwrap();
-    assert_eq!(wait_for_reply(&mut client, 9), ReplyCode::Solved);
+    assert_eq!(wait_for_reply(&mut client, 9), ReplyCode::Failed);
+    // The same connection goes on serving valid requests.
+    client.submit(10, 0, None, None, None, None).unwrap();
+    assert_eq!(wait_for_reply(&mut client, 10), ReplyCode::Solved);
     let flight = server.qp().obs();
     let record = flight
         .flight()
         .lookup(trace_id)
-        .expect("traced request retained under the client-supplied id");
+        .expect("failed request retained under the client-supplied id");
+    assert_eq!(record.reason, mib_trace::KeepReason::Failed);
     assert!(
         record.records.iter().any(|r| matches!(
             &r.event,
@@ -434,10 +437,7 @@ fn matched_versions_negotiate_the_newest_and_carry_trace_ids() {
 fn admin_listener_rides_along_when_configured() {
     let (server, _) = start_server_cfg(
         ServeConfig {
-            obs: mib_serve::ObsConfig {
-                enabled: true,
-                ..mib_serve::ObsConfig::default()
-            },
+            obs: mib_serve::ObsConfig { enabled: true },
             ..ServeConfig::default()
         },
         NetConfig {

@@ -235,10 +235,7 @@ mod tests {
         )
         .unwrap();
         let qp = Arc::new(QpServer::new(ServeConfig {
-            obs: ObsConfig {
-                enabled: true,
-                ..ObsConfig::default()
-            },
+            obs: ObsConfig { enabled: true },
             ..ServeConfig::default()
         }));
         let tenant = qp.register(problem, mib_qp::Settings::default()).unwrap();

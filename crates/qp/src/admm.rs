@@ -194,10 +194,7 @@ impl Admm {
         let admm_span = mib_trace::span_if(tracing, "admm_loop", TraceCat::Solver);
         for k in 1..=max_iter {
             iterations = k;
-            // Per-iteration detail is sampled at the kernel stride; with
-            // the default stride of 1 every iteration records, so the
-            // attribution harnesses keep exact stage totals.
-            let sampled = k == 1 || k % run.kstride == 0;
+            let sampled = run.sampled(k);
             let kdetail = run.ktrace && sampled;
             {
                 let _s = mib_trace::span_if(kdetail, "stage_rhs", TraceCat::Kernel);

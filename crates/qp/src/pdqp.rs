@@ -136,7 +136,7 @@ impl Pdqp {
         let loop_span = mib_trace::span_if(run.tracing, "pdqp_loop", TraceCat::Solver);
         for k in 1..=max_iter {
             iterations = k;
-            self.step(env, run.ktrace && (k == 1 || k % run.kstride == 0), prof);
+            self.step(env, run.ktrace && run.sampled(k), prof);
 
             let checking = k % check_every == 0 || k == max_iter;
             if checking {
@@ -206,7 +206,7 @@ impl Pdqp {
     /// One PDHG iteration: primal gradient step, dual extrapolated step
     /// via Moreau decomposition, then epoch-average accumulation. Three
     /// sparse mat-vecs, all through preallocated workspace buffers.
-    /// `ktrace` is the caller-hoisted [`mib_trace::kernel_spans`] flag.
+    /// `ktrace`: whether this iteration records its kernel spans.
     fn step(&mut self, env: &mut Env, ktrace: bool, prof: &mut Profile) {
         let ws = &mut env.ws;
         let n = self.x.len();

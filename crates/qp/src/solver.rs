@@ -78,6 +78,12 @@ pub(crate) struct Residuals {
     pub(crate) dual_norm: f64,
 }
 
+/// While kernel spans are on, per-iteration detail (stage spans and the
+/// KKT timestamp pair) is recorded on iteration 1 and every
+/// `KERNEL_SPAN_STRIDE`-th iteration after it, so always-on serving
+/// traces price a sample of the iterations instead of every one.
+const KERNEL_SPAN_STRIDE: usize = 16;
+
 /// What the envelope hands an algorithm's loop for one solve: the trace
 /// flags, read once per solve, and the interruption poll.
 pub(crate) struct Run<'a> {
@@ -86,10 +92,6 @@ pub(crate) struct Run<'a> {
     pub(crate) tracing: bool,
     /// [`mib_trace::kernel_spans`]: opt-in per-stage kernel spans.
     pub(crate) ktrace: bool,
-    /// Iteration stride for per-iteration detail (stage spans and the KKT
-    /// timestamp pair): 1 records every iteration exactly; the serving
-    /// plane raises it so always-on tracing samples instead.
-    pub(crate) kstride: usize,
     cancel: Option<&'a AtomicBool>,
     /// The earlier of the per-solve time limit and the external deadline.
     deadline: Option<Instant>,
@@ -97,6 +99,13 @@ pub(crate) struct Run<'a> {
 }
 
 impl Run<'_> {
+    /// Whether iteration `k` records its per-iteration detail: every
+    /// iteration without kernel spans, so offline traces keep exact
+    /// stage totals, and a sample of them with kernel spans on.
+    pub(crate) fn sampled(&self, k: usize) -> bool {
+        !self.ktrace || k == 1 || k.is_multiple_of(KERNEL_SPAN_STRIDE)
+    }
+
     /// Polls the cancellation flag and the deadline after iteration `k`
     /// when `k` is a multiple of `check_interval` (so also before the
     /// first iteration, `k = 0`). Cancellation wins over timeout when both
@@ -362,7 +371,6 @@ impl Solver {
         let run = Run {
             tracing,
             ktrace: mib_trace::kernel_spans(),
-            kstride: usize::try_from(mib_trace::kernel_span_stride()).unwrap_or(usize::MAX),
             cancel: self.cancel.as_deref(),
             deadline: match (env.settings.time_limit.map(|d| start + d), self.deadline) {
                 (Some(a), Some(b)) => Some(a.min(b)),

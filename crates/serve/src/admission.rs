@@ -22,9 +22,9 @@
 //!    inert: spare capacity is never withheld.
 //!
 //! Every decision lands in the per-tenant labelled counters of
-//! [`Metrics`] (`mib_serve_admission_*_total{tenant="..."}`) plus the
-//! global totals, so shed behavior is visible in the same snapshot as
-//! the serving pipeline it protects.
+//! [`Metrics`] (`mib_serve_admission_*_total{tenant="..."}`; their sum
+//! over tenants is the global total), so shed behavior is visible in the
+//! same snapshot as the serving pipeline it protects.
 //!
 //! The controller is deliberately clock-explicit: every entry point
 //! takes `now: Instant`, which makes the policy a pure function of its
@@ -235,8 +235,6 @@ impl AdmissionController {
             let deficit = 1.0 - t.tokens;
             let retry_after = Duration::from_secs_f64(deficit / t.policy.rate_per_sec);
             t.counters.shed_rate_limited.fetch_add(1, ord());
-            drop(st);
-            self.metrics.inc(&self.metrics.counters.shed_rate_limited);
             return Verdict::RateLimited { retry_after };
         }
         if congested {
@@ -249,8 +247,6 @@ impl AdmissionController {
             let bound = weight_frac * (total_recent + 1.0) + 1.0;
             if t.admitted_recent + 1.0 > bound {
                 t.counters.shed_over_share.fetch_add(1, ord());
-                drop(st);
-                self.metrics.inc(&self.metrics.counters.shed_over_share);
                 return Verdict::OverShare {
                     retry_after: self.cfg.window / 4,
                 };
@@ -261,8 +257,6 @@ impl AdmissionController {
         }
         t.admitted_recent += 1.0;
         t.counters.admitted.fetch_add(1, ord());
-        drop(st);
-        self.metrics.inc(&self.metrics.counters.admitted);
         Verdict::Admit
     }
 
@@ -276,8 +270,6 @@ impl AdmissionController {
             .counters
             .shed_queue_full
             .fetch_add(1, ord());
-        drop(st);
-        self.metrics.inc(&self.metrics.counters.shed_queue_full);
     }
 }
 
@@ -495,8 +487,9 @@ mod tests {
         assert!(text.contains("mib_serve_admission_admitted_total{tenant=\"tenant-x\"} 1"));
         assert!(text.contains("mib_serve_admission_shed_rate_limited_total{tenant=\"tenant-x\"} 1"));
         assert!(text.contains("mib_serve_admission_shed_queue_full_total{tenant=\"tenant-x\"} 1"));
-        assert!(text.contains("mib_serve_admitted_total 1"));
-        assert!(text.contains("mib_serve_shed_rate_limited_total 1"));
+        // One count per event: no unlabelled total repeats the series.
+        assert!(!text.contains("mib_serve_admitted_total"));
+        assert!(!text.contains("mib_serve_shed_rate_limited_total"));
     }
 
     #[test]

@@ -225,10 +225,6 @@ macro_rules! counters {
 }
 
 counters! {
-    /// Requests accepted into a shard queue.
-    submitted,
-    /// Requests that reached a terminal response.
-    completed,
     /// Requests whose solve converged (`Status::Solved`).
     solved,
     /// Requests that hit the iteration limit.
@@ -259,19 +255,6 @@ counters! {
     warm_hits,
     /// Solves that had to clone a tenant template first.
     warm_builds,
-    /// Micro-batches drained by shard workers.
-    batches,
-    /// Requests served through micro-batches (sum of batch sizes).
-    batched_requests,
-    /// Requests admitted by the admission controller (all tenants).
-    admitted,
-    /// Requests shed by per-tenant token-bucket rate limiting.
-    shed_rate_limited,
-    /// Requests shed by weighted fair-share under congestion.
-    shed_over_share,
-    /// Queue-full sheds recorded by the admission controller (the
-    /// explicit shed-frame counterpart of `rejected_queue_full`).
-    shed_queue_full,
     /// TCP connections accepted by the networked front-end.
     net_connections_opened,
     /// TCP connections torn down (cleanly or on protocol error).
@@ -328,11 +311,14 @@ pub struct Metrics {
     pub queue_wait: Histogram,
     /// Solve (service) time, µs.
     pub service: Histogram,
-    /// End-to-end latency (submission to terminal response), µs.
+    /// End-to-end latency (submission to terminal response), µs; its
+    /// count is the number of requests that reached a terminal response.
     pub e2e: Histogram,
-    /// Shard queue depth observed at each enqueue.
+    /// Shard queue depth observed at each enqueue; its count is the
+    /// number of requests accepted into a shard queue.
     pub queue_depth: Histogram,
-    /// Micro-batch sizes drained by shard workers.
+    /// Micro-batch sizes drained by shard workers: its count is the
+    /// number of batches, its sum the requests served through them.
     pub batch_size: Histogram,
     /// Wire-frame sizes (bytes) seen by the networked front-end, both
     /// directions.
@@ -541,14 +527,12 @@ mod tests {
     #[test]
     fn render_contains_every_counter_and_histogram() {
         let m = Metrics::new();
-        m.inc(&m.counters.submitted);
         m.inc(&m.counters.solved);
         m.queue_wait.observe(3);
         m.queue_depth.observe(1);
         let text = m.render();
-        assert!(text.contains("mib_serve_submitted_total 1"));
         assert!(text.contains("mib_serve_solved_total 1"));
-        assert!(text.contains("mib_serve_completed_total 0"));
+        assert!(text.contains("mib_serve_failed_total 0"));
         assert!(text.contains("mib_serve_queue_wait_micros_count 1"));
         assert!(text.contains("mib_serve_queue_depth_bucket{le=\"1\"} 1"));
         assert!(text.contains("mib_serve_e2e_micros_bucket{le=\"+Inf\"} 0"));

@@ -15,8 +15,8 @@
 //!   thread-local buffer;
 //! * feeds every terminal response into rolling windows (per-phase and
 //!   per-tenant), each a ring of [`Histogram`]s, from which
-//!   p50/p99 upper bounds and an EWMA are computed over the trailing
-//!   window;
+//!   counts, means and p50/p99 upper bounds are computed over the
+//!   trailing window;
 //! * classifies every eligible response as SLO-good or SLO-bad (within
 //!   the latency objective and terminal-by-convergence) and exposes
 //!   multi-window burn rates: `burn = bad_fraction / (1 - target)`,
@@ -48,136 +48,87 @@ const ORD: Ordering = Ordering::Relaxed;
 /// clock moves on.
 const SUB_WINDOWS: u64 = 10;
 
-/// EWMA smoothing factor per observation.
-const EWMA_ALPHA: f64 = 0.05;
-
 /// Most per-tenant rolling series kept; tenants beyond the bound are
 /// aggregated into the phase series only (bounded memory under tenant
 /// churn).
 const MAX_TENANT_SERIES: usize = 256;
 
+/// Bound of the flight-recorder ring; the oldest record is evicted first.
+const FLIGHT_CAPACITY: usize = 256;
+
+/// Service time above which a request is retained as
+/// [`KeepReason::Slow`], µs.
+const SLOW_US: u64 = 50_000;
+
+/// SLO latency objective: an otherwise-good response slower than this
+/// end to end is SLO-bad, µs.
+const SLO_LATENCY_US: u64 = 10_000;
+
+/// SLO target fraction of good responses (three nines).
+const SLO_TARGET: f64 = 0.999;
+
+/// Short burn-rate window (fast-burn alerting, and the `/healthz` shed
+/// window), seconds.
+const BURN_SHORT_SECS: u64 = 60;
+
+/// Long burn-rate window (slow-burn alerting), seconds; also the
+/// retention of every rolling series.
+const BURN_LONG_SECS: u64 = 600;
+
+/// `/healthz` turns unready when the shed fraction over the short window
+/// exceeds this ratio.
+const HEALTHZ_SHED_RATIO: f64 = 0.5;
+
+/// Seconds each sub-window of a rolling series covers.
+const SUB_WINDOW_SECS: u64 = BURN_LONG_SECS.div_ceil(SUB_WINDOWS);
+
 /// Observability configuration, embedded in
 /// [`ServeConfig`](crate::ServeConfig).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ObsConfig {
     /// Master switch. When `false` (the default) the plane records
     /// nothing and the serving hot path pays one atomic load per
     /// request.
     pub enabled: bool,
-    /// Bound of the flight-recorder ring (retained anomalous requests);
-    /// oldest records are evicted first. `0` keeps nothing.
-    pub flight_capacity: usize,
-    /// Service time above which a request is retained as
-    /// [`KeepReason::Slow`], µs.
-    pub slow_us: u64,
-    /// Iteration stride for the solvers' per-iteration kernel detail
-    /// (stage spans and KKT timing) while the plane is enabled: stride
-    /// `n` records iteration 1 and every `n`-th thereafter. Flight
-    /// traces keep representative kernel spans at a fraction of the
-    /// always-on tracing cost; `1` records every iteration (the offline
-    /// attribution harnesses' exact mode). `0` is coerced to 1.
-    pub kernel_span_stride: u32,
-    /// SLO latency objective: an otherwise-good response slower than
-    /// this end-to-end is SLO-bad, µs.
-    pub slo_latency_us: u64,
-    /// SLO target fraction of good responses, in `(0, 1)` — e.g.
-    /// `0.999` for a three-nines objective.
-    pub slo_target: f64,
-    /// Short burn-rate window, seconds (fast-burn alerting).
-    pub burn_short_secs: u64,
-    /// Long burn-rate window, seconds (slow-burn alerting); also the
-    /// retention of every rolling series. Must be >= the short window.
-    pub burn_long_secs: u64,
-    /// `/healthz` turns unready when the shed fraction over the short
-    /// window exceeds this ratio.
-    pub healthz_shed_ratio: f64,
 }
 
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            enabled: false,
-            flight_capacity: 256,
-            slow_us: 50_000,
-            kernel_span_stride: 16,
-            slo_latency_us: 10_000,
-            slo_target: 0.999,
-            burn_short_secs: 60,
-            burn_long_secs: 600,
-            healthz_shed_ratio: 0.5,
-        }
-    }
-}
-
-impl ObsConfig {
-    pub(crate) fn validate(&self) {
-        assert!(
-            self.slo_target > 0.0 && self.slo_target < 1.0,
-            "slo_target must be in (0, 1)"
-        );
-        assert!(self.burn_short_secs >= 1, "burn_short_secs must be >= 1");
-        assert!(
-            self.burn_long_secs >= self.burn_short_secs,
-            "burn_long_secs must be >= burn_short_secs"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.healthz_shed_ratio),
-            "healthz_shed_ratio must be in [0, 1]"
-        );
-    }
-}
-
-/// One rolling latency series: a ring of [`SUB_WINDOWS`] histograms,
-/// each holding the samples of `span` consecutive seconds, plus an
-/// exponentially weighted moving average.
+/// One rolling latency series over the long window: a ring of
+/// [`SUB_WINDOWS`] histograms, each holding the samples of
+/// [`SUB_WINDOW_SECS`] consecutive seconds.
 #[derive(Debug)]
 struct Series {
-    window: u64,
-    span: u64,
     /// `(sub-window index, its samples)`; `u64::MAX` marks an unused slot.
     ring: Vec<(u64, Histogram)>,
-    ewma_us: f64,
-    seeded: bool,
 }
 
 impl Series {
-    fn new(window_secs: u64) -> Series {
+    fn new() -> Series {
         Series {
-            window: window_secs,
-            span: window_secs.div_ceil(SUB_WINDOWS),
             ring: (0..SUB_WINDOWS)
                 .map(|_| (u64::MAX, Histogram::new()))
                 .collect(),
-            ewma_us: 0.0,
-            seeded: false,
         }
     }
 
     fn observe(&mut self, sec: u64, us: u64) {
-        let sub = sec / self.span;
+        let sub = sec / SUB_WINDOW_SECS;
         let slot = &mut self.ring[(sub % SUB_WINDOWS) as usize];
         if slot.0 != sub {
             *slot = (sub, Histogram::new());
         }
         slot.1.observe(us);
-        if self.seeded {
-            self.ewma_us += EWMA_ALPHA * (us as f64 - self.ewma_us);
-        } else {
-            self.ewma_us = us as f64;
-            self.seeded = true;
-        }
     }
 
     /// The samples of every sub-window that starts inside the trailing
-    /// window ending at `now_sec`, so none is older than the window; a
-    /// sample up to one sub-window younger may already be gone.
+    /// long window ending at `now_sec`, so none is older than the window;
+    /// a sample up to one sub-window younger may already be gone.
     fn window(&self, now_sec: u64) -> Histogram {
         self.ring
             .iter()
             .filter(|(sub, _)| {
                 *sub != u64::MAX && {
-                    let start = sub * self.span;
-                    start <= now_sec && start + self.window > now_sec
+                    let start = sub * SUB_WINDOW_SECS;
+                    start <= now_sec && start + BURN_LONG_SECS > now_sec
                 }
             })
             .fold(Histogram::new(), |acc, (_, h)| acc.merged(h))
@@ -203,9 +154,9 @@ struct TallyRing {
 }
 
 impl TallyRing {
-    fn new(window_secs: u64) -> TallyRing {
+    fn new() -> TallyRing {
         TallyRing {
-            slots: vec![(u64::MAX, 0, 0); window_secs as usize],
+            slots: vec![(u64::MAX, 0, 0); BURN_LONG_SECS as usize],
         }
     }
 
@@ -246,19 +197,19 @@ struct RollingState {
 }
 
 impl RollingState {
-    fn new(window: u64) -> RollingState {
+    fn new() -> RollingState {
         RollingState {
-            queue_wait: Series::new(window),
-            service: Series::new(window),
-            e2e: Series::new(window),
+            queue_wait: Series::new(),
+            service: Series::new(),
+            e2e: Series::new(),
             tenant: BTreeMap::new(),
-            slo: TallyRing::new(window),
-            admission: TallyRing::new(window),
+            slo: TallyRing::new(),
+            admission: TallyRing::new(),
         }
     }
 }
 
-/// One burn-rate window of an [`SloReport`].
+/// One burn-rate window (see [`ObsPlane::burn_windows`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct BurnWindow {
     /// Window length, seconds.
@@ -272,22 +223,10 @@ struct BurnWindow {
     burn: f64,
 }
 
-/// Snapshot of the SLO state (see [`ObsPlane::slo_report`]).
-#[derive(Debug, Clone)]
-struct SloReport {
-    /// Configured good-fraction target.
-    target: f64,
-    /// Configured latency objective, µs.
-    latency_us: u64,
-    /// Short and long burn windows, in that order.
-    windows: [BurnWindow; 2],
-}
-
 /// The observability plane shared between the serving runtime, its
 /// shards, the wire front-end and the admin listener.
 #[derive(Debug)]
 pub struct ObsPlane {
-    cfg: ObsConfig,
     metrics: Arc<Metrics>,
     flight: FlightRecorder,
     epoch: Instant,
@@ -298,16 +237,12 @@ pub struct ObsPlane {
 
 impl ObsPlane {
     /// Builds the plane. A disabled plane holds no rolling state at all.
-    pub(crate) fn new(cfg: ObsConfig, metrics: Arc<Metrics>) -> ObsPlane {
-        cfg.validate();
+    pub(crate) fn new(enabled: bool, metrics: Arc<Metrics>) -> ObsPlane {
         ObsPlane {
-            cfg,
             metrics,
-            flight: FlightRecorder::new(if cfg.enabled { cfg.flight_capacity } else { 0 }),
+            flight: FlightRecorder::new(if enabled { FLIGHT_CAPACITY } else { 0 }),
             epoch: Instant::now(),
-            state: cfg
-                .enabled
-                .then(|| Mutex::new(RollingState::new(cfg.burn_long_secs))),
+            state: enabled.then(|| Mutex::new(RollingState::new())),
             next_trace: AtomicU64::new(1),
         }
     }
@@ -320,12 +255,7 @@ impl ObsPlane {
 
     /// Whether the plane records anything.
     pub fn is_active(&self) -> bool {
-        self.cfg.enabled
-    }
-
-    /// The plane's configuration.
-    pub fn config(&self) -> &ObsConfig {
-        &self.cfg
+        self.state.is_some()
     }
 
     /// The flight-recorder ring.
@@ -367,7 +297,7 @@ impl ObsPlane {
             Outcome::Finished(r) => match r.status {
                 Status::TimedOut => Some(KeepReason::DeadlineMissed),
                 Status::Cancelled => Some(KeepReason::Cancelled),
-                _ if service_us > self.cfg.slow_us => Some(KeepReason::Slow),
+                _ if service_us > SLOW_US => Some(KeepReason::Slow),
                 _ => None,
             },
         };
@@ -481,11 +411,10 @@ impl ObsPlane {
         st.queue_wait.observe(sec, queue_wait_us);
         st.service.observe(sec, service_us);
         st.e2e.observe(sec, e2e_us);
-        let window = self.cfg.burn_long_secs;
         if st.tenant.len() < MAX_TENANT_SERIES || st.tenant.contains_key(&tenant_id) {
             st.tenant
                 .entry(tenant_id)
-                .or_insert_with(|| Series::new(window))
+                .or_insert_with(Series::new)
                 .observe(sec, e2e_us);
         }
         match verdict {
@@ -513,27 +442,18 @@ impl ObsPlane {
                 Status::Solved
                 | Status::MaxIterations
                 | Status::PrimalInfeasible
-                | Status::DualInfeasible => Some(e2e_us <= self.cfg.slo_latency_us),
+                | Status::DualInfeasible => Some(e2e_us <= SLO_LATENCY_US),
                 Status::TimedOut => Some(false),
             },
             Outcome::Expired | Outcome::Failed(_) => Some(false),
         }
     }
 
-    /// Snapshot of the burn-rate windows.
-    fn slo_report(&self, now: Instant) -> SloReport {
+    /// The short and long burn-rate windows ending at `now`.
+    fn burn_windows(&self, now: Instant) -> [BurnWindow; 2] {
         let sec = self.sec(now);
         let st = self.rolling();
-        let mut windows = [BurnWindow {
-            secs: 0,
-            good: 0,
-            bad: 0,
-            burn: 0.0,
-        }; 2];
-        for (w, secs) in windows
-            .iter_mut()
-            .zip([self.cfg.burn_short_secs, self.cfg.burn_long_secs])
-        {
+        [BURN_SHORT_SECS, BURN_LONG_SECS].map(|secs| {
             let (good, bad) = st.as_ref().map_or((0, 0), |st| st.slo.window(sec, secs));
             let total = good + bad;
             let bad_fraction = if total == 0 {
@@ -541,29 +461,23 @@ impl ObsPlane {
             } else {
                 bad as f64 / total as f64
             };
-            *w = BurnWindow {
+            BurnWindow {
                 secs,
                 good,
                 bad,
-                burn: bad_fraction / (1.0 - self.cfg.slo_target),
-            };
-        }
-        SloReport {
-            target: self.cfg.slo_target,
-            latency_us: self.cfg.slo_latency_us,
-            windows,
-        }
+                burn: bad_fraction / (1.0 - SLO_TARGET),
+            }
+        })
     }
 
-    /// Renders the `/slo` text document: objectives, burn-rate windows,
-    /// rolling per-phase/per-tenant quantiles, and the
-    /// flight-ring totals. Deterministic ordering.
+    /// Renders the `/slo` text document: objectives, burn-rate windows
+    /// and rolling per-phase/per-tenant quantiles. Deterministic
+    /// ordering.
     pub fn render_slo(&self, now: Instant) -> String {
-        let report = self.slo_report(now);
         let mut out = String::new();
-        let _ = writeln!(out, "mib_slo_target {}", report.target);
-        let _ = writeln!(out, "mib_slo_latency_objective_us {}", report.latency_us);
-        for (label, w) in ["short", "long"].iter().zip(report.windows.iter()) {
+        let _ = writeln!(out, "mib_slo_target {SLO_TARGET}");
+        let _ = writeln!(out, "mib_slo_latency_objective_us {SLO_LATENCY_US}");
+        for (label, w) in ["short", "long"].iter().zip(self.burn_windows(now)) {
             let _ = writeln!(
                 out,
                 "mib_slo_window_seconds{{window=\"{label}\"}} {}",
@@ -585,52 +499,34 @@ impl ObsPlane {
                 let _ = writeln!(out, "mib_obs_phase_count{{{label}}} {}", h.count());
                 let _ = writeln!(out, "mib_obs_phase_mean_us{{{label}}} {:.3}", h.mean());
                 write_quantiles(&mut out, "phase", &label, &h);
-                let _ = writeln!(
-                    out,
-                    "mib_obs_phase_ewma_us{{{label}}} {:.3}",
-                    series.ewma_us
-                );
             }
             for (id, series) in &st.tenant {
                 let label = format!("tenant=\"tenant-{id}\"");
                 write_quantiles(&mut out, "tenant", &label, &series.window(sec));
             }
         }
-        let _ = writeln!(out, "mib_obs_flight_kept_total {}", self.flight.kept());
-        let _ = writeln!(
-            out,
-            "mib_obs_flight_evicted_total {}",
-            self.flight.evicted()
-        );
-        let _ = writeln!(out, "mib_obs_flight_retained {}", self.flight.len());
-        let _ = writeln!(
-            out,
-            "mib_trace_dropped_records_total {}",
-            mib_trace::total_dropped()
-        );
         out
     }
 
     /// Readiness verdict: `(ready, detail)`. Unready when the shed
-    /// fraction over the short window exceeds the configured ratio —
+    /// fraction over the short window exceeds `HEALTHZ_SHED_RATIO` —
     /// a load balancer should stop sending traffic here before the
     /// admission controller has to shed it.
     pub fn healthz(&self, now: Instant) -> (bool, String) {
         let sec = self.sec(now);
-        let (admitted, shed) = self.rolling().map_or((0, 0), |st| {
-            st.admission.window(sec, self.cfg.burn_short_secs)
-        });
+        let (admitted, shed) = self
+            .rolling()
+            .map_or((0, 0), |st| st.admission.window(sec, BURN_SHORT_SECS));
         let total = admitted + shed;
         let ratio = if total == 0 {
             0.0
         } else {
             shed as f64 / total as f64
         };
-        let ready = ratio <= self.cfg.healthz_shed_ratio;
+        let ready = ratio <= HEALTHZ_SHED_RATIO;
         let detail = format!(
-            "{}\nadmitted {admitted}\nshed {shed}\nshed_ratio {ratio:.6}\nshed_ratio_threshold {}\n",
+            "{}\nadmitted {admitted}\nshed {shed}\nshed_ratio {ratio:.6}\nshed_ratio_threshold {HEALTHZ_SHED_RATIO}\n",
             if ready { "ok" } else { "shedding" },
-            self.cfg.healthz_shed_ratio
         );
         (ready, detail)
     }
@@ -641,27 +537,20 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn active_plane(cfg: ObsConfig) -> ObsPlane {
-        ObsPlane::new(cfg, Arc::new(Metrics::new()))
-    }
-
-    fn enabled_cfg() -> ObsConfig {
-        ObsConfig {
-            enabled: true,
-            ..ObsConfig::default()
-        }
+    fn new_plane(enabled: bool) -> ObsPlane {
+        ObsPlane::new(enabled, Arc::new(Metrics::new()))
     }
 
     #[test]
     fn disabled_plane_records_nothing() {
-        let plane = active_plane(ObsConfig::default());
+        let plane = new_plane(false);
         assert!(!plane.is_active());
         let now = plane.epoch;
         plane.record_shed(7, "rate_limited", now);
         plane.record_admitted(now);
         plane.record_response(0, 1, 2, 3, Some(true), now);
         assert!(plane.flight().is_empty());
-        assert_eq!(plane.slo_report(now).windows[0].good, 0);
+        assert_eq!(plane.burn_windows(now)[0].good, 0);
         assert_eq!(plane.metrics.counters.slo_good.load(ORD), 0);
         assert!(plane.healthz(now).0);
         assert!(!plane.render_slo(now).contains("mib_obs_phase_count"));
@@ -669,16 +558,13 @@ mod tests {
 
     #[test]
     fn disabled_plane_holds_no_rolling_storage() {
-        assert!(active_plane(ObsConfig::default()).state.is_none());
-        assert!(active_plane(enabled_cfg()).state.is_some());
+        assert!(new_plane(false).state.is_none());
+        assert!(new_plane(true).state.is_some());
     }
 
     #[test]
     fn burn_rate_is_bad_fraction_over_budget() {
-        let plane = active_plane(ObsConfig {
-            slo_target: 0.9,
-            ..enabled_cfg()
-        });
+        let plane = new_plane(true);
         let now = plane.epoch;
         for _ in 0..8 {
             plane.record_response(0, 1, 2, 3, Some(true), now);
@@ -686,12 +572,11 @@ mod tests {
         for _ in 0..2 {
             plane.record_response(0, 1, 2, 3, Some(false), now);
         }
-        let report = plane.slo_report(now);
-        // 20% bad against a 10% budget: burning 2x.
-        for w in &report.windows {
+        // 20% bad against a 0.1% budget: burning 200x.
+        for w in plane.burn_windows(now) {
             assert_eq!(w.good, 8);
             assert_eq!(w.bad, 2);
-            assert!((w.burn - 2.0).abs() < 1e-9, "burn {}", w.burn);
+            assert!((w.burn - 200.0).abs() < 1e-9, "burn {}", w.burn);
         }
         assert_eq!(plane.metrics.counters.slo_good.load(ORD), 8);
         assert_eq!(plane.metrics.counters.slo_bad.load(ORD), 2);
@@ -699,22 +584,22 @@ mod tests {
 
     #[test]
     fn short_window_forgets_old_failures() {
-        let plane = active_plane(enabled_cfg());
+        let plane = new_plane(true);
         let t0 = plane.epoch;
         plane.record_response(0, 1, 2, 3, Some(false), t0);
         // 2 minutes later the short (60s) window is clean, the long
         // (600s) window still remembers.
         let later = t0 + Duration::from_mins(2);
         plane.record_response(0, 1, 2, 3, Some(true), later);
-        let report = plane.slo_report(later);
-        assert_eq!(report.windows[0].bad, 0, "short window must forget");
-        assert_eq!(report.windows[0].good, 1);
-        assert_eq!(report.windows[1].bad, 1, "long window must remember");
+        let [short, long] = plane.burn_windows(later);
+        assert_eq!(short.bad, 0, "short window must forget");
+        assert_eq!(short.good, 1);
+        assert_eq!(long.bad, 1, "long window must remember");
     }
 
     #[test]
     fn rolling_quantiles_cover_observed_samples() {
-        let plane = active_plane(enabled_cfg());
+        let plane = new_plane(true);
         let now = plane.epoch;
         for us in [10u64, 20, 30, 40, 1000] {
             plane.record_response(3, us, us, us, Some(true), now);
@@ -726,28 +611,29 @@ mod tests {
         assert!(slo.contains("mib_obs_tenant_p99_us{tenant=\"tenant-3\"} 1000"));
         assert!(slo.contains("mib_obs_phase_p50_us{phase=\"e2e\"} 31"));
         assert!(slo.contains("mib_slo_burn_rate{window=\"short\"} 0.000000"));
-        assert!(slo.contains("mib_trace_dropped_records_total "));
+        // Flight and trace-drop totals live in `/metrics` only.
+        assert!(!slo.contains("flight") && !slo.contains("dropped"), "{slo}");
     }
 
     #[test]
     fn healthz_flips_on_shed_ratio() {
-        let plane = active_plane(ObsConfig {
-            healthz_shed_ratio: 0.4,
-            ..enabled_cfg()
-        });
+        let plane = new_plane(true);
         let now = plane.epoch;
         let (ready, detail) = plane.healthz(now);
         assert!(ready, "an idle server is ready: {detail}");
         plane.record_admitted(now);
         plane.record_shed(0, "queue_full", now);
         let (ready, detail) = plane.healthz(now);
-        assert!(!ready, "50% shed over a 40% threshold: {detail}");
-        assert!(detail.contains("shed 1"));
+        assert!(ready, "50% shed is at the threshold, not over it: {detail}");
+        plane.record_shed(0, "queue_full", now);
+        let (ready, detail) = plane.healthz(now);
+        assert!(!ready, "67% shed over a 50% threshold: {detail}");
+        assert!(detail.contains("shed 2"));
     }
 
     #[test]
     fn stamped_shed_leaves_a_flight_record() {
-        let plane = active_plane(enabled_cfg());
+        let plane = new_plane(true);
         let now = plane.epoch;
         plane.record_shed(0, "rate_limited", now);
         assert!(plane.flight().is_empty(), "unstamped sheds keep nothing");
@@ -760,7 +646,7 @@ mod tests {
 
     #[test]
     fn server_side_trace_ids_are_unique_and_nonzero() {
-        let plane = active_plane(enabled_cfg());
+        let plane = new_plane(true);
         let a = plane.next_trace_id();
         let b = plane.next_trace_id();
         assert_ne!(a, 0);
@@ -771,7 +657,7 @@ mod tests {
     #[test]
     fn slo_verdict_classification() {
         use mib_qp::SolveResult;
-        let plane = active_plane(enabled_cfg());
+        let plane = new_plane(true);
         let finished = |status| {
             Outcome::Finished(SolveResult {
                 status,
@@ -790,7 +676,7 @@ mod tests {
         };
         assert_eq!(plane.slo_verdict(&finished(Status::Solved), 1), Some(true));
         assert_eq!(
-            plane.slo_verdict(&finished(Status::Solved), plane.cfg.slo_latency_us + 1),
+            plane.slo_verdict(&finished(Status::Solved), SLO_LATENCY_US + 1),
             Some(false)
         );
         assert_eq!(
@@ -804,8 +690,8 @@ mod tests {
 
     #[test]
     fn rolling_quantiles_forget_samples_older_than_the_long_window() {
-        let plane = active_plane(enabled_cfg());
-        let long = plane.cfg.burn_long_secs;
+        let plane = new_plane(true);
+        let long = BURN_LONG_SECS;
         let t0 = plane.epoch;
         plane.record_response(3, 5000, 5000, 5000, Some(true), t0);
         // One second inside the long window: still remembered.
@@ -842,7 +728,7 @@ mod tests {
         for k in 0..64 {
             let p = 1u64 << k;
             for v in [p - 1, p, p + 1] {
-                let mut series = Series::new(600);
+                let mut series = Series::new();
                 series.observe(0, v);
                 series.observe(0, u64::MAX);
                 let window = series.window(0);

@@ -27,10 +27,10 @@ pub struct ServeConfig {
     /// Most-recently-used pattern shards kept warm; the least recently
     /// used shard beyond this bound is drained and evicted.
     pub max_shards: usize,
-    /// Observability plane configuration (flight recorder, SLO
-    /// objectives, rolling windows). Disabled by default; enabling it
-    /// also enables `mib-trace` spans (including kernel spans) so the
-    /// flight recorder has records to retain.
+    /// Observability plane switch (flight recorder, SLO burn rates,
+    /// rolling windows). Disabled by default; enabling it also enables
+    /// `mib-trace` spans (including kernel spans) so the flight recorder
+    /// has records to retain.
     pub obs: ObsConfig,
 }
 
@@ -55,7 +55,6 @@ impl ServeConfig {
             "workers_per_shard must be >= 1"
         );
         assert!(self.max_shards >= 1, "max_shards must be >= 1");
-        self.obs.validate();
     }
 
     fn shard(&self) -> ShardConfig {
@@ -132,15 +131,14 @@ impl QpServer {
     pub fn new(config: ServeConfig) -> Self {
         config.validate();
         let metrics = Arc::new(Metrics::new());
-        let obs = Arc::new(ObsPlane::new(config.obs, Arc::clone(&metrics)));
+        let obs = Arc::new(ObsPlane::new(config.obs.enabled, Arc::clone(&metrics)));
         if config.obs.enabled {
             // The flight recorder feeds on trace records; without spans
-            // there is nothing to tail-sample. Kernel detail is sampled
-            // at the configured stride so always-on tracing prices a
-            // fraction of the solver iterations.
+            // there is nothing to tail-sample. The solvers sample their
+            // kernel spans, so always-on tracing prices a fraction of
+            // the iterations.
             mib_trace::enable();
             mib_trace::enable_kernel_spans();
-            mib_trace::set_kernel_span_stride(config.obs.kernel_span_stride);
         }
         QpServer {
             config,

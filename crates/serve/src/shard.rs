@@ -161,14 +161,18 @@ impl Shard {
         st.queue.push_back(pending);
         let depth = st.queue.len() as u64;
         drop(st);
-        self.metrics.inc(&self.metrics.counters.submitted);
         self.metrics.queue_depth.observe(depth);
         if self.obs.is_active() {
+            // The plane keeps its records on the worker side: the
+            // submitting thread must not be left holding any, since
+            // nothing drains it.
             self.obs.record_admitted(Instant::now());
+        } else {
+            // The submit instant, with the observed depth: a trace viewer
+            // pairs this with the worker-side `request` span to see the
+            // queue wait.
+            mib_trace::mark("submit", mib_trace::Category::Serve, depth as f64);
         }
-        // The submit instant, with the observed depth: a trace viewer pairs
-        // this with the worker-side `request` span to see the queue wait.
-        mib_trace::mark("submit", mib_trace::Category::Serve, depth as f64);
         self.available.notify_one();
         Ok(())
     }
@@ -216,12 +220,6 @@ fn worker_loop(shard: &Arc<Shard>) {
     let mut warm: HashMap<u64, Solver> = HashMap::new();
     while let Some(batch) = shard.next_batch() {
         let size = batch.len();
-        shard.metrics.inc(&shard.metrics.counters.batches);
-        shard
-            .metrics
-            .counters
-            .batched_requests
-            .fetch_add(size as u64, std::sync::atomic::Ordering::Relaxed);
         shard.metrics.batch_size.observe(size as u64);
         {
             let tracing = mib_trace::enabled();
@@ -405,7 +403,6 @@ fn finish(
     metrics.queue_wait.observe_duration(queue_wait);
     metrics.service.observe_duration(service_time);
     metrics.e2e.observe_duration(e2e);
-    metrics.inc(&metrics.counters.completed);
     if shard.obs.is_active() {
         let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
         let e2e_us = us(e2e);

@@ -80,10 +80,7 @@ fn served_answers_are_bitwise_equal_to_direct_solves() {
     }
     server.shutdown();
 
-    let m = server.metrics();
-    let c = &m.counters;
-    let done = c.completed.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(done, requests.len() as u64);
+    assert_eq!(server.metrics().e2e.count(), requests.len() as u64);
 }
 
 #[test]
@@ -353,10 +350,11 @@ fn a_busy_worker_finds_the_burst_as_one_batch() {
             "everything queued while the worker was busy is claimed at once"
         );
     }
+    // One batch per lone request plus the burst's; the sizes sum to
+    // every request served.
     let m = server.metrics();
-    let ord = std::sync::atomic::Ordering::Relaxed;
-    assert_eq!(m.counters.batches.load(ord), lone + 1);
-    assert_eq!(m.counters.batched_requests.load(ord), lone + 11);
+    assert_eq!(m.batch_size.count(), lone + 1);
+    assert_eq!(m.batch_size.sum(), lone + 11);
     server.shutdown();
 }
 
@@ -435,9 +433,8 @@ fn metrics_snapshot_reflects_traffic() {
     server.shutdown();
     let m: Arc<mib_serve::Metrics> = server.metrics();
     let text = m.render();
-    assert!(text.contains("mib_serve_submitted_total 4"));
+    assert!(text.contains("mib_serve_queue_depth_count 4"));
     assert!(text.contains("mib_serve_solved_total 4"));
-    assert!(text.contains("mib_serve_completed_total 4"));
     assert!(text.contains("mib_serve_e2e_micros_count 4"));
     assert!(m.e2e.mean() > 0.0);
 }

@@ -19,8 +19,6 @@ pub enum Category {
     Compiler,
     /// Request lifecycle on the serving runtime (mib-serve).
     Serve,
-    /// Cycle-accurate machine model (mib-core).
-    Machine,
     /// Per-stage vector/sparse kernel work inside solver iterations.
     /// High-frequency; only recorded when kernel spans are explicitly
     /// enabled (see [`enable_kernel_spans`](crate::enable_kernel_spans)).
@@ -37,7 +35,6 @@ impl Category {
             Category::Kkt => "kkt",
             Category::Compiler => "compiler",
             Category::Serve => "serve",
-            Category::Machine => "machine",
             Category::Kernel => "kernel",
             Category::Other => "other",
         }
@@ -178,7 +175,6 @@ mod tests {
             Category::Kkt,
             Category::Compiler,
             Category::Serve,
-            Category::Machine,
             Category::Kernel,
             Category::Other,
         ];

@@ -105,11 +105,6 @@ impl FlightRecorder {
         }
     }
 
-    /// The configured ring bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Retains `record`, evicting the oldest entries past the bound.
     pub fn push(&self, record: FlightRecord) {
         let mut ring = self.ring.lock().expect("flight ring lock");

@@ -19,8 +19,7 @@
 //!
 //! [`take`] drains every thread's buffer into a [`Trace`], which exports
 //! to Chrome trace-event JSON ([`Trace::to_chrome_json`], loadable in
-//! Perfetto or `chrome://tracing`) or a human text summary
-//! ([`Trace::summary`]).
+//! Perfetto or `chrome://tracing`).
 //!
 //! ```
 //! use mib_trace::Category;
@@ -44,16 +43,14 @@ mod chrome;
 mod event;
 mod flight;
 pub mod json;
-mod summary;
 
 pub use chrome::to_chrome_json;
 pub use event::{Category, Event, Record};
 pub use flight::{format_trace_id, parse_trace_id, FlightRecord, FlightRecorder, KeepReason};
 pub use json::validate_json;
-pub use summary::summarize;
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -67,9 +64,6 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// ([`Category::Kernel`]): these fire several times per solver iteration,
 /// so they stay off even when tracing is otherwise enabled.
 static KERNEL_SPANS: AtomicBool = AtomicBool::new(false);
-/// Iteration stride for per-iteration kernel detail (1 = every
-/// iteration; see [`set_kernel_span_stride`]).
-static KERNEL_STRIDE: AtomicU32 = AtomicU32::new(1);
 /// Process-unique span ids (0 is reserved for "no enclosing span").
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 /// Trace-local thread ids, assigned at first use per thread.
@@ -106,9 +100,30 @@ impl ThreadBuf {
     }
 }
 
+/// A thread's handle on its registered buffer. When the thread exits
+/// with nothing buffered, the registry forgets the buffer at once; one
+/// still holding records stays until [`take`] drains it.
+struct Local(Arc<ThreadBuf>);
+
+impl Drop for Local {
+    fn drop(&mut self) {
+        // Runs at thread exit, where a panic would abort: a poisoned lock
+        // just leaves the buffer for `take` to forget.
+        let buf = &self.0;
+        let empty = buf.records.lock().is_ok_and(|records| records.is_empty())
+            && buf.dropped.load(Ordering::Relaxed) == 0;
+        if !empty {
+            return;
+        }
+        if let Ok(mut registry) = REGISTRY.lock() {
+            registry.retain(|other| !Arc::ptr_eq(other, buf));
+        }
+    }
+}
+
 thread_local! {
     /// This thread's buffer, registered on first traced event.
-    static LOCAL: Arc<ThreadBuf> = {
+    static LOCAL: Local = {
         let buf = Arc::new(ThreadBuf {
             tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
             name: std::thread::current().name().unwrap_or("unnamed").to_owned(),
@@ -119,7 +134,7 @@ thread_local! {
             .lock()
             .expect("trace registry lock")
             .push(Arc::clone(&buf));
-        buf
+        Local(buf)
     };
     /// Innermost open span on this thread (0 at top level).
     static CURRENT_SPAN: Cell<u64> = const { Cell::new(0) };
@@ -147,7 +162,8 @@ pub fn enabled() -> bool {
 }
 
 /// Opts in to per-stage kernel spans ([`Category::Kernel`]). They still
-/// only record while tracing itself is [`enable`]d.
+/// only record while tracing itself is [`enable`]d, and the solvers
+/// record them on a sample of iterations, not on every one.
 pub fn enable_kernel_spans() {
     KERNEL_SPANS.store(true, Ordering::SeqCst);
 }
@@ -158,27 +174,6 @@ pub fn enable_kernel_spans() {
 #[inline]
 pub fn kernel_spans() -> bool {
     enabled() && KERNEL_SPANS.load(Ordering::Relaxed)
-}
-
-/// Sets the kernel-detail stride: with stride `n`, instrumented solver
-/// loops record their per-iteration kernel detail (stage spans and KKT
-/// timing) only on iteration 1 and every `n`-th iteration thereafter.
-///
-/// Stride 1 — the default — records every iteration and is what the
-/// offline attribution harnesses rely on for exact stage totals. The
-/// serving plane raises the stride so always-on tracing prices a
-/// *sample* of iterations instead of timestamping every one; retained
-/// flight traces still carry representative kernel spans. `0` is
-/// coerced to 1.
-pub fn set_kernel_span_stride(stride: u32) {
-    KERNEL_STRIDE.store(stride.max(1), Ordering::SeqCst);
-}
-
-/// The current kernel-detail stride (see [`set_kernel_span_stride`]).
-/// Hot loops hoist this once per solve.
-#[inline]
-pub fn kernel_span_stride() -> u32 {
-    KERNEL_STRIDE.load(Ordering::Relaxed).max(1)
 }
 
 /// Nanoseconds since the trace epoch.
@@ -210,7 +205,7 @@ pub fn fresh_span_id() -> u64 {
 
 /// The calling thread's trace-local id and registered name.
 pub fn thread_info() -> (u64, String) {
-    LOCAL.with(|buf| (buf.tid, buf.name.clone()))
+    LOCAL.with(|Local(buf)| (buf.tid, buf.name.clone()))
 }
 
 /// A position in the calling thread's record buffer (see [`cursor`]).
@@ -224,7 +219,7 @@ pub struct Cursor {
 /// between — the tail-sampling primitive: cheap to capture per request,
 /// and the records are only materialized for requests worth keeping.
 pub fn cursor() -> Cursor {
-    LOCAL.with(|buf| Cursor {
+    LOCAL.with(|Local(buf)| Cursor {
         len: buf.records.lock().expect("trace buffer lock").len(),
     })
 }
@@ -234,7 +229,7 @@ pub fn cursor() -> Cursor {
 /// [`take`] may have already drained them, in which case the result is
 /// simply shorter (the position is clamped, never out of bounds).
 pub fn take_since(cursor: Cursor) -> Vec<Record> {
-    LOCAL.with(|buf| {
+    LOCAL.with(|Local(buf)| {
         let mut records = buf.records.lock().expect("trace buffer lock");
         let at = cursor.len.min(records.len());
         records.split_off(at)
@@ -247,12 +242,12 @@ pub fn take_since(cursor: Cursor) -> Vec<Record> {
 /// and must not let ambient records (batch envelopes, marks recorded
 /// between requests) accumulate to the buffer bound.
 pub fn discard_local() {
-    LOCAL.with(|buf| buf.records.lock().expect("trace buffer lock").clear());
+    LOCAL.with(|Local(buf)| buf.records.lock().expect("trace buffer lock").clear());
 }
 
 /// Appends `record` to the current thread's buffer.
 fn push(record: Record) {
-    LOCAL.with(|buf| buf.push(record));
+    LOCAL.with(|Local(buf)| buf.push(record));
 }
 
 /// Records a point event under the innermost open span, if tracing is
@@ -410,11 +405,6 @@ impl Trace {
     /// Exports to Chrome trace-event JSON (see [`to_chrome_json`]).
     pub fn to_chrome_json(&self) -> String {
         chrome::to_chrome_json(self)
-    }
-
-    /// Renders the human-readable text summary (see [`summarize`]).
-    pub fn summary(&self) -> String {
-        summary::summarize(self)
     }
 
     /// Merges another trace's threads into this one (thread ids are
@@ -581,6 +571,38 @@ mod tests {
         assert_eq!(worker.records.len(), 3);
         // Thread ids are sorted and unique.
         assert!(trace.threads[0].tid < trace.threads[1].tid);
+    }
+
+    #[test]
+    fn exited_threads_leave_the_registry_once_their_buffers_are_empty() {
+        let _guard = test_lock::hold();
+        clear();
+        let registered = |name: &str| {
+            REGISTRY
+                .lock()
+                .expect("trace registry lock")
+                .iter()
+                .any(|buf| buf.name == name)
+        };
+        let run = |name: &str, body: fn()| {
+            std::thread::Builder::new()
+                .name(name.into())
+                .spawn(body)
+                .expect("spawn")
+                .join()
+                .expect("worker");
+        };
+        // Registered, but nothing buffered at exit: forgotten at once.
+        run("trace-test-empty", || drop(thread_info()));
+        assert!(!registered("trace-test-empty"));
+        // Exited holding a record: kept until a drain hands it out.
+        enable();
+        run("trace-test-full", || mark("kept", Category::Other, 0.0));
+        disable();
+        assert!(registered("trace-test-full"));
+        let trace = take();
+        assert!(trace.threads.iter().any(|t| t.name == "trace-test-full"));
+        assert!(!registered("trace-test-full"));
     }
 
     #[test]

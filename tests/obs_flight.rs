@@ -1,8 +1,9 @@
 //! End-to-end tail-sampling tests: the flight recorder retains a full
-//! span tree — synthetic queue wait, serve-side solve phases, solver
-//! kernels — for requests that miss their deadline, keyed by the
-//! *client-supplied* trace id; and thread-buffer overflow surfaces as a
-//! monotonic counter in the metrics snapshot.
+//! span tree — synthetic queue wait, serve-side solve phases, sampled
+//! solver kernels — for requests that miss their deadline, keyed by the
+//! *client-supplied* trace id; submitting threads keep no records; and
+//! thread-buffer overflow surfaces as a monotonic counter in the metrics
+//! snapshot.
 //!
 //! Constructing a [`QpServer`] with the obs plane enabled flips the
 //! process-global mib-trace flag, so this binary owns that flag for its
@@ -28,13 +29,7 @@ fn hold() -> MutexGuard<'static, ()> {
 fn deadline_missed_request_retains_queue_solve_and_kernel_spans() {
     let _guard = hold();
     let server = QpServer::new(ServeConfig {
-        obs: ObsConfig {
-            enabled: true,
-            // Nothing is "slow": only deadline misses (and sheds and
-            // cancellations) should be retained.
-            slow_us: u64::MAX,
-            ..ObsConfig::default()
-        },
+        obs: ObsConfig { enabled: true },
         ..ServeConfig::default()
     });
     // Unattainable tolerances never converge, so the solve provably
@@ -64,10 +59,13 @@ fn deadline_missed_request_retains_queue_solve_and_kernel_spans() {
         )
         .unwrap();
     let response = ticket.wait();
-    match &response.outcome {
-        Outcome::Finished(r) => assert_eq!(r.status, Status::TimedOut),
+    let iterations = match &response.outcome {
+        Outcome::Finished(r) => {
+            assert_eq!(r.status, Status::TimedOut);
+            r.iterations
+        }
         other => panic!("expected an in-solve deadline miss, got {other:?}"),
-    }
+    };
 
     let obs = server.obs();
     let record = obs
@@ -90,13 +88,17 @@ fn deadline_missed_request_retains_queue_solve_and_kernel_spans() {
             "flight trace missing the {phase} span; got {begins:?}"
         );
     }
-    assert!(
-        record
-            .records
-            .iter()
-            .any(|r| r.event.category() == Category::Kernel),
-        "flight trace must reach down into kernel spans"
+    // Kernel spans are sampled: iteration 1 and every 16th after it.
+    let rhs_spans = begins.iter().filter(|&&name| name == "stage_rhs").count();
+    assert_eq!(
+        rhs_spans,
+        1 + iterations / 16,
+        "kernel spans of {iterations} iterations, sampled every 16th"
     );
+    assert!(record
+        .records
+        .iter()
+        .any(|r| r.event.category() == Category::Kernel));
 
     // The Chrome export carries the whole tree under the formatted id.
     let json = record.to_chrome_json();
@@ -105,6 +107,40 @@ fn deadline_missed_request_retains_queue_solve_and_kernel_spans() {
     }
 
     server.shutdown();
+}
+
+#[test]
+fn submitting_threads_keep_no_trace_records() {
+    let _guard = hold();
+    let server = QpServer::new(ServeConfig {
+        obs: ObsConfig { enabled: true },
+        ..ServeConfig::default()
+    });
+    let tenant = server
+        .register(portfolio(24, 4, 3), Settings::default())
+        .unwrap();
+    std::thread::scope(|scope| {
+        for i in 0..3 {
+            let server = &server;
+            std::thread::Builder::new()
+                .name(format!("obs-submitter-{i}"))
+                .spawn_scoped(scope, move || {
+                    for _ in 0..200 {
+                        let response = server.submit(tenant, Request::default()).unwrap().wait();
+                        assert!(response.outcome.is_solved());
+                    }
+                })
+                .unwrap();
+        }
+    });
+    server.shutdown();
+    let kept: Vec<(String, usize)> = mib::trace::take()
+        .threads
+        .into_iter()
+        .filter(|t| t.name.starts_with("obs-submitter-"))
+        .map(|t| (t.name, t.records.len()))
+        .collect();
+    assert!(kept.is_empty(), "submitting threads kept records: {kept:?}");
 }
 
 #[test]

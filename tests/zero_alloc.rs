@@ -10,8 +10,9 @@
 //! shim lives here in the integration-test binary. Counting is per-thread
 //! (a thread-local counter) so the harness running other tests on sibling
 //! threads cannot pollute a measurement. No test in this binary may call
-//! `mib::trace::enable()` — enabled-mode behavior is covered by
-//! `tests/trace_pipeline.rs`, which cargo runs as a separate process.
+//! `mib::trace::enable()` or build an obs-enabled server — enabled-mode
+//! behavior is covered by `tests/trace_pipeline.rs` and
+//! `tests/obs_flight.rs`, which cargo runs as separate processes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -83,6 +84,24 @@ fn disabled_tracing_instrumentation_allocates_nothing() {
         }
     });
     assert_eq!(allocs, 0, "disabled-mode tracing allocated {allocs} times");
+}
+
+/// The disabled observability plane is allocation-free on the paths the
+/// serving hot path calls: admissions and sheds, stamped ones included.
+#[test]
+fn disabled_obs_plane_allocates_nothing() {
+    let server = mib::serve::QpServer::default();
+    let obs = server.obs();
+    assert!(!obs.is_active());
+    let now = std::time::Instant::now();
+    let allocs = allocations_during(|| {
+        for id in 0..1000 {
+            obs.record_admitted(now);
+            obs.record_shed(id, "queue_full", now);
+        }
+    });
+    assert_eq!(allocs, 0, "the disabled plane allocated {allocs} times");
+    server.shutdown();
 }
 
 /// The SIMD kernels never touch the heap: every kernel works in
