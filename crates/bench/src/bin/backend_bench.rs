@@ -3,8 +3,9 @@
 //! restarted-PDHG "PDQP") on the benchmark suite.
 //!
 //! For every domain the harness solves suite instances cold under each
-//! backend and records iterations, PCG iterations and wall time to the
-//! shared termination tolerance. The report is machine-diffable JSON
+//! backend and records iterations, PCG iterations, full termination
+//! checks, accepted `ρ` updates and wall time to the shared termination
+//! tolerance. The report is machine-diffable JSON
 //! (`results/BENCH_backends.json`): stable key order, one run object per
 //! (domain, instance, backend); iteration counts are deterministic,
 //! wall-clock fields are environment-dependent.
@@ -55,6 +56,8 @@ struct Run {
     status: Status,
     iterations: usize,
     pcg_iters: usize,
+    checks: usize,
+    rho_updates: usize,
     micros: u128,
     prim_res: f64,
     dual_res: f64,
@@ -88,6 +91,8 @@ fn main() {
                     status: result.status,
                     iterations: result.iterations,
                     pcg_iters: result.profile.pcg_iters,
+                    checks: result.profile.checks,
+                    rho_updates: result.profile.rho_updates,
                     micros: wall.as_micros(),
                     prim_res: result.prim_res,
                     dual_res: result.dual_res,
@@ -125,8 +130,8 @@ fn main() {
         let _ = write!(
             json,
             "{{\"domain\":\"{}\",\"index\":{},\"n\":{},\"m\":{},\"backend\":\"{}\",\
-             \"converged\":{},\"iterations\":{},\"pcg_iters\":{},\"solve_time_us\":{},\
-             \"prim_res\":",
+             \"converged\":{},\"iterations\":{},\"pcg_iters\":{},\"checks\":{},\
+             \"rho_updates\":{},\"solve_time_us\":{},\"prim_res\":",
             r.domain,
             r.index,
             r.n,
@@ -135,6 +140,8 @@ fn main() {
             r.status == Status::Solved,
             r.iterations,
             r.pcg_iters,
+            r.checks,
+            r.rho_updates,
             r.micros,
         );
         write_f64(&mut json, r.prim_res);

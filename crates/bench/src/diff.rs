@@ -242,7 +242,8 @@ pub fn diff_kernels(baseline: &str, current: &str) -> Result<Vec<Finding>, Strin
 /// (matched on `domain`/`index`/`backend`): the run must still be there,
 /// a converged run must stay converged, and neither its `iterations` nor
 /// its `pcg_iters` may rise at all. The counts are deterministic, so any
-/// rise comes from a change to an algorithm, not from noise.
+/// rise comes from a change to an algorithm, not from noise. A run's
+/// `checks` and `rho_updates` are listed beside them but never fail.
 ///
 /// # Errors
 ///
@@ -301,6 +302,22 @@ pub fn diff_backends(baseline: &str, current: &str) -> Result<Vec<Finding>, Stri
                 cur_count,
                 "<= baseline".into(),
                 cur_count <= base_count,
+            ));
+        }
+        // The counts that explain an iteration change are printed, never
+        // gated: more checks or `ρ` updates may well buy fewer iterations.
+        for count in ["checks", "rho_updates"] {
+            let value = |r: &Json| r.get(count).and_then(Json::as_f64).unwrap_or(f64::NAN);
+            let (base_count, cur_count) = (value(run), value(cur_run));
+            if base_count.is_nan() && cur_count.is_nan() {
+                continue;
+            }
+            findings.push(Finding::ratio(
+                format!("{label}.{count}"),
+                base_count,
+                cur_count,
+                "reported, not gated".into(),
+                true,
             ));
         }
     }
@@ -562,6 +579,41 @@ mod tests {
             &backends.replace("\"backend\": \"pdqp\"", "\"backend\": \"osqp\""),
             "backends[lasso/0/pdqp]",
         );
+    }
+
+    #[test]
+    fn backend_checks_and_rho_updates_are_reported_not_gated() {
+        let backends = r#"{"bench": "backends", "runs": [
+          {"domain": "svm", "index": 0, "backend": "admm-indirect",
+           "converged": true, "iterations": 115, "pcg_iters": 409,
+           "checks": 6, "rho_updates": 0}
+        ]}"#;
+        let current = backends
+            .replace("\"iterations\": 115", "\"iterations\": 55")
+            .replace("\"checks\": 6", "\"checks\": 11")
+            .replace("\"rho_updates\": 0", "\"rho_updates\": 1");
+        let findings = diff_backends(backends, &current).expect("diff runs");
+        assert!(findings.iter().all(|f| f.ok), "{findings:?}");
+        let reported = |metric: &str| {
+            let f = findings
+                .iter()
+                .find(|f| f.metric == metric)
+                .unwrap_or_else(|| panic!("{metric} missing: {findings:?}"));
+            (f.baseline, f.current)
+        };
+        assert_eq!(
+            reported("backends[svm/0/admm-indirect].checks"),
+            (6.0, 11.0)
+        );
+        assert_eq!(
+            reported("backends[svm/0/admm-indirect].rho_updates"),
+            (0.0, 1.0)
+        );
+        // A baseline written before the fields existed still diffs.
+        let old = backends.replace(", \"checks\": 6, \"rho_updates\": 0", "");
+        let findings = diff_backends(&old, &current).expect("diff runs");
+        assert!(findings.iter().all(|f| f.ok), "{findings:?}");
+        assert_eq!(findings.len(), 5);
     }
 
     #[test]

@@ -133,7 +133,10 @@ pub fn peak_flops(config: &MibConfig) -> f64 {
 /// the PCG tolerance) has no compiled schedule and is not charged: one
 /// m-length reduction every 5 iterations, on the indirect backend at
 /// regular checks too. So the MIB time is slightly understated against
-/// the CPU model, whose profile counts it.
+/// the CPU model, whose profile counts it. The same holds for adaptive-`ρ`
+/// updates on the indirect backend (at most one per 5 iterations, each a
+/// re-evaluation of `S` or the Jacobi diagonal): no schedule, not charged.
+/// A direct update is charged, as the refactorization in `factor_count`.
 pub fn mib_solve_seconds(lowered: &LoweredQp, result: &SolveResult) -> f64 {
     lowered.total_seconds(
         result.iterations,

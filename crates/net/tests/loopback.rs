@@ -14,7 +14,7 @@ use mib_net::{
     ShedReason, TenantAuth,
 };
 use mib_problems::{instance, Domain};
-use mib_qp::{Algorithm, Settings, Solver};
+use mib_qp::{Algorithm, KktBackend, Problem, Settings, Solver};
 use mib_serve::{QpServer, Request, ServeConfig, TenantId, TenantPolicy};
 
 const TOKEN_A: &[u8] = b"tenant-a-token";
@@ -431,6 +431,58 @@ fn matched_versions_negotiate_the_newest_and_carry_trace_ids() {
         error_codes_after(server.local_addr(), &hello),
         [error_code::PROTOCOL]
     );
+}
+
+#[test]
+fn infeasible_bounds_get_a_primal_infeasible_reply() {
+    // min ½‖x‖² subject to x₁ + x₂ in [l₀, u₀] and x₁ + x₂ in [l₁, u₁],
+    // registered feasible, once per KKT backend.
+    let problem = Problem::new(
+        mib_sparse::CscMatrix::identity(2),
+        vec![0.0; 2],
+        mib_sparse::CscMatrix::from_dense(2, 2, &[1.0; 4]),
+        vec![0.0; 2],
+        vec![1.0; 2],
+    )
+    .unwrap();
+    let qp = Arc::new(QpServer::new(ServeConfig::default()));
+    let endpoints = [KktBackend::Direct, KktBackend::Indirect]
+        .map(|backend| EndpointSpec {
+            target: EndpointTarget::Tenant(
+                qp.register(problem.clone(), Settings::with_backend(backend))
+                    .unwrap(),
+            ),
+            name: format!("two-rows-{}", backend.name()),
+            num_vars: 2,
+            num_constraints: 2,
+        })
+        .to_vec();
+    let auth = vec![TenantAuth {
+        token: TOKEN_A.to_vec(),
+        label: "tenant-a".into(),
+        policy: TenantPolicy::default(),
+    }];
+    let server = NetServer::bind("127.0.0.1:0", qp, endpoints, auth, NetConfig::default()).unwrap();
+    let mut client = NetClient::connect(server.local_addr(), TOKEN_A).unwrap();
+    // x₁ + x₂ ≥ 1 and x₁ + x₂ ≤ 0 cannot both hold: the certificate test
+    // must name the answer, not the iteration limit. The registered bounds
+    // then solve again on the same solver.
+    let infeasible = (vec![1.0, -1.0], vec![2.0, 0.0]);
+    for endpoint in 0..2u32 {
+        let id = 2 * u64::from(endpoint);
+        client
+            .submit(id, endpoint, None, None, Some(infeasible.clone()), None)
+            .unwrap();
+        assert_eq!(
+            wait_for_reply(&mut client, id),
+            ReplyCode::PrimalInfeasible,
+            "endpoint {endpoint}"
+        );
+        client
+            .submit(id + 1, endpoint, None, None, None, None)
+            .unwrap();
+        assert_eq!(wait_for_reply(&mut client, id + 1), ReplyCode::Solved);
+    }
 }
 
 #[test]

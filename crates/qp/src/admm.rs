@@ -7,7 +7,9 @@
 //! ADMM's iterates, its step sizes, its KKT backend and its loop. The
 //! pre-test-triggered checks of [`Admm::iterate`] may only stop a solve
 //! sooner: they never change the iterates. On the indirect backend the
-//! pre-test's step also drives the PCG tolerance.
+//! pre-test's step also drives the PCG tolerance, and with adaptive `ρ`
+//! on, every fifth iteration is instead a full check that may update `ρ`,
+//! since there an update factors nothing.
 
 use std::time::Instant;
 
@@ -146,20 +148,28 @@ impl Admm {
     /// infeasibility certificate is appended to `certificate`.
     ///
     /// The full termination check runs every `check_termination`
-    /// iterations, and also on any multiple of `PRETEST_EVERY` (5) where
-    /// the cheap `stage_pretest` passes. A
-    /// triggered check can only stop the solve as `Solved` — it reads
-    /// the iterates and writes nothing but residual scratch — so a solve
-    /// follows the same iterate sequence as with regular checks alone and
-    /// stops at or before the same iteration.
+    /// iterations (a regular check: only these test the infeasibility
+    /// certificates), and also on any multiple of `PRETEST_EVERY` (5)
+    /// where the cheap `stage_pretest` passes. A triggered check can only
+    /// stop the solve as `Solved` — it reads the iterates and writes
+    /// nothing but residual scratch — so a solve follows the same iterate
+    /// sequence as with regular checks alone and stops at or before the
+    /// same iteration.
+    ///
+    /// Adaptive `ρ` is the exception, on the indirect backend only: a `ρ`
+    /// update there re-evaluates `S` or the Jacobi diagonal and factors
+    /// nothing, so every multiple of `PRETEST_EVERY` runs the full check
+    /// and every full check that does not stop the solve applies
+    /// `stage_adaptive_rho`. The direct backend adapts only at regular
+    /// checks on multiples of `adaptive_rho_interval` (rounded up to one
+    /// of `check_termination`), each a refactorization.
     ///
     /// The indirect backend's PCG tolerance starts at `eps_pcg_start`,
     /// halves at every regular check, and shrinks by `PCG_STALL_TIGHTEN`
     /// at every multiple of `PRETEST_EVERY` where the pre-test's ratio
     /// `step / bound` has not fallen since the previous one (floor
     /// `PCG_TOL_FLOOR`). On that backend the pre-test runs on every
-    /// multiple of `PRETEST_EVERY`, regular ones included, so the
-    /// iterates still never depend on triggered checks.
+    /// multiple of `PRETEST_EVERY`, regular ones included.
     pub(crate) fn iterate(
         &mut self,
         env: &mut Env,
@@ -183,6 +193,9 @@ impl Admm {
         let mut pcg_tol = env.settings.eps_pcg_start;
         let mut last_ratio = f64::INFINITY;
         let indirect = matches!(self.kkt, Kkt::Indirect(_));
+        // Indirect adaptive ρ: a full check, and an adaptation, at every
+        // multiple of `PRETEST_EVERY`.
+        let adapt_always = indirect && env.settings.adaptive_rho;
         let mut final_res: Option<Residuals> = None;
         let mut iterations = 0usize;
         // Telemetry deltas: KKT time and PCG iterations since the last
@@ -227,8 +240,9 @@ impl Admm {
             }
 
             // Only regular checks and the indirect backend's pre-test
-            // drive side effects (infeasibility, PCG tolerance, adaptive
-            // ρ); a triggered check can only stop the solve.
+            // drive side effects (infeasibility, PCG tolerance, direct
+            // adaptive ρ); a triggered check can only stop the solve,
+            // except that indirect adaptive ρ runs at every check.
             let regular = k % check_every == 0 || k == max_iter;
             let pretest = (k % PRETEST_EVERY == 0 && (!regular || indirect))
                 .then(|| self.stage_pretest(env, prof));
@@ -242,7 +256,8 @@ impl Admm {
                 }
                 last_ratio = ratio;
             }
-            let triggered = !regular && pretest.is_some_and(|(step, bound)| step < bound);
+            let triggered =
+                !regular && pretest.is_some_and(|(step, bound)| adapt_always || step < bound);
             if regular || triggered {
                 let res = {
                     let _s = mib_trace::span_if(kdetail, "stage_residuals", TraceCat::Kernel);
@@ -296,21 +311,10 @@ impl Admm {
                         pcg_tol = (0.5 * pcg_tol).max(PCG_TOL_FLOOR);
                         kkt.set_tolerance(pcg_tol);
                     }
-                    if env.settings.adaptive_rho && k % adapt_every == 0 {
-                        let rho_before = self.rho;
-                        let res = self.stage_adaptive_rho(env, res, prof);
-                        final_res = Some(res);
-                        if tracing && self.rho.to_bits() != rho_before.to_bits() {
-                            mib_trace::record_if(
-                                true,
-                                TraceEvent::RhoUpdate {
-                                    iter: u32::try_from(k).unwrap_or(u32::MAX),
-                                    rho_old: rho_before,
-                                    rho_new: self.rho,
-                                },
-                            );
-                        }
-                    }
+                }
+                if adapt_always || (env.settings.adaptive_rho && !triggered && k % adapt_every == 0)
+                {
+                    self.stage_adaptive_rho(env, &res, k, tracing, prof);
                 }
             }
             if let Some(s) = run.interruption(k) {
@@ -482,19 +486,27 @@ impl Admm {
         true
     }
 
-    /// Stage 7: the OSQP adaptive-ρ rule, rebuilding the `ρ` vectors in
-    /// place if the residual balance warrants it. Returns the residuals
-    /// (unchanged) for the caller to keep as the latest snapshot.
-    fn stage_adaptive_rho(&mut self, env: &Env, res: Residuals, prof: &mut Profile) -> Residuals {
+    /// Stage 7: the OSQP adaptive-ρ rule at iteration `k`, rebuilding the
+    /// `ρ` vectors in place if the residual balance of `res` warrants it
+    /// and recording the change as a `RhoUpdate` trace event.
+    fn stage_adaptive_rho(
+        &mut self,
+        env: &Env,
+        res: &Residuals,
+        k: usize,
+        tracing: bool,
+        prof: &mut Profile,
+    ) {
         let prim_rel = res.prim / res.prim_norm.max(1e-12);
         let dual_rel = res.dual / res.dual_norm.max(1e-12);
         if prim_rel <= 0.0 || dual_rel <= 0.0 {
-            return res;
+            return;
         }
         let rho_new = (self.rho * (prim_rel / dual_rel).sqrt())
             .clamp(env.settings.rho_min, env.settings.rho_max);
         let tol = ADAPTIVE_RHO_TOLERANCE;
         if rho_new > self.rho * tol || rho_new < self.rho / tol {
+            let rho_old = self.rho;
             self.rho = rho_new;
             build_rho_vec_into(
                 &env.settings,
@@ -507,8 +519,15 @@ impl Admm {
             if self.kkt.update_rho(&self.rho_vec, prof).is_ok() {
                 prof.rho_updates += 1;
             }
+            mib_trace::record_if(
+                tracing,
+                TraceEvent::RhoUpdate {
+                    iter: u32::try_from(k).unwrap_or(u32::MAX),
+                    rho_old,
+                    rho_new,
+                },
+            );
         }
-        res
     }
 }
 

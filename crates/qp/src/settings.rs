@@ -83,18 +83,23 @@ pub struct Settings {
     pub max_iter: usize,
     /// Interval of the regular termination check (default `25`): the full
     /// residual test plus the infeasibility certificates, the PCG
-    /// tolerance update and, every `adaptive_rho_interval`, adaptive `ρ`.
-    /// Between regular checks the ADMM backend also runs a cheap pre-test
-    /// every 5 iterations, and a full residual test when it passes, so an
-    /// ADMM solve can stop on any multiple of 5 (or on `max_iter`). PDQP
-    /// checks on this interval only.
+    /// tolerance update and, on the direct backend every
+    /// `adaptive_rho_interval`, adaptive `ρ`. Between regular checks ADMM
+    /// also runs a cheap pre-test every 5 iterations, and a full residual
+    /// test when it passes, so an ADMM solve can stop on any multiple of 5
+    /// (or on `max_iter`). On the indirect backend with `adaptive_rho`,
+    /// every multiple of 5 runs the full residual test and adaptive `ρ`.
+    /// PDQP checks on this interval only.
     pub check_termination: usize,
     /// Number of Ruiz equilibration passes; `0` disables scaling
     /// (default `10`).
     pub scaling_iters: usize,
     /// Enable adaptive `ρ` updates (default `true`).
     pub adaptive_rho: bool,
-    /// Interval (in iterations) between adaptive `ρ` checks (default `100`).
+    /// Interval (in iterations) between adaptive `ρ` checks on the direct
+    /// backend, where each update refactors (default `100`). The indirect
+    /// backend ignores it: its update factors nothing, so it adapts `ρ` at
+    /// every full check, every 5 iterations.
     pub adaptive_rho_interval: usize,
     /// Lower clamp for `ρ` (default `1e-6`).
     pub rho_min: f64,
@@ -220,10 +225,19 @@ impl Settings {
                 "check_termination must be at least 1".into(),
             ));
         }
-        if self.rho_min <= 0.0 || self.rho_max < self.rho_min {
-            return Err(QpError::InvalidSetting(
-                "rho bounds must satisfy 0 < rho_min <= rho_max".into(),
-            ));
+        // Negated comparisons so that a NaN bound fails them too: `ρ`
+        // is clamped to these bounds, and `f64::clamp` panics on NaN.
+        if !(self.rho_min > 0.0 && self.rho_max >= self.rho_min) {
+            return Err(QpError::InvalidSetting(format!(
+                "rho bounds must satisfy 0 < rho_min <= rho_max, got [{}, {}]",
+                self.rho_min, self.rho_max
+            )));
+        }
+        if !(self.rho_eq_scale > 0.0 && self.rho_eq_scale.is_finite()) {
+            return Err(QpError::InvalidSetting(format!(
+                "rho_eq_scale must be positive, got {}",
+                self.rho_eq_scale
+            )));
         }
         if self.check_interval == 0 {
             return Err(QpError::InvalidSetting(
@@ -256,7 +270,7 @@ mod tests {
         let bad = |f: fn(&mut Settings)| {
             let mut s = Settings::default();
             f(&mut s);
-            s.validate().is_err()
+            matches!(s.validate(), Err(QpError::InvalidSetting(_)))
         };
         assert!(bad(|s| s.rho = 0.0));
         assert!(bad(|s| s.rho = -1.0));
@@ -270,6 +284,12 @@ mod tests {
         assert!(bad(|s| s.max_iter = 0));
         assert!(bad(|s| s.check_termination = 0));
         assert!(bad(|s| s.rho_max = 1e-9));
+        assert!(bad(|s| s.rho_min = f64::NAN));
+        assert!(bad(|s| s.rho_max = f64::NAN));
+        assert!(bad(|s| s.rho_eq_scale = f64::NAN));
+        assert!(bad(|s| s.rho_eq_scale = 0.0));
+        assert!(bad(|s| s.rho_eq_scale = -1.0));
+        assert!(bad(|s| s.rho_eq_scale = f64::INFINITY));
         assert!(bad(|s| s.check_interval = 0));
         assert!(bad(|s| s.time_limit = Some(Duration::ZERO)));
     }

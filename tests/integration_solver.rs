@@ -159,6 +159,26 @@ fn huber_indirect_solves_within_100_iterations() {
     }
 }
 
+/// An indirect `ρ` update re-evaluates the reduced operator and factors
+/// nothing, so adaptive `ρ` runs there at every full check, every fifth
+/// iteration, not every `adaptive_rho_interval` (100): `svm[1]` adapts
+/// once and stops at iteration 55, where it ran 90 iterations without an
+/// update before.
+#[test]
+fn indirect_solves_adapt_rho_before_the_interval() {
+    let problem = instance(Domain::Svm, 1).problem;
+    let settings = Settings::with_backend(KktBackend::Indirect);
+    let interval = settings.adaptive_rho_interval;
+    let r = Solver::new(problem, settings).unwrap().solve();
+    assert!(r.status.is_solved(), "svm[1]: {}", r.status);
+    assert!(
+        r.iterations < interval,
+        "svm[1]: {} ADMM iterations",
+        r.iterations
+    );
+    assert!(r.profile.rho_updates >= 1, "svm[1]: no ρ update");
+}
+
 #[test]
 fn mpc_both_backends_satisfy_kkt() {
     verify_kkt(Domain::Mpc, 5, KktBackend::Direct);

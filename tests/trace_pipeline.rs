@@ -9,7 +9,7 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use mib::problems::portfolio;
+use mib::problems::{instance, portfolio, Domain};
 use mib::qp::{KktBackend, Settings, SolveTrace, Solver, Status};
 use mib::serve::{QpServer, Request, ServeConfig};
 use mib::trace::{Category, Event};
@@ -39,8 +39,9 @@ fn solver_iteration_telemetry_matches_result_bitwise() {
         let trace = mib::trace::take();
         assert_eq!(result.status, Status::Solved, "{backend:?}");
         assert_eq!(trace.dropped(), 0);
-        // Both backends stop on a check the pre-test triggered, off the
-        // regular `check_termination` grid.
+        // Both backends stop off the regular `check_termination` grid: the
+        // direct one on a check the pre-test triggered, the indirect one
+        // on a fifth iteration, where it checks and adapts ρ every time.
         assert_ne!(
             result.iterations % check_every,
             0,
@@ -56,8 +57,10 @@ fn solver_iteration_telemetry_matches_result_bitwise() {
         assert_eq!(last.prim_res.to_bits(), result.prim_res.to_bits());
         assert_eq!(last.dual_res.to_bits(), result.dual_res.to_bits());
         assert_eq!(last.iter as usize, result.iterations);
-        // Every full check, regular or triggered, records one event.
+        // Every full check, regular or triggered, records one event, and
+        // so does every accepted ρ update.
         assert_eq!(telemetry.iterations.len(), result.profile.checks);
+        assert_eq!(telemetry.rho_updates.len(), result.profile.rho_updates);
         assert!(
             telemetry.iterations.len() > 1,
             "{backend:?}: expected multiple termination checks"
@@ -91,6 +94,33 @@ fn solver_iteration_telemetry_matches_result_bitwise() {
         mib::trace::validate_json(&json)
             .unwrap_or_else(|e| panic!("{backend:?}: invalid trace JSON: {e}"));
         assert!(json.contains("\"residuals\""));
+    }
+}
+
+/// On the indirect backend adaptive ρ runs at every full check, every
+/// fifth iteration: each accepted update records one `RhoUpdate` event,
+/// and the events chain from the initial ρ.
+#[test]
+fn indirect_rho_update_events_match_the_profile() {
+    let _guard = hold();
+    mib::trace::clear();
+    mib::trace::enable();
+    let settings = Settings::with_backend(KktBackend::Indirect);
+    let rho0 = settings.rho;
+    let problem = instance(Domain::Lasso, 16).problem;
+    let result = Solver::new(problem, settings).expect("setup").solve();
+    mib::trace::disable();
+    let trace = mib::trace::take();
+    assert_eq!(result.status, Status::Solved);
+    assert_eq!(trace.dropped(), 0);
+    let updates = SolveTrace::collect(&trace).rho_updates;
+    assert_eq!(updates.len(), result.profile.rho_updates);
+    assert!(updates.len() >= 2, "{} ρ updates", updates.len());
+    let mut rho = rho0;
+    for u in &updates {
+        assert_eq!(u.iter % 5, 0, "ρ update off the fifth-iteration grid");
+        assert_eq!(u.rho_old.to_bits(), rho.to_bits());
+        rho = u.rho_new;
     }
 }
 
