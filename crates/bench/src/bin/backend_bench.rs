@@ -11,11 +11,14 @@
 //! wall-clock fields are environment-dependent.
 //!
 //! The run doubles as a correctness gate (`scripts/check.sh --smoke`):
-//! every backend must converge on every instance it benchmarks.
+//! every backend must converge on every instance it benchmarks, and every
+//! answer must meet OSQP's stopping criterion recomputed on the unscaled
+//! problem by [`OsqpCriterion`], which shares no code with the solvers.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use mib_bench::answer::OsqpCriterion;
 use mib_problems::{instance, Domain};
 use mib_qp::{Algorithm, KktBackend, Settings, Solver, Status};
 use mib_trace::json::write_f64;
@@ -61,6 +64,7 @@ struct Run {
     micros: u128,
     prim_res: f64,
     dual_res: f64,
+    criterion: OsqpCriterion,
 }
 
 fn main() {
@@ -72,7 +76,8 @@ fn main() {
         for &index in indices {
             let spec = instance(domain, index);
             for (backend, settings) in backends() {
-                let algorithm = settings.algorithm;
+                let (algorithm, eps_abs, eps_rel) =
+                    (settings.algorithm, settings.eps_abs, settings.eps_rel);
                 let mut solver = Solver::new(spec.problem.clone(), settings)
                     .expect("benchmark instance is valid");
                 let started = Instant::now();
@@ -96,14 +101,35 @@ fn main() {
                     micros: wall.as_micros(),
                     prim_res: result.prim_res,
                     dual_res: result.dual_res,
+                    criterion: OsqpCriterion::of(
+                        &spec.problem,
+                        eps_abs,
+                        eps_rel,
+                        &result.x,
+                        &result.y,
+                        &result.z,
+                    ),
                 });
             }
         }
     }
 
     // Correctness gate: every backend must converge on every instance
-    // (the suite has no infeasible problems).
+    // (the suite has no infeasible problems), to an answer that meets the
+    // criterion it reports meeting.
     for r in &runs {
+        assert!(
+            r.status != Status::Solved || r.criterion.holds(),
+            "{} reports {}[{}] solved, but recomputed on the unscaled problem \
+             ‖Ax−z‖∞ = {:.3e} (bound {:.3e}) and ‖Px+q+Aᵀy‖∞ = {:.3e} (bound {:.3e})",
+            r.backend,
+            r.domain,
+            r.index,
+            r.criterion.prim,
+            r.criterion.eps_prim,
+            r.criterion.dual,
+            r.criterion.eps_dual
+        );
         assert_eq!(
             r.status,
             Status::Solved,

@@ -10,6 +10,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod answer;
 pub mod diff;
 pub mod serve_json;
 
@@ -132,10 +133,12 @@ pub fn peak_flops(config: &MibConfig) -> f64 {
 /// triggers some of those checks (and, on the indirect backend, drives
 /// the PCG tolerance) has no compiled schedule and is not charged: one
 /// m-length reduction every 5 iterations, on the indirect backend at
-/// regular checks too. So the MIB time is slightly understated against
-/// the CPU model, whose profile counts it. The same holds for adaptive-`ρ`
-/// updates on the indirect backend (at most one per 5 iterations, each a
-/// re-evaluation of `S` or the Jacobi diagonal): no schedule, not charged.
+/// regular checks too, and none on the direct backend with adaptive `ρ`,
+/// which checks every 5 iterations instead. So the MIB time is slightly
+/// understated against the CPU model, whose profile counts it. The same
+/// holds for adaptive-`ρ` updates on the indirect backend (at most one
+/// per 5 iterations, each a re-evaluation of `S` or the Jacobi
+/// diagonal): no schedule, not charged.
 /// A direct update is charged, as the refactorization in `factor_count`.
 pub fn mib_solve_seconds(lowered: &LoweredQp, result: &SolveResult) -> f64 {
     lowered.total_seconds(

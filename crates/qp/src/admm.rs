@@ -7,9 +7,9 @@
 //! ADMM's iterates, its step sizes, its KKT backend and its loop. The
 //! pre-test-triggered checks of [`Admm::iterate`] may only stop a solve
 //! sooner: they never change the iterates. On the indirect backend the
-//! pre-test's step also drives the PCG tolerance, and with adaptive `ρ`
-//! on, every fifth iteration is instead a full check that may update `ρ`,
-//! since there an update factors nothing.
+//! pre-test's step also drives the PCG tolerance. With adaptive `ρ` on,
+//! every fifth iteration is instead a full check that may update `ρ`, on
+//! both backends.
 
 use std::time::Instant;
 
@@ -156,13 +156,14 @@ impl Admm {
     /// sequence as with regular checks alone and stops at or before the
     /// same iteration.
     ///
-    /// Adaptive `ρ` is the exception, on the indirect backend only: a `ρ`
-    /// update there re-evaluates `S` or the Jacobi diagonal and factors
-    /// nothing, so every multiple of `PRETEST_EVERY` runs the full check
-    /// and every full check that does not stop the solve applies
-    /// `stage_adaptive_rho`. The direct backend adapts only at regular
-    /// checks on multiples of `adaptive_rho_interval` (rounded up to one
-    /// of `check_termination`), each a refactorization.
+    /// Adaptive `ρ` is the exception: with it on, every multiple of
+    /// `PRETEST_EVERY` runs the full check, on both backends, and every
+    /// full check that does not stop the solve applies
+    /// `stage_adaptive_rho`. An applied update refactors on the direct
+    /// backend (about two iterations' work at the served sizes) and
+    /// re-evaluates `S` or the Jacobi diagonal on the indirect one. The
+    /// direct backend then skips the pre-test, whose only use there is to
+    /// gate a check that runs anyway.
     ///
     /// The indirect backend's PCG tolerance starts at `eps_pcg_start`,
     /// halves at every regular check, and shrinks by `PCG_STALL_TIGHTEN`
@@ -180,22 +181,14 @@ impl Admm {
         let tracing = run.tracing;
         let max_iter = env.settings.max_iter;
         let check_every = env.settings.check_termination;
-        // Round the adaptive interval up to a multiple of the termination
-        // check so fresh residuals are always available.
-        let adapt_every = env
-            .settings
-            .adaptive_rho_interval
-            .div_ceil(check_every)
-            .max(1)
-            * check_every;
 
         let mut status = Status::MaxIterations;
         let mut pcg_tol = env.settings.eps_pcg_start;
         let mut last_ratio = f64::INFINITY;
         let indirect = matches!(self.kkt, Kkt::Indirect(_));
-        // Indirect adaptive ρ: a full check, and an adaptation, at every
-        // multiple of `PRETEST_EVERY`.
-        let adapt_always = indirect && env.settings.adaptive_rho;
+        // Adaptive ρ: a full check, and an adaptation, at every multiple
+        // of `PRETEST_EVERY`.
+        let adapt = env.settings.adaptive_rho;
         let mut final_res: Option<Residuals> = None;
         let mut iterations = 0usize;
         // Telemetry deltas: KKT time and PCG iterations since the last
@@ -240,11 +233,12 @@ impl Admm {
             }
 
             // Only regular checks and the indirect backend's pre-test
-            // drive side effects (infeasibility, PCG tolerance, direct
-            // adaptive ρ); a triggered check can only stop the solve,
-            // except that indirect adaptive ρ runs at every check.
+            // drive side effects (infeasibility, PCG tolerance); a
+            // triggered check can only stop the solve, except that
+            // adaptive ρ runs at every check.
             let regular = k % check_every == 0 || k == max_iter;
-            let pretest = (k % PRETEST_EVERY == 0 && (!regular || indirect))
+            let on_grid = k % PRETEST_EVERY == 0;
+            let pretest = (on_grid && (indirect || !(regular || adapt)))
                 .then(|| self.stage_pretest(env, prof));
             if let (Some((step, bound)), Kkt::Indirect(kkt)) = (pretest, &mut self.kkt) {
                 // A primal step that stopped falling relative to its bound
@@ -257,7 +251,7 @@ impl Admm {
                 last_ratio = ratio;
             }
             let triggered =
-                !regular && pretest.is_some_and(|(step, bound)| adapt_always || step < bound);
+                !regular && on_grid && (adapt || pretest.is_some_and(|(step, bound)| step < bound));
             if regular || triggered {
                 let res = {
                     let _s = mib_trace::span_if(kdetail, "stage_residuals", TraceCat::Kernel);
@@ -312,8 +306,7 @@ impl Admm {
                         kkt.set_tolerance(pcg_tol);
                     }
                 }
-                if adapt_always || (env.settings.adaptive_rho && !triggered && k % adapt_every == 0)
-                {
+                if adapt {
                     self.stage_adaptive_rho(env, &res, k, tracing, prof);
                 }
             }

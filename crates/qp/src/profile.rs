@@ -92,7 +92,7 @@ pub struct Profile {
     pub admm_iters: usize,
     /// Full termination checks run: those on the `check_termination`
     /// cadence plus (ADMM only) those a passing pre-test triggered, or,
-    /// on the indirect backend with adaptive `ρ`, every fifth iteration.
+    /// with adaptive `ρ`, every fifth iteration.
     pub checks: usize,
     /// Number of adaptive `ρ` updates applied.
     pub rho_updates: usize,

@@ -82,25 +82,23 @@ pub struct Settings {
     /// Iteration limit (default `4000`).
     pub max_iter: usize,
     /// Interval of the regular termination check (default `25`): the full
-    /// residual test plus the infeasibility certificates, the PCG
-    /// tolerance update and, on the direct backend every
-    /// `adaptive_rho_interval`, adaptive `ρ`. Between regular checks ADMM
-    /// also runs a cheap pre-test every 5 iterations, and a full residual
-    /// test when it passes, so an ADMM solve can stop on any multiple of 5
-    /// (or on `max_iter`). On the indirect backend with `adaptive_rho`,
-    /// every multiple of 5 runs the full residual test and adaptive `ρ`.
-    /// PDQP checks on this interval only.
+    /// residual test plus the infeasibility certificates and the PCG
+    /// tolerance update. Between regular checks ADMM also runs a full
+    /// residual test every 5 iterations: with `adaptive_rho` on, always;
+    /// with it off, when a cheap pre-test passes. So an ADMM solve can
+    /// stop on any multiple of 5 (or on `max_iter`). PDQP checks on this
+    /// interval only.
     pub check_termination: usize,
     /// Number of Ruiz equilibration passes; `0` disables scaling
     /// (default `10`).
     pub scaling_iters: usize,
-    /// Enable adaptive `ρ` updates (default `true`).
+    /// Enable adaptive `ρ` updates (default `true`). ADMM then runs the
+    /// full residual test every 5 iterations, on both KKT backends, and
+    /// applies OSQP's rule after each one that does not stop the solve:
+    /// `ρ` changes when the new value leaves a ×5 band around the current
+    /// one. On the direct backend each change is a numeric
+    /// refactorization; on the indirect one it factors nothing.
     pub adaptive_rho: bool,
-    /// Interval (in iterations) between adaptive `ρ` checks on the direct
-    /// backend, where each update refactors (default `100`). The indirect
-    /// backend ignores it: its update factors nothing, so it adapts `ρ` at
-    /// every full check, every 5 iterations.
-    pub adaptive_rho_interval: usize,
     /// Lower clamp for `ρ` (default `1e-6`).
     pub rho_min: f64,
     /// Upper clamp for `ρ` (default `1e6`).
@@ -153,7 +151,6 @@ impl Default for Settings {
             check_termination: 25,
             scaling_iters: 10,
             adaptive_rho: true,
-            adaptive_rho_interval: 100,
             rho_min: 1e-6,
             rho_max: 1e6,
             rho_eq_scale: 1e3,
@@ -209,7 +206,10 @@ impl Settings {
                 self.alpha
             )));
         }
-        if self.eps_abs < 0.0 || self.eps_rel < 0.0 || (self.eps_abs == 0.0 && self.eps_rel == 0.0)
+        // Negated so that a NaN tolerance fails too: the stopping test
+        // `res < NaN` never holds, and the solve would run to `max_iter`.
+        if !(self.eps_abs >= 0.0 && self.eps_rel >= 0.0)
+            || (self.eps_abs == 0.0 && self.eps_rel == 0.0)
         {
             return Err(QpError::InvalidSetting(
                 "eps_abs and eps_rel must be nonnegative and not both zero".into(),
@@ -281,6 +281,8 @@ mod tests {
             s.eps_abs = 0.0;
             s.eps_rel = 0.0;
         }));
+        assert!(bad(|s| s.eps_abs = f64::NAN));
+        assert!(bad(|s| s.eps_rel = f64::NAN));
         assert!(bad(|s| s.max_iter = 0));
         assert!(bad(|s| s.check_termination = 0));
         assert!(bad(|s| s.rho_max = 1e-9));

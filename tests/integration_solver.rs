@@ -4,51 +4,15 @@
 use mib::problems::{instance, Domain, INSTANCES_PER_DOMAIN};
 use mib::qp::{KktBackend, Problem, Settings, SolveResult, Solver};
 use mib::sparse::vector;
+use mib_bench::answer::OsqpCriterion;
 
 /// OSQP's termination criterion recomputed from the returned `(x, y, z)`
-/// with plain loops over the problem's CSC entries — no scaling, no
-/// workspace, none of the solver's kernels — at the solver's own eps:
-///
-/// `‖Ax − z‖∞ ≤ eps_abs + eps_rel·max(‖Ax‖∞, ‖z‖∞)` and
-/// `‖Px + q + Aᵀy‖∞ ≤ eps_abs + eps_rel·max(‖Px‖∞, ‖Aᵀy‖∞, ‖q‖∞)`.
-/// The solver tests the same inequalities on its own products, whose
-/// summation order differs, hence the rounding slack.
+/// by [`OsqpCriterion`] — plain loops over the problem's CSC entries, no
+/// scaling, no workspace, none of the solver's kernels — at the solver's
+/// own eps.
 fn assert_osqp_criterion(label: &str, pr: &Problem, s: &Settings, r: &SolveResult) {
-    let (n, m) = (pr.num_vars(), pr.num_constraints());
-    let mut ax = vec![0.0; m];
-    let mut aty = vec![0.0; n];
-    for (i, j, v) in pr.a().iter() {
-        ax[i] += v * r.x[j];
-        aty[j] += v * r.y[i];
-    }
-    let mut px = vec![0.0; n];
-    for (i, j, v) in pr.p().iter() {
-        px[i] += v * r.x[j];
-        if i != j {
-            px[j] += v * r.x[i];
-        }
-    }
-    let max_abs = |v: &[f64]| v.iter().fold(0.0f64, |acc, e| acc.max(e.abs()));
-    let prim = ax
-        .iter()
-        .zip(&r.z)
-        .fold(0.0f64, |acc, (a, z)| acc.max((a - z).abs()));
-    let dual = px
-        .iter()
-        .zip(pr.q())
-        .zip(&aty)
-        .fold(0.0f64, |acc, ((p, q), t)| acc.max((p + q + t).abs()));
-    let eps_prim = s.eps_abs + s.eps_rel * max_abs(&ax).max(max_abs(&r.z));
-    let eps_dual = s.eps_abs + s.eps_rel * max_abs(&px).max(max_abs(&aty)).max(max_abs(pr.q()));
-    let slack = 1.0 + 1e-9;
-    assert!(
-        prim <= eps_prim * slack,
-        "{label}: primal residual {prim:e} above eps {eps_prim:e}"
-    );
-    assert!(
-        dual <= eps_dual * slack,
-        "{label}: dual residual {dual:e} above eps {eps_dual:e}"
-    );
+    let c = OsqpCriterion::of(pr, s.eps_abs, s.eps_rel, &r.x, &r.y, &r.z);
+    assert!(c.holds(), "{label}: {c:?}");
 }
 
 /// Verifies the KKT conditions of a solved instance directly from the
@@ -159,24 +123,50 @@ fn huber_indirect_solves_within_100_iterations() {
     }
 }
 
-/// An indirect `ρ` update re-evaluates the reduced operator and factors
-/// nothing, so adaptive `ρ` runs there at every full check, every fifth
-/// iteration, not every `adaptive_rho_interval` (100): `svm[1]` adapts
-/// once and stops at iteration 55, where it ran 90 iterations without an
-/// update before.
+/// Adaptive `ρ` runs at every full check, every fifth iteration, on both
+/// backends, not every 100 iterations as the direct backend once did:
+/// `svm[1]` adapts once and stops at iteration 55 on either backend,
+/// where it ran 90 iterations without an update before.
 #[test]
 fn indirect_solves_adapt_rho_before_the_interval() {
-    let problem = instance(Domain::Svm, 1).problem;
-    let settings = Settings::with_backend(KktBackend::Indirect);
-    let interval = settings.adaptive_rho_interval;
-    let r = Solver::new(problem, settings).unwrap().solve();
-    assert!(r.status.is_solved(), "svm[1]: {}", r.status);
+    for backend in [KktBackend::Direct, KktBackend::Indirect] {
+        let problem = instance(Domain::Svm, 1).problem;
+        let r = Solver::new(problem, Settings::with_backend(backend))
+            .unwrap()
+            .solve();
+        assert!(r.status.is_solved(), "svm[1] {backend:?}: {}", r.status);
+        assert!(
+            r.iterations < 100,
+            "svm[1] {backend:?}: {} ADMM iterations",
+            r.iterations
+        );
+        assert!(
+            r.profile.rho_updates >= 1,
+            "svm[1] {backend:?}: no ρ update"
+        );
+    }
+}
+
+/// On the direct backend each `ρ` update is one numeric refactorization.
+/// `portfolio[0]` updates once at its first full check and stops within
+/// 40 iterations; with updates every 100 iterations it ran 105 at the
+/// initial `ρ`.
+#[test]
+fn direct_solves_adapt_rho_on_the_5_grid() {
+    let problem = instance(Domain::Portfolio, 0).problem;
+    let r = Solver::new(problem, Settings::default()).unwrap().solve();
+    assert!(r.status.is_solved(), "portfolio[0]: {}", r.status);
     assert!(
-        r.iterations < interval,
-        "svm[1]: {} ADMM iterations",
+        r.iterations <= 40,
+        "portfolio[0]: {} iterations",
         r.iterations
     );
-    assert!(r.profile.rho_updates >= 1, "svm[1]: no ρ update");
+    assert_eq!(r.profile.rho_updates, 1, "portfolio[0]: ρ updates");
+    assert_eq!(
+        r.profile.factor_count,
+        1 + r.profile.rho_updates,
+        "portfolio[0]: one factorization at set-up and one per ρ update"
+    );
 }
 
 #[test]

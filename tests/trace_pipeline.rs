@@ -27,11 +27,7 @@ fn solver_iteration_telemetry_matches_result_bitwise() {
         mib::trace::clear();
         mib::trace::enable();
         let problem = portfolio(30, 5, 7);
-        let settings = Settings {
-            backend,
-            adaptive_rho_interval: 10,
-            ..Settings::default()
-        };
+        let settings = Settings::with_backend(backend);
         let check_every = settings.check_termination;
         let mut solver = Solver::new(problem, settings).expect("setup");
         let result = solver.solve();
@@ -39,9 +35,8 @@ fn solver_iteration_telemetry_matches_result_bitwise() {
         let trace = mib::trace::take();
         assert_eq!(result.status, Status::Solved, "{backend:?}");
         assert_eq!(trace.dropped(), 0);
-        // Both backends stop off the regular `check_termination` grid: the
-        // direct one on a check the pre-test triggered, the indirect one
-        // on a fifth iteration, where it checks and adapts ρ every time.
+        // Both backends stop off the regular `check_termination` grid, on
+        // a fifth iteration, where they check and adapt ρ every time.
         assert_ne!(
             result.iterations % check_every,
             0,
@@ -61,6 +56,9 @@ fn solver_iteration_telemetry_matches_result_bitwise() {
         // so does every accepted ρ update.
         assert_eq!(telemetry.iterations.len(), result.profile.checks);
         assert_eq!(telemetry.rho_updates.len(), result.profile.rho_updates);
+        for u in &telemetry.rho_updates {
+            assert_eq!(u.iter % 5, 0, "{backend:?}: ρ update off the 5-grid");
+        }
         assert!(
             telemetry.iterations.len() > 1,
             "{backend:?}: expected multiple termination checks"
@@ -76,10 +74,14 @@ fn solver_iteration_telemetry_matches_result_bitwise() {
         }
         if backend == KktBackend::Direct {
             assert!(telemetry.phases_named("factor").count() >= 1);
-            // Adaptive rho forced refactorizations.
+            // Each ρ update is one refactorization.
             assert!(
-                telemetry.phases_named("refactor").count() >= 1,
-                "adaptive_rho_interval 10 must refactor at least once"
+                result.profile.rho_updates >= 1,
+                "the direct solve must update ρ"
+            );
+            assert_eq!(
+                telemetry.phases_named("refactor").count(),
+                result.profile.rho_updates
             );
         } else {
             assert!(

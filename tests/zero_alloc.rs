@@ -135,13 +135,7 @@ fn simd_kernels_perform_zero_allocations() {
 }
 
 fn assert_solve_is_allocation_free(problem: Problem, backend: KktBackend) {
-    let settings = Settings {
-        backend,
-        // Force adaptive-rho refactorizations during the measured solve so
-        // the numeric-refactor path is covered too.
-        adaptive_rho_interval: 10,
-        ..Settings::default()
-    };
+    let settings = Settings::with_backend(backend);
 
     let mut solver = Solver::new(problem, settings).expect("setup");
     // Warm-up: the first solve sizes the result buffers (and lets lazy
@@ -152,14 +146,19 @@ fn assert_solve_is_allocation_free(problem: Problem, backend: KktBackend) {
         Status::Solved,
         "{backend:?} warm-up must solve"
     );
-    assert!(
-        result.iterations > 10,
-        "problem too easy to exercise adaptive rho"
-    );
 
     solver.reset();
     let allocs = allocations_during(|| solver.solve_into(&mut result));
     assert_eq!(result.status, Status::Solved);
+    // On the direct backend an adaptive-ρ update runs inside the measured
+    // solve, so the in-place refactorization is covered too. (The
+    // indirect re-evaluation is measured on the assembled path below.)
+    if backend == KktBackend::Direct {
+        assert!(
+            result.profile.rho_updates >= 1,
+            "the measured direct solve must refactor"
+        );
+    }
     assert_eq!(
         allocs, 0,
         "{backend:?} solve_into performed {allocs} heap allocations; \
@@ -189,11 +188,7 @@ fn indirect_solve_into_performs_zero_allocations() {
 #[test]
 fn assembled_indirect_solve_and_rho_updates_perform_zero_allocations() {
     let problem = instance(Domain::Svm, 1).problem;
-    let settings = Settings {
-        backend: KktBackend::Indirect,
-        adaptive_rho_interval: 10,
-        ..Settings::default()
-    };
+    let settings = Settings::with_backend(KktBackend::Indirect);
     let kkt = IndirectKkt::new(
         problem.p(),
         problem.a(),
