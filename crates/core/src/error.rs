@@ -9,8 +9,9 @@ pub enum MibError {
     /// instruction at `cycle` reads or accumulates into a location whose
     /// pending write completes only at `ready`. The reported location is
     /// the **binding** hazard — the pending write with the latest
-    /// visibility cycle — and the static timing predictor
-    /// (`mib_verify::predict`) returns the identical value.
+    /// visibility cycle. The machine and the static timing predictor
+    /// ([`crate::timing::predict`]) raise it from the same issue engine,
+    /// so both return the identical value.
     DataHazard {
         /// Issue cycle of the offending instruction.
         cycle: u64,

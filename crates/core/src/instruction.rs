@@ -585,10 +585,9 @@ impl NetInstruction {
     /// Number of floating-point operations this instruction performs:
     /// active input multipliers, `Sum` adder nodes, output multipliers,
     /// and the writeback ALU ops (`Add`, `StoreRecip`, `Min`, `Max`,
-    /// `MaxAbs`). Statically derivable, and exactly the increment the
-    /// machine applies to `ExecStats::flops` when executing the slot —
-    /// one of the issue-rule introspection accessors the static timing
-    /// analyzer (`mib-verify`) replays the machine from.
+    /// `MaxAbs`). Statically derivable: the issue engine adds it to
+    /// `ExecStats::flops` for every slot, whether the machine executes the
+    /// program or [`crate::timing::predict`] only times it.
     pub fn flop_count(&self) -> u64 {
         let muls = self.inputs.iter().filter(|s| s.is_multiply()).count() as u64;
         let sums: u32 = (0..self.stages())

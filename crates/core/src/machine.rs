@@ -9,10 +9,18 @@
 //! [`HazardPolicy::Stall`] the machine delays issue (counting stall
 //! cycles), under [`HazardPolicy::Strict`] it reports an error — the mode
 //! used to verify that compiler schedules are hazard-free.
+//!
+//! Those issue rules live in one place, `issue_program`, generic over the
+//! functional stage it runs for each slot. [`Machine::run`] passes the
+//! value stage (registers, latches, the HBM stream);
+//! [`crate::timing::predict`] passes a stage that only replays faults, and
+//! [`crate::critical_path::critical_path`] one that does nothing. So a
+//! prediction equals a run by construction wherever the stages agree on
+//! faults.
 
 use crate::hbm::HbmStream;
 use crate::instruction::{lanes, LaneSource, NetInstruction, WriteMode};
-use crate::pending::PendingWrites;
+use crate::pending::{BindingWrite, PendingWrites};
 use crate::regfile::RegisterFiles;
 use crate::stats::ExecStats;
 use crate::{MibConfig, MibError, Result};
@@ -76,79 +84,34 @@ impl Machine {
         hbm: &mut HbmStream,
         policy: HazardPolicy,
     ) -> Result<ExecStats> {
-        let width = self.config.width;
-        let latency = self.config.latency();
-        let mut stats = ExecStats::default();
-        let mut pending = PendingWrites::new(&self.config);
+        let (regs, latches) = (&mut self.regs, &mut self.latches);
         // Lane values entering and leaving an adder stage, reused by
         // every slot. A lane outside a buffer's `live` mask holds 0.0, the
         // output of an idle node; only live lanes are ever cleared.
-        let mut values = vec![0.0f64; width];
-        let mut next = vec![0.0f64; width];
+        let mut values = vec![0.0f64; self.config.width];
+        let mut next = vec![0.0f64; self.config.width];
         let (mut live, mut next_live) = (0u128, 0u128);
-        let mut cycle: u64 = 0;
-
-        for (idx, inst) in program.iter().enumerate() {
-            if inst.width() != width {
-                return Err(MibError::WidthMismatch {
-                    instruction: inst.width(),
-                    machine: width,
-                });
-            }
-
-            // Earliest hazard-free issue cycle, held back by the *binding*
-            // hazard (the pending write with the latest visibility cycle)
-            // so the strict-mode error carries the same provenance the
-            // static timing predictor reports.
-            let hazard = pending.binding(inst, cycle + 1);
-            let issue = hazard.map_or(cycle, |h| h.ready);
-            if let Some(h) = hazard {
-                if policy == HazardPolicy::Strict {
-                    return Err(MibError::DataHazard {
-                        cycle,
-                        instruction: idx,
-                        bank: h.bank,
-                        addr: h.addr,
-                        latch: h.latch,
-                        ready: h.ready,
-                    });
-                }
-                stats.stall_cycles += issue - cycle;
-            }
-
-            // ---- Functional evaluation, over the slot's lanes only ----
+        let evaluate = |idx: usize, inst: &NetInstruction| -> Result<()> {
+            let mut word = || {
+                hbm.next_word()
+                    .ok_or(MibError::StreamExhausted { instruction: idx })
+            };
             // Multiplier stage (stream words consumed in lane order).
             clear_lanes(&mut values, live & !inst.input_mask());
             live = inst.input_mask();
             for (lane, src) in inst.input_locs() {
                 let v = match src {
-                    LaneSource::Reg { addr } => self.regs.read(lane, addr)?,
-                    LaneSource::Stream => self.stream_word(hbm, idx, &mut stats)?,
+                    LaneSource::Reg { addr } => regs.read(lane, addr)?,
+                    LaneSource::Stream => word()?,
                     LaneSource::RegTimesStream { addr, negate } => {
-                        let r = self.regs.read(lane, addr)?;
-                        let s = self.stream_word(hbm, idx, &mut stats)?;
-                        if negate {
-                            -(r * s)
-                        } else {
-                            r * s
-                        }
+                        signed(regs.read(lane, addr)? * word()?, negate)
                     }
                     LaneSource::RegTimesLatch { addr, negate } => {
-                        let p = self.regs.read(lane, addr)? * self.latches[lane];
-                        if negate {
-                            -p
-                        } else {
-                            p
-                        }
+                        signed(regs.read(lane, addr)? * latches[lane], negate)
                     }
-                    LaneSource::RegTimesImm { addr, imm } => self.regs.read(lane, addr)? * imm,
+                    LaneSource::RegTimesImm { addr, imm } => regs.read(lane, addr)? * imm,
                     LaneSource::StreamTimesLatch { negate } => {
-                        let p = self.stream_word(hbm, idx, &mut stats)? * self.latches[lane];
-                        if negate {
-                            -p
-                        } else {
-                            p
-                        }
+                        signed(word()? * latches[lane], negate)
                     }
                 };
                 values[lane] = v;
@@ -173,58 +136,105 @@ impl Machine {
             // Output multiplier stage (consumes stream words after the
             // input stage, in lane order).
             for (lane, negate) in inst.out_mul_locs() {
-                let s = self.stream_word(hbm, idx, &mut stats)?;
-                values[lane] *= if negate { -s } else { s };
+                values[lane] *= signed(word()?, negate);
             }
             live |= inst.out_mul_mask();
             // Writeback stage.
             for (lane, w) in inst.write_locs() {
                 let v = values[lane];
                 match w.mode {
-                    WriteMode::Store => self.regs.write(lane, w.addr, v)?,
-                    WriteMode::Add => self.regs.accumulate(lane, w.addr, v)?,
-                    WriteMode::StoreRecip => self.regs.write(lane, w.addr, 1.0 / v)?,
-                    WriteMode::Latch => self.latches[lane] = v,
+                    WriteMode::Store => regs.write(lane, w.addr, v)?,
+                    WriteMode::Add => regs.accumulate(lane, w.addr, v)?,
+                    WriteMode::StoreRecip => regs.write(lane, w.addr, 1.0 / v)?,
+                    WriteMode::Latch => latches[lane] = v,
                     WriteMode::Min => {
-                        let cur = self.regs.read(lane, w.addr)?;
-                        self.regs.write(lane, w.addr, cur.min(v))?;
+                        let cur = regs.read(lane, w.addr)?;
+                        regs.write(lane, w.addr, cur.min(v))?;
                     }
                     WriteMode::Max => {
-                        let cur = self.regs.read(lane, w.addr)?;
-                        self.regs.write(lane, w.addr, cur.max(v))?;
+                        let cur = regs.read(lane, w.addr)?;
+                        regs.write(lane, w.addr, cur.max(v))?;
                     }
                     WriteMode::MaxAbs => {
-                        let cur = self.regs.read(lane, w.addr)?;
-                        self.regs.write(lane, w.addr, cur.max(v.abs()))?;
+                        let cur = regs.read(lane, w.addr)?;
+                        regs.write(lane, w.addr, cur.max(v.abs()))?;
                     }
                 }
             }
-            stats.flops += inst.flop_count();
-            stats.reg_reads += inst.reg_read_count();
-            stats.reg_writes += inst.write_count();
-            pending.record(idx, issue + latency, inst);
-
-            stats.slots += 1;
-            stats.busy_nodes += inst.busy_nodes() as u64;
-            stats.count_kind(inst.kind);
-            cycle = issue + 1;
-        }
-        let drain = if stats.slots > 0 { latency } else { 0 };
-        stats.cycles = cycle + drain;
-        Ok(stats)
+            Ok(())
+        };
+        issue_program(program, &self.config, policy, evaluate, |_, _, _| {})
     }
+}
 
-    fn stream_word(
-        &mut self,
-        hbm: &mut HbmStream,
-        instruction: usize,
-        stats: &mut ExecStats,
-    ) -> Result<f64> {
-        let w = hbm
-            .next_word()
-            .ok_or(MibError::StreamExhausted { instruction })?;
-        stats.hbm_words += 1;
-        Ok(w)
+/// The issue engine: the one loop that turns a program into issue cycles,
+/// shared by [`Machine::run`], [`predict`](crate::timing::predict) and
+/// [`critical_path`](crate::critical_path::critical_path). Each caller
+/// passes its own functional stage and a per-slot hook as closures, so
+/// every caller gets its own monomorphised copy of the loop.
+///
+/// Per slot, in order: the width check; one
+/// [`PendingWrites::binding`] query from the slot's earliest issue cycle
+/// `cycle`; if the binding write is visible only after `cycle`, the
+/// strict [`MibError::DataHazard`] or the stall up to its ready cycle;
+/// `evaluate(slot, inst)`, whose error ends the run; `issued(slot,
+/// issue, binding)`, with a binding visible exactly at `cycle` passed on
+/// too (the critical path's tight hop); the [`ExecStats`] counters and
+/// the slot's writes. A non-empty program ends with the `latency`-cycle
+/// drain.
+pub(crate) fn issue_program(
+    program: &[NetInstruction],
+    config: &MibConfig,
+    policy: HazardPolicy,
+    mut evaluate: impl FnMut(usize, &NetInstruction) -> Result<()>,
+    mut issued: impl FnMut(usize, u64, Option<BindingWrite>),
+) -> Result<ExecStats> {
+    let latency = config.latency();
+    let mut stats = ExecStats::default();
+    let mut pending = PendingWrites::new(config);
+    let mut cycle: u64 = 0;
+    for (idx, inst) in program.iter().enumerate() {
+        if inst.width() != config.width {
+            return Err(MibError::WidthMismatch {
+                instruction: inst.width(),
+                machine: config.width,
+            });
+        }
+        let binding = pending.binding(inst, cycle);
+        let issue = binding.map_or(cycle, |b| b.ready);
+        if let Some(h) = binding.filter(|b| policy == HazardPolicy::Strict && b.ready > cycle) {
+            return Err(MibError::DataHazard {
+                cycle,
+                instruction: idx,
+                bank: h.bank,
+                addr: h.addr,
+                latch: h.latch,
+                ready: h.ready,
+            });
+        }
+        stats.stall_cycles += issue - cycle;
+        evaluate(idx, inst)?;
+        issued(idx, issue, binding);
+        stats.flops += inst.flop_count();
+        stats.hbm_words += inst.stream_words() as u64;
+        stats.reg_reads += inst.reg_read_count();
+        stats.reg_writes += inst.write_count();
+        stats.busy_nodes += inst.busy_nodes() as u64;
+        stats.count_kind(inst.kind);
+        stats.slots += 1;
+        pending.record(idx, issue + latency, inst);
+        cycle = issue + 1;
+    }
+    stats.cycles = cycle + if stats.slots > 0 { latency } else { 0 };
+    Ok(stats)
+}
+
+/// `-p` when `negate`, else `p`: a multiplier node's sign bit.
+fn signed(p: f64, negate: bool) -> f64 {
+    if negate {
+        -p
+    } else {
+        p
     }
 }
 

@@ -1,8 +1,7 @@
 //! The pending-write window: the register and latch writes still in
-//! flight, as the machine's hazard check, the static timing predictor
-//! (`mib_verify::timing`, whose strict verdict certifies compiled
-//! schedules) and the critical-path extractor
-//! (`mib_verify::critical_path`) all see them.
+//! flight, as the issue engine (`machine::issue_program`) sees them. The
+//! machine, the static timing predictor and the critical-path extractor
+//! all run that engine, so they all read this one window.
 //!
 //! One slot issues per cycle and its writes become visible `latency`
 //! cycles after it issued. Issue cycles strictly increase, so a slot
@@ -11,14 +10,12 @@
 //! writes are visible by then — exactly then at the latest. Only the last
 //! `latency` slots can hold a write that binds an issue cycle, so the
 //! window keeps just those, per lane, and searches them newest first. For
-//! every write that can bind (visible after the earliest issue cycle, or
-//! exactly at it for the critical path's tight hops) it gives the answer a
-//! map of every write ever made would give: the newest write to the
-//! location, its visibility cycle and its slot. For older writes it gives
-//! nothing, which no caller can tell from a visible write.
+//! every write visible at or after the earliest issue cycle it gives the
+//! answer a map of every write ever made would give: the newest write to
+//! the location, its visibility cycle and its slot. For older writes it
+//! gives nothing, which no caller can tell from a visible write.
 //!
-//! [`PendingWrites::binding`] is the issue rule all three consumers apply
-//! to the window, scanned in one order.
+//! [`PendingWrites::binding`] is the issue rule, scanned in one order.
 
 use crate::instruction::{lanes, NetInstruction, WriteMode};
 use crate::MibConfig;
@@ -126,23 +123,24 @@ impl PendingWrites {
         self.any_written = self.written.iter().fold(0, |acc, &m| acc | m);
     }
 
-    /// The write that binds `inst`'s issue: among the locations it reads
-    /// whose pending write becomes visible at or after cycle `from`, the
-    /// first to reach the latest visible cycle, scanned in the machine's
-    /// order — per lane, the register read then the latch read; then the
-    /// read-modify-write writebacks' targets, in lane order. Later writes
-    /// with the same visible cycle come from the same slot (one slot issues
-    /// per cycle), so the order only picks which location is named.
+    /// The write that binds `inst`'s issue when its earliest issue cycle
+    /// is `cycle`: among the locations it reads whose pending write becomes
+    /// visible at or after `cycle`, the first to reach the latest visible
+    /// cycle, scanned in the machine's order — per lane, the register read
+    /// then the latch read; then the read-modify-write writebacks'
+    /// targets, in lane order. Later writes with the same visible cycle
+    /// come from the same slot (one slot issues per cycle), so the order
+    /// only picks which location is named.
     ///
-    /// The machine and the predictor ask from the cycle after the earliest
-    /// issue cycle: a write visible exactly then does not hold the slot
-    /// back. The critical path asks from the earliest issue cycle itself,
-    /// so that such a write binds as a tight, zero-stall hop.
-    pub fn binding(&self, inst: &NetInstruction, from: u64) -> Option<BindingWrite> {
+    /// A write visible after `cycle` holds the slot back (a hazard); one
+    /// visible exactly at `cycle` does not, and is the critical path's
+    /// tight, zero-stall hop. The ready cycle is the maximum either way,
+    /// so a hazard is the same write however the tight ones tie.
+    pub fn binding(&self, inst: &NetInstruction, cycle: u64) -> Option<BindingWrite> {
         let mut best: Option<BindingWrite> = None;
         let mut note = |bank: usize, addr: usize, latch: bool, found: Option<(u64, usize)>| {
             let Some((ready, slot)) = found else { return };
-            if ready >= best.map_or(from, |b| b.ready + 1) {
+            if ready >= best.map_or(cycle, |b| b.ready + 1) {
                 best = Some(BindingWrite {
                     bank,
                     addr,

@@ -75,9 +75,11 @@ pub struct Settings {
     pub sigma: f64,
     /// Relaxation parameter `α ∈ (0, 2)` (default `1.6`).
     pub alpha: f64,
-    /// Absolute tolerance for the termination criterion (default `1e-3`).
+    /// Absolute tolerance for the termination criterion (default `1e-3`;
+    /// finite).
     pub eps_abs: f64,
-    /// Relative tolerance for the termination criterion (default `1e-3`).
+    /// Relative tolerance for the termination criterion (default `1e-3`;
+    /// finite).
     pub eps_rel: f64,
     /// Iteration limit (default `4000`).
     pub max_iter: usize,
@@ -208,11 +210,14 @@ impl Settings {
         }
         // Negated so that a NaN tolerance fails too: the stopping test
         // `res < NaN` never holds, and the solve would run to `max_iter`.
-        if !(self.eps_abs >= 0.0 && self.eps_rel >= 0.0)
+        // An infinite one passes every residual, so the solve would stop
+        // `Solved` at its first check.
+        let tolerance = |eps: f64| eps >= 0.0 && eps.is_finite();
+        if !(tolerance(self.eps_abs) && tolerance(self.eps_rel))
             || (self.eps_abs == 0.0 && self.eps_rel == 0.0)
         {
             return Err(QpError::InvalidSetting(
-                "eps_abs and eps_rel must be nonnegative and not both zero".into(),
+                "eps_abs and eps_rel must be finite, nonnegative and not both zero".into(),
             ));
         }
         if self.max_iter == 0 {
@@ -283,6 +288,8 @@ mod tests {
         }));
         assert!(bad(|s| s.eps_abs = f64::NAN));
         assert!(bad(|s| s.eps_rel = f64::NAN));
+        assert!(bad(|s| s.eps_abs = f64::INFINITY));
+        assert!(bad(|s| s.eps_rel = f64::INFINITY));
         assert!(bad(|s| s.max_iter = 0));
         assert!(bad(|s| s.check_termination = 0));
         assert!(bad(|s| s.rho_max = 1e-9));

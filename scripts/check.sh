@@ -90,10 +90,11 @@ echo "==> static timing (predicted-vs-simulated smoke gate + checked-profile tes
 # statistics must equal the simulator's, bitwise, and forced appends must
 # stay at the committed baseline.
 cargo run --release -q -p mib-bench --bin verify_schedules -- --smoke >/dev/null
-# Re-run the cycle-accounting and certification-verdict tests optimized
-# but with debug assertions and overflow checks armed (the
-# [profile.checked] build).
-cargo test --profile checked --test static_timing --test proptest_timing --test proptest_verify -q
+# Re-run the cycle-accounting, certification-verdict and pending-window
+# edge tests optimized but with debug assertions and overflow checks
+# armed (the [profile.checked] build).
+cargo test --profile checked --test static_timing --test proptest_timing --test proptest_verify \
+  --test pending_window -q
 
 echo "==> tracing (trace report smoke gate)"
 cargo run --release -q -p mib-bench --bin trace_report -- --smoke >/dev/null

@@ -7,10 +7,14 @@
 //! and is then re-parameterized, `reset()` and warm-started from a prior
 //! result must produce answers **bitwise** identical to a fresh clone of
 //! the template given the same updates. `warm_start_from` must reject
-//! mismatched dimensions without touching the iterates.
+//! mismatched dimensions without touching the iterates. Every answer a
+//! configuration reports `Solved` must also meet OSQP's stopping
+//! criterion, recomputed on the unscaled problem by `OsqpCriterion`,
+//! which shares no code with the solvers.
 
 use mib::problems::random_qp;
-use mib::qp::{Algorithm, KktBackend, QpError, Settings, Solver};
+use mib::qp::{Algorithm, KktBackend, QpError, Settings, SolveResult, Solver};
+use mib_bench::answer::OsqpCriterion;
 use proptest::prelude::*;
 
 /// Suite-sized settings for ADMM-direct, ADMM-indirect and PDQP, each with
@@ -32,7 +36,20 @@ fn configurations() -> [(&'static str, Settings); 3] {
     ]
 }
 
-fn assert_bitwise(a: &mib::qp::SolveResult, b: &mib::qp::SolveResult, what: &str) {
+/// Holds `r`, if `solver` reports it `Solved`, to OSQP's criterion on
+/// the problem `solver` holds now.
+fn assert_right(solver: &Solver, r: &SolveResult, what: &str) {
+    if r.status.is_solved() {
+        let s = solver.settings();
+        let c = OsqpCriterion::of(solver.problem(), s.eps_abs, s.eps_rel, &r.x, &r.y, &r.z);
+        assert!(
+            c.holds(),
+            "{what}: a Solved answer misses the criterion: {c:?}"
+        );
+    }
+}
+
+fn assert_bitwise(a: &SolveResult, b: &SolveResult, what: &str) {
     assert_eq!(a.status, b.status, "{what}: status");
     assert_eq!(a.iterations, b.iterations, "{what}: iterations");
     assert_eq!(a.algorithm, b.algorithm, "{what}: algorithm");
@@ -75,13 +92,15 @@ proptest! {
 
             // A donor solution to warm-start from.
             let donor = template.clone().solve();
+            assert_right(&template, &donor, label);
 
             // The pooled solver serves an unrelated perturbed request
             // first, dirtying its iterates and workspace.
             let mut pooled = template.clone();
             let dirty_q: Vec<f64> = base_q.iter().map(|&v| v - 0.3).collect();
             pooled.update_q(&dirty_q).unwrap();
-            let _ = pooled.solve();
+            let dirty = pooled.solve();
+            assert_right(&pooled, &dirty, label);
 
             // Both solvers now serve the same request from the same warm
             // start; the pooled one must forget its history completely.
@@ -90,12 +109,14 @@ proptest! {
             pooled.reset();
             pooled.warm_start_from(&donor).unwrap();
             let served = pooled.solve();
+            assert_right(&pooled, &served, label);
 
             let mut fresh = template.clone();
             fresh.update_q(&qk).unwrap();
             fresh.reset();
             fresh.warm_start_from(&donor).unwrap();
             let expect = fresh.solve();
+            assert_right(&fresh, &expect, label);
 
             assert_bitwise(&served, &expect, label);
         }
@@ -114,7 +135,9 @@ proptest! {
         let foreign = random_qp(n + 1, m + 2, 0.6, seed ^ 0xbeef);
         for (label, settings) in configurations() {
             let template = Solver::new(problem.clone(), settings.clone()).unwrap();
-            let foreign_donor = Solver::new(foreign.clone(), settings).unwrap().solve();
+            let mut foreign_solver = Solver::new(foreign.clone(), settings).unwrap();
+            let foreign_donor = foreign_solver.solve();
+            assert_right(&foreign_solver, &foreign_donor, label);
 
             let mut solver = template.clone();
             let err = solver.warm_start_from(&foreign_donor).unwrap_err();
@@ -124,6 +147,8 @@ proptest! {
             );
             let after_rejection = solver.solve();
             let untouched = template.clone().solve();
+            assert_right(&solver, &after_rejection, label);
+            assert_right(&template, &untouched, label);
             assert_bitwise(&after_rejection, &untouched, label);
         }
     }

@@ -5,7 +5,8 @@
 //! Three attack surfaces:
 //! - random op-tuple programs (every hazard class, both hazard
 //!   policies): prediction equals simulation bitwise on acceptance, and
-//!   reproduces the identical fault on rejection;
+//!   reproduces the identical fault on rejection; an accepted stalling
+//!   prediction and the critical path agree on cycles and stalls;
 //! - seeded mutations of a known-good compiled schedule — slot swaps,
 //!   inserted bubbles, dropped HBM words — each must shift the predicted
 //!   cycles exactly as it shifts the measured cycles;
@@ -20,7 +21,7 @@ use mib::core::instruction::{LaneSource, LaneWrite, NetInstruction, WriteMode};
 use mib::core::machine::{HazardPolicy, Machine};
 use mib::core::MibConfig;
 use mib::sparse::CscMatrix;
-use mib::verify::timing;
+use mib::verify::{critical_path, timing};
 use proptest::prelude::*;
 
 fn config() -> MibConfig {
@@ -154,7 +155,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random op-tuple programs under both policies: the prediction is
-    /// exact whether the program stalls, runs clean, or faults.
+    /// exact whether the program stalls, runs clean, or faults. Where the
+    /// stalling run is accepted, the critical path accounts for the same
+    /// cycles and stalls.
     #[test]
     fn random_programs_predict_exactly(
         ops in proptest::collection::vec(
@@ -169,6 +172,11 @@ proptest! {
         let hbm: Vec<f64> = (0..consumed + surplus).map(|k| k as f64 + 0.5).collect();
         assert_exact(&program, &hbm, &cfg, HazardPolicy::Stall);
         assert_exact(&program, &hbm, &cfg, HazardPolicy::Strict);
+        if let Ok(p) = timing::predict(&program, hbm.len(), &cfg, HazardPolicy::Stall) {
+            let path = critical_path(&program, &cfg);
+            prop_assert_eq!(path.cycles, p.stats.cycles);
+            prop_assert_eq!(path.stall_cycles, p.stats.stall_cycles);
+        }
     }
 
     /// Slot-swap mutations of the compiled substrate: whatever the swap
