@@ -266,9 +266,7 @@ fn bench_reduced_operator(domain: Domain, index: usize, out: &mut Vec<Measuremen
         problem.a(),
         settings.sigma,
         &vec![0.1; m],
-        settings.eps_pcg_start,
         settings.eps_pcg_min,
-        settings.max_pcg_iter,
     );
     let mut rng = Rng(0x1319_8a2e_0370_7344 ^ n as u64);
     let v = rng.vec(n);

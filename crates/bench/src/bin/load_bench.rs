@@ -639,7 +639,6 @@ fn boot_server(obs: bool) -> Stack {
     ];
     let cfg = NetConfig {
         admin_addr: obs.then(|| "127.0.0.1:0".to_string()),
-        ..NetConfig::default()
     };
     let server = NetServer::bind("127.0.0.1:0", Arc::clone(&qp), endpoints, auth, cfg)
         .expect("bind load server");

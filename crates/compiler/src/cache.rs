@@ -144,7 +144,6 @@ fn cache_key(problem: &Problem, settings: &Settings, config: MibConfig) -> Vec<u
     push_matrix(&mut key, problem.a());
     key.push(settings.backend as u64);
     key.push(settings.sigma.to_bits());
-    key.push(settings.alpha.to_bits());
     let rho_vec = rho_vec_for(problem, settings);
     key.push(rho_vec.len() as u64);
     key.extend(rho_vec.iter().map(|r| r.to_bits()));

@@ -27,7 +27,8 @@
 use mib_core::instruction::WriteMode;
 use mib_core::MibConfig;
 use mib_qp::kkt::KktMatrix;
-use mib_qp::{KktBackend, Problem, QpError, Settings, INFTY};
+use mib_qp::linsys::jacobi_precond_into;
+use mib_qp::{rho_for, KktBackend, Problem, QpError, Settings, ALPHA, INFTY};
 use mib_sparse::ldl::LdlSymbolic;
 use mib_sparse::order::{self, Ordering};
 use mib_sparse::CsrMatrix;
@@ -134,21 +135,13 @@ impl LoweredQp {
     }
 }
 
-/// Per-constraint step sizes, mirroring the reference solver's rule.
+/// Per-constraint step sizes at the initial `ρ`, by the solver's rule.
 pub(crate) fn rho_vec_for(problem: &Problem, settings: &Settings) -> Vec<f64> {
     problem
         .l()
         .iter()
         .zip(problem.u())
-        .map(|(&lo, &hi)| {
-            if lo <= -INFTY && hi >= INFTY {
-                settings.rho_min
-            } else if lo == hi {
-                (settings.rho * settings.rho_eq_scale).clamp(settings.rho_min, settings.rho_max)
-            } else {
-                settings.rho
-            }
-        })
+        .map(|(&lo, &hi)| rho_for(settings, settings.rho, lo, hi))
         .collect()
 }
 
@@ -284,21 +277,6 @@ fn alloc_pcg(alloc: &mut Allocator, n: usize, m: usize) -> PcgLayouts {
     }
 }
 
-/// Jacobi preconditioner values `1 / (diag(P) + σ + Σᵢ ρᵢ Aᵢⱼ²)`.
-fn jacobi_precond_values(problem: &Problem, sigma: f64, rho_vec: &[f64]) -> Vec<f64> {
-    let n = problem.num_vars();
-    let mut diag = vec![sigma; n];
-    for (j, d) in diag.iter_mut().enumerate() {
-        *d += problem.p().get(j, j);
-    }
-    for (i, j, v) in problem.a().iter() {
-        diag[j] += rho_vec[i] * v * v;
-    }
-    diag.iter()
-        .map(|&d| if d > 0.0 { 1.0 / d } else { 1.0 })
-        .collect()
-}
-
 /// Builds the (value-dependent) one-time load program on a fresh allocator.
 ///
 /// This is the only schedule whose *instruction stream data* depends on the
@@ -321,7 +299,14 @@ pub(crate) fn build_load_schedule(
     build_load(&mut lb, &st, problem, &rho_vec);
     if settings.backend == KktBackend::Indirect {
         let pcg = alloc_pcg(&mut alloc, n, m);
-        let minv = jacobi_precond_values(problem, settings.sigma, &rho_vec);
+        let mut minv = vec![0.0; n];
+        jacobi_precond_into(
+            problem.p(),
+            problem.a(),
+            settings.sigma,
+            &rho_vec,
+            &mut minv,
+        );
         ew::load_vec(&mut lb, pcg.precond, &minv);
     }
     traced_schedule("load", &lb.finish(), &config)
@@ -364,7 +349,7 @@ fn build_rhs(b: &mut KernelBuilder, st: &CommonState, sigma: f64) {
 
 /// Emits the post-KKT updates: relaxation, projection, dual step
 /// (steps 4–7 of Algorithm 1).
-fn build_updates(b: &mut KernelBuilder, st: &CommonState, alpha: f64) {
+fn build_updates(b: &mut KernelBuilder, st: &CommonState) {
     // ztilde = z + ρ⁻¹ ∘ (ν − y)
     ew::scale(b, st.nu, st.t_m, 1.0, WriteMode::Store);
     ew::scale(b, st.y, st.t_m, -1.0, WriteMode::Add);
@@ -372,11 +357,11 @@ fn build_updates(b: &mut KernelBuilder, st: &CommonState, alpha: f64) {
     ew::scale(b, st.z, st.ztilde, 1.0, WriteMode::Store);
     ew::scale(b, st.t_m, st.ztilde, 1.0, WriteMode::Add);
     // zr = α·ztilde + (1−α)·z
-    ew::scale(b, st.ztilde, st.zr, alpha, WriteMode::Store);
-    ew::scale(b, st.z, st.zr, 1.0 - alpha, WriteMode::Add);
+    ew::scale(b, st.ztilde, st.zr, ALPHA, WriteMode::Store);
+    ew::scale(b, st.z, st.zr, 1.0 - ALPHA, WriteMode::Add);
     // x = α·xtilde + (1−α)·x
-    ew::scale(b, st.x, st.x, 1.0 - alpha, WriteMode::Store);
-    ew::scale(b, st.xtilde, st.x, alpha, WriteMode::Add);
+    ew::scale(b, st.x, st.x, 1.0 - ALPHA, WriteMode::Store);
+    ew::scale(b, st.xtilde, st.x, ALPHA, WriteMode::Add);
     // w (t_m) = zr + ρ⁻¹ ∘ y ; z = Π(w)
     ew::ew_prod(b, st.y, st.rho_inv, st.t_m, WriteMode::Store);
     ew::scale(b, st.zr, st.t_m, 1.0, WriteMode::Add);
@@ -496,7 +481,7 @@ fn lower_direct(
         .map(|orig| (v.loc(perm.inv()[orig]), out_loc(orig)))
         .collect();
     permute_locs(&mut ib, &scatter);
-    build_updates(&mut ib, &st, settings.alpha);
+    build_updates(&mut ib, &st);
     let iteration = traced_schedule("iteration", &ib.finish(), &config);
     let check = traced_schedule("check", &cb.finish(), &config);
 
@@ -580,7 +565,7 @@ fn lower_indirect(
     );
     ew::scale(&mut ib, st.t_m, st.t_m2, -1.0, WriteMode::Add);
     ew::ew_prod(&mut ib, st.t_m2, st.rho, st.nu, WriteMode::Store);
-    build_updates(&mut ib, &st, settings.alpha);
+    build_updates(&mut ib, &st);
 
     // PCG iteration program (Algorithm 2, lines 3-9).
     let mut pb = KernelBuilder::new("pcg", config.width, config.latency());

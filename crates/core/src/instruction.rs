@@ -543,17 +543,9 @@ impl NetInstruction {
 
     /// Iterates over the `(lane, addr)` register locations read at the
     /// multiplier stage (one per lane at most — the single read port).
-    pub fn reg_read_locs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+    fn reg_read_locs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.input_locs()
             .filter_map(|(lane, src)| Some((lane, src.reg_addr()?)))
-    }
-
-    /// Iterates over the lanes whose multiplier stage reads the per-lane
-    /// broadcast latch.
-    pub fn latch_read_lanes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.input_locs()
-            .filter(|(_, src)| src.uses_latch())
-            .map(|(lane, _)| lane)
     }
 
     /// Iterates over the `(lane, addr)` register locations read by

@@ -68,27 +68,14 @@ pub struct NetClient {
 }
 
 impl NetClient {
-    /// Connects and runs the Hello/HelloAck handshake with the default
-    /// frame-size limit.
+    /// Connects and runs the Hello/HelloAck handshake, capping frames at
+    /// [`DEFAULT_MAX_FRAME_BYTES`].
     ///
     /// # Errors
     ///
     /// Socket errors, an authentication refusal, or a malformed
     /// handshake all surface as `io::Error`.
     pub fn connect<A: ToSocketAddrs>(addr: A, token: &[u8]) -> io::Result<NetClient> {
-        NetClient::connect_with(addr, token, DEFAULT_MAX_FRAME_BYTES)
-    }
-
-    /// As [`connect`](NetClient::connect) with an explicit frame cap.
-    ///
-    /// # Errors
-    ///
-    /// As [`connect`](NetClient::connect).
-    fn connect_with<A: ToSocketAddrs>(
-        addr: A,
-        token: &[u8],
-        max_frame_bytes: usize,
-    ) -> io::Result<NetClient> {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.write_all(&encode_to_vec(&Frame::Hello {
@@ -97,7 +84,7 @@ impl NetClient {
 
         // Blocking handshake on the caller thread: the first frame back
         // decides whether this connection exists at all.
-        let mut reader = FrameReader::new(max_frame_bytes);
+        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
         let mut buf = [0u8; 4096];
         let (tenant, endpoints) = loop {
             if let Some(f) = reader

@@ -94,28 +94,16 @@ pub struct TenantAuth {
     pub policy: TenantPolicy,
 }
 
-/// Network front-end configuration.
-#[derive(Debug, Clone)]
+/// Network front-end configuration. Every connection caps a frame body
+/// at [`DEFAULT_MAX_FRAME_BYTES`] (an oversized frame tears the
+/// connection down before any allocation), and admission runs with
+/// [`AdmissionConfig::default`].
+#[derive(Debug, Clone, Default)]
 pub struct NetConfig {
-    /// Cap on a single frame body; oversized frames tear the
-    /// connection down before any allocation.
-    pub max_frame_bytes: usize,
-    /// Admission-control window/slack (see [`AdmissionConfig`]).
-    pub admission: AdmissionConfig,
     /// Where to bind the observability admin listener (`/metrics`,
     /// `/healthz`, `/slo`, `/trace/*`), e.g. `"127.0.0.1:0"`. `None`
     /// (the default) runs no admin plane.
     pub admin_addr: Option<String>,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            admission: AdmissionConfig::default(),
-            admin_addr: None,
-        }
-    }
 }
 
 /// Outbound traffic of one connection, drained by its writer thread.
@@ -187,7 +175,7 @@ impl NetServer {
             "at least one tenant credential is required"
         );
         let metrics = qp.metrics();
-        let admission = AdmissionController::new(cfg.admission, Arc::clone(&metrics));
+        let admission = AdmissionController::new(AdmissionConfig::default(), Arc::clone(&metrics));
         let now = Instant::now();
         let mut tokens = HashMap::new();
         for entry in auth {
@@ -334,7 +322,7 @@ fn handshake(
     stop: &AtomicBool,
 ) -> Option<TenantSlot> {
     let metrics = &shared.metrics;
-    let mut reader = FrameReader::new(shared.cfg.max_frame_bytes);
+    let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
     let mut buf = vec![0u8; 64 * 1024];
     let patience = Instant::now() + HELLO_PATIENCE;
     loop {
@@ -439,7 +427,7 @@ fn connection_loop(
     };
     let in_flight = Arc::new(Mutex::new(InFlight::default()));
 
-    let mut reader = FrameReader::new(shared.cfg.max_frame_bytes);
+    let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
     let mut buf = vec![0u8; 256 * 1024];
 
     // Take requests until something ends the stream; `farewell` is the

@@ -494,7 +494,6 @@ fn admin_listener_rides_along_when_configured() {
         },
         NetConfig {
             admin_addr: Some("127.0.0.1:0".into()),
-            ..NetConfig::default()
         },
     );
     let admin = server.admin_addr().expect("admin plane is bound");

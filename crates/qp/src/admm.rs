@@ -21,6 +21,10 @@ use crate::profile::Profile;
 use crate::solver::{Env, Residuals, Run};
 use crate::{Algorithm, Result, Settings, Status, INFTY};
 
+/// Relaxation parameter `α ∈ (0, 2)` of the x- and z-updates (Algorithm 1
+/// of the paper; OSQP's default).
+pub const ALPHA: f64 = 1.6;
+
 /// Iteration stride of the convergence pre-test between regular
 /// termination checks (see [`Admm::iterate`]).
 const PRETEST_EVERY: usize = 5;
@@ -28,6 +32,9 @@ const PRETEST_EVERY: usize = 5;
 /// Factor applied to the PCG tolerance when the pre-test's primal step,
 /// relative to its bound, has not fallen since the previous pre-test.
 const PCG_STALL_TIGHTEN: f64 = 0.2;
+
+/// Relative PCG tolerance at the start of every solve.
+const PCG_TOL_START: f64 = 1e-4;
 
 /// Floor of the relative PCG tolerance.
 const PCG_TOL_FLOOR: f64 = 1e-9;
@@ -165,12 +172,13 @@ impl Admm {
     /// direct backend then skips the pre-test, whose only use there is to
     /// gate a check that runs anyway.
     ///
-    /// The indirect backend's PCG tolerance starts at `eps_pcg_start`,
-    /// halves at every regular check, and shrinks by `PCG_STALL_TIGHTEN`
-    /// at every multiple of `PRETEST_EVERY` where the pre-test's ratio
-    /// `step / bound` has not fallen since the previous one (floor
-    /// `PCG_TOL_FLOOR`). On that backend the pre-test runs on every
-    /// multiple of `PRETEST_EVERY`, regular ones included.
+    /// The indirect backend's PCG tolerance is set to `PCG_TOL_START` on
+    /// entry, so a re-solve without `reset` starts from the same tolerance
+    /// as the first solve. It then halves at every regular check, and
+    /// shrinks by `PCG_STALL_TIGHTEN` at every multiple of `PRETEST_EVERY`
+    /// where the pre-test's ratio `step / bound` has not fallen since the
+    /// previous one (floor `PCG_TOL_FLOOR`). On that backend the pre-test
+    /// runs on every multiple of `PRETEST_EVERY`, regular ones included.
     pub(crate) fn iterate(
         &mut self,
         env: &mut Env,
@@ -183,9 +191,14 @@ impl Admm {
         let check_every = env.settings.check_termination;
 
         let mut status = Status::MaxIterations;
-        let mut pcg_tol = env.settings.eps_pcg_start;
+        let mut pcg_tol = PCG_TOL_START;
         let mut last_ratio = f64::INFINITY;
-        let indirect = matches!(self.kkt, Kkt::Indirect(_));
+        let indirect = if let Kkt::Indirect(kkt) = &mut self.kkt {
+            kkt.set_tolerance(pcg_tol);
+            true
+        } else {
+            false
+        };
         // Adaptive ρ: a full check, and an adaptation, at every multiple
         // of `PRETEST_EVERY`.
         let adapt = env.settings.adaptive_rho;
@@ -342,8 +355,7 @@ impl Admm {
     /// step `δx` in `ws.delta_x`.
     fn stage_x_update(&mut self, env: &mut Env, prof: &mut Profile) {
         let ws = &mut env.ws;
-        let alpha = env.settings.alpha;
-        vector::relax_delta_into(&mut self.x, &mut ws.delta_x, alpha, &ws.xtilde);
+        vector::relax_delta_into(&mut self.x, &mut ws.delta_x, ALPHA, &ws.xtilde);
         prof.add_vector(4.0 * self.x.len() as f64);
     }
 
@@ -352,11 +364,10 @@ impl Admm {
     /// projects `z_relaxed + ρ⁻¹ yᵏ` onto `[l, u]`.
     fn stage_z_projection(&mut self, env: &mut Env, prof: &mut Profile) {
         let ws = &mut env.ws;
-        let alpha = env.settings.alpha;
         vector::relax_project_into(
             &mut self.z,
             &mut ws.z_relaxed,
-            alpha,
+            ALPHA,
             &ws.ztilde,
             &self.rho_inv_vec,
             &self.y,
@@ -550,8 +561,12 @@ fn build_rho_vec_into(
     }
 }
 
-/// Per-row step size from the bound classification of `(lo, hi)`.
-fn rho_for(settings: &Settings, rho: f64, lo: f64, hi: f64) -> f64 {
+/// Step size of a constraint row with bounds `[lo, hi]` when the scalar
+/// step is `rho` (OSQP's rule): a row without bounds gets `rho_min`, an
+/// equality row `rho · rho_eq_scale` clamped to `[rho_min, rho_max]`, and
+/// any other row `rho`. The one definition of the rule: the solver and the
+/// MIB compiler both build their `ρ` vectors from it.
+pub fn rho_for(settings: &Settings, rho: f64, lo: f64, hi: f64) -> f64 {
     if lo <= -INFTY && hi >= INFTY {
         settings.rho_min
     } else if lo == hi {
@@ -619,12 +634,11 @@ mod tests {
         let (mut solver, mut env) = staged_solver();
         solver.x.copy_from_slice(&[1.0, 2.0]);
         env.ws.xtilde.copy_from_slice(&[3.0, -2.0]);
-        let alpha = env.settings.alpha;
         let mut prof = Profile::default();
         solver.stage_x_update(&mut env, &mut prof);
         for j in 0..2 {
             let x_old = [1.0, 2.0][j];
-            let want = alpha * env.ws.xtilde[j] + (1.0 - alpha) * x_old;
+            let want = ALPHA * env.ws.xtilde[j] + (1.0 - ALPHA) * x_old;
             assert_eq!(solver.x[j], want);
             assert_eq!(env.ws.delta_x[j], want - x_old);
         }
@@ -643,9 +657,8 @@ mod tests {
         solver.stage_z_projection(&mut env, &mut prof);
         solver.stage_y_update(&mut env, &mut prof);
         // Reference: the fused per-element update.
-        let alpha = env.settings.alpha;
         for i in 0..3 {
-            let z_relaxed = alpha * ztilde[i] + (1.0 - alpha) * z0[i];
+            let z_relaxed = ALPHA * ztilde[i] + (1.0 - ALPHA) * z0[i];
             let w = z_relaxed + solver.rho_inv_vec[i] * y0[i];
             let z_new = w.max(env.l[i]).min(env.u[i]);
             let y_new = y0[i] + solver.rho_vec[i] * (z_relaxed - z_new);
@@ -675,6 +688,58 @@ mod tests {
             dual = dual.max((px[j] + env.orig.q()[j] + aty[j]).abs());
         }
         assert_eq!(res.dual, dual);
+    }
+
+    /// A re-solve without `reset` on the indirect backend starts PCG at
+    /// `PCG_TOL_START`, not at the tolerance the previous solve tightened
+    /// to: it follows the trajectory of a clone whose backend was put
+    /// back at the start tolerance by hand.
+    #[test]
+    fn resolve_without_reset_restarts_the_pcg_tolerance() {
+        let p = CscMatrix::from_dense(3, 3, &[4.0, 1.0, 0.0, 1.0, 3.0, 1.0, 0.0, 1.0, 5.0])
+            .upper_triangle()
+            .unwrap();
+        let a = CscMatrix::from_dense(
+            4,
+            3,
+            &[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+        );
+        let problem = Problem::new(
+            p,
+            vec![-1.0, 2.0, -3.0],
+            a,
+            vec![1.0, -0.2, -0.2, -0.2],
+            vec![1.0, 0.6, 0.6, 0.6],
+        )
+        .unwrap();
+        let settings = Settings {
+            eps_abs: 1e-7,
+            eps_rel: 1e-7,
+            ..Settings::with_backend(crate::KktBackend::Indirect)
+        };
+        let mut solver = Solver::new(problem, settings).unwrap();
+        let first = solver.solve();
+        assert_eq!(first.status, Status::Solved);
+        assert!(
+            first.iterations > 25,
+            "the first solve must reach a regular check, which tightens PCG"
+        );
+        solver.update_q(&[2.0, -1.0, 1.0]).unwrap();
+        let mut by_hand = solver.clone();
+        let Algo::Admm(Admm {
+            kkt: Kkt::Indirect(kkt),
+            ..
+        }) = &mut by_hand.algo
+        else {
+            unreachable!("an indirect ADMM solver")
+        };
+        kkt.set_tolerance(PCG_TOL_START);
+        let resolved = solver.solve();
+        let reference = by_hand.solve();
+        assert_eq!(resolved.status, Status::Solved);
+        assert_eq!(resolved.x, reference.x);
+        assert_eq!(resolved.iterations, reference.iterations);
+        assert_eq!(resolved.profile.pcg_iters, reference.profile.pcg_iters);
     }
 
     #[test]

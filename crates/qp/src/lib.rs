@@ -60,6 +60,7 @@ pub mod telemetry;
 mod types;
 mod workspace;
 
+pub use admm::{rho_for, ALPHA};
 pub use error::QpError;
 pub use problem::Problem;
 pub use settings::{Algorithm, KktBackend, Settings};

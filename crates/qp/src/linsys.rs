@@ -70,9 +70,7 @@ impl Kkt {
                 a,
                 settings.sigma,
                 rho_vec,
-                settings.eps_pcg_start,
                 settings.eps_pcg_min,
-                settings.max_pcg_iter,
             )),
         })
     }
@@ -292,6 +290,36 @@ impl AssembledS {
     }
 }
 
+/// Jacobi preconditioner of the reduced system into `out`:
+/// `1/diag(S)`, `diag(S) = σ + diag(P) + Σᵢ ρᵢ A²ᵢⱼ` summed over the
+/// entries of `A` in column order, with `1` where the diagonal is not
+/// positive. `p` is the upper triangle of the objective matrix. The one
+/// definition of the preconditioner: the matrix-free indirect backend and
+/// the MIB compiler's load program both take it from here. Allocates
+/// nothing.
+pub fn jacobi_precond_into(
+    p: &CscMatrix,
+    a: &CscMatrix,
+    sigma: f64,
+    rho_vec: &[f64],
+    out: &mut [f64],
+) {
+    for (j, d) in out.iter_mut().enumerate() {
+        *d = sigma + p.get(j, j);
+    }
+    for (i, j, v) in a.iter() {
+        out[j] += rho_vec[i] * v * v;
+    }
+    invert_diagonal(out);
+}
+
+/// Replaces each diagonal entry `d` by `1/d`, or by `1` when `d ≤ 0`.
+fn invert_diagonal(diag: &mut [f64]) {
+    for d in diag {
+        *d = if *d > 0.0 { 1.0 / *d } else { 1.0 };
+    }
+}
+
 /// Indirect backend: PCG on the reduced positive-definite system
 /// `S = P + σI + Aᵀ diag(ρ) A` (OSQP-indirect).
 ///
@@ -301,7 +329,9 @@ impl AssembledS {
 /// Otherwise `S·v` runs matrix-free. All per-solve scratch (`r`, `pdir`,
 /// `sp`, `dvec`, `az`, `b_red`) lives in the shared [`SolveWorkspace`];
 /// the backend itself carries only problem data, the preconditioner and
-/// the warm-start state.
+/// the warm-start state. The relative tolerance belongs to the caller,
+/// which sets it through [`IndirectKkt::set_tolerance`]: the ADMM loop
+/// does so on entry to every solve.
 #[derive(Debug, Clone)]
 pub struct IndirectKkt {
     p: CscMatrix,
@@ -314,32 +344,20 @@ pub struct IndirectKkt {
     precond_inv: Vec<f64>,
     /// Warm-start state: solution of the previous KKT solve.
     x_prev: Vec<f64>,
-    /// Relative tolerance for the next solve.
+    /// Relative tolerance of the next solves; `0` (only the absolute
+    /// floor) until the caller sets one.
     tol: f64,
-    /// Initial relative tolerance, restored by [`IndirectKkt::reset`].
-    tol0: f64,
     /// Absolute floor on the residual norm.
     eps_min: f64,
+    /// PCG iteration cap per KKT solve: `max(4n, 20)`.
     max_iter: usize,
 }
 
 impl IndirectKkt {
-    /// Prepares the PCG backend, assembling `S` when the size guard allows.
-    pub fn new(
-        p: &CscMatrix,
-        a: &CscMatrix,
-        sigma: f64,
-        rho_vec: &[f64],
-        tol0: f64,
-        eps_min: f64,
-        max_iter: usize,
-    ) -> Self {
+    /// Prepares the PCG backend, assembling `S` when the size guard
+    /// allows. `eps_min` is the absolute floor on the residual norm.
+    pub fn new(p: &CscMatrix, a: &CscMatrix, sigma: f64, rho_vec: &[f64], eps_min: f64) -> Self {
         let n = p.ncols();
-        let max_iter = if max_iter == 0 {
-            (4 * n).max(20)
-        } else {
-            max_iter
-        };
         let mut solver = IndirectKkt {
             p: p.clone(),
             a: a.clone(),
@@ -348,10 +366,9 @@ impl IndirectKkt {
             assembled: AssembledS::new(p, a, sigma),
             precond_inv: vec![1.0; n],
             x_prev: vec![0.0; n],
-            tol: tol0,
-            tol0,
+            tol: 0.0,
             eps_min,
-            max_iter,
+            max_iter: (4 * n).max(20),
         };
         solver.install_rho();
         solver
@@ -371,16 +388,15 @@ impl IndirectKkt {
             for (j, d) in self.precond_inv.iter_mut().enumerate() {
                 *d = s.s.get(j, j);
             }
+            invert_diagonal(&mut self.precond_inv);
         } else {
-            for (j, d) in self.precond_inv.iter_mut().enumerate() {
-                *d = self.sigma + self.p.get(j, j);
-            }
-            for (i, j, v) in self.a.iter() {
-                self.precond_inv[j] += self.rho_vec[i] * v * v;
-            }
-        }
-        for d in &mut self.precond_inv {
-            *d = if *d > 0.0 { 1.0 / *d } else { 1.0 };
+            jacobi_precond_into(
+                &self.p,
+                &self.a,
+                self.sigma,
+                &self.rho_vec,
+                &mut self.precond_inv,
+            );
         }
     }
 
@@ -519,11 +535,10 @@ impl IndirectKkt {
         self.tol = tol;
     }
 
-    /// Clears the warm start and restores the initial tolerance, so the
-    /// next solve behaves like the first.
+    /// Clears the warm start, so that the next solve at the same
+    /// tolerance behaves like the first.
     pub fn reset(&mut self) {
         self.x_prev.fill(0.0);
-        self.tol = self.tol0;
     }
 }
 
@@ -537,6 +552,20 @@ mod tests {
             .unwrap();
         let a = CscMatrix::from_dense(2, 3, &[1.0, 1.0, 0.0, 0.0, 1.0, 2.0]);
         (p, a, 1e-6, vec![0.4, 0.7])
+    }
+
+    /// The PCG backend at relative tolerance `tol` and floor `eps_min`.
+    fn indirect(
+        p: &CscMatrix,
+        a: &CscMatrix,
+        sigma: f64,
+        rho: &[f64],
+        tol: f64,
+        eps_min: f64,
+    ) -> IndirectKkt {
+        let mut kkt = IndirectKkt::new(p, a, sigma, rho, eps_min);
+        kkt.set_tolerance(tol);
+        kkt
     }
 
     /// Solves with the given right-hand side, returning `(x̃, ν)`.
@@ -593,7 +622,7 @@ mod tests {
     #[test]
     fn indirect_solves_kkt() {
         let (p, a, sigma, rho) = problem_data();
-        let mut solver = Kkt::Indirect(IndirectKkt::new(&p, &a, sigma, &rho, 1e-10, 1e-12, 500));
+        let mut solver = Kkt::Indirect(indirect(&p, &a, sigma, &rho, 1e-10, 1e-12));
         check_backend(&mut solver, 1e-6);
     }
 
@@ -602,7 +631,7 @@ mod tests {
         let (p, a, sigma, rho) = problem_data();
         let mut prof = Profile::default();
         let mut direct = Kkt::Direct(DirectKkt::new(&p, &a, sigma, &rho, &mut prof).unwrap());
-        let mut indirect = Kkt::Indirect(IndirectKkt::new(&p, &a, sigma, &rho, 1e-12, 1e-14, 1000));
+        let mut indirect = Kkt::Indirect(indirect(&p, &a, sigma, &rho, 1e-12, 1e-14));
         let mut ws = SolveWorkspace::new(3, 2);
         let rhs_x = [0.2, 0.4, -0.6];
         let rhs_z = [1.0, 1.0];
@@ -619,7 +648,7 @@ mod tests {
     #[test]
     fn assembled_s_matches_dense_reference() {
         let (p, a, sigma, rho) = problem_data();
-        let solver = IndirectKkt::new(&p, &a, sigma, &rho, 1e-10, 1e-12, 500);
+        let solver = indirect(&p, &a, sigma, &rho, 1e-10, 1e-12);
         let s = solver
             .reduced_matrix()
             .expect("3x3 S passes the size guard");
@@ -658,7 +687,7 @@ mod tests {
     #[test]
     fn pcg_warm_start_cuts_iterations() {
         let (p, a, sigma, rho) = problem_data();
-        let mut solver = Kkt::Indirect(IndirectKkt::new(&p, &a, sigma, &rho, 1e-10, 1e-12, 500));
+        let mut solver = Kkt::Indirect(indirect(&p, &a, sigma, &rho, 1e-10, 1e-12));
         let mut ws = SolveWorkspace::new(3, 2);
         let rhs_x = [1.0, 1.0, 1.0];
         let rhs_z = [0.5, 0.5];
@@ -677,7 +706,7 @@ mod tests {
     #[test]
     fn reset_clears_warm_start() {
         let (p, a, sigma, rho) = problem_data();
-        let mut solver = Kkt::Indirect(IndirectKkt::new(&p, &a, sigma, &rho, 1e-10, 1e-12, 500));
+        let mut solver = Kkt::Indirect(indirect(&p, &a, sigma, &rho, 1e-10, 1e-12));
         let mut ws = SolveWorkspace::new(3, 2);
         let mut prof = Profile::default();
         let (x1, _) = run(

@@ -1,5 +1,3 @@
-use std::time::Duration;
-
 use crate::{QpError, Result};
 
 /// Which iteration family solves the QP.
@@ -23,17 +21,13 @@ impl Algorithm {
         }
     }
 
-    /// Dense index in `0..2`, for per-algorithm counters.
+    /// Dense index in `0..2`, a word of the serving layer's structural
+    /// pattern key.
     pub fn index(self) -> usize {
         match self {
             Algorithm::Admm => 0,
             Algorithm::Pdqp => 1,
         }
-    }
-
-    /// Every algorithm, in [`Algorithm::index`] order.
-    pub fn all() -> [Algorithm; 2] {
-        [Algorithm::Admm, Algorithm::Pdqp]
     }
 }
 
@@ -67,14 +61,16 @@ impl KktBackend {
 }
 
 /// Solver configuration, with OSQP-compatible defaults.
+///
+/// The relaxation `α` ([`ALPHA`](crate::ALPHA)), the PCG tolerance
+/// schedule and the stride of the cancellation and deadline poll are
+/// constants of the solver, not settings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Settings {
     /// Initial ADMM step size `ρ > 0` (default `0.1`).
     pub rho: f64,
     /// Regularization `σ > 0` added to `P` in the KKT matrix (default `1e-6`).
     pub sigma: f64,
-    /// Relaxation parameter `α ∈ (0, 2)` (default `1.6`).
-    pub alpha: f64,
     /// Absolute tolerance for the termination criterion (default `1e-3`;
     /// finite).
     pub eps_abs: f64,
@@ -101,7 +97,8 @@ pub struct Settings {
     /// one. On the direct backend each change is a numeric
     /// refactorization; on the indirect one it factors nothing.
     pub adaptive_rho: bool,
-    /// Lower clamp for `ρ` (default `1e-6`).
+    /// Lower clamp for `ρ`, and the step of rows without bounds (default
+    /// `1e-6`; finite).
     pub rho_min: f64,
     /// Upper clamp for `ρ` (default `1e6`).
     pub rho_max: f64,
@@ -115,30 +112,9 @@ pub struct Settings {
     /// the ADMM algorithm; PDQP never solves a KKT system.
     pub backend: KktBackend,
     /// PCG convergence floor: iteration stops when
-    /// `‖r‖₂ ≤ max(eps_pcg_min, tol·‖b‖₂)` (default `1e-7`).
+    /// `‖r‖₂ ≤ max(eps_pcg_min, tol·‖b‖₂)` (default `1e-7`), where `tol`
+    /// is the relative tolerance the ADMM loop sets and tightens.
     pub eps_pcg_min: f64,
-    /// Initial PCG relative tolerance (default `1e-4`). A solve tightens
-    /// it from this value: ×0.5 at every regular termination check, and
-    /// ×0.2 at every 5th iteration where ADMM's primal step, relative to
-    /// its stopping bound, has not fallen since the previous 5th
-    /// iteration; the floor is `1e-9`.
-    pub eps_pcg_start: f64,
-    /// PCG iteration cap per KKT solve (default `4 * n` chosen at setup
-    /// when `0`).
-    pub max_pcg_iter: usize,
-    /// Wall-clock budget for one solve, measured from the start of
-    /// [`solve_into`]; `None` (the default) disables the limit. When the
-    /// budget is exhausted the solver returns [`Status::TimedOut`] at the
-    /// next interruption check instead of running to `max_iter`.
-    ///
-    /// [`solve_into`]: crate::Solver::solve_into
-    /// [`Status::TimedOut`]: crate::Status::TimedOut
-    pub time_limit: Option<Duration>,
-    /// How often (in ADMM iterations) the solver polls the cancellation
-    /// flag and the deadline (default `25`). Smaller values react faster
-    /// at the cost of one clock read per check; the checks never touch the
-    /// iterates, so they cannot perturb the solution of runs that finish.
-    pub check_interval: usize,
 }
 
 impl Default for Settings {
@@ -146,7 +122,6 @@ impl Default for Settings {
         Settings {
             rho: 0.1,
             sigma: 1e-6,
-            alpha: 1.6,
             eps_abs: 1e-3,
             eps_rel: 1e-3,
             max_iter: 4000,
@@ -159,10 +134,6 @@ impl Default for Settings {
             algorithm: Algorithm::Admm,
             backend: KktBackend::Direct,
             eps_pcg_min: 1e-7,
-            eps_pcg_start: 1e-4,
-            max_pcg_iter: 0,
-            time_limit: None,
-            check_interval: 25,
         }
     }
 }
@@ -202,12 +173,6 @@ impl Settings {
                 self.sigma
             )));
         }
-        if !(self.alpha > 0.0 && self.alpha < 2.0) {
-            return Err(QpError::InvalidSetting(format!(
-                "alpha must lie in (0, 2), got {}",
-                self.alpha
-            )));
-        }
         // Negated so that a NaN tolerance fails too: the stopping test
         // `res < NaN` never holds, and the solve would run to `max_iter`.
         // An infinite one passes every residual, so the solve would stop
@@ -231,10 +196,13 @@ impl Settings {
             ));
         }
         // Negated comparisons so that a NaN bound fails them too: `ρ`
-        // is clamped to these bounds, and `f64::clamp` panics on NaN.
-        if !(self.rho_min > 0.0 && self.rho_max >= self.rho_min) {
+        // is clamped to these bounds, and `f64::clamp` panics on NaN. An
+        // infinite `rho_min` is the step of every loose row and the floor
+        // of every other: the iterates turn NaN. An infinite `rho_max`
+        // only leaves `ρ` unbounded above.
+        if !(self.rho_min > 0.0 && self.rho_min.is_finite() && self.rho_max >= self.rho_min) {
             return Err(QpError::InvalidSetting(format!(
-                "rho bounds must satisfy 0 < rho_min <= rho_max, got [{}, {}]",
+                "rho bounds must satisfy 0 < rho_min <= rho_max, rho_min finite, got [{}, {}]",
                 self.rho_min, self.rho_max
             )));
         }
@@ -243,16 +211,6 @@ impl Settings {
                 "rho_eq_scale must be positive, got {}",
                 self.rho_eq_scale
             )));
-        }
-        if self.check_interval == 0 {
-            return Err(QpError::InvalidSetting(
-                "check_interval must be at least 1".into(),
-            ));
-        }
-        if self.time_limit == Some(Duration::ZERO) {
-            return Err(QpError::InvalidSetting(
-                "time_limit must be positive (use None to disable)".into(),
-            ));
         }
         Ok(())
     }
@@ -280,8 +238,6 @@ mod tests {
         assert!(bad(|s| s.rho = 0.0));
         assert!(bad(|s| s.rho = -1.0));
         assert!(bad(|s| s.sigma = 0.0));
-        assert!(bad(|s| s.alpha = 2.0));
-        assert!(bad(|s| s.alpha = 0.0));
         assert!(bad(|s| {
             s.eps_abs = 0.0;
             s.eps_rel = 0.0;
@@ -294,13 +250,12 @@ mod tests {
         assert!(bad(|s| s.check_termination = 0));
         assert!(bad(|s| s.rho_max = 1e-9));
         assert!(bad(|s| s.rho_min = f64::NAN));
+        assert!(bad(|s| s.rho_min = f64::INFINITY));
         assert!(bad(|s| s.rho_max = f64::NAN));
         assert!(bad(|s| s.rho_eq_scale = f64::NAN));
         assert!(bad(|s| s.rho_eq_scale = 0.0));
         assert!(bad(|s| s.rho_eq_scale = -1.0));
         assert!(bad(|s| s.rho_eq_scale = f64::INFINITY));
-        assert!(bad(|s| s.check_interval = 0));
-        assert!(bad(|s| s.time_limit = Some(Duration::ZERO)));
     }
 
     #[test]
@@ -312,23 +267,12 @@ mod tests {
     }
 
     #[test]
-    fn time_limit_accepts_positive_durations() {
-        let s = Settings {
-            time_limit: Some(Duration::from_millis(5)),
-            check_interval: 1,
-            ..Settings::default()
-        };
-        s.validate().unwrap();
-    }
-
-    #[test]
     fn algorithm_names_indices_and_order() {
         assert_eq!(Algorithm::Admm.name(), "admm");
         assert_eq!(Algorithm::Pdqp.name(), "pdqp");
         assert_eq!(Algorithm::default(), Algorithm::Admm);
-        for (i, algo) in Algorithm::all().into_iter().enumerate() {
-            assert_eq!(algo.index(), i);
-        }
+        assert_eq!(Algorithm::Admm.index(), 0);
+        assert_eq!(Algorithm::Pdqp.index(), 1);
         assert_eq!(Algorithm::Pdqp.to_string(), "pdqp");
     }
 

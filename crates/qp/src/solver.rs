@@ -39,9 +39,10 @@ pub struct Solver {
     pub(crate) algo: Algo,
     /// Set-up work (the initial factorization); every solve starts from it.
     profile: Profile,
-    /// External cancellation flag, polled every `check_interval` iterations.
+    /// External cancellation flag, polled every `CHECK_INTERVAL`
+    /// iterations.
     cancel: Option<Arc<AtomicBool>>,
-    /// External absolute deadline (combined with `settings.time_limit`).
+    /// External absolute deadline, polled with the flag.
     deadline: Option<Instant>,
 }
 
@@ -84,6 +85,11 @@ pub(crate) struct Residuals {
 /// traces price a sample of the iterations instead of every one.
 const KERNEL_SPAN_STRIDE: usize = 16;
 
+/// Iteration stride of the cancellation and deadline poll. Each poll
+/// costs one atomic load and one clock read, and never touches the
+/// iterates.
+const CHECK_INTERVAL: usize = 25;
+
 /// What the envelope hands an algorithm's loop for one solve: the trace
 /// flags, read once per solve, and the interruption poll.
 pub(crate) struct Run<'a> {
@@ -93,9 +99,7 @@ pub(crate) struct Run<'a> {
     /// [`mib_trace::kernel_spans`]: opt-in per-stage kernel spans.
     pub(crate) ktrace: bool,
     cancel: Option<&'a AtomicBool>,
-    /// The earlier of the per-solve time limit and the external deadline.
     deadline: Option<Instant>,
-    check_interval: usize,
 }
 
 impl Run<'_> {
@@ -107,12 +111,12 @@ impl Run<'_> {
     }
 
     /// Polls the cancellation flag and the deadline after iteration `k`
-    /// when `k` is a multiple of `check_interval` (so also before the
+    /// when `k` is a multiple of `CHECK_INTERVAL` (so also before the
     /// first iteration, `k = 0`). Cancellation wins over timeout when both
     /// fire in the same window. The poll reads no iterate state, so it
     /// cannot perturb a run that finishes.
     pub(crate) fn interruption(&self, k: usize) -> Option<Status> {
-        if !k.is_multiple_of(self.check_interval) {
+        if !k.is_multiple_of(CHECK_INTERVAL) {
             return None;
         }
         if self.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
@@ -289,19 +293,20 @@ impl Solver {
     }
 
     /// Installs (or clears) an external cancellation flag. The iteration
-    /// polls the flag every [`Settings::check_interval`](crate::Settings)
-    /// iterations and exits with
-    /// [`Status::Cancelled`](crate::Status::Cancelled) once it reads
-    /// `true`. The poll never touches the iterates, so installing a flag
-    /// cannot change the answer of a run that completes.
+    /// polls the flag before its first iteration and after every 25th,
+    /// and exits with [`Status::Cancelled`](crate::Status::Cancelled) once
+    /// it reads `true`. The poll never touches the iterates, so installing
+    /// a flag cannot change the answer of a run that completes.
     pub fn set_cancel_flag(&mut self, cancel: Option<Arc<AtomicBool>>) {
         self.cancel = cancel;
     }
 
-    /// Installs (or clears) an absolute wall-clock deadline. Combined with
-    /// [`Settings::time_limit`](crate::Settings) (whichever expires first
-    /// wins); checked every `check_interval` iterations, yielding
-    /// [`Status::TimedOut`](crate::Status::TimedOut).
+    /// Installs (or clears) an absolute wall-clock deadline, the one time
+    /// budget of a solve. It is polled with the cancellation flag (before
+    /// the first iteration and after every 25th; the flag wins when both
+    /// fire) and yields [`Status::TimedOut`](crate::Status::TimedOut)
+    /// once passed. Like the flag, it cannot change the answer of a run
+    /// that completes.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
     }
@@ -372,11 +377,7 @@ impl Solver {
             tracing,
             ktrace: mib_trace::kernel_spans(),
             cancel: self.cancel.as_deref(),
-            deadline: match (env.settings.time_limit.map(|d| start + d), self.deadline) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
-            check_interval: env.settings.check_interval,
+            deadline: self.deadline,
         };
         // Keep the set-up work, reset the per-solve counters.
         let mut prof = self.profile;
@@ -742,11 +743,7 @@ mod tests {
         let p = CscMatrix::from_dense(2, 2, &[2.0, 0.0, 0.0, 2.0]);
         let a = CscMatrix::identity(2);
         let problem = Problem::new(p, vec![-1.0, -1.0], a, vec![0.0; 2], vec![0.3; 2]).unwrap();
-        let settings = Settings {
-            check_interval: 1,
-            ..Settings::default()
-        };
-        let mut solver = Solver::new(problem, settings).unwrap();
+        let mut solver = Solver::new(problem, Settings::default()).unwrap();
         let flag = Arc::new(AtomicBool::new(true));
         solver.set_cancel_flag(Some(flag.clone()));
         let r = solver.solve();
@@ -766,7 +763,6 @@ mod tests {
         let problem = Problem::new(p, vec![-1.0, -1.0], a, vec![0.0; 2], vec![0.3; 2]).unwrap();
         let settings = Settings {
             algorithm: Algorithm::Pdqp,
-            check_interval: 1,
             max_iter: 200_000,
             ..Settings::default()
         };
@@ -803,44 +799,48 @@ mod tests {
     }
 
     #[test]
-    fn time_limit_setting_times_out_long_runs() {
-        // An infeasible-ish tight problem would still finish fast; instead
-        // pin the limit to zero-ish via an already-expired external
-        // deadline equivalent: a 1ns budget with per-iteration checks.
-        let p = CscMatrix::from_dense(2, 2, &[2.0, 0.0, 0.0, 2.0]);
-        let a = CscMatrix::identity(2);
-        let problem = Problem::new(p, vec![-1.0, -1.0], a, vec![0.0; 2], vec![0.3; 2]).unwrap();
-        let settings = Settings {
-            time_limit: Some(std::time::Duration::from_nanos(1)),
-            check_interval: 1,
-            eps_abs: 1e-12,
-            eps_rel: 1e-12,
-            ..Settings::default()
-        };
-        let r = Solver::new(problem, settings).unwrap().solve();
-        assert_eq!(r.status, Status::TimedOut);
-        assert!(r.iterations <= 1, "must stop at the first check boundary");
-    }
-
-    #[test]
     fn interruption_checks_do_not_perturb_solved_runs() {
-        let p = CscMatrix::from_dense(2, 2, &[2.0, 0.0, 0.0, 2.0]);
-        let a = CscMatrix::identity(2);
-        let problem = Problem::new(p, vec![-1.0, -1.0], a, vec![0.0; 2], vec![0.3; 2]).unwrap();
-        let plain = Solver::new(problem.clone(), Settings::default())
-            .unwrap()
-            .solve();
-        let settings = Settings {
-            time_limit: Some(std::time::Duration::from_secs(5000)),
-            check_interval: 1,
-            ..Settings::default()
-        };
-        let mut guarded = Solver::new(problem, settings).unwrap();
-        guarded.set_cancel_flag(Some(Arc::new(AtomicBool::new(false))));
-        let r = guarded.solve();
-        assert_eq!(r.status, Status::Solved);
-        assert_eq!(r.x, plain.x, "polling must not change the trajectory");
-        assert_eq!(r.iterations, plain.iterations);
+        let p = CscMatrix::from_dense(2, 2, &[4.0, 1.0, 0.0, 2.0])
+            .upper_triangle()
+            .unwrap();
+        let a = CscMatrix::from_dense(3, 2, &[1.0, 1.0, 1.0, 0.0, 0.0, 1.0]);
+        let problem = Problem::new(
+            p,
+            vec![1.0, 1.0],
+            a,
+            vec![1.0, 0.0, 0.0],
+            vec![1.0, 0.7, 0.7],
+        )
+        .unwrap();
+        for settings in configurations() {
+            let what = format!("{:?}/{:?}", settings.algorithm, settings.backend);
+            // Tight enough to keep every configuration iterating past the
+            // first poll.
+            let settings = Settings {
+                eps_abs: 1e-7,
+                eps_rel: 1e-7,
+                ..settings
+            };
+            let plain = Solver::new(problem.clone(), settings.clone())
+                .unwrap()
+                .solve();
+            assert_eq!(plain.status, Status::Solved, "{what}");
+            assert!(
+                plain.iterations > CHECK_INTERVAL,
+                "{what}: a solve of {} iterations polls nothing mid-run",
+                plain.iterations
+            );
+            let mut guarded = Solver::new(problem.clone(), settings).unwrap();
+            guarded.set_cancel_flag(Some(Arc::new(AtomicBool::new(false))));
+            guarded.set_deadline(Some(Instant::now() + std::time::Duration::from_secs(5000)));
+            let r = guarded.solve();
+            assert_eq!(r.status, Status::Solved, "{what}");
+            assert_eq!(
+                r.x, plain.x,
+                "{what}: polling must not change the trajectory"
+            );
+            assert_eq!(r.iterations, plain.iterations, "{what}");
+        }
     }
 
     #[test]
@@ -887,7 +887,7 @@ mod tests {
         .unwrap();
         let foreign = Solver::new(other, Settings::default()).unwrap().solve();
 
-        for algorithm in Algorithm::all() {
+        for algorithm in [Algorithm::Admm, Algorithm::Pdqp] {
             let mut solver =
                 Solver::new(problem.clone(), Settings::with_algorithm(algorithm)).unwrap();
             let err = solver.warm_start_from(&foreign).unwrap_err();

@@ -14,10 +14,10 @@ pub enum Status {
     PrimalInfeasible,
     /// A certificate of dual infeasibility (unboundedness) was found.
     DualInfeasible,
-    /// The run hit its deadline ([`Settings::time_limit`] or an external
-    /// deadline set through [`Solver::set_deadline`]) before convergence.
+    /// The run passed the deadline set through [`Solver::set_deadline`]
+    /// before convergence: at the poll before the first iteration, or at
+    /// one after every 25th.
     ///
-    /// [`Settings::time_limit`]: crate::Settings::time_limit
     /// [`Solver::set_deadline`]: crate::Solver::set_deadline
     TimedOut,
     /// An external cancellation flag (see [`Solver::set_cancel_flag`]) was

@@ -14,7 +14,7 @@
 //!   [`Solver`](mib_qp::Solver) clones, so steady-state serving pays no
 //!   setup and no allocation. Cold shards are LRU-evicted.
 //! - **Opportunistic batching**: a worker claims whatever same-pattern
-//!   requests are queued when it becomes free (up to `max_batch`) and
+//!   requests are queued when it becomes free (up to 16) and
 //!   solves them back-to-back; it never holds a request to wait for
 //!   company, so an idle shard answers at once and batches form only
 //!   under load.

@@ -19,9 +19,6 @@ pub struct ServeConfig {
     /// Bound of each shard's submission queue; submissions beyond it are
     /// rejected with [`SubmitError::QueueFull`].
     pub queue_capacity: usize,
-    /// Most requests one worker claims from the queue at a time and
-    /// serves back-to-back. A worker never waits for a batch to fill.
-    pub max_batch: usize,
     /// Worker threads per pattern shard.
     pub workers_per_shard: usize,
     /// Most-recently-used pattern shards kept warm; the least recently
@@ -38,7 +35,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             queue_capacity: 64,
-            max_batch: 16,
             workers_per_shard: 2,
             max_shards: 8,
             obs: ObsConfig::default(),
@@ -49,7 +45,6 @@ impl Default for ServeConfig {
 impl ServeConfig {
     fn validate(&self) {
         assert!(self.queue_capacity >= 1, "queue_capacity must be >= 1");
-        assert!(self.max_batch >= 1, "max_batch must be >= 1");
         assert!(
             self.workers_per_shard >= 1,
             "workers_per_shard must be >= 1"
@@ -60,7 +55,6 @@ impl ServeConfig {
     fn shard(&self) -> ShardConfig {
         ShardConfig {
             queue_capacity: self.queue_capacity,
-            max_batch: self.max_batch,
             workers: self.workers_per_shard,
         }
     }

@@ -10,7 +10,7 @@
 //! # Opportunistic batching
 //!
 //! A worker blocks until the queue is non-empty, claims what is queued
-//! (at most `max_batch` requests) and solves that batch back-to-back —
+//! (at most `MAX_BATCH`, 16, requests) and solves that batch back-to-back —
 //! one wakeup and one warm solver kept hot across consecutive
 //! same-tenant requests. It never waits for a batch to fill: a batch is
 //! solved one request after the other, so holding the first request for
@@ -68,11 +68,14 @@ pub(crate) struct Pending {
     pub deadline: Option<Instant>,
 }
 
+/// Most requests one worker claims from the queue at a time and serves
+/// back-to-back.
+const MAX_BATCH: usize = 16;
+
 /// Per-shard knobs, copied from the server configuration.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ShardConfig {
     pub queue_capacity: usize,
-    pub max_batch: usize,
     pub workers: usize,
 }
 
@@ -199,7 +202,7 @@ impl Shard {
     }
 
     /// Blocks until work is available, then claims what is queued, up to
-    /// `max_batch` requests. Returns `None` when the shard is stopping
+    /// `MAX_BATCH` requests. Returns `None` when the shard is stopping
     /// and drained.
     fn next_batch(&self) -> Option<Vec<Pending>> {
         let mut st = self.state.lock().expect("shard queue lock");
@@ -209,7 +212,7 @@ impl Shard {
             }
             st = self.available.wait(st).expect("shard queue lock");
         }
-        let claimed = self.cfg.max_batch.min(st.queue.len());
+        let claimed = MAX_BATCH.min(st.queue.len());
         Some(st.queue.drain(..claimed).collect())
     }
 }

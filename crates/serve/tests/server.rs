@@ -146,7 +146,6 @@ fn queue_full_is_reported_synchronously() {
     let config = ServeConfig {
         queue_capacity: 1,
         workers_per_shard: 1,
-        max_batch: 1,
         ..ServeConfig::default()
     };
     let server = QpServer::new(config);
@@ -185,7 +184,6 @@ fn queue_full_is_reported_synchronously() {
 fn queued_requests_expire_at_their_deadline_without_solving() {
     let config = ServeConfig {
         workers_per_shard: 1,
-        max_batch: 1,
         ..ServeConfig::default()
     };
     let server = QpServer::new(config);
@@ -219,11 +217,7 @@ fn cancellation_before_pickup_skips_the_solve() {
     // both are accepted here; the soak test exercises volume.
     let server = QpServer::new(ServeConfig::default());
     let spec = instance(Domain::Mpc, 0);
-    let settings = Settings {
-        check_interval: 1,
-        ..Settings::default()
-    };
-    let tenant = server.register(spec.problem, settings).unwrap();
+    let tenant = server.register(spec.problem, Settings::default()).unwrap();
     let ticket = server.submit(tenant, Request::default()).unwrap();
     ticket.cancel();
     let response = ticket.wait();
@@ -308,7 +302,6 @@ fn unknown_tenant_is_rejected() {
 fn a_busy_worker_finds_the_burst_as_one_batch() {
     let config = ServeConfig {
         workers_per_shard: 1,
-        max_batch: 16,
         ..ServeConfig::default()
     };
     let server = QpServer::new(config);

@@ -96,6 +96,24 @@ cargo run --release -q -p mib-bench --bin verify_schedules -- --smoke >/dev/null
 cargo test --profile checked --test static_timing --test proptest_timing --test proptest_verify \
   --test pending_window -q
 
+echo "==> paper reports (all_experiments reproduces results/*.txt byte for byte)"
+# Every figure and table is deterministic: regenerated in a scratch
+# directory, each of the ten reports must equal its committed copy.
+cargo build --release -q -p mib-bench --bins
+reports="$(mktemp -d)"
+trap 'rm -rf "$reports"' EXIT
+(cd "$reports" && cargo run --release -q --manifest-path "$OLDPWD/Cargo.toml" \
+  -p mib-bench --bin all_experiments >/dev/null 2>&1)
+produced=0
+for f in "$reports"/results/*.txt; do
+  cmp "$f" "results/$(basename "$f")"
+  produced=$((produced + 1))
+done
+if [ "$produced" -ne 10 ]; then
+  echo "all_experiments wrote $produced reports, expected 10" >&2
+  exit 1
+fi
+
 echo "==> tracing (trace report smoke gate)"
 cargo run --release -q -p mib-bench --bin trace_report -- --smoke >/dev/null
 

@@ -41,7 +41,6 @@ fn deadline_missed_request_retains_queue_solve_and_kernel_spans() {
                 eps_abs: 1e-300,
                 eps_rel: 0.0,
                 max_iter: usize::MAX,
-                check_interval: 16,
                 ..Settings::default()
             },
         )

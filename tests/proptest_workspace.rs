@@ -9,7 +9,7 @@
 
 use mib::problems::random_qp;
 use mib::qp::kkt::KktMatrix;
-use mib::qp::{Problem, Settings, Solver, Status, INFTY};
+use mib::qp::{Problem, Settings, Solver, Status, ALPHA, INFTY};
 use mib::sparse::ldl::LdlSolver;
 use mib::sparse::order::Ordering;
 use proptest::prelude::*;
@@ -47,7 +47,7 @@ fn reference_admm(
     let ldl = LdlSolver::new(kkt.matrix(), Ordering::MinDegree).unwrap();
 
     let (mut x, mut y, mut z) = (vec![0.0; n], vec![0.0; m], vec![0.0; m]);
-    let alpha = settings.alpha;
+    let alpha = ALPHA;
     for _ in 0..iters {
         let mut rhs = Vec::with_capacity(n + m);
         for j in 0..n {

@@ -18,7 +18,9 @@ use proptest::prelude::*;
 const SIGMA: f64 = 1e-6;
 
 fn backend(problem: &Problem, rho: &[f64]) -> IndirectKkt {
-    IndirectKkt::new(problem.p(), problem.a(), SIGMA, rho, 1e-10, 1e-12, 0)
+    let mut kkt = IndirectKkt::new(problem.p(), problem.a(), SIGMA, rho, 1e-12);
+    kkt.set_tolerance(1e-10);
+    kkt
 }
 
 /// Per-constraint step sizes in `[1e-3, 1e3)`, from `seed`.

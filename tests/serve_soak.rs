@@ -63,7 +63,6 @@ fn soak_mixed_tenants_under_backpressure() {
     let server = QpServer::new(ServeConfig {
         queue_capacity: QUEUE_CAPACITY,
         workers_per_shard: 2,
-        max_batch: 8,
         max_shards: 8,
         obs: mib::serve::ObsConfig::default(),
     });

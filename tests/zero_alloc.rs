@@ -194,9 +194,7 @@ fn assembled_indirect_solve_and_rho_updates_perform_zero_allocations() {
         problem.a(),
         settings.sigma,
         &vec![settings.rho; problem.num_constraints()],
-        settings.eps_pcg_start,
         settings.eps_pcg_min,
-        settings.max_pcg_iter,
     );
     assert!(
         kkt.reduced_matrix().is_some(),
