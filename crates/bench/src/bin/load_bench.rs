@@ -56,6 +56,7 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mib_bench::answer::OsqpCriterion;
 use mib_bench::serve_json::{write_bench_serve, LatencySummary, ServeRun};
 use mib_net::{
     wire_reply, ClientEvent, EndpointSpec, EndpointTarget, NetClient, NetConfig, NetServer,
@@ -498,8 +499,9 @@ const REPLY_CODE_NAMES: [&str; 9] = [
 ];
 
 /// The direct solve of request `i`: a fresh clone of its tenant's
-/// template, re-parameterized the way the serving runtime does it.
-fn direct_solve(i: u64, mix: &Mix) -> mib_qp::SolveResult {
+/// template, re-parameterized the way the serving runtime does it. The
+/// solver comes back with the result: its `problem()` is the request's.
+fn direct_solve(i: u64, mix: &Mix) -> (Solver, mib_qp::SolveResult) {
     let g = generate(i, mix);
     let endpoint = g.endpoint as usize;
     let problem = &mix.problems[endpoint];
@@ -516,14 +518,18 @@ fn direct_solve(i: u64, mix: &Mix) -> mib_qp::SolveResult {
     if let Some((x, y)) = &g.warm_start {
         solver.warm_start(x, y);
     }
-    solver.solve()
+    let result = solver.solve();
+    (solver, result)
 }
 
 /// Bitwise-verifies one sampled Solved reply against a direct solve of
 /// the regenerated request: status, iterations, objective, and every
-/// entry of `x` and `y`, lengths included.
+/// entry of `x` and `y`, lengths included. A matching answer must also
+/// meet OSQP's stopping criterion, recomputed by [`OsqpCriterion`]; the
+/// reply carries no `z`, so the direct solve's, which belongs to the same
+/// `x` and `y`, stands in.
 fn verify_sample(i: u64, reply: &WireReply, mix: &Mix) -> Result<(), String> {
-    let result = direct_solve(i, mix);
+    let (solver, result) = direct_solve(i, mix);
     let bitwise = |a: &[f64], b: &[f64]| {
         a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
     };
@@ -533,7 +539,22 @@ fn verify_sample(i: u64, reply: &WireReply, mix: &Mix) -> Result<(), String> {
         && bitwise(&result.x, &reply.x)
         && bitwise(&result.y, &reply.y)
     {
-        Ok(())
+        let s = solver.settings();
+        let c = OsqpCriterion::of(
+            solver.problem(),
+            s.eps_abs,
+            s.eps_rel,
+            &reply.x,
+            &reply.y,
+            &result.z,
+        );
+        if c.holds() {
+            Ok(())
+        } else {
+            Err(format!(
+                "request {i}: the answer misses its tolerance: {c:?}"
+            ))
+        }
     } else {
         Err(format!(
             "request {i}: wire answer differs from the direct solve \
@@ -1074,7 +1095,7 @@ mod tests {
     fn a_sampled_reply_missing_a_dual_entry_is_rejected() {
         let mix = build_mix();
         let (i, result) = (0..1000)
-            .map(|i| (i, direct_solve(i, &mix)))
+            .map(|i| (i, direct_solve(i, &mix).1))
             .find(|(_, r)| r.status == mib_qp::Status::Solved && !r.y.is_empty())
             .expect("some request of the trace solves");
         let reply = WireReply {

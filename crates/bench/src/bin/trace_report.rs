@@ -14,9 +14,9 @@
 //! The binary doubles as an end-to-end check: per-iteration residual
 //! events must match the returned [`SolveResult`](mib_qp::SolveResult)
 //! bitwise, serve spans must nest the solver's spans on the worker
-//! thread, and every exported JSON must validate. `--smoke` restricts the
-//! run to the first domain and skips the committed report (used by
-//! `scripts/check.sh`).
+//! thread, and every exported JSON must validate. `scripts/check.sh` runs
+//! it in a scratch directory and compares the report with the committed
+//! copy byte for byte.
 
 use std::fmt::Write as _;
 
@@ -90,12 +90,12 @@ fn solve_segment(body: &mut String, domain: Domain, backend: KktBackend) -> Trac
 fn compile_segment(body: &mut String, domain: Domain, config: MibConfig) -> Trace {
     let inst = instance(domain, 0);
     let settings = eval_settings(KktBackend::Direct);
+    let mut cache = ProgramCache::new();
     let (lowered, seg) = traced_segment(|| {
-        let mut cache = ProgramCache::new();
         let lowered = cache
             .lower_cached(&inst.problem, &settings, config)
             .expect("lowering");
-        // Second request hits the cache: the trace records both accesses.
+        // The second request hits the cache.
         cache
             .lower_cached(&inst.problem, &settings, config)
             .expect("cached lowering");
@@ -103,25 +103,32 @@ fn compile_segment(body: &mut String, domain: Domain, config: MibConfig) -> Trac
     });
     assert_eq!(seg.dropped(), 0, "{domain}/compile: trace overflow");
 
-    let hits: Vec<bool> = seg
+    assert_eq!(
+        (cache.misses(), cache.hits()),
+        (1, 1),
+        "{domain}: miss then hit"
+    );
+    let schedules = seg
         .records()
-        .filter_map(|r| match r.event {
-            Event::CacheAccess { hit, .. } => Some(hit),
-            _ => None,
+        .filter(|r| {
+            matches!(
+                r.event,
+                Event::Begin {
+                    name: "schedule",
+                    cat: Category::Compiler
+                }
+            )
         })
-        .collect();
-    assert_eq!(hits, vec![false, true], "{domain}: miss then hit");
-    let quality = seg
-        .records()
-        .filter(|r| matches!(r.event, Event::ScheduleQuality { .. }))
         .count();
     let _ = writeln!(
         body,
         "  compile   iteration_slots={} logical={} forced_appends={} \
-         schedule_events={quality} cache=miss,hit",
+         schedule_spans={schedules} cache_misses={} cache_hits={}",
         lowered.iteration.slots(),
         lowered.iteration.logical_count,
         lowered.iteration.forced_appends,
+        cache.misses(),
+        cache.hits(),
     );
     seg
 }
@@ -181,29 +188,27 @@ fn serve_segment(body: &mut String, domain: Domain) -> Trace {
         "{domain}: serve spans must nest solver spans, got {order:?}"
     );
 
-    let marks = |name: &str| {
-        seg.records()
-            .filter(
-                |r| matches!(r.event, Event::Mark { name: n, cat: Category::Serve, .. } if n == name),
+    let batch_marks = seg
+        .records()
+        .filter(|r| {
+            matches!(
+                r.event,
+                Event::Mark {
+                    name: "batch_size",
+                    cat: Category::Serve,
+                    ..
+                }
             )
-            .count()
-    };
+        })
+        .count();
     let _ = writeln!(
         body,
-        "  serve     requests=1 submit_marks={} batch_marks={} span_nesting=ok",
-        marks("submit"),
-        marks("batch_size"),
+        "  serve     requests=1 batch_marks={batch_marks} span_nesting=ok"
     );
     seg
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let domains: &[Domain] = if smoke {
-        &[Domain::Portfolio]
-    } else {
-        &Domain::all()
-    };
     let config = MibConfig::c32();
 
     let mut body = String::new();
@@ -211,7 +216,7 @@ fn main() {
     body.push_str("(instance 0 of each domain; fixed seeds; deterministic fields only.\n");
     body.push_str(" Chrome trace-event JSON per domain in results/<domain>.trace.json)\n");
 
-    for &domain in domains {
+    for domain in Domain::all() {
         let _ = writeln!(body, "\n--- domain: {domain} ---");
         let mut trace: Option<Trace> = None;
         for backend in [KktBackend::Direct, KktBackend::Indirect] {
@@ -237,10 +242,5 @@ fn main() {
 
     body.push_str("\nAll per-iteration residual events matched the returned\n");
     body.push_str("SolveResult bitwise; all serve spans nested the solver spans.\n");
-    if smoke {
-        println!("{body}");
-        println!("(smoke mode: results/trace_report.txt not rewritten)");
-    } else {
-        mib_bench::emit_report("trace_report", &body);
-    }
+    mib_bench::emit_report("trace_report", &body);
 }

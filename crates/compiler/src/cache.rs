@@ -75,17 +75,9 @@ impl ProgramCache {
         config: MibConfig,
     ) -> Result<LoweredQp, QpError> {
         settings.validate()?;
-        let tracing = mib_trace::enabled();
         let key = cache_key(problem, settings, config);
         if let Some(cached) = self.entries.get(&key) {
             self.hits += 1;
-            mib_trace::record_if(
-                tracing,
-                mib_trace::Event::CacheAccess {
-                    name: "program_cache",
-                    hit: true,
-                },
-            );
             let mut lowered = cached.clone();
             lowered.load = build_load_schedule(problem, settings, config);
             crate::verify::debug_assert_certified("load(cache-hit)", &lowered.load, &config);
@@ -93,13 +85,6 @@ impl ProgramCache {
         }
         let lowered = lower(problem, settings, config)?;
         self.misses += 1;
-        mib_trace::record_if(
-            tracing,
-            mib_trace::Event::CacheAccess {
-                name: "program_cache",
-                hit: false,
-            },
-        );
         self.entries.insert(key, lowered.clone());
         Ok(lowered)
     }

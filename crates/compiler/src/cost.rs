@@ -10,9 +10,7 @@
 //! trusted signal a schedule autotuner can search against: comparing two
 //! candidate schedules costs two predictions, not two simulations.
 //!
-//! The lowering's `ScheduleQuality` trace events record the predicted
-//! cycles for offline analysis. [`lower_bound`] is the packing bound the
-//! cycles are held against.
+//! [`lower_bound`] is the packing bound the cycles are held against.
 
 use mib_core::machine::HazardPolicy;
 use mib_core::MibConfig;

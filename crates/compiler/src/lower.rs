@@ -165,25 +165,10 @@ pub fn lower(
     }
 }
 
-/// Schedules one named kernel under a compiler-category `schedule` span and
-/// emits the packing-quality event (issue slots vs logical instructions,
-/// forced appends, statically predicted cycles) that trace reports
-/// aggregate per program.
-fn traced_schedule(name: &'static str, kernel: &Kernel, config: &MibConfig) -> Schedule {
-    let tracing = mib_trace::enabled();
-    let _span = mib_trace::span_if(tracing, "schedule", mib_trace::Category::Compiler);
-    let s = checked_schedule(kernel, ScheduleOptions::default(), config);
-    if tracing {
-        let predicted = crate::cost::static_cost(&s, config).map_or(0, |c| c.cycles);
-        mib_trace::record(mib_trace::Event::ScheduleQuality {
-            name,
-            slots: u32::try_from(s.slots()).unwrap_or(u32::MAX),
-            logical: u32::try_from(s.logical_count).unwrap_or(u32::MAX),
-            forced_appends: u32::try_from(s.forced_appends).unwrap_or(u32::MAX),
-            predicted_cycles: u32::try_from(predicted).unwrap_or(u32::MAX),
-        });
-    }
-    s
+/// Schedules one kernel under a compiler-category `schedule` span.
+fn traced_schedule(kernel: &Kernel, config: &MibConfig) -> Schedule {
+    let _span = mib_trace::span("schedule", mib_trace::Category::Compiler);
+    checked_schedule(kernel, ScheduleOptions::default(), config)
 }
 
 /// Fails unless every register address the allocator handed out fits in
@@ -309,7 +294,7 @@ pub(crate) fn build_load_schedule(
         );
         ew::load_vec(&mut lb, pcg.precond, &minv);
     }
-    traced_schedule("load", &lb.finish(), &config)
+    traced_schedule(&lb.finish(), &config)
 }
 
 /// Emits the one-time load of problem vectors (bounds are clamped to a
@@ -444,7 +429,7 @@ fn lower_direct(
     // Setup: on-machine numeric factorization.
     let mut fb = KernelBuilder::new("factor", config.width, config.latency());
     factor_kernel(&mut fb, &permuted, &sym, &fl, y_scratch);
-    let setup = traced_schedule("setup", &fb.finish(), &config);
+    let setup = traced_schedule(&fb.finish(), &config);
 
     // Iteration program.
     let mut ib = KernelBuilder::new("iteration", config.width, config.latency());
@@ -482,8 +467,8 @@ fn lower_direct(
         .collect();
     permute_locs(&mut ib, &scatter);
     build_updates(&mut ib, &st);
-    let iteration = traced_schedule("iteration", &ib.finish(), &config);
-    let check = traced_schedule("check", &cb.finish(), &config);
+    let iteration = traced_schedule(&ib.finish(), &config);
+    let check = traced_schedule(&cb.finish(), &config);
 
     Ok(LoweredQp {
         config,
@@ -623,9 +608,9 @@ fn lower_indirect(
     // Load program, including the Jacobi preconditioner values
     // (diag(P) + sigma + sum rho_i A_ij^2).
     let load = build_load_schedule(problem, settings, config);
-    let iteration = traced_schedule("iteration", &ib.finish(), &config);
-    let pcg_iteration = traced_schedule("pcg", &pb.finish(), &config);
-    let check = traced_schedule("check", &cb.finish(), &config);
+    let iteration = traced_schedule(&ib.finish(), &config);
+    let pcg_iteration = traced_schedule(&pb.finish(), &config);
+    let check = traced_schedule(&cb.finish(), &config);
 
     Ok(LoweredQp {
         config,

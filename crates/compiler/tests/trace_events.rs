@@ -1,6 +1,6 @@
-//! Enabled-mode tracing tests for the compiler: lowering emits compiler
-//! spans and per-program `ScheduleQuality` events, and the program cache
-//! emits `CacheAccess` hit/miss events.
+//! Enabled-mode tracing tests for the compiler: tracing leaves the
+//! lowered programs exactly as they are with tracing off, lowering opens
+//! its compiler spans, and the program cache counts its miss and hit.
 //!
 //! Lives in its own integration-test binary: the mib-trace enable flag is
 //! process-global, and cargo runs test binaries sequentially, so enabling
@@ -8,9 +8,10 @@
 //! the binary's own tests from racing each other.
 
 use mib_compiler::cache::ProgramCache;
-use mib_compiler::lower::lower;
+use mib_compiler::lower::{lower, LoweredQp};
+use mib_compiler::{static_cost, Schedule};
 use mib_core::MibConfig;
-use mib_qp::{Problem, Settings};
+use mib_qp::{KktBackend, Problem, Settings};
 use mib_sparse::CscMatrix;
 use mib_trace::{Category, Event};
 
@@ -37,79 +38,72 @@ fn config() -> MibConfig {
     }
 }
 
+/// Slots, logical instructions, forced appends and exact cycles of one
+/// program.
+fn shape(s: &Schedule) -> (usize, usize, usize, Option<u64>) {
+    (
+        s.slots(),
+        s.logical_count,
+        s.forced_appends,
+        static_cost(s, &config()).map(|c| c.cycles),
+    )
+}
+
+/// Asserts that two lowerings produced the same five programs.
+fn assert_same_programs(traced: &LoweredQp, plain: &LoweredQp, what: &str) {
+    let programs = |l: &LoweredQp| {
+        [
+            ("load", shape(&l.load)),
+            ("setup", shape(&l.setup)),
+            ("iteration", shape(&l.iteration)),
+            ("pcg", shape(&l.pcg_iteration)),
+            ("check", shape(&l.check)),
+        ]
+    };
+    for ((name, on), (_, off)) in programs(traced).into_iter().zip(programs(plain)) {
+        assert_eq!(on, off, "{what}: the {name} program changed under tracing");
+    }
+}
+
 #[test]
-fn lowering_and_cache_emit_compiler_telemetry() {
+fn tracing_leaves_lowered_programs_unchanged() {
+    let direct = Settings::default();
+    let indirect = Settings::with_backend(KktBackend::Indirect);
+    let plain = |q0: f64, settings: &Settings| lower(&small_problem(q0), settings, config());
+    let plain_direct = plain(1.0, &direct).unwrap();
+    let plain_indirect = plain(1.0, &indirect).unwrap();
+    let plain_hit = plain(-2.0, &direct).unwrap();
+    assert!(
+        plain_direct.iteration.slots() > 0 && plain_indirect.pcg_iteration.slots() > 0,
+        "both variants lower real programs"
+    );
+
     mib_trace::clear();
     mib_trace::enable();
-    let lowered = lower(&small_problem(1.0), &Settings::default(), config()).unwrap();
+    let traced_direct = lower(&small_problem(1.0), &direct, config()).unwrap();
+    let traced_indirect = lower(&small_problem(1.0), &indirect, config()).unwrap();
     let mut cache = ProgramCache::new();
-    cache
-        .lower_cached(&small_problem(1.0), &Settings::default(), config())
+    let miss = cache
+        .lower_cached(&small_problem(1.0), &direct, config())
         .unwrap();
-    cache
-        .lower_cached(&small_problem(-2.0), &Settings::default(), config())
+    let hit = cache
+        .lower_cached(&small_problem(-2.0), &direct, config())
         .unwrap();
     mib_trace::disable();
     let trace = mib_trace::take();
 
-    // One ScheduleQuality event per scheduled program, with the slot count
-    // matching the schedule the caller got back. The direct pipeline
-    // compiles load/setup/iteration/check (twice: plain lower + cache
-    // miss), and the cache hit regenerates one more load.
-    let quality: Vec<(&str, u32, u32, u32, u32)> = trace
-        .records()
-        .filter_map(|r| match r.event {
-            Event::ScheduleQuality {
-                name,
-                slots,
-                logical,
-                forced_appends,
-                predicted_cycles,
-            } => Some((name, slots, logical, forced_appends, predicted_cycles)),
-            _ => None,
-        })
-        .collect();
-    for program in ["load", "setup", "iteration", "check"] {
-        assert!(
-            quality.iter().filter(|(n, ..)| *n == program).count() >= 2,
-            "missing ScheduleQuality events for {program}: {quality:?}"
-        );
-    }
-    assert_eq!(
-        quality.iter().filter(|(n, ..)| *n == "load").count(),
-        3,
-        "two full lowerings plus one cache-hit load refresh"
-    );
-    let (_, slots, logical, forced, predicted) = *quality
-        .iter()
-        .find(|(n, ..)| *n == "iteration")
-        .expect("iteration program scheduled");
-    assert_eq!(slots as usize, lowered.iteration.slots());
-    assert_eq!(logical as usize, lowered.iteration.logical_count);
-    assert_eq!(forced as usize, lowered.iteration.forced_appends);
-    let cost = mib_compiler::static_cost(&lowered.iteration, &config())
-        .expect("certified schedule has a static cost");
-    assert_eq!(
-        u64::from(predicted),
-        cost.cycles,
-        "trace event carries the oracle's cycles"
-    );
-
-    // Cache accesses: miss for the first pattern, hit for the re-solve.
-    let accesses: Vec<bool> = trace
-        .records()
-        .filter_map(|r| match r.event {
-            Event::CacheAccess {
-                name: "program_cache",
-                hit,
-            } => Some(hit),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(accesses, vec![false, true]);
+    assert_same_programs(&traced_direct, &plain_direct, "direct lower");
+    assert_same_programs(&traced_indirect, &plain_indirect, "indirect lower");
+    assert_same_programs(&miss, &plain_direct, "cache miss");
+    assert_same_programs(&hit, &plain_hit, "cache hit");
+    // A miss for the first pattern, a hit for the re-valued one.
+    assert_eq!((cache.misses(), cache.hits()), (1, 1));
 
     // Compiler spans: every lowering opens `lower`, the direct pipeline
-    // opens `analyze`, and each scheduled program opens `schedule`.
+    // opens `analyze`, and each scheduled program opens `schedule`: four
+    // per direct lowering (load, setup, iteration, check), four per
+    // indirect one (load, iteration, pcg, check), and one more for the
+    // load program a cache hit rebuilds.
     let begins = |name: &str| {
         trace
             .records()
@@ -118,8 +112,8 @@ fn lowering_and_cache_emit_compiler_telemetry() {
             )
             .count()
     };
-    assert_eq!(begins("lower"), 2, "plain lower + cache miss");
-    assert_eq!(begins("analyze"), 2);
-    assert_eq!(begins("schedule"), quality.len());
+    assert_eq!(begins("lower"), 3, "direct + indirect lower + cache miss");
+    assert_eq!(begins("analyze"), 2, "direct lower + cache miss");
+    assert_eq!(begins("schedule"), 4 + 4 + 4 + 1);
     assert_eq!(trace.dropped(), 0);
 }

@@ -567,13 +567,6 @@ impl NetInstruction {
         lanes(self.out_mul_mask).map(|lane| (lane, self.out_neg_mask & bit(lane) != 0))
     }
 
-    /// Whether the final adder stage drives `lane` with a live value. A
-    /// writeback on an undriven lane commits the architectural zero (the
-    /// idle-node output), which is almost always a scheduling artifact.
-    pub fn lane_driven(&self, lane: usize) -> bool {
-        self.stage_mask(self.stages() - 1) & bit(lane) != 0
-    }
-
     /// Number of floating-point operations this instruction performs:
     /// active input multipliers, `Sum` adder nodes, output multipliers,
     /// and the writeback ALU ops (`Add`, `StoreRecip`, `Min`, `Max`,
@@ -1231,7 +1224,9 @@ mod tests {
         i.set_out_mul(127, OutMul::MulStream { negate: true });
         assert_masks(&i);
         assert_eq!(i.input_mask(), 1 << 127 | 1);
-        assert!(i.lane_driven(127) && i.lane_driven(64));
+        // The final adder stage drives both written lanes.
+        let last = i.stage_mask(i.stages() - 1);
+        assert!(last & bit(127) != 0 && last & bit(64) != 0);
         assert_eq!(i.write(127), Some(store(3)));
         let mut other = NetInstruction::nop(128);
         other.reduce(&[126, 125], 126);

@@ -11,8 +11,6 @@
 //! every fifth iteration is instead a full check that may update `ρ`, on
 //! both backends.
 
-use std::time::Instant;
-
 use mib_sparse::{vector, CscMatrix};
 use mib_trace::{Category as TraceCat, Event as TraceEvent};
 
@@ -204,44 +202,33 @@ impl Admm {
         let adapt = env.settings.adaptive_rho;
         let mut final_res: Option<Residuals> = None;
         let mut iterations = 0usize;
-        // Telemetry deltas: KKT time and PCG iterations since the last
-        // per-iteration record (both stay untouched when tracing is off).
-        let mut kkt_ns_total: u64 = 0;
-        let mut kkt_ns_reported: u64 = 0;
+        // Telemetry delta: PCG iterations since the last per-iteration
+        // record (untouched when tracing is off).
         let mut pcg_reported = prof.pcg_iters;
 
         let admm_span = mib_trace::span_if(tracing, "admm_loop", TraceCat::Solver);
         for k in 1..=max_iter {
             iterations = k;
-            let sampled = run.sampled(k);
-            let kdetail = run.ktrace && sampled;
+            let kspans = run.sampled(k);
             {
-                let _s = mib_trace::span_if(kdetail, "stage_rhs", TraceCat::Kernel);
+                let _s = mib_trace::span_if(kspans, "stage_rhs", TraceCat::Kernel);
                 self.stage_rhs(env, prof);
             }
-            let kkt_start = if tracing && sampled {
-                Some(Instant::now())
-            } else {
-                None
-            };
             self.kkt.solve(&mut env.ws, prof);
-            if let Some(t0) = kkt_start {
-                kkt_ns_total += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            }
             {
-                let _s = mib_trace::span_if(kdetail, "stage_ztilde", TraceCat::Kernel);
+                let _s = mib_trace::span_if(kspans, "stage_ztilde", TraceCat::Kernel);
                 self.stage_ztilde(env, prof);
             }
             {
-                let _s = mib_trace::span_if(kdetail, "stage_x_update", TraceCat::Kernel);
+                let _s = mib_trace::span_if(kspans, "stage_x_update", TraceCat::Kernel);
                 self.stage_x_update(env, prof);
             }
             {
-                let _s = mib_trace::span_if(kdetail, "stage_z_projection", TraceCat::Kernel);
+                let _s = mib_trace::span_if(kspans, "stage_z_projection", TraceCat::Kernel);
                 self.stage_z_projection(env, prof);
             }
             {
-                let _s = mib_trace::span_if(kdetail, "stage_y_update", TraceCat::Kernel);
+                let _s = mib_trace::span_if(kspans, "stage_y_update", TraceCat::Kernel);
                 self.stage_y_update(env, prof);
             }
 
@@ -267,7 +254,7 @@ impl Admm {
                 !regular && on_grid && (adapt || pretest.is_some_and(|(step, bound)| step < bound));
             if regular || triggered {
                 let res = {
-                    let _s = mib_trace::span_if(kdetail, "stage_residuals", TraceCat::Kernel);
+                    let _s = mib_trace::span_if(kspans, "stage_residuals", TraceCat::Kernel);
                     self.stage_residuals(env, prof)
                 };
                 prof.checks += 1;
@@ -286,11 +273,9 @@ impl Admm {
                             rho: self.rho,
                             pcg_iters: u32::try_from(prof.pcg_iters - pcg_reported)
                                 .unwrap_or(u32::MAX),
-                            kkt_ns: kkt_ns_total - kkt_ns_reported,
                         },
                     );
                     pcg_reported = prof.pcg_iters;
-                    kkt_ns_reported = kkt_ns_total;
                 }
                 let eps_prim = env.settings.eps_abs + env.settings.eps_rel * res.prim_norm;
                 let eps_dual = env.settings.eps_abs + env.settings.eps_rel * res.dual_norm;

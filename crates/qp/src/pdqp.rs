@@ -136,7 +136,7 @@ impl Pdqp {
         let loop_span = mib_trace::span_if(run.tracing, "pdqp_loop", TraceCat::Solver);
         for k in 1..=max_iter {
             iterations = k;
-            self.step(env, run.ktrace && run.sampled(k), prof);
+            self.step(env, run.sampled(k), prof);
 
             let checking = k % check_every == 0 || k == max_iter;
             if checking {
@@ -167,7 +167,6 @@ impl Pdqp {
                             dual_res: res.dual,
                             rho: self.tau,
                             pcg_iters: 0,
-                            kkt_ns: 0,
                         },
                     );
                 }
@@ -206,15 +205,15 @@ impl Pdqp {
     /// One PDHG iteration: primal gradient step, dual extrapolated step
     /// via Moreau decomposition, then epoch-average accumulation. Three
     /// sparse mat-vecs, all through preallocated workspace buffers.
-    /// `ktrace`: whether this iteration records its kernel spans.
-    fn step(&mut self, env: &mut Env, ktrace: bool, prof: &mut Profile) {
+    /// `kspans`: whether this iteration records its kernel spans.
+    fn step(&mut self, env: &mut Env, kspans: bool, prof: &mut Profile) {
         let ws = &mut env.ws;
         let n = self.x.len();
         let m = self.y.len();
         {
             // Gradient: P x + q + Aᵀ y, staged through px / aty, then the
             // primal step with extrapolation 2 x⁺ − x for the dual step.
-            let _s = mib_trace::span_if(ktrace, "stage_gradient", TraceCat::Kernel);
+            let _s = mib_trace::span_if(kspans, "stage_gradient", TraceCat::Kernel);
             self.p.sym_upper_mul_vec_into(&self.x, &mut ws.px);
             prof.add_spmv_mac(2 * self.p.nnz());
             self.a.spmv_t_into(&self.y, &mut ws.aty);
@@ -230,14 +229,14 @@ impl Pdqp {
             );
         }
         {
-            let _s = mib_trace::span_if(ktrace, "stage_dual", TraceCat::Kernel);
+            let _s = mib_trace::span_if(kspans, "stage_dual", TraceCat::Kernel);
             self.a.spmv_into(&ws.rhs_x, &mut ws.ax);
             prof.add_spmv_mac(self.a.nnz());
             let sigma = self.sigma;
             vector::moreau_into(&mut self.y, &mut ws.ztilde, sigma, &ws.ax, &env.l, &env.u);
         }
         {
-            let _s = mib_trace::span_if(ktrace, "stage_average", TraceCat::Kernel);
+            let _s = mib_trace::span_if(kspans, "stage_average", TraceCat::Kernel);
             self.x.copy_from_slice(&ws.xtilde);
             vector::add_assign(&mut self.x_sum, &self.x);
             vector::add_assign(&mut self.y_sum, &self.y);

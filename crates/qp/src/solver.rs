@@ -79,10 +79,9 @@ pub(crate) struct Residuals {
     pub(crate) dual_norm: f64,
 }
 
-/// While kernel spans are on, per-iteration detail (stage spans and the
-/// KKT timestamp pair) is recorded on iteration 1 and every
-/// `KERNEL_SPAN_STRIDE`-th iteration after it, so always-on serving
-/// traces price a sample of the iterations instead of every one.
+/// While tracing, the per-stage kernel spans are recorded on iteration 1
+/// and every `KERNEL_SPAN_STRIDE`-th iteration after it, so a trace
+/// prices a sample of the iterations instead of every one.
 const KERNEL_SPAN_STRIDE: usize = 16;
 
 /// Iteration stride of the cancellation and deadline poll. Each poll
@@ -91,23 +90,20 @@ const KERNEL_SPAN_STRIDE: usize = 16;
 const CHECK_INTERVAL: usize = 25;
 
 /// What the envelope hands an algorithm's loop for one solve: the trace
-/// flags, read once per solve, and the interruption poll.
+/// flag, read once per solve, and the interruption poll.
 pub(crate) struct Run<'a> {
     /// [`mib_trace::enabled`]: spans and events are gated on this bool,
     /// so the disabled-mode cost of a whole solve is one relaxed load.
     pub(crate) tracing: bool,
-    /// [`mib_trace::kernel_spans`]: opt-in per-stage kernel spans.
-    pub(crate) ktrace: bool,
     cancel: Option<&'a AtomicBool>,
     deadline: Option<Instant>,
 }
 
 impl Run<'_> {
-    /// Whether iteration `k` records its per-iteration detail: every
-    /// iteration without kernel spans, so offline traces keep exact
-    /// stage totals, and a sample of them with kernel spans on.
+    /// Whether iteration `k` records its kernel spans: only while
+    /// tracing, and then on iteration 1 and every `KERNEL_SPAN_STRIDE`-th.
     pub(crate) fn sampled(&self, k: usize) -> bool {
-        !self.ktrace || k == 1 || k.is_multiple_of(KERNEL_SPAN_STRIDE)
+        self.tracing && (k == 1 || k.is_multiple_of(KERNEL_SPAN_STRIDE))
     }
 
     /// Polls the cancellation flag and the deadline after iteration `k`
@@ -375,7 +371,6 @@ impl Solver {
         let env = &mut self.env;
         let run = Run {
             tracing,
-            ktrace: mib_trace::kernel_spans(),
             cancel: self.cancel.as_deref(),
             deadline: self.deadline,
         };

@@ -47,8 +47,6 @@ pub struct IterationRecord {
     /// PCG iterations since the previous check (0 on the direct backend
     /// and for PDQP).
     pub pcg_iters: u32,
-    /// Nanoseconds spent in the KKT backend since the previous check.
-    pub kkt_ns: u64,
 }
 
 /// One accepted adaptive-ρ rescaling.
@@ -104,7 +102,6 @@ impl SolveTrace {
                         dual_res,
                         rho,
                         pcg_iters,
-                        kkt_ns,
                     } => out.iterations.push(IterationRecord {
                         algo,
                         iter,
@@ -112,7 +109,6 @@ impl SolveTrace {
                         dual_res,
                         rho,
                         pcg_iters,
-                        kkt_ns,
                     }),
                     Event::RhoUpdate {
                         iter,
@@ -196,7 +192,6 @@ mod tests {
                     dual_res: 0.25,
                     rho: 0.1,
                     pcg_iters: 9,
-                    kkt_ns: 700,
                 },
             },
             Record {
@@ -218,7 +213,6 @@ mod tests {
                     dual_res: 2e-4,
                     rho: 0.9,
                     pcg_iters: 4,
-                    kkt_ns: 300,
                 },
             },
             Record {

@@ -26,8 +26,8 @@ pub struct ServeConfig {
     pub max_shards: usize,
     /// Observability plane switch (flight recorder, SLO burn rates,
     /// rolling windows). Disabled by default; enabling it also enables
-    /// `mib-trace` spans (including kernel spans) so the flight recorder
-    /// has records to retain.
+    /// `mib-trace` process-wide, so the flight recorder has records to
+    /// retain.
     pub obs: ObsConfig,
 }
 
@@ -132,7 +132,6 @@ impl QpServer {
             // kernel spans, so always-on tracing prices a fraction of
             // the iterations.
             mib_trace::enable();
-            mib_trace::enable_kernel_spans();
         }
         QpServer {
             config,

@@ -166,15 +166,7 @@ impl Shard {
         drop(st);
         self.metrics.queue_depth.observe(depth);
         if self.obs.is_active() {
-            // The plane keeps its records on the worker side: the
-            // submitting thread must not be left holding any, since
-            // nothing drains it.
             self.obs.record_admitted(Instant::now());
-        } else {
-            // The submit instant, with the observed depth: a trace viewer
-            // pairs this with the worker-side `request` span to see the
-            // queue wait.
-            mib_trace::mark("submit", mib_trace::Category::Serve, depth as f64);
         }
         self.available.notify_one();
         Ok(())

@@ -64,7 +64,6 @@ fn write_record(out: &mut String, first: &mut bool, tid: u64, record: &Record) {
             dual_res,
             rho,
             pcg_iters,
-            kkt_ns,
         } => {
             // A counter event draws the residual tracks...
             event_head(out, first, "residuals", "solver", 'C', tid, record.ts_ns);
@@ -80,7 +79,7 @@ fn write_record(out: &mut String, first: &mut bool, tid: u64, record: &Record) {
             let _ = write!(
                 out,
                 ",\"s\":\"t\",\"args\":{{\"algo\":\"{algo}\",\"iter\":{iter},\
-                 \"pcg_iters\":{pcg_iters},\"kkt_ns\":{kkt_ns}}}}}"
+                 \"pcg_iters\":{pcg_iters}}}}}"
             );
         }
         Event::RhoUpdate {
@@ -94,33 +93,6 @@ fn write_record(out: &mut String, first: &mut bool, tid: u64, record: &Record) {
             out.push_str(",\"rho_new\":");
             write_f64(out, rho_new);
             out.push_str("}}");
-        }
-        Event::CacheAccess { name, hit } => {
-            event_head(out, first, name, "compiler", 'i', tid, record.ts_ns);
-            let _ = write!(out, ",\"s\":\"t\",\"args\":{{\"hit\":{hit}}}}}");
-        }
-        Event::ScheduleQuality {
-            name,
-            slots,
-            logical,
-            forced_appends,
-            predicted_cycles,
-        } => {
-            event_head(
-                out,
-                first,
-                "schedule_quality",
-                "compiler",
-                'i',
-                tid,
-                record.ts_ns,
-            );
-            let _ = write!(
-                out,
-                ",\"s\":\"t\",\"args\":{{\"program\":\"{name}\",\"slots\":{slots},\
-                 \"logical\":{logical},\"forced_appends\":{forced_appends},\
-                 \"predicted_cycles\":{predicted_cycles}}}}}"
-            );
         }
     }
 }
@@ -181,7 +153,6 @@ mod tests {
                     dual_res: 3.0,
                     rho: 0.1,
                     pcg_iters: 12,
-                    kkt_ns: 987,
                 },
             },
             Record {
@@ -191,25 +162,6 @@ mod tests {
                     iter: 25,
                     rho_old: 0.1,
                     rho_new: 0.7,
-                },
-            },
-            Record {
-                ts_ns: 1700,
-                span: 1,
-                event: Event::CacheAccess {
-                    name: "program_cache",
-                    hit: false,
-                },
-            },
-            Record {
-                ts_ns: 1800,
-                span: 1,
-                event: Event::ScheduleQuality {
-                    name: "iteration",
-                    slots: 10,
-                    logical: 30,
-                    forced_appends: 0,
-                    predicted_cycles: 15,
                 },
             },
             Record {

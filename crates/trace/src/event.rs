@@ -14,14 +14,14 @@ pub enum Category {
     /// KKT backend work: symbolic analysis, factorization, triangular
     /// solves, PCG (mib-qp linsys / mib-sparse work done on its behalf).
     Kkt,
-    /// Compilation pipeline: routing, scheduling, lowering, packing,
-    /// program-cache traffic (mib-compiler).
+    /// Compilation pipeline: lowering, KKT analysis, scheduling and
+    /// routing spans (mib-compiler).
     Compiler,
     /// Request lifecycle on the serving runtime (mib-serve).
     Serve,
     /// Per-stage vector/sparse kernel work inside solver iterations.
-    /// High-frequency; only recorded when kernel spans are explicitly
-    /// enabled (see [`enable_kernel_spans`](crate::enable_kernel_spans)).
+    /// High-frequency, so the solvers record these spans on a sample of
+    /// the iterations only: the first and every 16th after it.
     Kernel,
     /// Anything else (benchmarks, tests, ad-hoc instrumentation).
     Other,
@@ -86,9 +86,6 @@ pub enum Event {
         /// PCG iterations spent since the previous record (0 for the
         /// direct backend and for PDQP).
         pcg_iters: u32,
-        /// Nanoseconds spent inside the KKT backend since the previous
-        /// record.
-        kkt_ns: u64,
     },
     /// An adaptive-rho rescaling accepted by the solver.
     RhoUpdate {
@@ -99,30 +96,6 @@ pub enum Event {
         /// Penalty after the update.
         rho_new: f64,
     },
-    /// A program-cache lookup (mib-compiler `ProgramCache`).
-    CacheAccess {
-        /// Which cache / which program.
-        name: &'static str,
-        /// `true` on hit.
-        hit: bool,
-    },
-    /// Quality of one compiled schedule: how well multi-issue packing
-    /// compressed the logical instruction stream.
-    ScheduleQuality {
-        /// Program name ("load", "iteration", ...).
-        name: &'static str,
-        /// Packed slot count.
-        slots: u32,
-        /// Logical (pre-packing) instruction count.
-        logical: u32,
-        /// Instructions appended because the placement probe limit was
-        /// exhausted (scheduler give-ups).
-        forced_appends: u32,
-        /// Exact cycles the machine will take to run the schedule, from
-        /// the compiler's static cost oracle (0 when the oracle was
-        /// skipped, e.g. verification disabled).
-        predicted_cycles: u32,
-    },
 }
 
 impl Event {
@@ -132,7 +105,6 @@ impl Event {
         match self {
             Event::Begin { cat, .. } | Event::End { cat, .. } | Event::Mark { cat, .. } => *cat,
             Event::Iteration { .. } | Event::RhoUpdate { .. } => Category::Solver,
-            Event::CacheAccess { .. } | Event::ScheduleQuality { .. } => Category::Compiler,
         }
     }
 
@@ -142,8 +114,6 @@ impl Event {
             Event::Begin { name, .. } | Event::End { name, .. } | Event::Mark { name, .. } => name,
             Event::Iteration { .. } => "iteration",
             Event::RhoUpdate { .. } => "rho_update",
-            Event::CacheAccess { .. } => "cache_access",
-            Event::ScheduleQuality { .. } => "schedule_quality",
         }
     }
 }
@@ -200,14 +170,15 @@ mod tests {
             dual_res: 2.0,
             rho: 0.1,
             pcg_iters: 0,
-            kkt_ns: 42,
         };
         assert_eq!(e.name(), "iteration");
         assert_eq!(e.category(), Category::Solver);
-        let e = Event::CacheAccess {
-            name: "program_cache",
-            hit: true,
+        let e = Event::RhoUpdate {
+            iter: 5,
+            rho_old: 0.1,
+            rho_new: 0.2,
         };
-        assert_eq!(e.category(), Category::Compiler);
+        assert_eq!(e.name(), "rho_update");
+        assert_eq!(e.category(), Category::Solver);
     }
 }

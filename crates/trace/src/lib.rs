@@ -12,7 +12,7 @@
 //!   test).
 //! * **Enabled**, [`span`] hands out a [`SpanGuard`] whose `Drop` closes
 //!   the span, and point events ([`Event::Iteration`],
-//!   [`Event::CacheAccess`], ...) are appended to the current thread's
+//!   [`Event::RhoUpdate`], [`mark`]) are appended to the current thread's
 //!   buffer. Buffers are bounded ([`BUFFER_CAPACITY`] records per
 //!   thread); overflow drops new records and counts them, it never blocks
 //!   or reallocates past the bound.
@@ -60,10 +60,6 @@ pub const BUFFER_CAPACITY: usize = 1 << 16;
 
 /// The single flag every instrumentation site checks.
 static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Opt-in flag for high-frequency per-stage kernel spans
-/// ([`Category::Kernel`]): these fire several times per solver iteration,
-/// so they stay off even when tracing is otherwise enabled.
-static KERNEL_SPANS: AtomicBool = AtomicBool::new(false);
 /// Process-unique span ids (0 is reserved for "no enclosing span").
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 /// Trace-local thread ids, assigned at first use per thread.
@@ -159,21 +155,6 @@ pub fn disable() {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Opts in to per-stage kernel spans ([`Category::Kernel`]). They still
-/// only record while tracing itself is [`enable`]d, and the solvers
-/// record them on a sample of iterations, not on every one.
-pub fn enable_kernel_spans() {
-    KERNEL_SPANS.store(true, Ordering::SeqCst);
-}
-
-/// Whether kernel spans should record: tracing enabled *and* kernel
-/// spans opted in. Hot loops hoist this once per solve/iteration, like
-/// [`enabled`].
-#[inline]
-pub fn kernel_spans() -> bool {
-    enabled() && KERNEL_SPANS.load(Ordering::Relaxed)
 }
 
 /// Nanoseconds since the trace epoch.
@@ -336,14 +317,6 @@ pub struct SpanGuard {
     parent: u64,
 }
 
-impl SpanGuard {
-    /// The span's process-unique id (0 when tracing was disabled at
-    /// creation).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-}
-
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if self.active {
@@ -479,10 +452,10 @@ mod tests {
         disable();
         clear();
         let s = span("quiet", Category::Other);
-        assert_eq!(s.id(), 0);
-        record(Event::CacheAccess {
-            name: "c",
-            hit: true,
+        record(Event::RhoUpdate {
+            iter: 5,
+            rho_old: 0.1,
+            rho_new: 0.2,
         });
         mark("m", Category::Other, 1.0);
         drop(s);
@@ -495,9 +468,7 @@ mod tests {
         clear();
         enable();
         let outer = span("outer", Category::Serve);
-        let outer_id = outer.id();
         let inner = span("inner", Category::Solver);
-        let inner_id = inner.id();
         mark("inside_inner", Category::Solver, 1.0);
         drop(inner);
         mark("inside_outer", Category::Serve, 2.0);
@@ -506,10 +477,12 @@ mod tests {
         disable();
         let trace = take();
 
-        assert!(outer_id > 0 && inner_id > outer_id);
         let my_tid = std::thread::current().name().map(str::to_owned);
         let t = &trace.threads[0];
         assert_eq!(Some(t.name.clone()), my_tid);
+        // A span's records carry its id: Begin(outer), then Begin(inner).
+        let (outer_id, inner_id) = (t.records[0].span, t.records[1].span);
+        assert!(outer_id > 0 && inner_id > outer_id);
         let spans: Vec<u64> = t.records.iter().map(|r| r.span).collect();
         // Begin(outer) Begin(inner) Mark Mark End(inner) Mark End(outer)
         // ordered: Bo Bi Mi Ei Mo Eo Mt
@@ -603,28 +576,6 @@ mod tests {
         let trace = take();
         assert!(trace.threads.iter().any(|t| t.name == "trace-test-full"));
         assert!(!registered("trace-test-full"));
-    }
-
-    #[test]
-    fn kernel_spans_require_both_flags() {
-        let _guard = test_lock::hold();
-        disable();
-        KERNEL_SPANS.store(false, Ordering::SeqCst);
-        clear();
-        // Off by default, even with tracing enabled.
-        enable();
-        assert!(!kernel_spans());
-        drop(span_if(kernel_spans(), "stage_x", Category::Kernel));
-        assert!(take().is_empty());
-        // Opted in: records while tracing is on ...
-        enable_kernel_spans();
-        assert!(kernel_spans());
-        drop(span_if(kernel_spans(), "stage_x", Category::Kernel));
-        assert_eq!(take().len(), 2);
-        // ... but not once tracing itself is off.
-        disable();
-        assert!(!kernel_spans());
-        KERNEL_SPANS.store(false, Ordering::SeqCst);
     }
 
     #[test]

@@ -114,8 +114,14 @@ if [ "$produced" -ne 10 ]; then
   exit 1
 fi
 
-echo "==> tracing (trace report smoke gate)"
-cargo run --release -q -p mib-bench --bin trace_report -- --smoke >/dev/null
+echo "==> tracing (trace_report reproduces results/trace_report.txt byte for byte)"
+# Every field of the report is deterministic (no wall-clock values):
+# regenerated in a scratch directory, it must equal the committed copy.
+traces="$(mktemp -d)"
+trap 'rm -rf "$reports" "$traces"' EXIT
+(cd "$traces" && cargo run --release -q --manifest-path "$OLDPWD/Cargo.toml" \
+  -p mib-bench --bin trace_report >/dev/null 2>&1)
+cmp "$traces/results/trace_report.txt" results/trace_report.txt
 
 echo "==> benchmark/ (its own tests + every workload once, briefly)"
 # benchmark/ is a package of its own that reaches the workspace only

@@ -26,7 +26,7 @@ fn hold() -> MutexGuard<'static, ()> {
 }
 
 #[test]
-fn deadline_missed_request_retains_queue_solve_and_kernel_spans() {
+fn deadline_missed_request_retains_queue_solve_and_kernel_stage_spans() {
     let _guard = hold();
     let server = QpServer::new(ServeConfig {
         obs: ObsConfig { enabled: true },

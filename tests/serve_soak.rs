@@ -11,6 +11,8 @@
 //!    lost tickets — the queued and answered counts agree),
 //! 2. every `Solved` answer is **bitwise** identical to a direct
 //!    single-threaded solve of the identically parameterized problem,
+//!    and meets OSQP's stopping criterion at its tenant's tolerances,
+//!    recomputed by `OsqpCriterion`,
 //! 3. the server survives shutdown with all workers joined.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,6 +22,7 @@ use std::time::Duration;
 use mib::problems::{instance, Domain};
 use mib::qp::{Algorithm, KktBackend, Problem, Settings, Solver, Status};
 use mib::serve::{Outcome, QpServer, Request, Response, ServeConfig, SubmitError, TenantId};
+use mib_bench::answer::OsqpCriterion;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -203,6 +206,18 @@ fn soak_mixed_tenants_under_backpressure() {
                     bitwise,
                     "served answer for request {k} (tenant {t}) is not bitwise equal"
                 );
+                // And the answer meets its own tolerance, by a check that
+                // shares no code with the solvers.
+                let s = reference.settings();
+                let c = OsqpCriterion::of(
+                    reference.problem(),
+                    s.eps_abs,
+                    s.eps_rel,
+                    &result.x,
+                    &result.y,
+                    &result.z,
+                );
+                assert!(c.holds(), "request {k} (tenant {t}): {c:?}");
             }
             Outcome::Expired | Outcome::Cancelled => {}
             Outcome::Failed(e) => panic!("request {k} failed: {e}"),

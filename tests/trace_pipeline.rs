@@ -1,6 +1,7 @@
 //! Enabled-mode end-to-end tracing tests: solver telemetry matches the
-//! returned result bitwise, serve request spans nest the solver's spans,
-//! and the Chrome trace-event export is valid JSON.
+//! returned result bitwise, kernel spans are sampled on iteration 1 and
+//! every 16th, serve request spans nest the solver's spans, and the
+//! Chrome trace-event export is valid JSON.
 //!
 //! The mib-trace enable flag is process-global; cargo runs test binaries
 //! sequentially, so this binary owns the flag for its lifetime, and the
@@ -10,7 +11,7 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mib::problems::{instance, portfolio, Domain};
-use mib::qp::{KktBackend, Settings, SolveTrace, Solver, Status};
+use mib::qp::{Algorithm, KktBackend, Settings, SolveTrace, Solver, Status};
 use mib::serve::{QpServer, Request, ServeConfig};
 use mib::trace::{Category, Event};
 
@@ -126,6 +127,81 @@ fn indirect_rho_update_events_match_the_profile() {
     }
 }
 
+/// An offline trace samples the kernel spans by the serving rule: each
+/// algorithm's first stage span opens on iteration 1 and on every 16th
+/// iteration, and on no other.
+#[test]
+fn offline_traces_sample_kernel_stage_spans_every_16th_iteration() {
+    let _guard = hold();
+    let pdqp = Settings {
+        eps_abs: 1e-5,
+        eps_rel: 1e-5,
+        ..Settings::with_algorithm(Algorithm::Pdqp)
+    };
+    for (settings, first_stage) in [
+        (Settings::with_backend(KktBackend::Direct), "stage_rhs"),
+        (Settings::with_backend(KktBackend::Indirect), "stage_rhs"),
+        (pdqp, "stage_gradient"),
+    ] {
+        let label = format!("{:?}/{:?}", settings.algorithm, settings.backend);
+        mib::trace::clear();
+        mib::trace::enable();
+        let result = Solver::new(portfolio(30, 5, 7), settings)
+            .expect("setup")
+            .solve();
+        mib::trace::disable();
+        let trace = mib::trace::take();
+        assert_eq!(result.status, Status::Solved, "{label}");
+        assert_eq!(trace.dropped(), 0);
+        assert!(
+            result.iterations > 32,
+            "{label}: {} iterations sample too few strides",
+            result.iterations
+        );
+
+        // Position every sampled iteration among the checks' Iteration
+        // events: the checks recorded before it are for earlier
+        // iterations, the ones after it for this one or later.
+        let mut checked_before: Vec<u32> = Vec::new();
+        let mut samples: Vec<(u32, usize)> = Vec::new();
+        let mut kernel_begins = 0;
+        for r in trace.records() {
+            match r.event {
+                Event::Begin {
+                    name,
+                    cat: Category::Kernel,
+                } => {
+                    kernel_begins += 1;
+                    if name == first_stage {
+                        let k = if samples.is_empty() {
+                            1
+                        } else {
+                            16 * samples.len() as u32
+                        };
+                        samples.push((k, checked_before.len()));
+                    }
+                }
+                Event::Iteration { iter, .. } => checked_before.push(iter),
+                _ => {}
+            }
+        }
+        assert_eq!(
+            samples.len(),
+            1 + result.iterations / 16,
+            "{label}: kernel spans of {} iterations, sampled every 16th",
+            result.iterations
+        );
+        for &(k, before) in &samples {
+            assert!(
+                checked_before[..before].iter().all(|&i| i < k)
+                    && checked_before[before..].iter().all(|&i| i >= k),
+                "{label}: the sample for iteration {k} sits among the wrong checks"
+            );
+        }
+        assert!(kernel_begins > samples.len(), "{label}: one stage only");
+    }
+}
+
 #[test]
 fn serve_request_spans_nest_solver_spans() {
     let _guard = hold();
@@ -149,19 +225,6 @@ fn serve_request_spans_nest_solver_spans() {
     mib::trace::disable();
     let trace = mib::trace::take();
     assert_eq!(trace.dropped(), 0);
-
-    // The submitting thread recorded the submit mark.
-    assert!(
-        trace.records().any(|r| matches!(
-            r.event,
-            Event::Mark {
-                name: "submit",
-                cat: Category::Serve,
-                ..
-            }
-        )),
-        "submit mark missing"
-    );
 
     // On the worker thread, the request span must enclose the serve-side
     // solve_request span, which must enclose the solver's own solve span:
