@@ -176,22 +176,14 @@ fn main() {
         json.push('}');
     }
     json.push_str("]}");
-    mib_trace::validate_json(&json).expect("backend report must be valid JSON");
 
     println!("{json}");
     if smoke {
         // Smoke runs are correctness gates; only the full suite refreshes
         // the committed baseline report.
+        mib_trace::validate_json(&json).expect("backend report must be valid JSON");
         eprintln!("(smoke mode: results/BENCH_backends.json not rewritten)");
     } else {
-        let dir = std::path::Path::new("results");
-        if std::fs::create_dir_all(dir).is_ok() {
-            let path = dir.join("BENCH_backends.json");
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                eprintln!("(written to {})", path.display());
-            }
-        }
+        mib_bench::publish("BENCH_backends.json", &json);
     }
 }

@@ -369,22 +369,14 @@ fn main() {
         );
     }
     json.push_str("]}");
-    mib_trace::validate_json(&json).expect("kernel report must be valid JSON");
 
     println!("{json}");
     if smoke {
         // Smoke runs gate the report schema; only the full run refreshes
         // the committed baseline.
+        mib_trace::validate_json(&json).expect("kernel report must be valid JSON");
         eprintln!("(smoke mode: results/BENCH_kernels.json not rewritten)");
     } else {
-        let dir = std::path::Path::new("results");
-        if std::fs::create_dir_all(dir).is_ok() {
-            let path = dir.join("BENCH_kernels.json");
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                eprintln!("(written to {})", path.display());
-            }
-        }
+        mib_bench::publish("BENCH_kernels.json", &json);
     }
 }

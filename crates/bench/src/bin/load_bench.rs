@@ -57,7 +57,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mib_bench::answer::OsqpCriterion;
-use mib_bench::serve_json::{write_bench_serve, LatencySummary, ServeRun};
+use mib_bench::serve_json::{render_document, LatencySummary, ServeRun};
 use mib_net::{
     wire_reply, ClientEvent, EndpointSpec, EndpointTarget, NetClient, NetConfig, NetServer,
     ReplyCode, ShedReason, TenantAuth, WireReply,
@@ -1080,10 +1080,7 @@ fn main() {
         eprintln!("(smoke mode: results/BENCH_serve.json not rewritten)");
     } else {
         mib_bench::emit_report("load_trace", &body);
-        match write_bench_serve(&serve_runs) {
-            Ok(path) => eprintln!("(written to {})", path.display()),
-            Err(e) => eprintln!("warning: could not write BENCH_serve.json: {e}"),
-        }
+        mib_bench::publish("BENCH_serve.json", &render_document(&serve_runs));
     }
 }
 

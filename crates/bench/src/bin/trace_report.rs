@@ -226,18 +226,8 @@ fn main() {
         merge_into(&mut trace, serve_segment(&mut body, domain));
 
         let trace = trace.expect("at least one segment");
-        let json = trace.to_chrome_json();
-        mib_trace::validate_json(&json)
-            .unwrap_or_else(|e| panic!("{domain}: invalid Chrome trace JSON: {e}"));
+        mib_bench::publish(&format!("{domain}.trace.json"), &trace.to_chrome_json());
         let _ = writeln!(body, "  trace     records={} json=valid", trace.len());
-        if std::fs::create_dir_all("results").is_ok() {
-            let path = format!("results/{domain}.trace.json");
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("warning: could not write {path}: {e}");
-            } else {
-                eprintln!("(trace written to {path})");
-            }
-        }
     }
 
     body.push_str("\nAll per-iteration residual events matched the returned\n");

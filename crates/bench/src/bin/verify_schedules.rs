@@ -18,8 +18,9 @@
 //! - `--smoke`: one instance per domain (the `scripts/check.sh` timing
 //!   gate), each program's slots, predicted cycles and stall cycles held
 //!   to the row of the same label in the committed
-//!   `results/BENCH_verify.json` — any difference fails, so a change that
-//!   moves the cycle model must regenerate that file with `--timing`;
+//!   `results/BENCH_verify.json` by `mib_bench::diff` with the equal rule
+//!   — any difference or missing row fails, so a change that moves the
+//!   cycle model must regenerate that file with `--timing`;
 //! - `--timing`: additionally rewrite `results/BENCH_verify.json` with
 //!   per-program predicted cycles, lower bound
 //!   ([`mib_compiler::lower_bound`]) and gap (cycles above the bound), the
@@ -32,6 +33,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+use mib_bench::diff::{diff, Field, Finding, Rule, Spec, BENCH_VERIFY};
 use mib_bench::eval_settings;
 use mib_compiler::lower::lower;
 use mib_core::hbm::HbmStream;
@@ -39,7 +41,7 @@ use mib_core::machine::{HazardPolicy, Machine};
 use mib_core::MibConfig;
 use mib_problems::{instance, Domain, INSTANCES_PER_DOMAIN};
 use mib_qp::KktBackend;
-use mib_trace::json::{write_f64, Json};
+use mib_trace::json::write_f64;
 use mib_verify::timing;
 
 /// Committed baseline: total scheduler give-ups (instructions appended
@@ -51,6 +53,19 @@ const FORCED_APPENDS_BASELINE: usize = 0;
 
 /// The committed timing record `--timing` writes and `--smoke` gates on.
 const TIMING_BASELINE: &str = "results/BENCH_verify.json";
+
+/// The `--smoke` gate: every program this run computed has a committed
+/// row of the same label with equal slots, predicted cycles and stall
+/// cycles.
+const DRIFT: Spec = Spec {
+    fields: &[
+        (Field::Key("slots"), Rule::Equal),
+        (Field::Key("predicted_cycles"), Rule::Equal),
+        (Field::Key("stall_cycles"), Rule::Equal),
+    ],
+    totals: &[],
+    ..BENCH_VERIFY
+};
 
 /// One program's timing record (for the JSON report).
 struct Row {
@@ -185,52 +200,37 @@ fn main() {
             sim_time.as_micros(),
         );
         write_f64(&mut json, speedup);
-        json.push_str(",\"runs\":[");
-        for (i, r) in rows.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            let _ = write!(
-                json,
-                "{{\"program\":\"{}\",\"slots\":{},\"predicted_cycles\":{},\
-                 \"stall_cycles\":{},\"agree\":{},\"lower_bound\":{},\"gap\":{}}}",
-                r.label,
-                r.slots,
-                r.predicted_cycles,
-                r.stall_cycles,
-                r.agree,
-                r.lower_bound,
-                r.predicted_cycles.saturating_sub(r.lower_bound)
-            );
-        }
-        json.push_str("]}");
-        mib_trace::validate_json(&json).expect("verify report must be valid JSON");
-        let dir = std::path::Path::new("results");
-        if std::fs::create_dir_all(dir).is_ok() {
-            if let Err(e) = std::fs::write(TIMING_BASELINE, &json) {
-                eprintln!("warning: could not write {TIMING_BASELINE}: {e}");
-            } else {
-                eprintln!("(written to {TIMING_BASELINE})");
-            }
-        }
+        json.push(',');
+        write_runs(&mut json, &rows);
+        json.push('}');
+        mib_bench::publish("BENCH_verify.json", &json);
     }
 
     let mut failed = false;
     if smoke {
-        let drift = match std::fs::read_to_string(TIMING_BASELINE)
-            .map_err(|e| e.to_string())
-            .and_then(|text| Json::parse(&text))
-        {
-            Ok(baseline) => baseline_drift(&rows, &baseline),
-            Err(e) => vec![format!("cannot read {TIMING_BASELINE}: {e}")],
-        };
-        for d in &drift {
-            println!("TIMING DRIFT {d}");
+        let moved = std::fs::read_to_string(TIMING_BASELINE)
+            .map_err(|e| format!("cannot read {TIMING_BASELINE}: {e}"))
+            .and_then(|committed| drift(&rows, &committed))
+            .unwrap_or_else(|e| {
+                println!("TIMING DRIFT {e}");
+                failed = true;
+                Vec::new()
+            });
+        for f in &moved {
+            if f.baseline.is_nan() {
+                println!("TIMING DRIFT {}: no committed row", f.metric);
+            } else {
+                let (here, committed) = (f.baseline, f.current);
+                println!(
+                    "TIMING DRIFT {}: {here} here, {committed} committed",
+                    f.metric
+                );
+            }
         }
-        if !drift.is_empty() {
+        if !moved.is_empty() {
             println!(
-                "FAIL: {} programs differ from {TIMING_BASELINE} (regenerate it with --timing if the cycle model moved on purpose)",
-                drift.len()
+                "FAIL: {} values differ from {TIMING_BASELINE} (regenerate it with --timing if the cycle model moved on purpose)",
+                moved.len()
             );
             failed = true;
         }
@@ -259,34 +259,38 @@ fn main() {
     println!("OK: every schedule certified and timed exactly");
 }
 
-/// Each of `rows` whose slots, predicted cycles or stall cycles differ
-/// from the `runs[]` row of the same label in `baseline`, or that has no
-/// such row, as one line naming the differences.
-fn baseline_drift(rows: &[Row], baseline: &Json) -> Vec<String> {
-    let runs = baseline.get("runs").map_or(&[][..], Json::items);
-    rows.iter()
-        .filter_map(|row| {
-            let Some(base) = runs
-                .iter()
-                .find(|b| b.get("program").and_then(Json::as_str) == Some(row.label.as_str()))
-            else {
-                return Some(format!("{}: no committed row", row.label));
-            };
-            let diffs: Vec<String> = [
-                ("slots", row.slots),
-                ("predicted_cycles", row.predicted_cycles),
-                ("stall_cycles", row.stall_cycles),
-            ]
-            .into_iter()
-            .filter_map(|(key, ours)| {
-                let committed = base.get(key).and_then(Json::as_f64);
-                let same = committed == Some(ours as f64);
-                (!same).then(|| format!("{key} {ours}, committed {committed:?}"))
-            })
-            .collect();
-            (!diffs.is_empty()).then(|| format!("{}: {}", row.label, diffs.join(", ")))
-        })
-        .collect()
+/// Appends `"runs":[...]`, one object per program.
+fn write_runs(json: &mut String, rows: &[Row]) {
+    json.push_str("\"runs\":[");
+    for (i, r) in rows.iter().enumerate() {
+        if i > 0 {
+            json.push(',');
+        }
+        let _ = write!(
+            json,
+            "{{\"program\":\"{}\",\"slots\":{},\"predicted_cycles\":{},\
+             \"stall_cycles\":{},\"agree\":{},\"lower_bound\":{},\"gap\":{}}}",
+            r.label,
+            r.slots,
+            r.predicted_cycles,
+            r.stall_cycles,
+            r.agree,
+            r.lower_bound,
+            r.predicted_cycles.saturating_sub(r.lower_bound)
+        );
+    }
+    json.push(']');
+}
+
+/// The failed findings of the [`DRIFT`] comparison of `rows` against the
+/// `committed` document. The rows stand as the baseline, so a program
+/// missing from `committed` is a lost row.
+fn drift(rows: &[Row], committed: &str) -> Result<Vec<Finding>, String> {
+    let mut json = String::from("{");
+    write_runs(&mut json, rows);
+    json.push('}');
+    let findings = diff(&DRIFT, &json, committed)?;
+    Ok(findings.into_iter().filter(|f| !f.ok).collect())
 }
 
 #[cfg(test)]
@@ -306,20 +310,32 @@ mod tests {
 
     #[test]
     fn drift_names_every_moved_or_missing_program() {
-        let baseline = Json::parse(
-            r#"{"runs":[{"program":"a/load","slots":10,"predicted_cycles":17,"stall_cycles":0},
-                        {"program":"a/setup","slots":398,"predicted_cycles":405,"stall_cycles":0}]}"#,
-        )
-        .unwrap();
+        let committed = r#"{"runs":[{"program":"a/load","slots":10,"predicted_cycles":17,"stall_cycles":0},
+                        {"program":"a/setup","slots":398,"predicted_cycles":405,"stall_cycles":0}]}"#;
+        let moved_values = |rows: &[Row]| -> Vec<(String, f64, f64)> {
+            drift(rows, committed)
+                .unwrap()
+                .into_iter()
+                .map(|f| (f.metric, f.baseline, f.current))
+                .collect()
+        };
         let same = [row("a/load", 10, 17), row("a/setup", 398, 405)];
-        assert!(baseline_drift(&same, &baseline).is_empty());
-        let moved = [row("a/load", 10, 18), row("a/check", 5, 12)];
+        assert!(moved_values(&same).is_empty());
+        // A fall is drift too: the committed file must be regenerated.
+        let moved = moved_values(&[
+            row("a/load", 10, 18),
+            row("a/check", 5, 12),
+            row("a/setup", 397, 405),
+        ]);
+        assert_eq!(moved.len(), 3, "{moved:?}");
         assert_eq!(
-            baseline_drift(&moved, &baseline),
-            vec![
-                "a/load: predicted_cycles 18, committed Some(17.0)".to_string(),
-                "a/check: no committed row".to_string(),
-            ]
+            (moved[0].0.as_str(), moved[0].1, moved[0].2),
+            ("verify[a/load].predicted_cycles", 18.0, 17.0)
+        );
+        assert_eq!(moved[1].0, "verify[a/check]");
+        assert_eq!(
+            (moved[2].0.as_str(), moved[2].1, moved[2].2),
+            ("verify[a/setup].slots", 397.0, 398.0)
         );
     }
 }

@@ -1,40 +1,217 @@
-//! Benchmark regression detection: diffs the committed benchmark
-//! documents (`results/BENCH_serve.json`, `results/BENCH_kernels.json`,
-//! `results/BENCH_backends.json`, `results/BENCH_verify.json`) against a
-//! baseline revision of the same files, with per-metric tolerances tuned for the noisy single-core
+//! Benchmark regression detection: compares a committed benchmark
+//! document (`results/BENCH_<name>.json`) against a baseline copy of the
+//! same file, under the document's [`Spec`]. [`DOCUMENTS`] lists every
+//! guarded document, with tolerances tuned for the noisy single-core
 //! runners this repository measures on.
 //!
 //! The comparison is structural, not textual: the workspace's one JSON
-//! parser ([`mib_trace::json`]) loads both documents, matched entries
-//! are located by their identity keys (`mode` for serve runs;
-//! `group`/`kernel`/`n` for kernel rows; `domain`/`index`/`backend` for
-//! backend runs; `program` for verify runs), and each tracked metric is
-//! checked against its tolerance. An entry present in the
-//! baseline but missing from the current document is itself a failure —
-//! losing coverage must not pass silently.
+//! parser ([`mib_trace::json`]) loads both documents, each baseline row is
+//! matched to the current row with the same identity, and each listed
+//! value is checked against its [`Rule`]. A row present in the baseline
+//! but missing from the current document is itself a failure — losing
+//! coverage must not pass silently.
 
 use std::fmt::Write as _;
 
 use mib_trace::json::Json;
 
-/// Serve-run throughput may drop to this fraction of baseline before it
-/// counts as a regression (closed/open-loop rates on a shared single
-/// core jitter by tens of percent run to run).
-const SERVE_THROUGHPUT_MIN_RATIO: f64 = 0.65;
+/// How one document is compared.
+#[derive(Debug, Clone, Copy)]
+pub struct Spec {
+    /// The document's name: its file is `BENCH_<name>.json`, and every
+    /// metric it yields starts with it.
+    pub name: &'static str,
+    /// The key of the document's array of rows.
+    pub rows: &'static str,
+    /// A row's identity: each `{field}` stands for the row's value of that
+    /// field (a string as is, a number in its shortest form). Rows with
+    /// equal identities are matched; a row lacking a field has none and is
+    /// not compared.
+    pub row_id: &'static str,
+    /// The values compared in every matched row, in report order.
+    pub fields: &'static [(Field, Rule)],
+    /// The values compared at the top level of the document.
+    pub totals: &'static [(Field, Rule)],
+}
 
-/// Serve-run service-time p50 may grow by this factor before it counts
-/// as a regression: run-to-run noise on a shared single core, where a
-/// slow run's median solve can take several times a quiet run's.
-const SERVE_SERVICE_P50_MAX_RATIO: f64 = 4.0;
+/// Where a compared value sits in its row (or document).
+#[derive(Debug, Clone, Copy)]
+pub enum Field {
+    /// The number or boolean under this key (`true` reads as 1, `false`
+    /// as 0).
+    Key(&'static str),
+    /// The `p50` of the `latency_us` series of this name, reported as
+    /// `<name>.p50_us`.
+    P50(&'static str),
+}
 
-/// Absolute ceiling on `obs_overhead_pct` wherever it is recorded: the
-/// observability plane must stay under 5% of closed-loop throughput
-/// regardless of what the baseline measured.
-const OBS_OVERHEAD_MAX_PCT: f64 = 5.0;
+impl Field {
+    fn label(self) -> String {
+        match self {
+            Field::Key(key) => key.to_string(),
+            Field::P50(series) => format!("{series}.p50_us"),
+        }
+    }
 
-/// Kernel `ns_per_call` may grow by this factor before it counts as a
-/// regression.
-const KERNEL_NS_MAX_RATIO: f64 = 2.5;
+    fn read(self, row: &Json) -> Option<f64> {
+        let value = match self {
+            Field::Key(key) => row.get(key)?,
+            Field::P50(series) => row
+                .get("latency_us")?
+                .items()
+                .iter()
+                .find(|l| l.get("series").and_then(Json::as_str) == Some(series))?
+                .get("p50")?,
+        };
+        match value {
+            Json::Bool(b) => Some(f64::from(u8::from(*b))),
+            other => other.as_f64(),
+        }
+    }
+}
+
+/// The condition a current value must meet. A relative rule compares
+/// with the baseline value and is skipped when the baseline lacks it
+/// (there is nothing to regress against); a current value that is
+/// missing then fails.
+#[derive(Debug, Clone, Copy)]
+pub enum Rule {
+    /// At least this multiple of the baseline.
+    AtLeastTimes(f64),
+    /// At most this multiple of the baseline.
+    AtMostTimes(f64),
+    /// No rise above the baseline at all.
+    NoRise,
+    /// Equal to the baseline.
+    Equal,
+    /// A baseline `true` stays `true`; the text names the property.
+    StaysTrue(&'static str),
+    /// Below this bound whatever the baseline measured, and still
+    /// present if the baseline has it.
+    Below(f64),
+    /// Exactly zero, whatever the baseline.
+    Zero,
+    /// At least the current document's top-level value of this key.
+    AtLeast(&'static str),
+    /// Listed beside the others when either side has it; never fails.
+    Reported,
+}
+
+impl Rule {
+    /// The finding for one value, or `None` when there is nothing to
+    /// judge.
+    fn judge(
+        self,
+        metric: String,
+        baseline: Option<f64>,
+        current: Option<f64>,
+        current_doc: &Json,
+    ) -> Option<Finding> {
+        let (b, c) = (baseline.unwrap_or(f64::NAN), current.unwrap_or(f64::NAN));
+        let (rule, ok) = match self {
+            Rule::AtLeastTimes(k) => (format!(">= {k}x baseline"), c >= baseline? * k),
+            Rule::AtMostTimes(k) => (format!("<= {k}x baseline"), c <= baseline? * k),
+            Rule::NoRise => ("<= baseline".into(), c <= baseline?),
+            Rule::Equal => ("== baseline".into(), c == baseline?),
+            Rule::StaysTrue(what) => {
+                if baseline? != 1.0 {
+                    return None;
+                }
+                (what.into(), c == 1.0)
+            }
+            Rule::Below(_) if current.is_none() => {
+                baseline?;
+                ("metric present".into(), false)
+            }
+            Rule::Below(bound) => (format!("< {bound} absolute"), c < bound),
+            Rule::Zero => ("== 0".into(), c == 0.0),
+            Rule::AtLeast(key) => {
+                let floor = Field::Key(key).read(current_doc).unwrap_or(f64::NAN);
+                (format!(">= {key} ({floor})"), c >= floor)
+            }
+            Rule::Reported => {
+                if baseline.is_none() && current.is_none() {
+                    return None;
+                }
+                ("reported, not gated".into(), true)
+            }
+        };
+        Some(Finding {
+            metric,
+            baseline: b,
+            current: c,
+            rule,
+            ok,
+        })
+    }
+}
+
+/// Every guarded document, in report order. The serve and kernel
+/// tolerances absorb run-to-run noise on a shared single core; every
+/// count is deterministic, so any rise comes from a change to an
+/// algorithm, the compiler or the cycle model. Wall-clock fields are not
+/// compared.
+pub const DOCUMENTS: &[Spec] = &[BENCH_SERVE, BENCH_KERNELS, BENCH_BACKENDS, BENCH_VERIFY];
+
+/// `BENCH_serve.json`: one run per transport and loop mode.
+pub const BENCH_SERVE: Spec = Spec {
+    name: "serve",
+    rows: "runs",
+    row_id: "{mode}",
+    fields: &[
+        // Closed/open-loop rates jitter by tens of percent run to run.
+        (Field::Key("throughput_rps"), Rule::AtLeastTimes(0.65)),
+        // A slow run's median solve can take several times a quiet run's.
+        (Field::P50("service"), Rule::AtMostTimes(4.0)),
+        // The observability plane must cost under 5% of closed-loop
+        // throughput, whatever the baseline measured.
+        (Field::Key("obs_overhead_pct"), Rule::Below(5.0)),
+    ],
+    totals: &[],
+};
+
+/// `BENCH_kernels.json`: one row per kernel and size.
+pub const BENCH_KERNELS: Spec = Spec {
+    name: "kernels",
+    rows: "kernels",
+    row_id: "{group}/{kernel}/n={n}",
+    fields: &[(Field::Key("ns_per_call"), Rule::AtMostTimes(2.5))],
+    totals: &[],
+};
+
+/// `BENCH_backends.json`: one cold solve per domain, instance and
+/// backend. The checks and `ρ` updates that explain an iteration change
+/// are printed, never gated: more of them may well buy fewer iterations.
+pub const BENCH_BACKENDS: Spec = Spec {
+    name: "backends",
+    rows: "runs",
+    row_id: "{domain}/{index}/{backend}",
+    fields: &[
+        (Field::Key("converged"), Rule::StaysTrue("stays converged")),
+        (Field::Key("iterations"), Rule::NoRise),
+        (Field::Key("pcg_iters"), Rule::NoRise),
+        (Field::Key("checks"), Rule::Reported),
+        (Field::Key("rho_updates"), Rule::Reported),
+    ],
+    totals: &[],
+};
+
+/// `BENCH_verify.json`: one row per compiled program.
+pub const BENCH_VERIFY: Spec = Spec {
+    name: "verify",
+    rows: "runs",
+    row_id: "{program}",
+    fields: &[
+        (Field::Key("agree"), Rule::StaysTrue("stays in agreement")),
+        (Field::Key("stall_cycles"), Rule::Zero),
+        (Field::Key("slots"), Rule::NoRise),
+        (Field::Key("predicted_cycles"), Rule::NoRise),
+    ],
+    totals: &[
+        (Field::Key("agreement"), Rule::AtLeast("programs")),
+        (Field::Key("forced_appends"), Rule::NoRise),
+    ],
+};
 
 /// One compared metric: its identity, both values, the applied rule and
 /// the verdict.
@@ -52,16 +229,77 @@ pub struct Finding {
     pub ok: bool,
 }
 
-impl Finding {
-    fn ratio(metric: String, baseline: f64, current: f64, rule: String, ok: bool) -> Finding {
-        Finding {
-            metric,
-            baseline,
-            current,
-            rule,
-            ok,
+/// Compares `current` against `baseline`, two copies of the document
+/// `spec` describes: every baseline row must have a current row of the
+/// same identity, whose values then meet their rules, and so must the
+/// document's totals.
+///
+/// # Errors
+///
+/// Returns parse errors for either document.
+pub fn diff(spec: &Spec, baseline: &str, current: &str) -> Result<Vec<Finding>, String> {
+    let name = spec.name;
+    let base = Json::parse(baseline).map_err(|e| format!("baseline {name}: {e}"))?;
+    let cur = Json::parse(current).map_err(|e| format!("current {name}: {e}"))?;
+    let cur_rows = cur.get(spec.rows).map_or(&[][..], Json::items);
+    let mut findings = Vec::new();
+    for row in base.get(spec.rows).map_or(&[][..], Json::items) {
+        let Some(id) = identity(spec.row_id, row) else {
+            continue;
+        };
+        let label = format!("{name}[{id}]");
+        match cur_rows
+            .iter()
+            .find(|r| identity(spec.row_id, r).as_ref() == Some(&id))
+        {
+            Some(cur_row) => judge(&mut findings, &label, spec.fields, row, cur_row, &cur),
+            None => findings.push(Finding {
+                metric: label,
+                baseline: f64::NAN,
+                current: f64::NAN,
+                rule: "row present".into(),
+                ok: false,
+            }),
         }
     }
+    judge(&mut findings, name, spec.totals, &base, &cur, &cur);
+    Ok(findings)
+}
+
+/// Appends the findings of `checks` on one baseline/current pair.
+fn judge(
+    findings: &mut Vec<Finding>,
+    prefix: &str,
+    checks: &[(Field, Rule)],
+    base: &Json,
+    cur: &Json,
+    cur_doc: &Json,
+) {
+    findings.extend(checks.iter().filter_map(|&(field, rule)| {
+        let metric = format!("{prefix}.{}", field.label());
+        rule.judge(metric, field.read(base), field.read(cur), cur_doc)
+    }));
+}
+
+/// `template` with each `{field}` replaced by `row`'s value of it;
+/// `None` when a field is missing or neither a string nor a number.
+fn identity(template: &str, row: &Json) -> Option<String> {
+    let mut out = String::new();
+    let mut rest = template;
+    while let Some(open) = rest.find('{') {
+        let close = open + rest[open..].find('}')?;
+        out.push_str(&rest[..open]);
+        match row.get(&rest[open + 1..close])? {
+            Json::Str(s) => out.push_str(s),
+            Json::Num(v) => {
+                let _ = write!(out, "{v}");
+            }
+            _ => return None,
+        }
+        rest = &rest[close + 1..];
+    }
+    out.push_str(rest);
+    Some(out)
 }
 
 /// Renders findings as an aligned report; the final line is `PASS` or
@@ -91,328 +329,6 @@ pub fn render_findings(findings: &[Finding]) -> String {
         let _ = writeln!(out, "FAIL ({bad} regressions)");
     }
     out
-}
-
-/// Locates a serve run by mode.
-fn serve_run<'a>(doc: &'a Json, mode: &str) -> Option<&'a Json> {
-    doc.get("runs")?
-        .items()
-        .iter()
-        .find(|r| r.get("mode").and_then(Json::as_str) == Some(mode))
-}
-
-/// The p50 of a named latency series of a serve run.
-fn latency_p50(run: &Json, series: &str) -> Option<f64> {
-    run.get("latency_us")?
-        .items()
-        .iter()
-        .find(|l| l.get("series").and_then(Json::as_str) == Some(series))?
-        .get("p50")
-        .and_then(Json::as_f64)
-}
-
-/// Diffs two `BENCH_serve.json` documents.
-///
-/// # Errors
-///
-/// Returns parse errors for either document.
-pub fn diff_serve(baseline: &str, current: &str) -> Result<Vec<Finding>, String> {
-    let base = Json::parse(baseline).map_err(|e| format!("baseline serve: {e}"))?;
-    let cur = Json::parse(current).map_err(|e| format!("current serve: {e}"))?;
-    let mut findings = Vec::new();
-    for run in base.get("runs").map_or(&[][..], Json::items) {
-        let Some(mode) = run.get("mode").and_then(Json::as_str) else {
-            continue;
-        };
-        let cur_run = serve_run(&cur, mode);
-        if cur_run.is_none() {
-            findings.push(Finding::ratio(
-                format!("serve[{mode}]"),
-                f64::NAN,
-                f64::NAN,
-                "run present".into(),
-                false,
-            ));
-            continue;
-        }
-        let cur_run = cur_run.expect("checked above");
-        if let Some(base_rps) = run.get("throughput_rps").and_then(Json::as_f64) {
-            let cur_rps = cur_run
-                .get("throughput_rps")
-                .and_then(Json::as_f64)
-                .unwrap_or(f64::NAN);
-            findings.push(Finding::ratio(
-                format!("serve[{mode}].throughput_rps"),
-                base_rps,
-                cur_rps,
-                format!(">= {SERVE_THROUGHPUT_MIN_RATIO}x baseline"),
-                cur_rps >= base_rps * SERVE_THROUGHPUT_MIN_RATIO,
-            ));
-        }
-        if let Some(base_p50) = latency_p50(run, "service") {
-            let cur_p50 = latency_p50(cur_run, "service").unwrap_or(f64::NAN);
-            findings.push(Finding::ratio(
-                format!("serve[{mode}].service.p50_us"),
-                base_p50,
-                cur_p50,
-                format!("<= {SERVE_SERVICE_P50_MAX_RATIO}x baseline"),
-                cur_p50 <= base_p50 * SERVE_SERVICE_P50_MAX_RATIO,
-            ));
-        }
-        // The obs-overhead bound is absolute: whatever the baseline
-        // measured, the current document must stay under the ceiling.
-        if let Some(cur_pct) = cur_run.get("obs_overhead_pct").and_then(Json::as_f64) {
-            let base_pct = run
-                .get("obs_overhead_pct")
-                .and_then(Json::as_f64)
-                .unwrap_or(f64::NAN);
-            findings.push(Finding::ratio(
-                format!("serve[{mode}].obs_overhead_pct"),
-                base_pct,
-                cur_pct,
-                format!("< {OBS_OVERHEAD_MAX_PCT} absolute"),
-                cur_pct < OBS_OVERHEAD_MAX_PCT,
-            ));
-        } else if run.get("obs_overhead_pct").is_some() {
-            findings.push(Finding::ratio(
-                format!("serve[{mode}].obs_overhead_pct"),
-                run.get("obs_overhead_pct")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(f64::NAN),
-                f64::NAN,
-                "metric present".into(),
-                false,
-            ));
-        }
-    }
-    Ok(findings)
-}
-
-/// Diffs two `BENCH_kernels.json` documents over `ns_per_call` of every
-/// baseline kernel row (matched on `group`/`kernel`/`n`).
-///
-/// # Errors
-///
-/// Returns parse errors for either document.
-pub fn diff_kernels(baseline: &str, current: &str) -> Result<Vec<Finding>, String> {
-    let base = Json::parse(baseline).map_err(|e| format!("baseline kernels: {e}"))?;
-    let cur = Json::parse(current).map_err(|e| format!("current kernels: {e}"))?;
-    let identity = |row: &Json| -> Option<(String, String, u64)> {
-        Some((
-            row.get("group")?.as_str()?.to_string(),
-            row.get("kernel")?.as_str()?.to_string(),
-            row.get("n")?.as_f64()? as u64,
-        ))
-    };
-    let mut findings = Vec::new();
-    for row in base.get("kernels").map_or(&[][..], Json::items) {
-        let Some(key) = identity(row) else { continue };
-        let Some(base_ns) = row.get("ns_per_call").and_then(Json::as_f64) else {
-            continue;
-        };
-        let label = format!("kernels[{}/{}/n={}].ns_per_call", key.0, key.1, key.2);
-        let cur_ns = cur
-            .get("kernels")
-            .map_or(&[][..], Json::items)
-            .iter()
-            .find(|r| identity(r).as_ref() == Some(&key))
-            .and_then(|r| r.get("ns_per_call"))
-            .and_then(Json::as_f64);
-        match cur_ns {
-            Some(cur_ns) => findings.push(Finding::ratio(
-                label,
-                base_ns,
-                cur_ns,
-                format!("<= {KERNEL_NS_MAX_RATIO}x baseline"),
-                cur_ns <= base_ns * KERNEL_NS_MAX_RATIO,
-            )),
-            None => findings.push(Finding::ratio(
-                label,
-                base_ns,
-                f64::NAN,
-                "row present".into(),
-                false,
-            )),
-        }
-    }
-    Ok(findings)
-}
-
-/// Diffs two `BENCH_backends.json` documents over every baseline run
-/// (matched on `domain`/`index`/`backend`): the run must still be there,
-/// a converged run must stay converged, and neither its `iterations` nor
-/// its `pcg_iters` may rise at all. The counts are deterministic, so any
-/// rise comes from a change to an algorithm, not from noise. A run's
-/// `checks` and `rho_updates` are listed beside them but never fail.
-///
-/// # Errors
-///
-/// Returns parse errors for either document.
-pub fn diff_backends(baseline: &str, current: &str) -> Result<Vec<Finding>, String> {
-    let base = Json::parse(baseline).map_err(|e| format!("baseline backends: {e}"))?;
-    let cur = Json::parse(current).map_err(|e| format!("current backends: {e}"))?;
-    let identity = |run: &Json| -> Option<(String, u64, String)> {
-        Some((
-            run.get("domain")?.as_str()?.to_string(),
-            run.get("index")?.as_f64()? as u64,
-            run.get("backend")?.as_str()?.to_string(),
-        ))
-    };
-    let converged = |run: &Json| matches!(run.get("converged"), Some(Json::Bool(true)));
-    let mut findings = Vec::new();
-    for run in base.get("runs").map_or(&[][..], Json::items) {
-        let Some(key) = identity(run) else { continue };
-        let label = format!("backends[{}/{}/{}]", key.0, key.1, key.2);
-        let Some(cur_run) = cur
-            .get("runs")
-            .map_or(&[][..], Json::items)
-            .iter()
-            .find(|r| identity(r).as_ref() == Some(&key))
-        else {
-            findings.push(Finding::ratio(
-                label,
-                f64::NAN,
-                f64::NAN,
-                "row present".into(),
-                false,
-            ));
-            continue;
-        };
-        if converged(run) {
-            let still = converged(cur_run);
-            findings.push(Finding::ratio(
-                format!("{label}.converged"),
-                1.0,
-                if still { 1.0 } else { 0.0 },
-                "stays converged".into(),
-                still,
-            ));
-        }
-        for count in ["iterations", "pcg_iters"] {
-            let Some(base_count) = run.get(count).and_then(Json::as_f64) else {
-                continue;
-            };
-            let cur_count = cur_run
-                .get(count)
-                .and_then(Json::as_f64)
-                .unwrap_or(f64::NAN);
-            findings.push(Finding::ratio(
-                format!("{label}.{count}"),
-                base_count,
-                cur_count,
-                "<= baseline".into(),
-                cur_count <= base_count,
-            ));
-        }
-        // The counts that explain an iteration change are printed, never
-        // gated: more checks or `ρ` updates may well buy fewer iterations.
-        for count in ["checks", "rho_updates"] {
-            let value = |r: &Json| r.get(count).and_then(Json::as_f64).unwrap_or(f64::NAN);
-            let (base_count, cur_count) = (value(run), value(cur_run));
-            if base_count.is_nan() && cur_count.is_nan() {
-                continue;
-            }
-            findings.push(Finding::ratio(
-                format!("{label}.{count}"),
-                base_count,
-                cur_count,
-                "reported, not gated".into(),
-                true,
-            ));
-        }
-    }
-    Ok(findings)
-}
-
-/// Diffs two `BENCH_verify.json` documents. Every baseline run (matched
-/// on `program`) must still be there, a run whose prediction agreed with
-/// the simulator must still agree, no run may stall, and `slots` and
-/// `predicted_cycles` may not rise at all: the counts are exact, so any
-/// rise is a change to the compiler or the cycle model. Document-wide,
-/// `agreement` must equal `programs` and `forced_appends` may not rise.
-/// Wall-clock fields are not compared.
-///
-/// # Errors
-///
-/// Returns parse errors for either document.
-pub fn diff_verify(baseline: &str, current: &str) -> Result<Vec<Finding>, String> {
-    let base = Json::parse(baseline).map_err(|e| format!("baseline verify: {e}"))?;
-    let cur = Json::parse(current).map_err(|e| format!("current verify: {e}"))?;
-    let program = |run: &Json| {
-        run.get("program")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-    };
-    let count = |doc: &Json, field: &str| doc.get(field).and_then(Json::as_f64).unwrap_or(f64::NAN);
-    let agrees = |run: &Json| matches!(run.get("agree"), Some(Json::Bool(true)));
-    let mut findings = Vec::new();
-    for run in base.get("runs").map_or(&[][..], Json::items) {
-        let Some(key) = program(run) else { continue };
-        let label = format!("verify[{key}]");
-        let Some(cur_run) = cur
-            .get("runs")
-            .map_or(&[][..], Json::items)
-            .iter()
-            .find(|r| program(r).as_ref() == Some(&key))
-        else {
-            findings.push(Finding::ratio(
-                label,
-                f64::NAN,
-                f64::NAN,
-                "row present".into(),
-                false,
-            ));
-            continue;
-        };
-        if agrees(run) {
-            let still = agrees(cur_run);
-            findings.push(Finding::ratio(
-                format!("{label}.agree"),
-                1.0,
-                if still { 1.0 } else { 0.0 },
-                "stays in agreement".into(),
-                still,
-            ));
-        }
-        let stalls = count(cur_run, "stall_cycles");
-        findings.push(Finding::ratio(
-            format!("{label}.stall_cycles"),
-            count(run, "stall_cycles"),
-            stalls,
-            "== 0".into(),
-            stalls == 0.0,
-        ));
-        for field in ["slots", "predicted_cycles"] {
-            let (was, now) = (count(run, field), count(cur_run, field));
-            findings.push(Finding::ratio(
-                format!("{label}.{field}"),
-                was,
-                now,
-                "<= baseline".into(),
-                now <= was,
-            ));
-        }
-    }
-    let (programs, agreement) = (count(&cur, "programs"), count(&cur, "agreement"));
-    findings.push(Finding::ratio(
-        "verify.agreement".into(),
-        count(&base, "agreement"),
-        agreement,
-        format!(">= programs ({programs})"),
-        agreement >= programs,
-    ));
-    let (was, now) = (
-        count(&base, "forced_appends"),
-        count(&cur, "forced_appends"),
-    );
-    findings.push(Finding::ratio(
-        "verify.forced_appends".into(),
-        was,
-        now,
-        "<= baseline".into(),
-        now <= was,
-    ));
-    Ok(findings)
 }
 
 #[cfg(test)]
@@ -454,7 +370,7 @@ mod tests {
 
     #[test]
     fn identical_documents_pass() {
-        let findings = diff_serve(SERVE, SERVE).expect("diff runs");
+        let findings = diff(&BENCH_SERVE, SERVE, SERVE).expect("diff runs");
         assert!(findings.iter().all(|f| f.ok), "{findings:?}");
         assert!(render_findings(&findings).ends_with("PASS\n"));
     }
@@ -467,7 +383,7 @@ mod tests {
             "\"throughput_rps\": 4000.0",
             "\"throughput_rps\": 2800.0",
         );
-        assert!(diff_serve(SERVE, &slower)
+        assert!(diff(&BENCH_SERVE, SERVE, &slower)
             .expect("diff runs")
             .iter()
             .all(|f| f.ok));
@@ -477,7 +393,7 @@ mod tests {
             "\"throughput_rps\": 4000.0",
             "\"throughput_rps\": 2000.0",
         );
-        let findings = diff_serve(SERVE, &halved).expect("diff runs");
+        let findings = diff(&BENCH_SERVE, SERVE, &halved).expect("diff runs");
         let bad: Vec<_> = findings.iter().filter(|f| !f.ok).collect();
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].metric, "serve[net-closed].throughput_rps");
@@ -492,13 +408,13 @@ mod tests {
             "\"obs_overhead_pct\": 1.5",
             "\"obs_overhead_pct\": 6.5",
         );
-        let findings = diff_serve(&bad, &bad).expect("diff runs");
+        let findings = diff(&BENCH_SERVE, &bad, &bad).expect("diff runs");
         assert!(findings
             .iter()
             .any(|f| !f.ok && f.metric.contains("obs_overhead_pct")));
         // Dropping the metric entirely fails too.
         let missing = with(SERVE, "\"obs_overhead_pct\": 1.5,\n         ", "");
-        let findings = diff_serve(SERVE, &missing).expect("diff runs");
+        let findings = diff(&BENCH_SERVE, SERVE, &missing).expect("diff runs");
         assert!(findings
             .iter()
             .any(|f| !f.ok && f.metric.contains("obs_overhead_pct")));
@@ -508,14 +424,14 @@ mod tests {
     fn missing_run_and_kernel_rows_fail() {
         let open_only =
             r#"{"bench": "serve", "runs": [{"mode": "net-open", "throughput_rps": 2800.0}]}"#;
-        let findings = diff_serve(SERVE, open_only).expect("diff runs");
+        let findings = diff(&BENCH_SERVE, SERVE, open_only).expect("diff runs");
         assert!(findings
             .iter()
             .any(|f| !f.ok && f.metric == "serve[net-closed]"));
 
         let kernels = r#"{"kernels": [{"group": "vector", "kernel": "dot", "n": 1000, "ns_per_call": 150.0}]}"#;
         let empty = r#"{"kernels": []}"#;
-        let findings = diff_kernels(kernels, empty).expect("diff runs");
+        let findings = diff(&BENCH_KERNELS, kernels, empty).expect("diff runs");
         assert_eq!(findings.len(), 1);
         assert!(!findings[0].ok);
     }
@@ -524,12 +440,12 @@ mod tests {
     fn kernel_slowdowns_respect_the_ratio() {
         let kernels = r#"{"kernels": [{"group": "vector", "kernel": "dot", "n": 1000, "ns_per_call": 150.0}]}"#;
         let doubled = kernels.replace("150.0", "300.0");
-        assert!(diff_kernels(kernels, &doubled)
+        assert!(diff(&BENCH_KERNELS, kernels, &doubled)
             .expect("diff runs")
             .iter()
             .all(|f| f.ok));
         let tripled = kernels.replace("150.0", "450.0");
-        assert!(diff_kernels(kernels, &tripled)
+        assert!(diff(&BENCH_KERNELS, kernels, &tripled)
             .expect("diff runs")
             .iter()
             .any(|f| !f.ok));
@@ -550,12 +466,12 @@ mod tests {
             .replace("\"pcg_iters\": 400", "\"pcg_iters\": 399")
             .replace("\"solve_time_us\": 90", "\"solve_time_us\": 900");
         for current in [backends, within.as_str()] {
-            let findings = diff_backends(backends, current).expect("diff runs");
+            let findings = diff(&BENCH_BACKENDS, backends, current).expect("diff runs");
             assert_eq!(findings.len(), 5);
             assert!(findings.iter().all(|f| f.ok), "{findings:?}");
         }
         let failing = |current: &str, metric: &str| {
-            let findings = diff_backends(backends, current).expect("diff runs");
+            let findings = diff(&BENCH_BACKENDS, backends, current).expect("diff runs");
             let bad: Vec<_> = findings.iter().filter(|f| !f.ok).collect();
             assert_eq!(bad.len(), 1, "{findings:?}");
             assert_eq!(bad[0].metric, metric);
@@ -592,7 +508,7 @@ mod tests {
             .replace("\"iterations\": 115", "\"iterations\": 55")
             .replace("\"checks\": 6", "\"checks\": 11")
             .replace("\"rho_updates\": 0", "\"rho_updates\": 1");
-        let findings = diff_backends(backends, &current).expect("diff runs");
+        let findings = diff(&BENCH_BACKENDS, backends, &current).expect("diff runs");
         assert!(findings.iter().all(|f| f.ok), "{findings:?}");
         let reported = |metric: &str| {
             let f = findings
@@ -611,7 +527,7 @@ mod tests {
         );
         // A baseline written before the fields existed still diffs.
         let old = backends.replace(", \"checks\": 6, \"rho_updates\": 0", "");
-        let findings = diff_backends(&old, &current).expect("diff runs");
+        let findings = diff(&BENCH_BACKENDS, &old, &current).expect("diff runs");
         assert!(findings.iter().all(|f| f.ok), "{findings:?}");
         assert_eq!(findings.len(), 5);
     }
@@ -632,12 +548,12 @@ mod tests {
             .replace("\"predicted_cycles\": 47", "\"predicted_cycles\": 46")
             .replace("\"analysis_us\": 100", "\"analysis_us\": 900");
         for current in [verify, shorter.as_str()] {
-            let findings = diff_verify(verify, current).expect("diff runs");
+            let findings = diff(&BENCH_VERIFY, verify, current).expect("diff runs");
             assert_eq!(findings.len(), 10);
             assert!(findings.iter().all(|f| f.ok), "{findings:?}");
         }
         let failing = |current: &str, metric: &str| {
-            let findings = diff_verify(verify, current).expect("diff runs");
+            let findings = diff(&BENCH_VERIFY, verify, current).expect("diff runs");
             let bad: Vec<_> = findings.iter().filter(|f| !f.ok).collect();
             assert_eq!(bad.len(), 1, "{findings:?}");
             assert_eq!(bad[0].metric, metric);

@@ -157,22 +157,27 @@ pub fn mib_platform(seconds: f64) -> MibPlatform {
     }
 }
 
-/// Formats a ratio table row.
-pub fn ratio(baseline: f64, ours: f64) -> f64 {
-    baseline / ours
-}
-
 /// Writes a report both to stdout and to `results/<name>.txt`.
 pub fn emit_report(name: &str, body: &str) {
     println!("{body}");
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{name}.txt"));
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            eprintln!("(written to {})", path.display());
-        }
+    publish(&format!("{name}.txt"), body);
+}
+
+/// Writes `body` as `results/<file>`, creating the directory, and says
+/// where on stderr; a write that fails is reported as a warning.
+///
+/// # Panics
+///
+/// If a `.json` file's body is not valid JSON — a bug in its writer, not
+/// an environment condition.
+pub fn publish(file: &str, body: &str) {
+    let path = std::path::Path::new("results").join(file);
+    if path.extension().is_some_and(|ext| ext == "json") {
+        mib_trace::validate_json(body).unwrap_or_else(|e| panic!("{file} must be valid JSON: {e}"));
+    }
+    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, body)) {
+        Ok(()) => eprintln!("(written to {})", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
 }
 

@@ -1,11 +1,9 @@
 //! Serde-free structured export of the serving benchmark:
-//! `results/BENCH_serve.json`. `load_bench` writes the whole document
+//! `results/BENCH_serve.json`. `load_bench` renders the whole document
 //! once, one run object per transport and loop mode (`inprocess`,
-//! `net-closed`, `net-open`), and validates it with
-//! [`mib_trace::validate_json`] before it hits the filesystem.
+//! `net-closed`, `net-open`), and writes it with [`crate::publish`].
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 use mib_serve::Histogram;
 use mib_trace::json::{write_f64, write_str};
@@ -122,8 +120,8 @@ impl ServeRun {
     }
 }
 
-/// Renders the full document.
-fn render_document(runs: &[ServeRun]) -> String {
+/// Renders the full document, the bytes of `results/BENCH_serve.json`.
+pub fn render_document(runs: &[ServeRun]) -> String {
     let mut doc = String::from("{\n  \"bench\": \"serve\",\n  \"runs\": [\n");
     for (i, run) in runs.iter().enumerate() {
         run.write_json(&mut doc);
@@ -131,27 +129,6 @@ fn render_document(runs: &[ServeRun]) -> String {
     }
     doc.push_str("  ]\n}\n");
     doc
-}
-
-/// Writes `runs` as `results/BENCH_serve.json`, replacing the file.
-/// Returns the path written.
-///
-/// # Errors
-///
-/// Filesystem errors creating `results/` or writing the file.
-///
-/// # Panics
-///
-/// Panics if the rendered document fails JSON validation — a bug in
-/// this module, not an environment condition.
-pub fn write_bench_serve(runs: &[ServeRun]) -> std::io::Result<PathBuf> {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("BENCH_serve.json");
-    let doc = render_document(runs);
-    mib_trace::validate_json(&doc).expect("BENCH_serve.json must be valid JSON");
-    std::fs::write(&path, doc)?;
-    Ok(path)
 }
 
 #[cfg(test)]

@@ -4,30 +4,37 @@
 #
 #   scripts/bench_diff.sh [baseline-rev]
 #
-# Exits 0 when every tracked metric is within tolerance, 1 on a
-# regression, 2 when inputs are unreadable (see crates/bench/src/diff.rs
-# for the per-metric rules). A benchmark file absent from the baseline
-# revision is skipped — there is nothing to regress against.
+# Copies every results/BENCH_*.json of the baseline revision into a temp
+# directory and hands it to bench_diff, which compares each with the
+# working-tree copy under the rules in crates/bench/src/diff.rs. Exits 0
+# when every tracked metric is within tolerance, 1 on a regression, 2
+# when inputs are unreadable or a document has no rules. A document
+# absent from the baseline revision is skipped — there is nothing to
+# regress against.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 rev="${1:-HEAD}"
+if ! git rev-parse --verify --quiet "${rev}^{commit}" >/dev/null; then
+    echo "bench_diff: ${rev} is not a revision" >&2
+    exit 2
+fi
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
-args=()
-for doc in serve kernels backends verify; do
-    if git cat-file -e "$rev:results/BENCH_${doc}.json" 2>/dev/null; then
-        git show "$rev:results/BENCH_${doc}.json" > "$tmpdir/BENCH_${doc}.json"
-        args+=("--baseline-${doc}" "$tmpdir/BENCH_${doc}.json")
-    else
-        echo "bench_diff: no results/BENCH_${doc}.json at ${rev}; skipping" >&2
-    fi
-done
+found=0
+while IFS= read -r path; do
+    case "$path" in
+        results/BENCH_*.json)
+            git show "$rev:$path" > "$tmpdir/${path#results/}"
+            found=$((found + 1))
+            ;;
+    esac
+done < <(git ls-tree --name-only "$rev" results/)
 
-if [ "${#args[@]}" -eq 0 ]; then
+if [ "$found" -eq 0 ]; then
     echo "bench_diff: no baseline benchmark documents at ${rev}; nothing to diff" >&2
     exit 0
 fi
 
-cargo run --quiet --release -p mib-bench --bin bench_diff -- "${args[@]}"
+cargo run --quiet --release -p mib-bench --bin bench_diff -- "$tmpdir"

@@ -131,13 +131,13 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke >/dev/null
 
 echo "==> benchmark regression gate (working tree vs HEAD baselines)"
-# Diffs results/BENCH_serve.json, results/BENCH_kernels.json,
-# results/BENCH_backends.json and results/BENCH_verify.json against the
-# copies committed at HEAD with generous single-core tolerances; fails on
-# lost runs/rows, large slowdowns, any rise in a backend run's iterations
-# or PCG iterations, lost convergence, obs overhead >= 5%, or any rise in
-# a program's slots or predicted cycles, a stall, or a lost timing
-# agreement.
+# Diffs every results/BENCH_*.json committed at HEAD against the working
+# tree under the rules of its spec in mib_bench::diff::DOCUMENTS (a
+# document without one fails), with generous single-core tolerances:
+# fails on lost runs/rows, large slowdowns, any rise in a backend run's
+# iterations or PCG iterations, lost convergence, obs overhead >= 5%, or
+# any rise in a program's slots or predicted cycles, a stall, or a lost
+# timing agreement.
 scripts/bench_diff.sh
 
 echo "All checks passed."
