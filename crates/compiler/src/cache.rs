@@ -12,8 +12,12 @@
 //! "millions of QPs with the same sparsity pattern": the first solve of a
 //! pattern pays the full lowering cost (symbolic KKT analysis, fill-reducing
 //! ordering, elimination tree, instruction scheduling); every subsequent
-//! same-pattern solve clones the cached schedules and regenerates only the
-//! cheap load program via `lower::build_load_schedule`.
+//! same-pattern solve *shares* the cached programs and regenerates only the
+//! cheap load program via `lower::build_load_schedule`. A
+//! [`Program`](mib_core::program::Program) is reference-counted, so a hit
+//! copies no instruction, and it carries its memoised issue outcome with
+//! it: a hit's runs on the machine the miss ran on pay only the value
+//! stage.
 //!
 //! # What counts as "the same pattern"
 //!
@@ -61,8 +65,10 @@ impl ProgramCache {
     /// configuration and `ρ` classification) was lowered before.
     ///
     /// On a hit, only the value-dependent load program is rebuilt; the
-    /// setup, iteration, PCG and check schedules are cloned from the cache.
-    /// On a miss the full [`lower`] runs and the result is cached.
+    /// setup, iteration, PCG and check programs are shared with the cache
+    /// entry (their HBM streams and slot maps are copied). On a miss the
+    /// full [`lower`] runs and the cache keeps a copy that shares the
+    /// returned programs.
     ///
     /// # Errors
     ///

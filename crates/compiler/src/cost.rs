@@ -61,7 +61,7 @@ pub fn lower_bound(s: &Schedule, config: &MibConfig) -> u64 {
     }
     let mut claims: Vec<u64> = Vec::new();
     let (mut busy, mut words) = (0u64, 0u64);
-    for inst in &s.program {
+    for inst in s.program.iter() {
         busy += inst.busy_nodes() as u64;
         words += inst.stream_words() as u64;
         let footprint = inst.footprint();
@@ -157,7 +157,7 @@ mod tests {
         let cfg = config();
         // Back-to-back RAW: strict execution rejects, so there is no cost.
         let s = Schedule {
-            program: vec![mov(0, 0, 1), mov(0, 1, 2)],
+            program: vec![mov(0, 0, 1), mov(0, 1, 2)].into(),
             hbm: Vec::new(),
             slot_of: vec![0, 1],
             logical_count: 2,

@@ -16,6 +16,7 @@
 //! hazards.
 
 use mib_core::instruction::NetInstruction;
+use mib_core::program::Program;
 
 use crate::kernel::Kernel;
 
@@ -44,8 +45,8 @@ impl Default for ScheduleOptions {
 /// slot, plus the HBM stream laid out in consumption order.
 #[derive(Debug, Clone)]
 pub struct Schedule {
-    /// Issue slots (nop slots included).
-    pub program: Vec<NetInstruction>,
+    /// Issue slots (nop slots included), shared by every clone.
+    pub program: Program,
     /// HBM words in exactly the order the machine consumes them.
     pub hbm: Vec<f64>,
     /// Issue slot assigned to each logical instruction.
@@ -153,7 +154,7 @@ pub fn schedule(kernel: &Kernel, opts: ScheduleOptions) -> Schedule {
         program.push(slot.inst);
     }
     Schedule {
-        program,
+        program: program.into(),
         hbm,
         slot_of,
         logical_count: kernel.instrs.len(),

@@ -130,7 +130,7 @@ fn verify_packing(kernel: &Kernel, s: &Schedule) -> Result<(), PackingError> {
     }
 
     // 3. Slot equality.
-    if let Some(slot) = rebuilt.iter().zip(&s.program).position(|(a, b)| a != b) {
+    if let Some(slot) = rebuilt.iter().zip(&s.program[..]).position(|(a, b)| a != b) {
         return Err(PackingError::SlotMismatch { slot });
     }
 
@@ -248,9 +248,10 @@ mod tests {
         // cross-check and the strict prediction must object.
         let producer_slot = s.slot_of[0];
         let old_slot = s.slot_of[1];
-        let inst = s.program[old_slot].clone();
-        s.program[old_slot] = NetInstruction::nop(8);
-        s.program[producer_slot + 1] = inst;
+        let mut program = s.program.to_vec();
+        program[old_slot] = NetInstruction::nop(8);
+        program[producer_slot + 1] = s.program[old_slot].clone();
+        s.program = program.into();
         s.slot_of[1] = producer_slot + 1;
         assert!(matches!(
             verify_packing(&kernel, &s),
@@ -265,7 +266,9 @@ mod tests {
         let mut s = schedule(&kernel, ScheduleOptions::default());
         // Tamper with a published slot without telling slot_of.
         let t = s.slot_of[2];
-        s.program[t] = s.program[t].try_merge(&mov(5, 0, 1)).unwrap();
+        let mut program = s.program.to_vec();
+        program[t] = program[t].try_merge(&mov(5, 0, 1)).unwrap();
+        s.program = program.into();
         assert_eq!(
             verify_packing(&kernel, &s),
             Err(PackingError::SlotMismatch { slot: t })
@@ -282,7 +285,7 @@ mod tests {
         let kernel = b.finish();
         let mut s = schedule(&kernel, ScheduleOptions::default());
         s.slot_of = vec![0, 0];
-        s.program = vec![s.program[0].clone()];
+        s.program = vec![s.program[0].clone()].into();
         let err = verify_packing(&kernel, &s);
         assert!(
             matches!(err, Err(PackingError::Collision { logical: 1, .. })),

@@ -27,9 +27,10 @@
 //! pipeline hazard rules, so a mis-scheduled program either stalls (with
 //! stalls counted) or fails verification.
 //!
-//! One issue engine serves three consumers: [`machine::Machine::run`]
-//! (values on), [`timing::predict`] (values off: exact `ExecStats` or the
-//! machine's exact error, without execution) and
+//! One issue engine serves three consumers: [`timing::predict`] (values
+//! off: exact `ExecStats` or the machine's exact error, without
+//! execution), [`machine::Machine::run`], which takes the same outcome
+//! once per [`program::Program`] and then runs the value stage, and
 //! [`critical_path::critical_path`] (the chain of dependences bounding a
 //! program). Because the machine is fully static, "would strict
 //! execution accept this program" has one exact answer, and `predict`
@@ -57,6 +58,7 @@ pub mod hbm;
 pub mod instruction;
 pub mod machine;
 mod pending;
+pub mod program;
 pub mod regfile;
 pub mod stats;
 pub mod timing;

@@ -11,16 +11,19 @@
 //! used to verify that compiler schedules are hazard-free.
 //!
 //! Those issue rules live in one place, `issue_program`, generic over the
-//! functional stage it runs for each slot. [`Machine::run`] passes the
-//! value stage (registers, latches, the HBM stream);
-//! [`crate::timing::predict`] passes a stage that only replays faults, and
-//! [`crate::critical_path::critical_path`] one that does nothing. So a
-//! prediction equals a run by construction wherever the stages agree on
-//! faults.
+//! functional stage it runs for each slot. [`crate::timing::predict`]
+//! passes a stage that only replays faults, and
+//! [`crate::critical_path::critical_path`] one that does nothing. Issue
+//! never depends on a value, so [`Machine::run`] takes the issue outcome
+//! — the fault replay's, memoised by the [`Program`] — and then runs only
+//! the value stage (registers, latches, the HBM stream) over the slots
+//! that outcome lets execute. `predict` reads no memo, so a prediction
+//! and a run are still two computations.
 
 use crate::hbm::HbmStream;
 use crate::instruction::{lanes, LaneSource, NetInstruction, WriteMode};
 use crate::pending::{BindingWrite, PendingWrites};
+use crate::program::Program;
 use crate::regfile::RegisterFiles;
 use crate::stats::ExecStats;
 use crate::{MibConfig, MibError, Result};
@@ -73,6 +76,17 @@ impl Machine {
 
     /// Executes a program against the HBM stream, returning statistics.
     ///
+    /// A run is the program's issue outcome — its statistics or its
+    /// error, and how many slots execute — followed by the value stage
+    /// over those slots. The outcome is the [`Program`]'s memo when this
+    /// run has the key of its first run (configuration, policy, stream
+    /// words left); otherwise the issue engine computes it, and stores it
+    /// if this is the first run. The value stage is the registers,
+    /// latches and stream: on an error it stops where the engine stopped,
+    /// having run the faulting slot up to an address or stream fault, so
+    /// the partial register state and the stream cursor are the ones the
+    /// fault leaves.
+    ///
     /// # Errors
     ///
     /// Returns [`MibError::DataHazard`] (strict policy),
@@ -80,10 +94,11 @@ impl Machine {
     /// [`MibError::AddressOutOfRange`].
     pub fn run(
         &mut self,
-        program: &[NetInstruction],
+        program: &Program,
         hbm: &mut HbmStream,
         policy: HazardPolicy,
     ) -> Result<ExecStats> {
+        let outcome = program.issue(&self.config, policy, hbm.remaining());
         let (regs, latches) = (&mut self.regs, &mut self.latches);
         // Lane values entering and leaving an adder stage, reused by
         // every slot. A lane outside a buffer's `live` mask holds 0.0, the
@@ -91,7 +106,7 @@ impl Machine {
         let mut values = vec![0.0f64; self.config.width];
         let mut next = vec![0.0f64; self.config.width];
         let (mut live, mut next_live) = (0u128, 0u128);
-        let evaluate = |idx: usize, inst: &NetInstruction| -> Result<()> {
+        for (idx, inst) in program[..outcome.evaluated].iter().enumerate() {
             let mut word = || {
                 hbm.next_word()
                     .ok_or(MibError::StreamExhausted { instruction: idx })
@@ -161,14 +176,14 @@ impl Machine {
                     }
                 }
             }
-            Ok(())
-        };
-        issue_program(program, &self.config, policy, evaluate, |_, _, _| {})
+        }
+        outcome.result
     }
 }
 
 /// The issue engine: the one loop that turns a program into issue cycles,
-/// shared by [`Machine::run`], [`predict`](crate::timing::predict) and
+/// shared by the fault replay of [`predict`](crate::timing::predict) and
+/// [`Machine::run`]'s issue outcome, and by
 /// [`critical_path`](crate::critical_path::critical_path). Each caller
 /// passes its own functional stage and a per-slot hook as closures, so
 /// every caller gets its own monomorphised copy of the loop.
@@ -295,7 +310,9 @@ mod tests {
         );
         let weights = [1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 0.5];
         let mut hbm = HbmStream::new(weights.to_vec());
-        let stats = m.run(&[inst], &mut hbm, HazardPolicy::Strict).unwrap();
+        let stats = m
+            .run(&vec![inst].into(), &mut hbm, HazardPolicy::Strict)
+            .unwrap();
         // Expected: sum(x .* w) = 1+2+6+4+5+6+7+4 = 35.
         assert_eq!(m.regs().read(3, 10).unwrap(), 35.0);
         assert_eq!(stats.hbm_words, 8);
@@ -326,7 +343,8 @@ mod tests {
             );
         }
         let mut hbm = HbmStream::empty();
-        m.run(&[inst], &mut hbm, HazardPolicy::Strict).unwrap();
+        m.run(&vec![inst].into(), &mut hbm, HazardPolicy::Strict)
+            .unwrap();
         for lane in 0..8 {
             let src = (lane + 8 - 3) % 8;
             assert_eq!(
@@ -383,7 +401,7 @@ mod tests {
         // Strict mode must reject back-to-back issue (latch RAW hazard),
         // naming the offending instruction and the latch as the location.
         let err = m.clone().run(
-            &[bcast.clone(), elim.clone()],
+            &vec![bcast.clone(), elim.clone()].into(),
             &mut hbm,
             HazardPolicy::Strict,
         );
@@ -397,7 +415,7 @@ mod tests {
         ));
         // Stall mode resolves it.
         let stats = m
-            .run(&[bcast, elim], &mut hbm, HazardPolicy::Stall)
+            .run(&vec![bcast, elim].into(), &mut hbm, HazardPolicy::Stall)
             .unwrap();
         assert!(stats.stall_cycles > 0);
         for lane in 0..8 {
@@ -427,8 +445,12 @@ mod tests {
                 },
             );
         }
-        m.run(&[inst], &mut HbmStream::empty(), HazardPolicy::Strict)
-            .unwrap();
+        m.run(
+            &vec![inst].into(),
+            &mut HbmStream::empty(),
+            HazardPolicy::Strict,
+        )
+        .unwrap();
         for lane in 0..8 {
             assert_eq!(m.regs().read(lane, 5).unwrap(), 42.0, "lane {lane}");
         }
@@ -448,8 +470,12 @@ mod tests {
                 mode: WriteMode::StoreRecip,
             },
         );
-        m.run(&[inst], &mut HbmStream::empty(), HazardPolicy::Strict)
-            .unwrap();
+        m.run(
+            &vec![inst].into(),
+            &mut HbmStream::empty(),
+            HazardPolicy::Strict,
+        )
+        .unwrap();
         assert_eq!(m.regs().read(0, 1).unwrap(), 0.25);
     }
 
@@ -466,7 +492,11 @@ mod tests {
                 mode: WriteMode::Store,
             },
         );
-        let err = m.run(&[inst], &mut HbmStream::empty(), HazardPolicy::Stall);
+        let err = m.run(
+            &vec![inst].into(),
+            &mut HbmStream::empty(),
+            HazardPolicy::Stall,
+        );
         assert!(matches!(
             err,
             Err(MibError::StreamExhausted { instruction: 0 })
@@ -499,7 +529,11 @@ mod tests {
         );
         let mut hbm = HbmStream::new(vec![7.0]);
         let stats = m
-            .run(&[producer, consumer], &mut hbm, HazardPolicy::Stall)
+            .run(
+                &vec![producer, consumer].into(),
+                &mut hbm,
+                HazardPolicy::Stall,
+            )
             .unwrap();
         // Consumer wanted cycle 1, producer ready at 0 + latency(5).
         assert_eq!(stats.stall_cycles, m.config().latency() - 1);
@@ -545,7 +579,11 @@ mod tests {
             },
         );
         let mut hbm = HbmStream::new(vec![1.0, 2.0]);
-        let err = m.run(&[p0, p1, consumer], &mut hbm, HazardPolicy::Strict);
+        let err = m.run(
+            &vec![p0, p1, consumer].into(),
+            &mut hbm,
+            HazardPolicy::Strict,
+        );
         let latency = MibConfig {
             width: 8,
             bank_depth: 64,
@@ -569,7 +607,11 @@ mod tests {
     fn nop_program_runs_empty() {
         let mut m = machine8();
         let stats = m
-            .run(&[], &mut HbmStream::empty(), HazardPolicy::Strict)
+            .run(
+                &Vec::new().into(),
+                &mut HbmStream::empty(),
+                HazardPolicy::Strict,
+            )
             .unwrap();
         assert_eq!(stats.cycles, 0);
         assert_eq!(stats.slots, 0);

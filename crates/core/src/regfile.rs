@@ -9,8 +9,10 @@
 
 use crate::{MibError, Result};
 
-/// `C` register-file banks of equal depth.
-#[derive(Debug, Clone, PartialEq)]
+/// `C` register-file banks of equal depth. Two register files are equal
+/// when every word has the same bits: a NaN equals itself, and `0.0`
+/// differs from `-0.0`.
+#[derive(Debug, Clone)]
 pub struct RegisterFiles {
     /// One address-major allocation: word `addr` of bank `bank` is at
     /// `addr * width + bank`, so one slot's lanes touch adjacent words.
@@ -87,6 +89,20 @@ impl RegisterFiles {
     }
 }
 
+impl PartialEq for RegisterFiles {
+    fn eq(&self, other: &Self) -> bool {
+        self.width == other.width
+            && self.depth == other.depth
+            && self
+                .words
+                .iter()
+                .zip(&other.words)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+impl Eq for RegisterFiles {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,6 +123,19 @@ mod tests {
         assert!(r.read(2, 0).is_err());
         assert!(r.read(0, 4).is_err());
         assert!(r.write(0, 9, 1.0).is_err());
+    }
+
+    #[test]
+    fn equality_is_bitwise() {
+        let mut a = RegisterFiles::new(2, 2);
+        a.write(0, 1, f64::NAN).unwrap();
+        let mut b = a.clone();
+        assert_eq!(a, b, "a NaN word equals itself");
+        b.write(1, 1, -0.0).unwrap();
+        assert_ne!(a, b, "-0.0 is not 0.0");
+        a.write(1, 1, -0.0).unwrap();
+        assert_eq!(a, b);
+        assert_ne!(RegisterFiles::new(2, 2), RegisterFiles::new(1, 4));
     }
 
     #[test]

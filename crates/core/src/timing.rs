@@ -6,19 +6,24 @@
 //! read their broadcast latch, which writebacks are read-modify-write, how
 //! many HBM words a slot consumes, and the fixed pipeline latency
 //! `log₂C + 2` from [`MibConfig::latency`]. So the predictor is the
-//! machine with values switched off: [`predict`] runs the issue engine of
-//! [`Machine::run`](crate::machine::Machine::run) itself — the width
-//! check, the pending-write window, the stall (or strict rejection), the
-//! counters and the drain — with a functional stage that computes no
-//! value and only replays the faults. The result is a **bitwise**
-//! prediction of the run: the full [`ExecStats`], equal field-for-field
-//! to what `Machine::run` returns — or, when the machine would reject the
-//! program, the **same** [`MibError`] value, at the same instruction in
-//! the same check order. The differential suites
-//! (`tests/static_timing.rs`, `tests/proptest_timing.rs`) compare the two
-//! over the benchmark program suite and under proptest mutation; with the
-//! loop shared, the part of the prediction they test on its own is the
-//! fault replay.
+//! machine with values switched off: [`predict`] runs the machine's issue
+//! engine — the width check, the pending-write window, the stall (or
+//! strict rejection), the counters and the drain — with a functional
+//! stage that computes no value and only replays the faults. The result
+//! is a **bitwise** prediction of the run: the full [`ExecStats`], equal
+//! field-for-field to what `Machine::run` returns — or, when the machine
+//! would reject the program, the **same** [`MibError`] value, at the same
+//! instruction in the same check order.
+//!
+//! [`Machine::run`](crate::machine::Machine::run) takes its own issue
+//! outcome from this replay, memoised by the
+//! [`Program`](crate::program::Program), and then runs the value stage
+//! over the slots it lets execute. So the part of a prediction a
+//! differential suite (`tests/static_timing.rs`,
+//! `tests/proptest_timing.rs`) tests on its own is the agreement of the
+//! fault replay with the value stage, and `tests/machine_reference.rs`
+//! holds both to a dense reference interpreter that shares no code with
+//! either.
 //!
 //! No register values are computed and no stream words are materialized.
 //! Over the 120-program `verify_schedules --timing` sample at C = 32,
@@ -27,10 +32,14 @@
 //! was timed on its own call, one machine serving every run, on a 2-vCPU
 //! Intel Xeon guest. That is cheap enough to run on every compiled
 //! schedule as the compiler's cost oracle
-//! (`mib_compiler::cost::StaticCost`).
+//! (`mib_compiler::cost::StaticCost`). Those are first runs: a repeated
+//! run of one `Program` under the same key no longer pays the engine, only
+//! the value stage.
 
 use crate::instruction::{NetInstruction, WriteMode};
 use crate::machine::{issue_program, HazardPolicy};
+use crate::pending::BindingWrite;
+use crate::program::IssueOutcome;
 use crate::stats::ExecStats;
 use crate::{MibConfig, MibError, Result};
 
@@ -71,13 +80,39 @@ pub fn predict(
     policy: HazardPolicy,
 ) -> Result<StaticTiming> {
     let mut issue_cycles = Vec::with_capacity(program.len());
+    let stats = replay(program, hbm_words, config, policy, |_, issue, _| {
+        issue_cycles.push(issue);
+    })
+    .result?;
+    Ok(StaticTiming {
+        stats,
+        issue_cycles,
+    })
+}
+
+/// The issue engine with the fault-replay stage, which also counts the
+/// slots it replayed: every slot on success, and on an error the slots
+/// before the one that stops the run, plus that slot when the stage
+/// itself faulted in it. [`predict`] and a [`Program`]'s issue outcome
+/// are this.
+///
+/// [`Program`]: crate::program::Program
+pub(crate) fn replay(
+    program: &[NetInstruction],
+    hbm_words: usize,
+    config: &MibConfig,
+    policy: HazardPolicy,
+    issued: impl FnMut(usize, u64, Option<BindingWrite>),
+) -> IssueOutcome {
+    let mut evaluated = 0;
     // The machine reads stream words positionally, so exhaustion is a
     // pure counting question.
     let mut streamed: usize = 0;
     // The machine's fault order: per lane, the register read before the
     // stream word; output multipliers stream after the whole input stage;
     // writebacks bounds-check last (a latch write touches no bank).
-    let replay = |idx: usize, inst: &NetInstruction| -> Result<()> {
+    let stage = |idx: usize, inst: &NetInstruction| -> Result<()> {
+        evaluated = idx + 1;
         let mut take = |n: usize| {
             streamed += n;
             if streamed > hbm_words {
@@ -101,13 +136,8 @@ pub fn predict(
         }
         Ok(())
     };
-    let stats = issue_program(program, config, policy, replay, |_, issue, _| {
-        issue_cycles.push(issue);
-    })?;
-    Ok(StaticTiming {
-        stats,
-        issue_cycles,
-    })
+    let result = issue_program(program, config, policy, stage, issued);
+    IssueOutcome { evaluated, result }
 }
 
 /// The register files' bounds check: a lane index is always in range (the
@@ -158,7 +188,11 @@ mod tests {
         for policy in [HazardPolicy::Stall, HazardPolicy::Strict] {
             let predicted = predict(program, hbm.len(), cfg, policy);
             let mut m = Machine::new(*cfg);
-            let simulated = m.run(program, &mut HbmStream::new(hbm.to_vec()), policy);
+            let simulated = m.run(
+                &program.to_vec().into(),
+                &mut HbmStream::new(hbm.to_vec()),
+                policy,
+            );
             match (predicted, simulated) {
                 (Ok(p), Ok(stats)) => assert_eq!(p.stats, stats, "stats mismatch under {policy:?}"),
                 (Err(pe), Err(me)) => assert_eq!(pe, me, "error mismatch under {policy:?}"),

@@ -90,11 +90,12 @@ echo "==> static timing (predicted-vs-simulated smoke gate + checked-profile tes
 # statistics must equal the simulator's, bitwise, and forced appends must
 # stay at the committed baseline.
 cargo run --release -q -p mib-bench --bin verify_schedules -- --smoke >/dev/null
-# Re-run the cycle-accounting, certification-verdict and pending-window
-# edge tests optimized but with debug assertions and overflow checks
-# armed (the [profile.checked] build).
-cargo test --profile checked --test static_timing --test proptest_timing --test proptest_verify \
-  --test pending_window -q
+# Re-run the cycle-accounting, certification-verdict, pending-window and
+# reference-interpreter tests optimized but with debug assertions and
+# overflow checks armed (the [profile.checked] build), over the full
+# 120-program verify sample (MIB_TIMING_FULL).
+MIB_TIMING_FULL=1 cargo test --profile checked --test static_timing --test proptest_timing \
+  --test machine_reference --test proptest_verify --test pending_window -q
 
 echo "==> paper reports (all_experiments reproduces results/*.txt byte for byte)"
 # Every figure and table is deterministic: regenerated in a scratch

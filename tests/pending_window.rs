@@ -146,7 +146,11 @@ fn run(
     policy: HazardPolicy,
 ) -> (Result<ExecStats, MibError>, Machine) {
     let mut m = Machine::new(cfg);
-    let result = m.run(program, &mut HbmStream::new(hbm.to_vec()), policy);
+    let result = m.run(
+        &program.to_vec().into(),
+        &mut HbmStream::new(hbm.to_vec()),
+        policy,
+    );
     (result, m)
 }
 
@@ -248,8 +252,11 @@ mod timing {
     fn agrees(cfg: MibConfig, program: &[NetInstruction], hbm: &[f64]) -> Vec<u64> {
         for policy in [HazardPolicy::Stall, HazardPolicy::Strict] {
             let predicted = predict(program, hbm.len(), &cfg, policy);
-            let simulated =
-                Machine::new(cfg).run(program, &mut HbmStream::new(hbm.to_vec()), policy);
+            let simulated = Machine::new(cfg).run(
+                &program.to_vec().into(),
+                &mut HbmStream::new(hbm.to_vec()),
+                policy,
+            );
             match (predicted, simulated) {
                 (Ok(p), Ok(stats)) => assert_eq!(p.stats, stats, "{policy:?}"),
                 (Err(pe), Err(me)) => assert_eq!(pe, me, "{policy:?}"),

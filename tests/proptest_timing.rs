@@ -106,7 +106,11 @@ fn assert_exact(
     policy: HazardPolicy,
 ) -> Option<u64> {
     let predicted = timing::predict(program, hbm.len(), cfg, policy);
-    let simulated = Machine::new(*cfg).run(program, &mut HbmStream::new(hbm.to_vec()), policy);
+    let simulated = Machine::new(*cfg).run(
+        &program.to_vec().into(),
+        &mut HbmStream::new(hbm.to_vec()),
+        policy,
+    );
     match (predicted, simulated) {
         (Ok(p), Ok(stats)) => {
             assert_eq!(p.stats, stats, "stats must match bitwise ({policy:?})");
@@ -148,7 +152,7 @@ fn compiled_spmv() -> (Vec<NetInstruction>, Vec<f64>, MibConfig) {
         SpmvOptions::default(),
     );
     let s = schedule(&b.finish(), ScheduleOptions::default());
-    (s.program, s.hbm, cfg)
+    (s.program.to_vec(), s.hbm, cfg)
 }
 
 proptest! {
@@ -229,8 +233,8 @@ fn unmutated_substrate_predicts_exactly() {
     assert!(stall.is_some() && stall == strict);
 }
 
-/// `ProgramCache` round-trip: a cache hit clones the compiled schedules,
-/// and the static prediction over the cloned program must be bitwise
+/// `ProgramCache` round-trip: a cache hit shares the compiled programs,
+/// and the static prediction over the shared program must be bitwise
 /// identical to the fresh one — stats and per-slot issue cycles.
 #[test]
 fn cache_hit_predicts_bitwise_identically() {

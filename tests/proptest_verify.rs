@@ -101,7 +101,11 @@ fn both_verdicts(program: &[NetInstruction], hbm: Vec<f64>, cfg: &MibConfig) -> 
     let certified = predict(program, hbm.len(), cfg, HazardPolicy::Strict).is_ok();
     let mut m = Machine::new(*cfg);
     let dynamic = m
-        .run(program, &mut HbmStream::new(hbm), HazardPolicy::Strict)
+        .run(
+            &program.to_vec().into(),
+            &mut HbmStream::new(hbm),
+            HazardPolicy::Strict,
+        )
         .is_ok();
     (certified, dynamic)
 }
@@ -134,7 +138,7 @@ fn compiled_spmv() -> (Vec<NetInstruction>, Vec<f64>, MibConfig) {
         SpmvOptions::default(),
     );
     let s = schedule(&b.finish(), ScheduleOptions::default());
-    (s.program, s.hbm, cfg)
+    (s.program.to_vec(), s.hbm, cfg)
 }
 
 proptest! {
