@@ -40,6 +40,17 @@ impl HbmStream {
         w
     }
 
+    /// The words not yet consumed.
+    pub(crate) fn unread(&self) -> &[f64] {
+        &self.data[self.pos..]
+    }
+
+    /// Consumes `n` words at once.
+    pub(crate) fn advance(&mut self, n: usize) {
+        debug_assert!(n <= self.remaining());
+        self.pos += n;
+    }
+
     /// Words consumed so far.
     pub fn consumed(&self) -> usize {
         self.pos

@@ -170,6 +170,66 @@ impl StoredWrite {
     }
 }
 
+/// A [`LaneSource`] as an instruction stores it: two thirds of the bytes,
+/// with the address narrowed as [`StoredWrite`] narrows it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum StoredSource {
+    Reg { addr: u32 },
+    Stream,
+    RegTimesStream { addr: u32, negate: bool },
+    RegTimesLatch { addr: u32, negate: bool },
+    RegTimesImm { addr: u32, imm: f64 },
+    StreamTimesLatch { negate: bool },
+}
+
+impl StoredSource {
+    fn of(lane: usize, src: LaneSource) -> Self {
+        let narrow = |addr: usize| {
+            u32::try_from(addr)
+                .unwrap_or_else(|_| panic!("lane {lane} input address {addr} exceeds 32 bits"))
+        };
+        match src {
+            LaneSource::Reg { addr } => StoredSource::Reg { addr: narrow(addr) },
+            LaneSource::Stream => StoredSource::Stream,
+            LaneSource::RegTimesStream { addr, negate } => StoredSource::RegTimesStream {
+                addr: narrow(addr),
+                negate,
+            },
+            LaneSource::RegTimesLatch { addr, negate } => StoredSource::RegTimesLatch {
+                addr: narrow(addr),
+                negate,
+            },
+            LaneSource::RegTimesImm { addr, imm } => StoredSource::RegTimesImm {
+                addr: narrow(addr),
+                imm,
+            },
+            LaneSource::StreamTimesLatch { negate } => StoredSource::StreamTimesLatch { negate },
+        }
+    }
+
+    fn get(self) -> LaneSource {
+        match self {
+            StoredSource::Reg { addr } => LaneSource::Reg {
+                addr: addr as usize,
+            },
+            StoredSource::Stream => LaneSource::Stream,
+            StoredSource::RegTimesStream { addr, negate } => LaneSource::RegTimesStream {
+                addr: addr as usize,
+                negate,
+            },
+            StoredSource::RegTimesLatch { addr, negate } => LaneSource::RegTimesLatch {
+                addr: addr as usize,
+                negate,
+            },
+            StoredSource::RegTimesImm { addr, imm } => LaneSource::RegTimesImm {
+                addr: addr as usize,
+                imm,
+            },
+            StoredSource::StreamTimesLatch { negate } => LaneSource::StreamTimesLatch { negate },
+        }
+    }
+}
+
 /// Mode of a lane's **output multiplier node** (Figure 5b: "input and
 /// output multiplier nodes can be bypassed if needed"). The output
 /// multiplier scales the network's routed value by an HBM stream word just
@@ -235,7 +295,7 @@ impl InstrKind {
 
 /// The widest network an instruction encodes: every lane set is one
 /// `u128` mask.
-const MAX_WIDTH: usize = 128;
+pub(crate) const MAX_WIDTH: usize = 128;
 
 /// Adder stages of a [`MAX_WIDTH`] network.
 const MAX_STAGES: usize = MAX_WIDTH.trailing_zeros() as usize;
@@ -307,7 +367,7 @@ pub struct NetInstruction {
     /// Per adder stage, the nodes consuming their cross input.
     cross: [u128; MAX_STAGES],
     /// One source per lane of `input_mask`, in lane order.
-    inputs: Vec<LaneSource>,
+    inputs: Vec<StoredSource>,
     /// One writeback per lane of `write_mask`, in lane order.
     writes: Vec<StoredWrite>,
     /// `log₂C`.
@@ -356,11 +416,6 @@ impl NetInstruction {
         self.stages as usize
     }
 
-    /// Lanes with a multiplier-stage source.
-    pub(crate) fn input_mask(&self) -> u128 {
-        self.input_mask
-    }
-
     /// Lanes whose output multiplier is active.
     pub fn out_mul_mask(&self) -> u128 {
         self.out_mul_mask
@@ -379,7 +434,7 @@ impl NetInstruction {
 
     /// The multiplier-stage source of `lane`, if it has one.
     pub fn input(&self, lane: usize) -> Option<LaneSource> {
-        (self.input_mask & bit(lane) != 0).then(|| self.inputs[rank(self.input_mask, lane)])
+        (self.input_mask & bit(lane) != 0).then(|| self.inputs[rank(self.input_mask, lane)].get())
     }
 
     /// The writeback of `lane`, if it has one.
@@ -438,14 +493,16 @@ impl NetInstruction {
     /// # Panics
     ///
     /// Panics if the lane already has an input (merge through
-    /// [`NetInstruction::try_merge`] instead) or is out of range.
+    /// [`NetInstruction::try_merge`] instead), is out of range, or the
+    /// address does not fit in 32 bits.
     pub fn set_input(&mut self, lane: usize, src: LaneSource) {
         self.check_lane(lane);
         assert!(
             self.input_mask & bit(lane) == 0,
             "lane {lane} input already set"
         );
-        self.inputs.insert(rank(self.input_mask, lane), src);
+        let stored = StoredSource::of(lane, src);
+        self.inputs.insert(rank(self.input_mask, lane), stored);
         self.input_mask |= bit(lane);
     }
 
@@ -531,14 +588,14 @@ impl NetInstruction {
     /// Number of HBM stream words this instruction consumes (input stage
     /// plus output multipliers).
     pub fn stream_words(&self) -> usize {
-        self.inputs.iter().filter(|s| s.uses_stream()).count()
+        self.input_locs().filter(|(_, s)| s.uses_stream()).count()
             + self.out_mul_mask.count_ones() as usize
     }
 
     /// Iterates over the multiplier-stage sources as `(lane, source)`
     /// pairs, in lane order.
     pub fn input_locs(&self) -> impl Iterator<Item = (usize, LaneSource)> + '_ {
-        lanes(self.input_mask).zip(self.inputs.iter().copied())
+        lanes(self.input_mask).zip(self.inputs.iter().map(|s| s.get()))
     }
 
     /// Iterates over the `(lane, addr)` register locations read at the
@@ -574,7 +631,7 @@ impl NetInstruction {
     /// `ExecStats::flops` for every slot, whether the machine executes the
     /// program or [`crate::timing::predict`] only times it.
     pub fn flop_count(&self) -> u64 {
-        let muls = self.inputs.iter().filter(|s| s.is_multiply()).count() as u64;
+        let muls = self.input_locs().filter(|(_, s)| s.is_multiply()).count() as u64;
         let sums: u32 = (0..self.stages())
             .map(|s| (self.direct[s] & self.cross[s]).count_ones())
             .sum();
@@ -1083,6 +1140,65 @@ mod tests {
     }
 
     #[test]
+    fn every_lane_source_round_trips_through_its_stored_form() {
+        let wide = u32::MAX as usize;
+        let sources = [
+            LaneSource::Reg { addr: wide },
+            LaneSource::Stream,
+            LaneSource::RegTimesStream {
+                addr: 7,
+                negate: true,
+            },
+            LaneSource::RegTimesLatch {
+                addr: 0,
+                negate: false,
+            },
+            LaneSource::RegTimesImm { addr: 3, imm: -0.0 },
+            LaneSource::StreamTimesLatch { negate: true },
+        ];
+        let mut i = NetInstruction::nop(8);
+        for (lane, src) in sources.into_iter().enumerate() {
+            // Every variant, so a new one fails compilation here.
+            match src {
+                LaneSource::Reg { .. }
+                | LaneSource::Stream
+                | LaneSource::RegTimesStream { .. }
+                | LaneSource::RegTimesLatch { .. }
+                | LaneSource::RegTimesImm { .. }
+                | LaneSource::StreamTimesLatch { .. } => {}
+            }
+            i.set_input(lane, src);
+        }
+        assert_masks(&i);
+        for (lane, src) in sources.into_iter().enumerate() {
+            assert_eq!(i.input(lane), Some(src), "lane {lane}");
+        }
+        let Some(LaneSource::RegTimesImm { imm, .. }) = i.input(4) else {
+            unreachable!()
+        };
+        assert!(imm.is_sign_negative(), "the immediate keeps its bits");
+        assert_eq!(std::mem::size_of::<StoredSource>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 2 input address 4294967296 exceeds 32 bits")]
+    fn input_addresses_above_32_bits_are_refused() {
+        NetInstruction::nop(8).set_input(
+            2,
+            LaneSource::RegTimesStream {
+                addr: 1 << 32,
+                negate: false,
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 5 write address 4294967296 exceeds 32 bits")]
+    fn write_addresses_above_32_bits_are_refused() {
+        NetInstruction::nop(8).set_write(5, store(1 << 32));
+    }
+
+    #[test]
     fn masks_follow_every_lane_setter_in_any_order() {
         let mut i = NetInstruction::nop(16);
         for (k, lane) in [9, 2, 15, 0, 7].into_iter().enumerate() {
@@ -1223,7 +1339,7 @@ mod tests {
         i.set_write(64, store(4));
         i.set_out_mul(127, OutMul::MulStream { negate: true });
         assert_masks(&i);
-        assert_eq!(i.input_mask(), 1 << 127 | 1);
+        assert_eq!(i.input_mask, 1 << 127 | 1);
         // The final adder stage drives both written lanes.
         let last = i.stage_mask(i.stages() - 1);
         assert!(last & bit(127) != 0 && last & bit(64) != 0);
@@ -1237,13 +1353,13 @@ mod tests {
         far.route(2, 2);
         let merged = i.try_merge(&far).unwrap();
         assert_masks(&merged);
-        assert_eq!(merged.input_mask(), 1 << 127 | 0b101);
+        assert_eq!(merged.input_mask, 1 << 127 | 0b101);
     }
 
     /// Bytes one instruction holds: the struct plus its per-lane stores.
     fn bytes(i: &NetInstruction) -> usize {
         std::mem::size_of::<NetInstruction>()
-            + i.inputs.capacity() * std::mem::size_of::<LaneSource>()
+            + i.inputs.capacity() * std::mem::size_of::<StoredSource>()
             + i.writes.capacity() * std::mem::size_of::<StoredWrite>()
     }
 

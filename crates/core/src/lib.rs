@@ -30,7 +30,8 @@
 //! One issue engine serves three consumers: [`timing::predict`] (values
 //! off: exact `ExecStats` or the machine's exact error, without
 //! execution), [`machine::Machine::run`], which takes the same outcome
-//! once per [`program::Program`] and then runs the value stage, and
+//! once per [`program::Program`] and then runs the value stage over the
+//! program's decoded slots, and
 //! [`critical_path::critical_path`] (the chain of dependences bounding a
 //! program). Because the machine is fully static, "would strict
 //! execution accept this program" has one exact answer, and `predict`

@@ -17,13 +17,17 @@
 //! never depends on a value, so [`Machine::run`] takes the issue outcome
 //! — the fault replay's, memoised by the [`Program`] — and then runs only
 //! the value stage (registers, latches, the HBM stream) over the slots
-//! that outcome lets execute. `predict` reads no memo, so a prediction
-//! and a run are still two computations.
+//! that outcome lets execute. The value stage executes decoded slots:
+//! flat lists of reads, adds, output multiplies and writes, which the
+//! [`Program`] also memoises for its first key, and which a run under
+//! another key decodes one slot at a time into the machine's own scratch.
+//! `predict` reads no memo, so a prediction and a run are still two
+//! computations.
 
 use crate::hbm::HbmStream;
-use crate::instruction::{lanes, LaneSource, NetInstruction, WriteMode};
+use crate::instruction::{NetInstruction, WriteMode};
 use crate::pending::{BindingWrite, PendingWrites};
-use crate::program::Program;
+use crate::program::{Decoded, Program, ReadKind};
 use crate::regfile::RegisterFiles;
 use crate::stats::ExecStats;
 use crate::{MibConfig, MibError, Result};
@@ -45,16 +49,34 @@ pub struct Machine {
     config: MibConfig,
     regs: RegisterFiles,
     latches: Vec<f64>,
+    /// The value stage's scratch words, one per value a slot can form:
+    /// word 0, never written, is the zero every idle or dead input reads.
+    values: Vec<f64>,
+    /// The slot a run under a key other than its program's memo decodes.
+    slot: Decoded,
 }
 
 impl Machine {
     /// Builds a machine for the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register files hold more than 2³² words.
     pub fn new(config: MibConfig) -> Self {
         let regs = RegisterFiles::new(config.width, config.bank_depth);
+        let words = config.width * config.bank_depth;
+        assert!(
+            words as u64 <= 1 << 32,
+            "register files of {words} words exceed 32-bit indices"
+        );
         Machine {
             config,
             regs,
             latches: vec![0.0; config.width],
+            // The zero word, the reads, the adds of every stage and the
+            // output multiplies.
+            values: vec![0.0; 1 + config.width * (config.stages() + 2)],
+            slot: Decoded::default(),
         }
     }
 
@@ -78,14 +100,15 @@ impl Machine {
     ///
     /// A run is the program's issue outcome — its statistics or its
     /// error, and how many slots execute — followed by the value stage
-    /// over those slots. The outcome is the [`Program`]'s memo when this
-    /// run has the key of its first run (configuration, policy, stream
-    /// words left); otherwise the issue engine computes it, and stores it
-    /// if this is the first run. The value stage is the registers,
-    /// latches and stream: on an error it stops where the engine stopped,
-    /// having run the faulting slot up to an address or stream fault, so
-    /// the partial register state and the stream cursor are the ones the
-    /// fault leaves.
+    /// over those slots. When this run has the key of the [`Program`]'s
+    /// first run (configuration, policy, stream words left), both the
+    /// outcome and the decoded slots are the program's memo, built by that
+    /// first run. Under another key the issue engine computes the outcome,
+    /// and each slot is decoded into the machine's scratch just before it
+    /// executes. The value stage is the registers, latches and stream: on
+    /// an error it stops where the engine stopped, having run the faulting
+    /// slot up to an address or stream fault, so the partial register
+    /// state and the stream cursor are the ones the fault leaves.
     ///
     /// # Errors
     ///
@@ -98,86 +121,114 @@ impl Machine {
         hbm: &mut HbmStream,
         policy: HazardPolicy,
     ) -> Result<ExecStats> {
-        let outcome = program.issue(&self.config, policy, hbm.remaining());
-        let (regs, latches) = (&mut self.regs, &mut self.latches);
-        // Lane values entering and leaving an adder stage, reused by
-        // every slot. A lane outside a buffer's `live` mask holds 0.0, the
-        // output of an idle node; only live lanes are ever cleared.
-        let mut values = vec![0.0f64; self.config.width];
-        let mut next = vec![0.0f64; self.config.width];
-        let (mut live, mut next_live) = (0u128, 0u128);
-        for (idx, inst) in program[..outcome.evaluated].iter().enumerate() {
-            let mut word = || {
-                hbm.next_word()
-                    .ok_or(MibError::StreamExhausted { instruction: idx })
+        let (outcome, memo) = program.issue(&self.config, policy, hbm.remaining());
+        let mut stage = ValueStage {
+            regs: self.regs.words_mut(),
+            latches: &mut self.latches,
+            values: &mut self.values,
+            words: hbm.unread(),
+            word: 0,
+        };
+        let mut at = Cursor::default();
+        for inst in &program[..outcome.evaluated] {
+            let form = if let Some(form) = memo {
+                form
+            } else {
+                let slot = &mut self.slot;
+                slot.clear();
+                let mut left = stage.words.len() - stage.word;
+                slot.decode(inst, self.config.bank_depth, &mut left);
+                at = Cursor::default();
+                slot
             };
-            // Multiplier stage (stream words consumed in lane order).
-            clear_lanes(&mut values, live & !inst.input_mask());
-            live = inst.input_mask();
-            for (lane, src) in inst.input_locs() {
-                let v = match src {
-                    LaneSource::Reg { addr } => regs.read(lane, addr)?,
-                    LaneSource::Stream => word()?,
-                    LaneSource::RegTimesStream { addr, negate } => {
-                        signed(regs.read(lane, addr)? * word()?, negate)
-                    }
-                    LaneSource::RegTimesLatch { addr, negate } => {
-                        signed(regs.read(lane, addr)? * latches[lane], negate)
-                    }
-                    LaneSource::RegTimesImm { addr, imm } => regs.read(lane, addr)? * imm,
-                    LaneSource::StreamTimesLatch { negate } => {
-                        signed(word()? * latches[lane], negate)
-                    }
-                };
-                values[lane] = v;
-            }
-            // Adder stages.
-            for s in 0..inst.stages() {
-                let bit = 1usize << s;
-                let (direct, cross) = inst.stage_inputs(s);
-                let active = direct | cross;
-                clear_lanes(&mut next, next_live & !active);
-                next_live = active;
-                for lane in lanes(active) {
-                    next[lane] = match (direct >> lane & 1 != 0, cross >> lane & 1 != 0) {
-                        (true, true) => values[lane] + values[lane ^ bit],
-                        (true, false) => values[lane],
-                        _ => values[lane ^ bit],
-                    };
+            stage.execute(form, &mut at);
+        }
+        let consumed = stage.word;
+        hbm.advance(consumed);
+        outcome.result
+    }
+}
+
+/// The next slot of a decoded form, and where its operations start.
+#[derive(Default)]
+struct Cursor {
+    slot: usize,
+    read: usize,
+    imm: usize,
+    add: usize,
+    out: usize,
+    write: usize,
+}
+
+/// What the value stage reads and writes.
+struct ValueStage<'a> {
+    /// The register files' words.
+    regs: &'a mut [f64],
+    latches: &'a mut [f64],
+    /// Scratch, word 0 zero.
+    values: &'a mut [f64],
+    /// The stream's unread words when the run began.
+    words: &'a [f64],
+    /// How many of them the run has consumed.
+    word: usize,
+}
+
+impl ValueStage<'_> {
+    /// Executes the slot of `form` at `at` and moves `at` to the next.
+    fn execute(&mut self, form: &Decoded, at: &mut Cursor) {
+        let [reads, adds, outs, writes] = form.counts[at.slot].map(usize::from);
+        let (regs, latches, values) = (&mut *self.regs, &mut *self.latches, &mut *self.values);
+        let (words, word) = (self.words, &mut self.word);
+        let mut next_word = || {
+            *word += 1;
+            words[*word - 1]
+        };
+        // Multiplier stage (stream words consumed in lane order); the
+        // `k`-th read forms scratch word `1 + k`.
+        for (k, r) in form.reads[at.read..at.read + reads].iter().enumerate() {
+            let reg = r.reg as usize;
+            values[1 + k] = match r.kind {
+                ReadKind::Reg => regs[reg],
+                ReadKind::Stream => next_word(),
+                ReadKind::RegTimesStream => signed(regs[reg] * next_word(), r.negate),
+                ReadKind::RegTimesLatch => {
+                    signed(regs[reg] * latches[usize::from(r.lane)], r.negate)
                 }
-                std::mem::swap(&mut values, &mut next);
-                std::mem::swap(&mut live, &mut next_live);
-            }
-            // Output multiplier stage (consumes stream words after the
-            // input stage, in lane order).
-            for (lane, negate) in inst.out_mul_locs() {
-                values[lane] *= signed(word()?, negate);
-            }
-            live |= inst.out_mul_mask();
-            // Writeback stage.
-            for (lane, w) in inst.write_locs() {
-                let v = values[lane];
-                match w.mode {
-                    WriteMode::Store => regs.write(lane, w.addr, v)?,
-                    WriteMode::Add => regs.accumulate(lane, w.addr, v)?,
-                    WriteMode::StoreRecip => regs.write(lane, w.addr, 1.0 / v)?,
-                    WriteMode::Latch => latches[lane] = v,
-                    WriteMode::Min => {
-                        let cur = regs.read(lane, w.addr)?;
-                        regs.write(lane, w.addr, cur.min(v))?;
-                    }
-                    WriteMode::Max => {
-                        let cur = regs.read(lane, w.addr)?;
-                        regs.write(lane, w.addr, cur.max(v))?;
-                    }
-                    WriteMode::MaxAbs => {
-                        let cur = regs.read(lane, w.addr)?;
-                        regs.write(lane, w.addr, cur.max(v.abs()))?;
-                    }
+                ReadKind::RegTimesImm => {
+                    at.imm += 1;
+                    regs[reg] * form.imms[at.imm - 1]
                 }
+                ReadKind::StreamTimesLatch => {
+                    signed(next_word() * latches[usize::from(r.lane)], r.negate)
+                }
+            };
+        }
+        // Adder stages: only the `Sum` nodes remain.
+        for &[dst, a, b] in &form.adds[at.add..at.add + adds] {
+            values[usize::from(dst)] = values[usize::from(a)] + values[usize::from(b)];
+        }
+        // Output multiplier stage (stream words after the input stage's).
+        for o in &form.outs[at.out..at.out + outs] {
+            values[usize::from(o.dst)] = values[usize::from(o.src)] * signed(next_word(), o.negate);
+        }
+        // Writeback stage.
+        for w in &form.writes[at.write..at.write + writes] {
+            let (v, reg) = (values[usize::from(w.src)], w.reg as usize);
+            match w.mode {
+                WriteMode::Store => regs[reg] = v,
+                WriteMode::Add => regs[reg] += v,
+                WriteMode::StoreRecip => regs[reg] = 1.0 / v,
+                WriteMode::Latch => latches[reg] = v,
+                WriteMode::Min => regs[reg] = regs[reg].min(v),
+                WriteMode::Max => regs[reg] = regs[reg].max(v),
+                WriteMode::MaxAbs => regs[reg] = regs[reg].max(v.abs()),
             }
         }
-        outcome.result
+        at.slot += 1;
+        at.read += reads;
+        at.add += adds;
+        at.out += outs;
+        at.write += writes;
     }
 }
 
@@ -253,17 +304,10 @@ fn signed(p: f64, negate: bool) -> f64 {
     }
 }
 
-/// Zeroes the lanes of `mask` in `buf`.
-fn clear_lanes(buf: &mut [f64], mask: u128) {
-    for lane in lanes(mask) {
-        buf[lane] = 0.0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instruction::{InstrKind, LaneWrite};
+    use crate::instruction::{InstrKind, LaneSource, LaneWrite};
 
     fn machine8() -> Machine {
         Machine::new(MibConfig {

@@ -72,6 +72,11 @@ impl RegisterFiles {
         Ok(())
     }
 
+    /// Every word, `bank[addr]` at `addr * width + bank`.
+    pub(crate) fn words_mut(&mut self) -> &mut [f64] {
+        &mut self.words
+    }
+
     /// Clears every bank to zero.
     pub fn clear(&mut self) {
         self.words.fill(0.0);

@@ -32,9 +32,10 @@
 //! was timed on its own call, one machine serving every run, on a 2-vCPU
 //! Intel Xeon guest. That is cheap enough to run on every compiled
 //! schedule as the compiler's cost oracle
-//! (`mib_compiler::cost::StaticCost`). Those are first runs: a repeated
-//! run of one `Program` under the same key no longer pays the engine, only
-//! the value stage.
+//! (`mib_compiler::cost::StaticCost`). Those are first runs, which now
+//! also decode the program they run: a repeated run of one `Program`
+//! under the same key pays neither the engine nor the decoding, only the
+//! decoded value stage.
 
 use crate::instruction::{NetInstruction, WriteMode};
 use crate::machine::{issue_program, HazardPolicy};

@@ -14,8 +14,10 @@
 //! fault leaves — on random programs under both policies, on every
 //! program of `results/BENCH_verify.json`'s sample, and on the programs
 //! and run order of the `accel` benchmark workload, cache hits included.
-//! A last group checks that a `Program`'s memoised issue outcome never
-//! serves a run it does not hold for.
+//! Each program runs three times: the first run builds the `Program`'s
+//! memo (its issue outcome and decoded slots), the later ones execute
+//! it. A last group checks that the memo never serves a run it does not
+//! hold for: such a run decodes each slot as it goes.
 
 use std::collections::HashMap;
 
@@ -489,8 +491,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Random programs — stalls, hazards, address and stream faults,
-    /// width mismatches — under both policies, each run twice on one
-    /// machine: the second run takes its issue outcome from the memo.
+    /// width mismatches — under both policies, each run three times on
+    /// one machine: the first run builds the memo, the later two execute
+    /// its decoded slots.
     #[test]
     fn random_programs_match_the_reference(
         slots in proptest::collection::vec((0u64..u64::MAX, 0usize..3), 1..16),
@@ -520,9 +523,11 @@ proptest! {
             };
             let first = pair.run("random", &program, &words, policy);
             pair.assert_registers("random");
-            let again = pair.run("random, again", &program, &words, policy);
-            pair.assert_registers("random, again");
-            prop_assert_eq!(first.is_ok(), again.is_ok());
+            for label in ["random, again", "random, a third time"] {
+                let again = pair.run(label, &program, &words, policy);
+                pair.assert_registers(label);
+                prop_assert_eq!(first.is_ok(), again.is_ok());
+            }
         }
     }
 }
@@ -543,8 +548,8 @@ fn schedules(l: &LoweredQp) -> [(&'static str, &mib::compiler::Schedule); 5] {
 }
 
 /// The programs of the `verify_schedules` sample (C = 32, both backends),
-/// in order on one machine per lowering, under the strict policy the
-/// sample is certified with. Lowering the largest instances unoptimised
+/// in order on one machine per lowering, each three times, under the
+/// strict policy the sample is certified with. Lowering the largest instances unoptimised
 /// takes most of a minute, so by default this takes the first instance
 /// of each domain (40 programs); `MIB_TIMING_FULL=1`, which
 /// `scripts/check.sh` sets for its optimised run, takes all three
@@ -569,10 +574,12 @@ fn verify_sample_matches_the_reference() {
                     if s.program.is_empty() {
                         continue;
                     }
-                    let label = format!("{domain}[{index}]/{backend:?}/{name}");
-                    pair.run(&label, &s.program, &s.hbm, HazardPolicy::Strict)
-                        .unwrap_or_else(|e| panic!("{label}: {e}"));
-                    pair.assert_registers(&label);
+                    for run in 1..=3 {
+                        let label = format!("{domain}[{index}]/{backend:?}/{name}, run {run}");
+                        pair.run(&label, &s.program, &s.hbm, HazardPolicy::Strict)
+                            .unwrap_or_else(|e| panic!("{label}: {e}"));
+                        pair.assert_registers(&label);
+                    }
                     programs += 1;
                 }
             }
@@ -592,10 +599,10 @@ fn machine_settings(backend: KktBackend) -> Settings {
     }
 }
 
-/// `problem` with a new `q`: a cache hit.
-fn revalued(problem: &Problem) -> Problem {
+/// `problem` with `q` scaled and shifted: a cache hit.
+fn revalued(problem: &Problem, scale: f64) -> Problem {
     let (p, q, a, l, u) = problem.clone().into_parts();
-    let q = q.iter().map(|v| 0.75 * v + 0.125).collect();
+    let q = q.iter().map(|v| scale * v + 0.125).collect();
     Problem::new(p, q, a, l, u).expect("re-valued problem is valid")
 }
 
@@ -626,8 +633,8 @@ fn run_plan(pair: &mut Pair, label: &str, l: &LoweredQp) {
 
 /// The `accel` workload's 25 programs (suite indices 0 and 3 at C = 32 in
 /// both variants, index 0 at C = 16 direct), each run to its plan as a
-/// miss and again as a cache hit on the same machine, as the workload
-/// does.
+/// miss and again as two cache hits on the same machine, as the workload
+/// does: the hits share every program but `load` with the miss.
 #[test]
 fn accel_programs_match_the_reference() {
     let mut cache = ProgramCache::new();
@@ -646,7 +653,11 @@ fn accel_programs_match_the_reference() {
             let settings = machine_settings(backend);
             let base = instance(domain, index).problem;
             let label = format!("{domain}[{index}]/{backend:?}/C{}", config.width);
-            for (problem, kind) in [(base.clone(), "miss"), (revalued(&base), "hit")] {
+            for (problem, kind) in [
+                (base.clone(), "miss"),
+                (revalued(&base, 0.75), "hit"),
+                (revalued(&base, 0.5), "second hit"),
+            ] {
                 let misses = cache.misses();
                 let lowered = cache
                     .lower_cached(&problem, &settings, config)
@@ -673,8 +684,12 @@ fn fresh_run(
     (result, m.regs().clone(), hbm.consumed())
 }
 
-/// Asserts that `shared`, whose memo already holds another run's
-/// outcome, runs like a fresh copy of itself and like the reference.
+/// Asserts that `shared`, whose memo already holds another key's outcome
+/// and decoded slots, runs like a fresh copy of itself and like the
+/// reference, twice on one machine each: `shared` decodes every slot on
+/// the fly both times, while the copy builds its memo on the first run
+/// and executes it on the second. Results, registers and stream cursors
+/// must agree, the partial ones a fault leaves included.
 fn assert_unmemoised(
     label: &str,
     shared: &Program,
@@ -683,11 +698,67 @@ fn assert_unmemoised(
     policy: HazardPolicy,
 ) {
     let fresh = Program::from(shared.to_vec());
-    let want = fresh_run(&fresh, config, words, policy);
-    assert_eq!(fresh_run(shared, config, words, policy), want, "{label}");
+    let (mut on_the_fly, mut memoised) = (Machine::new(config), Machine::new(config));
     let mut pair = Pair::new(config);
-    let _ = pair.run(label, shared, words, policy);
-    pair.assert_registers(label);
+    for run in 1..=2 {
+        let label = format!("{label}, run {run}");
+        let mut hbm = HbmStream::new(words.to_vec());
+        let mut fresh_hbm = HbmStream::new(words.to_vec());
+        assert_eq!(
+            on_the_fly.run(shared, &mut hbm, policy),
+            memoised.run(&fresh, &mut fresh_hbm, policy),
+            "{label}: result"
+        );
+        assert_eq!(
+            hbm.consumed(),
+            fresh_hbm.consumed(),
+            "{label}: stream cursor"
+        );
+        assert!(on_the_fly.regs() == memoised.regs(), "{label}: registers");
+        let _ = pair.run(&label, shared, words, policy);
+        pair.assert_registers(&label);
+    }
+}
+
+/// A `Sum` node with one idle input still adds: a `-0.0` on its live
+/// input leaves as `+0.0`, where a plain copy (lane 2) keeps the sign.
+#[test]
+fn a_sum_with_one_idle_input_adds_zero() {
+    let cfg = random_config();
+    let store = LaneWrite {
+        addr: 1,
+        mode: WriteMode::Store,
+    };
+    let mut inst = NetInstruction::nop(cfg.width);
+    inst.set_input(0, LaneSource::Stream);
+    // Node (0, 0) takes lane 0 and the idle lane 1.
+    inst.set_node_sum(0, 0);
+    for s in 1..cfg.stages() {
+        inst.set_node(s, 0, NodeMode::Direct);
+    }
+    inst.set_write(0, store);
+    inst.set_input(2, LaneSource::Stream);
+    inst.route(2, 2);
+    inst.set_write(2, store);
+    let program = Program::from(vec![inst]);
+    let mut pair = Pair::new(cfg);
+    for run in 1..=3 {
+        let label = format!("sum of -0.0 and an idle input, run {run}");
+        pair.run(&label, &program, &[-0.0, -0.0], HazardPolicy::Strict)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        pair.assert_registers(&label);
+        let regs = pair.machine.regs();
+        assert_eq!(
+            regs.read(0, 1).unwrap().to_bits(),
+            0.0f64.to_bits(),
+            "{label}"
+        );
+        assert_eq!(
+            regs.read(2, 1).unwrap().to_bits(),
+            (-0.0f64).to_bits(),
+            "{label}"
+        );
+    }
 }
 
 /// A small compiled program and its stream: the direct ADMM iteration of
@@ -836,7 +907,7 @@ fn memo_after_a_cache_hit() {
     let mut warm = Pair::new(config);
     run_plan(&mut warm, "miss", &miss);
     let hit = cache
-        .lower_cached(&revalued(&problem), &settings, config)
+        .lower_cached(&revalued(&problem, 0.75), &settings, config)
         .unwrap();
     assert_eq!(cache.hits(), 1);
     assert!(hit.iteration.program == miss.iteration.program);

@@ -17,6 +17,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use mib::compiler::lower::lower;
+use mib::core::hbm::HbmStream;
+use mib::core::machine::{HazardPolicy, Machine};
+use mib::core::MibConfig;
 use mib::problems::{instance, portfolio, Domain};
 use mib::qp::linsys::IndirectKkt;
 use mib::qp::{KktBackend, Problem, Settings, Solver, Status, INFTY};
@@ -296,4 +300,40 @@ fn warm_started_resolve_performs_zero_allocations() {
     let allocs = allocations_during(|| solver.solve_into(&mut result));
     assert_eq!(result.status, Status::Solved);
     assert_eq!(allocs, 0, "warm-started re-solve allocated {allocs} times");
+}
+
+/// A compiled program's repeated run on the simulated machine allocates
+/// nothing: under the key of its first run, `Machine::run` takes the
+/// `Program`'s memoised issue outcome and decoded slots and executes them
+/// in the machine's own scratch. The program is an `accel`-style one: the
+/// direct ADMM iteration of a suite instance at C = 32, unscaled, fixed ρ.
+#[test]
+fn repeated_machine_run_performs_zero_allocations() {
+    let config = MibConfig::c32();
+    let settings = Settings {
+        scaling_iters: 0,
+        adaptive_rho: false,
+        ..Settings::with_backend(KktBackend::Direct)
+    };
+    let lowered = lower(&instance(Domain::Portfolio, 0).problem, &settings, config)
+        .expect("the instance lowers");
+    let iteration = &lowered.iteration;
+    let mut machine = Machine::new(config);
+    let first = machine.run(
+        &iteration.program,
+        &mut HbmStream::new(iteration.hbm.clone()),
+        HazardPolicy::Strict,
+    );
+    assert!(first.is_ok(), "first run: {first:?}");
+    let mut hbm = HbmStream::new(iteration.hbm.clone());
+    let mut again = None;
+    let allocs = allocations_during(|| {
+        again = Some(machine.run(&iteration.program, &mut hbm, HazardPolicy::Strict));
+    });
+    assert_eq!(again, Some(first));
+    assert_eq!(hbm.remaining(), 0, "the run consumes its stream");
+    assert_eq!(
+        allocs, 0,
+        "a repeated Machine::run allocated {allocs} times"
+    );
 }
