@@ -15,8 +15,8 @@
 //! same-pattern solve *shares* the cached programs and regenerates only the
 //! cheap load program via `lower::build_load_schedule`. A
 //! [`Program`](mib_core::program::Program) is reference-counted, so a hit
-//! copies no instruction, and it carries its memo with it: the issue
-//! outcome and the decoded slots. A hit's runs on the machine the miss ran
+//! copies no instruction, and it carries its memo with it: the run
+//! result and the decoded slots. A hit's runs on the machine the miss ran
 //! on pay neither the issue engine nor the decoding, only the decoded
 //! value stage.
 //!

@@ -21,7 +21,7 @@
 
 use crate::instruction::{InstrKind, NetInstruction};
 use crate::machine::{issue_program, HazardPolicy};
-use crate::pending::BindingWrite;
+use crate::pending::{BindingWrite, PendingWrites};
 use crate::MibConfig;
 
 /// A storage location of the machine: a register-bank word or a lane's
@@ -89,7 +89,9 @@ pub fn critical_path(program: &[NetInstruction], config: &MibConfig) -> Critical
         bound.push(binding.map(|b| (b, issue - earliest)));
         earliest = issue + 1;
     };
-    let Ok(stats) = issue_program(program, config, HazardPolicy::Stall, |_, _| Ok(()), record)
+    let window = &mut PendingWrites::new(config);
+    let stage = |_, _: &_| Ok(());
+    let Ok(stats) = issue_program(program, config, HazardPolicy::Stall, window, stage, record)
     else {
         return CriticalPath::default();
     };

@@ -26,11 +26,6 @@ impl HbmStream {
         HbmStream::default()
     }
 
-    /// Appends words to the end of the stream.
-    pub fn extend_from_slice(&mut self, words: &[f64]) {
-        self.data.extend_from_slice(words);
-    }
-
     /// Pops the next word, or `None` when exhausted.
     pub fn next_word(&mut self) -> Option<f64> {
         let w = self.data.get(self.pos).copied();
@@ -89,10 +84,7 @@ mod tests {
 
     #[test]
     fn extend_appends() {
-        let mut s = HbmStream::empty();
+        let s = HbmStream::empty();
         assert!(s.is_empty());
-        s.extend_from_slice(&[4.0]);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.next_word(), Some(4.0));
     }
 }

@@ -27,13 +27,14 @@
 //! pipeline hazard rules, so a mis-scheduled program either stalls (with
 //! stalls counted) or fails verification.
 //!
-//! One issue engine serves three consumers: [`timing::predict`] (values
-//! off: exact `ExecStats` or the machine's exact error, without
-//! execution), [`machine::Machine::run`], which takes the same outcome
-//! once per [`program::Program`] and then runs the value stage over the
-//! program's decoded slots, and
-//! [`critical_path::critical_path`] (the chain of dependences bounding a
-//! program). Because the machine is fully static, "would strict
+//! One issue engine serves three consumers: [`machine::Machine::run`],
+//! whose functional stage is the decoder — one pass over the slots yields
+//! the run's result and the decoded slots its value stage executes, both
+//! memoised once per [`program::Program`] — [`timing::predict`], which
+//! runs the same decoder as a check that records nothing (values off:
+//! exact `ExecStats` or the machine's exact error, without execution),
+//! and [`critical_path::critical_path`] (the chain of dependences bounding
+//! a program). The per-slot fault order is written once, in the decoder. Because the machine is fully static, "would strict
 //! execution accept this program" has one exact answer, and `predict`
 //! computes it. A program is **certified** when
 //! `predict(program, hbm_words, config, HazardPolicy::Strict)` is `Ok`;

@@ -11,23 +11,21 @@
 //! used to verify that compiler schedules are hazard-free.
 //!
 //! Those issue rules live in one place, `issue_program`, generic over the
-//! functional stage it runs for each slot. [`crate::timing::predict`]
-//! passes a stage that only replays faults, and
-//! [`crate::critical_path::critical_path`] one that does nothing. Issue
-//! never depends on a value, so [`Machine::run`] takes the issue outcome
-//! — the fault replay's, memoised by the [`Program`] — and then runs only
-//! the value stage (registers, latches, the HBM stream) over the slots
-//! that outcome lets execute. The value stage executes decoded slots:
-//! flat lists of reads, adds, output multiplies and writes, which the
-//! [`Program`] also memoises for its first key, and which a run under
-//! another key decodes one slot at a time into the machine's own scratch.
-//! `predict` reads no memo, so a prediction and a run are still two
-//! computations.
+//! functional stage it runs for each slot. [`Machine::run`]'s stage is
+//! the decoder, which checks each slot for address and stream faults and
+//! appends it to a decoded form: flat lists of reads, adds, output
+//! multiplies and writes. [`crate::timing::predict`] runs the same
+//! decoder as a check that records nothing, and
+//! [`crate::critical_path::critical_path`] a stage that does nothing.
+//! Issue never depends on a value, so a run is that build, memoised by
+//! the [`Program`] for the key of its first run and otherwise made into
+//! the machine's own scratch, followed by the value stage (registers,
+//! latches, the HBM stream) over the one decoded form.
 
 use crate::hbm::HbmStream;
-use crate::instruction::{NetInstruction, WriteMode};
+use crate::instruction::NetInstruction;
 use crate::pending::{BindingWrite, PendingWrites};
-use crate::program::{Decoded, Program, ReadKind};
+use crate::program::{Decoded, Program};
 use crate::regfile::RegisterFiles;
 use crate::stats::ExecStats;
 use crate::{MibConfig, MibError, Result};
@@ -52,8 +50,10 @@ pub struct Machine {
     /// The value stage's scratch words, one per value a slot can form:
     /// word 0, never written, is the zero every idle or dead input reads.
     values: Vec<f64>,
-    /// The slot a run under a key other than its program's memo decodes.
-    slot: Decoded,
+    /// The decoded form of a run under a key other than its program's
+    /// memo, and the pending-write window that run's issue engine uses.
+    form: Decoded,
+    window: PendingWrites,
 }
 
 impl Machine {
@@ -76,7 +76,8 @@ impl Machine {
             // The zero word, the reads, the adds of every stage and the
             // output multiplies.
             values: vec![0.0; 1 + config.width * (config.stages() + 2)],
-            slot: Decoded::default(),
+            form: Decoded::default(),
+            window: PendingWrites::new(&config),
         }
     }
 
@@ -98,17 +99,16 @@ impl Machine {
 
     /// Executes a program against the HBM stream, returning statistics.
     ///
-    /// A run is the program's issue outcome — its statistics or its
-    /// error, and how many slots execute — followed by the value stage
-    /// over those slots. When this run has the key of the [`Program`]'s
-    /// first run (configuration, policy, stream words left), both the
-    /// outcome and the decoded slots are the program's memo, built by that
-    /// first run. Under another key the issue engine computes the outcome,
-    /// and each slot is decoded into the machine's scratch just before it
-    /// executes. The value stage is the registers, latches and stream: on
-    /// an error it stops where the engine stopped, having run the faulting
-    /// slot up to an address or stream fault, so the partial register
-    /// state and the stream cursor are the ones the fault leaves.
+    /// A run is the program's build — its statistics or its error, and
+    /// the decoded form of the slots that execute — followed by the value
+    /// stage over that form. When this run has the key of the
+    /// [`Program`]'s first run (configuration, policy, stream words left),
+    /// the build is the program's memo, made by that first run; under
+    /// another key it is made into the machine's own scratch. The value
+    /// stage is the registers, latches and stream: on an error it stops
+    /// where the engine stopped, having run the faulting slot up to an
+    /// address or stream fault, so the partial register state and the
+    /// stream cursor are the ones the fault leaves.
     ///
     /// # Errors
     ///
@@ -121,123 +121,27 @@ impl Machine {
         hbm: &mut HbmStream,
         policy: HazardPolicy,
     ) -> Result<ExecStats> {
-        let (outcome, memo) = program.issue(&self.config, policy, hbm.remaining());
-        let mut stage = ValueStage {
-            regs: self.regs.words_mut(),
-            latches: &mut self.latches,
-            values: &mut self.values,
-            words: hbm.unread(),
-            word: 0,
+        let (words, config) = (hbm.remaining(), &self.config);
+        let (result, form) = if let Some((result, form)) = program.memo(config, policy, words) {
+            (result.clone(), form)
+        } else {
+            let window = &mut self.window;
+            let result = self.form.build(program, config, policy, words, window);
+            (result, &self.form)
         };
-        let mut at = Cursor::default();
-        for inst in &program[..outcome.evaluated] {
-            let form = if let Some(form) = memo {
-                form
-            } else {
-                let slot = &mut self.slot;
-                slot.clear();
-                let mut left = stage.words.len() - stage.word;
-                slot.decode(inst, self.config.bank_depth, &mut left);
-                at = Cursor::default();
-                slot
-            };
-            stage.execute(form, &mut at);
-        }
-        let consumed = stage.word;
-        hbm.advance(consumed);
-        outcome.result
-    }
-}
-
-/// The next slot of a decoded form, and where its operations start.
-#[derive(Default)]
-struct Cursor {
-    slot: usize,
-    read: usize,
-    imm: usize,
-    add: usize,
-    out: usize,
-    write: usize,
-}
-
-/// What the value stage reads and writes.
-struct ValueStage<'a> {
-    /// The register files' words.
-    regs: &'a mut [f64],
-    latches: &'a mut [f64],
-    /// Scratch, word 0 zero.
-    values: &'a mut [f64],
-    /// The stream's unread words when the run began.
-    words: &'a [f64],
-    /// How many of them the run has consumed.
-    word: usize,
-}
-
-impl ValueStage<'_> {
-    /// Executes the slot of `form` at `at` and moves `at` to the next.
-    fn execute(&mut self, form: &Decoded, at: &mut Cursor) {
-        let [reads, adds, outs, writes] = form.counts[at.slot].map(usize::from);
-        let (regs, latches, values) = (&mut *self.regs, &mut *self.latches, &mut *self.values);
-        let (words, word) = (self.words, &mut self.word);
-        let mut next_word = || {
-            *word += 1;
-            words[*word - 1]
-        };
-        // Multiplier stage (stream words consumed in lane order); the
-        // `k`-th read forms scratch word `1 + k`.
-        for (k, r) in form.reads[at.read..at.read + reads].iter().enumerate() {
-            let reg = r.reg as usize;
-            values[1 + k] = match r.kind {
-                ReadKind::Reg => regs[reg],
-                ReadKind::Stream => next_word(),
-                ReadKind::RegTimesStream => signed(regs[reg] * next_word(), r.negate),
-                ReadKind::RegTimesLatch => {
-                    signed(regs[reg] * latches[usize::from(r.lane)], r.negate)
-                }
-                ReadKind::RegTimesImm => {
-                    at.imm += 1;
-                    regs[reg] * form.imms[at.imm - 1]
-                }
-                ReadKind::StreamTimesLatch => {
-                    signed(next_word() * latches[usize::from(r.lane)], r.negate)
-                }
-            };
-        }
-        // Adder stages: only the `Sum` nodes remain.
-        for &[dst, a, b] in &form.adds[at.add..at.add + adds] {
-            values[usize::from(dst)] = values[usize::from(a)] + values[usize::from(b)];
-        }
-        // Output multiplier stage (stream words after the input stage's).
-        for o in &form.outs[at.out..at.out + outs] {
-            values[usize::from(o.dst)] = values[usize::from(o.src)] * signed(next_word(), o.negate);
-        }
-        // Writeback stage.
-        for w in &form.writes[at.write..at.write + writes] {
-            let (v, reg) = (values[usize::from(w.src)], w.reg as usize);
-            match w.mode {
-                WriteMode::Store => regs[reg] = v,
-                WriteMode::Add => regs[reg] += v,
-                WriteMode::StoreRecip => regs[reg] = 1.0 / v,
-                WriteMode::Latch => latches[reg] = v,
-                WriteMode::Min => regs[reg] = regs[reg].min(v),
-                WriteMode::Max => regs[reg] = regs[reg].max(v),
-                WriteMode::MaxAbs => regs[reg] = regs[reg].max(v.abs()),
-            }
-        }
-        at.slot += 1;
-        at.read += reads;
-        at.add += adds;
-        at.out += outs;
-        at.write += writes;
+        let (regs, latches, values) = (self.regs.words_mut(), &mut self.latches, &mut self.values);
+        hbm.advance(form.execute(regs, latches, values, hbm.unread()));
+        result
     }
 }
 
 /// The issue engine: the one loop that turns a program into issue cycles,
-/// shared by the fault replay of [`predict`](crate::timing::predict) and
-/// [`Machine::run`]'s issue outcome, and by
+/// shared by [`Machine::run`]'s build, by
+/// [`predict`](crate::timing::predict) and by
 /// [`critical_path`](crate::critical_path::critical_path). Each caller
 /// passes its own functional stage and a per-slot hook as closures, so
-/// every caller gets its own monomorphised copy of the loop.
+/// every caller gets its own monomorphised copy of the loop, and the
+/// pending-write window, which the engine empties first.
 ///
 /// Per slot, in order: the width check; one
 /// [`PendingWrites::binding`] query from the slot's earliest issue cycle
@@ -252,12 +156,13 @@ pub(crate) fn issue_program(
     program: &[NetInstruction],
     config: &MibConfig,
     policy: HazardPolicy,
+    pending: &mut PendingWrites,
     mut evaluate: impl FnMut(usize, &NetInstruction) -> Result<()>,
     mut issued: impl FnMut(usize, u64, Option<BindingWrite>),
 ) -> Result<ExecStats> {
     let latency = config.latency();
     let mut stats = ExecStats::default();
-    let mut pending = PendingWrites::new(config);
+    pending.clear();
     let mut cycle: u64 = 0;
     for (idx, inst) in program.iter().enumerate() {
         if inst.width() != config.width {
@@ -295,19 +200,10 @@ pub(crate) fn issue_program(
     Ok(stats)
 }
 
-/// `-p` when `negate`, else `p`: a multiplier node's sign bit.
-fn signed(p: f64, negate: bool) -> f64 {
-    if negate {
-        -p
-    } else {
-        p
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instruction::{InstrKind, LaneSource, LaneWrite};
+    use crate::instruction::{InstrKind, LaneSource, LaneWrite, WriteMode};
 
     fn machine8() -> Machine {
         Machine::new(MibConfig {

@@ -86,6 +86,16 @@ impl PendingWrites {
         }
     }
 
+    /// Empties the window, keeping its buffers.
+    pub fn clear(&mut self) {
+        self.addrs.fill(NO_WRITE);
+        self.written.fill(0);
+        self.any_written = 0;
+        self.latches.fill(None);
+        self.newest = 2 * self.depth - 1;
+        self.len = 0;
+    }
+
     /// Records the writes of `inst`, issued as slot `slot` and visible
     /// from cycle `ready` on, as the window's newest slot; the oldest
     /// slot leaves once the window is full. Only the lanes the two slots

@@ -1,4 +1,4 @@
-//! Compiled programs, shared, issued once and decoded once.
+//! Compiled programs, shared, and issued and decoded in one pass.
 //!
 //! The machine is fully static: a program's issue cycles, stalls,
 //! counters and hazard verdict follow from its encoding, the machine
@@ -6,23 +6,27 @@
 //! read — never from the values it computes. Its dataflow is static too:
 //! which register word, latch or stream word feeds each multiplier, which
 //! adder nodes add and which only route, and which value each writeback
-//! takes. A [`Program`] is an immutable, reference-counted slot list that
-//! memoises, for the first key it runs under, that **issue outcome** and
-//! a **decoded form** of the slots the value stage executes: flat lists of
-//! reads, adds, output multiplies and writes, with every `Direct`/`Cross`
-//! node resolved to an operand index. So every later run of the same
-//! program on the same machine executes the decoded form and pays neither
-//! the issue engine nor the lane masks, and cloning a program (a compiled
-//! schedule, a cache hit) is a reference count.
+//! takes. `Decoded::build` computes both at once: it runs the issue
+//! engine with the decoder as its functional stage, so one pass over the
+//! slots yields the run's result and a **decoded form** of the slots the
+//! run executes — flat lists of reads, adds, output multiplies and
+//! writes, with every `Direct`/`Cross` node resolved to an operand index
+//! — and `Decoded::execute`, the machine's value stage, runs that form.
+//! A [`Program`] is an immutable, reference-counted slot list that
+//! memoises that pair for the first key it runs under. So every later run
+//! of the same program on the same machine executes the decoded form and
+//! pays neither the issue engine nor the lane masks, and cloning a
+//! program (a compiled schedule, a cache hit) is a reference count.
 
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use crate::instruction::{lanes, LaneSource, NetInstruction, WriteMode, MAX_WIDTH};
-use crate::machine::HazardPolicy;
+use crate::machine::{issue_program, HazardPolicy};
+use crate::pending::PendingWrites;
 use crate::stats::ExecStats;
-use crate::{timing, MibConfig, Result};
+use crate::{MibConfig, MibError, Result};
 
 /// An immutable program: one [`NetInstruction`] per issue slot, shared by
 /// every clone. It reads as a slice (`Deref<Target = [NetInstruction]>`)
@@ -38,13 +42,13 @@ struct Shared {
 
 struct Memo {
     key: IssueKey,
-    outcome: IssueOutcome,
-    /// The slots `outcome` lets execute, decoded under `key`.
+    /// The run's statistics, or the error that stops it.
+    result: Result<ExecStats>,
+    /// The slots the run executes, decoded under `key`.
     form: Decoded,
 }
 
-/// What an issue outcome and a decoded form depend on besides the
-/// program.
+/// What a run's result and decoded form depend on besides the program.
 #[derive(Clone, Copy, PartialEq)]
 struct IssueKey {
     config: MibConfig,
@@ -53,58 +57,36 @@ struct IssueKey {
     hbm_words: usize,
 }
 
-/// What the issue engine decides about one run, before any value is
-/// computed.
-#[derive(Clone)]
-pub(crate) struct IssueOutcome {
-    /// The slots the value stage evaluates: all of them when the run
-    /// succeeds; on an error, those before the slot that stops the run,
-    /// plus that slot for an address or stream fault, which the value
-    /// stage meets part-way through it.
-    pub(crate) evaluated: usize,
-    /// The run's statistics, or the error that stops it.
-    pub(crate) result: Result<ExecStats>,
-}
-
 impl Program {
-    /// The issue outcome of running on a machine with `config` under
-    /// `policy`, fed by a stream with `hbm_words` words left, and the
-    /// decoded form of the slots it lets execute: the memoised pair when
-    /// the key matches the first run's (computed and stored on the first
-    /// run); otherwise the outcome alone, computed afresh.
-    pub(crate) fn issue(
+    /// The result and decoded form of running on a machine with `config`
+    /// under `policy`, fed by a stream with `hbm_words` words left, if
+    /// that is the key of the program's first run; the first run builds
+    /// and stores them.
+    pub(crate) fn memo(
         &self,
         config: &MibConfig,
         policy: HazardPolicy,
         hbm_words: usize,
-    ) -> (IssueOutcome, Option<&Decoded>) {
+    ) -> Option<(&Result<ExecStats>, &Decoded)> {
         let key = IssueKey {
             config: *config,
             policy,
             hbm_words,
         };
-        let compute = || timing::replay(self, hbm_words, config, policy, |_, _, _| {});
         let memo = self.0.memo.get_or_init(|| {
-            let outcome = compute();
             let mut form = Decoded::default();
-            let mut words = hbm_words;
-            for inst in &self[..outcome.evaluated] {
-                form.decode(inst, config.bank_depth, &mut words);
-            }
+            let window = &mut PendingWrites::new(config);
+            let result = form.build(self, config, policy, hbm_words, window);
             form.shrink_to_fit();
-            Memo { key, outcome, form }
+            Memo { key, result, form }
         });
-        if memo.key == key {
-            (memo.outcome.clone(), Some(&memo.form))
-        } else {
-            (compute(), None)
-        }
+        (memo.key == key).then_some((&memo.result, &memo.form))
     }
 }
 
 /// How a decoded read forms its lane's multiplier output.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum ReadKind {
+enum ReadKind {
     /// The register word.
     Reg,
     /// The next stream word.
@@ -122,33 +104,33 @@ pub(crate) enum ReadKind {
 /// One multiplier-stage read. The `k`-th read of a slot writes scratch
 /// word `1 + k`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Read {
+struct Read {
     /// The register word, `addr · C + lane` (the register files' layout);
     /// 0, and unread, for a source without one.
-    pub(crate) reg: u32,
+    reg: u32,
     /// The lane, whose latch a latch product reads.
-    pub(crate) lane: u8,
-    pub(crate) kind: ReadKind,
+    lane: u8,
+    kind: ReadKind,
     /// Negate the product.
-    pub(crate) negate: bool,
+    negate: bool,
 }
 
 /// An output multiply: scratch `dst` = scratch `src` times the next
 /// stream word, negated if `negate`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct OutMultiply {
-    pub(crate) dst: u16,
-    pub(crate) src: u16,
-    pub(crate) negate: bool,
+struct OutMultiply {
+    dst: u16,
+    src: u16,
+    negate: bool,
 }
 
 /// A writeback of scratch `src` to register word `reg` (as in [`Read`]),
 /// or to latch `reg` for [`WriteMode::Latch`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Write {
-    pub(crate) reg: u32,
-    pub(crate) src: u16,
-    pub(crate) mode: WriteMode,
+struct Write {
+    reg: u32,
+    src: u16,
+    mode: WriteMode,
 }
 
 /// Slots decoded into flat operation lists, each in the order the value
@@ -161,25 +143,43 @@ pub(crate) struct Write {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Decoded {
     /// Per slot, how many reads, adds, output multiplies and writes.
-    pub(crate) counts: Vec<[u16; 4]>,
-    pub(crate) reads: Vec<Read>,
+    counts: Vec<[u16; 4]>,
+    reads: Vec<Read>,
     /// One per [`ReadKind::RegTimesImm`] read, in read order.
-    pub(crate) imms: Vec<f64>,
+    imms: Vec<f64>,
     /// `[dst, a, b]`: scratch `dst` = scratch `a` + scratch `b`.
-    pub(crate) adds: Vec<[u16; 3]>,
-    pub(crate) outs: Vec<OutMultiply>,
-    pub(crate) writes: Vec<Write>,
+    adds: Vec<[u16; 3]>,
+    outs: Vec<OutMultiply>,
+    writes: Vec<Write>,
 }
 
 impl Decoded {
-    /// Empties the form, keeping its buffers.
-    pub(crate) fn clear(&mut self) {
+    /// Builds `program` into the form, replacing what it held, for a run
+    /// on a machine with `config` under `policy`, fed by a stream with
+    /// `hbm_words` words left: the issue engine, with pending-write
+    /// window `window`, and the decoder as its functional stage. Returns
+    /// the run's statistics or its error. The form then holds the slots
+    /// the run executes: all of them, or on an error those before the
+    /// slot that stops the run, plus that slot, cut at its fault, for an
+    /// address or stream fault.
+    pub(crate) fn build(
+        &mut self,
+        program: &[NetInstruction],
+        config: &MibConfig,
+        policy: HazardPolicy,
+        hbm_words: usize,
+        window: &mut PendingWrites,
+    ) -> Result<ExecStats> {
         self.counts.clear();
         self.reads.clear();
         self.imms.clear();
         self.adds.clear();
         self.outs.clear();
         self.writes.clear();
+        let mut words = hbm_words;
+        let depth = config.bank_depth;
+        let decode = |idx, inst: &_| self.decode::<true>(idx, inst, depth, &mut words);
+        issue_program(program, config, policy, window, decode, |_, _, _| {})
     }
 
     fn shrink_to_fit(&mut self) {
@@ -191,32 +191,119 @@ impl Decoded {
         self.writes.shrink_to_fit();
     }
 
-    /// Appends `inst` as one slot, for banks `depth` words deep and
-    /// `words` stream words left, which it decrements. It makes the fault
-    /// replay's checks in the replay's order, and the slot ends just
-    /// before the first operation that faults: a register address
-    /// `≥ depth` or a stream word past the last. The operations before
-    /// it still run, as they did on the machine, so the value stage never
-    /// checks a bound.
-    pub(crate) fn decode(&mut self, inst: &NetInstruction, depth: usize, words: &mut usize) {
-        let mut counts = [0; 4];
-        // `None` is a fault: the slot keeps what it has.
-        let _ = self.decode_ops(inst, depth, words, &mut counts);
-        self.counts.push(counts);
+    /// The value stage: executes the slots in order on the register words
+    /// `regs` (`addr · C + lane`), the `latches` and the scratch `values`
+    /// (word 0 zero), reading stream words from `words`, and returns how
+    /// many it read.
+    pub(crate) fn execute(
+        &self,
+        regs: &mut [f64],
+        latches: &mut [f64],
+        values: &mut [f64],
+        words: &[f64],
+    ) -> usize {
+        let (mut reads, mut adds) = (&self.reads[..], &self.adds[..]);
+        let (mut outs, mut writes) = (&self.outs[..], &self.writes[..]);
+        let (mut word, mut imm) = (0, 0);
+        let mut next_word = || {
+            word += 1;
+            words[word - 1]
+        };
+        for &[n_reads, n_adds, n_outs, n_writes] in &self.counts {
+            // Multiplier stage (stream words consumed in lane order); the
+            // `k`-th read forms scratch word `1 + k`.
+            for (k, r) in split_off(&mut reads, n_reads).iter().enumerate() {
+                let reg = r.reg as usize;
+                values[1 + k] = match r.kind {
+                    ReadKind::Reg => regs[reg],
+                    ReadKind::Stream => next_word(),
+                    ReadKind::RegTimesStream => signed(regs[reg] * next_word(), r.negate),
+                    ReadKind::RegTimesLatch => {
+                        signed(regs[reg] * latches[usize::from(r.lane)], r.negate)
+                    }
+                    ReadKind::RegTimesImm => {
+                        imm += 1;
+                        regs[reg] * self.imms[imm - 1]
+                    }
+                    ReadKind::StreamTimesLatch => {
+                        signed(next_word() * latches[usize::from(r.lane)], r.negate)
+                    }
+                };
+            }
+            // Adder stages: only the `Sum` nodes remain.
+            for &[dst, a, b] in split_off(&mut adds, n_adds) {
+                values[usize::from(dst)] = values[usize::from(a)] + values[usize::from(b)];
+            }
+            // Output multiplier stage (stream words after the input stage's).
+            for o in split_off(&mut outs, n_outs) {
+                values[usize::from(o.dst)] =
+                    values[usize::from(o.src)] * signed(next_word(), o.negate);
+            }
+            // Writeback stage.
+            for w in split_off(&mut writes, n_writes) {
+                let (v, reg) = (values[usize::from(w.src)], w.reg as usize);
+                match w.mode {
+                    WriteMode::Store => regs[reg] = v,
+                    WriteMode::Add => regs[reg] += v,
+                    WriteMode::StoreRecip => regs[reg] = 1.0 / v,
+                    WriteMode::Latch => latches[reg] = v,
+                    WriteMode::Min => regs[reg] = regs[reg].min(v),
+                    WriteMode::Max => regs[reg] = regs[reg].max(v),
+                    WriteMode::MaxAbs => regs[reg] = regs[reg].max(v.abs()),
+                }
+            }
+        }
+        word
     }
 
-    fn decode_ops(
+    /// Decodes `inst`, slot `idx` of its program, for banks `depth` words
+    /// deep and `words` stream words left, which it decrements, and with
+    /// `RECORD` appends it as one slot. This is the machine's fault order,
+    /// written once: per lane the register address before the stream
+    /// word; then the output multipliers' stream words; then the writes'
+    /// addresses, a latch write touching no bank. An address `≥ depth` is
+    /// [`MibError::AddressOutOfRange`] and a word past the last
+    /// [`MibError::StreamExhausted`]. The slot ends just before the
+    /// operation that faults: the operations before it still run, as they
+    /// did on the machine, so the value stage never checks a bound.
+    /// Without `RECORD` the decoder only checks: it records nothing and
+    /// walks no adder stage.
+    pub(crate) fn decode<const RECORD: bool>(
         &mut self,
+        idx: usize,
+        inst: &NetInstruction,
+        depth: usize,
+        words: &mut usize,
+    ) -> Result<()> {
+        let mut counts = [0; 4];
+        let result = self.decode_ops::<RECORD>(idx, inst, depth, words, &mut counts);
+        if RECORD {
+            self.counts.push(counts);
+        }
+        result
+    }
+
+    fn decode_ops<const RECORD: bool>(
+        &mut self,
+        idx: usize,
         inst: &NetInstruction,
         depth: usize,
         words: &mut usize,
         counts: &mut [u16; 4],
-    ) -> Option<()> {
+    ) -> Result<()> {
         let width = inst.width();
-        let reg = |lane: usize, addr: usize| (addr < depth).then(|| (addr * width + lane) as u32);
+        let reg = |bank: usize, addr: usize| {
+            if addr < depth {
+                Ok((addr * width + bank) as u32)
+            } else {
+                Err(MibError::AddressOutOfRange { bank, addr, depth })
+            }
+        };
         let mut take_word = || {
-            *words = words.checked_sub(1)?;
-            Some(())
+            *words = words
+                .checked_sub(1)
+                .ok_or(MibError::StreamExhausted { instruction: idx })?;
+            Ok(())
         };
         // The scratch word carrying each lane's value (0: the zero word),
         // and the next free one.
@@ -229,6 +316,9 @@ impl Decoded {
             };
             if src.uses_stream() {
                 take_word()?;
+            }
+            if !RECORD {
+                continue;
             }
             let (kind, negate) = match src {
                 LaneSource::Reg { .. } => (ReadKind::Reg, false),
@@ -251,7 +341,9 @@ impl Decoded {
             at[lane] = next;
             next += 1;
         }
-        for s in 0..inst.stages() {
+        // A check walks no adder stage.
+        let stages = if RECORD { inst.stages() } else { 0 };
+        for s in 0..stages {
             let bit = 1 << s;
             let (direct, cross) = inst.stage_inputs(s);
             let mut out = [0u16; MAX_WIDTH];
@@ -272,14 +364,16 @@ impl Decoded {
         }
         for (lane, negate) in inst.out_mul_locs() {
             take_word()?;
-            self.outs.push(OutMultiply {
-                dst: next,
-                src: at[lane],
-                negate,
-            });
-            counts[2] += 1;
-            at[lane] = next;
-            next += 1;
+            if RECORD {
+                self.outs.push(OutMultiply {
+                    dst: next,
+                    src: at[lane],
+                    negate,
+                });
+                counts[2] += 1;
+                at[lane] = next;
+                next += 1;
+            }
         }
         for (lane, w) in inst.write_locs() {
             let reg = if w.mode == WriteMode::Latch {
@@ -287,14 +381,32 @@ impl Decoded {
             } else {
                 reg(lane, w.addr)?
             };
-            self.writes.push(Write {
-                reg,
-                src: at[lane],
-                mode: w.mode,
-            });
-            counts[3] += 1;
+            if RECORD {
+                self.writes.push(Write {
+                    reg,
+                    src: at[lane],
+                    mode: w.mode,
+                });
+                counts[3] += 1;
+            }
         }
-        Some(())
+        Ok(())
+    }
+}
+
+/// The first `n` entries of `list`, which moves past them.
+fn split_off<'a, T>(list: &mut &'a [T], n: u16) -> &'a [T] {
+    let (head, tail) = list.split_at(usize::from(n));
+    *list = tail;
+    head
+}
+
+/// `-p` when `negate`, else `p`: a multiplier node's sign bit.
+fn signed(p: f64, negate: bool) -> f64 {
+    if negate {
+        -p
+    } else {
+        p
     }
 }
 

@@ -61,17 +61,6 @@ impl RegisterFiles {
         Ok(())
     }
 
-    /// Accumulates `bank[addr] += value` (the accumulating writeback port).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MibError::AddressOutOfRange`] for bad addresses.
-    pub fn accumulate(&mut self, bank: usize, addr: usize, value: f64) -> Result<()> {
-        let i = self.index(bank, addr)?;
-        self.words[i] += value;
-        Ok(())
-    }
-
     /// Every word, `bank[addr]` at `addr * width + bank`.
     pub(crate) fn words_mut(&mut self) -> &mut [f64] {
         &mut self.words
@@ -118,8 +107,6 @@ mod tests {
         r.write(2, 3, 1.5).unwrap();
         assert_eq!(r.read(2, 3).unwrap(), 1.5);
         assert_eq!(r.read(2, 4).unwrap(), 0.0);
-        r.accumulate(2, 3, 0.5).unwrap();
-        assert_eq!(r.read(2, 3).unwrap(), 2.0);
     }
 
     #[test]

@@ -8,41 +8,38 @@
 //! `log₂C + 2` from [`MibConfig::latency`]. So the predictor is the
 //! machine with values switched off: [`predict`] runs the machine's issue
 //! engine — the width check, the pending-write window, the stall (or
-//! strict rejection), the counters and the drain — with a functional
-//! stage that computes no value and only replays the faults. The result
-//! is a **bitwise** prediction of the run: the full [`ExecStats`], equal
-//! field-for-field to what `Machine::run` returns — or, when the machine
-//! would reject the program, the **same** [`MibError`] value, at the same
-//! instruction in the same check order.
+//! strict rejection), the counters and the drain — with the machine's
+//! decoder as its functional stage, in a check-only instantiation that
+//! computes no value and records nothing. The result is a **bitwise**
+//! prediction of the run: the full [`ExecStats`], equal field-for-field
+//! to what `Machine::run` returns — or, when the machine would reject the
+//! program, the **same** [`MibError`](crate::MibError) value, at the
+//! same instruction in the same check order.
 //!
-//! [`Machine::run`](crate::machine::Machine::run) takes its own issue
-//! outcome from this replay, memoised by the
-//! [`Program`](crate::program::Program), and then runs the value stage
-//! over the slots it lets execute. So the part of a prediction a
-//! differential suite (`tests/static_timing.rs`,
+//! [`Machine::run`](crate::machine::Machine::run) runs the same engine
+//! with the same decoder, which there also records the decoded form its
+//! value stage executes. So the fault order is written once, and the part
+//! of a prediction a differential suite (`tests/static_timing.rs`,
 //! `tests/proptest_timing.rs`) tests on its own is the agreement of the
-//! fault replay with the value stage, and `tests/machine_reference.rs`
-//! holds both to a dense reference interpreter that shares no code with
+//! decoder's cut with the value stage; `tests/machine_reference.rs` holds
+//! the machine to a dense reference interpreter that shares no code with
 //! either.
 //!
-//! No register values are computed and no stream words are materialized.
-//! Over the 120-program `verify_schedules --timing` sample at C = 32,
-//! prediction took 0.34 s against the simulator's 0.59 s (`speedup` 1.74
-//! in `results/BENCH_verify.json`; 1.74–1.81 over three runs). Each side
-//! was timed on its own call, one machine serving every run, on a 2-vCPU
-//! Intel Xeon guest. That is cheap enough to run on every compiled
-//! schedule as the compiler's cost oracle
-//! (`mib_compiler::cost::StaticCost`). Those are first runs, which now
-//! also decode the program they run: a repeated run of one `Program`
-//! under the same key pays neither the engine nor the decoding, only the
-//! decoded value stage.
+//! No register values are computed, no stream words are materialized and
+//! no adder stage is walked. The predictor's cost beside the simulator's,
+//! over the 120-program `verify_schedules --timing` sample, is recorded in
+//! `results/BENCH_verify.json` (`analysis_us`, `simulation_us`,
+//! `speedup`); it is cheap enough to run on every compiled schedule as the
+//! compiler's cost oracle (`mib_compiler::cost::StaticCost`). Those are
+//! first runs: a repeated run of one `Program` under the same key pays
+//! neither the engine nor the decoding, only the decoded value stage.
 
-use crate::instruction::{NetInstruction, WriteMode};
+use crate::instruction::NetInstruction;
 use crate::machine::{issue_program, HazardPolicy};
-use crate::pending::BindingWrite;
-use crate::program::IssueOutcome;
+use crate::pending::PendingWrites;
+use crate::program::Decoded;
 use crate::stats::ExecStats;
-use crate::{MibConfig, MibError, Result};
+use crate::{MibConfig, Result};
 
 /// The statically predicted outcome of executing a program: the exact
 /// statistics the machine would produce, plus every slot's issue cycle.
@@ -69,11 +66,15 @@ impl StaticTiming {
 ///
 /// # Errors
 ///
-/// Returns precisely the [`MibError`] the machine's execution would
-/// return: [`MibError::WidthMismatch`], [`MibError::DataHazard`] (strict
-/// policy only), [`MibError::AddressOutOfRange`] or
-/// [`MibError::StreamExhausted`] — same variant, same payload, detected
-/// in the machine's own check order.
+/// Returns precisely the error the machine's execution would return —
+/// [`WidthMismatch`], [`DataHazard`] (strict policy only),
+/// [`AddressOutOfRange`] or [`StreamExhausted`] — same variant, same
+/// payload, detected in the machine's own check order.
+///
+/// [`WidthMismatch`]: crate::MibError::WidthMismatch
+/// [`DataHazard`]: crate::MibError::DataHazard
+/// [`AddressOutOfRange`]: crate::MibError::AddressOutOfRange
+/// [`StreamExhausted`]: crate::MibError::StreamExhausted
 pub fn predict(
     program: &[NetInstruction],
     hbm_words: usize,
@@ -81,85 +82,31 @@ pub fn predict(
     policy: HazardPolicy,
 ) -> Result<StaticTiming> {
     let mut issue_cycles = Vec::with_capacity(program.len());
-    let stats = replay(program, hbm_words, config, policy, |_, issue, _| {
-        issue_cycles.push(issue);
-    })
-    .result?;
+    // The machine's decoder as a check: it records nothing, so this form
+    // stays empty.
+    let (mut unused, mut words) = (Decoded::default(), hbm_words);
+    let depth = config.bank_depth;
+    let stats = issue_program(
+        program,
+        config,
+        policy,
+        &mut PendingWrites::new(config),
+        |idx, inst| unused.decode::<false>(idx, inst, depth, &mut words),
+        |_, issue, _| issue_cycles.push(issue),
+    )?;
     Ok(StaticTiming {
         stats,
         issue_cycles,
     })
 }
 
-/// The issue engine with the fault-replay stage, which also counts the
-/// slots it replayed: every slot on success, and on an error the slots
-/// before the one that stops the run, plus that slot when the stage
-/// itself faulted in it. [`predict`] and a [`Program`]'s issue outcome
-/// are this.
-///
-/// [`Program`]: crate::program::Program
-pub(crate) fn replay(
-    program: &[NetInstruction],
-    hbm_words: usize,
-    config: &MibConfig,
-    policy: HazardPolicy,
-    issued: impl FnMut(usize, u64, Option<BindingWrite>),
-) -> IssueOutcome {
-    let mut evaluated = 0;
-    // The machine reads stream words positionally, so exhaustion is a
-    // pure counting question.
-    let mut streamed: usize = 0;
-    // The machine's fault order: per lane, the register read before the
-    // stream word; output multipliers stream after the whole input stage;
-    // writebacks bounds-check last (a latch write touches no bank).
-    let stage = |idx: usize, inst: &NetInstruction| -> Result<()> {
-        evaluated = idx + 1;
-        let mut take = |n: usize| {
-            streamed += n;
-            if streamed > hbm_words {
-                return Err(MibError::StreamExhausted { instruction: idx });
-            }
-            Ok(())
-        };
-        for (lane, src) in inst.input_locs() {
-            if let Some(addr) = src.reg_addr() {
-                check_addr(lane, addr, config)?;
-            }
-            if src.uses_stream() {
-                take(1)?;
-            }
-        }
-        take(inst.out_mul_mask().count_ones() as usize)?;
-        for (lane, w) in inst.write_locs() {
-            if w.mode != WriteMode::Latch {
-                check_addr(lane, w.addr, config)?;
-            }
-        }
-        Ok(())
-    };
-    let result = issue_program(program, config, policy, stage, issued);
-    IssueOutcome { evaluated, result }
-}
-
-/// The register files' bounds check: a lane index is always in range (the
-/// width check comes first), so only the address can fault.
-fn check_addr(bank: usize, addr: usize, config: &MibConfig) -> Result<()> {
-    if addr >= config.bank_depth {
-        return Err(MibError::AddressOutOfRange {
-            bank,
-            addr,
-            depth: config.bank_depth,
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hbm::HbmStream;
-    use crate::instruction::{LaneSource, LaneWrite};
+    use crate::instruction::{LaneSource, LaneWrite, OutMul, WriteMode};
     use crate::machine::Machine;
+    use crate::MibError;
 
     fn config8() -> MibConfig {
         MibConfig {
@@ -307,5 +254,33 @@ mod tests {
         assert_exact(&[NetInstruction::nop(4)], &[], &cfg);
         assert_exact(&[mov(2, 64, 0)], &[], &cfg);
         assert_exact(&[mov(2, 0, 64)], &[], &cfg);
+        // With no stream word left, a lane's register address faults
+        // before its stream word, and the output multiplier's stream word
+        // before a write address.
+        let mut read = mov(2, 0, 0);
+        read.set_input(
+            3,
+            LaneSource::RegTimesStream {
+                addr: 64,
+                negate: false,
+            },
+        );
+        let mut write = mov(2, 0, 64);
+        write.set_out_mul(2, OutMul::MulStream { negate: false });
+        for (inst, fault) in [
+            (
+                read,
+                MibError::AddressOutOfRange {
+                    bank: 3,
+                    addr: 64,
+                    depth: 64,
+                },
+            ),
+            (write, MibError::StreamExhausted { instruction: 0 }),
+        ] {
+            let prog = [inst];
+            assert_eq!(predict(&prog, 0, &cfg, HazardPolicy::Strict), Err(fault));
+            assert_exact(&prog, &[], &cfg);
+        }
     }
 }

@@ -6,8 +6,8 @@
 //! through `NetInstruction`'s public accessors (`input`, `node`,
 //! `out_mul`, `write`). Its issue rule is a dense table of when each
 //! register word and latch becomes visible. It shares no code with the
-//! machine's issue engine, pending-write window, fault replay or value
-//! stage, and it memoises nothing.
+//! machine's issue engine, pending-write window, decoder or value stage,
+//! and it memoises nothing.
 //!
 //! The machine must equal it bitwise — registers, the stream cursor,
 //! `ExecStats`, and on a fault the error with the partial state the
@@ -15,9 +15,10 @@
 //! program of `results/BENCH_verify.json`'s sample, and on the programs
 //! and run order of the `accel` benchmark workload, cache hits included.
 //! Each program runs three times: the first run builds the `Program`'s
-//! memo (its issue outcome and decoded slots), the later ones execute
-//! it. A last group checks that the memo never serves a run it does not
-//! hold for: such a run decodes each slot as it goes.
+//! memo (its result and decoded slots), the later ones execute it. A
+//! last group checks that the memo never serves a run it does not hold
+//! for: such a run builds the whole program into the machine's own
+//! decoded form.
 
 use std::collections::HashMap;
 
@@ -684,11 +685,11 @@ fn fresh_run(
     (result, m.regs().clone(), hbm.consumed())
 }
 
-/// Asserts that `shared`, whose memo already holds another key's outcome
+/// Asserts that `shared`, whose memo already holds another key's result
 /// and decoded slots, runs like a fresh copy of itself and like the
-/// reference, twice on one machine each: `shared` decodes every slot on
-/// the fly both times, while the copy builds its memo on the first run
-/// and executes it on the second. Results, registers and stream cursors
+/// reference, twice on one machine each: `shared` is built into the
+/// machine's own decoded form both times, while the copy builds its memo
+/// on the first run and executes it on the second. Results, registers and stream cursors
 /// must agree, the partial ones a fault leaves included.
 fn assert_unmemoised(
     label: &str,

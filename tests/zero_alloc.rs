@@ -303,10 +303,13 @@ fn warm_started_resolve_performs_zero_allocations() {
 }
 
 /// A compiled program's repeated run on the simulated machine allocates
-/// nothing: under the key of its first run, `Machine::run` takes the
-/// `Program`'s memoised issue outcome and decoded slots and executes them
-/// in the machine's own scratch. The program is an `accel`-style one: the
-/// direct ADMM iteration of a suite instance at C = 32, unscaled, fixed ρ.
+/// nothing. Under the key of its first run, `Machine::run` takes the
+/// `Program`'s memoised result and decoded slots and executes them in the
+/// machine's own scratch words. Under another key (here `Stall` after a
+/// `Strict` first run) it builds the whole program into the machine's own
+/// decoded form and pending-write window, which later runs reuse. The
+/// program is an `accel`-style one: the direct ADMM iteration of a suite
+/// instance at C = 32, unscaled, fixed ρ.
 #[test]
 fn repeated_machine_run_performs_zero_allocations() {
     let config = MibConfig::c32();
@@ -330,10 +333,31 @@ fn repeated_machine_run_performs_zero_allocations() {
     let allocs = allocations_during(|| {
         again = Some(machine.run(&iteration.program, &mut hbm, HazardPolicy::Strict));
     });
-    assert_eq!(again, Some(first));
+    assert_eq!(again, Some(first.clone()));
     assert_eq!(hbm.remaining(), 0, "the run consumes its stream");
     assert_eq!(
         allocs, 0,
         "a repeated Machine::run allocated {allocs} times"
     );
+
+    // Under another key: the first such run sizes the machine's scratch.
+    let stall = machine.run(
+        &iteration.program,
+        &mut HbmStream::new(iteration.hbm.clone()),
+        HazardPolicy::Stall,
+    );
+    assert_eq!(stall, first, "the program never stalls");
+    for run in 2..=3 {
+        let mut hbm = HbmStream::new(iteration.hbm.clone());
+        let mut again = None;
+        let allocs = allocations_during(|| {
+            again = Some(machine.run(&iteration.program, &mut hbm, HazardPolicy::Stall));
+        });
+        assert_eq!(again, Some(stall.clone()), "Stall run {run}");
+        assert_eq!(hbm.remaining(), 0, "Stall run {run} consumes its stream");
+        assert_eq!(
+            allocs, 0,
+            "Stall run {run}, under a key other than the memo's, allocated {allocs} times"
+        );
+    }
 }
