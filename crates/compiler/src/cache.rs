@@ -15,10 +15,12 @@
 //! same-pattern solve *shares* the cached programs and regenerates only the
 //! cheap load program via `lower::build_load_schedule`. A
 //! [`Program`](mib_core::program::Program) is reference-counted, so a hit
-//! copies no instruction, and it carries its memo with it: the run
-//! result and the decoded slots. A hit's runs on the machine the miss ran
-//! on pay neither the issue engine nor the decoding, only the decoded
-//! value stage.
+//! copies no instruction, and it carries its memos with it: the run
+//! result and the decoded slots, and the static timing of its first
+//! prediction. A hit's runs on the machine the miss ran on pay neither
+//! the issue engine nor the decoding, only the decoded value stage, and
+//! its predictions under the miss's key are memo reads. Only the load
+//! program, rebuilt on every hit, is run and predicted afresh.
 //!
 //! # What counts as "the same pattern"
 //!

@@ -8,7 +8,10 @@
 //! `ExecStats` across every benchmark program), at a fraction of the
 //! simulation cost because no functional state is computed. This is the
 //! trusted signal a schedule autotuner can search against: comparing two
-//! candidate schedules costs two predictions, not two simulations.
+//! candidate schedules costs two predictions, not two simulations, and a
+//! repeated query of one schedule under the same key is a memo read
+//! (the schedule's [`Program`](mib_core::program::Program) keeps its
+//! first prediction).
 //!
 //! [`lower_bound`] is the packing bound the cycles are held against.
 

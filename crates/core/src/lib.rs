@@ -32,16 +32,17 @@
 //! the run's result and the decoded slots its value stage executes, both
 //! memoised once per [`program::Program`] — [`timing::predict`], which
 //! runs the same decoder as a check that records nothing (values off:
-//! exact `ExecStats` or the machine's exact error, without execution),
+//! exact `ExecStats` or the machine's exact error, without execution)
+//! and memoises its own first result per `Program`, apart from the run's,
 //! and [`critical_path::critical_path`] (the chain of dependences bounding
-//! a program). The per-slot fault order is written once, in the decoder. Because the machine is fully static, "would strict
-//! execution accept this program" has one exact answer, and `predict`
-//! computes it. A program is **certified** when
-//! `predict(program, hbm_words, config, HazardPolicy::Strict)` is `Ok`;
-//! the compiler adds its packing cross-check for the schedules it packs
-//! (`mib_compiler::verify`). `tests/proptest_verify.rs` pins the verdict
-//! against strict execution on random programs and on mutated compiled
-//! schedules.
+//! a program). The per-slot fault order is written once, in the decoder.
+//! Because the machine is fully static, "would strict execution accept
+//! this program" has one exact answer, and `predict` computes it. A
+//! program is **certified** when `predict(program, hbm_words, config,
+//! HazardPolicy::Strict)` is `Ok`; the compiler adds its packing
+//! cross-check for the schedules it packs (`mib_compiler::verify`).
+//! `tests/proptest_verify.rs` pins the verdict against strict execution
+//! on random programs and on mutated compiled schedules.
 //!
 //! Two fidelity notes relative to the paper, also recorded in DESIGN.md:
 //! the paper leaves the column-elimination datapath partially unspecified;
@@ -95,7 +96,12 @@ mod tests {
         hbm_words: usize,
         cfg: &MibConfig,
     ) -> Result<StaticTiming> {
-        predict(program, hbm_words, cfg, HazardPolicy::Strict)
+        predict(
+            &program.to_vec().into(),
+            hbm_words,
+            cfg,
+            HazardPolicy::Strict,
+        )
     }
 
     /// `dst[lane] <- stream` for one lane.

@@ -17,6 +17,15 @@
 //! of the same program on the same machine executes the decoded form and
 //! pays neither the issue engine nor the lane masks, and cloning a
 //! program (a compiled schedule, a cache hit) is a reference count.
+//!
+//! Beside that run memo a `Program` keeps a prediction memo: the
+//! [`StaticTiming`] or error of its first [`predict`], for that
+//! prediction's key. `predict` alone fills and reads it, from its own
+//! check-only pass of the engine, and `Machine::run` reads only the run
+//! memo; so a program's first prediction and first run stay two separate
+//! computations, and a later prediction under the same key is a copy.
+//!
+//! [`predict`]: crate::timing::predict
 
 use std::fmt;
 use std::ops::Deref;
@@ -26,6 +35,7 @@ use crate::instruction::{lanes, LaneSource, NetInstruction, WriteMode, MAX_WIDTH
 use crate::machine::{issue_program, HazardPolicy};
 use crate::pending::PendingWrites;
 use crate::stats::ExecStats;
+use crate::timing::StaticTiming;
 use crate::{MibConfig, MibError, Result};
 
 /// An immutable program: one [`NetInstruction`] per issue slot, shared by
@@ -38,6 +48,11 @@ struct Shared {
     slots: Vec<NetInstruction>,
     /// What the first run computed, with the key it holds for.
     memo: OnceLock<Memo>,
+    /// What the first prediction computed, with the key it holds for. It
+    /// is filled and read by [`predict`](crate::timing::predict) alone,
+    /// never from `memo`, so a prediction and a run stay two separate
+    /// computations.
+    timing: OnceLock<(IssueKey, Result<StaticTiming>)>,
 }
 
 struct Memo {
@@ -48,7 +63,8 @@ struct Memo {
     form: Decoded,
 }
 
-/// What a run's result and decoded form depend on besides the program.
+/// What a run's result and decoded form, or a prediction, depend on
+/// besides the program.
 #[derive(Clone, Copy, PartialEq)]
 struct IssueKey {
     config: MibConfig,
@@ -81,6 +97,26 @@ impl Program {
             Memo { key, result, form }
         });
         (memo.key == key).then_some((&memo.result, &memo.form))
+    }
+
+    /// The static timing of this program on a machine with `config` under
+    /// `policy`, fed by a stream with `hbm_words` words left, if that is
+    /// the key of the program's first prediction; the first prediction
+    /// computes it with `analyse` and stores it.
+    pub(crate) fn timing(
+        &self,
+        config: &MibConfig,
+        policy: HazardPolicy,
+        hbm_words: usize,
+        analyse: impl FnOnce() -> Result<StaticTiming>,
+    ) -> Option<&Result<StaticTiming>> {
+        let key = IssueKey {
+            config: *config,
+            policy,
+            hbm_words,
+        };
+        let (held, timing) = self.0.timing.get_or_init(|| (key, analyse()));
+        (*held == key).then_some(timing)
     }
 }
 
@@ -415,6 +451,7 @@ impl From<Vec<NetInstruction>> for Program {
         Program(Arc::new(Shared {
             slots,
             memo: OnceLock::new(),
+            timing: OnceLock::new(),
         }))
     }
 }

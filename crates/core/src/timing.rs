@@ -31,13 +31,16 @@
 //! `results/BENCH_verify.json` (`analysis_us`, `simulation_us`,
 //! `speedup`); it is cheap enough to run on every compiled schedule as the
 //! compiler's cost oracle (`mib_compiler::cost::StaticCost`). Those are
-//! first runs: a repeated run of one `Program` under the same key pays
-//! neither the engine nor the decoding, only the decoded value stage.
+//! first runs and first predictions. A repeated run of one `Program`
+//! under the same key pays neither the engine nor the decoding, only the
+//! decoded value stage; a repeated prediction under the key of the
+//! program's first one is a copy of the stored [`StaticTiming`] or
+//! error, from a memo of `predict`'s own (see [`predict`]).
 
 use crate::instruction::NetInstruction;
 use crate::machine::{issue_program, HazardPolicy};
 use crate::pending::PendingWrites;
-use crate::program::Decoded;
+use crate::program::{Decoded, Program};
 use crate::stats::ExecStats;
 use crate::{MibConfig, Result};
 
@@ -64,6 +67,12 @@ impl StaticTiming {
 /// `config`, fed by an HBM stream of `hbm_words` words, under the given
 /// hazard policy.
 ///
+/// The [`Program`] memoises its first prediction with that key
+/// (configuration, policy, stream words). A prediction under the same
+/// key returns a copy of it, the error included; one under another key
+/// is computed afresh and not stored. The memo is the predictor's
+/// own: it never reads what a run memoised, nor a run what it holds.
+///
 /// # Errors
 ///
 /// Returns precisely the error the machine's execution would return —
@@ -76,6 +85,20 @@ impl StaticTiming {
 /// [`AddressOutOfRange`]: crate::MibError::AddressOutOfRange
 /// [`StreamExhausted`]: crate::MibError::StreamExhausted
 pub fn predict(
+    program: &Program,
+    hbm_words: usize,
+    config: &MibConfig,
+    policy: HazardPolicy,
+) -> Result<StaticTiming> {
+    let fresh = || analyse(program, hbm_words, config, policy);
+    match program.timing(config, policy, hbm_words, fresh) {
+        Some(held) => held.clone(),
+        None => fresh(),
+    }
+}
+
+/// The issue engine's pass behind [`predict`].
+fn analyse(
     program: &[NetInstruction],
     hbm_words: usize,
     config: &MibConfig,
@@ -134,13 +157,10 @@ mod tests {
     /// exact agreement (full stats, or the identical error).
     fn assert_exact(program: &[NetInstruction], hbm: &[f64], cfg: &MibConfig) {
         for policy in [HazardPolicy::Stall, HazardPolicy::Strict] {
-            let predicted = predict(program, hbm.len(), cfg, policy);
+            let program = Program::from(program.to_vec());
+            let predicted = predict(&program, hbm.len(), cfg, policy);
             let mut m = Machine::new(*cfg);
-            let simulated = m.run(
-                &program.to_vec().into(),
-                &mut HbmStream::new(hbm.to_vec()),
-                policy,
-            );
+            let simulated = m.run(&program, &mut HbmStream::new(hbm.to_vec()), policy);
             match (predicted, simulated) {
                 (Ok(p), Ok(stats)) => assert_eq!(p.stats, stats, "stats mismatch under {policy:?}"),
                 (Err(pe), Err(me)) => assert_eq!(pe, me, "error mismatch under {policy:?}"),
@@ -151,7 +171,7 @@ mod tests {
 
     #[test]
     fn empty_program_predicts_zero_cycles() {
-        let t = predict(&[], 0, &config8(), HazardPolicy::Strict).unwrap();
+        let t = predict(&Vec::new().into(), 0, &config8(), HazardPolicy::Strict).unwrap();
         assert_eq!(t.cycles(), 0);
         assert!(t.issue_cycles.is_empty());
     }
@@ -163,7 +183,7 @@ mod tests {
         let mut prog = vec![mov(0, 0, 1)];
         prog.extend((0..latency - 1).map(|_| NetInstruction::nop(8)));
         prog.push(mov(0, 1, 2));
-        let t = predict(&prog, 0, &cfg, HazardPolicy::Strict).unwrap();
+        let t = predict(&prog.clone().into(), 0, &cfg, HazardPolicy::Strict).unwrap();
         assert_eq!(t.cycles(), prog.len() as u64 + cfg.latency());
         assert_eq!(t.stats.stall_cycles, 0);
         assert_exact(&prog, &[], &cfg);
@@ -172,7 +192,7 @@ mod tests {
     #[test]
     fn stalling_pair_matches_machine_exactly() {
         let cfg = config8();
-        let prog = vec![mov(0, 0, 1), mov(0, 1, 2)];
+        let prog = Program::from(vec![mov(0, 0, 1), mov(0, 1, 2)]);
         let t = predict(&prog, 0, &cfg, HazardPolicy::Stall).unwrap();
         assert_eq!(t.stats.stall_cycles, cfg.latency() - 1);
         assert_exact(&prog, &[], &cfg);
@@ -189,6 +209,30 @@ mod tests {
                 ready: cfg.latency(),
             }
         );
+    }
+
+    #[test]
+    fn the_first_prediction_is_memoised_errors_included() {
+        let cfg = config8();
+        let prog = Program::from(vec![mov(0, 0, 1), mov(0, 1, 2)]);
+        let refused = predict(&prog, 0, &cfg, HazardPolicy::Strict);
+        assert!(refused.is_err());
+        // A memo read predicts nothing; every other key misses the memo.
+        let unused = || panic!("a memo read must not predict");
+        let strict = HazardPolicy::Strict;
+        assert_eq!(prog.timing(&cfg, strict, 0, unused), Some(&refused));
+        assert_eq!(prog.timing(&cfg, HazardPolicy::Stall, 0, unused), None);
+        assert_eq!(prog.timing(&cfg, strict, 1, unused), None);
+        let deeper = MibConfig {
+            bank_depth: 65,
+            ..cfg
+        };
+        assert_eq!(prog.timing(&deeper, strict, 0, unused), None);
+        // A prediction under another key stores nothing.
+        let stalled = predict(&prog, 0, &cfg, HazardPolicy::Stall).unwrap();
+        assert_eq!(stalled.stats.stall_cycles, cfg.latency() - 1);
+        assert_eq!(prog.timing(&cfg, strict, 0, unused), Some(&refused));
+        assert_eq!(predict(&prog, 0, &cfg, strict), refused);
     }
 
     #[test]
@@ -241,7 +285,7 @@ mod tests {
                 mode: WriteMode::Store,
             },
         );
-        let prog = vec![i.clone(), i];
+        let prog = Program::from(vec![i.clone(), i]);
         // One word for two streaming slots: instruction 1 exhausts.
         let err = predict(&prog, 1, &cfg, HazardPolicy::Stall).unwrap_err();
         assert_eq!(err, MibError::StreamExhausted { instruction: 1 });
@@ -278,7 +322,7 @@ mod tests {
             ),
             (write, MibError::StreamExhausted { instruction: 0 }),
         ] {
-            let prog = [inst];
+            let prog = Program::from(vec![inst]);
             assert_eq!(predict(&prog, 0, &cfg, HazardPolicy::Strict), Err(fault));
             assert_exact(&prog, &[], &cfg);
         }

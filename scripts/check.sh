@@ -96,6 +96,9 @@ cargo run --release -q -p mib-bench --bin verify_schedules -- --smoke >/dev/null
 # 120-program verify sample (MIB_TIMING_FULL).
 MIB_TIMING_FULL=1 cargo test --profile checked --test static_timing --test proptest_timing \
   --test machine_reference --test proptest_verify --test pending_window -q
+# The same build for mib-core's own unit tests: the literal fault-order
+# and certification tests of the predictor.
+cargo test --profile checked -p mib-core --lib -q
 
 echo "==> paper reports (all_experiments reproduces results/*.txt byte for byte)"
 # Every figure and table is deterministic: regenerated in a scratch

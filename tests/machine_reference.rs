@@ -18,7 +18,10 @@
 //! memo (its result and decoded slots), the later ones execute it. A
 //! last group checks that the memo never serves a run it does not hold
 //! for: such a run builds the whole program into the machine's own
-//! decoded form.
+//! decoded form. The same group holds `predict`'s own memo of a
+//! program's first prediction to the same rule, and runs and predictions
+//! of one program, in either order, to fresh copies': neither memo
+//! serves the other.
 
 use std::collections::HashMap;
 
@@ -32,6 +35,7 @@ use mib::core::machine::{HazardPolicy, Machine};
 use mib::core::program::Program;
 use mib::core::regfile::RegisterFiles;
 use mib::core::stats::ExecStats;
+use mib::core::timing::{predict, StaticTiming};
 use mib::core::{MibConfig, MibError};
 use mib::problems::{instance, Domain, INSTANCES_PER_DOMAIN};
 use mib::qp::{KktBackend, Problem, Settings};
@@ -776,11 +780,12 @@ fn compiled_iteration() -> (Program, Vec<f64>, MibConfig) {
     (lowered.iteration.program, lowered.iteration.hbm, cfg)
 }
 
-#[test]
-fn memo_serves_only_its_own_key() {
-    let (program, words, cfg) = compiled_iteration();
-    // The deepest address the program touches: a bank one word shallower
-    // faults on it.
+/// The two variants of the compiled iteration that change one part of a
+/// key: a configuration whose banks are one word shallower than the
+/// deepest address the program touches, so it faults; and the program
+/// with a copy of its last register write issued right behind it, which
+/// stalls, so `Strict` refuses it and `Stall` runs it.
+fn key_variants(program: &Program, cfg: MibConfig, words: &[f64]) -> (MibConfig, Program) {
     let deepest = program
         .iter()
         .flat_map(|i| {
@@ -799,33 +804,6 @@ fn memo_serves_only_its_own_key() {
         bank_depth: deepest,
         ..cfg
     };
-
-    // Two configurations, in both orders.
-    let shared = Program::from(program.to_vec());
-    assert!(fresh_run(&shared, cfg, &words, HazardPolicy::Strict)
-        .0
-        .is_ok());
-    assert_unmemoised(
-        "deep, then shallow",
-        &shared,
-        shallow,
-        &words,
-        HazardPolicy::Strict,
-    );
-    let shared = Program::from(program.to_vec());
-    assert!(fresh_run(&shared, shallow, &words, HazardPolicy::Strict)
-        .0
-        .is_err());
-    assert_unmemoised(
-        "shallow, then deep",
-        &shared,
-        cfg,
-        &words,
-        HazardPolicy::Strict,
-    );
-
-    // Both policies, on a program that stalls: a copy of the last
-    // register write, issued right behind it.
     let (slot, lane, addr) = program
         .iter()
         .enumerate()
@@ -851,14 +829,47 @@ fn memo_serves_only_its_own_key() {
     stalling.insert(slot + 1, copy);
     let stalling = Program::from(stalling);
     assert!(
-        fresh_run(&stalling, cfg, &words, HazardPolicy::Strict)
+        fresh_run(&stalling, cfg, words, HazardPolicy::Strict)
             .0
             .is_err()
-            && fresh_run(&stalling, cfg, &words, HazardPolicy::Stall)
+            && fresh_run(&stalling, cfg, words, HazardPolicy::Stall)
                 .0
                 .is_ok(),
         "the copy stalls, so the two policies differ"
     );
+    (shallow, stalling)
+}
+
+#[test]
+fn memo_serves_only_its_own_key() {
+    let (program, words, cfg) = compiled_iteration();
+    let (shallow, stalling) = key_variants(&program, cfg, &words);
+
+    // Two configurations, in both orders.
+    let shared = Program::from(program.to_vec());
+    assert!(fresh_run(&shared, cfg, &words, HazardPolicy::Strict)
+        .0
+        .is_ok());
+    assert_unmemoised(
+        "deep, then shallow",
+        &shared,
+        shallow,
+        &words,
+        HazardPolicy::Strict,
+    );
+    let shared = Program::from(program.to_vec());
+    assert!(fresh_run(&shared, shallow, &words, HazardPolicy::Strict)
+        .0
+        .is_err());
+    assert_unmemoised(
+        "shallow, then deep",
+        &shared,
+        cfg,
+        &words,
+        HazardPolicy::Strict,
+    );
+
+    // Both policies, on the program that stalls.
     for first in POLICIES {
         let shared = Program::from(stalling.to_vec());
         let _memoised = fresh_run(&shared, cfg, &words, first);
@@ -890,6 +901,108 @@ fn memo_serves_only_its_own_key() {
     )
     .0
     .is_err());
+}
+
+/// Asserts that predicting `shared` twice, whatever its prediction memo
+/// already holds, equals the prediction of a fresh copy of it, issue
+/// cycles and errors included, and that the copy's prediction equals the
+/// copy's run. Returns the prediction.
+fn assert_predicts_fresh(
+    label: &str,
+    shared: &Program,
+    config: MibConfig,
+    words: &[f64],
+    policy: HazardPolicy,
+) -> Result<StaticTiming, MibError> {
+    let fresh = Program::from(shared.to_vec());
+    let expected = predict(&fresh, words.len(), &config, policy);
+    assert_eq!(
+        expected.clone().map(|t| t.stats),
+        fresh_run(&fresh, config, words, policy).0,
+        "{label}: predicted against simulated"
+    );
+    for call in 1..=2 {
+        assert_eq!(
+            predict(shared, words.len(), &config, policy),
+            expected,
+            "{label}, prediction {call}"
+        );
+    }
+    expected
+}
+
+/// The prediction memo's counterpart of `memo_serves_only_its_own_key`:
+/// each part of the key changed on its own, in both orders, and the
+/// later prediction must be the one a fresh `Program` computes.
+#[test]
+fn prediction_memo_serves_only_its_own_key() {
+    let (program, words, cfg) = compiled_iteration();
+    let (shallow, stalling) = key_variants(&program, cfg, &words);
+    let strict = HazardPolicy::Strict;
+
+    for (first, then) in [(cfg, shallow), (shallow, cfg)] {
+        let shared = Program::from(program.to_vec());
+        let a = assert_predicts_fresh("first configuration", &shared, first, &words, strict);
+        let b = assert_predicts_fresh("other configuration", &shared, then, &words, strict);
+        assert!(a.is_ok() != b.is_ok(), "the shallow banks fault");
+    }
+
+    for first in POLICIES {
+        let shared = Program::from(stalling.to_vec());
+        for policy in [first, HazardPolicy::Stall, HazardPolicy::Strict] {
+            let label = format!("{first:?}, then {policy:?}");
+            let result = assert_predicts_fresh(&label, &shared, cfg, &words, policy);
+            assert_eq!(result.is_ok(), policy == HazardPolicy::Stall, "{label}");
+        }
+    }
+
+    let short = &words[..words.len() - 1];
+    for (a, b) in [(&words[..], short), (short, &words[..])] {
+        let shared = Program::from(program.to_vec());
+        for (label, stream) in [("first stream", a), ("other stream", b)] {
+            let result = assert_predicts_fresh(label, &shared, cfg, stream, strict);
+            if stream.len() < words.len() {
+                assert!(
+                    matches!(result, Err(MibError::StreamExhausted { .. })),
+                    "{label}: {result:?}"
+                );
+            }
+        }
+    }
+}
+
+/// A run and a prediction of one `Program`, in either order, equal a
+/// fresh copy's run and prediction: neither memo serves the other, on
+/// the key that both hold and on a faulting one.
+#[test]
+fn run_and_prediction_keep_their_own_memos() {
+    let (program, words, cfg) = compiled_iteration();
+    let (shallow, _) = key_variants(&program, cfg, &words);
+    let strict = HazardPolicy::Strict;
+    for config in [cfg, shallow] {
+        let fresh = || Program::from(program.to_vec());
+        let (result, regs, consumed) = fresh_run(&fresh(), config, &words, strict);
+        let prediction = predict(&fresh(), words.len(), &config, strict);
+        assert_eq!(prediction.clone().map(|t| t.stats), result);
+        for run_first in [true, false] {
+            let label = format!("bank depth {}, run first: {run_first}", config.bank_depth);
+            let shared = fresh();
+            if !run_first {
+                assert_eq!(predict(&shared, words.len(), &config, strict), prediction);
+            }
+            for run in 1..=2 {
+                let (r, rs, c) = fresh_run(&shared, config, &words, strict);
+                assert_eq!(r, result, "{label}, run {run}: result");
+                assert!(rs == regs, "{label}, run {run}: registers");
+                assert_eq!(c, consumed, "{label}, run {run}: stream cursor");
+            }
+            assert_eq!(
+                predict(&shared, words.len(), &config, strict),
+                prediction,
+                "{label}"
+            );
+        }
+    }
 }
 
 /// A cache hit shares the miss's programs, memo included: its runs must

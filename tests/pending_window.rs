@@ -22,6 +22,7 @@
 use mib::core::hbm::HbmStream;
 use mib::core::instruction::{LaneSource, LaneWrite, NetInstruction, WriteMode};
 use mib::core::machine::{HazardPolicy, Machine};
+use mib::core::program::Program;
 use mib::core::stats::ExecStats;
 use mib::core::{MibConfig, MibError};
 use mib::verify::{critical_path, predict, Loc};
@@ -250,20 +251,18 @@ mod timing {
     /// full stats, or the identical error — and returns the
     /// predicted issue cycles under `Stall`.
     fn agrees(cfg: MibConfig, program: &[NetInstruction], hbm: &[f64]) -> Vec<u64> {
+        let program = Program::from(program.to_vec());
         for policy in [HazardPolicy::Stall, HazardPolicy::Strict] {
-            let predicted = predict(program, hbm.len(), &cfg, policy);
-            let simulated = Machine::new(cfg).run(
-                &program.to_vec().into(),
-                &mut HbmStream::new(hbm.to_vec()),
-                policy,
-            );
+            let predicted = predict(&program, hbm.len(), &cfg, policy);
+            let simulated =
+                Machine::new(cfg).run(&program, &mut HbmStream::new(hbm.to_vec()), policy);
             match (predicted, simulated) {
                 (Ok(p), Ok(stats)) => assert_eq!(p.stats, stats, "{policy:?}"),
                 (Err(pe), Err(me)) => assert_eq!(pe, me, "{policy:?}"),
                 (p, s) => panic!("verdicts differ under {policy:?}: {p:?} vs {s:?}"),
             }
         }
-        predict(program, hbm.len(), &cfg, HazardPolicy::Stall)
+        predict(&program, hbm.len(), &cfg, HazardPolicy::Stall)
             .unwrap()
             .issue_cycles
     }
@@ -281,7 +280,7 @@ mod timing {
         let cfg = config(8);
         let l = cfg.latency();
         assert_eq!(agrees(cfg, &rewritten(), &[1.0, 2.0]), vec![0, 1, 1 + l]);
-        let err = predict(&rewritten(), 2, &cfg, HazardPolicy::Strict);
+        let err = predict(&rewritten().into(), 2, &cfg, HazardPolicy::Strict);
         assert_eq!(err, Err(hazard(2, 2, 7, false, 1 + l)));
     }
 
@@ -297,13 +296,13 @@ mod timing {
         let reg = [both.clone(), mov(8, 1, 0, 5)];
         assert_eq!(agrees(cfg, &reg, &[2.0, 3.0]), vec![0, l]);
         assert_eq!(
-            predict(&reg, 2, &cfg, HazardPolicy::Strict),
+            predict(&reg.to_vec().into(), 2, &cfg, HazardPolicy::Strict),
             Err(hazard(1, 1, 0, false, l))
         );
         let latch = [both, latch_read()];
         assert_eq!(agrees(cfg, &latch, &[2.0, 3.0]), vec![0, l]);
         assert_eq!(
-            predict(&latch, 2, &cfg, HazardPolicy::Strict),
+            predict(&latch.to_vec().into(), 2, &cfg, HazardPolicy::Strict),
             Err(hazard(1, 0, 0, true, l))
         );
     }
@@ -315,12 +314,12 @@ mod timing {
             let short = gapped(width, window - 2);
             assert_eq!(*agrees(cfg, &short, &[1.0]).last().unwrap(), window);
             assert_eq!(
-                predict(&short, 1, &cfg, HazardPolicy::Strict),
+                predict(&short.clone().into(), 1, &cfg, HazardPolicy::Strict),
                 Err(hazard(window - 1, width - 1, 3, false, window))
             );
             let exact = gapped(width, window - 1);
             assert_eq!(*agrees(cfg, &exact, &[1.0]).last().unwrap(), window);
-            let t = predict(&exact, 1, &cfg, HazardPolicy::Strict).unwrap();
+            let t = predict(&exact.clone().into(), 1, &cfg, HazardPolicy::Strict).unwrap();
             assert_eq!(t.cycles(), window + 1 + window, "C = {width}");
         }
     }

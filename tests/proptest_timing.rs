@@ -19,6 +19,7 @@ use mib::compiler::{schedule, Allocator, KernelBuilder, ProgramCache, ScheduleOp
 use mib::core::hbm::HbmStream;
 use mib::core::instruction::{LaneSource, LaneWrite, NetInstruction, WriteMode};
 use mib::core::machine::{HazardPolicy, Machine};
+use mib::core::program::Program;
 use mib::core::MibConfig;
 use mib::sparse::CscMatrix;
 use mib::verify::{critical_path, timing};
@@ -105,12 +106,9 @@ fn assert_exact(
     cfg: &MibConfig,
     policy: HazardPolicy,
 ) -> Option<u64> {
-    let predicted = timing::predict(program, hbm.len(), cfg, policy);
-    let simulated = Machine::new(*cfg).run(
-        &program.to_vec().into(),
-        &mut HbmStream::new(hbm.to_vec()),
-        policy,
-    );
+    let program = Program::from(program.to_vec());
+    let predicted = timing::predict(&program, hbm.len(), cfg, policy);
+    let simulated = Machine::new(*cfg).run(&program, &mut HbmStream::new(hbm.to_vec()), policy);
     match (predicted, simulated) {
         (Ok(p), Ok(stats)) => {
             assert_eq!(p.stats, stats, "stats must match bitwise ({policy:?})");
@@ -176,7 +174,7 @@ proptest! {
         let hbm: Vec<f64> = (0..consumed + surplus).map(|k| k as f64 + 0.5).collect();
         assert_exact(&program, &hbm, &cfg, HazardPolicy::Stall);
         assert_exact(&program, &hbm, &cfg, HazardPolicy::Strict);
-        if let Ok(p) = timing::predict(&program, hbm.len(), &cfg, HazardPolicy::Stall) {
+        if let Ok(p) = timing::predict(&program.clone().into(), hbm.len(), &cfg, HazardPolicy::Stall) {
             let path = critical_path(&program, &cfg);
             prop_assert_eq!(path.cycles, p.stats.cycles);
             prop_assert_eq!(path.stall_cycles, p.stats.stall_cycles);
@@ -275,7 +273,10 @@ fn cache_hit_predicts_bitwise_identically() {
         if f.program.is_empty() {
             continue;
         }
-        let pf = timing::predict(&f.program, f.hbm.len(), &config, HazardPolicy::Strict)
+        // The hit shares the miss's program and so its prediction memo:
+        // hold that against a fresh copy's own prediction.
+        let copy = Program::from(f.program.to_vec());
+        let pf = timing::predict(&copy, f.hbm.len(), &config, HazardPolicy::Strict)
             .unwrap_or_else(|e| panic!("{name}: fresh prediction failed: {e}"));
         let ph = timing::predict(&h.program, h.hbm.len(), &config, HazardPolicy::Strict)
             .unwrap_or_else(|e| panic!("{name}: cached prediction failed: {e}"));

@@ -17,6 +17,7 @@ use mib::compiler::{schedule, Allocator, KernelBuilder, ScheduleOptions};
 use mib::core::hbm::HbmStream;
 use mib::core::instruction::{LaneSource, LaneWrite, NetInstruction, WriteMode};
 use mib::core::machine::{HazardPolicy, Machine};
+use mib::core::program::Program;
 use mib::core::MibConfig;
 use mib::sparse::CscMatrix;
 use mib::verify::predict;
@@ -98,14 +99,11 @@ fn build_program(ops: &[OpTuple], cfg: &MibConfig) -> Vec<NetInstruction> {
 
 /// Runs both sides and returns (statically certified, machine accepted).
 fn both_verdicts(program: &[NetInstruction], hbm: Vec<f64>, cfg: &MibConfig) -> (bool, bool) {
-    let certified = predict(program, hbm.len(), cfg, HazardPolicy::Strict).is_ok();
+    let program = Program::from(program.to_vec());
+    let certified = predict(&program, hbm.len(), cfg, HazardPolicy::Strict).is_ok();
     let mut m = Machine::new(*cfg);
     let dynamic = m
-        .run(
-            &program.to_vec().into(),
-            &mut HbmStream::new(hbm),
-            HazardPolicy::Strict,
-        )
+        .run(&program, &mut HbmStream::new(hbm), HazardPolicy::Strict)
         .is_ok();
     (certified, dynamic)
 }
