@@ -12,19 +12,26 @@
 //! "millions of QPs with the same sparsity pattern": the first solve of a
 //! pattern pays the full lowering cost (symbolic KKT analysis, fill-reducing
 //! ordering, elimination tree, instruction scheduling); every subsequent
-//! same-pattern solve *shares* the cached programs and regenerates only the
-//! cheap load program via `lower::build_load_schedule`. A
-//! [`Program`](mib_core::program::Program) is reference-counted, so a hit
-//! copies no instruction, and it carries its memos with it: the run
+//! same-pattern solve *shares* every cached program, the load program
+//! included. The load program's slots depend only on the dimensions, the
+//! backend and the configuration, and its stream is a fixed permutation of
+//! `q ‖ clamp(l) ‖ clamp(u) ‖ ρ ‖ ρ⁻¹` (‖ `M⁻¹` on the indirect variant).
+//! The miss's lowering fills its own load stream through a map of that
+//! permutation, and the entry keeps the map. A hit copies the cached
+//! stream and writes its `q`, `l` and `u` words through the map: no
+//! scheduling, decoding or prediction.
+//!
+//! A [`Program`](mib_core::program::Program) is reference-counted, so a
+//! hit copies no instruction, and it carries its memos with it: the run
 //! result and the decoded slots, and the static timing of its first
 //! prediction. A hit's runs on the machine the miss ran on pay neither
 //! the issue engine nor the decoding, only the decoded value stage, and
-//! its predictions under the miss's key are memo reads. Only the load
-//! program, rebuilt on every hit, is run and predicted afresh.
+//! its predictions under the miss's key are memo reads.
 //!
 //! # What counts as "the same pattern"
 //!
-//! The cache key covers everything that influences the non-load programs:
+//! The cache key covers everything that influences the programs, except
+//! the `q`, `l` and `u` words of the load stream:
 //!
 //! * the dimensions and the full structure **and values** of `P` and `A`
 //!   (matrix values stream through the setup/iteration HBM feeds, so a
@@ -44,7 +51,7 @@ use mib_core::MibConfig;
 use mib_qp::{Problem, QpError, Settings};
 use mib_sparse::CscMatrix;
 
-use crate::lower::{build_load_schedule, lower, rho_vec_for, LoweredQp};
+use crate::lower::{lower_with_load_map, rho_vec_for, LoadMap, LoweredQp};
 
 /// Caches [`LoweredQp`] programs keyed by sparsity pattern (and the other
 /// program-shaping inputs; see the module docs) so parametric re-solves
@@ -52,7 +59,7 @@ use crate::lower::{build_load_schedule, lower, rho_vec_for, LoweredQp};
 /// drops every entry.
 #[derive(Debug, Default)]
 pub struct ProgramCache {
-    entries: HashMap<Vec<u64>, LoweredQp>,
+    entries: HashMap<Vec<u64>, Entry>,
     hits: u64,
     misses: u64,
 }
@@ -67,16 +74,16 @@ impl ProgramCache {
     /// when an equivalent problem (same patterns, matrix values, backend,
     /// configuration and `ρ` classification) was lowered before.
     ///
-    /// On a hit, only the value-dependent load program is rebuilt; the
-    /// setup, iteration, PCG and check programs are shared with the cache
-    /// entry (their HBM streams and slot maps are copied). On a miss the
-    /// full [`lower`] runs and the cache keeps a copy that shares the
-    /// returned programs.
+    /// On a hit every program, `load` included, is shared with the cache
+    /// entry and every HBM stream and slot map is copied; the copy of the
+    /// load stream then takes `problem`'s `q`, `l` and `u` words. On a
+    /// miss the full [`lower`](crate::lower::lower) runs and the cache
+    /// keeps a copy that shares the returned programs.
     ///
     /// # Errors
     ///
-    /// Same contract as [`lower`]: invalid settings or a failed symbolic
-    /// KKT analysis.
+    /// Same contract as [`lower`](crate::lower::lower): invalid settings
+    /// or a failed symbolic KKT analysis.
     pub fn lower_cached(
         &mut self,
         problem: &Problem,
@@ -85,16 +92,19 @@ impl ProgramCache {
     ) -> Result<LoweredQp, QpError> {
         settings.validate()?;
         let key = cache_key(problem, settings, config);
-        if let Some(cached) = self.entries.get(&key) {
+        if let Some(entry) = self.entries.get(&key) {
             self.hits += 1;
-            let mut lowered = cached.clone();
-            lowered.load = build_load_schedule(problem, settings, config);
-            crate::verify::debug_assert_certified("load(cache-hit)", &lowered.load, &config);
+            let mut lowered = entry.lowered.clone();
+            entry.load_map.refill(&mut lowered.load.hbm, problem);
             return Ok(lowered);
         }
-        let lowered = lower(problem, settings, config)?;
+        let (lowered, load_map) = lower_with_load_map(problem, settings, config)?;
         self.misses += 1;
-        self.entries.insert(key, lowered.clone());
+        let entry = Entry {
+            lowered: lowered.clone(),
+            load_map,
+        };
+        self.entries.insert(key, entry);
         Ok(lowered)
     }
 
@@ -124,6 +134,13 @@ impl ProgramCache {
         self.hits = 0;
         self.misses = 0;
     }
+}
+
+/// A cached lowering and the word map of its load stream.
+#[derive(Debug)]
+struct Entry {
+    lowered: LoweredQp,
+    load_map: LoadMap,
 }
 
 /// Builds the canonical key stream for a lowering request.
@@ -158,9 +175,13 @@ fn push_matrix(key: &mut Vec<u64>, m: &CscMatrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::Allocator;
+    use crate::lower::lower;
+    use crate::schedule::Schedule;
     use mib_core::hbm::HbmStream;
     use mib_core::machine::{HazardPolicy, Machine};
-    use mib_qp::KktBackend;
+    use mib_problems::{instance, Domain};
+    use mib_qp::{KktBackend, INFTY};
 
     fn config() -> MibConfig {
         MibConfig {
@@ -366,6 +387,135 @@ mod tests {
             m.run(&s.program, &mut hbm, HazardPolicy::Strict)
                 .expect("cache-refreshed programs must be hazard-free");
         }
+    }
+
+    /// `problem` with every `q` word moved.
+    fn new_q(problem: &Problem) -> Problem {
+        let (p, q, a, l, u) = problem.clone().into_parts();
+        let q = q
+            .iter()
+            .enumerate()
+            .map(|(i, v)| 0.75 * v - 0.125 * (1 + i % 3) as f64)
+            .collect();
+        Problem::new(p, q, a, l, u).unwrap()
+    }
+
+    /// `problem` with new bounds of the same class: equality rows move
+    /// both bounds together, every other finite bound moves outwards, and
+    /// every infinite side becomes `INFTY`, `∞` or `2·INFTY` by row, so
+    /// the stream holds bounds at and past the clamp.
+    fn moved_bounds(problem: &Problem) -> Problem {
+        let (p, q, a, mut l, mut u) = problem.clone().into_parts();
+        for (i, (lo, hi)) in l.iter_mut().zip(&mut u).enumerate() {
+            let delta = 0.0625 * (1 + i % 5) as f64;
+            let infinite = [INFTY, f64::INFINITY, 2.0 * INFTY][i % 3];
+            if lo == hi {
+                *lo += delta;
+                *hi = *lo;
+                continue;
+            }
+            *lo = if *lo <= -INFTY {
+                -infinite
+            } else {
+                *lo - delta
+            };
+            *hi = if *hi >= INFTY { infinite } else { *hi + delta };
+        }
+        Problem::new(p, q, a, l, u).unwrap()
+    }
+
+    fn bits(words: &[f64]) -> Vec<u64> {
+        words.iter().map(|w| w.to_bits()).collect()
+    }
+
+    /// Runs `accel`'s plan: load, the factorization, five iterations
+    /// (each with a PCG iteration on the indirect variant), the check.
+    fn run_plan(m: &mut Machine, l: &LoweredQp, label: &str) {
+        let mut plan: Vec<&Schedule> = vec![&l.load, &l.setup];
+        for _ in 0..5 {
+            plan.extend([&l.iteration, &l.pcg_iteration]);
+        }
+        plan.push(&l.check);
+        for s in plan.into_iter().filter(|s| !s.program.is_empty()) {
+            let mut hbm = HbmStream::new(s.hbm.clone());
+            m.run(&s.program, &mut hbm, HazardPolicy::Strict)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+        }
+    }
+
+    /// Runs `lowered`'s load on a fresh machine: the first five vectors it
+    /// allocates must hold `q`, `clamp(l)`, `clamp(u)`, `ρ` and `ρ⁻¹`
+    /// exactly.
+    fn assert_loads(lowered: &LoweredQp, problem: &Problem, settings: &Settings, label: &str) {
+        let mut m = Machine::new(lowered.config);
+        let mut hbm = HbmStream::new(lowered.load.hbm.clone());
+        m.run(&lowered.load.program, &mut hbm, HazardPolicy::Strict)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let clamped = |v: &[f64]| v.iter().map(|b| b.clamp(-INFTY, INFTY)).collect();
+        let rho = rho_vec_for(problem, settings);
+        let rho_inv = rho.iter().map(|r| 1.0 / r).collect();
+        let mut alloc = Allocator::new(lowered.config.width);
+        for (name, want) in [
+            ("q", problem.q().to_vec()),
+            ("l", clamped(problem.l())),
+            ("u", clamped(problem.u())),
+            ("rho", rho),
+            ("rho_inv", rho_inv),
+        ] {
+            let layout = alloc.alloc(want.len());
+            let got: Vec<f64> = (0..want.len())
+                .map(|e| m.regs().read(layout.bank(e), layout.addr(e)).unwrap())
+                .collect();
+            assert_eq!(bits(&got), bits(&want), "{label}: {name}");
+        }
+    }
+
+    /// `accel`'s 25 lowerings (suite indices 0 and 3 at C = 32 in both
+    /// variants, index 0 at C = 16 direct), each hit with a new `q` and
+    /// with moved bounds: a hit's load program and stream equal a fresh
+    /// lowering's bitwise, its load writes the problem's vectors, and the
+    /// miss's plan then the hit's leave a machine's registers where the
+    /// fresh lowering's plan leaves a fresh machine's (on the indirect
+    /// variant, a machine that ran the miss's plan first).
+    #[test]
+    fn hits_match_fresh_lowerings_on_the_accel_programs() {
+        let mut lowerings = 0;
+        for domain in Domain::all() {
+            let mut specs = Vec::new();
+            for index in [0, 3] {
+                specs.push((index, KktBackend::Direct, MibConfig::c32()));
+                specs.push((index, KktBackend::Indirect, MibConfig::c32()));
+            }
+            specs.push((0, KktBackend::Direct, MibConfig::c16()));
+            for (index, backend, config) in specs {
+                let settings = Settings::with_backend(backend);
+                let base = instance(domain, index).problem;
+                let mut cache = ProgramCache::new();
+                let miss = cache.lower_cached(&base, &settings, config).unwrap();
+                for (what, problem) in [("new q", new_q(&base)), ("bounds", moved_bounds(&base))] {
+                    let label = format!("{domain}[{index}]/{backend:?}/C{}: {what}", config.width);
+                    let hit = cache.lower_cached(&problem, &settings, config).unwrap();
+                    assert_eq!(cache.misses(), 1, "{label}: a hit");
+                    let fresh = lower(&problem, &settings, config).unwrap();
+                    assert_eq!(hit.load.program, fresh.load.program, "{label}");
+                    assert_eq!(bits(&hit.load.hbm), bits(&fresh.load.hbm), "{label}");
+                    assert_loads(&hit, &problem, &settings, &label);
+                    let mut warm = Machine::new(config);
+                    run_plan(&mut warm, &miss, &label);
+                    run_plan(&mut warm, &hit, &label);
+                    let mut cold = Machine::new(config);
+                    if backend == KktBackend::Indirect {
+                        // The indirect iteration starts PCG from `xtilde`,
+                        // which the load leaves as the last plan left it.
+                        run_plan(&mut cold, &miss, &label);
+                    }
+                    run_plan(&mut cold, &fresh, &label);
+                    assert!(warm.regs() == cold.regs(), "{label}: registers");
+                }
+                lowerings += 1;
+            }
+        }
+        assert_eq!(lowerings, 25);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!    scheduled programs and a per-solve cycle model.
 //! 5. [`cache::ProgramCache`] memoizes compiled programs by sparsity
 //!    pattern: parametric re-solves (new `q`, `l`, `u` over a fixed
-//!    structure) clone the cached schedules and regenerate only the cheap
-//!    value-dependent load program.
+//!    structure) share every cached program and only write the new
+//!    vectors into a copy of the load program's stream.
 //!
 //! Scheduled programs are *verified*: executing them on the
 //! [`mib_core::machine::Machine`] in strict hazard mode must reproduce the

@@ -157,6 +157,15 @@ pub fn lower(
     settings: &Settings,
     config: MibConfig,
 ) -> Result<LoweredQp, QpError> {
+    lower_with_load_map(problem, settings, config).map(|(lowered, _)| lowered)
+}
+
+/// [`lower`], also returning the word map of the load program's stream.
+pub(crate) fn lower_with_load_map(
+    problem: &Problem,
+    settings: &Settings,
+    config: MibConfig,
+) -> Result<(LoweredQp, LoadMap), QpError> {
     let _lower_span = mib_trace::span("lower", mib_trace::Category::Compiler);
     settings.validate()?;
     match settings.backend {
@@ -232,95 +241,99 @@ fn alloc_common(alloc: &mut Allocator, n: usize, m: usize) -> CommonState {
     }
 }
 
-/// Register-file layouts for the indirect variant's PCG state.
+/// Where each word of the load program's source vectors sits in its HBM
+/// stream.
 ///
-/// Allocated immediately after [`alloc_common`] so the addresses are a
-/// deterministic function of `(n, m, width)` — the property that lets the
-/// program cache regenerate a load schedule without re-running the full
-/// lowering.
-struct PcgLayouts {
-    b_vec: Layout,
-    r: Layout,
-    pdir: Layout,
-    dvec: Layout,
-    sp: Layout,
-    az: Layout,
-    precond: Layout,
-    scalars: usize,
+/// The load program streams `q ‖ clamp(l) ‖ clamp(u) ‖ ρ ‖ ρ⁻¹` (then
+/// `M⁻¹` on the indirect variant) into their layouts, in the order the
+/// scheduler packs them. That order depends only on `n`, `m`, the backend
+/// and the machine configuration, so [`crate::cache::ProgramCache`] keeps
+/// the map of a pattern's lowering and refills a hit's stream through it.
+#[derive(Debug)]
+pub(crate) struct LoadMap {
+    /// `word[i]`: the stream position of word `i` of the concatenation.
+    word: Vec<usize>,
 }
 
-fn alloc_pcg(alloc: &mut Allocator, n: usize, m: usize) -> PcgLayouts {
-    PcgLayouts {
-        b_vec: alloc.alloc(n), // reduced rhs
-        r: alloc.alloc(n),
-        pdir: alloc.alloc(n),
-        dvec: alloc.alloc(n),
-        sp: alloc.alloc(n),
-        az: alloc.alloc(m),
-        precond: alloc.alloc(n),
-        scalars: alloc.alloc_rows(8), // rd, psp, lambda, mu, rd_new, recip...
+impl LoadMap {
+    /// Writes `values`, the leading words of the concatenation, into their
+    /// positions of `hbm`.
+    fn scatter(&self, hbm: &mut [f64], values: impl Iterator<Item = f64>) {
+        for (&k, v) in self.word.iter().zip(values) {
+            hbm[k] = v;
+        }
+    }
+
+    /// Overwrites the `q`, `l` and `u` words of a load stream with
+    /// `problem`'s. That is all a cache hit changes: `ρ`, `ρ⁻¹` and `M⁻¹`
+    /// follow from the cache key.
+    pub(crate) fn refill(&self, hbm: &mut [f64], problem: &Problem) {
+        self.scatter(hbm, vector_words(problem));
     }
 }
 
-/// Builds the (value-dependent) one-time load program on a fresh allocator.
+/// `q ‖ clamp(l) ‖ clamp(u)`: bounds are clamped to a large-but-finite
+/// magnitude so the machine's arithmetic stays clean.
+fn vector_words(problem: &Problem) -> impl Iterator<Item = f64> + '_ {
+    let clamp = |v: &f64| v.clamp(-INFTY, INFTY);
+    problem
+        .q()
+        .iter()
+        .copied()
+        .chain(problem.l().iter().map(clamp))
+        .chain(problem.u().iter().map(clamp))
+}
+
+/// Builds and schedules the one-time load program, and fills its stream.
 ///
-/// This is the only schedule whose *instruction stream data* depends on the
-/// vector values `q`, `l`, `u` (and through `ρ` classification, the bounds).
-/// The register addresses it targets are deterministic given the problem
-/// dimensions and machine width, so [`crate::cache::ProgramCache`] calls
-/// this to refresh a cached [`LoweredQp`] for new parameter values without
-/// re-running symbolic analysis or rescheduling the iteration programs.
-pub(crate) fn build_load_schedule(
+/// The program streams `q ‖ clamp(l) ‖ clamp(u) ‖ ρ ‖ ρ⁻¹` into their
+/// layouts, zeroes `x`, `y` and `z`, and then streams the Jacobi
+/// preconditioner `M⁻¹` if `precond` gives its layout and values. The
+/// kernel carries each word's index in that concatenation in place of its
+/// value, so the one scheduled stream yields the [`LoadMap`] the real
+/// words are filled through; a cache hit refills its `q`, `l` and `u`
+/// words through the same map.
+fn schedule_load(
+    config: &MibConfig,
+    st: &CommonState,
+    precond: Option<(Layout, &[f64])>,
     problem: &Problem,
-    settings: &Settings,
-    config: MibConfig,
-) -> Schedule {
-    let n = problem.num_vars();
-    let m = problem.num_constraints();
-    let rho_vec = rho_vec_for(problem, settings);
-    let mut alloc = Allocator::new(config.width);
-    let st = alloc_common(&mut alloc, n, m);
+    rho_vec: &[f64],
+) -> (Schedule, LoadMap) {
     let mut lb = KernelBuilder::new("load", config.width, config.latency());
-    build_load(&mut lb, &st, problem, &rho_vec);
-    if settings.backend == KktBackend::Indirect {
-        let pcg = alloc_pcg(&mut alloc, n, m);
-        let mut minv = vec![0.0; n];
-        jacobi_precond_into(
-            problem.p(),
-            problem.a(),
-            settings.sigma,
-            &rho_vec,
-            &mut minv,
-        );
-        ew::load_vec(&mut lb, pcg.precond, &minv);
+    let mut words = 0;
+    let mut load_indices = |b: &mut KernelBuilder, v: Layout| {
+        let indices: Vec<f64> = (words..words + v.len).map(|i| i as f64).collect();
+        words += v.len;
+        ew::load_vec(b, v, &indices);
+    };
+    for v in [st.q, st.l, st.u, st.rho, st.rho_inv] {
+        load_indices(&mut lb, v);
     }
-    traced_schedule(&lb.finish(), &config)
-}
-
-/// Emits the one-time load of problem vectors (bounds are clamped to a
-/// large-but-finite magnitude so the machine's arithmetic stays clean).
-fn build_load(b: &mut KernelBuilder, st: &CommonState, problem: &Problem, rho_vec: &[f64]) {
-    let clamp = |v: f64| v.clamp(-INFTY, INFTY);
-    ew::load_vec(b, st.q, problem.q());
-    ew::load_vec(
-        b,
-        st.l,
-        &problem.l().iter().map(|&v| clamp(v)).collect::<Vec<_>>(),
+    ew::zero(&mut lb, st.x);
+    ew::zero(&mut lb, st.y);
+    ew::zero(&mut lb, st.z);
+    let precond_words = match precond {
+        Some((layout, minv)) => {
+            load_indices(&mut lb, layout);
+            minv
+        }
+        None => &[],
+    };
+    let mut load = traced_schedule(&lb.finish(), config);
+    let mut word = vec![0; load.hbm.len()];
+    for (k, &index) in load.hbm.iter().enumerate() {
+        word[index as usize] = k;
+    }
+    let map = LoadMap { word };
+    map.scatter(
+        &mut load.hbm,
+        vector_words(problem)
+            .chain(rho_vec.iter().copied())
+            .chain(rho_vec.iter().map(|&r| 1.0 / r))
+            .chain(precond_words.iter().copied()),
     );
-    ew::load_vec(
-        b,
-        st.u,
-        &problem.u().iter().map(|&v| clamp(v)).collect::<Vec<_>>(),
-    );
-    ew::load_vec(b, st.rho, rho_vec);
-    ew::load_vec(
-        b,
-        st.rho_inv,
-        &rho_vec.iter().map(|&r| 1.0 / r).collect::<Vec<_>>(),
-    );
-    ew::zero(b, st.x);
-    ew::zero(b, st.y);
-    ew::zero(b, st.z);
+    (load, map)
 }
 
 /// Emits the ADMM right-hand side: `t_n = σx − q`, `t_m = z − ρ⁻¹∘y`.
@@ -396,7 +409,7 @@ fn lower_direct(
     problem: &Problem,
     settings: &Settings,
     config: MibConfig,
-) -> Result<LoweredQp, QpError> {
+) -> Result<(LoweredQp, LoadMap), QpError> {
     let n = problem.num_vars();
     let m = problem.num_constraints();
     let rho_vec = rho_vec_for(problem, settings);
@@ -423,8 +436,7 @@ fn lower_direct(
     build_check(&mut cb, &mut alloc, &st, &a_csr, &p_full);
     check_fits(&alloc, &config)?;
 
-    // Load program (shared with the cache's value-refresh path).
-    let load = build_load_schedule(problem, settings, config);
+    let (load, load_map) = schedule_load(&config, &st, None, problem, &rho_vec);
 
     // Setup: on-machine numeric factorization.
     let mut fb = KernelBuilder::new("factor", config.width, config.latency());
@@ -470,7 +482,7 @@ fn lower_direct(
     let iteration = traced_schedule(&ib.finish(), &config);
     let check = traced_schedule(&cb.finish(), &config);
 
-    Ok(LoweredQp {
+    let lowered = LoweredQp {
         config,
         backend: KktBackend::Direct,
         load,
@@ -482,32 +494,32 @@ fn lower_direct(
             &config,
         ),
         check,
-    })
+    };
+    Ok((lowered, load_map))
 }
 
 fn lower_indirect(
     problem: &Problem,
     settings: &Settings,
     config: MibConfig,
-) -> Result<LoweredQp, QpError> {
+) -> Result<(LoweredQp, LoadMap), QpError> {
     let n = problem.num_vars();
     let m = problem.num_constraints();
+    let rho_vec = rho_vec_for(problem, settings);
     let mut alloc = Allocator::new(config.width);
     let st = alloc_common(&mut alloc, n, m);
     let a_csr = problem.a().to_csr();
     let p_full = symmetrize_upper(problem.p()).to_csr();
 
-    // PCG state vectors (allocation order shared with the load builder).
-    let PcgLayouts {
-        b_vec,
-        r,
-        pdir,
-        dvec,
-        sp,
-        az,
-        precond,
-        scalars,
-    } = alloc_pcg(&mut alloc, n, m);
+    // PCG state vectors.
+    let b_vec = alloc.alloc(n); // reduced rhs
+    let r = alloc.alloc(n);
+    let pdir = alloc.alloc(n);
+    let dvec = alloc.alloc(n);
+    let sp = alloc.alloc(n);
+    let az = alloc.alloc(m);
+    let precond = alloc.alloc(n);
+    let scalars = alloc.alloc_rows(8); // rd, psp, lambda, mu, rd_new, recip...
 
     // Every kernel is built before any is scheduled: the builders allocate
     // scratch as they go, so only then is the layout final.
@@ -607,12 +619,20 @@ fn lower_indirect(
 
     // Load program, including the Jacobi preconditioner values
     // (diag(P) + sigma + sum rho_i A_ij^2).
-    let load = build_load_schedule(problem, settings, config);
+    let mut minv = vec![0.0; n];
+    jacobi_precond_into(
+        problem.p(),
+        problem.a(),
+        settings.sigma,
+        &rho_vec,
+        &mut minv,
+    );
+    let (load, load_map) = schedule_load(&config, &st, Some((precond, &minv)), problem, &rho_vec);
     let iteration = traced_schedule(&ib.finish(), &config);
     let pcg_iteration = traced_schedule(&pb.finish(), &config);
     let check = traced_schedule(&cb.finish(), &config);
 
-    Ok(LoweredQp {
+    let lowered = LoweredQp {
         config,
         backend: KktBackend::Indirect,
         load,
@@ -624,7 +644,8 @@ fn lower_indirect(
         iteration,
         pcg_iteration,
         check,
-    })
+    };
+    Ok((lowered, load_map))
 }
 
 /// Emits `out = S·v = (P + σI + Aᵀ diag(ρ) A) v` without forming `S`

@@ -17,8 +17,8 @@
 //! The lowering pipeline calls [`checked_schedule`] instead of the raw
 //! scheduler: in builds with debug assertions (debug builds and the
 //! `checked` profile) every schedule is certified immediately after
-//! packing, and the program cache re-runs the prediction on the
-//! value-refreshed load program of every hit.
+//! packing. A program-cache hit schedules nothing: it shares the miss's
+//! certified programs.
 
 use std::fmt;
 
@@ -156,19 +156,6 @@ fn verify_packing(kernel: &Kernel, s: &Schedule) -> Result<(), PackingError> {
     }
 }
 
-/// In builds with debug assertions, panics unless strict execution
-/// accepts the schedule, naming the machine's error. The program cache
-/// calls it on the value-refreshed load program of every hit (it does not
-/// retain the kernel, so there is no packing to cross-check).
-pub(crate) fn debug_assert_certified(name: &str, s: &Schedule, config: &MibConfig) {
-    if cfg!(debug_assertions) {
-        let strict = mib_verify::predict(&s.program, s.hbm.len(), config, HazardPolicy::Strict);
-        if let Err(e) = strict {
-            panic!("compiler produced an uncertifiable {name} schedule: {e}");
-        }
-    }
-}
-
 /// Schedules a kernel and — in builds with debug assertions — immediately
 /// certifies the result: one strict prediction plus the packing
 /// cross-check.
@@ -184,8 +171,14 @@ pub fn checked_schedule(kernel: &Kernel, opts: ScheduleOptions, config: &MibConf
         if let Err(e) = verify_packing(kernel, &s) {
             panic!("compiler packed {} unfaithfully: {e}", kernel.name);
         }
+        let strict = mib_verify::predict(&s.program, s.hbm.len(), config, HazardPolicy::Strict);
+        if let Err(e) = strict {
+            panic!(
+                "compiler produced an uncertifiable {} schedule: {e}",
+                kernel.name
+            );
+        }
     }
-    debug_assert_certified(&kernel.name, &s, config);
     s
 }
 

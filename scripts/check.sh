@@ -99,6 +99,10 @@ MIB_TIMING_FULL=1 cargo test --profile checked --test static_timing --test propt
 # The same build for mib-core's own unit tests: the literal fault-order
 # and certification tests of the predictor.
 cargo test --profile checked -p mib-core --lib -q
+# And for mib-compiler's: the program cache's bitwise hit-equals-fresh
+# tests over accel's 25 lowerings, with checked_schedule's debug-only
+# packing cross-check and strict prediction armed on every schedule.
+cargo test --profile checked -p mib-compiler --lib -q
 
 echo "==> paper reports (all_experiments reproduces results/*.txt byte for byte)"
 # Every figure and table is deterministic: regenerated in a scratch

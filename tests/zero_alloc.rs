@@ -17,7 +17,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mib::compiler::lower::lower;
+use mib::compiler::lower::{lower, LoweredQp};
+use mib::compiler::{ProgramCache, Schedule};
 use mib::core::hbm::HbmStream;
 use mib::core::machine::{HazardPolicy, Machine};
 use mib::core::MibConfig;
@@ -358,6 +359,70 @@ fn repeated_machine_run_performs_zero_allocations() {
         assert_eq!(
             allocs, 0,
             "Stall run {run}, under a key other than the memo's, allocated {allocs} times"
+        );
+    }
+}
+
+/// A program-cache hit's whole plan allocates nothing on the machine the
+/// miss's plan ran on: the hit shares every program with the miss, `load`
+/// included, so each run reads a memo built under the same key. The plan
+/// is `accel`'s (load, the factorization, five iterations each with a PCG
+/// iteration on the indirect variant, the check) for a suite instance at
+/// C = 32, the hit a new `q`.
+#[test]
+fn cache_hit_plan_performs_zero_allocations() {
+    fn plan(l: &LoweredQp) -> Vec<&Schedule> {
+        let mut plan = vec![&l.load, &l.setup];
+        for _ in 0..5 {
+            plan.extend([&l.iteration, &l.pcg_iteration]);
+        }
+        plan.push(&l.check);
+        plan.retain(|s| !s.program.is_empty());
+        plan
+    }
+    let config = MibConfig::c32();
+    let problem = instance(Domain::Portfolio, 0).problem;
+    let (p, q, a, l, u) = problem.clone().into_parts();
+    let q = q.iter().map(|v| 0.75 * v + 0.125).collect();
+    let revalued = Problem::new(p, q, a, l, u).expect("re-valued problem is valid");
+    for backend in [KktBackend::Direct, KktBackend::Indirect] {
+        let settings = Settings {
+            scaling_iters: 0,
+            adaptive_rho: false,
+            ..Settings::with_backend(backend)
+        };
+        let mut cache = ProgramCache::new();
+        let miss = cache
+            .lower_cached(&problem, &settings, config)
+            .expect("the instance lowers");
+        let hit = cache
+            .lower_cached(&revalued, &settings, config)
+            .expect("the instance lowers");
+        assert_eq!((cache.misses(), cache.hits()), (1, 1), "{backend:?}");
+        let mut machine = Machine::new(config);
+        for s in plan(&miss) {
+            let run = machine.run(
+                &s.program,
+                &mut HbmStream::new(s.hbm.clone()),
+                HazardPolicy::Strict,
+            );
+            assert!(run.is_ok(), "{backend:?} miss: {run:?}");
+        }
+        let hit_plan = plan(&hit);
+        let mut streams: Vec<HbmStream> = hit_plan
+            .iter()
+            .map(|s| HbmStream::new(s.hbm.clone()))
+            .collect();
+        let mut runs = Vec::with_capacity(hit_plan.len());
+        let allocs = allocations_during(|| {
+            for (s, hbm) in hit_plan.iter().zip(&mut streams) {
+                runs.push(machine.run(&s.program, hbm, HazardPolicy::Strict));
+            }
+        });
+        assert!(runs.iter().all(Result::is_ok), "{backend:?} hit: {runs:?}");
+        assert_eq!(
+            allocs, 0,
+            "{backend:?}: a cache hit's plan allocated {allocs} times"
         );
     }
 }
