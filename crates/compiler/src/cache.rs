@@ -179,6 +179,7 @@ mod tests {
     use crate::lower::lower;
     use crate::schedule::Schedule;
     use mib_core::hbm::HbmStream;
+    use mib_core::instruction::{LaneSource, OutMul};
     use mib_core::machine::{HazardPolicy, Machine};
     use mib_problems::{instance, Domain};
     use mib_qp::{KktBackend, INFTY};
@@ -470,6 +471,21 @@ mod tests {
         }
     }
 
+    /// `accel`'s 25 lowerings: suite indices 0 and 3 of every domain at
+    /// C = 32 in both variants, and index 0 at C = 16 direct.
+    fn accel_specs() -> Vec<(Domain, usize, KktBackend, MibConfig)> {
+        let mut specs = Vec::new();
+        for domain in Domain::all() {
+            for index in [0, 3] {
+                specs.push((domain, index, KktBackend::Direct, MibConfig::c32()));
+                specs.push((domain, index, KktBackend::Indirect, MibConfig::c32()));
+            }
+            specs.push((domain, 0, KktBackend::Direct, MibConfig::c16()));
+        }
+        assert_eq!(specs.len(), 25);
+        specs
+    }
+
     /// `accel`'s 25 lowerings (suite indices 0 and 3 at C = 32 in both
     /// variants, index 0 at C = 16 direct), each hit with a new `q` and
     /// with moved bounds: a hit's load program and stream equal a fresh
@@ -479,43 +495,117 @@ mod tests {
     /// variant, a machine that ran the miss's plan first).
     #[test]
     fn hits_match_fresh_lowerings_on_the_accel_programs() {
-        let mut lowerings = 0;
-        for domain in Domain::all() {
-            let mut specs = Vec::new();
-            for index in [0, 3] {
-                specs.push((index, KktBackend::Direct, MibConfig::c32()));
-                specs.push((index, KktBackend::Indirect, MibConfig::c32()));
-            }
-            specs.push((0, KktBackend::Direct, MibConfig::c16()));
-            for (index, backend, config) in specs {
-                let settings = Settings::with_backend(backend);
-                let base = instance(domain, index).problem;
-                let mut cache = ProgramCache::new();
-                let miss = cache.lower_cached(&base, &settings, config).unwrap();
-                for (what, problem) in [("new q", new_q(&base)), ("bounds", moved_bounds(&base))] {
-                    let label = format!("{domain}[{index}]/{backend:?}/C{}: {what}", config.width);
-                    let hit = cache.lower_cached(&problem, &settings, config).unwrap();
-                    assert_eq!(cache.misses(), 1, "{label}: a hit");
-                    let fresh = lower(&problem, &settings, config).unwrap();
-                    assert_eq!(hit.load.program, fresh.load.program, "{label}");
-                    assert_eq!(bits(&hit.load.hbm), bits(&fresh.load.hbm), "{label}");
-                    assert_loads(&hit, &problem, &settings, &label);
-                    let mut warm = Machine::new(config);
-                    run_plan(&mut warm, &miss, &label);
-                    run_plan(&mut warm, &hit, &label);
-                    let mut cold = Machine::new(config);
-                    if backend == KktBackend::Indirect {
-                        // The indirect iteration starts PCG from `xtilde`,
-                        // which the load leaves as the last plan left it.
-                        run_plan(&mut cold, &miss, &label);
-                    }
-                    run_plan(&mut cold, &fresh, &label);
-                    assert!(warm.regs() == cold.regs(), "{label}: registers");
+        for (domain, index, backend, config) in accel_specs() {
+            let settings = Settings::with_backend(backend);
+            let base = instance(domain, index).problem;
+            let mut cache = ProgramCache::new();
+            let miss = cache.lower_cached(&base, &settings, config).unwrap();
+            for (what, problem) in [("new q", new_q(&base)), ("bounds", moved_bounds(&base))] {
+                let label = format!("{domain}[{index}]/{backend:?}/C{}: {what}", config.width);
+                let hit = cache.lower_cached(&problem, &settings, config).unwrap();
+                assert_eq!(cache.misses(), 1, "{label}: a hit");
+                let fresh = lower(&problem, &settings, config).unwrap();
+                assert_eq!(hit.load.program, fresh.load.program, "{label}");
+                assert_eq!(bits(&hit.load.hbm), bits(&fresh.load.hbm), "{label}");
+                assert_loads(&hit, &problem, &settings, &label);
+                let mut warm = Machine::new(config);
+                run_plan(&mut warm, &miss, &label);
+                run_plan(&mut warm, &hit, &label);
+                let mut cold = Machine::new(config);
+                if backend == KktBackend::Indirect {
+                    // The indirect iteration starts PCG from `xtilde`,
+                    // which the load leaves as the last plan left it.
+                    run_plan(&mut cold, &miss, &label);
                 }
-                lowerings += 1;
+                run_plan(&mut cold, &fresh, &label);
+                assert!(warm.regs() == cold.regs(), "{label}: registers");
             }
         }
-        assert_eq!(lowerings, 25);
+    }
+
+    /// A 64-bit FNV-1a hash, fed whole words in little-endian byte order.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn word(&mut self, w: u64) {
+            for b in w.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    /// Feeds every observable part of a schedule to `h`: each slot lane by
+    /// lane through the instruction's public accessors (input, adder nodes,
+    /// output multiplier, writeback) and its kind, the HBM word bits,
+    /// `slot_of`, `depth`, `forced_appends` and `logical_count`.
+    fn digest_schedule(h: &mut Fnv, s: &Schedule) {
+        h.word(s.program.len() as u64);
+        for inst in s.program.iter() {
+            h.word(inst.kind.index() as u64);
+            for lane in 0..inst.width() {
+                let (tag, addr, extra) = match inst.input(lane) {
+                    None => (0, 0, 0),
+                    Some(LaneSource::Reg { addr }) => (1, addr, 0),
+                    Some(LaneSource::Stream) => (2, 0, 0),
+                    Some(LaneSource::RegTimesStream { addr, negate }) => {
+                        (3, addr, u64::from(negate))
+                    }
+                    Some(LaneSource::RegTimesLatch { addr, negate }) => {
+                        (4, addr, u64::from(negate))
+                    }
+                    Some(LaneSource::RegTimesImm { addr, imm }) => (5, addr, imm.to_bits()),
+                    Some(LaneSource::StreamTimesLatch { negate }) => (6, 0, u64::from(negate)),
+                };
+                h.word(tag);
+                h.word(addr as u64);
+                h.word(extra);
+                for stage in 0..inst.stages() {
+                    h.word(inst.node(stage, lane) as u64);
+                }
+                h.word(match inst.out_mul(lane) {
+                    OutMul::Bypass => 0,
+                    OutMul::MulStream { negate } => 1 + u64::from(negate),
+                });
+                match inst.write(lane) {
+                    None => h.word(0),
+                    Some(w) => {
+                        h.word(1 + w.mode as u64);
+                        h.word(w.addr as u64);
+                    }
+                }
+            }
+        }
+        h.word(s.hbm.len() as u64);
+        for w in &s.hbm {
+            h.word(w.to_bits());
+        }
+        h.word(s.slot_of.len() as u64);
+        for &t in &s.slot_of {
+            h.word(t as u64);
+        }
+        h.word(s.depth);
+        h.word(s.forced_appends as u64);
+        h.word(s.logical_count as u64);
+    }
+
+    /// Every slot, HBM word and placement of `accel`'s 25 lowerings, pinned
+    /// by one FNV-1a digest. Slot and cycle counts are gated elsewhere; this
+    /// catches a packing or stream-order change that keeps the counts.
+    #[test]
+    fn accel_lowerings_match_their_pinned_digest() {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for (domain, index, backend, config) in accel_specs() {
+            let settings = Settings::with_backend(backend);
+            let l = lower(&instance(domain, index).problem, &settings, config).unwrap();
+            for s in [&l.load, &l.setup, &l.iteration, &l.pcg_iteration, &l.check] {
+                digest_schedule(&mut h, s);
+            }
+        }
+        assert_eq!(
+            h.0, 0x38b1_5fee_19e3_9e1e,
+            "accel's schedules changed: digest {:#018x}",
+            h.0
+        );
     }
 
     #[test]

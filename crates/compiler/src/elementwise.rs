@@ -54,8 +54,7 @@ pub fn load_vec(b: &mut KernelBuilder, v: Layout, values: &[f64]) {
     for range in chunks(v.len, width) {
         let mut inst = NetInstruction::nop(width);
         inst.kind = InstrKind::Elementwise;
-        let mut stream = Vec::new();
-        for e in range {
+        for e in range.clone() {
             let (lane, addr) = v.loc(e);
             inst.set_input(lane, LaneSource::Stream);
             inst.route(lane, lane);
@@ -66,9 +65,8 @@ pub fn load_vec(b: &mut KernelBuilder, v: Layout, values: &[f64]) {
                     mode: WriteMode::Store,
                 },
             );
-            stream.push((lane, values[e]));
         }
-        b.push(inst, stream);
+        b.push(inst, range.map(|e| (v.bank(e), values[e])));
     }
 }
 

@@ -68,16 +68,19 @@ pub fn factor_kernel(
     let d = fl.d();
     let dinv = fl.dinv();
 
+    // One column's entries and one instruction's HBM words, reused.
+    let mut entries: Vec<(usize, f64)> = Vec::new();
+    let mut stream = Vec::new();
     for k in 0..n {
         // ---- Load phase: scatter column k of A into y (and D[k]). ----
-        let entries: Vec<(usize, f64)> = a.col(k).collect();
+        entries.clear();
+        entries.extend(a.col(k));
         let mut idx = 0usize;
         let mut saw_diag = false;
         while idx < entries.len() {
-            let mut used = vec![false; width];
+            let mut used = 0u128; // the lanes taken so far
             let mut inst = NetInstruction::nop(width);
             inst.kind = InstrKind::Elementwise;
-            let mut stream = Vec::new();
             while idx < entries.len() {
                 let (i, v) = entries[idx];
                 let (lane, addr) = if i == k {
@@ -86,10 +89,10 @@ pub fn factor_kernel(
                 } else {
                     (y.bank(i), y.addr(i))
                 };
-                if used[lane] {
+                if used & (1 << lane) != 0 {
                     break;
                 }
-                used[lane] = true;
+                used |= 1 << lane;
                 inst.set_input(lane, LaneSource::Stream);
                 inst.route(lane, lane);
                 inst.set_write(
@@ -102,7 +105,7 @@ pub fn factor_kernel(
                 stream.push((lane, v));
                 idx += 1;
             }
-            b.push(inst, stream);
+            b.push(inst, stream.drain(..));
         }
         assert!(
             saw_diag,
@@ -177,16 +180,16 @@ pub fn factor_kernel(
             // (4) Updates: y_r -= L(r, i) · yᵢ, chunked by lane.
             let mut uidx = 0usize;
             while uidx < update_rows.len() {
-                let mut used = vec![false; width];
+                let mut used = 0u128; // the lanes taken so far
                 let mut upd = NetInstruction::nop(width);
                 upd.kind = InstrKind::ColElim;
                 while uidx < update_rows.len() {
                     let r = update_rows[uidx];
                     let lane = r % width;
-                    if used[lane] {
+                    if used & (1 << lane) != 0 {
                         break;
                     }
-                    used[lane] = true;
+                    used |= 1 << lane;
                     let p = l_col_ptr[i] + uidx;
                     upd.set_input(
                         lane,

@@ -12,22 +12,16 @@
 //!
 //! The per-lane broadcast latch is tracked like a register location.
 //! The resulting [`Kernel`] is the input of the first-fit scheduler.
+//!
+//! A kernel is struct-of-arrays: one vector of instructions, one flat
+//! vector of `(producer, delay)` dependences and one flat vector of
+//! `(key, word)` HBM stream entries, the latter two cut per instruction by
+//! end offsets. Building a kernel allocates per kernel, not per logical
+//! instruction: the builder appends each instruction's dependences and
+//! words in place, and the readers of every register and latch location
+//! since its last write are linked lists threaded through one arena.
 
 use mib_core::instruction::{NetInstruction, WriteMode};
-
-/// A logical network instruction plus its dependencies and HBM words.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogicalInstr {
-    /// The network configuration.
-    pub inst: NetInstruction,
-    /// `(producer index, minimum slot distance)` pairs.
-    pub deps: Vec<(usize, u64)>,
-    /// HBM words consumed, tagged by sort key: `lane` for input-stage
-    /// words, `width + lane` for output-multiplier words (the machine
-    /// consumes a slot's input-phase words in lane order first, then the
-    /// output-multiplier words in lane order).
-    pub stream: Vec<(usize, f64)>,
-}
 
 /// A finished logical instruction stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +31,27 @@ pub struct Kernel {
     /// Machine width the kernel was built for.
     pub width: usize,
     /// The logical instructions in algorithm order.
-    pub instrs: Vec<LogicalInstr>,
+    instrs: Vec<NetInstruction>,
+    /// Every instruction's `(producer index, minimum slot distance)`
+    /// pairs, one entry per producer in ascending producer order,
+    /// instruction after instruction.
+    deps: Vec<(usize, u64)>,
+    /// `deps_end[i]`: the end of instruction `i`'s run in `deps`.
+    deps_end: Vec<usize>,
+    /// Every instruction's HBM words tagged by sort key, instruction after
+    /// instruction: `lane` for input-stage words, `width + lane` for
+    /// output-multiplier words (the machine consumes a slot's input-phase
+    /// words in lane order first, then the output-multiplier words in lane
+    /// order).
+    stream: Vec<(usize, f64)>,
+    /// `stream_end[i]`: the end of instruction `i`'s run in `stream`.
+    stream_end: Vec<usize>,
+}
+
+/// Instruction `i`'s run of a flat array cut by `ends`.
+fn run<'a, T>(all: &'a [T], ends: &[usize], i: usize) -> &'a [T] {
+    let start = if i == 0 { 0 } else { ends[i - 1] };
+    &all[start..ends[i]]
 }
 
 impl Kernel {
@@ -51,25 +65,31 @@ impl Kernel {
         self.instrs.is_empty()
     }
 
-    /// Concatenates another kernel after this one, shifting its dependency
-    /// indices. The combined kernel preserves both dependency structures;
-    /// cross-kernel hazards are still tracked because indices are local —
-    /// callers that need cross-kernel dependencies should build through one
-    /// [`KernelBuilder`] instead.
-    pub fn concat(mut self, other: Kernel) -> Kernel {
-        assert_eq!(self.width, other.width, "kernel width mismatch");
-        let offset = self.instrs.len();
-        for mut li in other.instrs {
-            for d in &mut li.deps {
-                d.0 += offset;
-            }
-            self.instrs.push(li);
-        }
-        self
+    /// The logical instructions in algorithm order.
+    pub(crate) fn instrs(&self) -> &[NetInstruction] {
+        &self.instrs
+    }
+
+    /// Logical instruction `i`'s `(producer index, minimum slot distance)`
+    /// pairs: one per producer, in ascending producer order.
+    pub(crate) fn deps(&self, i: usize) -> &[(usize, u64)] {
+        run(&self.deps, &self.deps_end, i)
+    }
+
+    /// Total HBM words the kernel streams.
+    pub(crate) fn stream_words(&self) -> usize {
+        self.stream.len()
+    }
+
+    /// Logical instruction `i`'s HBM words, tagged by sort key: `lane` for
+    /// input-stage words, `width + lane` for output-multiplier words.
+    pub(crate) fn stream(&self, i: usize) -> &[(usize, f64)] {
+        run(&self.stream, &self.stream_end, i)
     }
 }
 
-/// No instruction: an unwritten location, or a location without readers.
+/// No instruction or arena node: an unwritten location, a location
+/// without readers, or the end of a reader list.
 const NONE: u32 = u32::MAX;
 
 /// The dependency state of one register or latch location.
@@ -77,8 +97,8 @@ const NONE: u32 = u32::MAX;
 struct LocState {
     /// The last instruction that wrote the location.
     last_write: u32,
-    /// The location's list in [`KernelBuilder::lists`]: the instructions
-    /// that read it since that write.
+    /// The head of the location's reader list in [`KernelBuilder::readers`]:
+    /// the instructions that read it since that write, latest first.
     readers: u32,
 }
 
@@ -87,6 +107,13 @@ impl LocState {
         last_write: NONE,
         readers: NONE,
     };
+}
+
+/// One reader of a location, linked to the location's earlier readers.
+#[derive(Debug, Clone, Copy)]
+struct Reader {
+    instr: u32,
+    next: u32,
 }
 
 /// A location an instruction accesses.
@@ -102,20 +129,16 @@ enum Loc {
 /// register and latch accesses.
 #[derive(Debug, Clone)]
 pub struct KernelBuilder {
-    name: String,
-    width: usize,
+    kernel: Kernel,
     latency: u64,
-    instrs: Vec<LogicalInstr>,
     /// Per lane, per register address (grown on first touch).
     regs: Vec<Vec<LocState>>,
     /// Per lane, its broadcast latch.
     latches: Vec<LocState>,
-    /// Reader lists, recycled: a write that drains a list returns it to
-    /// `free`.
-    lists: Vec<Vec<u32>>,
-    free: Vec<u32>,
-    /// The `(producer, delay)` pairs of the instruction being pushed.
-    deps: Vec<(usize, u64)>,
+    /// The arena of every location's reader list. A write that drains a
+    /// list returns its nodes to the `free` list.
+    readers: Vec<Reader>,
+    free: u32,
 }
 
 impl KernelBuilder {
@@ -123,31 +146,36 @@ impl KernelBuilder {
     /// latency (use [`mib_core::MibConfig::latency`]).
     pub fn new(name: impl Into<String>, width: usize, latency: u64) -> Self {
         KernelBuilder {
-            name: name.into(),
-            width,
+            kernel: Kernel {
+                name: name.into(),
+                width,
+                instrs: Vec::new(),
+                deps: Vec::new(),
+                deps_end: Vec::new(),
+                stream: Vec::new(),
+                stream_end: Vec::new(),
+            },
             latency,
-            instrs: Vec::new(),
             regs: vec![Vec::new(); width],
             latches: vec![LocState::EMPTY; width],
-            lists: Vec::new(),
-            free: Vec::new(),
-            deps: Vec::new(),
+            readers: Vec::new(),
+            free: NONE,
         }
     }
 
     /// Machine width.
     pub fn width(&self) -> usize {
-        self.width
+        self.kernel.width
     }
 
     /// Number of instructions so far.
     pub fn len(&self) -> usize {
-        self.instrs.len()
+        self.kernel.len()
     }
 
     /// Whether no instruction has been pushed yet.
     pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
+        self.kernel.is_empty()
     }
 
     /// Appends an instruction, computing its dependencies. `stream` holds
@@ -158,11 +186,20 @@ impl KernelBuilder {
     /// # Panics
     ///
     /// Panics if the instruction width differs from the kernel width.
-    pub fn push(&mut self, inst: NetInstruction, stream: Vec<(usize, f64)>) -> usize {
-        assert_eq!(inst.width(), self.width, "instruction width mismatch");
-        let id = self.instrs.len();
+    pub fn push(
+        &mut self,
+        inst: NetInstruction,
+        stream: impl IntoIterator<Item = (usize, f64)>,
+    ) -> usize {
+        assert_eq!(
+            inst.width(),
+            self.kernel.width,
+            "instruction width mismatch"
+        );
+        let id = self.kernel.instrs.len();
         let id32 = u32::try_from(id).expect("a kernel holds fewer than 2^32 instructions");
-        self.deps.clear();
+        // This instruction's pairs collect at the end of the flat array.
+        let start = self.kernel.deps.len();
 
         // Reads (multiplier stage, at issue time).
         for (lane, src) in inst.input_locs() {
@@ -185,15 +222,22 @@ impl KernelBuilder {
 
         // One entry per producer with its largest delay: sorted, that is
         // the last of each producer's run.
-        self.deps.sort_unstable();
-        let mut deps: Vec<(usize, u64)> = Vec::with_capacity(self.deps.len());
-        for &(producer, delay) in &self.deps {
-            match deps.last_mut() {
-                Some(last) if last.0 == producer => last.1 = delay,
-                _ => deps.push((producer, delay)),
+        let deps = &mut self.kernel.deps;
+        deps[start..].sort_unstable();
+        let mut end = start;
+        for k in start..deps.len() {
+            if end > start && deps[end - 1].0 == deps[k].0 {
+                deps[end - 1].1 = deps[k].1;
+            } else {
+                deps[end] = deps[k];
+                end += 1;
             }
         }
-        self.instrs.push(LogicalInstr { inst, deps, stream });
+        deps.truncate(end);
+        self.kernel.deps_end.push(end);
+        self.kernel.stream.extend(stream);
+        self.kernel.stream_end.push(self.kernel.stream.len());
+        self.kernel.instrs.push(inst);
         id
     }
 
@@ -213,19 +257,24 @@ impl KernelBuilder {
     fn note_read(&mut self, loc: Loc, id: u32) {
         let state = *self.state(loc);
         if state.last_write != NONE {
-            self.deps.push((state.last_write as usize, self.latency));
+            self.kernel
+                .deps
+                .push((state.last_write as usize, self.latency));
         }
-        let list = if state.readers == NONE {
-            let list = self.free.pop().unwrap_or_else(|| {
-                self.lists.push(Vec::new());
-                (self.lists.len() - 1) as u32
-            });
-            self.state(loc).readers = list;
-            list
-        } else {
-            state.readers
+        let node = Reader {
+            instr: id,
+            next: state.readers,
         };
-        self.lists[list as usize].push(id);
+        let head = if self.free == NONE {
+            self.readers.push(node);
+            (self.readers.len() - 1) as u32
+        } else {
+            let head = self.free;
+            self.free = self.readers[head as usize].next;
+            self.readers[head as usize] = node;
+            head
+        };
+        self.state(loc).readers = head;
     }
 
     fn note_write(&mut self, loc: Loc, id: u32, rmw: bool) {
@@ -234,14 +283,19 @@ impl KernelBuilder {
             // A read-modify-write must wait for the previous value; a plain
             // store only needs commit ordering.
             let delay = if rmw { self.latency } else { 1 };
-            self.deps.push((state.last_write as usize, delay));
+            self.kernel.deps.push((state.last_write as usize, delay));
         }
-        if state.readers != NONE {
-            let readers = &mut self.lists[state.readers as usize];
-            let earlier = readers.iter().filter(|&&r| r != id);
-            self.deps.extend(earlier.map(|&r| (r as usize, 0)));
-            readers.clear();
-            self.free.push(state.readers);
+        // Every earlier reader is a zero-delay producer; the drained nodes
+        // go back to the free list.
+        let mut node = state.readers;
+        while node != NONE {
+            let Reader { instr, next } = self.readers[node as usize];
+            if instr != id {
+                self.kernel.deps.push((instr as usize, 0));
+            }
+            self.readers[node as usize].next = self.free;
+            self.free = node;
+            node = next;
         }
         *self.state(loc) = LocState {
             last_write: id,
@@ -251,11 +305,7 @@ impl KernelBuilder {
 
     /// Finishes the kernel.
     pub fn finish(self) -> Kernel {
-        Kernel {
-            name: self.name,
-            width: self.width,
-            instrs: self.instrs,
-        }
+        self.kernel
     }
 }
 
@@ -284,8 +334,8 @@ mod tests {
         let p = b.push(store(8, 0, 0, 1), vec![]);
         let c = b.push(store(8, 0, 1, 2), vec![]); // reads what p wrote
         let k = b.finish();
-        assert_eq!(k.instrs[c].deps, vec![(p, 5)]);
-        assert!(k.instrs[p].deps.is_empty());
+        assert_eq!(k.deps(c), vec![(p, 5)]);
+        assert!(k.deps(p).is_empty());
     }
 
     #[test]
@@ -296,8 +346,8 @@ mod tests {
         let w2 = b.push(store(8, 0, 9, 1), vec![]); // overwrites (0,1)
         let k = b.finish();
         // w2 depends on w1 with delay 1 (WAW) and on r with delay 0 (WAR).
-        assert!(k.instrs[w2].deps.contains(&(w1, 1)));
-        assert!(k.instrs[w2].deps.contains(&(r, 0)));
+        assert!(k.deps(w2).contains(&(w1, 1)));
+        assert!(k.deps(w2).contains(&(r, 0)));
     }
 
     #[test]
@@ -316,7 +366,7 @@ mod tests {
         );
         let a = b.push(acc, vec![]);
         let k = b.finish();
-        assert!(k.instrs[a].deps.contains(&(w1, 5)));
+        assert!(k.deps(a).contains(&(w1, 5)));
     }
 
     #[test]
@@ -351,7 +401,7 @@ mod tests {
         );
         let c = b.push(use_latch, vec![]);
         let k = b.finish();
-        assert!(k.instrs[c].deps.contains(&(p, 5)));
+        assert!(k.deps(c).contains(&(p, 5)));
     }
 
     #[test]
@@ -360,18 +410,6 @@ mod tests {
         b.push(store(8, 0, 0, 1), vec![]);
         let i2 = b.push(store(8, 1, 0, 1), vec![]); // different bank
         let k = b.finish();
-        assert!(k.instrs[i2].deps.is_empty());
-    }
-
-    #[test]
-    fn concat_shifts_indices() {
-        let mut b1 = KernelBuilder::new("a", 8, 5);
-        b1.push(store(8, 0, 0, 1), vec![]);
-        let mut b2 = KernelBuilder::new("b", 8, 5);
-        let p = b2.push(store(8, 0, 0, 1), vec![]);
-        let c = b2.push(store(8, 0, 1, 2), vec![]);
-        let k = b1.finish().concat(b2.finish());
-        assert_eq!(k.len(), 3);
-        assert_eq!(k.instrs[1 + c].deps, vec![(1 + p, 5)]);
+        assert!(k.deps(i2).is_empty());
     }
 }

@@ -51,7 +51,7 @@ pub mod verify;
 
 pub use cache::ProgramCache;
 pub use cost::{lower_bound, static_cost, StaticCost};
-pub use kernel::{Kernel, KernelBuilder, LogicalInstr};
+pub use kernel::{Kernel, KernelBuilder};
 pub use layout::{Allocator, Layout};
 pub use schedule::{schedule, Schedule, ScheduleOptions};
 pub use verify::checked_schedule;

@@ -180,6 +180,15 @@ fn traced_schedule(kernel: &Kernel, config: &MibConfig) -> Schedule {
     checked_schedule(kernel, ScheduleOptions::default(), config)
 }
 
+/// Builds one kernel under a compiler-category `build` span: a fresh
+/// builder named `name`, filled by `emit`.
+fn traced_build(name: &str, config: &MibConfig, emit: impl FnOnce(&mut KernelBuilder)) -> Kernel {
+    let _span = mib_trace::span("build", mib_trace::Category::Compiler);
+    let mut b = KernelBuilder::new(name, config.width, config.latency());
+    emit(&mut b);
+    b.finish()
+}
+
 /// Fails unless every register address the allocator handed out fits in
 /// a bank. Lowering calls it once, after the last allocation and before
 /// the first schedule, so no program that addresses past `bank_depth` is
@@ -300,27 +309,26 @@ fn schedule_load(
     problem: &Problem,
     rho_vec: &[f64],
 ) -> (Schedule, LoadMap) {
-    let mut lb = KernelBuilder::new("load", config.width, config.latency());
-    let mut words = 0;
-    let mut load_indices = |b: &mut KernelBuilder, v: Layout| {
-        let indices: Vec<f64> = (words..words + v.len).map(|i| i as f64).collect();
-        words += v.len;
-        ew::load_vec(b, v, &indices);
-    };
-    for v in [st.q, st.l, st.u, st.rho, st.rho_inv] {
-        load_indices(&mut lb, v);
-    }
-    ew::zero(&mut lb, st.x);
-    ew::zero(&mut lb, st.y);
-    ew::zero(&mut lb, st.z);
-    let precond_words = match precond {
-        Some((layout, minv)) => {
-            load_indices(&mut lb, layout);
-            minv
+    let kernel = traced_build("load", config, |lb| {
+        let mut words = 0;
+        let mut load_indices = |b: &mut KernelBuilder, v: Layout| {
+            let indices: Vec<f64> = (words..words + v.len).map(|i| i as f64).collect();
+            words += v.len;
+            ew::load_vec(b, v, &indices);
+        };
+        for v in [st.q, st.l, st.u, st.rho, st.rho_inv] {
+            load_indices(lb, v);
         }
-        None => &[],
-    };
-    let mut load = traced_schedule(&lb.finish(), config);
+        ew::zero(lb, st.x);
+        ew::zero(lb, st.y);
+        ew::zero(lb, st.z);
+        if let Some((layout, _)) = precond {
+            load_indices(lb, layout);
+        }
+    });
+    let mut load = traced_schedule(&kernel, config);
+    let _span = mib_trace::span("load_map", mib_trace::Category::Compiler);
+    let precond_words = precond.map_or(&[][..], |(_, minv)| minv);
     let mut word = vec![0; load.hbm.len()];
     for (k, &index) in load.hbm.iter().enumerate() {
         word[index as usize] = k;
@@ -418,69 +426,73 @@ fn lower_direct(
     let a_csr = problem.a().to_csr();
     let p_full = symmetrize_upper(problem.p()).to_csr();
 
-    // KKT analysis (same path as the reference direct backend).
-    let (perm, permuted, sym) = {
+    // KKT analysis (same path as the reference direct backend), and a
+    // reference factor object for structure-driven solve generation: the
+    // triangular-solve generators need L's pattern; values live
+    // on-machine.
+    let (perm, permuted, sym, f_struct) = {
         let _analyze = mib_trace::span("analyze", mib_trace::Category::Compiler);
         let kkt = KktMatrix::assemble(problem.p(), problem.a(), settings.sigma, &rho_vec)?;
         let perm = order::compute(kkt.matrix(), Ordering::MinDegree)?;
         let permuted = perm.sym_perm_upper(kkt.matrix())?;
         let sym = LdlSymbolic::new(&permuted)?;
-        (perm, permuted, sym)
+        let f_struct = sym
+            .factor(&permuted)
+            .map_err(|e| QpError::KktFactorization(e.to_string()))?;
+        (perm, permuted, sym, f_struct)
     };
 
     let (fl, y_scratch) = plan_factor_exact(&permuted, &sym, &mut alloc);
     let v = alloc.alloc(n + m);
     // The check kernel allocates the last scratch; built first, it makes
     // the layout final before anything is scheduled.
-    let mut cb = KernelBuilder::new("check", config.width, config.latency());
-    build_check(&mut cb, &mut alloc, &st, &a_csr, &p_full);
+    let check_kernel = traced_build("check", &config, |cb| {
+        build_check(cb, &mut alloc, &st, &a_csr, &p_full);
+    });
     check_fits(&alloc, &config)?;
 
     let (load, load_map) = schedule_load(&config, &st, None, problem, &rho_vec);
 
     // Setup: on-machine numeric factorization.
-    let mut fb = KernelBuilder::new("factor", config.width, config.latency());
-    factor_kernel(&mut fb, &permuted, &sym, &fl, y_scratch);
-    let setup = traced_schedule(&fb.finish(), &config);
+    let factor = traced_build("factor", &config, |fb| {
+        factor_kernel(fb, &permuted, &sym, &fl, y_scratch);
+    });
+    let setup = traced_schedule(&factor, &config);
 
     // Iteration program.
-    let mut ib = KernelBuilder::new("iteration", config.width, config.latency());
-    build_rhs(&mut ib, &st, settings.sigma);
-    // permutate: v[p] = rhs[perm[p]] where rhs = [t_n; t_m].
-    let rhs_loc = |idx: usize| {
-        if idx < n {
-            st.t_n.loc(idx)
-        } else {
-            st.t_m.loc(idx - n)
-        }
-    };
-    let gather: Vec<((usize, usize), (usize, usize))> = (0..n + m)
-        .map(|p| (rhs_loc(perm.perm()[p]), v.loc(p)))
-        .collect();
-    permute_locs(&mut ib, &gather);
-    // Reference factor object for structure-driven solve generation: the
-    // triangular-solve generators need L's pattern; values live on-machine.
-    let f_struct = sym
-        .factor(&permuted)
-        .map_err(|e| QpError::KktFactorization(e.to_string()))?;
-    lsolve_streamed(&mut ib, &f_struct, v);
-    dsolve_streamed(&mut ib, &f_struct, v);
-    ltsolve_streamed(&mut ib, &f_struct, v);
-    // inverse_permutate: xtilde[j] = v[inv[j]], nu[i] = v[inv[n + i]].
-    let out_loc = |idx: usize| {
-        if idx < n {
-            st.xtilde.loc(idx)
-        } else {
-            st.nu.loc(idx - n)
-        }
-    };
-    let scatter: Vec<((usize, usize), (usize, usize))> = (0..n + m)
-        .map(|orig| (v.loc(perm.inv()[orig]), out_loc(orig)))
-        .collect();
-    permute_locs(&mut ib, &scatter);
-    build_updates(&mut ib, &st);
-    let iteration = traced_schedule(&ib.finish(), &config);
-    let check = traced_schedule(&cb.finish(), &config);
+    let iteration = traced_build("iteration", &config, |ib| {
+        build_rhs(ib, &st, settings.sigma);
+        // permutate: v[p] = rhs[perm[p]] where rhs = [t_n; t_m].
+        let rhs_loc = |idx: usize| {
+            if idx < n {
+                st.t_n.loc(idx)
+            } else {
+                st.t_m.loc(idx - n)
+            }
+        };
+        let gather: Vec<((usize, usize), (usize, usize))> = (0..n + m)
+            .map(|p| (rhs_loc(perm.perm()[p]), v.loc(p)))
+            .collect();
+        permute_locs(ib, &gather);
+        lsolve_streamed(ib, &f_struct, v);
+        dsolve_streamed(ib, &f_struct, v);
+        ltsolve_streamed(ib, &f_struct, v);
+        // inverse_permutate: xtilde[j] = v[inv[j]], nu[i] = v[inv[n + i]].
+        let out_loc = |idx: usize| {
+            if idx < n {
+                st.xtilde.loc(idx)
+            } else {
+                st.nu.loc(idx - n)
+            }
+        };
+        let scatter: Vec<((usize, usize), (usize, usize))> = (0..n + m)
+            .map(|orig| (v.loc(perm.inv()[orig]), out_loc(orig)))
+            .collect();
+        permute_locs(ib, &scatter);
+        build_updates(ib, &st);
+    });
+    let iteration = traced_schedule(&iteration, &config);
+    let check = traced_schedule(&check_kernel, &config);
 
     let lowered = LoweredQp {
         config,
@@ -525,96 +537,99 @@ fn lower_indirect(
     // scratch as they go, so only then is the layout final.
 
     // Iteration (outer) program: rhs, reduced rhs, nu recovery, updates.
-    let mut ib = KernelBuilder::new("iteration", config.width, config.latency());
-    build_rhs(&mut ib, &st, settings.sigma);
-    // b = t_n + Aᵀ(ρ ∘ t_m)
-    ew::scale(&mut ib, st.t_n, b_vec, 1.0, WriteMode::Store);
-    ew::ew_prod(&mut ib, st.t_m, st.rho, st.t_m2, WriteMode::Store);
-    col_spmv(&mut ib, &mut alloc, &a_csr, st.t_m2, b_vec, true);
-    // PCG initialization: r = S·xtilde − b (one S application), d = M⁻¹r,
-    // p = −d, rd = rᵀd.
-    apply_s(
-        &mut ib,
-        &mut alloc,
-        &st,
-        &a_csr,
-        &p_full,
-        settings.sigma,
-        st.xtilde,
-        r,
-        az,
-    );
-    ew::scale(&mut ib, b_vec, r, -1.0, WriteMode::Add);
-    ew::ew_prod(&mut ib, r, precond, dvec, WriteMode::Store);
-    ew::scale(&mut ib, dvec, pdir, -1.0, WriteMode::Store);
-    ew::ew_prod(&mut ib, r, dvec, st.t_n2, WriteMode::Store);
-    ew::sum_reduce(&mut ib, st.t_n2, st.norm_scratch, scalars);
-    // After the PCG loop (modelled separately), xtilde holds the solution:
-    // ν = ρ ∘ (A·xtilde − t_m).
-    mac_spmv(
-        &mut ib,
-        &mut alloc,
-        &a_csr,
-        st.xtilde,
-        st.t_m2,
-        false,
-        SpmvOptions::default(),
-    );
-    ew::scale(&mut ib, st.t_m, st.t_m2, -1.0, WriteMode::Add);
-    ew::ew_prod(&mut ib, st.t_m2, st.rho, st.nu, WriteMode::Store);
-    build_updates(&mut ib, &st);
+    let iteration = traced_build("iteration", &config, |ib| {
+        build_rhs(ib, &st, settings.sigma);
+        // b = t_n + Aᵀ(ρ ∘ t_m)
+        ew::scale(ib, st.t_n, b_vec, 1.0, WriteMode::Store);
+        ew::ew_prod(ib, st.t_m, st.rho, st.t_m2, WriteMode::Store);
+        col_spmv(ib, &mut alloc, &a_csr, st.t_m2, b_vec, true);
+        // PCG initialization: r = S·xtilde − b (one S application), d = M⁻¹r,
+        // p = −d, rd = rᵀd.
+        apply_s(
+            ib,
+            &mut alloc,
+            &st,
+            &a_csr,
+            &p_full,
+            settings.sigma,
+            st.xtilde,
+            r,
+            az,
+        );
+        ew::scale(ib, b_vec, r, -1.0, WriteMode::Add);
+        ew::ew_prod(ib, r, precond, dvec, WriteMode::Store);
+        ew::scale(ib, dvec, pdir, -1.0, WriteMode::Store);
+        ew::ew_prod(ib, r, dvec, st.t_n2, WriteMode::Store);
+        ew::sum_reduce(ib, st.t_n2, st.norm_scratch, scalars);
+        // After the PCG loop (modelled separately), xtilde holds the solution:
+        // ν = ρ ∘ (A·xtilde − t_m).
+        mac_spmv(
+            ib,
+            &mut alloc,
+            &a_csr,
+            st.xtilde,
+            st.t_m2,
+            false,
+            SpmvOptions::default(),
+        );
+        ew::scale(ib, st.t_m, st.t_m2, -1.0, WriteMode::Add);
+        ew::ew_prod(ib, st.t_m2, st.rho, st.nu, WriteMode::Store);
+        build_updates(ib, &st);
+    });
 
     // PCG iteration program (Algorithm 2, lines 3-9).
-    let mut pb = KernelBuilder::new("pcg", config.width, config.latency());
-    apply_s(
-        &mut pb,
-        &mut alloc,
-        &st,
-        &a_csr,
-        &p_full,
-        settings.sigma,
-        pdir,
-        sp,
-        az,
-    );
-    // psp = pᵀ(Sp)
-    ew::ew_prod(&mut pb, pdir, sp, st.t_n2, WriteMode::Store);
-    ew::sum_reduce(&mut pb, st.t_n2, st.norm_scratch, scalars + 1);
-    // lambda = rd / psp
-    ew::scalar_recip(&mut pb, 0, scalars + 1, scalars + 2);
-    ew::scalar_mul(&mut pb, 0, scalars, scalars + 2, scalars + 3);
-    // x += λ p ; r += λ Sp
-    ew::broadcast_scalar(&mut pb, 0, scalars + 3);
-    ew::scale_by_latch(&mut pb, pdir, st.xtilde, false, WriteMode::Add);
-    ew::scale_by_latch(&mut pb, sp, r, false, WriteMode::Add);
-    // d = M⁻¹ r ; rd_new = rᵀd ; mu = rd_new / rd
-    ew::ew_prod(&mut pb, r, precond, dvec, WriteMode::Store);
-    ew::ew_prod(&mut pb, r, dvec, st.t_n2, WriteMode::Store);
-    ew::sum_reduce(&mut pb, st.t_n2, st.norm_scratch, scalars + 4);
-    ew::scalar_recip(&mut pb, 0, scalars, scalars + 5);
-    ew::scalar_mul(&mut pb, 0, scalars + 4, scalars + 5, scalars + 6);
-    // p = mu·p − d ; rd = rd_new
-    ew::broadcast_scalar(&mut pb, 0, scalars + 6);
-    ew::scale_by_latch(&mut pb, pdir, pdir, false, WriteMode::Store);
-    ew::scale(&mut pb, dvec, pdir, -1.0, WriteMode::Add);
-    ew::scale(
-        &mut pb,
-        Layout {
-            base: scalars + 4,
-            len: 1,
-            width: config.width,
-        },
-        Layout {
-            base: scalars,
-            len: 1,
-            width: config.width,
-        },
-        1.0,
-        WriteMode::Store,
-    );
+    let pcg = traced_build("pcg", &config, |pb| {
+        apply_s(
+            pb,
+            &mut alloc,
+            &st,
+            &a_csr,
+            &p_full,
+            settings.sigma,
+            pdir,
+            sp,
+            az,
+        );
+        // psp = pᵀ(Sp)
+        ew::ew_prod(pb, pdir, sp, st.t_n2, WriteMode::Store);
+        ew::sum_reduce(pb, st.t_n2, st.norm_scratch, scalars + 1);
+        // lambda = rd / psp
+        ew::scalar_recip(pb, 0, scalars + 1, scalars + 2);
+        ew::scalar_mul(pb, 0, scalars, scalars + 2, scalars + 3);
+        // x += λ p ; r += λ Sp
+        ew::broadcast_scalar(pb, 0, scalars + 3);
+        ew::scale_by_latch(pb, pdir, st.xtilde, false, WriteMode::Add);
+        ew::scale_by_latch(pb, sp, r, false, WriteMode::Add);
+        // d = M⁻¹ r ; rd_new = rᵀd ; mu = rd_new / rd
+        ew::ew_prod(pb, r, precond, dvec, WriteMode::Store);
+        ew::ew_prod(pb, r, dvec, st.t_n2, WriteMode::Store);
+        ew::sum_reduce(pb, st.t_n2, st.norm_scratch, scalars + 4);
+        ew::scalar_recip(pb, 0, scalars, scalars + 5);
+        ew::scalar_mul(pb, 0, scalars + 4, scalars + 5, scalars + 6);
+        // p = mu·p − d ; rd = rd_new
+        ew::broadcast_scalar(pb, 0, scalars + 6);
+        ew::scale_by_latch(pb, pdir, pdir, false, WriteMode::Store);
+        ew::scale(pb, dvec, pdir, -1.0, WriteMode::Add);
+        ew::scale(
+            pb,
+            Layout {
+                base: scalars + 4,
+                len: 1,
+                width: config.width,
+            },
+            Layout {
+                base: scalars,
+                len: 1,
+                width: config.width,
+            },
+            1.0,
+            WriteMode::Store,
+        );
+    });
 
-    let mut cb = KernelBuilder::new("check", config.width, config.latency());
-    build_check(&mut cb, &mut alloc, &st, &a_csr, &p_full);
+    let check_kernel = traced_build("check", &config, |cb| {
+        build_check(cb, &mut alloc, &st, &a_csr, &p_full);
+    });
     check_fits(&alloc, &config)?;
 
     // Load program, including the Jacobi preconditioner values
@@ -628,9 +643,9 @@ fn lower_indirect(
         &mut minv,
     );
     let (load, load_map) = schedule_load(&config, &st, Some((precond, &minv)), problem, &rho_vec);
-    let iteration = traced_schedule(&ib.finish(), &config);
-    let pcg_iteration = traced_schedule(&pb.finish(), &config);
-    let check = traced_schedule(&cb.finish(), &config);
+    let iteration = traced_schedule(&iteration, &config);
+    let pcg_iteration = traced_schedule(&pcg, &config);
+    let check = traced_schedule(&check_kernel, &config);
 
     let lowered = LoweredQp {
         config,

@@ -7,8 +7,16 @@
 //! different values. [`RouteSpace`] tracks which *value group* owns each
 //! node: transfers of the same group may share nodes (multicast fan-out and
 //! reduction fan-in), different groups may not.
+//!
+//! Routing allocates nothing beyond the space itself: owners are plain
+//! `u32`s with a sentinel for a free node, a path is checked and then
+//! claimed by walking it twice, and a reduction tree is planned one stage
+//! at a time as a lane mask.
 
-use mib_core::instruction::{NetInstruction, NodeMode};
+use mib_core::instruction::{lanes, NetInstruction, NodeMode};
+
+/// The owner of a node no group holds.
+const FREE: u32 = u32::MAX;
 
 /// Per-instruction node ownership. Row 0 is the multiplier stage, rows
 /// `1..=stages` the adder stages.
@@ -16,7 +24,8 @@ use mib_core::instruction::{NetInstruction, NodeMode};
 pub struct RouteSpace {
     width: usize,
     stages: usize,
-    owner: Vec<Option<u32>>,
+    /// The group holding each node, or [`FREE`].
+    owner: Vec<u32>,
 }
 
 impl RouteSpace {
@@ -26,7 +35,7 @@ impl RouteSpace {
         RouteSpace {
             width,
             stages,
-            owner: vec![None; width * (stages + 1)],
+            owner: vec![FREE; width * (stages + 1)],
         }
     }
 
@@ -36,19 +45,36 @@ impl RouteSpace {
 
     /// Claims the multiplier node of `lane` for `group`. Returns `false`
     /// if another group holds it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` is `u32::MAX`, the free-node sentinel.
     pub fn try_claim_input(&mut self, lane: usize, group: u32) -> bool {
+        assert_ne!(group, FREE, "group u32::MAX is reserved");
         let i = self.idx(0, lane);
-        match self.owner[i] {
-            None => {
-                self.owner[i] = Some(group);
-                true
-            }
-            Some(g) => g == group,
+        if self.owner[i] == FREE {
+            self.owner[i] = group;
+        }
+        self.owner[i] == group
+    }
+
+    /// The node `src -> dst` passes at adder stage `s` when it left stage
+    /// `s - 1` on `lane`, and the mode it needs there.
+    fn hop(s: usize, lane: usize, src: usize, dst: usize) -> (usize, NodeMode) {
+        let bit = 1usize << s;
+        if (src ^ dst) & bit != 0 {
+            (lane ^ bit, NodeMode::Cross)
+        } else {
+            (lane, NodeMode::Direct)
         }
     }
 
     /// Attempts to route `src -> dst` for `group`, configuring `inst` on
     /// success. Multicast reuse within the same group is allowed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` is `u32::MAX`, the free-node sentinel.
     pub fn try_route(
         &mut self,
         inst: &mut NetInstruction,
@@ -56,36 +82,29 @@ impl RouteSpace {
         src: usize,
         dst: usize,
     ) -> bool {
-        // First pass: feasibility.
+        assert_ne!(group, FREE, "group u32::MAX is reserved");
+        // First walk: feasibility.
         let mut lane = src;
-        let mut plan: Vec<(usize, usize, NodeMode)> = Vec::with_capacity(self.stages);
         for s in 0..self.stages {
-            let bit = 1usize << s;
-            let cross = (src ^ dst) & bit != 0;
-            let next = if cross { lane ^ bit } else { lane };
-            let mode = if cross {
-                NodeMode::Cross
-            } else {
-                NodeMode::Direct
-            };
-            let i = self.idx(s + 1, next);
-            match self.owner[i] {
-                None => {}
+            let (next, mode) = Self::hop(s, lane, src, dst);
+            match self.owner[self.idx(s + 1, next)] {
+                FREE => {}
                 // Shared prefix of a multicast: the mode must agree.
-                Some(g) if g == group && inst.node(s, next) != mode => return false,
-                Some(g) if g == group => {}
-                Some(_) => return false,
+                g if g == group && inst.node(s, next) == mode => {}
+                _ => return false,
             }
-            plan.push((s, next, mode));
             lane = next;
         }
-        // Second pass: claim.
-        for &(s, next, mode) in &plan {
+        // Second walk: claim.
+        let mut lane = src;
+        for s in 0..self.stages {
+            let (next, mode) = Self::hop(s, lane, src, dst);
             let i = self.idx(s + 1, next);
-            self.owner[i] = Some(group);
+            self.owner[i] = group;
             if inst.node(s, next) == NodeMode::Idle {
                 inst.set_node(s, next, mode);
             }
+            lane = next;
         }
         true
     }
@@ -93,6 +112,10 @@ impl RouteSpace {
     /// Attempts to build a reduction tree from `sources` to `dst` for
     /// `group`, configuring `inst` (with `Sum` at collision nodes) on
     /// success. All nodes must be unowned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` is `u32::MAX`, the free-node sentinel.
     pub fn try_reduce(
         &mut self,
         inst: &mut NetInstruction,
@@ -100,42 +123,48 @@ impl RouteSpace {
         sources: &[usize],
         dst: usize,
     ) -> bool {
-        let mut live: Vec<usize> = sources.to_vec();
-        live.sort_unstable();
-        live.dedup();
-        if live.len() != sources.len() {
+        assert_ne!(group, FREE, "group u32::MAX is reserved");
+        let mut start = 0u128;
+        for &lane in sources {
+            assert!(lane < self.width, "source lane {lane} out of range");
+            start |= 1 << lane;
+        }
+        if start.count_ones() as usize != sources.len() {
             return false; // duplicate sources are a builder bug upstream
         }
-        let mut plan: Vec<(usize, usize, NodeMode)> = Vec::new();
-        for s in 0..self.stages {
+        // Each stage moves every live lane to the lane with bit `s` taken
+        // from `dst`; the targets are the stage's nodes. First pass:
+        // feasibility.
+        let step = |live: u128, s: usize| {
             let bit = 1usize << s;
-            let mut next: Vec<usize> = live.iter().map(|&l| (l & !bit) | (dst & bit)).collect();
-            next.sort_unstable();
-            next.dedup();
-            for &t in &next {
-                let from_direct = live.binary_search(&t).is_ok();
-                let from_cross = live.binary_search(&(t ^ bit)).is_ok();
-                let mode = match (from_direct, from_cross) {
-                    (true, true) => NodeMode::Sum,
-                    (true, false) => NodeMode::Direct,
-                    (false, true) => NodeMode::Cross,
-                    (false, false) => unreachable!("reduction target with no live input"),
-                };
-                if self.owner[self.idx(s + 1, t)].is_some() {
-                    return false;
-                }
-                plan.push((s, t, mode));
+            lanes(live).fold(0u128, |next, l| next | 1 << ((l & !bit) | (dst & bit)))
+        };
+        let mut live = start;
+        for s in 0..self.stages {
+            let next = step(live, s);
+            if lanes(next).any(|t| self.owner[self.idx(s + 1, t)] != FREE) {
+                return false;
             }
             live = next;
         }
-        for &(s, t, mode) in &plan {
-            let i = self.idx(s + 1, t);
-            self.owner[i] = Some(group);
-            if mode == NodeMode::Sum {
-                inst.set_node_sum(s, t);
-            } else {
-                inst.set_node(s, t, mode);
+        // Second pass: claim, with `Sum` where both inputs are live.
+        let mut live = start;
+        for s in 0..self.stages {
+            let bit = 1usize << s;
+            let next = step(live, s);
+            for t in lanes(next) {
+                let from_direct = live & (1 << t) != 0;
+                let from_cross = live & (1 << (t ^ bit)) != 0;
+                let i = self.idx(s + 1, t);
+                self.owner[i] = group;
+                match (from_direct, from_cross) {
+                    (true, true) => inst.set_node_sum(s, t),
+                    (true, false) => inst.set_node(s, t, NodeMode::Direct),
+                    (false, true) => inst.set_node(s, t, NodeMode::Cross),
+                    (false, false) => unreachable!("reduction target with no live input"),
+                }
             }
+            live = next;
         }
         true
     }

@@ -6,9 +6,17 @@
 //! is bin packing: walk the instructions in their initial (algorithm)
 //! order; place each into the **first** issue slot that is at or after its
 //! dependency-ready slot and whose already-packed occupancy does not
-//! collide, merging it in place. Dependency-ready slots encode the pipeline
-//! data hazards (RAW = full latency), so the packed program is hazard-free
-//! by construction — the machine's strict verification mode re-checks this.
+//! collide. Dependency-ready slots encode the pipeline data hazards (RAW =
+//! full latency), so the packed program is hazard-free by construction —
+//! the machine's strict verification mode re-checks this.
+//!
+//! Packing touches one flat occupancy array, `slots × footprint words`
+//! long, and nothing else per slot. Once every instruction has its slot,
+//! each slot's instructions are merged once, in kernel order, into an
+//! instruction sized for exactly their lanes. Kernel order matters: the
+//! output multipliers are not part of the footprint, and a merge takes
+//! them lane-wise from the later instruction. Each slot's HBM words follow
+//! in the same pass, stably sorted by key.
 //!
 //! With `multi_issue` disabled the scheduler reproduces the paper's
 //! "before reordering" baseline (Figure 8, top left): one instruction per
@@ -78,113 +86,94 @@ impl Schedule {
     }
 }
 
-struct SlotState {
-    inst: NetInstruction,
-    /// Union of the placed instructions' footprints.
-    footprint: Vec<u64>,
-    /// `(lane, word)` pairs for HBM stream reassembly.
-    stream: Vec<(usize, f64)>,
-}
-
 /// Runs the scheduler over a kernel.
 pub fn schedule(kernel: &Kernel, opts: ScheduleOptions) -> Schedule {
     let width = kernel.width;
-    let mut slots: Vec<SlotState> = Vec::new();
-    let mut slot_of: Vec<usize> = Vec::with_capacity(kernel.instrs.len());
+    let n = kernel.len();
+    // Footprint words per slot, as `NetInstruction::footprint` lays them.
+    let words = (width * (width.trailing_zeros() as usize + 2)).div_ceil(64);
+    // Slot `t`'s packed occupancy is `occupancy[t * words..(t + 1) * words]`.
+    let mut occupancy: Vec<u64> = Vec::new();
+    let mut slot_of: Vec<usize> = Vec::with_capacity(n);
     let mut forced_appends = 0usize;
-    let mut earliest: Vec<u64> = Vec::with_capacity(kernel.instrs.len());
+    let mut earliest: Vec<u64> = Vec::with_capacity(n);
 
-    for li in &kernel.instrs {
+    for (i, inst) in kernel.instrs().iter().enumerate() {
         // Dependency-ready slot, and the one it would be if every earlier
         // instruction had issued at its own.
         let mut ready: u64 = 0;
         let mut floor: u64 = 0;
-        for &(dep, delay) in &li.deps {
+        for &(dep, delay) in kernel.deps(i) {
             ready = ready.max(slot_of[dep] as u64 + delay);
             floor = floor.max(earliest[dep] + delay);
         }
         earliest.push(floor);
+        let fp = inst.footprint();
+        debug_assert_eq!(fp.len(), words);
         let mut t = ready as usize;
-        if !opts.multi_issue {
-            // Sequential: strictly after the previous instruction.
-            if let Some(&prev) = slot_of.last() {
-                t = t.max(prev + 1);
-            }
-            while slots.len() <= t {
-                slots.push(empty_slot(width));
-            }
-            debug_assert!(slots[t].inst.is_nop());
-            place(&mut slots[t], li, &li.inst.footprint());
-            slot_of.push(t);
-            continue;
-        }
-        // First-fit probe.
-        let fp = li.inst.footprint();
-        let mut probes = 0usize;
-        loop {
-            if t >= slots.len() {
-                while slots.len() <= t {
-                    slots.push(empty_slot(width));
+        if opts.multi_issue {
+            // First-fit probe.
+            let mut probes = 0usize;
+            while t < occupancy.len() / words {
+                let slot = &occupancy[t * words..(t + 1) * words];
+                if slot.iter().zip(&fp).all(|(a, b)| a & b == 0) {
+                    break;
                 }
-                place(&mut slots[t], li, &fp);
-                break;
+                t += 1;
+                probes += 1;
+                if probes > opts.probe_limit {
+                    // Append beyond the end.
+                    forced_appends += 1;
+                    t = occupancy.len() / words;
+                }
             }
-            if fits(&slots[t], &fp) {
-                place(&mut slots[t], li, &fp);
-                break;
-            }
-            t += 1;
-            probes += 1;
-            if probes > opts.probe_limit {
-                // Append beyond the end.
-                forced_appends += 1;
-                t = slots.len();
-            }
+        } else if let Some(&prev) = slot_of.last() {
+            // Sequential: strictly after the previous instruction.
+            t = t.max(prev + 1);
+        }
+        if occupancy.len() < (t + 1) * words {
+            occupancy.resize((t + 1) * words, 0);
+        }
+        for (a, b) in occupancy[t * words..(t + 1) * words].iter_mut().zip(&fp) {
+            *a |= b;
         }
         slot_of.push(t);
     }
 
-    // Assemble the final program and the HBM stream. Within a slot, the
-    // machine consumes stream words in lane order.
-    let mut program = Vec::with_capacity(slots.len());
-    let mut hbm = Vec::new();
-    for mut slot in slots {
-        slot.stream.sort_by_key(|&(lane, _)| lane);
-        hbm.extend(slot.stream.iter().map(|&(_, w)| w));
-        program.push(slot.inst);
+    // Each slot's instructions in kernel order: a stable sort by slot.
+    let slots = occupancy.len() / words;
+    let mut members: Vec<usize> = (0..n).collect();
+    members.sort_by_key(|&i| slot_of[i]);
+
+    // Merge each slot once, and lay out its HBM words: within a slot the
+    // machine consumes stream words in key order.
+    let mut program = Vec::with_capacity(slots);
+    let mut hbm = Vec::with_capacity(kernel.stream_words());
+    let mut slot_words: Vec<(usize, f64)> = Vec::new();
+    let mut rest = &members[..];
+    for t in 0..slots {
+        let (placed, tail) = rest.split_at(rest.partition_point(|&i| slot_of[i] == t));
+        rest = tail;
+        let instrs = placed.iter().map(|&i| &kernel.instrs()[i]);
+        let inputs = instrs.clone().map(|li| li.input_locs().count()).sum();
+        let writes = instrs.clone().map(|li| li.write_count() as usize).sum();
+        let mut slot = NetInstruction::nop_with_lane_capacity(width, inputs, writes);
+        slot_words.clear();
+        for &i in placed {
+            slot.merge_disjoint(&kernel.instrs()[i]);
+            slot_words.extend_from_slice(kernel.stream(i));
+        }
+        slot_words.sort_by_key(|&(key, _)| key);
+        hbm.extend(slot_words.iter().map(|&(_, w)| w));
+        program.push(slot);
     }
     Schedule {
         program: program.into(),
         hbm,
         slot_of,
-        logical_count: kernel.instrs.len(),
+        logical_count: n,
         forced_appends,
         depth: earliest.iter().max().map_or(0, |&e| e + 1),
-    }
-}
-
-fn empty_slot(width: usize) -> SlotState {
-    let inst = NetInstruction::nop(width);
-    let footprint = inst.footprint();
-    SlotState {
-        inst,
-        footprint,
-        stream: Vec::new(),
-    }
-}
-
-fn fits(slot: &SlotState, fp: &[u64]) -> bool {
-    slot.footprint.iter().zip(fp).all(|(a, b)| a & b == 0)
-}
-
-/// Merges `li` (footprint `fp`) into a slot that [`fits`] it.
-fn place(slot: &mut SlotState, li: &crate::kernel::LogicalInstr, fp: &[u64]) {
-    slot.inst.merge_disjoint(&li.inst);
-    for (a, b) in slot.footprint.iter_mut().zip(fp) {
-        *a |= b;
-    }
-    for &(lane, word) in &li.stream {
-        slot.stream.push((lane, word));
     }
 }
 
@@ -328,8 +317,8 @@ mod tests {
         // instruction still owns a collision-free slot at or after its
         // dependency-ready slot.
         assert!(tight.slots() >= loose.slots());
-        for (i, li) in kernel.instrs.iter().enumerate() {
-            for &(p, delay) in &li.deps {
+        for i in 0..kernel.len() {
+            for &(p, delay) in kernel.deps(i) {
                 assert!(
                     tight.slot_of[i] as u64 >= tight.slot_of[p] as u64 + delay,
                     "instruction {i} violates its dependency on {p}"

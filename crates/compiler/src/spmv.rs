@@ -63,9 +63,15 @@ pub fn mac_spmv(
     // Copies of x elements made by prefetch instructions: x index -> extra
     // locations.
     let mut copies: HashMap<usize, Vec<(usize, usize)>> = HashMap::new();
+    // One row's entries and one chunk's `(lane, addr, matval)` operands
+    // and lanes, reused.
+    let mut entries: Vec<(usize, f64)> = Vec::new();
+    let mut chunk: Vec<(usize, usize, f64)> = Vec::new();
+    let mut lanes: Vec<usize> = Vec::new();
 
     for r in 0..a.nrows() {
-        let entries: Vec<(usize, f64)> = a.row(r).collect();
+        entries.clear();
+        entries.extend(a.row(r));
         if entries.is_empty() {
             if !accumulate {
                 // y_r = 0.
@@ -90,20 +96,21 @@ pub fn mac_spmv(
         let mut idx = 0usize;
         while idx < entries.len() {
             // Greedily fill one chunk with operands on distinct lanes.
-            let mut used: Vec<Option<usize>> = vec![None; width]; // lane -> addr
-            let mut chunk: Vec<(usize, usize, f64)> = Vec::new(); // (lane, addr, matval)
+            let mut used = 0u128; // the lanes holding an operand
+            let is_free = |used: u128, lane: usize| used & (1 << lane) == 0;
+            chunk.clear();
             while idx < entries.len() && chunk.len() < width {
                 let (j, v) = entries[idx];
                 let home = x.loc(j);
                 let mut placed = None;
-                if used[home.0].is_none() {
+                if is_free(used, home.0) {
                     placed = Some(home);
                 } else if let Some(locs) = copies.get(&j) {
-                    placed = locs.iter().copied().find(|&(bank, _)| used[bank].is_none());
+                    placed = locs.iter().copied().find(|&(bank, _)| is_free(used, bank));
                 }
                 if placed.is_none() && opts.prefetch {
                     // Prefetch x_j into a free lane.
-                    if let Some(free) = (0..width).find(|&l| used[l].is_none()) {
+                    if let Some(free) = (0..width).find(|&l| is_free(used, l)) {
                         let scratch = alloc.alloc_rows(1);
                         let mut pf = NetInstruction::nop(width);
                         pf.kind = InstrKind::Prefetch;
@@ -123,7 +130,7 @@ pub fn mac_spmv(
                 }
                 match placed {
                     Some((lane, addr)) => {
-                        used[lane] = Some(addr);
+                        used |= 1 << lane;
                         chunk.push((lane, addr, v));
                         idx += 1;
                     }
@@ -135,9 +142,9 @@ pub fn mac_spmv(
             let mut inst = NetInstruction::nop(width);
             inst.kind = InstrKind::Mac;
             let mut rs = RouteSpace::new(width);
-            let mut stream = Vec::with_capacity(chunk.len());
-            let lanes: Vec<usize> = chunk.iter().map(|&(l, _, _)| l).collect();
-            for &(lane, addr, v) in &chunk {
+            lanes.clear();
+            lanes.extend(chunk.iter().map(|&(l, _, _)| l));
+            for &(lane, addr, _) in &chunk {
                 inst.set_input(
                     lane,
                     LaneSource::RegTimesStream {
@@ -146,7 +153,6 @@ pub fn mac_spmv(
                     },
                 );
                 assert!(rs.try_claim_input(lane, 0));
-                stream.push((lane, v));
             }
             assert!(
                 rs.try_reduce(&mut inst, 0, &lanes, dst_lane),
@@ -164,7 +170,7 @@ pub fn mac_spmv(
                     mode,
                 },
             );
-            b.push(inst, stream);
+            b.push(inst, chunk.iter().map(|&(lane, _, v)| (lane, v)));
             first_chunk = false;
         }
     }
@@ -232,32 +238,32 @@ pub fn col_spmv(
             }
         }
     }
+    // One row's entries and one instruction's HBM words, reused.
+    let mut entries: Vec<(usize, f64)> = Vec::new();
+    let mut stream = Vec::new();
     for i in 0..a.nrows() {
-        let entries: Vec<(usize, f64)> = a.row(i).collect();
-        if entries.is_empty() {
-            continue;
-        }
+        entries.clear();
+        entries.extend(a.row(i));
         let (src_lane, src_addr) = w.loc(i);
         let mut idx = 0usize;
         while idx < entries.len() {
-            let mut used = vec![false; width];
+            let mut used = 0u128; // the target lanes so far
             let mut inst = NetInstruction::nop(width);
             inst.kind = InstrKind::ColElim;
             inst.set_input(src_lane, LaneSource::Reg { addr: src_addr });
             let mut rs = RouteSpace::new(width);
             rs.try_claim_input(src_lane, 0);
-            let mut stream = Vec::new();
             while idx < entries.len() {
                 let (j, v) = entries[idx];
                 let lane = y.bank(j);
-                if used[lane] {
+                if used & (1 << lane) != 0 {
                     break;
                 }
                 assert!(
                     rs.try_route(&mut inst, 0, src_lane, lane),
                     "multicast is always routable"
                 );
-                used[lane] = true;
+                used |= 1 << lane;
                 let addr = match partials.get_mut(&j) {
                     Some((base, touches)) => {
                         let slot = *base + *touches % PARTIALS;
@@ -279,7 +285,7 @@ pub fn col_spmv(
                 stream.push((width + lane, v));
                 idx += 1;
             }
-            b.push(inst, stream);
+            b.push(inst, stream.drain(..));
         }
     }
     // Fold the partial slots into y (binary tree over addresses; folds of

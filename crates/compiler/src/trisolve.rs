@@ -116,6 +116,8 @@ impl FactorLayout {
 pub fn lsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
     assert_eq!(x.len, f.n(), "x layout does not match factor dimension");
     let width = b.width();
+    // One instruction's HBM words, reused.
+    let mut stream = Vec::new();
     let col_ptr = f.l_col_ptr();
     let row_ind = f.l_row_ind();
     let values = f.l_values();
@@ -127,21 +129,20 @@ pub fn lsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
         let (sj, aj) = x.loc(j);
         let mut idx = range.start;
         while idx < range.end {
-            let mut used = vec![false; width];
+            let mut used = 0u128; // the lanes taken so far
             let mut inst = NetInstruction::nop(width);
             inst.kind = InstrKind::ColElim;
             inst.set_input(sj, LaneSource::Reg { addr: aj });
             let mut rs = RouteSpace::new(width);
             rs.try_claim_input(sj, 0);
-            let mut stream = Vec::new();
             while idx < range.end {
                 let r = row_ind[idx];
                 let lane = r % width;
-                if used[lane] {
+                if used & (1 << lane) != 0 {
                     break;
                 }
                 assert!(rs.try_route(&mut inst, 0, sj, lane));
-                used[lane] = true;
+                used |= 1 << lane;
                 inst.set_out_mul(lane, OutMul::MulStream { negate: true });
                 inst.set_write(
                     lane,
@@ -153,7 +154,7 @@ pub fn lsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
                 stream.push((width + lane, values[idx]));
                 idx += 1;
             }
-            b.push(inst, stream);
+            b.push(inst, stream.drain(..));
         }
     }
 }
@@ -163,11 +164,12 @@ pub fn lsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
 pub fn dsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
     assert_eq!(x.len, f.n(), "x layout does not match factor dimension");
     let width = b.width();
+    // One instruction's HBM words, reused.
+    let mut stream = Vec::new();
     let n = f.n();
     for start in (0..n).step_by(width) {
         let mut inst = NetInstruction::nop(width);
         inst.kind = InstrKind::Elementwise;
-        let mut stream = Vec::new();
         for e in start..(start + width).min(n) {
             let lane = x.bank(e);
             inst.set_input(
@@ -187,7 +189,7 @@ pub fn dsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
             );
             stream.push((lane, 1.0 / f.d()[e]));
         }
-        b.push(inst, stream);
+        b.push(inst, stream.drain(..));
     }
 }
 
@@ -197,6 +199,9 @@ pub fn dsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
 pub fn ltsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
     assert_eq!(x.len, f.n(), "x layout does not match factor dimension");
     let width = b.width();
+    // One instruction's HBM words and reduction lanes, reused.
+    let mut stream = Vec::new();
+    let mut lanes = Vec::new();
     let col_ptr = f.l_col_ptr();
     let row_ind = f.l_row_ind();
     let values = f.l_values();
@@ -208,19 +213,18 @@ pub fn ltsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
         let dst = x.bank(j);
         let mut idx = range.start;
         while idx < range.end {
-            let mut used = vec![false; width];
+            let mut used = 0u128; // the lanes taken so far
             let mut inst = NetInstruction::nop(width);
             inst.kind = InstrKind::Mac;
             let mut rs = RouteSpace::new(width);
-            let mut lanes = Vec::new();
-            let mut stream = Vec::new();
+            lanes.clear();
             while idx < range.end {
                 let r = row_ind[idx];
                 let lane = r % width;
-                if used[lane] {
+                if used & (1 << lane) != 0 {
                     break;
                 }
-                used[lane] = true;
+                used |= 1 << lane;
                 inst.set_input(
                     lane,
                     LaneSource::RegTimesStream {
@@ -241,7 +245,7 @@ pub fn ltsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
                     mode: WriteMode::Add,
                 },
             );
-            b.push(inst, stream);
+            b.push(inst, stream.drain(..));
         }
     }
 }

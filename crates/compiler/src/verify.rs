@@ -90,16 +90,16 @@ impl fmt::Display for PackingError {
 ///
 /// Returns the first defect, in that check order.
 fn verify_packing(kernel: &Kernel, s: &Schedule) -> Result<(), PackingError> {
-    if s.slot_of.len() != kernel.instrs.len() {
+    if s.slot_of.len() != kernel.len() {
         return Err(PackingError::Unplaced {
-            logical: s.slot_of.len().min(kernel.instrs.len()),
+            logical: s.slot_of.len().min(kernel.len()),
         });
     }
 
     // 1. Dependency distances.
-    for (c, li) in kernel.instrs.iter().enumerate() {
+    for c in 0..kernel.len() {
         let slot_c = s.slot_of[c] as u64;
-        for &(p, delay) in &li.deps {
+        for &(p, delay) in kernel.deps(c) {
             let slot_p = s.slot_of[p] as u64;
             if slot_c < slot_p + delay {
                 return Err(PackingError::Dependency {
@@ -115,18 +115,16 @@ fn verify_packing(kernel: &Kernel, s: &Schedule) -> Result<(), PackingError> {
     // 2. Re-merge each slot's logical instructions, re-assemble the stream.
     let mut rebuilt = vec![NetInstruction::nop(kernel.width); s.program.len()];
     let mut streams: Vec<Vec<(usize, f64)>> = vec![Vec::new(); s.program.len()];
-    for (idx, li) in kernel.instrs.iter().enumerate() {
+    for (idx, inst) in kernel.instrs().iter().enumerate() {
         let t = s.slot_of[idx];
         let slot = rebuilt
             .get_mut(t)
             .ok_or(PackingError::Unplaced { logical: idx })?;
-        *slot = slot
-            .try_merge(&li.inst)
-            .map_err(|e| PackingError::Collision {
-                logical: idx,
-                detail: e.to_string(),
-            })?;
-        streams[t].extend_from_slice(&li.stream);
+        *slot = slot.try_merge(inst).map_err(|e| PackingError::Collision {
+            logical: idx,
+            detail: e.to_string(),
+        })?;
+        streams[t].extend_from_slice(kernel.stream(idx));
     }
 
     // 3. Slot equality.

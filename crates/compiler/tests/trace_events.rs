@@ -100,10 +100,12 @@ fn tracing_leaves_lowered_programs_unchanged() {
     assert_eq!((cache.misses(), cache.hits()), (1, 1));
 
     // Compiler spans: every lowering opens `lower`, the direct pipeline
-    // opens `analyze`, and each scheduled program opens `schedule`: four
-    // per direct lowering (load, setup, iteration, check) and four per
-    // indirect one (load, iteration, pcg, check). A cache hit schedules
-    // nothing: it shares the miss's programs, `load` included.
+    // opens `analyze`, and each program opens `build` around its kernel's
+    // construction and `schedule` around its packing: four per direct
+    // lowering (load, setup, iteration, check) and four per indirect one
+    // (load, iteration, pcg, check). Every lowering fills its load map
+    // under `load_map` once. A cache hit builds and schedules nothing: it
+    // shares the miss's programs, `load` included.
     let begins = |name: &str| {
         trace
             .records()
@@ -114,6 +116,34 @@ fn tracing_leaves_lowered_programs_unchanged() {
     };
     assert_eq!(begins("lower"), 3, "direct + indirect lower + cache miss");
     assert_eq!(begins("analyze"), 2, "direct lower + cache miss");
+    assert_eq!(begins("build"), 4 + 4 + 4);
     assert_eq!(begins("schedule"), 4 + 4 + 4);
+    assert_eq!(begins("load_map"), 3);
+    // The phases add up: each opens directly inside `lower`, never inside
+    // another phase, so `lower` is their sum plus a remainder. The
+    // permutation router's `route` is part of building its kernel.
+    let mut open: Vec<&str> = Vec::new();
+    for r in trace.records() {
+        match r.event {
+            Event::Begin {
+                name,
+                cat: Category::Compiler,
+            } => {
+                let parent = match name {
+                    "lower" => None,
+                    "route" => Some("build"),
+                    _ => Some("lower"),
+                };
+                assert_eq!(open.last().copied(), parent, "the parent of {name}");
+                open.push(name);
+            }
+            Event::End {
+                name,
+                cat: Category::Compiler,
+            } => assert_eq!(open.pop(), Some(name)),
+            _ => {}
+        }
+    }
+    assert!(open.is_empty());
     assert_eq!(trace.dropped(), 0);
 }

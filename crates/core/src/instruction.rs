@@ -406,6 +406,20 @@ impl NetInstruction {
         }
     }
 
+    /// An empty instruction with room for exactly `inputs` lane inputs and
+    /// `writes` writebacks: the slot a scheduler merges instructions with
+    /// that many of each into, at one allocation per store.
+    ///
+    /// # Panics
+    ///
+    /// As [`NetInstruction::nop`].
+    pub fn nop_with_lane_capacity(width: usize, inputs: usize, writes: usize) -> Self {
+        let mut inst = NetInstruction::nop(width);
+        inst.inputs.reserve_exact(inputs);
+        inst.writes.reserve_exact(writes);
+        inst
+    }
+
     /// Network width `C`.
     pub fn width(&self) -> usize {
         1 << self.stages
@@ -780,16 +794,13 @@ impl NetInstruction {
 
     /// Routes a value from `src` lane to `dst` lane through the butterfly,
     /// setting `Direct`/`Cross` modes along the unique path (the XOR rule of
-    /// Section III.C). Existing `Sum` nodes on the path are left as sums —
-    /// callers building reduction trees upgrade collision nodes explicitly.
-    ///
-    /// Returns the sequence of `(stage, lane)` nodes on the path, **after**
-    /// each stage's routing decision (i.e. the node whose output carries the
-    /// value).
-    pub fn route(&mut self, src: usize, dst: usize) -> Vec<(usize, usize)> {
+    /// Section III.C): at stage `s` the value moves to the node whose lane
+    /// takes bit `s` from `dst`. Existing `Sum` nodes on the path are left
+    /// as sums — callers building reduction trees upgrade collision nodes
+    /// explicitly.
+    pub fn route(&mut self, src: usize, dst: usize) {
         self.check_lane(src);
         self.check_lane(dst);
-        let mut path = Vec::with_capacity(self.stages());
         let mut lane = src;
         for s in 0..self.stages() {
             let bit = 1usize << s;
@@ -806,11 +817,9 @@ impl NetInstruction {
             } else if cur != mode && cur != NodeMode::Sum {
                 panic!("routing conflict at node ({s}, {next}): {cur:?} vs {mode:?}");
             }
-            path.push((s, next));
             lane = next;
         }
         debug_assert_eq!(lane, dst);
-        path
     }
 
     /// Builds a reduction tree: every lane in `sources` is routed to `dst`,
@@ -1044,8 +1053,7 @@ mod tests {
         let mut i = NetInstruction::nop(8);
         // Paper example (Fig. 6c): input 0 to output 3 needs control 011:
         // cross at stages 0 and 1, direct at stage 2.
-        let path = i.route(0, 3);
-        assert_eq!(path, vec![(0, 1), (1, 3), (2, 3)]);
+        i.route(0, 3);
         assert_eq!(i.node(0, 1), NodeMode::Cross);
         assert_eq!(i.node(1, 3), NodeMode::Cross);
         assert_eq!(i.node(2, 3), NodeMode::Direct);

@@ -100,9 +100,13 @@ MIB_TIMING_FULL=1 cargo test --profile checked --test static_timing --test propt
 # and certification tests of the predictor.
 cargo test --profile checked -p mib-core --lib -q
 # And for mib-compiler's: the program cache's bitwise hit-equals-fresh
-# tests over accel's 25 lowerings, with checked_schedule's debug-only
-# packing cross-check and strict prediction armed on every schedule.
+# tests and the pinned schedule digest over accel's 25 lowerings, with
+# checked_schedule's debug-only packing cross-check and strict prediction
+# armed on every schedule.
 cargo test --profile checked -p mib-compiler --lib -q
+# The same 25 lowerings' heap allocations per logical instruction, under
+# the bound for builds that certify every schedule.
+cargo test --profile checked --test zero_alloc -q lowering_allocates_per_kernel
 
 echo "==> paper reports (all_experiments reproduces results/*.txt byte for byte)"
 # Every figure and table is deterministic: regenerated in a scratch

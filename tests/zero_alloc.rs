@@ -426,3 +426,49 @@ fn cache_hit_plan_performs_zero_allocations() {
         );
     }
 }
+
+/// Lowering allocates per kernel and per slot, not per lane and per
+/// logical instruction. Over `accel`'s 25 lowerings (suite indices 0 and 3
+/// of every domain at C = 32 in both variants, index 0 at C = 16 direct,
+/// under the unscaled fixed-ρ settings the machine models), a miss makes
+/// 6.0 heap allocations per logical instruction in an optimised build and
+/// 15.2 in a build with debug assertions, which certifies every schedule.
+/// When every logical instruction and scheduler slot owned its own vectors
+/// the figures were 16.7 and 25.9; each bound sits between the two.
+#[test]
+fn lowering_allocates_per_kernel_not_per_instruction() {
+    let mut allocs = 0;
+    let mut logical = 0;
+    for domain in Domain::all() {
+        let mut specs = Vec::new();
+        for index in [0, 3] {
+            specs.push((index, KktBackend::Direct, MibConfig::c32()));
+            specs.push((index, KktBackend::Indirect, MibConfig::c32()));
+        }
+        specs.push((0, KktBackend::Direct, MibConfig::c16()));
+        for (index, backend, config) in specs {
+            let settings = Settings {
+                scaling_iters: 0,
+                adaptive_rho: false,
+                ..Settings::with_backend(backend)
+            };
+            let problem = instance(domain, index).problem;
+            let mut lowered = None;
+            allocs += allocations_during(|| {
+                lowered = Some(lower(&problem, &settings, config));
+            });
+            let l = lowered.expect("lowering ran").expect("the instance lowers");
+            logical += [&l.load, &l.setup, &l.iteration, &l.pcg_iteration, &l.check]
+                .iter()
+                .map(|s| s.logical_count)
+                .sum::<usize>();
+        }
+    }
+    let per_instr = allocs as f64 / logical as f64;
+    let bound = if cfg!(debug_assertions) { 18.0 } else { 8.0 };
+    assert!(
+        per_instr <= bound,
+        "lowering made {allocs} allocations for {logical} logical instructions, \
+         {per_instr:.2} each, above the bound of {bound}"
+    );
+}
