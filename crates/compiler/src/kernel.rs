@@ -20,6 +20,9 @@
 //! instruction: the builder appends each instruction's dependences and
 //! words in place, and the readers of every register and latch location
 //! since its last write are linked lists threaded through one arena.
+//! Lanes name the same producer many times (a full-width instruction after
+//! another names it once per lane); a per-producer stamp keeps one entry
+//! per producer as they arrive, so only the distinct producers are sorted.
 
 use mib_core::instruction::{NetInstruction, WriteMode};
 
@@ -139,6 +142,10 @@ pub struct KernelBuilder {
     /// list returns its nodes to the `free` list.
     readers: Vec<Reader>,
     free: u32,
+    /// Per instruction, as a producer: the last instruction that depended
+    /// on it and the position of that dependence in `kernel.deps`, so an
+    /// instruction keeps one entry per producer as its lanes add them.
+    seen: Vec<(u32, usize)>,
 }
 
 impl KernelBuilder {
@@ -160,6 +167,7 @@ impl KernelBuilder {
             latches: vec![LocState::EMPTY; width],
             readers: Vec::new(),
             free: NONE,
+            seen: Vec::new(),
         }
     }
 
@@ -220,21 +228,10 @@ impl KernelBuilder {
             self.note_write(loc, id32, w.mode.is_rmw());
         }
 
-        // One entry per producer with its largest delay: sorted, that is
-        // the last of each producer's run.
-        let deps = &mut self.kernel.deps;
-        deps[start..].sort_unstable();
-        let mut end = start;
-        for k in start..deps.len() {
-            if end > start && deps[end - 1].0 == deps[k].0 {
-                deps[end - 1].1 = deps[k].1;
-            } else {
-                deps[end] = deps[k];
-                end += 1;
-            }
-        }
-        deps.truncate(end);
-        self.kernel.deps_end.push(end);
+        // One entry per producer, with its largest delay, in producer order.
+        self.kernel.deps[start..].sort_unstable_by_key(|&(producer, _)| producer);
+        self.kernel.deps_end.push(self.kernel.deps.len());
+        self.seen.push((NONE, 0));
         self.kernel.stream.extend(stream);
         self.kernel.stream_end.push(self.kernel.stream.len());
         self.kernel.instrs.push(inst);
@@ -254,12 +251,25 @@ impl KernelBuilder {
         }
     }
 
+    /// Records that instruction `id` waits `delay` slots for `producer`:
+    /// a new entry for the first lane that names the producer, the larger
+    /// delay on the entry for every later one.
+    fn depend(&mut self, id: u32, producer: u32, delay: u64) {
+        let deps = &mut self.kernel.deps;
+        let seen = &mut self.seen[producer as usize];
+        if seen.0 == id {
+            let entry = &mut deps[seen.1].1;
+            *entry = (*entry).max(delay);
+        } else {
+            *seen = (id, deps.len());
+            deps.push((producer as usize, delay));
+        }
+    }
+
     fn note_read(&mut self, loc: Loc, id: u32) {
         let state = *self.state(loc);
         if state.last_write != NONE {
-            self.kernel
-                .deps
-                .push((state.last_write as usize, self.latency));
+            self.depend(id, state.last_write, self.latency);
         }
         let node = Reader {
             instr: id,
@@ -283,7 +293,7 @@ impl KernelBuilder {
             // A read-modify-write must wait for the previous value; a plain
             // store only needs commit ordering.
             let delay = if rmw { self.latency } else { 1 };
-            self.kernel.deps.push((state.last_write as usize, delay));
+            self.depend(id, state.last_write, delay);
         }
         // Every earlier reader is a zero-delay producer; the drained nodes
         // go back to the free list.
@@ -291,7 +301,7 @@ impl KernelBuilder {
         while node != NONE {
             let Reader { instr, next } = self.readers[node as usize];
             if instr != id {
-                self.kernel.deps.push((instr as usize, 0));
+                self.depend(id, instr, 0);
             }
             self.readers[node as usize].next = self.free;
             self.free = node;
@@ -312,7 +322,7 @@ impl KernelBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mib_core::instruction::{LaneSource, LaneWrite, WriteMode};
+    use mib_core::instruction::{InstrKind, LaneSource, LaneWrite, WriteMode};
 
     fn store(width: usize, lane: usize, from_addr: usize, to_addr: usize) -> NetInstruction {
         let mut i = NetInstruction::nop(width);
@@ -402,6 +412,35 @@ mod tests {
         let c = b.push(use_latch, vec![]);
         let k = b.finish();
         assert!(k.deps(c).contains(&(p, 5)));
+    }
+
+    #[test]
+    fn one_dependence_per_producer_with_its_largest_delay() {
+        // Rows, one address across all 32 lanes.
+        const A: usize = 1;
+        const B: usize = 2;
+        const OTHER: usize = 3;
+        let row = |read: usize, write: usize| {
+            NetInstruction::straight(32, InstrKind::Elementwise, u128::from(u32::MAX), |_| {
+                let write = LaneWrite {
+                    addr: write,
+                    mode: WriteMode::Store,
+                };
+                (LaneSource::Reg { addr: read }, write)
+            })
+        };
+        let mut b = KernelBuilder::new("t", 32, 5);
+        let writer = b.push(row(OTHER, B), []);
+        // Reads B and writes A: B's first reader and A's producer, so the
+        // instruction below names it with delays 5 (RAW) and 0 (WAR).
+        let producer = b.push(row(B, A), []);
+        let reader = b.push(row(B, 8), []);
+        // Every lane reads A (RAW on `producer`) and overwrites B (WAW on
+        // `writer`, WAR on both readers): 128 lane dependences, three
+        // producers.
+        let c = b.push(row(A, B), []);
+        let k = b.finish();
+        assert_eq!(k.deps(c), [(writer, 1), (producer, 5), (reader, 0)]);
     }
 
     #[test]
