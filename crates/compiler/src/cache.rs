@@ -602,7 +602,7 @@ mod tests {
             }
         }
         assert_eq!(
-            h.0, 0x38b1_5fee_19e3_9e1e,
+            h.0, 0x787b_971d_8a73_63f3,
             "accel's schedules changed: digest {:#018x}",
             h.0
         );

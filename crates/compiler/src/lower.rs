@@ -688,6 +688,7 @@ fn apply_s(
 mod tests {
     use super::*;
     use mib_core::hbm::HbmStream;
+    use mib_core::instruction::InstrKind;
     use mib_core::machine::{HazardPolicy, Machine};
     use mib_sparse::CscMatrix;
 
@@ -751,6 +752,49 @@ mod tests {
             let mut hbm = HbmStream::new(s.hbm.clone());
             m.run(&s.program, &mut hbm, HazardPolicy::Strict)
                 .expect("lowered programs must be hazard-free");
+        }
+    }
+
+    /// Each slot carries the kind of the first instruction packed into it:
+    /// executing a compiled direct iteration counts only its empty slots as
+    /// `Nop`, and every hop of its critical path names a primitive.
+    #[test]
+    fn slots_carry_their_first_instructions_kind() {
+        let problem = mib_problems::instance(mib_problems::Domain::Portfolio, 0).problem;
+        let settings = Settings {
+            scaling_iters: 0,
+            adaptive_rho: false,
+            ..Settings::default()
+        };
+        let lowered = lower(&problem, &settings, MibConfig::c32()).unwrap();
+        let mut m = Machine::new(lowered.config);
+        for s in [&lowered.load, &lowered.setup] {
+            m.run(
+                &s.program,
+                &mut HbmStream::new(s.hbm.clone()),
+                HazardPolicy::Strict,
+            )
+            .unwrap();
+        }
+        let it = &lowered.iteration;
+        let stats = m
+            .run(
+                &it.program,
+                &mut HbmStream::new(it.hbm.clone()),
+                HazardPolicy::Strict,
+            )
+            .unwrap();
+        let empty = it.slots() - it.busy_slots();
+        assert!(empty > 0 && it.busy_slots() > 0);
+        assert_eq!(stats.slots_by_kind[InstrKind::Nop.index()], empty as u64);
+        assert_eq!(stats.slots_by_kind.iter().sum::<u64>(), it.slots() as u64);
+        for slot in &it.program[..] {
+            assert_eq!(slot.kind == InstrKind::Nop, slot.is_nop());
+        }
+        let path = mib_core::critical_path::critical_path(&it.program, &lowered.config);
+        assert!(!path.hops.is_empty());
+        for hop in &path.hops {
+            assert_ne!(hop.kind, InstrKind::Nop, "slot {}", hop.slot);
         }
     }
 
