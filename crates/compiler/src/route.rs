@@ -1,19 +1,21 @@
-//! Routing within one network instruction: ownership-tracked path and
-//! reduction-tree construction.
+//! Routing within one network instruction: ownership-tracked paths for
+//! instructions that carry several value groups.
 //!
 //! The butterfly path between a source and destination lane is unique (the
 //! XOR rule of Section III.C), so packing several transfers into one
 //! instruction reduces to checking that no intermediate node must carry two
 //! different values. [`RouteSpace`] tracks which *value group* owns each
-//! node: transfers of the same group may share nodes (multicast fan-out and
-//! reduction fan-in), different groups may not.
+//! node: transfers of the same group may share nodes (multicast fan-out),
+//! different groups may not. Only the permutation generator packs several
+//! groups into one instruction; a builder whose instruction carries one
+//! group (a multicast or a reduction tree) configures it directly with
+//! [`NetInstruction::route`] or [`NetInstruction::reduce`].
 //!
 //! Routing allocates nothing beyond the space itself: owners are plain
-//! `u32`s with a sentinel for a free node, a path is checked and then
-//! claimed by walking it twice, and a reduction tree is planned one stage
-//! at a time as a lane mask.
+//! `u32`s with a sentinel for a free node, and a path is checked and then
+//! claimed by walking it twice.
 
-use mib_core::instruction::{lanes, NetInstruction, NodeMode};
+use mib_core::instruction::{NetInstruction, NodeMode};
 
 /// The owner of a node no group holds.
 const FREE: u32 = u32::MAX;
@@ -108,66 +110,6 @@ impl RouteSpace {
         }
         true
     }
-
-    /// Attempts to build a reduction tree from `sources` to `dst` for
-    /// `group`, configuring `inst` (with `Sum` at collision nodes) on
-    /// success. All nodes must be unowned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is `u32::MAX`, the free-node sentinel.
-    pub fn try_reduce(
-        &mut self,
-        inst: &mut NetInstruction,
-        group: u32,
-        sources: &[usize],
-        dst: usize,
-    ) -> bool {
-        assert_ne!(group, FREE, "group u32::MAX is reserved");
-        let mut start = 0u128;
-        for &lane in sources {
-            assert!(lane < self.width, "source lane {lane} out of range");
-            start |= 1 << lane;
-        }
-        if start.count_ones() as usize != sources.len() {
-            return false; // duplicate sources are a builder bug upstream
-        }
-        // Each stage moves every live lane to the lane with bit `s` taken
-        // from `dst`; the targets are the stage's nodes. First pass:
-        // feasibility.
-        let step = |live: u128, s: usize| {
-            let bit = 1usize << s;
-            lanes(live).fold(0u128, |next, l| next | 1 << ((l & !bit) | (dst & bit)))
-        };
-        let mut live = start;
-        for s in 0..self.stages {
-            let next = step(live, s);
-            if lanes(next).any(|t| self.owner[self.idx(s + 1, t)] != FREE) {
-                return false;
-            }
-            live = next;
-        }
-        // Second pass: claim, with `Sum` where both inputs are live.
-        let mut live = start;
-        for s in 0..self.stages {
-            let bit = 1usize << s;
-            let next = step(live, s);
-            for t in lanes(next) {
-                let from_direct = live & (1 << t) != 0;
-                let from_cross = live & (1 << (t ^ bit)) != 0;
-                let i = self.idx(s + 1, t);
-                self.owner[i] = group;
-                match (from_direct, from_cross) {
-                    (true, true) => inst.set_node_sum(s, t),
-                    (true, false) => inst.set_node(s, t, NodeMode::Direct),
-                    (false, true) => inst.set_node(s, t, NodeMode::Cross),
-                    (false, false) => unreachable!("reduction target with no live input"),
-                }
-            }
-            live = next;
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -206,19 +148,6 @@ mod tests {
         for dst in 0..8 {
             assert!(rs.try_route(&mut inst, 7, 2, dst), "dst {dst}");
         }
-    }
-
-    #[test]
-    fn reduce_claims_whole_tree() {
-        let mut inst = NetInstruction::nop(8);
-        let mut rs = RouteSpace::new(8);
-        assert!(rs.try_reduce(&mut inst, 0, &[0, 1, 2, 3], 0));
-        assert_eq!(inst.node(0, 0), NodeMode::Sum);
-        assert_eq!(inst.node(1, 0), NodeMode::Sum);
-        // Another reduce overlapping the tree must fail.
-        assert!(!rs.try_reduce(&mut inst, 1, &[4, 5], 0));
-        // A disjoint reduce into lane 7 must succeed (4..8 subtree).
-        assert!(rs.try_reduce(&mut inst, 1, &[4, 5, 6, 7], 7));
     }
 
     #[test]
