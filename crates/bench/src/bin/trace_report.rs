@@ -125,7 +125,7 @@ fn compile_segment(body: &mut String, domain: Domain, config: MibConfig) -> Trac
         "  compile   iteration_slots={} logical={} forced_appends={} \
          schedule_spans={schedules} cache_misses={} cache_hits={}",
         lowered.iteration.slots(),
-        lowered.iteration.logical_count,
+        lowered.iteration.logical_count(),
         lowered.iteration.forced_appends,
         cache.misses(),
         cache.hits(),

@@ -537,7 +537,7 @@ mod tests {
     /// Feeds every observable part of a schedule to `h`: each slot lane by
     /// lane through the instruction's public accessors (input, adder nodes,
     /// output multiplier, writeback) and its kind, the HBM word bits,
-    /// `slot_of`, `depth`, `forced_appends` and `logical_count`.
+    /// `slot_of`, `depth`, `forced_appends` and `logical_count()`.
     fn digest_schedule(h: &mut Fnv, s: &Schedule) {
         h.word(s.program.len() as u64);
         for inst in s.program.iter() {
@@ -585,7 +585,7 @@ mod tests {
         }
         h.word(s.depth);
         h.word(s.forced_appends as u64);
-        h.word(s.logical_count as u64);
+        h.word(s.logical_count() as u64);
     }
 
     /// Every slot, HBM word and placement of `accel`'s 25 lowerings, pinned

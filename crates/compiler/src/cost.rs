@@ -163,7 +163,6 @@ mod tests {
             program: vec![mov(0, 0, 1), mov(0, 1, 2)].into(),
             hbm: Vec::new(),
             slot_of: vec![0, 1],
-            logical_count: 2,
             forced_appends: 0,
             depth: 0,
         };

@@ -5,8 +5,11 @@
 //! Every builder appends logical instructions to a shared
 //! [`KernelBuilder`], so dependencies against earlier kernels (e.g. a
 //! triangular solve that produced the vector being scaled) are tracked
-//! automatically. A lane-to-same-lane instruction is built whole by
-//! [`NetInstruction::straight`] from its lane mask.
+//! automatically. Every instruction is built whole from lane masks: a
+//! lane-to-same-lane one by [`NetInstruction::straight`], the MAC tree of
+//! [`sum_reduce`] by [`NetInstruction::reduction`], and each pass of the
+//! cross-lane folds of [`norm_inf`] and [`sum_reduce`] by one multi-group
+//! [`NetInstruction::multicast`].
 
 use mib_core::instruction::{
     lanes, InstrKind, LaneSource, LaneWrite, NetInstruction, OutMul, WriteMode,
@@ -73,7 +76,9 @@ pub(crate) fn transfer(
     to: usize,
     write: LaneWrite,
 ) -> NetInstruction {
-    NetInstruction::multicast(width, kind, from, src, 1 << to, |_| (write, OutMul::Bypass))
+    NetInstruction::multicast(width, kind, &[(from, src, 1 << to)], |_| {
+        (write, OutMul::Bypass)
+    })
 }
 
 /// Writes zeros over a layout.
@@ -234,21 +239,8 @@ pub fn norm_inf(b: &mut KernelBuilder, x: Layout, scratch_base: usize, result_ad
             );
         }
     }
-    // Cross-lane fold into (0, result_addr): binary tree over lanes — the
-    // upper half routes to the lower half and max-combines, log₂C passes.
-    let mut bit = width;
-    while bit > 1 {
-        bit /= 2;
-        let mut inst = NetInstruction::nop(width);
-        inst.kind = InstrKind::Elementwise;
-        for lo in 0..bit {
-            let hi = lo + bit;
-            inst.set_input(hi, LaneSource::Reg { addr: scratch_base });
-            inst.route(hi, lo);
-            inst.set_write(lo, max_abs(scratch_base));
-        }
-        b.push(inst, []);
-    }
+    // Cross-lane fold into (0, result_addr), max-combining.
+    fold_lanes(b, width, scratch_base, WriteMode::MaxAbs);
     let src = LaneSource::Reg { addr: scratch_base };
     b.push(straight(width, 1, |_| (src, store(result_addr))), []);
 }
@@ -267,41 +259,40 @@ pub fn sum_reduce(b: &mut KernelBuilder, x: Layout, scratch_base: usize, result_
     b.push(zero_partials, []);
     // Each chunk reduces through the MAC tree into a rotating partial lane
     // (the rotation hides the accumulator latency).
-    let mut sources = Vec::with_capacity(width);
     for (c, (start, mask)) in chunks(x.len, width).enumerate() {
+        let source = |lane| LaneSource::Reg {
+            addr: x.addr(start + lane),
+        };
         let dst = c % partial_lanes;
-        let mut inst = NetInstruction::nop(width);
-        inst.kind = InstrKind::Mac;
-        sources.clear();
-        for lane in lanes(mask) {
-            inst.set_input(
-                lane,
-                LaneSource::Reg {
-                    addr: x.addr(start + lane),
-                },
-            );
-            sources.push(lane);
-        }
-        inst.reduce(&sources, dst);
-        inst.set_write(dst, add(scratch_base));
+        let inst =
+            NetInstruction::reduction(width, InstrKind::Mac, mask, dst, source, add(scratch_base));
         b.push(inst, []);
     }
-    // Binary-tree fold across the partial lanes.
-    let mut bit = partial_lanes;
-    while bit > 1 {
-        bit /= 2;
-        let mut inst = NetInstruction::nop(width);
-        inst.kind = InstrKind::Elementwise;
-        for lo in 0..bit {
-            let hi = lo + bit;
-            inst.set_input(hi, LaneSource::Reg { addr: scratch_base });
-            inst.route(hi, lo);
-            inst.set_write(lo, add(scratch_base));
-        }
-        b.push(inst, []);
-    }
+    // Fold the partial lanes into lane 0, summing.
+    fold_lanes(b, partial_lanes, scratch_base, WriteMode::Add);
     let src = LaneSource::Reg { addr: scratch_base };
     b.push(straight(width, 1, |_| (src, store(result_addr))), []);
+}
+
+/// Folds lanes `0..n` (a power of two) of row `addr` into lane 0 of that
+/// row with `mode`: a binary tree over lanes, log₂n passes, each moving
+/// the upper half of the live lanes onto the lower half as one fan-out
+/// instruction with a group per moved lane.
+fn fold_lanes(b: &mut KernelBuilder, n: usize, addr: usize, mode: WriteMode) {
+    let width = b.width();
+    let src = LaneSource::Reg { addr };
+    let write = LaneWrite { addr, mode };
+    let mut groups = Vec::with_capacity(n / 2);
+    let mut half = n;
+    while half > 1 {
+        half /= 2;
+        groups.clear();
+        groups.extend((0..half).map(|lo| (lo + half, src, 1u128 << lo)));
+        let inst = NetInstruction::multicast(width, InstrKind::Elementwise, &groups, |_| {
+            (write, OutMul::Bypass)
+        });
+        b.push(inst, []);
+    }
 }
 
 /// Broadcasts the scalar at `(bank, addr)` into the latches of every lane.
@@ -309,9 +300,10 @@ pub fn broadcast_scalar(b: &mut KernelBuilder, bank: usize, addr: usize) {
     let width = b.width();
     let src = LaneSource::Reg { addr };
     let every = first_lanes(width);
-    let inst = NetInstruction::multicast(width, InstrKind::Broadcast, bank, src, every, |_| {
-        (LATCH, OutMul::Bypass)
-    });
+    let inst =
+        NetInstruction::multicast(width, InstrKind::Broadcast, &[(bank, src, every)], |_| {
+            (LATCH, OutMul::Bypass)
+        });
     b.push(inst, []);
 }
 

@@ -154,9 +154,7 @@ pub fn factor_kernel(
             let l3 = NetInstruction::multicast(
                 width,
                 InstrKind::Broadcast,
-                lane_i,
-                src,
-                targets,
+                &[(lane_i, src, targets)],
                 |_| (LATCH, OutMul::Bypass),
             );
             b.push(l3, []);

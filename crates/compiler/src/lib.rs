@@ -43,7 +43,6 @@ pub mod kernel;
 pub mod layout;
 pub mod lower;
 pub mod permute;
-pub mod route;
 pub mod schedule;
 pub mod spmv;
 pub mod trisolve;

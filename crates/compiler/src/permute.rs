@@ -3,71 +3,84 @@
 //! A butterfly realizes only those permutations whose transfers use
 //! node-disjoint paths; general permutations split into several passes.
 //! The generator packs transfers into open instructions first-fit: each
-//! `(source element → destination slot)` transfer claims its unique path
-//! through a [`RouteSpace`]; when no open instruction can take it, a new
-//! one opens. The `permutate` / `inverse_permutate` schedules of Listing 1
-//! are built this way from the fill-reducing permutation of the direct KKT
-//! solver.
+//! `(source element → destination slot)` transfer takes the nodes of its
+//! unique path ([`fan_out_nodes`]), which it may share only with
+//! transfers of the same source element (a multicast); when no open
+//! instruction can take it, a new one opens. Each instruction is then
+//! built whole as one multi-group [`NetInstruction::multicast`]. The
+//! `permutate` / `inverse_permutate` schedules of Listing 1 are built this
+//! way from the fill-reducing permutation of the direct KKT solver.
 
-use mib_core::instruction::{InstrKind, LaneSource, LaneWrite, NetInstruction, WriteMode};
+use mib_core::instruction::{fan_out_nodes, InstrKind, LaneSource, NetInstruction, OutMul};
 use mib_sparse::Permutation;
 
+use crate::elementwise::store;
 use crate::kernel::KernelBuilder;
 use crate::layout::Layout;
-use crate::route::RouteSpace;
 
 /// One open instruction being packed.
 struct OpenInstr {
-    inst: NetInstruction,
-    rs: RouteSpace,
-    /// Which source element currently owns each input lane (multicast key).
-    input_owner: Vec<Option<usize>>,
-    write_used: Vec<bool>,
+    /// Per adder stage, the nodes the packed transfers pass.
+    nodes: Vec<u128>,
+    /// The lanes whose write port is taken.
+    written: u128,
+    /// Per lane: the key its read port is claimed for, the address it
+    /// reads and the lanes its value is routed to.
+    reads: Vec<Option<(usize, usize, u128)>>,
+    /// Per lane, the address its write stores to.
+    writes: Vec<usize>,
 }
 
 impl OpenInstr {
     fn new(width: usize) -> Self {
-        let mut inst = NetInstruction::nop(width);
-        inst.kind = InstrKind::Permute;
         OpenInstr {
-            inst,
-            rs: RouteSpace::new(width),
-            input_owner: vec![None; width],
-            write_used: vec![false; width],
+            nodes: vec![0; width.trailing_zeros() as usize],
+            written: 0,
+            reads: vec![None; width],
+            writes: vec![0; width],
         }
     }
 
-    /// Attempts to pack the transfer `src element e (at src_loc) -> dst_loc`.
-    fn try_add(&mut self, elem: usize, src_loc: (usize, usize), dst_loc: (usize, usize)) -> bool {
-        let (sb, sa) = src_loc;
-        let (db, da) = dst_loc;
-        if self.write_used[db] {
+    /// Attempts to pack the transfer of the value keyed `key` from
+    /// `(bank, row)` `src` to `dst`.
+    fn try_add(&mut self, key: usize, (sb, sa): (usize, usize), (db, da): (usize, usize)) -> bool {
+        if self.written & 1 << db != 0 {
             return false;
         }
-        match self.input_owner[sb] {
-            None => {}
-            Some(e) if e == elem => {}
-            Some(_) => return false,
-        }
-        if !self.rs.try_claim_input(sb, elem as u32) {
+        // The read port is claimed before the path is checked, and a
+        // refused transfer leaves the claim: every committed schedule was
+        // packed under this policy, so dropping it moves slot counts.
+        let (owner, _, targets) = *self.reads[sb].get_or_insert((key, sa, 0));
+        if owner != key {
             return false;
         }
-        if !self.rs.try_route(&mut self.inst, elem as u32, sb, db) {
+        // The path may share nodes with its own key's fan-out only.
+        let adds = |s: usize| fan_out_nodes(sb, 1 << db, s) & !fan_out_nodes(sb, targets, s);
+        if (0..self.nodes.len()).any(|s| adds(s) & self.nodes[s] != 0) {
             return false;
         }
-        if self.input_owner[sb].is_none() {
-            self.inst.set_input(sb, LaneSource::Reg { addr: sa });
-            self.input_owner[sb] = Some(elem);
+        for (s, nodes) in self.nodes.iter_mut().enumerate() {
+            *nodes |= fan_out_nodes(sb, 1 << db, s);
         }
-        self.inst.set_write(
-            db,
-            LaneWrite {
-                addr: da,
-                mode: WriteMode::Store,
-            },
-        );
-        self.write_used[db] = true;
+        self.reads[sb] = Some((key, sa, targets | 1 << db));
+        self.written |= 1 << db;
+        self.writes[db] = da;
         true
+    }
+
+    /// The packed transfers as one instruction.
+    fn finish(&self) -> NetInstruction {
+        let groups: Vec<_> = (self.reads.iter().enumerate())
+            .filter_map(|(lane, read)| match *read {
+                Some((_, addr, targets)) if targets != 0 => {
+                    Some((lane, LaneSource::Reg { addr }, targets))
+                }
+                _ => None,
+            })
+            .collect();
+        NetInstruction::multicast(self.writes.len(), InstrKind::Permute, &groups, |lane| {
+            (store(self.writes[lane]), OutMul::Bypass)
+        })
     }
 }
 
@@ -79,31 +92,10 @@ impl OpenInstr {
 pub fn permute(b: &mut KernelBuilder, src: Layout, dst: Layout, perm: &Permutation) {
     assert_eq!(src.len, perm.len(), "src layout does not match permutation");
     assert_eq!(dst.len, perm.len(), "dst layout does not match permutation");
-    let width = b.width();
-    let mut open: Vec<OpenInstr> = Vec::new();
-    for k in 0..perm.len() {
-        let e = perm.perm()[k];
-        let src_loc = src.loc(e);
-        let dst_loc = dst.loc(k);
-        let mut placed = false;
-        for oi in &mut open {
-            if oi.try_add(e, src_loc, dst_loc) {
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            let mut oi = OpenInstr::new(width);
-            assert!(
-                oi.try_add(e, src_loc, dst_loc),
-                "single transfer always fits an empty instruction"
-            );
-            open.push(oi);
-        }
-    }
-    for oi in open {
-        b.push(oi.inst, vec![]);
-    }
+    let transfers: Vec<Transfer> = (perm.perm().iter().enumerate())
+        .map(|(k, &e)| (src.loc(e), dst.loc(k)))
+        .collect();
+    permute_locs(b, &transfers);
 }
 
 /// A single register-to-register transfer `(src_loc, dst_loc)`, each
@@ -133,21 +125,17 @@ pub fn permute_locs(b: &mut KernelBuilder, transfers: &[Transfer]) {
     let mut open: Vec<OpenInstr> = Vec::new();
     for (t, &(src, dst)) in transfers.iter().enumerate() {
         let key = *src_key.entry(src).or_insert(t);
-        let mut placed = false;
-        for oi in &mut open {
-            if oi.try_add(key, src, dst) {
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
+        if !open.iter_mut().any(|oi| oi.try_add(key, src, dst)) {
             let mut oi = OpenInstr::new(width);
-            assert!(oi.try_add(key, src, dst));
+            assert!(
+                oi.try_add(key, src, dst),
+                "single transfer always fits an empty instruction"
+            );
             open.push(oi);
         }
     }
-    for oi in open {
-        b.push(oi.inst, vec![]);
+    for oi in &open {
+        b.push(oi.finish(), []);
     }
 }
 
@@ -192,6 +180,25 @@ mod tests {
             .collect();
         let want = perm.apply(&data);
         assert_eq!(got, want);
+    }
+
+    /// A transfer refused on its path leaves its source lane claimed for
+    /// its key, so a transfer of another key from that lane cannot join
+    /// the instruction even when its own path is free.
+    #[test]
+    fn a_refused_transfer_keeps_its_source_lane_claimed() {
+        let mut b = KernelBuilder::new("perm", 8, 4);
+        // 0 -> 2 holds node (0, 0). 1 -> 6 needs that node: refused in the
+        // first instruction, it opens the second. 1 -> 5 reads another row
+        // of lane 1 on a free path, but lane 1 is claimed in both.
+        let transfers = [((0, 0), (2, 0)), ((1, 0), (6, 0)), ((1, 5), (5, 0))];
+        permute_locs(&mut b, &transfers);
+        let kernel = b.finish();
+        let reads: Vec<Vec<_>> = (kernel.instrs().iter())
+            .map(|i| i.input_locs().collect())
+            .collect();
+        let read = |lane, addr| vec![(lane, LaneSource::Reg { addr })];
+        assert_eq!(reads, [read(0, 0), read(1, 0), read(1, 5)]);
     }
 
     #[test]

@@ -61,8 +61,6 @@ pub struct Schedule {
     pub hbm: Vec<f64>,
     /// Issue slot assigned to each logical instruction.
     pub slot_of: Vec<usize>,
-    /// Number of logical instructions packed.
-    pub logical_count: usize,
     /// How many instructions exhausted the first-fit probe limit and were
     /// placed in force-appended fresh slots. Nonzero means packing quality
     /// degraded (`verify_schedules` holds the suite's total to a baseline);
@@ -76,6 +74,11 @@ pub struct Schedule {
 }
 
 impl Schedule {
+    /// Number of logical instructions packed.
+    pub fn logical_count(&self) -> usize {
+        self.slot_of.len()
+    }
+
     /// Issue slots used (the paper's "total execution clock cycles" metric
     /// for Fig. 8, before adding pipeline drain).
     pub fn slots(&self) -> usize {
@@ -172,7 +175,6 @@ pub fn schedule(kernel: &Kernel, opts: ScheduleOptions) -> Schedule {
         program: program.into(),
         hbm,
         slot_of,
-        logical_count: n,
         forced_appends,
         depth: earliest.iter().max().map_or(0, |&e| e + 1),
     }

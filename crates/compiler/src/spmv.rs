@@ -17,6 +17,10 @@
 //!   `w_i` fans out through the butterfly (Fig. 6b), each target lane's
 //!   output multiplier scales it by the streamed matrix value, and the
 //!   accumulating writeback folds the products into `y`.
+//!
+//! Each MAC chunk is one [`NetInstruction::reduction`] and each fan-out
+//! one single-group [`NetInstruction::multicast`], both built from the
+//! chunk's lane mask.
 
 use std::collections::HashMap;
 
@@ -63,11 +67,11 @@ pub fn mac_spmv(
     // Copies of x elements made by prefetch instructions: x index -> extra
     // locations.
     let mut copies: HashMap<usize, Vec<(usize, usize)>> = HashMap::new();
-    // One row's entries and one chunk's `(lane, addr, matval)` operands
-    // and lanes, reused.
+    // One row's entries, one chunk's `(lane, matval)` operands and each
+    // operand lane's register address, reused.
     let mut entries: Vec<(usize, f64)> = Vec::new();
-    let mut chunk: Vec<(usize, usize, f64)> = Vec::new();
-    let mut lanes: Vec<usize> = Vec::new();
+    let mut chunk: Vec<(usize, f64)> = Vec::new();
+    let mut addr_of = vec![0; width];
 
     for r in 0..a.nrows() {
         entries.clear();
@@ -122,42 +126,32 @@ pub fn mac_spmv(
                 match placed {
                     Some((lane, addr)) => {
                         used |= 1 << lane;
-                        chunk.push((lane, addr, v));
+                        addr_of[lane] = addr;
+                        chunk.push((lane, v));
                         idx += 1;
                     }
                     None => break, // chunk full for this bank pattern
                 }
             }
             debug_assert!(!chunk.is_empty(), "chunk must make progress");
-            // Emit the MAC instruction: multiply and reduce to dst_lane.
-            let mut inst = NetInstruction::nop(width);
-            inst.kind = InstrKind::Mac;
-            lanes.clear();
-            lanes.extend(chunk.iter().map(|&(l, _, _)| l));
-            for &(lane, addr, _) in &chunk {
-                inst.set_input(
-                    lane,
-                    LaneSource::RegTimesStream {
-                        addr,
-                        negate: false,
-                    },
-                );
-            }
-            // A single reduction tree is always routable.
-            inst.reduce(&lanes, dst_lane);
+            // Emit the MAC instruction: multiply and reduce to dst_lane
+            // (a single reduction tree is always routable).
             let mode = if first_chunk && !accumulate {
                 WriteMode::Store
             } else {
                 WriteMode::Add
             };
-            inst.set_write(
-                dst_lane,
-                LaneWrite {
-                    addr: y.addr(r),
-                    mode,
-                },
-            );
-            b.push(inst, chunk.iter().map(|&(lane, _, v)| (lane, v)));
+            let source = |lane: usize| LaneSource::RegTimesStream {
+                addr: addr_of[lane],
+                negate: false,
+            };
+            let write = LaneWrite {
+                addr: y.addr(r),
+                mode,
+            };
+            let inst =
+                NetInstruction::reduction(width, InstrKind::Mac, used, dst_lane, source, write);
+            b.push(inst, chunk.iter().copied());
             first_chunk = false;
         }
     }
@@ -251,10 +245,10 @@ pub fn col_spmv(
             }
             // Multicast from one source is always routable.
             let src = LaneSource::Reg { addr: src_addr };
-            let inst =
-                NetInstruction::multicast(width, InstrKind::ColElim, src_lane, src, used, |lane| {
-                    (add(addr_of[lane]), OutMul::MulStream { negate: false })
-                });
+            let groups = [(src_lane, src, used)];
+            let inst = NetInstruction::multicast(width, InstrKind::ColElim, &groups, |lane| {
+                (add(addr_of[lane]), OutMul::MulStream { negate: false })
+            });
             b.push(inst, stream.drain(..));
         }
     }

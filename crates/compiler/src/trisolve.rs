@@ -15,6 +15,10 @@
 //!   `j` (descending), the products `-L(r,j)·x_r` reduce through the MAC
 //!   tree into `x_j`.
 //!
+//! Each `L`-solve fan-out is one single-group [`NetInstruction::multicast`]
+//! and each `Lᵀ`-solve chunk one [`NetInstruction::reduction`], both built
+//! from the chunk's lane mask.
+//!
 //! [`FactorLayout`] is the register-file placement the on-machine
 //! factorization kernel ([`crate::factor`]) writes `L` to: entry `L(r, j)`
 //! in bank `r mod C`.
@@ -147,7 +151,7 @@ pub fn lsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
             }
             let src = LaneSource::Reg { addr: aj };
             let inst =
-                NetInstruction::multicast(width, InstrKind::ColElim, sj, src, used, |lane| {
+                NetInstruction::multicast(width, InstrKind::ColElim, &[(sj, src, used)], |lane| {
                     (add(addr_of[lane]), OutMul::MulStream { negate: true })
                 });
             b.push(inst, stream.drain(..));
@@ -182,9 +186,10 @@ pub fn dsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
 pub fn ltsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
     assert_eq!(x.len, f.n(), "x layout does not match factor dimension");
     let width = b.width();
-    // One instruction's HBM words and reduction lanes, reused.
+    // One instruction's HBM words and each source lane's register address,
+    // reused.
     let mut stream = Vec::new();
-    let mut sources = Vec::new();
+    let mut addr_of = vec![0; width];
     let col_ptr = f.l_col_ptr();
     let row_ind = f.l_row_ind();
     let values = f.l_values();
@@ -197,9 +202,6 @@ pub fn ltsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
         let mut idx = range.start;
         while idx < range.end {
             let mut used = 0u128; // the lanes taken so far
-            let mut inst = NetInstruction::nop(width);
-            inst.kind = InstrKind::Mac;
-            sources.clear();
             while idx < range.end {
                 let r = row_ind[idx];
                 let lane = r % width;
@@ -207,25 +209,19 @@ pub fn ltsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
                     break;
                 }
                 used |= 1 << lane;
-                inst.set_input(
-                    lane,
-                    LaneSource::RegTimesStream {
-                        addr: x.addr(r),
-                        negate: true,
-                    },
-                );
-                sources.push(lane);
+                addr_of[lane] = x.addr(r);
                 stream.push((lane, values[idx]));
                 idx += 1;
             }
-            inst.reduce(&sources, dst);
-            inst.set_write(
-                dst,
-                LaneWrite {
-                    addr: x.addr(j),
-                    mode: WriteMode::Add,
-                },
-            );
+            let source = |lane: usize| LaneSource::RegTimesStream {
+                addr: addr_of[lane],
+                negate: true,
+            };
+            let write = LaneWrite {
+                addr: x.addr(j),
+                mode: WriteMode::Add,
+            };
+            let inst = NetInstruction::reduction(width, InstrKind::Mac, used, dst, source, write);
             b.push(inst, stream.drain(..));
         }
     }

@@ -337,6 +337,6 @@ mod tests {
     fn checked_schedule_accepts_compiler_output() {
         let kernel = chain_kernel();
         let s = checked_schedule(&kernel, ScheduleOptions::default(), &config());
-        assert_eq!(s.logical_count, 3);
+        assert_eq!(s.logical_count(), 3);
     }
 }

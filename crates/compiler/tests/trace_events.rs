@@ -43,7 +43,7 @@ fn config() -> MibConfig {
 fn shape(s: &Schedule) -> (usize, usize, usize, Option<u64>) {
     (
         s.slots(),
-        s.logical_count,
+        s.logical_count(),
         s.forced_appends,
         static_cost(s, &config()).map(|c| c.cycles),
     )

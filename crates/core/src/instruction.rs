@@ -443,36 +443,64 @@ impl NetInstruction {
         inst
     }
 
-    /// A multicast instruction of kind `kind`: lane `from` reads `src`,
-    /// and its value is routed to every lane of `targets`, each writing it
-    /// back with the write and output-multiplier mode `lane(t)` returns for
-    /// it. Equal to [`NetInstruction::set_input`]`(from, src)` followed by
-    /// [`NetInstruction::route`]`(from, t)`,
+    /// A fan-out instruction of kind `kind`: for each `(from, src, targets)`
+    /// group, lane `from` reads `src` and its value is routed to every lane
+    /// of `targets`, each writing it back with the write and
+    /// output-multiplier mode `lane(t)` returns for it. One group is a
+    /// multicast (Fig. 6b); several carry independent values, as a
+    /// permutation pass does. Equal to [`NetInstruction::set_input`] on
+    /// each source lane, then [`NetInstruction::route`]`(from, t)`,
     /// [`NetInstruction::set_out_mul`] and [`NetInstruction::set_write`]
     /// target by target, built in one pass: `lane` is called once per
-    /// target in ascending order, the write store is allocated once at its
-    /// exact size, and each stage's nodes are one mask.
+    /// target in ascending lane order, each lane store is allocated once at
+    /// its exact size, and each stage's nodes are one mask per group.
     ///
     /// # Panics
     ///
-    /// As [`NetInstruction::nop`], if `from` or a lane of `targets` is
-    /// `≥ width`, or if an address does not fit in 32 bits.
+    /// As [`NetInstruction::nop`]; if a source or target lane is
+    /// `≥ width`, if the source lanes are not strictly ascending, if two
+    /// groups share a target or an adder node, or if an address does not
+    /// fit in 32 bits.
     pub fn multicast(
         width: usize,
         kind: InstrKind,
-        from: usize,
-        src: LaneSource,
-        targets: u128,
+        groups: &[(usize, LaneSource, u128)],
         mut lane: impl FnMut(usize) -> (LaneWrite, OutMul),
     ) -> Self {
         let mut inst = NetInstruction::nop(width);
-        inst.check_lane(from);
-        inst.check_lanes(targets);
-        inst.inputs.reserve_exact(1);
-        inst.inputs.push(StoredSource::of(from, src));
-        inst.input_mask = bit(from);
-        inst.writes.reserve_exact(targets.count_ones() as usize);
-        for t in lanes(targets) {
+        inst.inputs.reserve_exact(groups.len());
+        for &(from, src, targets) in groups {
+            inst.check_lane(from);
+            inst.check_lanes(targets);
+            assert!(
+                inst.input_mask >> from == 0,
+                "source lane {from} is not above the previous group's"
+            );
+            assert!(
+                inst.write_mask & targets == 0,
+                "groups share target lane {}",
+                (inst.write_mask & targets).trailing_zeros()
+            );
+            inst.inputs.push(StoredSource::of(from, src));
+            inst.input_mask |= bit(from);
+            inst.write_mask |= targets;
+            for s in 0..inst.stages() {
+                let reached = fan_out_nodes(from, targets, s);
+                assert!(
+                    inst.stage_mask(s) & reached == 0,
+                    "groups share adder node ({s}, {})",
+                    (inst.stage_mask(s) & reached).trailing_zeros()
+                );
+                // The value crossed into the nodes whose bit `s` differs
+                // from `from`'s.
+                let stays = same_bit(from, s);
+                inst.direct[s] |= reached & stays;
+                inst.cross[s] |= reached & !stays;
+            }
+        }
+        inst.writes
+            .reserve_exact(inst.write_mask.count_ones() as usize);
+        for t in lanes(inst.write_mask) {
             let (write, out) = lane(t);
             inst.writes.push(StoredWrite::of(t, write));
             if let OutMul::MulStream { negate } = out {
@@ -482,21 +510,42 @@ impl NetInstruction {
                 }
             }
         }
-        inst.write_mask = targets;
-        for s in 0..inst.stages() {
-            // After stage `s` the value is on the lanes that take bits
-            // `0..=s` from a target and the rest from `from`; it crossed
-            // into those whose bit `s` differs from `from`'s.
-            let block = 2 << s;
-            let reached = low_block_union(targets, block) << (from & !(block - 1));
-            let stays = if from & (1 << s) == 0 {
-                low_lanes(s)
-            } else {
-                !low_lanes(s)
-            };
-            inst.direct[s] = reached & stays;
-            inst.cross[s] = reached & !stays;
+        inst.kind = kind;
+        inst
+    }
+
+    /// A fan-in instruction of kind `kind`: every lane of `sources` reads
+    /// the source `lane(l)` returns for it, the values sum through the MAC
+    /// tree (Fig. 6a) into lane `dst`, and `dst` writes the sum back with
+    /// `write`. Equal to [`NetInstruction::set_input`] lane by lane, then
+    /// [`NetInstruction::reduce`] and [`NetInstruction::set_write`], built
+    /// in one pass: `lane` is called once per source lane in ascending
+    /// order and each lane store is allocated once at its exact size.
+    ///
+    /// # Panics
+    ///
+    /// As [`NetInstruction::nop`], if `dst` or a lane of `sources` is
+    /// `≥ width`, or if an address does not fit in 32 bits.
+    pub fn reduction(
+        width: usize,
+        kind: InstrKind,
+        sources: u128,
+        dst: usize,
+        mut lane: impl FnMut(usize) -> LaneSource,
+        write: LaneWrite,
+    ) -> Self {
+        let mut inst = NetInstruction::nop(width);
+        inst.check_lanes(sources);
+        inst.check_lane(dst);
+        inst.inputs.reserve_exact(sources.count_ones() as usize);
+        for l in lanes(sources) {
+            inst.inputs.push(StoredSource::of(l, lane(l)));
         }
+        inst.input_mask = sources;
+        inst.reduce_mask(sources, dst);
+        inst.writes.reserve_exact(1);
+        inst.writes.push(StoredWrite::of(dst, write));
+        inst.write_mask = bit(dst);
         inst.kind = kind;
         inst
     }
@@ -934,23 +983,24 @@ impl NetInstruction {
     }
 
     /// Routes a value from `src` lane to `dst` lane through the butterfly,
-    /// setting `Direct`/`Cross` modes along the unique path (the XOR rule of
-    /// Section III.C): at stage `s` the value moves to the node whose lane
-    /// takes bit `s` from `dst`. Existing `Sum` nodes on the path are left
-    /// as sums — callers building reduction trees upgrade collision nodes
+    /// setting `Direct`/`Cross` modes along the unique path of
+    /// [`fan_out_nodes`]. Existing `Sum` nodes on the path are left as
+    /// sums — callers building reduction trees upgrade collision nodes
     /// explicitly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane is out of range, or if a node on the path is
+    /// already set to the other single-input mode.
     pub fn route(&mut self, src: usize, dst: usize) {
         self.check_lane(src);
         self.check_lane(dst);
-        let mut lane = src;
         for s in 0..self.stages() {
-            let bit = 1usize << s;
-            let cross = (src ^ dst) & bit != 0;
-            let next = if cross { lane ^ bit } else { lane };
-            let mode = if cross {
-                NodeMode::Cross
-            } else {
+            let next = fan_out_nodes(src, bit(dst), s).trailing_zeros() as usize;
+            let mode = if same_bit(src, s) & bit(next) != 0 {
                 NodeMode::Direct
+            } else {
+                NodeMode::Cross
             };
             let cur = self.node(s, next);
             if cur == NodeMode::Idle {
@@ -958,9 +1008,7 @@ impl NetInstruction {
             } else if cur != mode && cur != NodeMode::Sum {
                 panic!("routing conflict at node ({s}, {next}): {cur:?} vs {mode:?}");
             }
-            lane = next;
         }
-        debug_assert_eq!(lane, dst);
     }
 
     /// Builds a reduction tree: every lane in `sources` is routed to `dst`,
@@ -982,35 +1030,58 @@ impl NetInstruction {
             );
             live |= bit(lane);
         }
+        self.reduce_mask(live, dst);
+    }
+
+    /// The reduction tree of [`NetInstruction::reduce`] from the source
+    /// lanes `live`, one pair of node masks per stage.
+    fn reduce_mask(&mut self, mut live: u128, dst: usize) {
         for s in 0..self.stages() {
-            let b = 1usize << s;
             // Each live lane moves to the lane with bit `s` taken from
-            // `dst`: lanes that already agree stay, the others cross.
-            let stay = if dst & b == 0 {
-                low_lanes(s)
-            } else {
-                !low_lanes(s)
-            };
-            let next = (live & stay) | cross_lanes(live & !stay, s);
-            for t in lanes(next) {
-                let from_direct = live & bit(t) != 0;
-                let from_cross = live & bit(t ^ b) != 0;
-                let mode = match (from_direct, from_cross) {
+            // `dst`: lanes that already agree stay, the others cross. A
+            // node fed both ways sums.
+            let stay = same_bit(dst, s);
+            let direct = live & stay;
+            let cross = cross_lanes(live & !stay, s);
+            let next = direct | cross;
+            let (had_direct, had_cross) = (self.direct[s] & next, self.cross[s] & next);
+            let clash = (had_direct | had_cross) & ((had_direct ^ direct) | (had_cross ^ cross));
+            if clash != 0 {
+                let t = clash.trailing_zeros() as usize;
+                let mode = match (direct & bit(t) != 0, cross & bit(t) != 0) {
                     (true, true) => NodeMode::Sum,
                     (true, false) => NodeMode::Direct,
-                    (false, true) => NodeMode::Cross,
-                    (false, false) => unreachable!("target with no live input"),
+                    _ => NodeMode::Cross,
                 };
-                let cur = self.node(s, t);
-                assert!(
-                    cur == NodeMode::Idle || cur == mode,
-                    "reduction conflict at node ({s}, {t}): {cur:?} vs {mode:?}"
+                panic!(
+                    "reduction conflict at node ({s}, {t}): {:?} vs {mode:?}",
+                    self.node(s, t)
                 );
-                self.or_node(s, t, mode);
             }
+            self.direct[s] |= direct;
+            self.cross[s] |= cross;
             live = next;
         }
         debug_assert_eq!(live, bit(dst));
+    }
+}
+
+/// The nodes of adder stage `stage` that a value passes on its way from
+/// lane `from` to every lane of `targets` (the XOR rule of Section III.C):
+/// after stage `s` it is on the lanes that take bits `0..=s` from a target
+/// and the rest from `from`. Every router builds on this path; a node is
+/// `Direct` where its bit `stage` equals `from`'s and `Cross` elsewhere.
+pub fn fan_out_nodes(from: usize, targets: u128, stage: usize) -> u128 {
+    let block = 2 << stage;
+    low_block_union(targets, block) << (from & !(block - 1))
+}
+
+/// The lanes whose bit `s` equals `lane`'s.
+fn same_bit(lane: usize, s: usize) -> u128 {
+    if lane & (1 << s) == 0 {
+        low_lanes(s)
+    } else {
+        !low_lanes(s)
     }
 }
 
@@ -1629,6 +1700,91 @@ mod tests {
             .fold(NetInstruction::nop(w), |slot, m| slot.try_merge(m).unwrap())
     }
 
+    /// The node of stage `s` on the path `from -> to`, by the XOR rule:
+    /// bits `0..=s` from `to`, the rest from `from`.
+    fn path_node(from: usize, to: usize, s: usize) -> usize {
+        let low = (2 << s) - 1;
+        (to & low) | (from & !low)
+    }
+
+    /// Random fan-out groups of width `w` whose paths share no node: source
+    /// lanes in ascending order, each target taken by the first group whose
+    /// path to it crosses no other group's node.
+    fn disjoint_groups(w: usize, seed: u64) -> Vec<(usize, LaneSource, u128)> {
+        let stages = w.trailing_zeros() as usize;
+        let mut taken = [0u128; MAX_STAGES];
+        let mut written = 0u128;
+        let mut groups = Vec::new();
+        for from in (0..w).filter(|&l| splitmix(seed ^ l as u64).is_multiple_of(3)) {
+            let mut mine = [0u128; MAX_STAGES];
+            let mut targets = 0;
+            for t in (0..w).filter(|&t| splitmix(seed ^ (from * w + t) as u64).is_multiple_of(4)) {
+                let path: Vec<u128> = (0..stages).map(|s| bit(path_node(from, t, s))).collect();
+                if written & bit(t) != 0 || (0..stages).any(|s| path[s] & taken[s] & !mine[s] != 0)
+                {
+                    continue;
+                }
+                for s in 0..stages {
+                    mine[s] |= path[s];
+                    taken[s] |= path[s];
+                }
+                targets |= bit(t);
+                written |= bit(t);
+            }
+            if targets != 0 {
+                groups.push((from, lane_op(seed, from).0, targets));
+            }
+        }
+        groups
+    }
+
+    #[test]
+    fn fan_out_nodes_follow_the_xor_rule() {
+        for from in 0..MAX_WIDTH {
+            for to in 0..MAX_WIDTH {
+                for s in 0..MAX_STAGES {
+                    let want = bit(path_node(from, to, s));
+                    assert_eq!(
+                        fan_out_nodes(from, bit(to), s),
+                        want,
+                        "{from} -> {to} at {s}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "source lane 1 is not above the previous group's")]
+    fn multicast_refuses_source_lanes_out_of_order() {
+        let src = LaneSource::Stream;
+        let groups = [(3, src, 1 << 3), (1, src, 1 << 1)];
+        NetInstruction::multicast(8, InstrKind::Permute, &groups, |_| {
+            (store(0), OutMul::Bypass)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "groups share target lane 2")]
+    fn multicast_refuses_overlapping_targets() {
+        let src = LaneSource::Stream;
+        let groups = [(0, src, 0b110), (4, src, 0b100)];
+        NetInstruction::multicast(8, InstrKind::Permute, &groups, |_| {
+            (store(0), OutMul::Bypass)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "groups share adder node (0, 0)")]
+    fn multicast_refuses_groups_sharing_a_node() {
+        // 0 -> 2 and 1 -> 6 both pass node (0, 0).
+        let src = LaneSource::Stream;
+        let groups = [(0, src, 1 << 2), (1, src, 1 << 6)];
+        NetInstruction::multicast(8, InstrKind::Permute, &groups, |_| {
+            (store(0), OutMul::Bypass)
+        });
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1661,9 +1817,46 @@ mod tests {
             }
         }
 
-        /// The multicast constructor equals setting the input and then
-        /// routing, scaling and writing target by target, on random target
-        /// masks and sources at every width, the top lane always a target.
+        /// The fan-in constructor equals setting each source lane's input,
+        /// then reducing and writing lane by lane, on random source masks
+        /// and destinations at every width, the top lane always a source.
+        #[test]
+        fn reduction_equals_the_lane_by_lane_build(
+            lo in 0u64..u64::MAX,
+            hi in 0u64..u64::MAX,
+            seed in 0u64..u64::MAX,
+        ) {
+            let random = u128::from(hi) << 64 | u128::from(lo);
+            for w in (1..=7).map(|k| 1usize << k) {
+                let sources = (random & all_lanes(w)) | 1 << (w - 1);
+                let dst = splitmix(seed ^ w as u64) as usize % w;
+                let write = lane_op(seed, dst).1;
+                let built = NetInstruction::reduction(
+                    w,
+                    InstrKind::Mac,
+                    sources,
+                    dst,
+                    |l| lane_op(seed, l).0,
+                    write,
+                );
+                let mut want = NetInstruction::nop(w);
+                want.kind = InstrKind::Mac;
+                for l in lanes(sources) {
+                    want.set_input(l, lane_op(seed, l).0);
+                }
+                want.reduce(&lanes(sources).collect::<Vec<_>>(), dst);
+                want.set_write(dst, write);
+                prop_assert_eq!(&built, &want, "width {}", w);
+                assert_masks(&built);
+                prop_assert_eq!(built.inputs.capacity(), sources.count_ones() as usize);
+                prop_assert_eq!(built.writes.capacity(), 1);
+            }
+        }
+
+        /// The fan-out constructor equals setting each source lane's input
+        /// and then routing, scaling and writing target by target, on
+        /// random node-disjoint groups at every width. With one group it is
+        /// a multicast, the top lane always a target.
         #[test]
         fn multicast_equals_the_lane_by_lane_build(
             lo in 0u64..u64::MAX,
@@ -1676,23 +1869,43 @@ mod tests {
                 k => OutMul::MulStream { negate: k == 2 },
             };
             for w in (1..=7).map(|k| 1usize << k) {
-                let targets = (random & all_lanes(w)) | 1 << (w - 1);
                 let from = splitmix(seed) as usize % w;
-                let src = lane_op(seed, from).0;
-                let built = NetInstruction::multicast(w, InstrKind::Broadcast, from, src, targets, |t| {
-                    (lane_op(seed, t).1, out(t))
-                });
-                let mut want = NetInstruction::nop(w);
-                want.kind = InstrKind::Broadcast;
-                want.set_input(from, src);
-                for t in lanes(targets) {
-                    want.route(from, t);
-                    want.set_out_mul(t, out(t));
-                    want.set_write(t, lane_op(seed, t).1);
+                let targets = (random & all_lanes(w)) | 1 << (w - 1);
+                let one = [(from, lane_op(seed, from).0, targets)];
+                for groups in [one.to_vec(), disjoint_groups(w, seed)] {
+                    let built = NetInstruction::multicast(w, InstrKind::Broadcast, &groups, |t| {
+                        (lane_op(seed, t).1, out(t))
+                    });
+                    let mut want = NetInstruction::nop(w);
+                    want.kind = InstrKind::Broadcast;
+                    for &(from, src, targets) in &groups {
+                        want.set_input(from, src);
+                        for t in lanes(targets) {
+                            want.route(from, t);
+                            want.set_out_mul(t, out(t));
+                            want.set_write(t, lane_op(seed, t).1);
+                        }
+                    }
+                    prop_assert_eq!(&built, &want, "width {} groups {:?}", w, groups);
+                    assert_masks(&built);
+                    prop_assert_eq!(built.inputs.capacity(), groups.len());
+                    let written = groups.iter().fold(0, |m, g| m | g.2);
+                    prop_assert_eq!(built.writes.capacity(), written.count_ones() as usize);
                 }
-                prop_assert_eq!(&built, &want, "width {}", w);
-                assert_masks(&built);
-                prop_assert_eq!(built.writes.capacity(), targets.count_ones() as usize);
+            }
+        }
+
+        /// A stage's fan-out nodes are the union of the single paths.
+        #[test]
+        fn fan_out_nodes_are_the_union_of_single_paths(
+            lo in 0u64..u64::MAX,
+            hi in 0u64..u64::MAX,
+            from in 0usize..128,
+        ) {
+            let targets = u128::from(hi) << 64 | u128::from(lo);
+            for s in 0..MAX_STAGES {
+                let union = lanes(targets).fold(0, |m, t| m | fan_out_nodes(from, bit(t), s));
+                prop_assert_eq!(fan_out_nodes(from, targets, s), union, "stage {}", s);
             }
         }
 

@@ -93,9 +93,11 @@ cargo run --release -q -p mib-bench --bin verify_schedules -- --smoke >/dev/null
 # Re-run the cycle-accounting, certification-verdict, pending-window and
 # reference-interpreter tests optimized but with debug assertions and
 # overflow checks armed (the [profile.checked] build), over the full
-# 120-program verify sample (MIB_TIMING_FULL).
+# 120-program verify sample (MIB_TIMING_FULL); and the random permutations
+# and SpMVs of proptest_invariants through the lane-mask builders.
 MIB_TIMING_FULL=1 cargo test --profile checked --test static_timing --test proptest_timing \
-  --test machine_reference --test proptest_verify --test pending_window -q
+  --test machine_reference --test proptest_verify --test pending_window \
+  --test proptest_invariants -q
 # The same build for mib-core's own unit tests: the literal fault-order
 # and certification tests of the predictor.
 cargo test --profile checked -p mib-core --lib -q

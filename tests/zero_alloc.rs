@@ -462,7 +462,7 @@ fn lowering_allocates_per_kernel_not_per_instruction() {
             let l = lowered.expect("lowering ran").expect("the instance lowers");
             logical += [&l.load, &l.setup, &l.iteration, &l.pcg_iteration, &l.check]
                 .iter()
-                .map(|s| s.logical_count)
+                .map(|s| s.logical_count())
                 .sum::<usize>();
         }
     }
