@@ -11,6 +11,8 @@
 //! cross-lane folds of [`norm_inf`] and [`sum_reduce`] by one multi-group
 //! [`NetInstruction::multicast`].
 
+use std::ops::Range;
+
 use mib_core::instruction::{
     lanes, InstrKind, LaneSource, LaneWrite, NetInstruction, OutMul, WriteMode,
 };
@@ -25,6 +27,34 @@ pub(crate) fn chunks(len: usize, width: usize) -> impl Iterator<Item = (usize, u
     (0..len)
         .step_by(width)
         .map(move |start| (start, first_lanes((len - start).min(width))))
+}
+
+/// Cuts `items` into maximal runs of distinct lanes, in order: each run as
+/// its index range and its lane mask. A run ends just before the first
+/// item whose lane (`lane` of the item, below 128) it already holds.
+pub(crate) fn distinct_runs<'a, T>(
+    items: &'a [T],
+    lane: impl Fn(&T) -> usize + 'a,
+) -> impl Iterator<Item = (Range<usize>, u128)> + 'a {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        if start == items.len() {
+            return None;
+        }
+        let mut mask = 0u128;
+        let mut end = start;
+        for item in &items[start..] {
+            let bit = 1u128 << lane(item);
+            if mask & bit != 0 {
+                break;
+            }
+            mask |= bit;
+            end += 1;
+        }
+        let run = start..end;
+        start = end;
+        Some((run, mask))
+    })
 }
 
 /// The lanes `0..n` (`1 ≤ n ≤ 128`).
@@ -363,6 +393,7 @@ mod tests {
     use mib_core::hbm::HbmStream;
     use mib_core::machine::{HazardPolicy, Machine};
     use mib_core::MibConfig;
+    use proptest::prelude::*;
 
     fn run(b: KernelBuilder) -> Machine {
         run_with(
@@ -543,6 +574,41 @@ mod tests {
         let m = run(b);
         assert_eq!(m.regs().read(0, s + 2).unwrap(), 0.25);
         assert_eq!(m.regs().read(0, s + 3).unwrap(), 2.5);
+    }
+
+    proptest! {
+        /// Random lane sequences at widths 2–128, the top lane included:
+        /// the runs cover every index in order, each mask holds exactly its
+        /// run's lanes, and each run stops only at a lane it already holds.
+        #[test]
+        fn distinct_runs_are_maximal_and_cover_in_order(
+            width in 2usize..129,
+            draws in proptest::collection::vec(0usize..1 << 16, 0..200),
+        ) {
+            let seq: Vec<usize> = draws
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| if i % 7 == 3 { width - 1 } else { d % width })
+                .collect();
+            let mut next = 0;
+            for (run, mask) in distinct_runs(&seq, |&l| l) {
+                prop_assert_eq!(run.start, next);
+                prop_assert!(run.end > run.start);
+                let lanes = seq[run.clone()].iter().fold(0u128, |m, &l| m | 1 << l);
+                prop_assert_eq!(mask, lanes);
+                prop_assert_eq!(mask.count_ones() as usize, run.len());
+                if let Some(&l) = seq.get(run.end) {
+                    prop_assert!(mask & 1 << l != 0);
+                }
+                next = run.end;
+            }
+            prop_assert_eq!(next, seq.len());
+        }
+    }
+
+    #[test]
+    fn distinct_runs_of_nothing_is_empty() {
+        assert_eq!(distinct_runs(&[] as &[usize], |&l| l).count(), 0);
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! * pivots finish with a reciprocal writeback (`StoreRecip`) so the `D`
 //!   solve can run as an element-wise product.
 //!
+//! [`plan_factor_exact`] replays the row patterns once to place `L`; the
+//! [`FactorLayout`] keeps the pattern, and the kernel reads it. A column's
+//! loads and each update are cut into maximal runs of distinct lanes by the
+//! crate's one run cutter (`elementwise::distinct_runs`), one straight
+//! instruction per run.
+//!
 //! The **elimination tree** defines the dependency structure: column `k`
 //! can start only after its pattern columns finished, which the dependency
 //! tracker discovers naturally through register reuse. The initial
@@ -24,15 +30,16 @@ use mib_core::instruction::{InstrKind, LaneSource, LaneWrite, NetInstruction, Ou
 use mib_sparse::ldl::LdlSymbolic;
 use mib_sparse::CscMatrix;
 
-use crate::elementwise::{add, store, transfer, LATCH, ZERO};
+use crate::elementwise::{add, distinct_runs, store, transfer, LATCH, ZERO};
 use crate::kernel::KernelBuilder;
 use crate::layout::{Allocator, Layout};
 use crate::trisolve::FactorLayout;
 
 /// Emits the numeric factorization kernel for the (permuted, upper
 /// triangle) matrix `a` with symbolic analysis `sym`, writing `L`, `D` and
-/// `D⁻¹` into `fl`. `y` is a scratch layout of length `n` that must start
-/// (and is left) all-zero.
+/// `D⁻¹` into `fl`, which [`plan_factor_exact`] planned for `a`'s pattern.
+/// `y` is a scratch layout of length `n` that must start (and is left)
+/// all-zero.
 ///
 /// The matrix *values* stream from HBM; the sparsity *pattern* is compiled
 /// into the instruction stream — re-running the kernel with different
@@ -53,61 +60,37 @@ pub fn factor_kernel(
     assert_eq!(a.ncols(), n, "matrix does not match symbolic analysis");
     assert_eq!(y.len, n, "scratch layout must have length n");
     let width = b.width();
-    let l_col_ptr = {
-        // Recover column pointers from the elimination-tree column counts.
-        let mut ptr = vec![0usize; n + 1];
-        for (i, &c) in sym.etree().col_counts().iter().enumerate() {
-            ptr[i + 1] = ptr[i] + c;
-        }
-        ptr
-    };
-    // Row index of every L position, rebuilt as rows are processed (the
-    // same replay the reference numeric factorization performs).
-    let mut l_rows = vec![0usize; l_col_ptr[n]];
+    let (l_col_ptr, l_rows) = (&fl.l_col_ptr, &fl.l_rows);
     let mut fill = vec![0usize; n];
     let d = fl.d();
     let dinv = fl.dinv();
 
-    // One column's entries and one instruction's HBM words, reused; per
-    // lane of a load, its write address, and per lane of an update, the L
-    // entry it reads and the y entry it updates.
-    let mut entries: Vec<(usize, f64)> = Vec::new();
+    // One instruction's HBM words, reused; per lane of a load, its write
+    // address, and per lane of an update, the L entry it reads and the y
+    // entry it updates.
     let mut stream = Vec::new();
     let mut addr_of = [0usize; 128];
     let mut update_of = [(0usize, 0usize); 128];
     for k in 0..n {
         // ---- Load phase: scatter column k of A into y (and D[k]). ----
-        entries.clear();
-        entries.extend(a.col(k));
-        let mut idx = 0usize;
-        let mut saw_diag = false;
-        while idx < entries.len() {
-            let mut used = 0u128; // the lanes taken so far
-            while idx < entries.len() {
-                let (i, v) = entries[idx];
-                let (lane, addr) = if i == k {
-                    saw_diag = true;
-                    (d.bank(k), d.addr(k))
-                } else {
-                    (y.bank(i), y.addr(i))
-                };
-                if used & (1 << lane) != 0 {
-                    break;
-                }
-                used |= 1 << lane;
+        let range = a.col_range(k);
+        let (rows, vals) = (&a.row_ind()[range.clone()], &a.values()[range]);
+        assert!(
+            rows.contains(&k),
+            "kkt matrix must have an explicit diagonal at column {k}"
+        );
+        let loc = |i: usize| if i == k { d.loc(k) } else { y.loc(i) };
+        for (run, used) in distinct_runs(rows, |&i| loc(i).0) {
+            for (&i, &v) in rows[run.clone()].iter().zip(&vals[run]) {
+                let (lane, addr) = loc(i);
                 addr_of[lane] = addr;
                 stream.push((lane, v));
-                idx += 1;
             }
             let inst = NetInstruction::straight(width, InstrKind::Elementwise, used, |lane| {
                 (LaneSource::Stream, store(addr_of[lane]))
             });
             b.push(inst, stream.drain(..));
         }
-        assert!(
-            saw_diag,
-            "kkt matrix must have an explicit diagonal at column {k}"
-        );
 
         // ---- Elimination phase over the row pattern. ----
         let pattern = sym.etree().row_pattern(a, k);
@@ -128,7 +111,7 @@ pub fn factor_kernel(
             // (2) L(k, i) = yᵢ · D⁻¹ᵢ, stored at the next free slot of
             // column i (bank k % C).
             let p_ki = l_col_ptr[i] + fill[i];
-            l_rows[p_ki] = k;
+            debug_assert_eq!(l_rows[p_ki], k);
             let (bank_ki, addr_ki) = fl.l_loc(p_ki, k);
             debug_assert_eq!(bank_ki, lane_k);
             let y_times_dinv = LaneSource::RegTimesLatch {
@@ -159,18 +142,9 @@ pub fn factor_kernel(
             );
             b.push(l3, []);
             // (4) Updates: y_r -= L(r, i) · yᵢ, chunked by lane.
-            let mut uidx = 0usize;
-            while uidx < update_rows.len() {
-                let mut used = 0u128; // the lanes taken so far
-                while uidx < update_rows.len() {
-                    let r = update_rows[uidx];
-                    let lane = r % width;
-                    if used & (1 << lane) != 0 {
-                        break;
-                    }
-                    used |= 1 << lane;
-                    update_of[lane] = (fl.l_loc(l_col_ptr[i] + uidx, r).1, y.addr(r));
-                    uidx += 1;
+            for (run, used) in distinct_runs(update_rows, |&r| r % width) {
+                for (p, &r) in run.clone().zip(&update_rows[run]) {
+                    update_of[r % width] = (fl.l_loc(l_col_ptr[i] + p, r).1, y.addr(r));
                 }
                 let upd = NetInstruction::straight(width, InstrKind::ColElim, used, |lane| {
                     let (l_addr, y_addr) = update_of[lane];
@@ -242,7 +216,7 @@ pub fn plan_factor_exact(
             fill[i] += 1;
         }
     }
-    let fl = FactorLayout::plan(&l_col_ptr, &l_rows, n, alloc);
+    let fl = FactorLayout::plan(l_col_ptr, l_rows, alloc);
     let y = alloc.alloc(n);
     (fl, y)
 }

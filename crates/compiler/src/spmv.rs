@@ -20,14 +20,17 @@
 //!
 //! Each MAC chunk is one [`NetInstruction::reduction`] and each fan-out
 //! one single-group [`NetInstruction::multicast`], both built from the
-//! chunk's lane mask.
+//! chunk's lane mask. A fan-out's chunk is a maximal run of distinct target
+//! lanes, cut by the crate's one run cutter (`elementwise::distinct_runs`,
+//! which the triangular solves and the factorization share); a MAC chunk
+//! keeps its own loop, because it may also take a prefetched copy's lane.
 
 use std::collections::HashMap;
 
 use mib_core::instruction::{InstrKind, LaneSource, LaneWrite, NetInstruction, OutMul, WriteMode};
 use mib_sparse::{CscMatrix, CsrMatrix};
 
-use crate::elementwise::{add, store, transfer, ZERO};
+use crate::elementwise::{add, distinct_runs, store, transfer, ZERO};
 use crate::kernel::KernelBuilder;
 use crate::layout::{Allocator, Layout};
 
@@ -220,16 +223,9 @@ pub fn col_spmv(
         entries.clear();
         entries.extend(a.row(i));
         let (src_lane, src_addr) = w.loc(i);
-        let mut idx = 0usize;
-        while idx < entries.len() {
-            let mut used = 0u128; // the target lanes so far
-            while idx < entries.len() {
-                let (j, v) = entries[idx];
+        for (run, used) in distinct_runs(&entries, |&(j, _)| y.bank(j)) {
+            for &(j, v) in &entries[run] {
                 let lane = y.bank(j);
-                if used & (1 << lane) != 0 {
-                    break;
-                }
-                used |= 1 << lane;
                 addr_of[lane] = match &mut partials[j] {
                     Some((base, touches)) => {
                         let slot = *base + *touches % PARTIALS;
@@ -241,7 +237,6 @@ pub fn col_spmv(
                 // Output-phase stream key: width + lane (consumed after all
                 // input-phase words of the issue slot).
                 stream.push((width + lane, v));
-                idx += 1;
             }
             // Multicast from one source is always routable.
             let src = LaneSource::Reg { addr: src_addr };

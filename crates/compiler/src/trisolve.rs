@@ -17,11 +17,13 @@
 //!
 //! Each `L`-solve fan-out is one single-group [`NetInstruction::multicast`]
 //! and each `Lᵀ`-solve chunk one [`NetInstruction::reduction`], both built
-//! from the chunk's lane mask.
+//! from the chunk's lane mask. A chunk is a maximal run of a column's rows
+//! on distinct lanes (`elementwise::distinct_runs`).
 //!
 //! [`FactorLayout`] is the register-file placement the on-machine
 //! factorization kernel ([`crate::factor`]) writes `L` to: entry `L(r, j)`
-//! in bank `r mod C`.
+//! in bank `r mod C`. It also keeps the pattern of `L` it was planned for,
+//! which that kernel reads instead of deriving it again.
 
 use mib_core::instruction::{
     lanes, InstrKind, LaneSource, LaneWrite, NetInstruction, OutMul, WriteMode,
@@ -29,16 +31,22 @@ use mib_core::instruction::{
 use mib_core::machine::Machine;
 use mib_sparse::ldl::LdlFactor;
 
-use crate::elementwise::{add, chunks, store};
+use crate::elementwise::{add, chunks, distinct_runs, store};
 use crate::kernel::KernelBuilder;
 use crate::layout::{Allocator, Layout};
 
-/// Register-file placement of an LDLᵀ factor.
+/// Register-file placement of an LDLᵀ factor, and the pattern of `L` it
+/// was planned for.
 #[derive(Debug, Clone)]
 pub struct FactorLayout {
     width: usize,
+    /// Column pointers of `L`: column `j` holds CSC positions
+    /// `l_col_ptr[j]..l_col_ptr[j + 1]`.
+    pub(crate) l_col_ptr: Vec<usize>,
+    /// Row index of every `L` position.
+    pub(crate) l_rows: Vec<usize>,
     /// Address of the L value stored at CSC position `p` (bank is
-    /// `row_ind[p] % width`).
+    /// `l_rows[p] % width`).
     l_addr: Vec<usize>,
     /// Layout of the diagonal `D`.
     d: Layout,
@@ -47,22 +55,23 @@ pub struct FactorLayout {
 }
 
 impl FactorLayout {
-    /// Plans storage for a factor with the given structure.
-    pub fn plan(l_col_ptr: &[usize], l_row_ind: &[usize], n: usize, alloc: &mut Allocator) -> Self {
+    /// Plans storage for a factor whose `L` has the given column pointers
+    /// and row indices, and keeps that pattern.
+    pub fn plan(l_col_ptr: Vec<usize>, l_rows: Vec<usize>, alloc: &mut Allocator) -> Self {
         let width = alloc.width();
+        let n = l_col_ptr.len() - 1;
         let mut per_bank = vec![0usize; width];
-        let mut l_addr = Vec::with_capacity(l_row_ind.len());
+        let mut l_addr = Vec::with_capacity(l_rows.len());
         let base = {
             // Count first to reserve a contiguous region.
             let mut counts = vec![0usize; width];
-            for &r in l_row_ind {
+            for &r in &l_rows {
                 counts[r % width] += 1;
             }
             let rows = counts.iter().copied().max().unwrap_or(0);
             alloc.alloc_rows(rows)
         };
-        let _ = l_col_ptr;
-        for &r in l_row_ind {
+        for &r in &l_rows {
             let bank = r % width;
             l_addr.push(base + per_bank[bank]);
             per_bank[bank] += 1;
@@ -71,6 +80,8 @@ impl FactorLayout {
         let dinv = alloc.alloc(n);
         FactorLayout {
             width,
+            l_col_ptr,
+            l_rows,
             l_addr,
             d,
             dinv,
@@ -131,23 +142,13 @@ pub fn lsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
     let values = f.l_values();
     for j in 0..f.n() {
         let range = col_ptr[j]..col_ptr[j + 1];
-        if range.is_empty() {
-            continue;
-        }
+        let (rows, vals) = (&row_ind[range.clone()], &values[range]);
         let (sj, aj) = x.loc(j);
-        let mut idx = range.start;
-        while idx < range.end {
-            let mut used = 0u128; // the lanes taken so far
-            while idx < range.end {
-                let r = row_ind[idx];
+        for (run, used) in distinct_runs(rows, |&r| r % width) {
+            for (&r, &v) in rows[run.clone()].iter().zip(&vals[run]) {
                 let lane = r % width;
-                if used & (1 << lane) != 0 {
-                    break;
-                }
-                used |= 1 << lane;
                 addr_of[lane] = x.addr(r);
-                stream.push((width + lane, values[idx]));
-                idx += 1;
+                stream.push((width + lane, v));
             }
             let src = LaneSource::Reg { addr: aj };
             let inst =
@@ -195,23 +196,13 @@ pub fn ltsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
     let values = f.l_values();
     for j in (0..f.n()).rev() {
         let range = col_ptr[j]..col_ptr[j + 1];
-        if range.is_empty() {
-            continue;
-        }
+        let (rows, vals) = (&row_ind[range.clone()], &values[range]);
         let dst = x.bank(j);
-        let mut idx = range.start;
-        while idx < range.end {
-            let mut used = 0u128; // the lanes taken so far
-            while idx < range.end {
-                let r = row_ind[idx];
+        for (run, used) in distinct_runs(rows, |&r| r % width) {
+            for (&r, &v) in rows[run.clone()].iter().zip(&vals[run]) {
                 let lane = r % width;
-                if used & (1 << lane) != 0 {
-                    break;
-                }
-                used |= 1 << lane;
                 addr_of[lane] = x.addr(r);
-                stream.push((lane, values[idx]));
-                idx += 1;
+                stream.push((lane, v));
             }
             let source = |lane: usize| LaneSource::RegTimesStream {
                 addr: addr_of[lane],
@@ -337,7 +328,7 @@ mod tests {
         let a = spd(25, 9);
         let f = LdlSymbolic::new(&a).unwrap().factor(&a).unwrap();
         let mut alloc = Allocator::new(8);
-        let fl = FactorLayout::plan(f.l_col_ptr(), f.l_row_ind(), 25, &mut alloc);
+        let fl = FactorLayout::plan(f.l_col_ptr().to_vec(), f.l_row_ind().to_vec(), &mut alloc);
         let mut seen = std::collections::HashSet::new();
         for (p, &r) in f.l_row_ind().iter().enumerate() {
             assert!(
