@@ -38,11 +38,11 @@ use mib_bench::eval_settings;
 use mib_compiler::lower::lower;
 use mib_core::hbm::HbmStream;
 use mib_core::machine::{HazardPolicy, Machine};
+use mib_core::timing;
 use mib_core::MibConfig;
 use mib_problems::{instance, Domain, INSTANCES_PER_DOMAIN};
 use mib_qp::KktBackend;
 use mib_trace::json::write_f64;
-use mib_verify::timing;
 
 /// Committed baseline: total scheduler give-ups (instructions appended
 /// because the placement probe limit was exhausted) across the default

@@ -1,8 +1,8 @@
 //! The compiler's cost oracle: exact cycle costs for compiled schedules,
 //! without simulation.
 //!
-//! [`static_cost`] wraps `mib-verify`'s exact timing predictor
-//! ([`mib_verify::timing::predict`]) for the compiler's own [`Schedule`]
+//! [`static_cost`] wraps `mib-core`'s exact timing predictor
+//! ([`mib_core::timing::predict`]) for the compiler's own [`Schedule`]
 //! type. The prediction is **not** a model: it is provably equal to what
 //! `Machine::run` measures (the differential test suite pins the full
 //! `ExecStats` across every benchmark program), at a fraction of the
@@ -16,8 +16,8 @@
 //! [`lower_bound`] is the packing bound the cycles are held against.
 
 use mib_core::machine::HazardPolicy;
+use mib_core::timing;
 use mib_core::MibConfig;
-use mib_verify::timing;
 
 use crate::schedule::Schedule;
 

@@ -3,7 +3,7 @@
 //! A schedule is **certified** when two checks pass:
 //!
 //! 1. the exact timing predictor accepts it under the strict hazard
-//!    policy — `mib_verify::predict(…, HazardPolicy::Strict)` returns the
+//!    policy — `mib_core::timing::predict(…, HazardPolicy::Strict)` returns the
 //!    machine's own verdict, so a certified program cannot be rejected by
 //!    [`mib_core::machine::Machine::run`];
 //! 2. the kernel-aware **packing cross-check** (`verify_packing`), which
@@ -24,7 +24,7 @@ use std::fmt;
 
 use mib_core::instruction::NetInstruction;
 use mib_core::machine::HazardPolicy;
-use mib_core::MibConfig;
+use mib_core::{timing, MibConfig};
 
 use crate::kernel::Kernel;
 use crate::schedule::{schedule, Schedule, ScheduleOptions};
@@ -169,7 +169,7 @@ pub fn checked_schedule(kernel: &Kernel, opts: ScheduleOptions, config: &MibConf
         if let Err(e) = verify_packing(kernel, &s) {
             panic!("compiler packed {} unfaithfully: {e}", kernel.name);
         }
-        let strict = mib_verify::predict(&s.program, s.hbm.len(), config, HazardPolicy::Strict);
+        let strict = timing::predict(&s.program, s.hbm.len(), config, HazardPolicy::Strict);
         if let Err(e) = strict {
             panic!(
                 "compiler produced an uncertifiable {} schedule: {e}",
@@ -219,8 +219,8 @@ mod tests {
 
     /// The strict prediction of a schedule: `Ok` iff it is certified at
     /// the program level.
-    fn strict(s: &Schedule) -> Result<mib_verify::StaticTiming, MibError> {
-        mib_verify::predict(&s.program, s.hbm.len(), &config(), HazardPolicy::Strict)
+    fn strict(s: &Schedule) -> Result<timing::StaticTiming, MibError> {
+        timing::predict(&s.program, s.hbm.len(), &config(), HazardPolicy::Strict)
     }
 
     #[test]

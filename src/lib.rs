@@ -8,11 +8,11 @@
 //!   trees, LDLᵀ),
 //! * [`qp`] — the OSQP-style ADMM solver (direct and indirect variants),
 //! * [`core`] — the cycle-accurate Multi-Issue Butterfly machine model,
+//!   with exact static timing prediction ([`core::timing`]), which
+//!   certifies compiled schedules hazard-free without executing them, and
+//!   critical-path extraction ([`core::critical_path`]),
 //! * [`compiler`] — sparsity-pattern-driven network-instruction generation
 //!   and first-fit multi-issue scheduling,
-//! * [`verify`] — exact static timing prediction, which certifies
-//!   compiled schedules hazard-free without executing them, and
-//!   critical-path extraction,
 //! * [`problems`] — the five-domain benchmark generators,
 //! * [`platforms`] — reference CPU/GPU/RSQP performance models,
 //! * [`serve`] — the multi-tenant serving runtime (pattern-sharded warm
@@ -37,4 +37,3 @@ pub use mib_qp as qp;
 pub use mib_serve as serve;
 pub use mib_sparse as sparse;
 pub use mib_trace as trace;
-pub use mib_verify as verify;

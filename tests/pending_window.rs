@@ -19,13 +19,14 @@
 //! The critical path also scans in the machine's order, so a stalled hop
 //! names the location the machine's `DataHazard` names.
 
+use mib::core::critical_path::{critical_path, Loc};
 use mib::core::hbm::HbmStream;
 use mib::core::instruction::{LaneSource, LaneWrite, NetInstruction, WriteMode};
 use mib::core::machine::{HazardPolicy, Machine};
 use mib::core::program::Program;
 use mib::core::stats::ExecStats;
+use mib::core::timing::predict;
 use mib::core::{MibConfig, MibError};
-use mib::verify::{critical_path, predict, Loc};
 
 fn config(width: usize) -> MibConfig {
     MibConfig {

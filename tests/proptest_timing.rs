@@ -16,13 +16,14 @@
 use mib::compiler::elementwise::load_vec;
 use mib::compiler::spmv::{mac_spmv, SpmvOptions};
 use mib::compiler::{schedule, Allocator, KernelBuilder, ProgramCache, ScheduleOptions};
+use mib::core::critical_path::critical_path;
 use mib::core::hbm::HbmStream;
 use mib::core::instruction::{LaneSource, LaneWrite, NetInstruction, WriteMode};
 use mib::core::machine::{HazardPolicy, Machine};
 use mib::core::program::Program;
+use mib::core::timing;
 use mib::core::MibConfig;
 use mib::sparse::CscMatrix;
-use mib::verify::{critical_path, timing};
 use proptest::prelude::*;
 
 fn config() -> MibConfig {

@@ -1,4 +1,4 @@
-//! Differential tests between static certification (`mib-verify`'s
+//! Differential tests between static certification (`mib-core`'s
 //! strict prediction) and the cycle-accurate machine in strict hazard
 //! mode.
 //!
@@ -18,9 +18,9 @@ use mib::core::hbm::HbmStream;
 use mib::core::instruction::{LaneSource, LaneWrite, NetInstruction, WriteMode};
 use mib::core::machine::{HazardPolicy, Machine};
 use mib::core::program::Program;
+use mib::core::timing::predict;
 use mib::core::MibConfig;
 use mib::sparse::CscMatrix;
-use mib::verify::predict;
 use proptest::prelude::*;
 
 fn config() -> MibConfig {

@@ -1,7 +1,7 @@
 //! Exactness proof for the static timing analyzer, over the benchmark
 //! suite.
 //!
-//! [`mib::verify::timing::predict`] claims to reproduce [`Machine::run`]
+//! [`mib::core::timing::predict`] claims to reproduce [`Machine::run`]
 //! **bitwise** without computing any functional state: total cycles and
 //! every `ExecStats` counter. This test replays the
 //! verify_schedules program set — sampled benchmark instances of the
@@ -16,13 +16,13 @@
 
 use mib::compiler::lower::lower;
 use mib::compiler::static_cost;
+use mib::core::critical_path::critical_path;
 use mib::core::hbm::HbmStream;
 use mib::core::machine::{HazardPolicy, Machine};
+use mib::core::timing;
 use mib::core::MibConfig;
 use mib::problems::{instance, Domain, INSTANCES_PER_DOMAIN};
 use mib::qp::{KktBackend, Settings};
-use mib::verify::critical_path::critical_path;
-use mib::verify::timing;
 
 #[test]
 fn static_prediction_is_bitwise_exact_across_the_suite() {
