@@ -48,8 +48,6 @@ pedantic_allow=(
   -A clippy::unused_self
   # The SIMD kernel helpers must inline into their callers.
   -A clippy::inline_always
-  # lower_indirect returns a Result like its fallible sibling.
-  -A clippy::unnecessary_wraps
   # A constant declared next to its one use inside a long function.
   -A clippy::items_after_statements
   # A multiplier constant from the xorshift64* reference.
