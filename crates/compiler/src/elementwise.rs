@@ -13,9 +13,7 @@
 
 use std::ops::Range;
 
-use mib_core::instruction::{
-    lanes, InstrKind, LaneSource, LaneWrite, NetInstruction, OutMul, WriteMode,
-};
+use mib_core::instruction::{lanes, LaneSource, LaneWrite, NetInstruction, OutMul, WriteMode};
 
 use crate::kernel::KernelBuilder;
 use crate::layout::Layout;
@@ -62,15 +60,6 @@ fn first_lanes(n: usize) -> u128 {
     u128::MAX >> (128 - n)
 }
 
-/// A straight-through element-wise instruction over `mask`.
-fn straight(
-    width: usize,
-    mask: u128,
-    lane: impl FnMut(usize) -> (LaneSource, LaneWrite),
-) -> NetInstruction {
-    NetInstruction::straight(width, InstrKind::Elementwise, mask, lane)
-}
-
 /// A source that reads nothing and yields `0.0`.
 pub(crate) const ZERO: LaneSource = LaneSource::RegTimesImm { addr: 0, imm: 0.0 };
 
@@ -100,22 +89,20 @@ pub(crate) fn add(addr: usize) -> LaneWrite {
 /// writes it with `write`.
 pub(crate) fn transfer(
     width: usize,
-    kind: InstrKind,
     from: usize,
     src: LaneSource,
     to: usize,
     write: LaneWrite,
 ) -> NetInstruction {
-    NetInstruction::multicast(width, kind, &[(from, src, 1 << to)], |_| {
-        (write, OutMul::Bypass)
-    })
+    NetInstruction::multicast(width, &[(from, src, 1 << to)], |_| (write, OutMul::Bypass))
 }
 
 /// Writes zeros over a layout.
 pub fn zero(b: &mut KernelBuilder, v: Layout) {
     let width = b.width();
     for (start, mask) in chunks(v.len, width) {
-        let inst = straight(width, mask, |lane| (ZERO, store(v.addr(start + lane))));
+        let inst =
+            NetInstruction::straight(width, mask, |lane| (ZERO, store(v.addr(start + lane))));
         b.push(inst, []);
     }
 }
@@ -129,7 +116,7 @@ pub fn load_vec(b: &mut KernelBuilder, v: Layout, values: &[f64]) {
     assert_eq!(values.len(), v.len, "load_vec length mismatch");
     let width = b.width();
     for (start, mask) in chunks(v.len, width) {
-        let inst = straight(width, mask, |lane| {
+        let inst = NetInstruction::straight(width, mask, |lane| {
             (LaneSource::Stream, store(v.addr(start + lane)))
         });
         b.push(inst, lanes(mask).map(|lane| (lane, values[start + lane])));
@@ -144,7 +131,7 @@ pub fn scale(b: &mut KernelBuilder, src: Layout, dst: Layout, s: f64, mode: Writ
     assert_eq!(src.len, dst.len, "scale length mismatch");
     let width = b.width();
     for (start, mask) in chunks(src.len, width) {
-        let inst = straight(width, mask, |lane| {
+        let inst = NetInstruction::straight(width, mask, |lane| {
             let e = start + lane;
             let addr = src.addr(e);
             let write = LaneWrite {
@@ -165,7 +152,7 @@ pub fn ew_prod(b: &mut KernelBuilder, x: Layout, y: Layout, dst: Layout, mode: W
     assert_eq!(x.len, dst.len, "ew_prod length mismatch");
     let width = b.width();
     for (start, mask) in chunks(x.len, width) {
-        let latch = straight(width, mask, |lane| {
+        let latch = NetInstruction::straight(width, mask, |lane| {
             (
                 LaneSource::Reg {
                     addr: y.addr(start + lane),
@@ -174,7 +161,7 @@ pub fn ew_prod(b: &mut KernelBuilder, x: Layout, y: Layout, dst: Layout, mode: W
             )
         });
         b.push(latch, []);
-        let mul = straight(width, mask, |lane| {
+        let mul = NetInstruction::straight(width, mask, |lane| {
             let e = start + lane;
             let src = LaneSource::RegTimesLatch {
                 addr: x.addr(e),
@@ -202,7 +189,7 @@ pub fn clip(b: &mut KernelBuilder, x: Layout, l: Layout, u: Layout, dst: Layout)
     // Pass 2: dst = max(dst, l). Pass 3: dst = min(dst, u).
     for (bounds, mode) in [(l, WriteMode::Max), (u, WriteMode::Min)] {
         for (start, mask) in chunks(x.len, width) {
-            let inst = straight(width, mask, |lane| {
+            let inst = NetInstruction::straight(width, mask, |lane| {
                 let e = start + lane;
                 let write = LaneWrite {
                     addr: dst.addr(e),
@@ -237,14 +224,14 @@ pub fn norm_inf(b: &mut KernelBuilder, x: Layout, scratch_base: usize, result_ad
     // Zero the partial rows and the result.
     for row in 0..NORM_PARTIALS {
         b.push(
-            straight(width, every, |_| (ZERO, store(scratch_base + row))),
+            NetInstruction::straight(width, every, |_| (ZERO, store(scratch_base + row))),
             [],
         );
     }
     // Accumulate |x| into rotating partial rows.
     for (c, (start, mask)) in chunks(x.len, width).enumerate() {
         let row = scratch_base + c % NORM_PARTIALS;
-        let inst = straight(width, mask, |lane| {
+        let inst = NetInstruction::straight(width, mask, |lane| {
             (
                 LaneSource::Reg {
                     addr: x.addr(start + lane),
@@ -264,7 +251,7 @@ pub fn norm_inf(b: &mut KernelBuilder, x: Layout, scratch_base: usize, result_ad
                 addr: scratch_base + row + span,
             };
             b.push(
-                straight(width, every, |_| (src, max_abs(scratch_base + row))),
+                NetInstruction::straight(width, every, |_| (src, max_abs(scratch_base + row))),
                 [],
             );
         }
@@ -272,7 +259,10 @@ pub fn norm_inf(b: &mut KernelBuilder, x: Layout, scratch_base: usize, result_ad
     // Cross-lane fold into (0, result_addr), max-combining.
     fold_lanes(b, width, scratch_base, WriteMode::MaxAbs);
     let src = LaneSource::Reg { addr: scratch_base };
-    b.push(straight(width, 1, |_| (src, store(result_addr))), []);
+    b.push(
+        NetInstruction::straight(width, 1, |_| (src, store(result_addr))),
+        [],
+    );
 }
 
 /// Sum-reduces a vector into the scalar at `(bank 0, result_addr)` using
@@ -283,7 +273,7 @@ pub fn sum_reduce(b: &mut KernelBuilder, x: Layout, scratch_base: usize, result_
     let width = b.width();
     let partial_lanes = NORM_PARTIALS.min(width);
     // Zero the partial slots (one scratch row, spread across lanes).
-    let zero_partials = straight(width, first_lanes(partial_lanes), |_| {
+    let zero_partials = NetInstruction::straight(width, first_lanes(partial_lanes), |_| {
         (ZERO, store(scratch_base))
     });
     b.push(zero_partials, []);
@@ -294,14 +284,16 @@ pub fn sum_reduce(b: &mut KernelBuilder, x: Layout, scratch_base: usize, result_
             addr: x.addr(start + lane),
         };
         let dst = c % partial_lanes;
-        let inst =
-            NetInstruction::reduction(width, InstrKind::Mac, mask, dst, source, add(scratch_base));
+        let inst = NetInstruction::reduction(width, mask, dst, source, add(scratch_base));
         b.push(inst, []);
     }
     // Fold the partial lanes into lane 0, summing.
     fold_lanes(b, partial_lanes, scratch_base, WriteMode::Add);
     let src = LaneSource::Reg { addr: scratch_base };
-    b.push(straight(width, 1, |_| (src, store(result_addr))), []);
+    b.push(
+        NetInstruction::straight(width, 1, |_| (src, store(result_addr))),
+        [],
+    );
 }
 
 /// Folds lanes `0..n` (a power of two) of row `addr` into lane 0 of that
@@ -318,9 +310,7 @@ fn fold_lanes(b: &mut KernelBuilder, n: usize, addr: usize, mode: WriteMode) {
         half /= 2;
         groups.clear();
         groups.extend((0..half).map(|lo| (lo + half, src, 1u128 << lo)));
-        let inst = NetInstruction::multicast(width, InstrKind::Elementwise, &groups, |_| {
-            (write, OutMul::Bypass)
-        });
+        let inst = NetInstruction::multicast(width, &groups, |_| (write, OutMul::Bypass));
         b.push(inst, []);
     }
 }
@@ -330,10 +320,7 @@ pub fn broadcast_scalar(b: &mut KernelBuilder, bank: usize, addr: usize) {
     let width = b.width();
     let src = LaneSource::Reg { addr };
     let every = first_lanes(width);
-    let inst =
-        NetInstruction::multicast(width, InstrKind::Broadcast, &[(bank, src, every)], |_| {
-            (LATCH, OutMul::Bypass)
-        });
+    let inst = NetInstruction::multicast(width, &[(bank, src, every)], |_| (LATCH, OutMul::Bypass));
     b.push(inst, []);
 }
 
@@ -349,7 +336,7 @@ pub fn scale_by_latch(
     assert_eq!(src.len, dst.len, "scale_by_latch length mismatch");
     let width = b.width();
     for (start, mask) in chunks(src.len, width) {
-        let inst = straight(width, mask, |lane| {
+        let inst = NetInstruction::straight(width, mask, |lane| {
             let e = start + lane;
             let addr = src.addr(e);
             let write = LaneWrite {
@@ -369,7 +356,10 @@ pub fn scalar_recip(b: &mut KernelBuilder, bank: usize, src: usize, dst: usize) 
         mode: WriteMode::StoreRecip,
     };
     let src = LaneSource::Reg { addr: src };
-    b.push(straight(b.width(), 1 << bank, |_| (src, write)), []);
+    b.push(
+        NetInstruction::straight(b.width(), 1 << bank, |_| (src, write)),
+        [],
+    );
 }
 
 /// `dst = a * b` for two scalars in the same bank: latches `a`, multiplies
@@ -377,12 +367,18 @@ pub fn scalar_recip(b: &mut KernelBuilder, bank: usize, src: usize, dst: usize) 
 pub fn scalar_mul(b: &mut KernelBuilder, bank: usize, a_addr: usize, b_addr: usize, dst: usize) {
     let width = b.width();
     let a = LaneSource::Reg { addr: a_addr };
-    b.push(straight(width, 1 << bank, |_| (a, LATCH)), []);
+    b.push(
+        NetInstruction::straight(width, 1 << bank, |_| (a, LATCH)),
+        [],
+    );
     let mul = LaneSource::RegTimesLatch {
         addr: b_addr,
         negate: false,
     };
-    b.push(straight(width, 1 << bank, |_| (mul, store(dst))), []);
+    b.push(
+        NetInstruction::straight(width, 1 << bank, |_| (mul, store(dst))),
+        [],
+    );
 }
 
 #[cfg(test)]

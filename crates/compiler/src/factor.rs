@@ -26,7 +26,7 @@
 //! etree); the first-fit scheduler then interleaves independent subtrees —
 //! exactly the reordering the paper's Figure 8 illustrates.
 
-use mib_core::instruction::{InstrKind, LaneSource, LaneWrite, NetInstruction, OutMul, WriteMode};
+use mib_core::instruction::{LaneSource, LaneWrite, NetInstruction, OutMul, WriteMode};
 use mib_sparse::ldl::LdlSymbolic;
 use mib_sparse::CscMatrix;
 
@@ -86,7 +86,7 @@ pub fn factor_kernel(
                 addr_of[lane] = addr;
                 stream.push((lane, v));
             }
-            let inst = NetInstruction::straight(width, InstrKind::Elementwise, used, |lane| {
+            let inst = NetInstruction::straight(width, used, |lane| {
                 (LaneSource::Stream, store(addr_of[lane]))
             });
             b.push(inst, stream.drain(..));
@@ -99,14 +99,7 @@ pub fn factor_kernel(
             let lane_k = (k) % width;
             // (1) Latch D⁻¹ᵢ at lane i.
             let dinv_i = LaneSource::Reg { addr: dinv.addr(i) };
-            let l1 = transfer(
-                width,
-                InstrKind::Broadcast,
-                dinv.bank(i),
-                dinv_i,
-                lane_i,
-                LATCH,
-            );
+            let l1 = transfer(width, dinv.bank(i), dinv_i, lane_i, LATCH);
             b.push(l1, []);
             // (2) L(k, i) = yᵢ · D⁻¹ᵢ, stored at the next free slot of
             // column i (bank k % C).
@@ -118,14 +111,7 @@ pub fn factor_kernel(
                 addr: y.addr(i),
                 negate: false,
             };
-            let l2 = transfer(
-                width,
-                InstrKind::ColElim,
-                lane_i,
-                y_times_dinv,
-                lane_k,
-                store(addr_ki),
-            );
+            let l2 = transfer(width, lane_i, y_times_dinv, lane_k, store(addr_ki));
             b.push(l2, []);
             // (3) Broadcast yᵢ into the latches of the update lanes and the
             // pivot lane.
@@ -134,19 +120,16 @@ pub fn factor_kernel(
                 .iter()
                 .fold(1 << lane_k, |m, &r| m | 1 << (r % width));
             let src = LaneSource::Reg { addr: y.addr(i) };
-            let l3 = NetInstruction::multicast(
-                width,
-                InstrKind::Broadcast,
-                &[(lane_i, src, targets)],
-                |_| (LATCH, OutMul::Bypass),
-            );
+            let l3 = NetInstruction::multicast(width, &[(lane_i, src, targets)], |_| {
+                (LATCH, OutMul::Bypass)
+            });
             b.push(l3, []);
             // (4) Updates: y_r -= L(r, i) · yᵢ, chunked by lane.
             for (run, used) in distinct_runs(update_rows, |&r| r % width) {
                 for (p, &r) in run.clone().zip(&update_rows[run]) {
                     update_of[r % width] = (fl.l_loc(l_col_ptr[i] + p, r).1, y.addr(r));
                 }
-                let upd = NetInstruction::straight(width, InstrKind::ColElim, used, |lane| {
+                let upd = NetInstruction::straight(width, used, |lane| {
                     let (l_addr, y_addr) = update_of[lane];
                     let src = LaneSource::RegTimesLatch {
                         addr: l_addr,
@@ -157,7 +140,7 @@ pub fn factor_kernel(
                 b.push(upd, []);
             }
             // (5) D[k] -= yᵢ · L(k, i).
-            let l5 = NetInstruction::straight(width, InstrKind::ColElim, 1 << lane_k, |_| {
+            let l5 = NetInstruction::straight(width, 1 << lane_k, |_| {
                 let src = LaneSource::RegTimesLatch {
                     addr: addr_ki,
                     negate: true,
@@ -167,9 +150,7 @@ pub fn factor_kernel(
             b.push(l5, []);
             // (6) Clear yᵢ for the next row (preserves the all-zero scratch
             // invariant).
-            let l6 = NetInstruction::straight(width, InstrKind::Elementwise, 1 << lane_i, |_| {
-                (ZERO, store(y.addr(i)))
-            });
+            let l6 = NetInstruction::straight(width, 1 << lane_i, |_| (ZERO, store(y.addr(i))));
             b.push(l6, []);
             fill[i] += 1;
         }
@@ -179,14 +160,7 @@ pub fn factor_kernel(
             mode: WriteMode::StoreRecip,
         };
         let d_k = LaneSource::Reg { addr: d.addr(k) };
-        let rec = transfer(
-            width,
-            InstrKind::Elementwise,
-            k % width,
-            d_k,
-            dinv.bank(k),
-            recip,
-        );
+        let rec = transfer(width, k % width, d_k, dinv.bank(k), recip);
         b.push(rec, []);
     }
     debug_assert_eq!(

@@ -322,7 +322,7 @@ impl KernelBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mib_core::instruction::{InstrKind, LaneSource, LaneWrite, WriteMode};
+    use mib_core::instruction::{LaneSource, LaneWrite, WriteMode};
 
     fn store(width: usize, lane: usize, from_addr: usize, to_addr: usize) -> NetInstruction {
         let mut i = NetInstruction::nop(width);
@@ -421,7 +421,7 @@ mod tests {
         const B: usize = 2;
         const OTHER: usize = 3;
         let row = |read: usize, write: usize| {
-            NetInstruction::straight(32, InstrKind::Elementwise, u128::from(u32::MAX), |_| {
+            NetInstruction::straight(32, u128::from(u32::MAX), |_| {
                 let write = LaneWrite {
                     addr: write,
                     mode: WriteMode::Store,

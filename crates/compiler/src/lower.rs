@@ -672,7 +672,6 @@ fn indirect_kernels(cx: &mut Lowering) -> BackendKernels {
 mod tests {
     use super::*;
     use mib_core::hbm::HbmStream;
-    use mib_core::instruction::InstrKind;
     use mib_core::machine::{HazardPolicy, Machine};
     use mib_sparse::CscMatrix;
 
@@ -739,11 +738,11 @@ mod tests {
         }
     }
 
-    /// Each slot carries the kind of the first instruction packed into it:
-    /// executing a compiled direct iteration counts only its empty slots as
-    /// `Nop`, and every hop of its critical path names a primitive.
+    /// A compiled direct iteration holds empty slots beside busy ones, and
+    /// every hop of its critical path lands on a busy slot: a dependence
+    /// binds only a slot that reads something.
     #[test]
-    fn slots_carry_their_first_instructions_kind() {
+    fn critical_hops_land_on_busy_slots() {
         let problem = mib_problems::instance(mib_problems::Domain::Portfolio, 0).problem;
         let settings = Settings {
             scaling_iters: 0,
@@ -751,34 +750,12 @@ mod tests {
             ..Settings::default()
         };
         let lowered = lower(&problem, &settings, MibConfig::c32()).unwrap();
-        let mut m = Machine::new(lowered.config);
-        for s in [&lowered.load, &lowered.setup] {
-            m.run(
-                &s.program,
-                &mut HbmStream::new(s.hbm.clone()),
-                HazardPolicy::Strict,
-            )
-            .unwrap();
-        }
         let it = &lowered.iteration;
-        let stats = m
-            .run(
-                &it.program,
-                &mut HbmStream::new(it.hbm.clone()),
-                HazardPolicy::Strict,
-            )
-            .unwrap();
-        let empty = it.slots() - it.busy_slots();
-        assert!(empty > 0 && it.busy_slots() > 0);
-        assert_eq!(stats.slots_by_kind[InstrKind::Nop.index()], empty as u64);
-        assert_eq!(stats.slots_by_kind.iter().sum::<u64>(), it.slots() as u64);
-        for slot in &it.program[..] {
-            assert_eq!(slot.kind == InstrKind::Nop, slot.is_nop());
-        }
+        assert!(it.slots() > it.busy_slots() && it.busy_slots() > 0);
         let path = mib_core::critical_path::critical_path(&it.program, &lowered.config);
         assert!(!path.hops.is_empty());
         for hop in &path.hops {
-            assert_ne!(hop.kind, InstrKind::Nop, "slot {}", hop.slot);
+            assert!(!it.program[hop.slot].is_nop(), "slot {}", hop.slot);
         }
     }
 

@@ -11,7 +11,7 @@
 //! `permutate` / `inverse_permutate` schedules of Listing 1 are built this
 //! way from the fill-reducing permutation of the direct KKT solver.
 
-use mib_core::instruction::{fan_out_nodes, InstrKind, LaneSource, NetInstruction, OutMul};
+use mib_core::instruction::{fan_out_nodes, LaneSource, NetInstruction, OutMul};
 use mib_sparse::Permutation;
 
 use crate::elementwise::store;
@@ -78,7 +78,7 @@ impl OpenInstr {
                 _ => None,
             })
             .collect();
-        NetInstruction::multicast(self.writes.len(), InstrKind::Permute, &groups, |lane| {
+        NetInstruction::multicast(self.writes.len(), &groups, |lane| {
             (store(self.writes[lane]), OutMul::Bypass)
         })
     }

@@ -27,7 +27,7 @@
 
 use std::collections::HashMap;
 
-use mib_core::instruction::{InstrKind, LaneSource, LaneWrite, NetInstruction, OutMul, WriteMode};
+use mib_core::instruction::{LaneSource, LaneWrite, NetInstruction, OutMul, WriteMode};
 use mib_sparse::{CscMatrix, CsrMatrix};
 
 use crate::elementwise::{add, distinct_runs, store, transfer, ZERO};
@@ -83,10 +83,7 @@ pub fn mac_spmv(
             if !accumulate {
                 // y_r = 0.
                 let (lane, addr) = y.loc(r);
-                let inst =
-                    NetInstruction::straight(width, InstrKind::Elementwise, 1 << lane, |_| {
-                        (ZERO, store(addr))
-                    });
+                let inst = NetInstruction::straight(width, 1 << lane, |_| (ZERO, store(addr)));
                 b.push(inst, []);
             }
             continue;
@@ -113,14 +110,7 @@ pub fn mac_spmv(
                     if let Some(free) = (0..width).find(|&l| is_free(used, l)) {
                         let scratch = alloc.alloc_rows(1);
                         let x_j = LaneSource::Reg { addr: home.1 };
-                        let pf = transfer(
-                            width,
-                            InstrKind::Prefetch,
-                            home.0,
-                            x_j,
-                            free,
-                            store(scratch),
-                        );
+                        let pf = transfer(width, home.0, x_j, free, store(scratch));
                         b.push(pf, []);
                         copies.entry(j).or_default().push((free, scratch));
                         placed = Some((free, scratch));
@@ -152,8 +142,7 @@ pub fn mac_spmv(
                 addr: y.addr(r),
                 mode,
             };
-            let inst =
-                NetInstruction::reduction(width, InstrKind::Mac, used, dst_lane, source, write);
+            let inst = NetInstruction::reduction(width, used, dst_lane, source, write);
             b.push(inst, chunk.iter().copied());
             first_chunk = false;
         }
@@ -207,9 +196,7 @@ pub fn col_spmv(
             // Zero this column's partial slots.
             let lane = y.bank(j);
             for p in 0..PARTIALS {
-                let z = NetInstruction::straight(width, InstrKind::Elementwise, 1 << lane, |_| {
-                    (ZERO, store(base + p))
-                });
+                let z = NetInstruction::straight(width, 1 << lane, |_| (ZERO, store(base + p)));
                 b.push(z, []);
             }
         }
@@ -241,7 +228,7 @@ pub fn col_spmv(
             // Multicast from one source is always routable.
             let src = LaneSource::Reg { addr: src_addr };
             let groups = [(src_lane, src, used)];
-            let inst = NetInstruction::multicast(width, InstrKind::ColElim, &groups, |lane| {
+            let inst = NetInstruction::multicast(width, &groups, |lane| {
                 (add(addr_of[lane]), OutMul::MulStream { negate: false })
             });
             b.push(inst, stream.drain(..));
@@ -255,7 +242,7 @@ pub fn col_spmv(
         };
         // `reg[to] += reg[from]` on the column's lane.
         let mut fold = |from: usize, to: usize| {
-            let inst = NetInstruction::straight(width, InstrKind::ColElim, 1 << y.bank(j), |_| {
+            let inst = NetInstruction::straight(width, 1 << y.bank(j), |_| {
                 (LaneSource::Reg { addr: from }, add(to))
             });
             b.push(inst, []);

@@ -25,9 +25,7 @@
 //! in bank `r mod C`. It also keeps the pattern of `L` it was planned for,
 //! which that kernel reads instead of deriving it again.
 
-use mib_core::instruction::{
-    lanes, InstrKind, LaneSource, LaneWrite, NetInstruction, OutMul, WriteMode,
-};
+use mib_core::instruction::{lanes, LaneSource, LaneWrite, NetInstruction, OutMul, WriteMode};
 use mib_core::machine::Machine;
 use mib_sparse::ldl::LdlFactor;
 
@@ -151,10 +149,9 @@ pub fn lsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
                 stream.push((width + lane, v));
             }
             let src = LaneSource::Reg { addr: aj };
-            let inst =
-                NetInstruction::multicast(width, InstrKind::ColElim, &[(sj, src, used)], |lane| {
-                    (add(addr_of[lane]), OutMul::MulStream { negate: true })
-                });
+            let inst = NetInstruction::multicast(width, &[(sj, src, used)], |lane| {
+                (add(addr_of[lane]), OutMul::MulStream { negate: true })
+            });
             b.push(inst, stream.drain(..));
         }
     }
@@ -166,7 +163,7 @@ pub fn dsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
     assert_eq!(x.len, f.n(), "x layout does not match factor dimension");
     let width = b.width();
     for (start, mask) in chunks(x.len, width) {
-        let inst = NetInstruction::straight(width, InstrKind::Elementwise, mask, |lane| {
+        let inst = NetInstruction::straight(width, mask, |lane| {
             let addr = x.addr(start + lane);
             let src = LaneSource::RegTimesStream {
                 addr,
@@ -212,7 +209,7 @@ pub fn ltsolve_streamed(b: &mut KernelBuilder, f: &LdlFactor, x: Layout) {
                 addr: x.addr(j),
                 mode: WriteMode::Add,
             };
-            let inst = NetInstruction::reduction(width, InstrKind::Mac, used, dst, source, write);
+            let inst = NetInstruction::reduction(width, used, dst, source, write);
             b.push(inst, stream.drain(..));
         }
     }

@@ -19,7 +19,7 @@
 //!
 //! Each hop carries slot/location provenance.
 
-use crate::instruction::{InstrKind, NetInstruction};
+use crate::instruction::NetInstruction;
 use crate::machine::{issue_program, HazardPolicy};
 use crate::pending::{BindingWrite, PendingWrites};
 use crate::MibConfig;
@@ -47,8 +47,6 @@ pub enum Loc {
 pub struct CriticalHop {
     /// Slot whose issue cycle the dependence determined.
     pub slot: usize,
-    /// Kind of the bound instruction.
-    pub kind: InstrKind,
     /// Location the dependence flows through.
     pub loc: Loc,
     /// Slot of the producing write.
@@ -106,7 +104,6 @@ pub fn critical_path(program: &[NetInstruction], config: &MibConfig) -> Critical
             Some((b, stall_cycles)) => {
                 hops.push(CriticalHop {
                     slot,
-                    kind: program[slot].kind,
                     loc: if b.latch {
                         Loc::Latch { lane: b.bank }
                     } else {

@@ -92,12 +92,6 @@ impl LaneSource {
             LaneSource::RegTimesLatch { .. } | LaneSource::StreamTimesLatch { .. }
         )
     }
-
-    /// Whether the multiplier performs an actual multiplication (for FLOP
-    /// accounting).
-    fn is_multiply(&self) -> bool {
-        !matches!(self, LaneSource::Reg { .. } | LaneSource::Stream)
-    }
 }
 
 /// What the writeback stage does with a lane's final value.
@@ -248,51 +242,6 @@ pub enum OutMul {
     },
 }
 
-/// Classification of a network instruction by the primitive it implements;
-/// used for statistics and the Fig. 3/Fig. 8 style breakdowns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum InstrKind {
-    /// Row-oriented multiply–accumulate (reduction trees).
-    Mac,
-    /// Column elimination update.
-    ColElim,
-    /// Broadcast/distribution of one value to several lanes.
-    Broadcast,
-    /// Vector permutation across banks.
-    Permute,
-    /// Element-wise vector operation.
-    Elementwise,
-    /// Compiler-inserted data prefetch (bank-to-bank copy).
-    Prefetch,
-    /// Empty cycle.
-    #[default]
-    Nop,
-}
-
-impl InstrKind {
-    /// Number of variants (the length of per-kind counter arrays).
-    pub const COUNT: usize = 7;
-
-    /// Dense index of the variant — the bucket of
-    /// [`ExecStats::slots_by_kind`]. An exhaustive round-trip test pins
-    /// the indices as `0..COUNT`, so adding a variant without updating
-    /// [`InstrKind::COUNT`] fails that test's compilation rather than
-    /// silently mis-bucketing statistics.
-    ///
-    /// [`ExecStats::slots_by_kind`]: crate::stats::ExecStats::slots_by_kind
-    pub fn index(self) -> usize {
-        match self {
-            InstrKind::Mac => 0,
-            InstrKind::ColElim => 1,
-            InstrKind::Broadcast => 2,
-            InstrKind::Permute => 3,
-            InstrKind::Elementwise => 4,
-            InstrKind::Prefetch => 5,
-            InstrKind::Nop => 6,
-        }
-    }
-}
-
 /// The widest network an instruction encodes: every lane set is one
 /// `u128` mask.
 pub(crate) const MAX_WIDTH: usize = 128;
@@ -372,8 +321,6 @@ pub struct NetInstruction {
     writes: Vec<StoredWrite>,
     /// `log₂C`.
     stages: u8,
-    /// Primitive classification.
-    pub kind: InstrKind,
 }
 
 impl NetInstruction {
@@ -402,11 +349,10 @@ impl NetInstruction {
             inputs: Vec::new(),
             writes: Vec::new(),
             stages: width.trailing_zeros() as u8,
-            kind: InstrKind::Nop,
         }
     }
 
-    /// A straight-through instruction of kind `kind`: every lane of `mask`
+    /// A straight-through instruction: every lane of `mask`
     /// reads the source `lane(l)` returns for it, passes its value down its
     /// own lane through every adder stage (`Direct`) and writes it back
     /// with the returned write. Equal to [`NetInstruction::set_input`],
@@ -421,7 +367,6 @@ impl NetInstruction {
     /// an address does not fit in 32 bits.
     pub fn straight(
         width: usize,
-        kind: InstrKind,
         mask: u128,
         mut lane: impl FnMut(usize) -> (LaneSource, LaneWrite),
     ) -> Self {
@@ -439,11 +384,10 @@ impl NetInstruction {
         inst.write_mask = mask;
         let stages = inst.stages();
         inst.direct[..stages].fill(mask);
-        inst.kind = kind;
         inst
     }
 
-    /// A fan-out instruction of kind `kind`: for each `(from, src, targets)`
+    /// A fan-out instruction: for each `(from, src, targets)`
     /// group, lane `from` reads `src` and its value is routed to every lane
     /// of `targets`, each writing it back with the write and
     /// output-multiplier mode `lane(t)` returns for it. One group is a
@@ -463,7 +407,6 @@ impl NetInstruction {
     /// fit in 32 bits.
     pub fn multicast(
         width: usize,
-        kind: InstrKind,
         groups: &[(usize, LaneSource, u128)],
         mut lane: impl FnMut(usize) -> (LaneWrite, OutMul),
     ) -> Self {
@@ -510,11 +453,10 @@ impl NetInstruction {
                 }
             }
         }
-        inst.kind = kind;
         inst
     }
 
-    /// A fan-in instruction of kind `kind`: every lane of `sources` reads
+    /// A fan-in instruction: every lane of `sources` reads
     /// the source `lane(l)` returns for it, the values sum through the MAC
     /// tree (Fig. 6a) into lane `dst`, and `dst` writes the sum back with
     /// `write`. Equal to [`NetInstruction::set_input`] lane by lane, then
@@ -528,7 +470,6 @@ impl NetInstruction {
     /// `≥ width`, or if an address does not fit in 32 bits.
     pub fn reduction(
         width: usize,
-        kind: InstrKind,
         sources: u128,
         dst: usize,
         mut lane: impl FnMut(usize) -> LaneSource,
@@ -546,7 +487,6 @@ impl NetInstruction {
         inst.writes.reserve_exact(1);
         inst.writes.push(StoredWrite::of(dst, write));
         inst.write_mask = bit(dst);
-        inst.kind = kind;
         inst
     }
 
@@ -557,8 +497,7 @@ impl NetInstruction {
     /// unioned first, then each member's lane entries are placed by rank
     /// into stores allocated once at their exact size; output multipliers
     /// are overwritten in member order, so a later member's wins on a lane
-    /// both set. The slot takes the kind of its first member that has one
-    /// (`kind != Nop`), so only a slot without such a member is a `Nop`.
+    /// both set.
     ///
     /// # Panics
     ///
@@ -576,9 +515,6 @@ impl NetInstruction {
                 0,
                 "members share a port"
             );
-            if slot.kind == InstrKind::Nop {
-                slot.kind = m.kind;
-            }
             slot.input_mask |= m.input_mask;
             slot.write_mask |= m.write_mask;
             slot.out_neg_mask = (slot.out_neg_mask & !m.out_mul_mask) | m.out_neg_mask;
@@ -800,13 +736,6 @@ impl NetInstruction {
         lanes(self.input_mask).zip(self.inputs.iter().map(|s| s.get()))
     }
 
-    /// Iterates over the `(lane, addr)` register locations read at the
-    /// multiplier stage (one per lane at most — the single read port).
-    fn reg_read_locs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.input_locs()
-            .filter_map(|(lane, src)| Some((lane, src.reg_addr()?)))
-    }
-
     /// Iterates over the `(lane, addr)` register locations read by
     /// read-modify-write writebacks (`Add`, `Min`, `Max`, `MaxAbs`).
     pub fn rmw_read_locs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
@@ -824,38 +753,6 @@ impl NetInstruction {
     /// pairs, in lane order.
     pub fn out_mul_locs(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
         lanes(self.out_mul_mask).map(|lane| (lane, self.out_neg_mask & bit(lane) != 0))
-    }
-
-    /// Number of floating-point operations this instruction performs:
-    /// active input multipliers, `Sum` adder nodes, output multipliers,
-    /// and the writeback ALU ops (`Add`, `StoreRecip`, `Min`, `Max`,
-    /// `MaxAbs`). Statically derivable: the issue engine adds it to
-    /// `ExecStats::flops` for every slot, whether the machine executes the
-    /// program or [`crate::timing::predict`] only times it.
-    pub fn flop_count(&self) -> u64 {
-        let muls = self.input_locs().filter(|(_, s)| s.is_multiply()).count() as u64;
-        let sums: u32 = (0..self.stages())
-            .map(|s| (self.direct[s] & self.cross[s]).count_ones())
-            .sum();
-        let wb_alu = self
-            .writes
-            .iter()
-            .filter(|w| w.mode != WriteMode::Store && w.mode != WriteMode::Latch)
-            .count() as u64;
-        muls + u64::from(sums + self.out_mul_mask.count_ones()) + wb_alu
-    }
-
-    /// Number of register reads the multiplier stage performs (lanes whose
-    /// source carries a register address) — the `ExecStats::reg_reads`
-    /// increment of this slot.
-    pub fn reg_read_count(&self) -> u64 {
-        self.reg_read_locs().count() as u64
-    }
-
-    /// Number of writebacks (stores, accumulates and latches) — the
-    /// `ExecStats::reg_writes` increment of this slot.
-    pub fn write_count(&self) -> u64 {
-        u64::from(self.write_mask.count_ones())
     }
 
     /// The structural **footprint**, as a bitset (bit `i` is bit `i % 64`
@@ -943,10 +840,9 @@ impl NetInstruction {
     }
 
     /// Merges two structurally disjoint instructions into one issue slot
-    /// (the *spatial interleave* of Section IV.B). The merged slot keeps
-    /// `self`'s kind, or takes `other`'s if `self` is a `Nop`. Output
-    /// multipliers are not part of the footprint: the slot takes `other`'s
-    /// where it has one, as a lane-wise overwrite.
+    /// (the *spatial interleave* of Section IV.B). Output multipliers are
+    /// not part of the footprint: the slot takes `other`'s where it has
+    /// one, as a lane-wise overwrite.
     ///
     /// # Errors
     ///
@@ -956,9 +852,6 @@ impl NetInstruction {
             return Err(MibError::MergeConflict(conflict));
         }
         let mut merged = self.clone();
-        if merged.kind == InstrKind::Nop {
-            merged.kind = other.kind;
-        }
         merge_lanes(
             &mut merged.inputs,
             self.input_mask,
@@ -1252,35 +1145,6 @@ mod tests {
     }
 
     #[test]
-    fn instr_kind_index_round_trips_exhaustively() {
-        // Every variant exactly once, in index order: the match on each
-        // element keeps this test exhaustive — adding an `InstrKind`
-        // variant fails compilation here until this list, `COUNT` and
-        // `index()` are all updated together.
-        const ALL: [InstrKind; InstrKind::COUNT] = [
-            InstrKind::Mac,
-            InstrKind::ColElim,
-            InstrKind::Broadcast,
-            InstrKind::Permute,
-            InstrKind::Elementwise,
-            InstrKind::Prefetch,
-            InstrKind::Nop,
-        ];
-        for (pos, kind) in ALL.into_iter().enumerate() {
-            match kind {
-                InstrKind::Mac
-                | InstrKind::ColElim
-                | InstrKind::Broadcast
-                | InstrKind::Permute
-                | InstrKind::Elementwise
-                | InstrKind::Prefetch
-                | InstrKind::Nop => {}
-            }
-            assert_eq!(kind.index(), pos, "{kind:?} is mis-bucketed");
-        }
-    }
-
-    #[test]
     fn nop_is_empty() {
         let i = NetInstruction::nop(8);
         assert!(i.is_nop());
@@ -1392,8 +1256,6 @@ mod tests {
         assert!(!LaneSource::Reg { addr: 0 }.uses_stream());
         assert_eq!(LaneSource::Reg { addr: 3 }.reg_addr(), Some(3));
         assert_eq!(LaneSource::Stream.reg_addr(), None);
-        assert!(LaneSource::RegTimesImm { addr: 0, imm: 2.0 }.is_multiply());
-        assert!(!LaneSource::Reg { addr: 0 }.is_multiply());
     }
 
     #[test]
@@ -1512,7 +1374,6 @@ mod tests {
         assert_eq!(i.node(0, 1), NodeMode::Sum);
         assert_eq!(i.node(1, 3), NodeMode::Cross);
         assert_eq!(i.node(2, 3), NodeMode::Direct);
-        assert_eq!(i.flop_count(), 1);
     }
 
     #[test]
@@ -1528,7 +1389,6 @@ mod tests {
         // Stage 2 (bit 2 from dst = 1): 5 stays, 1 -> 5: a sum.
         assert_eq!(i.node(2, 5), NodeMode::Sum);
         assert_eq!(i.stage_mask(2), 1 << 5);
-        assert_eq!(i.flop_count(), 2);
         // A second tree into the other half, disjoint from the first.
         i.reduce(&[0], 0);
         assert_masks(&i);
@@ -1662,10 +1522,9 @@ mod tests {
         let mask = u128::from(splitmix(h ^ 1)) << 64 | u128::from(splitmix(h ^ 2));
         let thin = mask & u128::from(splitmix(h ^ 3)) & all_lanes(w);
         let mut inst = match h % 3 {
-            0 => NetInstruction::straight(w, InstrKind::Elementwise, thin, |l| lane_op(h, l)),
+            0 => NetInstruction::straight(w, thin, |l| lane_op(h, l)),
             1 => {
                 let mut i = NetInstruction::nop(w);
-                i.kind = InstrKind::Broadcast;
                 let (src, dst) = (pick(4), pick(5));
                 i.set_input(src, lane_op(h, src).0);
                 i.route(src, dst);
@@ -1674,7 +1533,6 @@ mod tests {
             }
             _ => {
                 let mut i = NetInstruction::nop(w);
-                i.kind = InstrKind::Mac;
                 let sources: Vec<usize> = lanes(thin | 1).collect();
                 for &l in &sources {
                     i.set_input(l, lane_op(h, l).0);
@@ -1759,9 +1617,7 @@ mod tests {
     fn multicast_refuses_source_lanes_out_of_order() {
         let src = LaneSource::Stream;
         let groups = [(3, src, 1 << 3), (1, src, 1 << 1)];
-        NetInstruction::multicast(8, InstrKind::Permute, &groups, |_| {
-            (store(0), OutMul::Bypass)
-        });
+        NetInstruction::multicast(8, &groups, |_| (store(0), OutMul::Bypass));
     }
 
     #[test]
@@ -1769,9 +1625,7 @@ mod tests {
     fn multicast_refuses_overlapping_targets() {
         let src = LaneSource::Stream;
         let groups = [(0, src, 0b110), (4, src, 0b100)];
-        NetInstruction::multicast(8, InstrKind::Permute, &groups, |_| {
-            (store(0), OutMul::Bypass)
-        });
+        NetInstruction::multicast(8, &groups, |_| (store(0), OutMul::Bypass));
     }
 
     #[test]
@@ -1780,9 +1634,7 @@ mod tests {
         // 0 -> 2 and 1 -> 6 both pass node (0, 0).
         let src = LaneSource::Stream;
         let groups = [(0, src, 1 << 2), (1, src, 1 << 6)];
-        NetInstruction::multicast(8, InstrKind::Permute, &groups, |_| {
-            (store(0), OutMul::Bypass)
-        });
+        NetInstruction::multicast(8, &groups, |_| (store(0), OutMul::Bypass));
     }
 
     proptest! {
@@ -1800,11 +1652,10 @@ mod tests {
             let random = u128::from(hi) << 64 | u128::from(lo);
             for w in (1..=7).map(|k| 1usize << k) {
                 let mask = (random & all_lanes(w)) | 1 << (w - 1);
-                let built = NetInstruction::straight(w, InstrKind::ColElim, mask, |l| {
+                let built = NetInstruction::straight(w, mask, |l| {
                     lane_op(seed, l)
                 });
                 let mut want = NetInstruction::nop(w);
-                want.kind = InstrKind::ColElim;
                 for l in lanes(mask) {
                     let (src, write) = lane_op(seed, l);
                     want.set_input(l, src);
@@ -1833,14 +1684,12 @@ mod tests {
                 let write = lane_op(seed, dst).1;
                 let built = NetInstruction::reduction(
                     w,
-                    InstrKind::Mac,
                     sources,
                     dst,
                     |l| lane_op(seed, l).0,
                     write,
                 );
                 let mut want = NetInstruction::nop(w);
-                want.kind = InstrKind::Mac;
                 for l in lanes(sources) {
                     want.set_input(l, lane_op(seed, l).0);
                 }
@@ -1873,11 +1722,10 @@ mod tests {
                 let targets = (random & all_lanes(w)) | 1 << (w - 1);
                 let one = [(from, lane_op(seed, from).0, targets)];
                 for groups in [one.to_vec(), disjoint_groups(w, seed)] {
-                    let built = NetInstruction::multicast(w, InstrKind::Broadcast, &groups, |t| {
+                    let built = NetInstruction::multicast(w, &groups, |t| {
                         (lane_op(seed, t).1, out(t))
                     });
                     let mut want = NetInstruction::nop(w);
-                    want.kind = InstrKind::Broadcast;
                     for &(from, src, targets) in &groups {
                         want.set_input(from, src);
                         for t in lanes(targets) {
@@ -1932,10 +1780,10 @@ mod tests {
 
     #[test]
     fn merged_takes_the_later_output_multiplier() {
-        let mut a = NetInstruction::straight(16, InstrKind::Mac, 0b11, |l| lane_op(1, l));
+        let mut a = NetInstruction::straight(16, 0b11, |l| lane_op(1, l));
         a.set_out_mul(9, OutMul::MulStream { negate: true });
         a.set_out_mul(4, OutMul::MulStream { negate: true });
-        let mut b = NetInstruction::straight(16, InstrKind::ColElim, 1 << 12, |l| lane_op(2, l));
+        let mut b = NetInstruction::straight(16, 1 << 12, |l| lane_op(2, l));
         b.set_out_mul(9, OutMul::MulStream { negate: false });
         let ab = NetInstruction::merged(16, [&a, &b].into_iter());
         assert_eq!(ab, fold(16, &[a.clone(), b.clone()]));
@@ -1955,7 +1803,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "lane 8 out of range for width 8")]
     fn straight_refuses_lanes_past_the_width() {
-        NetInstruction::straight(8, InstrKind::Elementwise, 1 << 8 | 1, |l| lane_op(0, l));
+        NetInstruction::straight(8, 1 << 8 | 1, |l| lane_op(0, l));
     }
 
     /// Bytes one instruction holds: the struct plus its per-lane stores.

@@ -251,9 +251,9 @@ mod tests {
             MibError::StreamExhausted { instruction: 0 }
         );
         // A surplus word blocks nothing (the machine tolerates leftovers),
-        // and the prediction counts the one word actually consumed.
+        // and the prediction is the exact stream's.
         let over = certify(&prog, 2, &cfg).expect("surplus stream certifies");
-        assert_eq!(over.stats.hbm_words, 1);
+        assert_eq!(Ok(over), certify(&prog, 1, &cfg));
     }
 
     #[test]

@@ -28,9 +28,7 @@ use std::collections::HashMap;
 use mib::compiler::lower::{lower, LoweredQp};
 use mib::compiler::ProgramCache;
 use mib::core::hbm::HbmStream;
-use mib::core::instruction::{
-    InstrKind, LaneSource, LaneWrite, NetInstruction, NodeMode, OutMul, WriteMode,
-};
+use mib::core::instruction::{LaneSource, LaneWrite, NetInstruction, NodeMode, OutMul, WriteMode};
 use mib::core::machine::{HazardPolicy, Machine};
 use mib::core::program::Program;
 use mib::core::regfile::RegisterFiles;
@@ -48,17 +46,6 @@ struct Reference {
     config: MibConfig,
     regs: RegisterFiles,
     latches: Vec<f64>,
-}
-
-/// Counters a slot adds as it executes, kept apart from the issue
-/// counters so a faulting slot adds nothing.
-#[derive(Default)]
-struct SlotCounts {
-    busy_nodes: u64,
-    flops: u64,
-    hbm_words: u64,
-    reg_reads: u64,
-    reg_writes: u64,
 }
 
 impl Reference {
@@ -135,7 +122,7 @@ impl Reference {
                 });
             }
             let issue = cycle.max(latest);
-            let counts = self.execute(idx, inst, hbm)?;
+            let busy_nodes = self.execute(idx, inst, hbm)?;
             for (lane, latch_at) in latch_visible.iter_mut().enumerate() {
                 if let Some(w) = inst.write(lane) {
                     if w.mode == WriteMode::Latch {
@@ -147,12 +134,7 @@ impl Reference {
             }
             stats.stall_cycles += issue - cycle;
             stats.slots += 1;
-            stats.slots_by_kind[inst.kind.index()] += 1;
-            stats.busy_nodes += counts.busy_nodes;
-            stats.flops += counts.flops;
-            stats.hbm_words += counts.hbm_words;
-            stats.reg_reads += counts.reg_reads;
-            stats.reg_writes += counts.reg_writes;
+            stats.busy_nodes += busy_nodes;
             cycle = issue + 1;
         }
         if stats.slots > 0 {
@@ -161,17 +143,18 @@ impl Reference {
         Ok(stats)
     }
 
-    /// The values of one slot, lane by lane and node by node.
+    /// The values of one slot, lane by lane and node by node, and its
+    /// busy nodes, returned apart from the issue counters so a faulting
+    /// slot adds nothing.
     fn execute(
         &mut self,
         idx: usize,
         inst: &NetInstruction,
         hbm: &mut HbmStream,
-    ) -> Result<SlotCounts, MibError> {
+    ) -> Result<u64, MibError> {
         let c = self.config.width;
-        let mut n = SlotCounts::default();
-        let mut word = |n: &mut SlotCounts| {
-            n.hbm_words += 1;
+        let mut busy_nodes = 0;
+        let mut word = || {
             hbm.next_word()
                 .ok_or(MibError::StreamExhausted { instruction: idx })
         };
@@ -182,35 +165,20 @@ impl Reference {
             let Some(src) = inst.input(lane) else {
                 continue;
             };
-            n.busy_nodes += 1;
+            busy_nodes += 1;
             let (reg, _) = operands(src);
             let r = match reg {
-                Some(addr) => {
-                    n.reg_reads += 1;
-                    self.regs.read(lane, addr)?
-                }
+                Some(addr) => self.regs.read(lane, addr)?,
                 None => 0.0,
             };
             let latch = self.latches[lane];
             *value = match src {
                 LaneSource::Reg { .. } => r,
-                LaneSource::Stream => word(&mut n)?,
-                LaneSource::RegTimesStream { negate, .. } => {
-                    n.flops += 1;
-                    sign(r * word(&mut n)?, negate)
-                }
-                LaneSource::RegTimesLatch { negate, .. } => {
-                    n.flops += 1;
-                    sign(r * latch, negate)
-                }
-                LaneSource::RegTimesImm { imm, .. } => {
-                    n.flops += 1;
-                    r * imm
-                }
-                LaneSource::StreamTimesLatch { negate } => {
-                    n.flops += 1;
-                    sign(word(&mut n)? * latch, negate)
-                }
+                LaneSource::Stream => word()?,
+                LaneSource::RegTimesStream { negate, .. } => sign(r * word()?, negate),
+                LaneSource::RegTimesLatch { negate, .. } => sign(r * latch, negate),
+                LaneSource::RegTimesImm { imm, .. } => r * imm,
+                LaneSource::StreamTimesLatch { negate } => sign(word()? * latch, negate),
             };
         }
         // Adder stages: node (s, j) sees lane j and lane j XOR 2ˢ.
@@ -220,16 +188,13 @@ impl Reference {
             for (lane, value) in out.iter_mut().enumerate() {
                 let mode = inst.node(s, lane);
                 if mode != NodeMode::Idle {
-                    n.busy_nodes += 1;
+                    busy_nodes += 1;
                 }
                 *value = match mode {
                     NodeMode::Idle => 0.0,
                     NodeMode::Direct => v[lane],
                     NodeMode::Cross => v[lane ^ partner],
-                    NodeMode::Sum => {
-                        n.flops += 1;
-                        v[lane] + v[lane ^ partner]
-                    }
+                    NodeMode::Sum => v[lane] + v[lane ^ partner],
                 };
             }
             v = out;
@@ -237,8 +202,7 @@ impl Reference {
         // Output multipliers, after every input-stage word.
         for (lane, value) in v.iter_mut().enumerate() {
             if let OutMul::MulStream { negate } = inst.out_mul(lane) {
-                n.flops += 1;
-                *value *= sign(word(&mut n)?, negate);
+                *value *= sign(word()?, negate);
             }
         }
         // Writeback.
@@ -246,10 +210,6 @@ impl Reference {
             let Some(LaneWrite { addr, mode }) = inst.write(lane) else {
                 continue;
             };
-            n.reg_writes += 1;
-            if !matches!(mode, WriteMode::Store | WriteMode::Latch) {
-                n.flops += 1;
-            }
             let regs = &mut self.regs;
             match mode {
                 WriteMode::Store => regs.write(lane, addr, value)?,
@@ -273,7 +233,7 @@ impl Reference {
                 }
             }
         }
-        Ok(n)
+        Ok(busy_nodes)
     }
 }
 
@@ -399,20 +359,10 @@ fn random_config() -> MibConfig {
 }
 
 /// One random slot: any source, node mode, output multiplier and
-/// writeback on any lane, with any kind.
+/// writeback on any lane.
 fn random_instruction(seed: u64, cfg: &MibConfig) -> NetInstruction {
     let mut d = Draw(seed);
     let mut inst = NetInstruction::nop(cfg.width);
-    let kinds = [
-        InstrKind::Mac,
-        InstrKind::ColElim,
-        InstrKind::Broadcast,
-        InstrKind::Permute,
-        InstrKind::Elementwise,
-        InstrKind::Prefetch,
-        InstrKind::Nop,
-    ];
-    inst.kind = kinds[d.below(7)];
     let modes = [
         WriteMode::Store,
         WriteMode::Add,
