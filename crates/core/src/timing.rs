@@ -27,11 +27,12 @@
 //!
 //! No register values are computed, no stream words are materialized and
 //! no adder stage is walked. The predictor's cost beside the simulator's,
-//! over the 120-program `verify_schedules --timing` sample, is recorded in
-//! `results/BENCH_verify.json` (`analysis_us`, `simulation_us`,
-//! `speedup`); it is cheap enough to run on every compiled schedule as the
-//! compiler's cost oracle (`mib_compiler::cost::StaticCost`). Those are
-//! first runs and first predictions. A repeated run of one `Program`
+//! over the 120-program sample, is what `verify_schedules` prints as its
+//! analysis and simulation times (not written to any file, since they
+//! are one host's wall clock); it is cheap enough to run on every
+//! compiled schedule as the compiler's cost oracle
+//! (`mib_compiler::cost::StaticCost`). Those are first runs and first
+//! predictions. A repeated run of one `Program`
 //! under the same key pays neither the engine nor the decoding, only the
 //! decoded value stage; a repeated prediction under the key of the
 //! program's first one is a copy of the stored [`StaticTiming`] or

@@ -135,6 +135,18 @@ trap 'rm -rf "$reports" "$traces"' EXIT
   -p mib-bench --bin trace_report >/dev/null 2>&1)
 cmp "$traces/results/trace_report.txt" results/trace_report.txt
 
+echo "==> schedule counts (verify_schedules --timing reproduces results/BENCH_verify.json byte for byte)"
+# The document holds counts only (slots, predicted and stall cycles,
+# lower bounds, the agreement tally, forced appends): regenerated in a
+# scratch directory over the 120-program sample, it must equal the
+# committed copy, so every moved row, a fall included, is re-pinned on
+# purpose.
+schedules="$(mktemp -d)"
+trap 'rm -rf "$reports" "$traces" "$schedules"' EXIT
+(cd "$schedules" && cargo run --release -q --manifest-path "$OLDPWD/Cargo.toml" \
+  -p mib-bench --bin verify_schedules -- --timing >/dev/null 2>&1)
+cmp "$schedules/results/BENCH_verify.json" results/BENCH_verify.json
+
 echo "==> benchmark/ (its own tests + every workload once, briefly)"
 # benchmark/ is a package of its own that reaches the workspace only
 # through public items: this is what notices a public-API change that
