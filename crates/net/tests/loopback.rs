@@ -434,6 +434,30 @@ fn matched_versions_negotiate_the_newest_and_carry_trace_ids() {
 }
 
 #[test]
+fn a_non_finite_warm_start_fails_alone() {
+    // A NaN warm start is refused before the solve with a typed reply
+    // that says why, rather than run to the iteration limit; the same
+    // connection's next request is served.
+    let (server, _) = start_server_cfg(ServeConfig::default(), NetConfig::default());
+    let problem = instance(Domain::Portfolio, 0).problem;
+    let mut client = NetClient::connect(server.local_addr(), TOKEN_A).unwrap();
+    let mut x = vec![0.0; problem.num_vars()];
+    x[0] = f64::NAN;
+    let warm = (x, vec![0.0; problem.num_constraints()]);
+    client.submit(1, 0, None, None, None, Some(warm)).unwrap();
+    match client.recv_timeout(Duration::from_secs(30)) {
+        Some(ClientEvent::Reply { request_id, reply }) => {
+            assert_eq!(request_id, 1);
+            assert_eq!(reply.code, ReplyCode::Failed, "{reply:?}");
+            assert!(reply.message.contains("finite"), "{}", reply.message);
+        }
+        other => panic!("expected a reply, got {other:?}"),
+    }
+    client.submit(2, 0, None, None, None, None).unwrap();
+    assert_eq!(wait_for_reply(&mut client, 2), ReplyCode::Solved);
+}
+
+#[test]
 fn infeasible_bounds_get_a_primal_infeasible_reply() {
     // min ½‖x‖² subject to x₁ + x₂ in [l₀, u₀] and x₁ + x₂ in [l₁, u₁],
     // registered feasible, once per KKT backend.

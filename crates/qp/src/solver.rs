@@ -273,7 +273,8 @@ impl Solver {
     ///
     /// Returns [`QpError::InvalidProblem`] when the result's dimensions do
     /// not match this solver's problem (e.g. a pooled result from a
-    /// different-shaped tenant); the iterates are left untouched.
+    /// different-shaped tenant), or when an entry of its `x` or `y` is NaN
+    /// or ±∞; the iterates are left untouched.
     pub fn warm_start_from(&mut self, previous: &SolveResult) -> Result<()> {
         let n = self.env.orig.num_vars();
         let m = self.env.orig.num_constraints();
@@ -283,6 +284,11 @@ impl Solver {
                 previous.x.len(),
                 previous.y.len()
             )));
+        }
+        if previous.x.iter().chain(&previous.y).any(|v| !v.is_finite()) {
+            return Err(QpError::InvalidProblem(
+                "warm start entries must be finite".into(),
+            ));
         }
         self.warm_start(&previous.x, &previous.y);
         Ok(())
@@ -897,6 +903,31 @@ mod tests {
             let after = solver.solve();
             assert_eq!(after.x, cold.x, "{algorithm}: iterates were perturbed");
             assert_eq!(after.iterations, cold.iterations);
+        }
+    }
+
+    #[test]
+    fn a_non_finite_warm_start_is_refused() {
+        let p = CscMatrix::from_dense(2, 2, &[2.0, 0.0, 0.0, 2.0]);
+        let a = CscMatrix::identity(2);
+        let problem = Problem::new(p, vec![-1.0, -1.0], a, vec![0.0; 2], vec![0.3; 2]).unwrap();
+        for settings in configurations() {
+            let template = Solver::new(problem.clone(), settings.clone()).unwrap();
+            let solved = template.clone().solve();
+            for bad in [f64::NAN, f64::INFINITY] {
+                let mut previous = solved.clone();
+                previous.x[1] = bad;
+                previous.y[0] = bad;
+                let mut solver = template.clone();
+                let err = solver.warm_start_from(&previous).unwrap_err();
+                assert!(matches!(err, QpError::InvalidProblem(_)), "{err}");
+                // The refusal leaves the iterates as a fresh clone's.
+                let (after, fresh) = (solver.solve(), template.clone().solve());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&after.x), bits(&fresh.x), "{bad}");
+                assert_eq!(bits(&after.y), bits(&fresh.y), "{bad}");
+                assert_eq!(after.iterations, fresh.iterations, "{bad}");
+            }
         }
     }
 

@@ -371,6 +371,11 @@ fn solve_request(
                 tenant.problem.num_constraints()
             )));
         }
+        if x.iter().chain(y).any(|v| !v.is_finite()) {
+            return Err(QpError::InvalidProblem(
+                "warm start entries must be finite".into(),
+            ));
+        }
         solver.warm_start(x, y);
     }
     solver.set_deadline(deadline);
