@@ -22,10 +22,13 @@
 //! One [`instruction::NetInstruction`] is the full per-cycle configuration
 //! of every node — *multi-issue* means the compiler merges several logical
 //! operations into one configuration wherever their node-occupancy vectors
-//! and register ports do not collide (Section IV). The
-//! [`machine::Machine`] executes programs functionally while enforcing the
-//! pipeline hazard rules, so a mis-scheduled program either stalls (with
-//! stalls counted) or fails verification.
+//! and register ports do not collide (Section IV). An instruction is that
+//! configuration and nothing more: it carries no label of the primitive
+//! it came from. The [`machine::Machine`] executes programs functionally
+//! while enforcing the pipeline hazard rules, so a mis-scheduled program
+//! either stalls (with stalls counted) or fails verification. A run's
+//! record, [`stats::ExecStats`], holds its cycles, slots, stall cycles and
+//! busy nodes.
 //!
 //! One issue engine serves three consumers: [`machine::Machine::run`],
 //! whose functional stage is the decoder — one pass over the slots yields
